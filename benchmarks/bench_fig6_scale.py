@@ -3,10 +3,9 @@
 The paper's companion wimpy-cluster study (arXiv:1407.0386) argues the
 interesting energy/performance trade-offs only appear at node counts
 far beyond the 4-active-node Fig. 6 run.  This bench locks in the
-wall-clock feasibility of that sweep on the batched event core: one
-physiological-scheme run on a 100-node cluster (50 sources, 50
-targets) with ~10,000 logical partitions and a 50-way parallel
-migration.
+wall-clock feasibility of that sweep: one physiological-scheme run on
+a 100-node cluster (50 sources, 50 targets) with ~10,000 logical
+partitions and a 50-way parallel migration.
 
 CI re-runs this file and fails on a >25% regression vs. the committed
 ``bench_fig6_scale_after.json`` baseline — a kernel change that makes

@@ -5,17 +5,9 @@ model code, just the machinery every experiment burns time in: the
 event heap vs. the zero-delay FIFO, resource request/release,
 store put/get, and the buffer pool's latch + LRU bookkeeping.
 
-The committed baselines in ``benchmarks/baselines/`` lock in the
-before/after trajectory of the fast-path work:
-
-* ``bench_kernel_before.json`` — the seed kernel (heap-only, per-page
-  latch Resources, O(n) victim scans),
-* ``bench_kernel_after.json``  — the same scenarios on the fast-path
-  kernel (zero-delay deque, synchronous uncontended grants,
-  contention-only latches, stamp-heap LRU).
-
 CI re-runs this file and fails on a >25% regression vs. the committed
-*after* baseline (scripts/check_bench_regression.py).
+``benchmarks/baselines/bench_kernel_after.json``
+(scripts/check_bench_regression.py).
 
 Every scenario ends with an assertion on the simulated clock and the
 model-visible counters, so a fast path that changed virtual-time

@@ -74,21 +74,33 @@ class BPlusTree(typing.Generic[K, V]):
         sentinel = object()
         return self.get(key, default=typing.cast(V, sentinel)) is not sentinel
 
+    # delete() is lazy, so the outermost leaves can be empty while the
+    # tree is not: min_key/max_key skip them.
+
     def min_key(self) -> K:
         if not self._size:
             raise KeyError("tree is empty")
         node = self._root
         while not node.is_leaf:
             node = node.children[0]
+        while not node.keys:
+            node = node.next_leaf
         return node.keys[0]
 
     def max_key(self) -> K:
         if not self._size:
             raise KeyError("tree is empty")
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[-1]
-        return node.keys[-1]
+        return self._last_leaf(self._root).keys[-1]
+
+    def _last_leaf(self, node: _Node) -> _Node | None:
+        """Rightmost non-empty leaf under ``node``, or None."""
+        if node.is_leaf:
+            return node if node.keys else None
+        for child in reversed(node.children):
+            leaf = self._last_leaf(child)
+            if leaf is not None:
+                return leaf
+        return None
 
     # -- mutation ----------------------------------------------------------
 

@@ -1,29 +1,17 @@
 """Simulation environment and process machinery.
 
-The :class:`Environment` owns the event calendar and the virtual clock.
+The :class:`Environment` owns the event heap and the virtual clock.
 :class:`Process` adapts a Python generator into a coroutine scheduled on
 that clock: every value the generator yields must be an
 :class:`~repro.sim.events.Event`; the generator resumes when the event
 triggers, receiving the event's value (or its exception).
 
-The scheduling core is a *batched event core* (DESIGN.md §14):
-
-* timed events live in an array-backed :class:`CalendarQueue` — a ring
-  of per-tick buckets with a heap-ordered overflow tier — so schedule
-  and pop are O(1) amortised for the short-horizon delays that dominate
-  disk/network service times;
-* :meth:`Environment.run` drains the entire *cohort* of events due at
-  the current clock value (calendar bucket plus the zero-delay FIFO) in
-  one inner loop without re-entering the scheduler between events;
-* processes carry plain dict-based frames (no ``__slots__``) so the
-  generator's ``send``/``throw`` and the step callback are bound once
-  and cached, instead of being re-bound on every resume.
-
-All of this is *unobservable on the virtual clock*: the dispatch order
-is the exact global ``(time, seq)`` order the original single-heap
-kernel produced, enforced bit-for-bit by the golden fingerprints in
-``tests/determinism/`` and by the property test that replays random
-schedules against a reference single-heap kernel.
+Timed events sit in one global ``heapq`` of ``(time, seq, event)``
+entries; zero-delay events (the large majority) bypass it through a
+FIFO.  Dispatch order is the global ``(time, seq)`` order, pinned
+bit-for-bit by the golden fingerprints in ``tests/determinism/`` and by
+the property test that replays random schedules against a plain
+reference kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +19,6 @@ from __future__ import annotations
 import collections
 import random
 import typing
-from bisect import insort
 from heapq import heappop, heappush
 
 from repro.sim.events import PENDING, Event, Timeout
@@ -42,289 +29,6 @@ ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 class SimulationError(RuntimeError):
     """Raised when the simulation itself is misused or a process crashes
     with nobody waiting to handle the failure."""
-
-
-class CalendarQueue:
-    """Array-backed calendar queue over ``(time, seq, event)`` entries.
-
-    The queue covers a sliding *horizon* of ``nbuckets * bucket_width``
-    simulated seconds with a ring of per-tick buckets; an entry at time
-    ``t`` lands in bucket ``floor(t / bucket_width) % nbuckets``.  Only
-    the cursor bucket is ever sorted (lazily, when the cursor reaches
-    it); pushes into future buckets are plain O(1) appends.  Entries
-    beyond the horizon go to a heap-ordered *overflow tier* and migrate
-    into the ring as the cursor advances and the horizon slides over
-    them (DESIGN.md §14 has the full layout and the migration rule).
-
-    Dispatch order is exactly ascending ``(time, seq)`` — identical to
-    a single global heap — because ``floor(t / w)`` is monotonic in
-    ``t``, equal times share a bucket, buckets are consumed in tick
-    order, and every consumed bucket is sorted first.  Times must be
-    non-negative and (apart from a never-popped overflow tail) finite.
-    """
-
-    __slots__ = ("_width", "_inv", "_nbuckets", "_mask", "_buckets",
-                 "_base", "_htick", "_pos", "_stick", "_size", "_rsize",
-                 "_overflow", "_occ")
-
-    def __init__(self, bucket_width: float = 0.0005, nbuckets: int = 2048,
-                 start: float = 0.0):
-        if bucket_width <= 0:
-            raise ValueError("bucket width must be positive")
-        if nbuckets < 1 or nbuckets & (nbuckets - 1):
-            raise ValueError("bucket count must be a power of two")
-        self._width = bucket_width
-        self._inv = 1.0 / bucket_width
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._buckets: list[list] = [[] for _ in range(nbuckets)]
-        #: Absolute tick of the cursor bucket.  Ring slots hold ticks in
-        #: ``[_base, _htick)``; consumed prefixes only ever linger in
-        #: the cursor bucket itself (cleared when the cursor leaves it).
-        self._base = int(start * self._inv)
-        self._htick = self._base + nbuckets
-        #: Consumed prefix length of the cursor bucket.
-        self._pos = 0
-        #: Absolute tick whose bucket is currently sorted, or -1.
-        self._stick = -1
-        self._size = 0
-        self._rsize = 0
-        self._overflow: list = []
-        #: Occupied-tick index: a small heap holding the tick of every
-        #: non-empty ring bucket ahead of the cursor, so advancing jumps
-        #: straight to the next occupied bucket instead of walking the
-        #: (possibly long) run of empty ticks one by one.  A tick is
-        #: pushed on its bucket's empty-to-non-empty transition; entries
-        #: at or behind the cursor are stale and skipped on pop.
-        self._occ: list[int] = []
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def bucket_width(self) -> float:
-        return self._width
-
-    @property
-    def overflow_size(self) -> int:
-        return len(self._overflow)
-
-    def push(self, t: float, seq: int, event: typing.Any) -> None:
-        """Insert an entry; ``t`` must be >= every previously popped time."""
-        ftick = t * self._inv
-        if ftick < self._htick:
-            tick = int(ftick)
-            if tick < self._base:
-                # The cursor commits ahead of the clock (next_time
-                # advances it to the next non-empty bucket), so a short
-                # delay can round to a tick the cursor already passed.
-                # Fold the entry into the cursor bucket: it sorts ahead
-                # of everything there (its time is smaller), so it still
-                # pops first — order is unchanged.
-                tick = self._base
-            bucket = self._buckets[tick & self._mask]
-            if not bucket:
-                bucket.append((t, seq, event))
-                if tick != self._base:
-                    heappush(self._occ, tick)
-            elif tick == self._stick:
-                # The cursor bucket is already sorted (and possibly
-                # mid-consumption): keep it sorted.  The insertion point
-                # is always at or after the consumed prefix, because a
-                # new entry's (t, seq) exceeds every consumed entry's.
-                # Times trend upward while the cursor sits in a bucket,
-                # so the common insertion point is the very end: one
-                # tuple compare beats a bisect.
-                entry = (t, seq, event)
-                if bucket[-1] <= entry:
-                    bucket.append(entry)
-                else:
-                    insort(bucket, entry)
-            else:
-                bucket.append((t, seq, event))
-            self._rsize += 1
-        else:
-            heappush(self._overflow, (t, seq, event))
-        self._size += 1
-
-    def _refill(self) -> None:
-        """Ring empty: jump the cursor to the overflow minimum's bucket
-        and migrate everything inside the new horizon into the ring."""
-        bucket = self._buckets[self._base & self._mask]
-        if self._pos:
-            del bucket[:]           # drop the consumed cursor prefix
-        self._base = int(self._overflow[0][0] * self._inv)
-        self._htick = self._base + self._nbuckets
-        self._pos = 0
-        self._stick = -1
-        del self._occ[:]            # every ring bucket is empty: all stale
-        self._migrate()
-
-    def _migrate(self) -> None:
-        """Move overflow entries now inside the horizon into the ring."""
-        overflow = self._overflow
-        htick = self._htick
-        inv = self._inv
-        buckets = self._buckets
-        mask = self._mask
-        base = self._base
-        while overflow and overflow[0][0] * inv < htick:
-            entry = heappop(overflow)
-            tick = int(entry[0] * inv)
-            bucket = buckets[tick & mask]
-            if not bucket and tick != base:
-                heappush(self._occ, tick)
-            bucket.append(entry)
-            self._rsize += 1
-
-    def _advance(self) -> list:
-        """Cursor bucket exhausted: jump to the next occupied tick via
-        the index heap and return its (non-empty) bucket."""
-        buckets = self._buckets
-        mask = self._mask
-        base = self._base
-        bucket = buckets[base & mask]
-        if self._pos:
-            del bucket[:]           # cursor leaves: free the consumed prefix
-            self._pos = 0
-        occ = self._occ
-        while True:
-            tick = heappop(occ)
-            if tick > base:
-                bucket = buckets[tick & mask]
-                if bucket:
-                    break
-            # tick <= base: a stale fold-in registration for a bucket
-            # the cursor has already consumed.
-        self._base = tick
-        self._htick = tick + self._nbuckets
-        if self._overflow:
-            self._migrate()
-        return bucket
-
-    def next_time(self) -> float:
-        """Time of the earliest entry.  Requires a non-empty queue.
-
-        Commits cursor advancement: empty buckets behind the earliest
-        entry are skipped permanently (nothing can be scheduled in the
-        past), the horizon slides, and newly covered overflow entries
-        migrate into the ring.
-        """
-        if not self._rsize:
-            self._refill()
-        base = self._base
-        bucket = self._buckets[base & self._mask]
-        pos = self._pos
-        if pos >= len(bucket):
-            bucket = self._advance()
-            base = self._base
-            pos = 0
-        if self._stick != base:
-            if len(bucket) > 1:
-                bucket.sort()
-            self._stick = base
-        return bucket[pos][0]
-
-    def advance_pop_due(self, limit: float, out: collections.deque) -> float:
-        """Advance the cursor to the earliest entry and, if its time is
-        <= ``limit``, pop that whole same-timestamp cohort into ``out``.
-
-        Returns the earliest entry's time either way — the run loop's
-        fused "peek next time, advance the clock, take the cohort" step,
-        one method call instead of three.  Requires a non-empty queue.
-        """
-        if not self._rsize:
-            self._refill()
-        buckets = self._buckets
-        mask = self._mask
-        base = self._base
-        bucket = buckets[base & mask]
-        pos = self._pos
-        if pos >= len(bucket):
-            # _advance, inlined (hot: every clock advance lands here).
-            if pos:
-                del bucket[:]
-                self._pos = pos = 0
-            occ = self._occ
-            while True:
-                tick = heappop(occ)
-                if tick > base:
-                    bucket = buckets[tick & mask]
-                    if bucket:
-                        break
-            self._base = base = tick
-            self._htick = tick + self._nbuckets
-            if self._overflow:
-                self._migrate()
-        if self._stick != base:
-            if len(bucket) > 1:
-                bucket.sort()
-            self._stick = base
-        entry = bucket[pos]
-        when = entry[0]
-        if when > limit:
-            return when
-        # The cohort: every entry at exactly `when`.  Same times share a
-        # tick, so the cohort never spans buckets.
-        append = out.append
-        append(entry[2])
-        pos += 1
-        taken = 1
-        n = len(bucket)
-        while pos < n:
-            entry = bucket[pos]
-            if entry[0] > when:
-                break
-            append(entry[2])
-            pos += 1
-            taken += 1
-        self._size -= taken
-        self._rsize -= taken
-        if pos >= 64 and pos + pos >= len(bucket):
-            # Long-lived cursor bucket (sub-width delays keep feeding
-            # it): trim the consumed prefix once it dominates, so pushes
-            # into the live tail stay cheap and memory stays bounded.
-            del bucket[:pos]
-            pos = 0
-        self._pos = pos
-        return when
-
-    def pop_due_into(self, now: float, out: collections.deque) -> None:
-        """Append every event with time <= ``now`` to ``out``, in
-        ascending ``(time, seq)`` order — the same-timestamp *cohort*
-        batch the run loop dispatches without re-entering the scheduler."""
-        append = out.append
-        while self._size:
-            if self.next_time() > now:
-                return
-            bucket = self._buckets[self._base & self._mask]
-            pos = start = self._pos
-            n = len(bucket)
-            while pos < n:
-                entry = bucket[pos]
-                if entry[0] > now:
-                    break
-                append(entry[2])
-                pos += 1
-            taken = pos - start
-            self._size -= taken
-            self._rsize -= taken
-            self._pos = pos
-            if pos < n:
-                return
-
-    def pop(self):
-        """Pop the earliest ``(time, seq, event)`` entry (test/reference
-        use; the run loop uses :meth:`pop_due_into`)."""
-        if not self._size:
-            raise IndexError("pop from an empty CalendarQueue")
-        self.next_time()
-        bucket = self._buckets[self._base & self._mask]
-        entry = bucket[self._pos]
-        self._pos += 1
-        self._size -= 1
-        self._rsize -= 1
-        return entry
 
 
 class Process(Event):
@@ -410,33 +114,21 @@ class Process(Event):
 
 
 class Environment:
-    """Event calendar, virtual clock, and process factory."""
+    """Event heap, virtual clock, and process factory."""
 
-    def __init__(self, initial_time: float = 0.0, seed: int | None = 0,
-                 bucket_width: float = 0.0005, calendar_buckets: int = 2048):
+    def __init__(self, initial_time: float = 0.0, seed: int | None = 0):
         self._now = float(initial_time)
-        self._cal = CalendarQueue(bucket_width=bucket_width,
-                                  nbuckets=calendar_buckets,
-                                  start=self._now)
+        self._heap: list[tuple[float, int, Event]] = []
         # Zero-delay events (succeed/fail deliveries, process bootstraps,
-        # immediate grants) skip the calendar entirely: they are appended
-        # to this FIFO and drained at the current clock value.  Ordering
-        # is preserved because a calendar entry at time == now can only
-        # have been scheduled *before* the clock reached now (delay > 0),
-        # hence before any zero-delay event created at now — so "due
-        # calendar cohort first, then the FIFO, then advance" replays the
-        # exact global (time, seq) order a single-heap kernel produces.
+        # immediate grants) skip the heap entirely: they are appended to
+        # this FIFO and drained at the current clock value.  Ordering is
+        # preserved because a heap entry at time == now can only have been
+        # scheduled *before* the clock reached now (delay > 0), hence
+        # before any zero-delay event created at now — so "heap entries
+        # due at now first, then the FIFO, then advance" replays the
+        # exact global (time, seq) order a heap holding every event
+        # would produce.
         self._fast: collections.deque[Event] = collections.deque()
-        #: The due-timed cohort currently being dispatched.  Kept on the
-        #: environment (not a run()-local) so an early return — stop
-        #: event triggering mid-cohort — leaves the unprocessed tail
-        #: intact for the next run() call.
-        self._due: collections.deque[Event] = collections.deque()
-        #: Set by _schedule when an entry lands at time <= now (only
-        #: possible when now + delay rounds down to now): the run loop
-        #: must re-drain the calendar before touching the FIFO, exactly
-        #: as the single-heap kernel's per-event top check did.
-        self._timed_due = False
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
         # Lightweight kernel counters (see :meth:`kernel_stats`): plain
@@ -446,8 +138,8 @@ class Environment:
         self.fast_scheduled = 0
         self.heap_peak = 0
         self.resource_fast_grants = 0
+        #: Clock advances: one per distinct timestamp dispatched.
         self.cohorts_dispatched = 0
-        self.cohort_max = 0
         #: The simulation's own RNG stream, for stochastic model inputs
         #: (fault schedules, jitter).  Seeded so two environments built
         #: with the same seed replay identically; workload generators
@@ -469,42 +161,11 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        seq = self._seq
         self.heap_scheduled += 1
-        now = self._now
-        t = now + delay
-        # CalendarQueue.push, inlined: this is the one always-taken call
-        # on the timed-schedule path, and the call itself is measurable.
-        # Keep the two bodies in sync.
-        cal = self._cal
-        ftick = t * cal._inv
-        if ftick < cal._htick:
-            tick = int(ftick)
-            base = cal._base
-            if tick < base:
-                tick = base
-            bucket = cal._buckets[tick & cal._mask]
-            if not bucket:
-                bucket.append((t, seq, event))
-                if tick != base:
-                    heappush(cal._occ, tick)
-            elif tick == cal._stick:
-                entry = (t, seq, event)
-                if bucket[-1] <= entry:
-                    bucket.append(entry)
-                else:
-                    insort(bucket, entry)
-            else:
-                bucket.append((t, seq, event))
-            cal._rsize += 1
-        else:
-            heappush(cal._overflow, (t, seq, event))
-        size = cal._size + 1
-        cal._size = size
-        if t <= now:
-            self._timed_due = True
-        if size > self.heap_peak:
-            self.heap_peak = size
+        heap = self._heap
+        heappush(heap, (self._now + delay, self._seq, event))
+        if len(heap) > self.heap_peak:
+            self.heap_peak = len(heap)
 
     def _queue_event(self, event: Event) -> None:
         """Queue an already-triggered event for callback processing now."""
@@ -546,14 +207,7 @@ class Environment:
 
         ``until`` may be a time (run until the clock reaches it), an
         event/process (run until it triggers, returning its value), or
-        ``None`` (run until the calendar drains).
-
-        The loop dispatches in *cohorts*: the due calendar bucket is
-        popped as one batch and drained back-to-back, then the
-        zero-delay FIFO is drained in a second tight loop; only when
-        both are empty does the clock advance.  Per-event work is the
-        callback delivery plus three cheap flag checks — no scheduler
-        re-entry between same-timestamp events.
+        ``None`` (run until the heap drains).
         """
         stop_event: Event | None = None
         stop_time: float | None = None
@@ -569,111 +223,40 @@ class Environment:
                     f"run(until={stop_time}) is in the past (now={self._now})"
                 )
 
-        cal = self._cal
+        heap = self._heap
         fast = self._fast
-        due = self._due
         crashes = self._crashes
-        pop_due = due.popleft
         pop_fast = fast.popleft
-        free_run = stop_event is None and stop_time is None
         limit = float("inf") if stop_time is None else stop_time
+        now = self._now
         ep = self.events_processed
 
         while True:
-            # -- 1. timed events due at the current clock (the cohort) --
-            if due or self._timed_due:
-                if self._timed_due:
-                    # A handler scheduled an entry that rounded to
-                    # time <= now (the ulp edge): pull it in as its own
-                    # cohort.  Phase 3 already counted cohorts it popped.
-                    self._timed_due = False
-                    before = len(due)
-                    cal.pop_due_into(self._now, due)
-                    if len(due) > before:
-                        self.cohorts_dispatched += 1
-                if len(due) > self.cohort_max:
-                    self.cohort_max = len(due)
-                while due:
-                    event = pop_due()
-                    ep += 1
-                    self.events_processed = ep
-                    event._processed = True
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if crashes:
-                        self._raise_orphan_crashes()
-                    if stop_event is not None and stop_event._value is not PENDING:
-                        return self._finish_stop(stop_event)
-                # A handler may have scheduled a new entry that rounds
-                # to time <= now: re-drain the calendar before the FIFO.
-                continue
-
-            # -- 2. the zero-delay FIFO --------------------------------
-            if fast:
-                if free_run:
-                    while fast:
-                        event = pop_fast()
-                        ep += 1
-                        self.events_processed = ep
-                        event._processed = True
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                        if crashes:
-                            self._raise_orphan_crashes()
-                        if self._timed_due:
-                            break
-                else:
-                    while fast:
-                        event = pop_fast()
-                        ep += 1
-                        self.events_processed = ep
-                        event._processed = True
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                        if crashes:
-                            self._raise_orphan_crashes()
-                        if stop_event is not None and stop_event._value is not PENDING:
-                            return self._finish_stop(stop_event)
-                        if self._timed_due:
-                            break
-                if self._timed_due:
-                    continue
-
-            # -- 3. both empty at now: advance the clock ---------------
-            if not cal._size:
+            # Due heap entries, then the FIFO, then advance (see
+            # __init__).  A due entry can be scheduled *during* the FIFO
+            # drain — now + delay rounding down to now — so the heap top
+            # is re-checked before every FIFO pop.
+            if heap and heap[0][0] <= now:
+                event = heappop(heap)[2]
+            elif fast:
+                event = pop_fast()
+            elif heap and heap[0][0] <= limit:
+                now, _seq, event = heappop(heap)
+                self._now = now
+                self.cohorts_dispatched += 1
+            else:
                 break
-            when = cal.advance_pop_due(limit, due)
-            if when > limit:
-                self._now = stop_time
-                return None
-            self._now = when
-            self.cohorts_dispatched += 1
-            if len(due) == 1:
-                # Singleton cohort — the overwhelmingly common shape for
-                # distinct-deadline timeouts.  Dispatch inline instead
-                # of looping back through phase 1: this is the hottest
-                # path in the whole simulator, and the ~10 bookkeeping
-                # ops the general cohort path spends re-checking phase
-                # guards are measurable on it.
-                event = pop_due()
-                ep += 1
-                self.events_processed = ep
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if crashes:
-                    self._raise_orphan_crashes()
-                if stop_event is not None and stop_event._value is not PENDING:
-                    return self._finish_stop(stop_event)
-            # Multi-event cohorts fall through to phase 1's batch loop.
+            ep += 1
+            self.events_processed = ep
+            event._processed = True
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if crashes:
+                self._raise_orphan_crashes()
+            if stop_event is not None and stop_event._value is not PENDING:
+                return self._finish_stop(stop_event)
 
         if stop_time is not None:
             self._now = stop_time
@@ -697,9 +280,9 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._due or self._fast or self._timed_due:
+        if self._fast:
             return self._now
-        return self._cal.next_time() if self._cal._size else float("inf")
+        return self._heap[0][0] if self._heap else float("inf")
 
     def kernel_stats(self) -> dict[str, int | float]:
         """Counters for the kernel's own machinery (events, fast paths).
@@ -717,9 +300,4 @@ class Environment:
             "heap_peak": self.heap_peak,
             "resource_fast_grants": self.resource_fast_grants,
             "cohorts_dispatched": self.cohorts_dispatched,
-            # Singleton cohorts dispatch inline without touching the
-            # counter, so an all-singleton run still reports size 1.
-            "cohort_max": (max(self.cohort_max, 1)
-                           if self.cohorts_dispatched else 0),
-            "calendar_overflow": self._cal.overflow_size,
         }

@@ -146,6 +146,38 @@ def test_inserts_spill_across_segments():
     assert partition.segment_count >= 1
 
 
+def test_split_full_segment_after_vacuum_emptied_its_tail():
+    """Vacuum reclaims the highest keys of a segment, leaving the
+    index's rightmost leaves empty (B+-tree deletes are lazy).  The
+    tail split must still find the highest *live* key instead of dying
+    on the empty leaf."""
+    from repro.txn import mvcc
+
+    env, cluster = small_cluster()
+    master = cluster.master
+    master.create_table("kv", simple_schema(), owner=cluster.workers[0])
+    partition = list(cluster.workers[0].partitions.values())[0]
+
+    def work():
+        txn = cluster.txns.begin()
+        for i in range(300):
+            yield from master.insert("kv", (i, "x"), txn)
+        yield from cluster.workers[0].commit(txn)
+        txn = cluster.txns.begin()
+        for i in range(100, 300):
+            yield from master.delete("kv", i, txn)
+        yield from cluster.workers[0].commit(txn)
+
+    run(env, work())
+    (segment,) = partition.segments.values()
+    assert mvcc.vacuum(segment, cluster.txns.oldest_active_begin_ts()) == 200
+    assert segment.max_key() == 99
+
+    fresh = partition.split_full_segment(segment, pending_key=100)
+    assert partition.segment_for(99) is segment
+    assert partition.segment_for(100) is fresh
+
+
 def test_power_off_requires_empty_node():
     env, cluster = small_cluster()
     master = cluster.master

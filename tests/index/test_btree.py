@@ -97,6 +97,38 @@ def test_min_max_keys():
     assert tree.max_key() == 9
 
 
+@pytest.mark.parametrize("emptied", ["last", "first", "both"])
+def test_min_max_keys_skip_leaves_emptied_by_lazy_delete(emptied):
+    """delete() never merges leaves, so the outermost leaves can sit
+    empty under a non-empty tree (vacuum of a segment's tail does
+    exactly this); min/max must agree with the scan."""
+    tree = BPlusTree(order=4)
+    for i in range(40):
+        tree.insert(i, i)
+    if emptied in ("last", "both"):
+        for i in range(25, 40):      # several whole rightmost leaves
+            tree.delete(i)
+    if emptied in ("first", "both"):
+        for i in range(0, 11):
+            tree.delete(i)
+    keys = [k for k, _v in tree.items()]
+    assert keys and len(keys) == len(tree)
+    assert tree.min_key() == keys[0]
+    assert tree.max_key() == keys[-1]
+
+
+def test_min_max_keys_raise_keyerror_once_every_key_is_deleted():
+    tree = BPlusTree(order=4)
+    for i in range(20):
+        tree.insert(i, i)
+    for i in range(20):
+        tree.delete(i)
+    with pytest.raises(KeyError):
+        tree.min_key()
+    with pytest.raises(KeyError):
+        tree.max_key()
+
+
 def test_first_at_or_after():
     tree = BPlusTree(order=4)
     for i in (10, 20, 30):

@@ -293,3 +293,102 @@ def test_nested_processes_three_deep():
 
     result = env.run(until=env.process(level1()))
     assert result == 113
+
+
+# -- run() slicing and the heap/FIFO interleave ------------------------------
+
+def test_run_until_event_stops_mid_group_and_next_run_finishes_in_order():
+    """``until`` triggers while three of five same-timestamp timeouts
+    are dispatched; the rest stay queued and the next run() delivers
+    them in (time, seq) order — ahead of the zero-delay completion
+    event the stop left in the FIFO."""
+    env = Environment()
+    order = []
+
+    def proc(tag, delay=1):
+        yield env.timeout(delay)
+        order.append(tag)
+
+    def joiner(target):
+        yield target
+        order.append("joined")
+
+    procs = [env.process(proc(tag)) for tag in range(5)]
+    env.process(joiner(procs[2]))
+    env.process(proc("late", delay=2))
+
+    env.run(until=procs[2])
+    assert order == [0, 1, 2]
+    assert env.now == 1
+    assert env.peek() == 1
+
+    env.run()
+    assert order == [0, 1, 2, 3, 4, "joined", "late"]
+    assert env.now == 2
+
+
+def test_run_until_time_dispatches_an_entry_exactly_at_the_bound():
+    env = Environment()
+    fired = []
+
+    def proc(delay):
+        yield env.timeout(delay)
+        fired.append(delay)
+
+    env.process(proc(5))
+    env.process(proc(5.5))
+    env.run(until=5)
+    assert fired == [5]
+    assert env.now == 5
+    assert env.peek() == 5.5
+    env.run()
+    assert fired == [5, 5.5]
+
+
+def test_sub_ulp_timeout_preempts_the_zero_delay_fifo():
+    """At a clock value whose ulp exceeds the delay, ``now + delay ==
+    now``: the timeout is a *timed* entry already due, and due timed
+    entries run before the FIFO without a clock advance."""
+    start = 2.0 ** 52
+    env = Environment(initial_time=start)
+    assert start + 0.25 == start
+    order = []
+
+    gate = env.event()
+    gate.callbacks.append(lambda _e: order.append("fifo"))
+    gate.succeed()
+    tick = env.timeout(0.25)
+    tick.callbacks.append(lambda _e: order.append("timed"))
+
+    env.run()
+    assert order == ["timed", "fifo"]
+    assert env.now == start
+    assert env.kernel_stats()["cohorts_dispatched"] == 0
+
+
+# -- kernel_stats contract ---------------------------------------------------
+
+def test_kernel_stats_keeps_the_keys_the_perf_ledger_reads():
+    from perfledger.surface import KERNEL_STATS_KEYS
+
+    assert set(KERNEL_STATS_KEYS) <= set(Environment().kernel_stats())
+
+
+def test_cohorts_dispatched_counts_distinct_clock_advances():
+    env = Environment()
+    seen = set()
+
+    def proc(delays):
+        for delay in delays:
+            yield env.timeout(delay)
+            seen.add(env.now)
+
+    env.process(proc([1, 1, 0, 2]))      # fires at 1, 2, 2, 4
+    env.process(proc([1, 3]))            # fires at 1, 4
+    env.process(proc([2.5]))             # fires at 2.5
+    env.run(until=3)                     # slices must not double-count
+    env.run()
+    assert seen == {1, 2, 2.5, 4}
+    stats = env.kernel_stats()
+    assert stats["cohorts_dispatched"] == len(seen)
+    assert stats["heap_scheduled"] == 6

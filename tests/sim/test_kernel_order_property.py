@@ -1,20 +1,21 @@
-"""Property test: calendar-queue kernel vs a reference single-heap kernel.
+"""Property test: the kernel vs a plain reference kernel.
 
-The batched event core (DESIGN.md §14) must dispatch in exactly the
-order the seed kernel did: timed events in ``(time, seq)`` order, due
-timed events before anything in the zero-delay FIFO, zero-delay events
-FIFO among themselves.  The determinism goldens pin this on two big
-model workloads; this test pins it on *adversarial* random schedules —
-zero-delay cascades, same-timestamp cohorts landing in one calendar
-bucket, sub-bucket and beyond-horizon delays, and resource requests
-cancelled while queued (heap tombstones).
+:class:`Environment` must dispatch timed events in ``(time, seq)``
+order, due timed events before anything in the zero-delay FIFO, and
+zero-delay events FIFO among themselves — whether the schedule is run
+in one go or in ``run(until=t)`` slices.  The determinism goldens pin
+this on two big model workloads; this test pins it on *adversarial*
+random schedules: zero-delay cascades, exact-duplicate timestamps,
+delays from sub-millisecond to seconds, resource requests cancelled
+while queued (heap tombstones), and slice bounds that land between,
+on and past event times.
 
-The reference kernel below is the seed algorithm: one global ``heapq``
-keyed ``(time, seq, event)`` plus the zero-delay deque, run with the
-seed's interleave rule.  It duck-types ``Environment`` closely enough
-to reuse the real ``Event``/``Timeout``/``Process``/``Resource``
-classes, so both kernels execute the *same* workload code and only the
-scheduler differs.
+The reference kernel below is that rule written down with nothing
+else: one global ``heapq`` keyed ``(time, seq, event)`` plus the
+zero-delay deque, no hoisted locals, no inlined fast paths.  It
+duck-types ``Environment`` closely enough to reuse the real
+``Event``/``Timeout``/``Process``/``Resource`` classes, so both kernels
+execute the *same* workload code and only the scheduler differs.
 """
 
 import collections
@@ -28,7 +29,7 @@ from repro.sim.resources import Resource
 
 
 class ReferenceEnvironment:
-    """The seed kernel: single global heap + zero-delay FIFO."""
+    """Single global heap + zero-delay FIFO, as plainly as possible."""
 
     def __init__(self):
         self._now = 0.0
@@ -81,18 +82,20 @@ class ReferenceEnvironment:
     def process(self, generator, name=None):
         return Process(self, generator, name=name)
 
-    def run(self):
+    def run(self, until=None):
         heap = self._heap
         fast = self._fast
         while heap or fast:
-            # The seed's interleave rule: heap entries already due
-            # preempt the zero-delay FIFO; the clock advances only once
-            # both are exhausted.
+            # The interleave rule: heap entries already due preempt the
+            # zero-delay FIFO; the clock advances only once both are
+            # exhausted.
             if heap and heap[0][0] <= self._now:
                 event = heapq.heappop(heap)[2]
             elif fast:
                 event = fast.popleft()
             else:
+                if until is not None and heap[0][0] > until:
+                    break
                 when, _seq, event = heapq.heappop(heap)
                 self._now = when
             self.events_processed += 1
@@ -103,12 +106,13 @@ class ReferenceEnvironment:
             if self._crashes:
                 _process, exc = self._crashes[0]
                 raise exc
+        if until is not None:
+            self._now = until
 
 
-# Delays chosen to hit every calendar regime (bucket width 0.0005,
-# horizon 2048 buckets = 1.024s): zero-delay FIFO, sub-bucket folds
-# into the cursor bucket, exact-duplicate cohort members, multi-bucket
-# hops, and beyond-horizon pushes into the overflow tier.
+# Zero-delay (the FIFO fast path), exact duplicates (same-timestamp
+# groups ordered by seq alone), and a spread from 0.1 ms to seconds so
+# heap depth and timestamp collisions both vary.
 DELAYS = [0.0, 0.0001, 0.00025, 0.0005, 0.0005, 0.001, 0.0013,
           0.01, 0.25, 1.5, 5.0]
 
@@ -120,10 +124,19 @@ program_strategy = st.lists(
     st.lists(step_strategy, min_size=1, max_size=6),
     min_size=1, max_size=8,
 )
+# run(until=t) bounds: sums of DELAYS land exactly on event times, the
+# odd values fall between them, and 40.0 is past the longest program.
+slices_strategy = st.lists(
+    st.sampled_from([0.0, 0.0005, 0.001, 0.0107, 0.25, 0.26, 1.5, 1.75,
+                     5.0, 6.5, 40.0]),
+    max_size=4,
+).map(sorted)
 
 
-def _execute(env, resource, program):
-    """Run ``program`` on ``env``; return the dispatch trace."""
+def _execute(env, resource, program, slices=()):
+    """Run ``program`` on ``env`` — in ``run(until=t)`` slices, then to
+    completion — and return the dispatch trace, with a marker recording
+    the clock and the progress made at the end of each slice."""
     trace = []
 
     def runner(pid, script):
@@ -146,21 +159,27 @@ def _execute(env, resource, program):
 
     for pid, script in enumerate(program):
         env.process(runner(pid, script), name=f"p{pid}")
+    for bound in slices:
+        env.run(until=bound)
+        trace.append(("slice", env.now, env.events_processed))
     env.run()
     return trace
 
 
 @settings(max_examples=120, deadline=None)
-@given(program=program_strategy)
-def test_calendar_kernel_matches_single_heap_reference(program):
+@given(program=program_strategy, slices=slices_strategy)
+def test_kernel_matches_plain_reference(program, slices):
     real_env = Environment()
-    real_trace = _execute(real_env, Resource(real_env, capacity=1), program)
+    real_trace = _execute(real_env, Resource(real_env, capacity=1),
+                          program, slices)
 
     ref_env = ReferenceEnvironment()
-    ref_trace = _execute(ref_env, Resource(ref_env, capacity=1), program)
+    ref_trace = _execute(ref_env, Resource(ref_env, capacity=1),
+                         program, slices)
 
     assert real_trace == ref_trace
     assert real_env.now == ref_env.now
-    # Same number of timed schedules on both sides: the calendar did
+    assert real_env.events_processed == ref_env.events_processed
+    # Same number of timed schedules on both sides: the fast path did
     # not silently reroute timed work through the zero-delay FIFO.
     assert real_env.heap_scheduled == ref_env.heap_scheduled
