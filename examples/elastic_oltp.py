@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Elastic OLTP: the cluster breathes with a TPC-C load wave.
 
-A TPC-C workload ramps up and back down while the rebalancer's
+A TPC-C workload ramps up and back down while the autoscaler's
 threshold policy (Sect. 3.4) decides when to recruit standby nodes —
 repartitioning physiologically towards them — and when to quiesce nodes
 and power them off again.  Prints a timeline of active nodes,
@@ -19,6 +19,7 @@ from repro import Cluster, Environment
 from repro.cluster import PolicyThresholds, ThresholdPolicy
 from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.hardware import HDD_SPEC
+from repro.traffic import Autoscaler
 from repro.workload import (
     TpccConfig,
     TpccContext,
@@ -63,12 +64,10 @@ def main():
         disk_upper=0.6, disk_lower=0.08,
         consecutive_samples=2,
     ))
-    rebalancer = Rebalancer(cluster, PhysiologicalPartitioning(),
-                            policy=policy)
-    env.process(
-        rebalancer.run_policy_loop(list(WAREHOUSE_PARTITIONED), interval=5.0),
-        name="policy-loop",
-    )
+    rebalancer = Rebalancer(cluster, PhysiologicalPartitioning())
+    autoscaler = Autoscaler(cluster, rebalancer, list(WAREHOUSE_PARTITIONED),
+                            admission=None, policy=policy)
+    env.process(autoscaler.run(), name="autoscaler")
 
     total = sum(d for d, _n, _i in PHASES)
 
@@ -93,7 +92,7 @@ def main():
     env.process(phased_load())
     env.process(reporter())
     env.run(until=env.process(driver.run(total)))
-    rebalancer.stop()
+    autoscaler.stop()
 
     joules = cluster.energy_joules()
     print(f"\ncompleted {driver.total_completed} queries; "

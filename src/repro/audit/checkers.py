@@ -715,12 +715,6 @@ class AuditReport:
     def ok(self) -> bool:
         return not self.anomalies
 
-    def counts_by_kind(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for anomaly in self.anomalies:
-            out[anomaly.kind] = out.get(anomaly.kind, 0) + 1
-        return out
-
     def descriptions(self) -> list[str]:
         return [f"{a.kind}: {a.description}" for a in self.anomalies]
 

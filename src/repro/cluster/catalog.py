@@ -70,6 +70,13 @@ class Partition:
         #: real segments when they arrive).  Restored when the move
         #: closes.
         self.accepts_uncovered: bool = True
+        #: The mirror rule for the *source* of an open range move:
+        #: ``{target partition id: moving key range}``.  Once a switched
+        #: segment's forwarding stub is retired, the gap it leaves
+        #: belongs to the target; a segment minted there would collide
+        #: with the real one when the mover's live-tree rescan ships it.
+        #: An entry is dropped when its move closes or rolls back.
+        self.moving_out: dict[int, KeyRange] = {}
         #: Secondary B-trees; "indexes ... span only one partition at a
         #: time" (Sect. 4), so they are rebuilt for segments arriving
         #: via migration (see attach_segment).
@@ -112,12 +119,13 @@ class Partition:
         found = self.tree.find(key)
         if found is not None:
             return found  # may be a Forwarding; caller checks
-        if not self.accepts_uncovered:
+        if not self.accepts_uncovered or any(
+                moving.contains(key) for moving in self.moving_out.values()):
             from repro.cluster.worker import RecordNotHereError
 
             raise RecordNotHereError(
-                f"partition {self.partition_id} is receiving a move and "
-                f"does not yet cover key {key!r}"
+                f"partition {self.partition_id} is one end of an open range "
+                f"move and must not create a segment for key {key!r}"
             )
         gap = self._uncovered_gap_around(key)
         return self.new_segment(gap)

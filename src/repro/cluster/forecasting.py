@@ -123,35 +123,3 @@ class LoadForecaster:
         """Utilisation slope per second, or None before observations."""
         state = self._state.get(node_id)
         return state[1] if state is not None else None
-
-
-class ForecastingPolicy:
-    """A threshold policy that fires on *predicted* violations.
-
-    Wraps the plain thresholds: a node is treated as overloaded when
-    either its current or its forecast utilisation crosses the upper
-    bound — the proactive behaviour the paper attributes to [8].
-    """
-
-    def __init__(self, base_policy, forecaster: LoadForecaster | None = None):
-        self.base = base_policy
-        self.forecaster = forecaster or LoadForecaster()
-
-    @property
-    def thresholds(self):
-        return self.base.thresholds
-
-    def reset(self, node_id: int) -> None:
-        self.base.reset(node_id)
-
-    def observe(self, samples: typing.Sequence[NodeSample]):
-        self.forecaster.observe_all(samples)
-        boosted = []
-        for sample in samples:
-            predicted = self.forecaster.predict(sample.node_id, sample.time)
-            if predicted is not None and predicted > sample.cpu_utilization:
-                sample = dataclasses.replace(
-                    sample, cpu_utilization=predicted
-                )
-            boosted.append(sample)
-        return self.base.observe(boosted)

@@ -18,10 +18,10 @@ structures the work:
   power policy of the paper's cluster (arXiv:1407.0386 measures whole
   diurnal cycles, where this is the difference between GC hiding in
   the valleys and GC stealing the peaks);
-* the ``until`` bound is honoured by construction: the final wakeup is
-  *scheduled at* the bound instead of re-derived from accumulated
-  float time, so no tick can ever land past ``until`` on a drained
-  environment (the historical off-by-an-ulp bug).
+* the ``until`` bound is honoured by construction
+  (:class:`~repro.sim.daemon.PeriodicDaemon`): no tick can ever land
+  past ``until`` on a drained environment (the historical
+  off-by-an-ulp bug).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import collections
 import dataclasses
 import typing
 
+from repro.hardware.power import LoadGauge, busy_nodes
+from repro.sim.daemon import PeriodicDaemon
 from repro.txn import mvcc
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -55,7 +57,7 @@ class VacuumPolicy:
     load_threshold: float | None = None
 
 
-class VacuumScheduler:
+class VacuumScheduler(PeriodicDaemon):
     """Background version GC with a resumable per-segment work queue.
 
     Also the handle the workload layer hands out
@@ -69,19 +71,14 @@ class VacuumScheduler:
                  policy: VacuumPolicy | None = None,
                  until: float | None = None):
         self.cluster = cluster
-        self.env = cluster.env
         self.policy = policy or VacuumPolicy()
-        if self.policy.interval <= 0:
-            raise ValueError("vacuum interval must be positive")
-        self.until = until
-        self.process = None
-        self._stop = False
+        super().__init__(cluster.env, "vacuum", self.policy.interval, until)
         #: (node_id, partition_id, segment_id) keys still owed a visit
         #: in the current pass — object refs are re-resolved at visit
         #: time so segments that moved or died between ticks are safe.
         self._queue: collections.deque[tuple[int, int, int]] = \
             collections.deque()
-        self._gauges: dict[int, typing.Any] = {}
+        self._gauges: dict[int, LoadGauge] = {}
         # -- accounting ----------------------------------------------------
         self.sweeps = 0
         self.ticks = 0
@@ -90,42 +87,6 @@ class VacuumScheduler:
         self.throttled_ticks = 0
         self.deferred_segments = 0
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "VacuumScheduler":
-        self.process = self.env.process(self._run(), name="vacuum-daemon")
-        return self
-
-    def stop(self) -> None:
-        """Ask the scheduler to exit at its next wakeup."""
-        self._stop = True
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop
-
-    def _run(self):
-        env = self.env
-        interval = self.policy.interval
-        while not self._stop:
-            target = env.now + interval
-            at_bound = False
-            if self.until is not None:
-                if self.until <= env.now:
-                    break
-                if target >= self.until:
-                    target = self.until
-                    at_bound = True
-            yield env.timeout(target - env.now)
-            if self._stop:
-                break
-            self._tick()
-            if at_bound:
-                # The bound decision rides on the scheduled target, not
-                # on re-accumulated env.now — float drift cannot slip
-                # an extra tick past ``until``.
-                break
-
     # -- one wakeup --------------------------------------------------------
 
     def _tick(self) -> None:
@@ -133,7 +94,8 @@ class VacuumScheduler:
         horizon = self.cluster.txns.oldest_active_begin_ts()
         if not self._queue:
             self._build_queue()
-        busy = self._busy_nodes()
+        busy = busy_nodes(self.cluster, self._gauges,
+                          self.policy.load_threshold)
         budget = self.policy.max_reclaim_per_tick
         spent = 0
         deferred: list[tuple[int, int, int]] = []
@@ -185,23 +147,6 @@ class VacuumScheduler:
         if partition is None:
             return None
         return partition.segments.get(segment_id)
-
-    def _busy_nodes(self) -> set[int]:
-        if self.policy.load_threshold is None:
-            return set()
-        from repro.hardware.power import LoadGauge
-
-        busy: set[int] = set()
-        for worker in self.cluster.active_workers():
-            gauge = self._gauges.get(worker.node_id)
-            if gauge is None or gauge.machine is not worker.machine:
-                gauge = self._gauges[worker.node_id] = LoadGauge(
-                    worker.machine
-                )
-                continue  # first window: no history yet, assume idle
-            if gauge.sample() > self.policy.load_threshold:
-                busy.add(worker.node_id)
-        return busy
 
     # -- introspection -----------------------------------------------------
 

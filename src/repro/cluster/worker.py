@@ -594,16 +594,6 @@ class WorkerNode:
 
     # -- bulk segment I/O (used by the migration engine) ----------------------
 
-    def read_segment(self, segment: Segment, breakdown: CostBreakdown | None = None,
-                     priority: int = 0):
-        """Generator: sequential read of a whole segment extent."""
-        disk = self.disk_space.disk_of(segment.segment_id)
-        t0 = self.env.now
-        nbytes = max(segment.used_bytes, specs.PAGE_BYTES)
-        yield from disk.read(nbytes, sequential=False, priority=priority)
-        if breakdown is not None:
-            breakdown.add("disk_io", self.env.now - t0)
-
     def write_segment(self, segment: Segment, breakdown: CostBreakdown | None = None,
                       priority: int = 0):
         """Generator: sequential write of a whole segment extent."""

@@ -78,6 +78,17 @@ def rollback_range_registration(cluster: "Cluster",
                     entry.target_partition_id)
     if entry.target_partition_id in target.partitions:
         target.remove_partition(entry.target_partition_id)
+    release_source(cluster, entry)
+
+
+def release_source(cluster: "Cluster", entry: RangeMoveEntry) -> None:
+    """The range move is closed: its source partition may mint segments
+    inside the range again (see ``Partition.moving_out``)."""
+    partition = cluster.worker(entry.source_node).partitions.get(
+        entry.source_partition_id)
+    if partition is not None:
+        partition.moving_out.pop(entry.target_partition_id, None)
+
 
 #: How often the drain watcher re-checks for lingering old transactions.
 DRAIN_POLL_SECONDS = 1.0
@@ -292,6 +303,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
             raise exc
         cluster.master.gpt.finish_move(table, target_partition.partition_id)
         target_partition.accepts_uncovered = True
+        release_source(cluster, range_entry)
         self._collect_range_stats(journal, range_entry, report)
         journal.advance_range(range_entry, DONE)
 
@@ -356,6 +368,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
         # already switched — it must not invent segments for the rest
         # of the range while the source is merely unreachable.
         target_partition.accepts_uncovered = False
+        partition.moving_out[target_partition.partition_id] = key_range
         target.add_partition(target_partition)
         if key_range.low is None or key_range.low == registered.low:
             # Whole-partition handover: replace the entry outright.

@@ -1,11 +1,13 @@
-"""The master-side rebalancer: elasticity driver and helper protocol.
+"""The master-side rebalancer: scale-out/scale-in executor and helper
+protocol.
 
-Implements the paper's dynamic-reorganisation loop (Sect. 3.4): monitor
-utilisation, compare to thresholds, then scale out (power nodes on and
-repartition towards them) or scale in (quiesce nodes, pull their data
-back, power them off).  Also implements the Fig. 8 helper protocol:
-"we used the helper nodes for log shipping and provision of additional
-buffer space using rDMA".
+Executes the actions of the paper's dynamic-reorganisation loop
+(Sect. 3.4): scale out (power nodes on and repartition towards them) or
+scale in (quiesce nodes, pull their data back, power them off).  The
+monitor -> threshold -> act loop that decides *when* is
+:class:`repro.traffic.autoscaler.Autoscaler`.  Also implements the
+Fig. 8 helper protocol: "we used the helper nodes for log shipping and
+provision of additional buffer space using rDMA".
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import typing
 
 from repro.core.schemes import MoveReport, PartitioningScheme
-from repro.cluster.policies import ThresholdPolicy
 from repro.metrics.breakdown import CostBreakdown
 from repro.moves import MoveFailedError
 from repro.storage.buffer import RemoteBufferExtension
@@ -21,7 +22,6 @@ from repro.txn.wal import LogShippingSink
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
-    from repro.cluster.monitor import ClusterMonitor
     from repro.cluster.worker import WorkerNode
 
 
@@ -82,27 +82,20 @@ class HelperProtocol:
 class Rebalancer:
     """Executes repartitioning decisions on a cluster."""
 
-    def __init__(self, cluster: "Cluster", scheme: PartitioningScheme,
-                 monitor: "ClusterMonitor | None" = None,
-                 policy: ThresholdPolicy | None = None):
+    def __init__(self, cluster: "Cluster", scheme: PartitioningScheme):
         self.cluster = cluster
         self.scheme = scheme
-        self.monitor = monitor or cluster.monitor
-        self.policy = policy or ThresholdPolicy()
         self.helper_protocol = HelperProtocol(cluster)
         self.reports: list[MoveReport] = []
         #: ``(sim_time, table, source_node, error)`` for every move the
-        #: journal-backed mover gave up on — the policy step degraded
-        #: instead of crashing the loop.
+        #: journal-backed mover gave up on — the step degraded instead
+        #: of crashing the caller's loop.
         self.failed_moves: list[tuple[float, str, int, str]] = []
         self.scale_out_count = 0
         self.scale_in_count = 0
-        self._running = False
         # Suspended range moves are re-driven through this scheme.
         if hasattr(scheme, "resume_range_move"):
             cluster.moves.resume_scheme = scheme
-
-    # -- direct migration (experiment driver) --------------------------------
 
     def scale_out(self, tables: typing.Sequence[str],
                   source_ids: typing.Sequence[int],
@@ -136,7 +129,7 @@ class Rebalancer:
                         # The mover rolled back (or suspended) the
                         # failed range; completed chunks stay moved.
                         # Degrade this step and keep going — a resume
-                        # round or the next policy tick picks it up.
+                        # round or the next autoscaler tick picks it up.
                         self.reports.extend(getattr(exc, "reports", []) or [])
                         self.failed_moves.append(
                             (self.cluster.env.now, table, source.node_id,
@@ -198,140 +191,3 @@ class Rebalancer:
         )
         self.reports.extend(resumed)
         return resumed
-
-    # -- autonomous policy loop ------------------------------------------------
-
-    def run_policy_loop(self, tables: typing.Sequence[str],
-                        interval: float | None = None,
-                        cooldown_intervals: int = 6):
-        """Generator process: the paper's monitor->threshold->act loop.
-
-        Powers standby nodes on when a node runs hot, shifting half of
-        the hottest node's data to the newcomer; pulls data back and
-        powers nodes down when the cluster runs cold.  After acting, the
-        loop observes (but does not act) for ``cooldown_intervals``
-        rounds — repartitioning itself loads the cluster, and reacting
-        to that load would oscillate ("such events should happen on a
-        scale of minutes or hours, but not seconds", Sect. 2.3).
-        """
-        interval = interval or self.monitor.interval
-        self._running = True
-        cooldown = 0
-        while self._running:
-            yield self.cluster.env.timeout(interval)
-            samples = self.monitor.collect()
-            decision = self.policy.observe(samples)
-            if cooldown > 0:
-                cooldown -= 1
-                continue
-            if self.cluster.moves.journal.open_range_moves():
-                # Finish what an earlier, fault-interrupted step started
-                # before taking on new work.
-                yield from self.resume_interrupted()
-                cooldown = cooldown_intervals
-                continue
-            if decision.wants_space_relief:
-                yield from self._handle_space_pressure(
-                    tables, decision.space_pressed_nodes
-                )
-                cooldown = cooldown_intervals
-            elif decision.wants_scale_out:
-                yield from self._handle_overload(tables, decision.overloaded_nodes)
-                cooldown = cooldown_intervals
-                for sample in samples:
-                    self.policy.reset(sample.node_id)
-            elif decision.wants_scale_in:
-                yield from self._handle_underload(tables, decision.underloaded_nodes)
-                cooldown = cooldown_intervals
-                for sample in samples:
-                    self.policy.reset(sample.node_id)
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _handle_overload(self, tables, node_ids):
-        standby = self.cluster.standby_workers()
-        if not standby:
-            for node_id in node_ids:
-                self.policy.reset(node_id)
-            return
-        newcomer = standby[0]
-        hottest = node_ids[0]
-        yield from self.scale_out(
-            tables, [hottest], [newcomer.node_id], fraction=0.5
-        )
-        for node_id in node_ids:
-            self.policy.reset(node_id)
-
-    def _handle_space_pressure(self, tables, node_ids):
-        """Generator: "If a node goes out of storage space, DB
-        partitions are split up on nodes with free space" (Sect. 3.4).
-
-        Ships half the pressed node's data to whichever node (active
-        preferred, else standby powered on) has the most free capacity.
-        """
-        pressed = node_ids[0]
-
-        def free_bytes(worker):
-            return sum(
-                worker.disk_space.free_bytes(d)
-                for d in worker.disk_space.disks
-            )
-
-        candidates = [
-            w for w in self.cluster.workers
-            if w.node_id != pressed
-        ]
-        candidates.sort(key=free_bytes, reverse=True)
-        if not candidates:
-            return
-        target = candidates[0]
-        yield from self.scale_out(
-            tables, [pressed], [target.node_id], fraction=0.5
-        )
-
-    def _handle_underload(self, tables, node_ids):
-        # Never scale in the master; need at least two active nodes.
-        victims = [
-            n for n in node_ids
-            if n != self.cluster.master.node_id
-            and self.cluster.worker(n).is_active
-        ]
-        if not victims or self.cluster.active_node_count <= 1:
-            return
-        victim = victims[0]
-        victim_worker = self.cluster.worker(victim)
-        victim_bytes = sum(
-            victim_worker.disk_space.used_bytes(d)
-            for d in victim_worker.disk_space.disks
-        )
-
-        def fits(worker):
-            """Centralising must not push the receiver over the
-            storage bound — otherwise scale-in and the out-of-space
-            protocol would slosh data back and forth."""
-            capacity = sum(
-                d.spec.capacity_bytes for d in worker.disk_space.disks
-            )
-            used = sum(
-                worker.disk_space.used_bytes(d)
-                for d in worker.disk_space.disks
-            )
-            bound = self.policy.thresholds.storage_upper
-            return capacity and (used + victim_bytes) / capacity <= bound
-
-        receivers = [
-            w for w in self.cluster.active_workers()
-            if w.node_id != victim and fits(w)
-        ]
-        if not receivers:
-            self.policy.reset(victim)
-            return
-        receiver = min(receivers, key=lambda w: w.cpu.in_use)
-        yield from self.scale_in(
-            list(tables), victim, receiver.node_id, power_off=False
-        )
-        victim_worker = self.cluster.worker(victim)
-        if victim_worker.disk_space.segment_count() == 0:
-            yield from self.cluster.power_off(victim)
-        self.policy.reset(victim)

@@ -111,16 +111,6 @@ def split_key_at_fraction(partition: "Partition", fraction: float):
     return None
 
 
-def partition_ranges(keys: typing.Sequence, parts: int) -> list[typing.Any]:
-    """Evenly chop a sorted key list into ``parts`` boundary keys."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if not keys:
-        return []
-    step = max(1, len(keys) // parts)
-    return [keys[i] for i in range(0, len(keys), step)][:parts]
-
-
 def segment_chunks(partition: "Partition", fraction: float,
                    n_targets: int) -> list[list[tuple[KeyRange, Segment]]]:
     """Chop the top-``fraction`` segments into ``n_targets`` contiguous

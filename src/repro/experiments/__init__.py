@@ -7,7 +7,7 @@ from repro.experiments.power_validation import run_power_validation
 from repro.experiments.fig1_operators import run_fig1
 from repro.experiments.fig2_offloading import run_fig2
 from repro.experiments.fig3_mvcc import run_fig3
-from repro.experiments.fig6_schemes import Fig6Config, run_fig6, run_fig6_all
+from repro.experiments.fig6_schemes import Fig6Config, run_fig6
 from repro.experiments.fig7_breakdown import run_fig7
 from repro.experiments.fig8_helper import run_fig8
 from repro.experiments.fig9_failover import (
@@ -39,7 +39,6 @@ __all__ = [
     "run_fig2",
     "run_fig3",
     "run_fig6",
-    "run_fig6_all",
     "run_fig7",
     "run_fig8",
     "run_fig9",

@@ -10,15 +10,17 @@ Usage::
     python -m repro.experiments fig6 --scheme physiological
     python -m repro.experiments fig7         # runtime breakdown
     python -m repro.experiments fig8         # helper nodes
-    python -m repro.experiments fig9         # extension: failover vs k
     python -m repro.experiments scale-in     # extension: scale-in protocol
-    python -m repro.experiments chaos        # extension: mover chaos sweep
-    python -m repro.experiments chaos --seeds 0 1 2
-    python -m repro.experiments endurance    # extension: audited endurance run
-    python -m repro.experiments elasticity   # extension: diurnal traffic + autoscaler
-    python -m repro.experiments read-scaling # extension: replica/cache/view read tier
-    python -m repro.experiments torture      # extension: gray-failure torture run
     python -m repro.experiments all          # everything (long)
+
+The extension sweeps share ``--seeds``, ``--jobs`` and ``--audit``::
+
+    python -m repro.experiments fig9         # failover vs k
+    python -m repro.experiments chaos --seeds 0 1 2   # mover chaos sweep
+    python -m repro.experiments endurance    # audited endurance run
+    python -m repro.experiments elasticity   # diurnal traffic + autoscaler
+    python -m repro.experiments read-scaling # replica/cache/view read tier
+    python -m repro.experiments torture      # gray-failure torture run
 
 ``--quick`` (default) uses reduced parameters; ``--full`` the defaults
 documented in EXPERIMENTS.md.
@@ -27,72 +29,56 @@ documented in EXPERIMENTS.md.
 from __future__ import annotations
 
 import argparse
+import cProfile
+import dataclasses
+import functools
+import pstats
 import sys
 import time
+import typing
+
+from repro import experiments
+from repro.experiments import (
+    chaos_moves,
+    elasticity,
+    endurance,
+    fig3_mvcc,
+    fig6_schemes,
+    fig9_failover,
+    read_scaling,
+    torture,
+)
+from repro.experiments.parallel import default_jobs, run_tasks
+from repro.metrics.report import render_audit_summary
 
 
 def _fig6_config(args):
-    from repro.experiments.fig6_schemes import (
-        Fig6Config,
-        quick_fig6_config,
-        scale_fig6_config,
-    )
-
     if getattr(args, "nodes", None):
-        return scale_fig6_config(nodes=args.nodes,
-                                 partitions=args.partitions or 10_000)
-    return quick_fig6_config() if args.quick else Fig6Config()
-
-
-def run_power(args) -> str:
-    from repro.experiments import run_power_validation
-
-    return run_power_validation().to_table()
-
-
-def run_fig1_cmd(args) -> str:
-    from repro.experiments import run_fig1
-
-    rows = 20_000 if args.quick else 40_000
-    return run_fig1(rows=rows).to_table()
+        return fig6_schemes.scale_fig6_config(
+            nodes=args.nodes, partitions=args.partitions or 10_000)
+    return (fig6_schemes.quick_fig6_config() if args.quick
+            else fig6_schemes.Fig6Config())
 
 
 def run_fig2_cmd(args) -> str:
-    from repro.experiments import run_fig2
-
-    if args.quick:
-        result = run_fig2(rows=800, concurrency_levels=(1, 10, 100),
-                          window=15.0)
-    else:
-        result = run_fig2()
-    return result.to_table()
+    quick = dict(rows=800, concurrency_levels=(1, 10, 100), window=15.0)
+    return experiments.run_fig2(**(quick if args.quick else {})).to_table()
 
 
 def run_fig3_cmd(args) -> str:
-    from repro.experiments import run_fig3
-    from repro.experiments.fig3_mvcc import Fig3Config
-
-    config = Fig3Config() if not args.quick else Fig3Config(
-        rows=1200, clients=10, update_ratios=(0.0, 0.5, 1.0),
-        max_window=400.0,
-    )
-    return run_fig3(config).to_table()
+    quick = dict(rows=1200, clients=10, update_ratios=(0.0, 0.5, 1.0),
+                 max_window=400.0)
+    return experiments.run_fig3(
+        fig3_mvcc.Fig3Config(**(quick if args.quick else {}))).to_table()
 
 
 def run_fig6_cmd(args) -> str:
-    import dataclasses
-
-    from repro.experiments import run_fig6
-
-    from repro.experiments.fig6_schemes import SCHEMES
-    from repro.experiments.parallel import run_tasks
-
     config = _fig6_config(args)
     if args.audit:
         config = dataclasses.replace(config, audit=True)
-    schemes = [args.scheme] if args.scheme else list(SCHEMES)
+    schemes = [args.scheme] if args.scheme else list(fig6_schemes.SCHEMES)
     results = run_tasks(
-        [(run_fig6, (scheme, config), {}) for scheme in schemes],
+        [(experiments.run_fig6, (scheme, config), {}) for scheme in schemes],
         jobs=args.jobs,
     )
     parts = []
@@ -105,8 +91,6 @@ def run_fig6_cmd(args) -> str:
             f"({result.records_moved} records)"
         )
         if result.audited:
-            from repro.metrics.report import render_audit_summary
-
             parts.append(render_audit_summary(
                 f"fig6 [{scheme}]", result.anomalies, result.history_stats
             ))
@@ -117,193 +101,135 @@ def run_fig6_cmd(args) -> str:
     return out
 
 
-def run_fig7_cmd(args) -> str:
-    from repro.experiments import run_fig7
+@dataclasses.dataclass(frozen=True)
+class Sweep:
+    """One row per sweep experiment: pick quick/full, apply ``--audit``,
+    run every (seed, mode) cell through ``run_tasks``, render, and exit
+    non-zero when a gate fails."""
 
-    config = _fig6_config(args) if args.quick else None
-    return run_fig7(config).to_table()
+    quick: typing.Callable
+    full: typing.Callable
+    #: Module-level (picklable) function of one cell's config — see
+    #: :func:`_run_cell` for how a mode reaches it.
+    run: typing.Callable
+    #: ``render(config, results)`` of one seed's modes — or of every
+    #: seed at once when ``pooled``.
+    render: typing.Callable
+    modes: typing.Callable = lambda config: (None,)
+    pooled: bool = False
+    #: ``seeds(quick)`` when ``--seeds`` is absent (else the config's).
+    seeds: typing.Callable | None = None
+    #: Cross-result gate: ``gate(config, results) -> (lines, failed)``.
+    gate: typing.Callable | None = None
 
 
-def run_fig8_cmd(args) -> str:
-    from repro.experiments import run_fig8
+SWEEPS = {
+    "fig9": Sweep(
+        fig9_failover.quick_fig9_config, fig9_failover.Fig9Config,
+        fig9_failover.run_fig9_single,
+        lambda config, runs: fig9_failover.Fig9Result(
+            config, dict(zip(config.replication_factors, runs))).to_table(),
+        modes=lambda config: config.replication_factors,
+    ),
+    "chaos": Sweep(
+        chaos_moves.ChaosConfig, chaos_moves.ChaosConfig,
+        chaos_moves.run_chaos,
+        lambda config, runs: chaos_moves.render_chaos(
+            chaos_moves.ChaosSuiteResult(config, runs)),
+        pooled=True, seeds=lambda quick: range(3 if quick else 10),
+    ),
+    "endurance": Sweep(
+        endurance.quick_endurance_config, endurance.full_endurance_config,
+        endurance.run_endurance,
+        lambda config, runs: endurance.render_endurance(runs[0]),
+    ),
+    "elasticity": Sweep(
+        elasticity.quick_elasticity_config, elasticity.full_elasticity_config,
+        elasticity.run_elasticity,
+        lambda config, runs: elasticity.render_elasticity(runs),
+        modes=lambda config: ("autoscale", "static"),
+    ),
+    "read-scaling": Sweep(
+        read_scaling.quick_read_scaling_config,
+        read_scaling.full_read_scaling_config,
+        read_scaling.run_read_scaling,
+        lambda config, runs: read_scaling.render_read_scaling(runs),
+        modes=lambda config: ("replica", "primary"),
+        gate=lambda config, runs: (
+            [], bool(read_scaling.compare_read_scaling(runs))),
+    ),
+    "torture": Sweep(
+        torture.quick_torture_config, torture.full_torture_config,
+        torture.run_torture,
+        lambda config, runs: torture.render_torture(runs),
+        pooled=True, gate=torture.rerun_gate,
+    ),
+}
 
-    config = _fig6_config(args) if args.quick else None
-    return run_fig8(config).to_table()
+
+def _run_cell(run, config, mode):
+    """One (seed, mode) cell — module-level so ``run_tasks`` workers
+    can unpickle it.  A named mode is a config field; fig9's replication
+    factor is the run function's leading argument."""
+    if mode is None:
+        return run(config)
+    if isinstance(mode, str):
+        return run(dataclasses.replace(config, mode=mode))
+    return run(mode, config)
 
 
-def run_fig9_cmd(args) -> str:
-    import dataclasses
-
-    from repro.experiments import run_fig9
-    from repro.experiments.fig9_failover import Fig9Config, quick_fig9_config
-
-    config = quick_fig9_config() if args.quick else Fig9Config()
+def run_sweep(sweep: Sweep, args) -> str:
+    config = sweep.quick() if args.quick else sweep.full()
     if args.audit:
         config = dataclasses.replace(config, audit=True)
-    result = run_fig9(config, jobs=args.jobs)
-    out = result.to_table()
-    if any(r.anomalies for r in result.runs.values()):
-        raise SystemExit(out)
-    return out
-
-
-def run_scale_in_cmd(args) -> str:
-    from repro.experiments import run_scale_in
-
-    return run_scale_in().to_table()
-
-
-def run_chaos_cmd(args) -> str:
-    from repro.experiments import run_chaos_suite
-    from repro.experiments.chaos_moves import ChaosConfig, render_chaos
-
-    seeds = args.seeds if args.seeds else list(range(3 if args.quick else 10))
-    config = ChaosConfig(audit=True) if args.audit else None
-    result = run_chaos_suite(seeds=seeds, config=config, jobs=args.jobs)
-    if result.total_violations or result.total_anomalies:
-        raise SystemExit(render_chaos(result))
-    return render_chaos(result)
-
-
-def run_endurance_cmd(args) -> str:
-    import dataclasses
-
-    from repro.experiments.endurance import (
-        full_endurance_config,
-        quick_endurance_config,
-        render_endurance,
-        run_endurance,
-    )
-
-    config = quick_endurance_config() if args.quick \
-        else full_endurance_config()
-    if args.audit:
-        config = dataclasses.replace(config, audit=True)
-    seeds = args.seeds if args.seeds else [config.seed]
-    parts = []
-    failed = False
-    for seed in seeds:
-        result = run_endurance(config, seed=seed)
-        parts.append(render_endurance(result))
-        failed = failed or not result.ok
-    out = "\n\n".join(parts)
-    if failed:
-        raise SystemExit(out)
-    return out
-
-
-def run_elasticity_cmd(args) -> str:
-    import dataclasses
-
-    from repro.experiments.elasticity import (
-        full_elasticity_config,
-        quick_elasticity_config,
-        render_elasticity,
-        run_elasticity,
-    )
-    from repro.experiments.parallel import run_tasks
-
-    config = quick_elasticity_config() if args.quick \
-        else full_elasticity_config()
-    if args.audit:
-        config = dataclasses.replace(config, audit=True)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    results = run_tasks(
-        [(run_elasticity, (dataclasses.replace(config, mode=mode),), {})
-         for mode in ("autoscale", "static")],
+    seeds = list(args.seeds or
+                 (sweep.seeds(args.quick) if sweep.seeds else [config.seed]))
+    modes = list(sweep.modes(config))
+    runs = run_tasks(
+        [(_run_cell, (sweep.run, dataclasses.replace(config, seed=seed), mode),
+          {}) for seed in seeds for mode in modes],
         jobs=args.jobs,
     )
-    out = render_elasticity(results)
-    if any(not result.ok for result in results):
-        raise SystemExit(out)
-    return out
-
-
-def run_read_scaling_cmd(args) -> str:
-    import dataclasses
-
-    from repro.experiments.read_scaling import (
-        compare_read_scaling,
-        full_read_scaling_config,
-        quick_read_scaling_config,
-        render_read_scaling,
-        run_read_scaling,
-    )
-    from repro.experiments.parallel import run_tasks
-
-    config = quick_read_scaling_config() if args.quick \
-        else full_read_scaling_config()
-    if args.audit:
-        config = dataclasses.replace(config, audit=True)
-    seeds = args.seeds if args.seeds else [config.seed]
+    step = len(runs) if sweep.pooled else len(modes)
     parts = []
-    failed = False
-    for seed in seeds:
-        results = run_tasks(
-            [(run_read_scaling,
-              (dataclasses.replace(config, mode=mode, seed=seed),), {})
-             for mode in ("replica", "primary")],
-            jobs=args.jobs,
-        )
-        parts.append(render_read_scaling(results))
-        failed = (failed or any(not result.ok for result in results)
-                  or bool(compare_read_scaling(results)))
+    failed = any(not run.ok for run in runs)
+    for start in range(0, len(runs), step):
+        group = runs[start:start + step]
+        lines = [sweep.render(config, group)]
+        if sweep.gate is not None:
+            extra, gate_failed = sweep.gate(config, group)
+            lines += extra
+            failed = failed or gate_failed
+        parts.append("\n".join(lines))
     out = "\n\n".join(parts)
     if failed:
-        raise SystemExit(out)
-    return out
-
-
-def run_torture_cmd(args) -> str:
-    import dataclasses
-
-    from repro.experiments.torture import (
-        full_torture_config,
-        quick_torture_config,
-        render_torture,
-        run_torture,
-    )
-
-    config = quick_torture_config() if args.quick else full_torture_config()
-    if args.audit:
-        config = dataclasses.replace(config, audit=True)
-    seeds = args.seeds if args.seeds else [config.seed]
-    results = [run_torture(config, seed=seed) for seed in seeds]
-    # Determinism gate: rerun the first seed and demand a bit-identical
-    # metrics fingerprint.
-    rerun = run_torture(config, seed=seeds[0])
-    deterministic = rerun.fingerprint == results[0].fingerprint
-    out = render_torture(results)
-    out += ("\ndeterminism: seed %d rerun fingerprint %s"
-            % (seeds[0], "MATCHES" if deterministic else "DIVERGES"))
-    if any(not result.ok for result in results) or not deterministic:
         raise SystemExit(out)
     return out
 
 
 COMMANDS = {
-    "power": run_power,
-    "fig1": run_fig1_cmd,
+    "power": lambda args: experiments.run_power_validation().to_table(),
+    "fig1": lambda args: experiments.run_fig1(
+        rows=20_000 if args.quick else 40_000).to_table(),
     "fig2": run_fig2_cmd,
     "fig3": run_fig3_cmd,
     "fig6": run_fig6_cmd,
-    "fig7": run_fig7_cmd,
-    "fig8": run_fig8_cmd,
-    "fig9": run_fig9_cmd,
-    "scale-in": run_scale_in_cmd,
-    "chaos": run_chaos_cmd,
-    "endurance": run_endurance_cmd,
-    "elasticity": run_elasticity_cmd,
-    "read-scaling": run_read_scaling_cmd,
-    "torture": run_torture_cmd,
+    "fig7": lambda args: experiments.run_fig7(
+        _fig6_config(args) if args.quick else None).to_table(),
+    "fig8": lambda args: experiments.run_fig8(
+        _fig6_config(args) if args.quick else None).to_table(),
+    "fig9": functools.partial(run_sweep, SWEEPS["fig9"]),
+    "scale-in": lambda args: experiments.run_scale_in().to_table(),
+    **{name: functools.partial(run_sweep, sweep)
+       for name, sweep in SWEEPS.items() if name != "fig9"},
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
+        allow_abbrev=False,     # "--seed" must not pass as "--seeds"
     )
     parser.add_argument("experiment",
                         choices=list(COMMANDS) + ["all"],
@@ -324,20 +250,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="fig6 --nodes only: logical partition count "
                              "for the scale profile (default 10000; "
                              "~10 table slices per warehouse)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="elasticity: override the config seed")
     parser.add_argument("--seeds", type=int, nargs="*", default=None,
-                        help="chaos/endurance/torture/read-scaling: "
-                             "explicit seeds "
-                             "(chaos default: 0..2 quick, 0..9 full)")
+                        help="sweep experiments (%s): explicit seeds "
+                             "(default: the config's seed; chaos: 0..2 "
+                             "quick, 0..9 full)" % "/".join(SWEEPS))
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep experiments "
-                             "(fig6/fig9/chaos); 0 = one per CPU")
+                        help="worker processes for fig6 and the sweep "
+                             "experiments; 0 = one per CPU")
     parser.add_argument("--audit", action="store_true",
-                        help="fig6/fig9/chaos: record the full operation "
-                             "history and run the isolation checkers "
-                             "(repro.audit) post-hoc; exits non-zero on "
-                             "any anomaly")
+                        help="fig6 and the sweep experiments: record the "
+                             "full operation history and run the "
+                             "isolation checkers (repro.audit) post-hoc; "
+                             "exits non-zero on any anomaly")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the hottest "
                              "functions after each experiment")
@@ -349,10 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile-limit", type=int, default=25, metavar="N",
                         help="--profile: number of rows to print "
                              "(default 25)")
-    args = parser.parse_args(argv)
-    if args.jobs == 0:
-        from repro.experiments.parallel import default_jobs
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.jobs == 0:
         args.jobs = default_jobs()
 
     chosen = list(COMMANDS) if args.experiment == "all" else [args.experiment]
@@ -360,14 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         start = time.time()
         print(f"=== {name} " + "=" * (60 - len(name)))
         if args.profile:
-            import cProfile
-            import pstats
-
             profiler = cProfile.Profile()
-            profiler.enable()
-            output = COMMANDS[name](args)
-            profiler.disable()
-            print(output)
+            print(profiler.runcall(COMMANDS[name], args))
             stats = pstats.Stats(profiler).sort_stats(args.profile_sort)
             stats.print_stats(args.profile_limit)
         else:

@@ -37,22 +37,40 @@ import typing
 
 from repro.cluster.cluster import Cluster
 from repro.core import PhysiologicalPartitioning, Rebalancer
+from repro.experiments import harness
 from repro.ha import FaultInjector
-from repro.hardware.disk import DiskFailedError, DiskSpec
-from repro.hardware.network import LinkDownError
+from repro.hardware.disk import DiskSpec
 from repro.metrics.report import render_move_summary, render_table
 from repro.moves import DONE, RetryPolicy
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
-from repro.storage.record import Column, Schema
-from repro.txn.locks import LockTimeoutError
-from repro.txn.manager import TransactionAborted
-from repro.workload.tpcc_gen import fast_insert
 
-#: Client-visible errors a chaos writer retries (same set as the OLTP
-#: client: aborts, lock timeouts, routing races/down nodes, hardware).
-_WRITER_RETRYABLE = (TransactionAborted, LockTimeoutError, LookupError,
-                     DiskFailedError, LinkDownError)
+#: Data disks are deliberately slow so the repartitioning spans the
+#: whole fault window (the paper's regime: "the main bottleneck for
+#: repartitioning seems to be the bandwidth to the storage
+#: subsystem"); the log disk stays fast so commits are not the
+#: bottleneck.
+DATA_DISK_BANDWIDTH = 4 * 1024
+DISK_CAPACITY_BYTES = 4 * 1024 * 1024
+
+# Mover knobs, scaled to the tiny segments: short backoff so schedules
+# with long outages exhaust retries and exercise rollback/resume.
+MOVE_TIMEOUT = 120.0
+MOVER_RETRY = RetryPolicy(max_attempts=8, base_delay=0.25, multiplier=2.0,
+                          max_delay=8.0, jitter=0.5)
+
+# Outage pairs (crash->restart / sever->restore) last this long.
+OUTAGE_MIN = 0.5
+OUTAGE_MAX = 8.0
+FAULT_KINDS = ("crash", "sever_link")
+
+WRITER_RETRIES = 8
+#: Post-quiesce journal re-drive rounds before declaring failure.
+RESUME_ROUNDS = 5
+#: Simulated seconds between partition-table coverage snapshots while
+#: auditing — small enough that a mid-move dual-pointer state is always
+#: observed.
+AUDIT_CHECKPOINT_INTERVAL = 0.5
 
 
 @dataclasses.dataclass
@@ -70,26 +88,12 @@ class ChaosConfig:
     buffer_pages_per_node: int = 512
     boot_seconds: float = 5.0
     lock_timeout: float = 2.0
-    #: Data disks are deliberately slow so the repartitioning spans the
-    #: whole fault window (the paper's regime: "the main bottleneck for
-    #: repartitioning seems to be the bandwidth to the storage
-    #: subsystem"); the log disk stays fast so commits are not the
-    #: bottleneck.
-    data_disk_bandwidth: int = 4 * 1024
-    disk_capacity_bytes: int = 4 * 1024 * 1024
 
     # Load: enough rows for a dozen small segments.
     rows: int = 1200
 
-    # Mover knobs, scaled to the tiny segments: 4 chunks per extent so
-    # a chunk-level resume is observable, short backoff so schedules
-    # with long outages exhaust retries and exercise rollback/resume.
+    #: 4 chunks per (tiny) extent so a chunk-level resume is observable.
     chunk_bytes: int = 2048
-    move_timeout: float = 120.0
-    retry: RetryPolicy = dataclasses.field(default_factory=lambda: RetryPolicy(
-        max_attempts=8, base_delay=0.25, multiplier=2.0,
-        max_delay=8.0, jitter=0.5,
-    ))
 
     # Timeline.
     warmup: float = 5.0
@@ -99,31 +103,21 @@ class ChaosConfig:
     #: Writers keep going this long past the fault window.
     tail: float = 10.0
 
-    # Fault schedule: outage pairs (crash->restart / sever->restore),
-    # never overlapping on one node so every fault is applicable.
+    #: Outage pairs in the schedule, never overlapping on one node so
+    #: every fault is applicable.
     fault_pairs: int = 4
-    outage_min: float = 0.5
-    outage_max: float = 8.0
-    fault_kinds: tuple[str, ...] = ("crash", "sever_link")
 
     # Writers.
     writers: int = 3
     writer_interval: float = 0.4
-    writer_retries: int = 8
 
     fraction: float = 0.5
-    #: Post-quiesce journal re-drive rounds before declaring failure.
-    resume_rounds: int = 5
 
     #: Record the full operation history and run the isolation checkers
     #: (repro.audit) after the invariants.  Off by default: the
     #: determinism goldens fingerprint audit-off runs, and the audit's
     #: coverage-checkpoint process adds events of its own.
     audit: bool = False
-    #: Simulated seconds between partition-table coverage snapshots
-    #: while auditing — small enough that a mid-move dual-pointer state
-    #: is always observed.
-    audit_checkpoint_interval: float = 0.5
 
     @property
     def duration(self) -> float:
@@ -199,10 +193,6 @@ class ChaosSuiteResult:
         return sum(len(r.violations) for r in self.runs)
 
     @property
-    def total_anomalies(self) -> int:
-        return sum(len(r.anomalies) for r in self.runs)
-
-    @property
     def any_resumed_completion(self) -> bool:
         return any(r.resumed_move_completed for r in self.runs)
 
@@ -216,24 +206,14 @@ class ChaosSuiteResult:
             for violation in run.violations:
                 lines.append(f"seed {run.seed}: INVARIANT VIOLATED: "
                              f"{violation}")
-            for anomaly in run.anomalies:
-                lines.append(f"seed {run.seed}: ISOLATION ANOMALY: "
-                             f"{anomaly}")
         lines.append(
             f"{len(self.runs)} schedules, "
             f"{self.total_violations} invariant violations, "
             f"chunk-level resume completed a move: "
             f"{'yes' if self.any_resumed_completion else 'NO'}"
         )
-        if any(r.audited for r in self.runs):
-            ops = sum(r.history_stats.get("ops_recorded", 0)
-                      for r in self.runs)
-            dropped = sum(r.history_stats.get("ops_dropped", 0)
-                          for r in self.runs)
-            lines.append(
-                f"audit: {self.total_anomalies} isolation anomalies over "
-                f"{ops} recorded operations ({dropped} dropped)"
-            )
+        lines += harness.render_anomaly_lines(
+            (f"seed {run.seed}", run) for run in self.runs)
         return "\n".join(lines)
 
 
@@ -255,11 +235,11 @@ def build_schedule(config: ChaosConfig, rng: random.Random
     for _ in range(config.fault_pairs):
         at = rng.uniform(lo, hi)
         node = rng.choice(nodes)
-        kind = rng.choice(config.fault_kinds)
+        kind = rng.choice(FAULT_KINDS)
         at = max(at, busy_until[node])
         if at >= hi:
             continue
-        outage = rng.uniform(config.outage_min, config.outage_max)
+        outage = rng.uniform(OUTAGE_MIN, OUTAGE_MAX)
         events.append((at, kind, node))
         events.append((at + outage, recover[kind], node))
         busy_until[node] = at + outage + config.boot_seconds + 1.0
@@ -268,22 +248,19 @@ def build_schedule(config: ChaosConfig, rng: random.Random
 
 # -- the run ----------------------------------------------------------------
 
-SCHEMA = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
-
-
-def _disk_specs(config: ChaosConfig) -> tuple[DiskSpec, DiskSpec]:
+def _disk_specs() -> tuple[DiskSpec, DiskSpec]:
     """A fast log disk (kind "hdd" so the worker assigns it the WAL
     role) plus one slow data disk that paces the migration."""
     log = DiskSpec(
         kind="hdd", access_seconds=0.0001,
         bandwidth_bytes_per_s=100 * 1024 * 1024,
-        capacity_bytes=config.disk_capacity_bytes,
+        capacity_bytes=DISK_CAPACITY_BYTES,
         idle_watts=0.3, active_watts=0.4,
     )
     data = DiskSpec(
         kind="ssd", access_seconds=0.0001,
-        bandwidth_bytes_per_s=config.data_disk_bandwidth,
-        capacity_bytes=config.disk_capacity_bytes,
+        bandwidth_bytes_per_s=DATA_DISK_BANDWIDTH,
+        capacity_bytes=DISK_CAPACITY_BYTES,
         idle_watts=0.3, active_watts=0.4,
     )
     return (log, data)
@@ -294,7 +271,7 @@ def _build(config: ChaosConfig) -> tuple[Environment, Cluster]:
     cluster = Cluster(
         env, node_count=config.node_count,
         initially_active=config.node_count,
-        disk_specs=_disk_specs(config),
+        disk_specs=_disk_specs(),
         buffer_pages_per_node=config.buffer_pages_per_node,
         segment_max_pages=config.segment_max_pages,
         page_bytes=config.page_bytes,
@@ -302,13 +279,9 @@ def _build(config: ChaosConfig) -> tuple[Environment, Cluster]:
         lock_timeout=config.lock_timeout,
     )
     cluster.moves.chunk_bytes = config.chunk_bytes
-    cluster.moves.move_timeout = config.move_timeout
-    cluster.moves.retry = config.retry
-    owner = cluster.worker(config.source_node)
-    cluster.master.create_table("kv", SCHEMA, owner=owner)
-    partition = next(iter(owner.partitions.values()))
-    for i in range(config.rows):
-        fast_insert(owner, partition, (i, "seed-%05d" % i))
+    cluster.moves.move_timeout = MOVE_TIMEOUT
+    cluster.moves.retry = MOVER_RETRY
+    harness.kv_cluster_rows(cluster, config.source_node, config.rows)
     return env, cluster
 
 
@@ -388,23 +361,7 @@ def check_invariants(env: Environment, cluster: Cluster,
             )
 
     # 4. Durability: every acknowledged write reads back as committed.
-    lost: list[tuple[int, object]] = []
-
-    def readback():
-        txn = cluster.txns.begin()
-        for key, expected in sorted(oracle.items()):
-            row = yield from cluster.master.read("kv", key, txn)
-            if row is None or row[1] != expected:
-                lost.append((key, None if row is None else row[1]))
-        yield from cluster.txns.commit(txn)
-
-    env.run(until=env.process(readback(), name="invariant-readback"))
-    for key, got in lost:
-        violations.append(
-            f"acknowledged write lost: key {key} reads "
-            f"{'nothing' if got is None else got!r}"
-        )
-    return violations
+    return violations + harness.kv_readback(env, cluster, oracle)
 
 
 def run_chaos(config: ChaosConfig | None = None,
@@ -437,7 +394,7 @@ def run_chaos(config: ChaosConfig | None = None,
             recorder.checkpoint_coverage(cluster.master.gpt, env.now,
                                          "chaos-start")
             while env.now < config.duration:
-                yield env.timeout(config.audit_checkpoint_interval)
+                yield env.timeout(AUDIT_CHECKPOINT_INTERVAL)
                 recorder.checkpoint_coverage(cluster.master.gpt, env.now,
                                              "chaos")
 
@@ -472,27 +429,11 @@ def run_chaos(config: ChaosConfig | None = None,
                 key = 10_000 + writer_id * 100_000 + seq
                 value = f"w{writer_id}-i{seq}"
                 op = "insert"
-            for attempt in range(config.writer_retries):
-                txn = cluster.txns.begin()
-                try:
-                    if op == "update":
-                        yield from cluster.master.update(
-                            "kv", key, (key, value), txn
-                        )
-                    else:
-                        yield from cluster.master.insert(
-                            "kv", (key, value), txn
-                        )
-                    yield from cluster.txns.commit(txn)
-                except _WRITER_RETRYABLE:
-                    if txn.state.value == "active":
-                        cluster.txns.abort(txn)
-                    yield env.timeout(min(0.05 * (2 ** attempt), 0.5))
-                    continue
+            if (yield from harness.kv_write_with_retries(
+                    cluster, op, key, value, WRITER_RETRIES)):
                 # Only now is the write acknowledged to the "client".
                 oracle[key] = value
                 acked += 1
-                break
             else:
                 exhausted += 1
 
@@ -532,7 +473,7 @@ def run_chaos(config: ChaosConfig | None = None,
 
     def resume_rounds():
         nonlocal rounds_used
-        for _ in range(config.resume_rounds):
+        for _ in range(RESUME_ROUNDS):
             if not cluster.moves.journal.open_range_moves():
                 break
             rounds_used += 1
@@ -542,19 +483,11 @@ def run_chaos(config: ChaosConfig | None = None,
     env.run(until=env.process(resume_rounds(), name="chaos-resume"))
 
     violations = check_invariants(env, cluster, oracle)
-    anomalies: list[str] = []
-    history_stats: dict[str, int] = {}
-    if recorder is not None:
-        from repro.audit import audit_history
-
-        # One final snapshot of the healed table, then the full audit
-        # (the readback's reads are part of the history too — the
-        # checkers prove even the verification pass read consistently).
-        recorder.checkpoint_coverage(cluster.master.gpt, env.now,
-                                     "post-quiesce")
-        report = audit_history(recorder, cluster)
-        anomalies = report.descriptions()
-        history_stats = report.stats
+    # One final snapshot of the healed table, then the full audit (the
+    # readback's reads are part of the history too — the checkers prove
+    # even the verification pass read consistently).
+    anomalies, history_stats = harness.audit_epilogue(
+        recorder, cluster, "post-quiesce")
     journal = cluster.moves.journal
     resumed_done = any(
         e.phase == DONE and e.resumes > 0 and e.bytes_reshipped > 0

@@ -40,14 +40,27 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.experiments import harness
 from repro.metrics.report import (
     render_admission_summary,
     render_slo_table,
     render_table,
 )
+from repro.workload import TpccConfig
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.cluster import Cluster
+# The day curve's fixed shape (logical requests/second per tenant
+# class); runs vary day length, flash ramp/hold/decay and batch contract.
+DIURNAL_AMPLITUDE = 0.65
+WEB_BASE_RATE = 420.0
+WEB_USERS = 600_000
+MOBILE_BASE_RATE = 180.0
+MOBILE_USERS = 350_000
+MOBILE_PHASE = -120.0                   # mobile peaks a bit later
+BATCH_RATE = 80.0
+BATCH_USERS = 64
+#: Flash crowd riding the morning ramp, shortly before the peak.
+FLASH_PEAK_RATE = 600.0
+FLASH_START_FRACTION = 0.20             # of day_seconds
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,31 +84,19 @@ class ElasticityConfig:
     load_segment_max_pages: int = 8
     lock_timeout: float = 2.0
 
-    # TPC-C shape (kept small; the padding does the disk work).
-    warehouses: int = 8
-    districts_per_warehouse: int = 4
-    customers_per_district: int = 30
-    items: int = 200
-    orders_per_district: int = 10
-    order_lines_per_order: int = 4
-    pad_blob_bytes: int = 2048
+    #: TPC-C shape (kept small; the padding does the disk work).
+    tpcc: TpccConfig = TpccConfig(
+        warehouses=8, districts_per_warehouse=4, customers_per_district=30,
+        items=200, orders_per_district=10, order_lines_per_order=4,
+        pad_blob_bytes=2048,
+    )
 
-    # The day curve (logical requests/second, per tenant class).
     day_seconds: float = 2400.0
-    diurnal_amplitude: float = 0.65
-    web_base_rate: float = 420.0
-    web_users: int = 600_000
-    mobile_base_rate: float = 180.0
-    mobile_users: int = 350_000
-    mobile_phase: float = -120.0        # mobile peaks a bit later
-    batch_rate: float = 80.0
-    batch_users: int = 64
+    #: Not a field: callers read it to scale the contract, none sets it.
+    batch_rate = BATCH_RATE
     #: Contracted tenant: the token bucket caps it *below* its offered
     #: rate, so the rejected counter shows the rate limiter working.
     batch_rate_limit: float = 60.0
-    #: Flash crowd riding the morning ramp, shortly before the peak.
-    flash_peak_rate: float = 600.0
-    flash_start_fraction: float = 0.20  # of day_seconds
     flash_ramp: float = 60.0
     flash_hold: float = 120.0
     flash_decay: float = 90.0
@@ -133,7 +134,7 @@ class ElasticityConfig:
 
     @property
     def flash_start(self) -> float:
-        return self.day_seconds * self.flash_start_fraction
+        return self.day_seconds * FLASH_START_FRACTION
 
 
 @dataclasses.dataclass
@@ -210,13 +211,13 @@ def _tenants(config: ElasticityConfig):
 
     web = TenantClass(
         name="web",
-        users=config.web_users,
+        users=WEB_USERS,
         arrivals=DiurnalArrivals(
-            base_rate=config.web_base_rate,
-            amplitude=config.diurnal_amplitude,
+            base_rate=WEB_BASE_RATE,
+            amplitude=DIURNAL_AMPLITUDE,
             period=config.day_seconds,
         ) + FlashCrowd(
-            peak_rate=config.flash_peak_rate,
+            peak_rate=FLASH_PEAK_RATE,
             start=config.flash_start,
             ramp=config.flash_ramp,
             hold=config.flash_hold,
@@ -228,12 +229,12 @@ def _tenants(config: ElasticityConfig):
     )
     mobile = TenantClass(
         name="mobile",
-        users=config.mobile_users,
+        users=MOBILE_USERS,
         arrivals=DiurnalArrivals(
-            base_rate=config.mobile_base_rate,
-            amplitude=config.diurnal_amplitude,
+            base_rate=MOBILE_BASE_RATE,
+            amplitude=DIURNAL_AMPLITUDE,
             period=config.day_seconds,
-            phase=config.mobile_phase,
+            phase=MOBILE_PHASE,
         ),
         zipf_theta=0.9,
         hot_offset=3,
@@ -241,8 +242,8 @@ def _tenants(config: ElasticityConfig):
     )
     batch = TenantClass(
         name="batch",
-        users=config.batch_users,
-        arrivals=ConstantArrivals(config.batch_rate),
+        users=BATCH_USERS,
+        arrivals=ConstantArrivals(BATCH_RATE),
         zipf_theta=0.0,
         hot_offset=5,
         rate_limit=config.batch_rate_limit,
@@ -267,46 +268,6 @@ def _peak_time(tenants, day_seconds: float, step: float = 10.0) -> float:
     return best_t
 
 
-# -- build ------------------------------------------------------------------
-
-def _build(config: ElasticityConfig):
-    from repro.cluster.cluster import Cluster
-    from repro.hardware import HDD_SPEC
-    from repro.sim.engine import Environment
-    from repro.workload import load_tpcc, start_vacuum_daemon
-    from repro.workload.tpcc_schema import TpccConfig
-
-    env = Environment(seed=config.seed)
-    active = (config.node_count if config.mode == "static"
-              else config.initially_active)
-    cluster = Cluster(
-        env, node_count=config.node_count, initially_active=active,
-        disk_specs=(HDD_SPEC,),
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        page_bytes=config.page_bytes,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
-    tpcc = TpccConfig(
-        warehouses=config.warehouses,
-        districts_per_warehouse=config.districts_per_warehouse,
-        customers_per_district=config.customers_per_district,
-        items=config.items,
-        orders_per_district=config.orders_per_district,
-        order_lines_per_order=config.order_lines_per_order,
-        pad_blob_bytes=config.pad_blob_bytes,
-    )
-    # Static provisioning spreads the data across every (always-on)
-    # node; the autoscaled day starts consolidated on the master and
-    # lets the rebalancer spread it when the trace demands.
-    owners = (cluster.workers[:active] if config.mode == "static"
-              else [cluster.workers[0]])
-    load_tpcc(cluster, tpcc, owners=owners,
-              segment_max_pages=config.load_segment_max_pages)
-    start_vacuum_daemon(cluster, interval=config.vacuum_interval)
-    return env, cluster, tpcc
-
-
 # -- the run ----------------------------------------------------------------
 
 def run_elasticity(config: ElasticityConfig | None = None,
@@ -315,18 +276,35 @@ def run_elasticity(config: ElasticityConfig | None = None,
     from repro.cluster.forecasting import LoadForecaster, WorkloadHint
     from repro.cluster.policies import PolicyThresholds, ThresholdPolicy
     from repro.core import PhysiologicalPartitioning, Rebalancer
+    from repro.hardware import HDD_SPEC
     from repro.metrics.series import TimeSeries
     from repro.traffic import Autoscaler, AutoscalerConfig, SessionEngine
 
     config = config or ElasticityConfig()
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    env, cluster, tpcc = _build(config)
+    # Static provisioning spreads the data across every (always-on)
+    # node; the autoscaled day starts consolidated on the master and
+    # lets the rebalancer spread it when the trace demands.
+    active = (config.node_count if config.mode == "static"
+              else config.initially_active)
+    env, cluster = harness.tpcc_cluster(
+        config.seed, config.tpcc,
+        owners=range(active) if config.mode == "static" else (0,),
+        load_segment_max_pages=config.load_segment_max_pages,
+        vacuum_interval=config.vacuum_interval,
+        node_count=config.node_count, initially_active=active,
+        disk_specs=(HDD_SPEC,),
+        buffer_pages_per_node=config.buffer_pages_per_node,
+        page_bytes=config.page_bytes,
+        segment_max_pages=config.segment_max_pages,
+        lock_timeout=config.lock_timeout,
+    )
     tenants = _tenants(config)
     peak_time = _peak_time(tenants, config.day_seconds)
 
     engine = SessionEngine(
-        cluster, tpcc, tenants,
+        cluster, config.tpcc, tenants,
         seed=config.seed, tick=config.tick, batch=config.batch,
         executors=config.executors, queue_limit=config.queue_limit,
         retry_budget=config.retry_budget,
@@ -347,8 +325,7 @@ def run_elasticity(config: ElasticityConfig | None = None,
             disk_upper=config.disk_upper, disk_lower=config.disk_lower,
             consecutive_samples=config.consecutive_samples,
         ))
-        rebalancer = Rebalancer(cluster, PhysiologicalPartitioning(),
-                                policy=policy)
+        rebalancer = Rebalancer(cluster, PhysiologicalPartitioning())
         autoscaler = Autoscaler(
             cluster, rebalancer, list(WAREHOUSE_PARTITIONED),
             admission=engine.admission,
@@ -401,16 +378,8 @@ def run_elasticity(config: ElasticityConfig | None = None,
     if autoscaler is not None:
         autoscaler.stop()
 
-    # -- anomalies -------------------------------------------------------
-    anomalies: list[str] = []
-    history_stats: dict[str, int] = {}
-    if recorder is not None:
-        from repro.audit import audit_history
-
-        recorder.checkpoint_coverage(cluster.master.gpt, env.now, "day-end")
-        report = audit_history(recorder, cluster)
-        anomalies = report.descriptions()
-        history_stats = recorder.stats()
+    anomalies, history_stats = harness.audit_epilogue(
+        recorder, cluster, "day-end")
 
     # -- timeline --------------------------------------------------------
     width = config.day_seconds / config.report_buckets
@@ -444,25 +413,8 @@ def run_elasticity(config: ElasticityConfig | None = None,
 
     # -- invariants ------------------------------------------------------
     stats = engine.admission.stats()
-    violations: list[str] = []
-    if stats["offered"] < config.min_requests:
-        violations.append(
-            f"day offered only {stats['offered']} logical requests "
-            f"(target {config.min_requests})"
-        )
-    if stats["offered"] != (stats["admitted"] + stats["rejected"]
-                            + stats["shed"]):
-        violations.append(
-            "admission leak: offered != admitted + rejected + shed "
-            f"({stats['offered']} != {stats['admitted']} + "
-            f"{stats['rejected']} + {stats['shed']})"
-        )
-    if stats["admitted"] != stats["completed"] + stats["abandoned"]:
-        violations.append(
-            "drain leak: admitted != completed + abandoned "
-            f"({stats['admitted']} != {stats['completed']} + "
-            f"{stats['abandoned']})"
-        )
+    violations = harness.admission_violations(stats, config.min_requests,
+                                              "day")
 
     peak_active = int(max(
         (v for _t, v in nodes_series.points), default=cluster.active_node_count

@@ -52,28 +52,38 @@ import typing
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.vacuum import VacuumPolicy, VacuumScheduler
+from repro.experiments import harness
 from repro.ha import (
     FailoverCoordinator,
     FailureDetector,
     FaultInjector,
     ReplicationManager,
 )
-from repro.hardware.disk import DiskFailedError
-from repro.hardware.network import LinkDownError
 from repro.metrics.report import render_table, render_wal_summary
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
-from repro.storage.record import Column, Schema
 from repro.txn import recovery
 from repro.txn.checkpoint import CheckpointManager, iter_committed_rows
-from repro.txn.locks import LockTimeoutError
-from repro.txn.manager import TransactionAborted
-from repro.workload.tpcc_gen import fast_insert
 
-_WRITER_RETRYABLE = (TransactionAborted, LockTimeoutError, LookupError,
-                     DiskFailedError, LinkDownError)
-
-SCHEMA = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
+# Cluster roles: master 0 (never injured), primary 1, replica holder 2.
+PRIMARY_NODE = 1
+REPLICATION_FACTOR = 2
+MONITOR_INTERVAL = 1.0
+#: WAL segment size (records).  Small enough that quick runs seal,
+#: recycle, and can violate the footprint bound if recycling breaks.
+WAL_SEGMENT_RECORDS = 256
+#: Drain allowance after each window's writers finish, so the audit
+#: judges a quiescent cluster.
+SETTLE_SECONDS = 3.0
+#: Think time = base / (1 + amplitude * sin(2pi t/P)).
+DIURNAL_AMPLITUDE = 0.6
+WRITER_RETRIES = 8
+#: A chaos crash restarts the victim this long after killing it.
+CRASH_OUTAGE = 8.0
+AUDIT_COVERAGE_INTERVAL = 5.0
+#: Coverage snapshots per window are deduped and capped so the
+#: recorder's memory cannot scale with window length.
+AUDIT_COVERAGE_CAPACITY = 256
 
 
 @dataclasses.dataclass
@@ -82,9 +92,7 @@ class EnduranceConfig:
 
     seed: int = 0
 
-    # Cluster: master 0 (never injured), primary 1, replica holder 2.
     node_count: int = 3
-    primary_node: int = 1
     buffer_pages_per_node: int = 1024
     segment_max_pages: int = 8
     page_bytes: int = 2048
@@ -92,23 +100,14 @@ class EnduranceConfig:
     boot_seconds: float = 5.0
     rows: int = 400
 
-    #: WAL segment size (records).  Small enough that quick runs seal,
-    #: recycle, and can violate the footprint bound if recycling breaks.
-    wal_segment_records: int = 256
-
     # Timeline: ``windows`` audit windows of ``window_seconds`` each.
     windows: int = 4
     window_seconds: float = 60.0
-    #: Drain allowance after each window's writers finish, so the audit
-    #: judges a quiescent cluster.
-    settle_seconds: float = 3.0
 
-    # Diurnal curve: think time = base / (1 + amplitude * sin(2pi t/P)).
+    # Diurnal curve (see DIURNAL_AMPLITUDE).
     writers: int = 4
     base_interval: float = 0.2
     diurnal_period: float = 120.0
-    diurnal_amplitude: float = 0.6
-    writer_retries: int = 8
 
     # Daemon cadences.
     checkpoint_interval: float = 10.0
@@ -120,19 +119,12 @@ class EnduranceConfig:
     compact_replicas_over: int = 2048
 
     # Chaos: crash the current primary mid-window every N windows.
-    replication_factor: int = 2
     crash_every_windows: int = 2
-    crash_outage: float = 8.0
-    monitor_interval: float = 1.0
     miss_threshold: int = 3
 
     #: Windowed isolation audit (the endurance story; off only for
     #: bench timing runs).
     audit: bool = True
-    audit_coverage_interval: float = 5.0
-    #: Coverage snapshots per window are deduped and capped so the
-    #: recorder's memory cannot scale with window length.
-    audit_coverage_capacity: int = 256
 
     #: The sustained-throughput gate (acceptance: the full
     #: configuration must clear 1e6 committed transactions).
@@ -140,7 +132,7 @@ class EnduranceConfig:
 
     @property
     def duration(self) -> float:
-        return self.windows * (self.window_seconds + self.settle_seconds)
+        return self.windows * (self.window_seconds + SETTLE_SECONDS)
 
 
 @dataclasses.dataclass
@@ -240,14 +232,10 @@ def _build(config: EnduranceConfig) -> tuple[Environment, Cluster]:
         boot_seconds=config.boot_seconds,
         lock_timeout=config.lock_timeout,
     )
-    cluster.monitor.interval = config.monitor_interval
+    cluster.monitor.interval = MONITOR_INTERVAL
     for worker in cluster.workers:
-        worker.wal.segment_records = config.wal_segment_records
-    owner = cluster.worker(config.primary_node)
-    cluster.master.create_table("kv", SCHEMA, owner=owner)
-    partition = next(iter(owner.partitions.values()))
-    for i in range(config.rows):
-        fast_insert(owner, partition, (i, "seed-%05d" % i))
+        worker.wal.segment_records = WAL_SEGMENT_RECORDS
+    harness.kv_cluster_rows(cluster, PRIMARY_NODE, config.rows)
     return env, cluster
 
 
@@ -268,7 +256,7 @@ def _chaos_victim(cluster: Cluster) -> int | None:
 
 
 def _diurnal_interval(config: EnduranceConfig, now: float) -> float:
-    load = 1.0 + config.diurnal_amplitude * math.sin(
+    load = 1.0 + DIURNAL_AMPLITUDE * math.sin(
         2.0 * math.pi * now / config.diurnal_period
     )
     return config.base_interval / max(load, 0.1)
@@ -285,7 +273,7 @@ def run_endurance(config: EnduranceConfig | None = None,
         config = dataclasses.replace(config, seed=seed)
     env, cluster = _build(config)
 
-    replication = ReplicationManager(cluster, k=config.replication_factor)
+    replication = ReplicationManager(cluster, k=REPLICATION_FACTOR)
     coordinator = FailoverCoordinator(cluster, replication)
     detector = FailureDetector(cluster, coordinator,
                                miss_threshold=config.miss_threshold)
@@ -296,7 +284,7 @@ def run_endurance(config: EnduranceConfig | None = None,
         from repro.audit import HistoryRecorder
 
         recorder = HistoryRecorder(
-            coverage_capacity=config.audit_coverage_capacity,
+            coverage_capacity=AUDIT_COVERAGE_CAPACITY,
             dedupe_coverage=True,
         ).attach(cluster)
 
@@ -335,32 +323,16 @@ def run_endurance(config: EnduranceConfig | None = None,
                 key = 10_000 + writer_id * 1_000_000 + seq
                 value = f"w{writer_id}-i{seq}"
                 op = "insert"
-            for attempt in range(config.writer_retries):
-                txn = cluster.txns.begin()
-                try:
-                    if op == "update":
-                        yield from cluster.master.update(
-                            "kv", key, (key, value), txn
-                        )
-                    else:
-                        yield from cluster.master.insert(
-                            "kv", (key, value), txn
-                        )
-                    yield from cluster.txns.commit(txn)
-                except _WRITER_RETRYABLE:
-                    if txn.state.value == "active":
-                        cluster.txns.abort(txn)
-                    yield env.timeout(min(0.05 * (2 ** attempt), 0.5))
-                    continue
+            if (yield from harness.kv_write_with_retries(
+                    cluster, op, key, value, WRITER_RETRIES)):
                 oracle[key] = value
                 acked += 1
-                break
             else:
                 exhausted += 1
 
     def coverage_loop(until: float):
         while env.now < until:
-            step = min(config.audit_coverage_interval, until - env.now)
+            step = min(AUDIT_COVERAGE_INTERVAL, until - env.now)
             if step <= 0:
                 break
             yield env.timeout(step)
@@ -394,7 +366,7 @@ def run_endurance(config: EnduranceConfig | None = None,
                 )
                 injector = FaultInjector(cluster)
                 injector.crash_at(crash_at, victim)
-                injector.restart_at(crash_at + config.crash_outage, victim)
+                injector.restart_at(crash_at + CRASH_OUTAGE, victim)
                 procs.append(env.process(injector.run(),
                                          name=f"endurance-chaos-{window}"))
                 crashes += 1
@@ -402,18 +374,12 @@ def run_endurance(config: EnduranceConfig | None = None,
         env.run(until=AllOf(env, procs))
         # Quiesce: let in-flight commits, shipments, and daemon rounds
         # land before judging the window.
-        env.run(until=env.now + config.settle_seconds)
+        env.run(until=env.now + SETTLE_SECONDS)
 
-        anomalies: list[str] = []
-        history_stats: dict[str, int] = {}
+        anomalies, history_stats = harness.audit_epilogue(
+            recorder, cluster, f"window-{window}-end")
         if recorder is not None:
-            from repro.audit import audit_history
-
-            recorder.checkpoint_coverage(cluster.master.gpt, env.now,
-                                         f"window-{window}-end")
-            report = audit_history(recorder, cluster)
-            anomalies = report.descriptions()
-            history_stats = recorder.reset_window()
+            recorder.reset_window()
         window_results.append(WindowResult(
             index=window, t0=t0, t1=env.now,
             acked=acked - window_acked,
@@ -425,25 +391,10 @@ def run_endurance(config: EnduranceConfig | None = None,
     vacuum.stop()
 
     # -- invariant 1: acknowledged writes read back ----------------------
-    lost: list[tuple[int, object]] = []
-
-    def readback():
-        txn = cluster.txns.begin()
-        for key, expected in sorted(oracle.items()):
-            row = yield from cluster.master.read("kv", key, txn)
-            if row is None or row[1] != expected:
-                lost.append((key, None if row is None else row[1]))
-        yield from cluster.txns.commit(txn)
-
-    env.run(until=env.process(readback(), name="endurance-readback"))
-    for key, got in lost:
-        violations.append(
-            f"acknowledged write lost: key {key} reads "
-            f"{'nothing' if got is None else got!r}"
-        )
+    violations += harness.kv_readback(env, cluster, oracle)
 
     # -- invariant 2: bounded WAL footprint ------------------------------
-    slack_bound = 2 * config.wal_segment_records
+    slack_bound = 2 * WAL_SEGMENT_RECORDS
     if checkpoints.peak_footprint_slack > slack_bound:
         violations.append(
             f"WAL footprint unbounded: {checkpoints.peak_footprint_slack} "

@@ -30,6 +30,7 @@ from repro.core import (
     Rebalancer,
 )
 from repro.cluster.cluster import Cluster
+from repro.experiments import harness
 from repro.index.global_table import PartitionLocation
 from repro.index.partition_tree import KeyRange
 from repro.metrics.breakdown import CostBreakdown
@@ -41,7 +42,6 @@ from repro.workload import (
     TpccConfig,
     TpccContext,
     WorkloadDriver,
-    load_tpcc,
     start_vacuum_daemon,
 )
 from repro.workload.tpcc_gen import fast_insert, warehouse_ranges
@@ -186,13 +186,14 @@ def _ballast_pad_bytes(config: Fig6Config) -> Schema:
 
 def build_fig6_cluster(config: Fig6Config) -> tuple[Environment, Cluster]:
     """Cluster + TPC-C + ballast, data on the two source nodes."""
-    env = Environment()
     active = len(config.source_nodes)
     if config.targets_active_from_start:
         active += len(config.target_nodes)
-    cluster = Cluster(
-        env, node_count=config.node_count,
-        initially_active=active,
+    # The environment seed is fixed; runs differ through ``tpcc.seed``.
+    env, cluster = harness.tpcc_cluster(
+        0, config.tpcc, owners=config.source_nodes,
+        load_segment_max_pages=config.tpcc_segment_max_pages,
+        node_count=config.node_count, initially_active=active,
         disk_specs=config.disk_specs,
         buffer_pages_per_node=config.buffer_pages_per_node,
         segment_max_pages=config.segment_max_pages,
@@ -200,8 +201,6 @@ def build_fig6_cluster(config: Fig6Config) -> tuple[Environment, Cluster]:
         lock_timeout=config.lock_timeout,
     )
     owners = [cluster.worker(n) for n in config.source_nodes]
-    load_tpcc(cluster, config.tpcc, owners=owners,
-              segment_max_pages=config.tpcc_segment_max_pages)
 
     # Ballast table: partitioned by warehouse like the rest.
     schema = _ballast_pad_bytes(config)
@@ -337,31 +336,10 @@ def run_fig6(scheme: str | PartitioningScheme,
         breakdown_normal=driver.mean_breakdown(0, start_abs),
         breakdown_rebalancing=driver.mean_breakdown(marks["start"], marks["end"]),
     )
-    if driver.history is not None:
-        from repro.audit import audit_history
-
-        driver.history.checkpoint_coverage(cluster.master.gpt, env.now,
-                                           "post-run")
-        report = audit_history(driver.history, cluster)
-        result.anomalies = report.descriptions()
-        result.history_stats = report.stats
-        result.audited = True
+    result.anomalies, result.history_stats = harness.audit_epilogue(
+        driver.history, cluster, "post-run")
+    result.audited = driver.history is not None
     return result
-
-
-def run_fig6_all(config: Fig6Config | None = None,
-                 jobs: int = 1) -> dict[str, Fig6Result]:
-    """All three schemes on identical (independently seeded) clusters.
-
-    ``jobs > 1`` runs the schemes in parallel worker processes; each
-    scheme's simulation is independent, so the results are identical to
-    a sequential sweep.
-    """
-    from repro.experiments.parallel import run_tasks
-
-    results = run_tasks([(run_fig6, (name, config), {}) for name in SCHEMES],
-                        jobs=jobs)
-    return dict(zip(SCHEMES, results))
 
 
 def scale_fig6_config(nodes: int = 100, partitions: int = 10_000) -> Fig6Config:

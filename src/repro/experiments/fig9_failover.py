@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import typing
 
-from repro.cluster.cluster import Cluster
+from repro.experiments import harness
 from repro.ha import (
     FailoverCoordinator,
     FailureDetector,
@@ -38,12 +37,10 @@ from repro.ha import (
     ReplicationManager,
 )
 from repro.metrics.report import render_table
-from repro.sim.engine import Environment
 from repro.workload import (
     TpccConfig,
     TpccContext,
     WorkloadDriver,
-    load_tpcc,
     start_vacuum_daemon,
 )
 
@@ -128,6 +125,10 @@ class Fig9KResult:
     history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
     audited: bool = False
 
+    @property
+    def ok(self) -> bool:
+        return not self.anomalies
+
     def to_row(self) -> list:
         return [
             self.k,
@@ -164,69 +165,22 @@ class Fig9Result:
             self.HEADERS, rows,
             title="Fig. 9 — failover: crash at t=0, one data node killed",
         )
-        if not any(r.audited for r in self.runs.values()):
-            return table
-        lines = [table]
-        for k in sorted(self.runs):
-            run = self.runs[k]
-            for anomaly in run.anomalies:
-                lines.append(f"k={k}: ISOLATION ANOMALY: {anomaly}")
-        total = sum(len(r.anomalies) for r in self.runs.values())
-        ops = sum(r.history_stats.get("ops_recorded", 0)
-                  for r in self.runs.values())
-        lines.append(f"audit: {total} isolation anomalies over {ops} "
-                     f"recorded operations")
-        return "\n".join(lines)
-
-
-def _build_cluster(config: Fig9Config) -> tuple[Environment, Cluster]:
-    env = Environment(seed=config.seed)
-    cluster = Cluster(
-        env, node_count=config.node_count,
-        initially_active=config.node_count,
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
-    cluster.monitor.interval = config.monitor_interval
-    owners = [cluster.worker(n) for n in config.data_nodes]
-    load_tpcc(cluster, config.tpcc, owners=owners,
-              segment_max_pages=config.segment_max_pages)
-    return env, cluster
-
-
-def _lost_commits(cluster: Cluster,
-                  committed: typing.Sequence[tuple[int, int, int]]) -> int:
-    """Durability check: how many acknowledged NewOrders are missing
-    from the partition the global partition table currently points at
-    (for k >= 2 after a crash, that is the promoted replica)."""
-    lost = 0
-    for w, d, o_id in committed:
-        key = (w, d, o_id)
-        try:
-            location = cluster.master.gpt.locate("orders", key)
-        except KeyError:
-            lost += 1
-            continue
-        worker = cluster.worker(location.node_id)
-        partition = worker.partitions.get(location.partition_id)
-        segment = partition.segment_for(key) if partition is not None else None
-        found = False
-        if segment is not None and hasattr(segment, "versions_for"):
-            for _page, _slot, version in segment.versions_for(key):
-                if (version.created_ts is not None
-                        and version.deleted_ts is None):
-                    found = True
-                    break
-        if not found:
-            lost += 1
-    return lost
+        return "\n".join([table] + harness.render_anomaly_lines(
+            (f"k={k}", self.runs[k]) for k in sorted(self.runs)))
 
 
 def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
     """One crash-and-recover run at replication factor ``k``."""
     config = config or Fig9Config()
-    env, cluster = _build_cluster(config)
+    env, cluster = harness.tpcc_cluster(
+        config.seed, config.tpcc, owners=config.data_nodes,
+        load_segment_max_pages=config.segment_max_pages,
+        monitor_interval=config.monitor_interval,
+        node_count=config.node_count, initially_active=config.node_count,
+        buffer_pages_per_node=config.buffer_pages_per_node,
+        segment_max_pages=config.segment_max_pages,
+        lock_timeout=config.lock_timeout,
+    )
 
     replication = ReplicationManager(
         cluster, k=k,
@@ -262,13 +216,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
         power_sample_interval=config.bucket,
         audit=config.audit,
     )
-    committed: list[tuple[int, int, int]] = []
-
-    def remember_commit(kind, _start, _end, _breakdown, result, _attempts):
-        if kind == "new_order" and isinstance(result, dict):
-            committed.append((result["w"], result["d"], result["o_id"]))
-
-    driver.completion_listener = remember_commit
+    committed = harness.remember_new_orders(driver)
 
     # Audited runs bound the vacuum daemon to the workload's end so the
     # drained simulation is a stable subject for the offline checkers.
@@ -315,16 +263,8 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
             recovered = t
             break
 
-    anomalies: list[str] = []
-    history_stats: dict[str, int] = {}
-    if driver.history is not None:
-        from repro.audit import audit_history
-
-        driver.history.checkpoint_coverage(cluster.master.gpt, env.now,
-                                           "post-run")
-        report = audit_history(driver.history, cluster)
-        anomalies = report.descriptions()
-        history_stats = report.stats
+    anomalies, history_stats = harness.audit_epilogue(
+        driver.history, cluster, "post-run")
 
     return Fig9KResult(
         k=k,
@@ -337,7 +277,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
         failover_seconds=failover,
         throughput_recovery_seconds=recovered,
         committed_orders=len(committed),
-        lost_commits=_lost_commits(cluster, committed),
+        lost_commits=harness.lost_new_orders(cluster, committed),
         promotions=len(coordinator.promotions),
         unavailable_partitions=len(
             [e for e in coordinator.events

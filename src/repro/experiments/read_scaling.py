@@ -44,12 +44,14 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.experiments import harness
 from repro.metrics.report import (
     render_admission_summary,
     render_reads_summary,
     render_slo_table,
     render_table,
 )
+from repro.workload import TpccConfig
 
 #: Declared read-only tenant mix: the two TPC-C read profiles plus
 #: their materialized-view equivalents.
@@ -67,6 +69,28 @@ WRITE_MIX = (
     ("payment", 0.40),
     ("delivery", 0.10),
 )
+
+
+# Traffic shape (logical requests/second) and replication factor —
+# the same in both modes, so the comparison isolates the read path.
+READER_RATE = 150.0
+READER_USERS = 40_000
+WRITER_RATE = 50.0
+WRITER_USERS = 8_000
+READER_SLO_P99_MS = 30_000.0
+REPLICATION_K = 2
+
+# Fault targets (node 0 is the master and is never one).  The
+# corruption lands first, while every node is healthy, so the scrubber
+# repairs it before either failover replays a replica log.
+BIT_ROT_NODE = 1
+BIT_ROT_AT_FRACTION = 0.10
+SEVER_NODE = 2
+CRASH_NODE = 3
+#: Scrub cadence — brisk enough that the injected bit rot is found
+#: and repaired from a replica before the end-of-run audit.
+SCRUB_INTERVAL = 2.0
+SCRUB_PAGES_PER_TICK = 512
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,58 +111,39 @@ class ReadScalingConfig:
     load_segment_max_pages: int = 8
     lock_timeout: float = 2.0
 
-    # TPC-C shape.
-    warehouses: int = 8
-    districts_per_warehouse: int = 4
-    customers_per_district: int = 30
-    items: int = 200
-    orders_per_district: int = 10
-    order_lines_per_order: int = 4
-    pad_blob_bytes: int = 2048
+    tpcc: TpccConfig = TpccConfig(
+        warehouses=8, districts_per_warehouse=4, customers_per_district=30,
+        items=200, orders_per_district=10, order_lines_per_order=4,
+        pad_blob_bytes=2048,
+    )
 
-    # Traffic (logical requests/second; ``batch`` logical requests
-    # ride one executed transaction).
+    # Traffic (``batch`` logical requests ride one executed
+    # transaction).
     duration: float = 240.0
-    reader_rate: float = 150.0
-    reader_users: int = 40_000
-    writer_rate: float = 50.0
-    writer_users: int = 8_000
     tick: float = 1.0
     batch: int = 5
     executors: int = 10
     queue_limit: int = 20_000
     retry_budget: float = 15.0
-    reader_slo_p99_ms: float = 30_000.0
 
     # Read tier.
-    replication_k: int = 2
     #: Staleness budget in WAL records of replication lag.
     lag_budget: int = 64
     per_tenant_quota: int = 2_048
     view_refresh_interval: float = 0.05
     view_lag_bound: float = 5.0
 
-    # Fault schedule (fractions of ``duration``; node 0 is the master
-    # and is never a target).  The corruption lands first, while every
-    # node is healthy, so the scrubber repairs it before either
-    # failover replays a replica log; the sever and the crash are then
-    # spaced so each promotion completes before the next fault.
+    # Fault schedule (fractions of ``duration``): the sever and the
+    # crash are spaced so each promotion completes before the next
+    # fault.
     faults: bool = True
-    bit_rot_node: int = 1
-    bit_rot_at_fraction: float = 0.10
-    sever_node: int = 2
     sever_at_fraction: float = 0.25
     restore_at_fraction: float = 0.40
-    crash_node: int = 3
     crash_at_fraction: float = 0.55
     restart_at_fraction: float = 0.80
 
     power_sample_interval: float = 5.0
     vacuum_interval: float = 30.0
-    #: Scrub cadence — brisk enough that the injected bit rot is found
-    #: and repaired from a replica before the end-of-run audit.
-    scrub_interval: float = 2.0
-    scrub_pages_per_tick: int = 512
 
     audit: bool = False
     #: Acceptance gate on offered logical requests.
@@ -226,58 +231,22 @@ def _tenants(config: ReadScalingConfig):
 
     readers = TenantClass(
         name="readers",
-        users=config.reader_users,
-        arrivals=ConstantArrivals(config.reader_rate),
+        users=READER_USERS,
+        arrivals=ConstantArrivals(READER_RATE),
         zipf_theta=0.99,
         hot_offset=0,
         mix=READ_MIX,
-        slo_p99_ms=config.reader_slo_p99_ms,
+        slo_p99_ms=READER_SLO_P99_MS,
     )
     writers = TenantClass(
         name="writers",
-        users=config.writer_users,
-        arrivals=ConstantArrivals(config.writer_rate),
+        users=WRITER_USERS,
+        arrivals=ConstantArrivals(WRITER_RATE),
         zipf_theta=0.9,
         hot_offset=2,
         mix=WRITE_MIX,
     )
     return [readers, writers]
-
-
-# -- build ------------------------------------------------------------------
-
-def _build(config: ReadScalingConfig):
-    from repro.cluster.cluster import Cluster
-    from repro.hardware import HDD_SPEC
-    from repro.sim.engine import Environment
-    from repro.workload import load_tpcc, start_vacuum_daemon
-    from repro.workload.tpcc_schema import TpccConfig
-
-    env = Environment(seed=config.seed)
-    cluster = Cluster(
-        env, node_count=config.node_count,
-        initially_active=config.node_count,
-        disk_specs=(HDD_SPEC,),
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        page_bytes=config.page_bytes,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
-    tpcc = TpccConfig(
-        warehouses=config.warehouses,
-        districts_per_warehouse=config.districts_per_warehouse,
-        customers_per_district=config.customers_per_district,
-        items=config.items,
-        orders_per_district=config.orders_per_district,
-        order_lines_per_order=config.order_lines_per_order,
-        pad_blob_bytes=config.pad_blob_bytes,
-    )
-    # Both modes spread the data across every (always-on) node: the
-    # comparison isolates the read path, not placement.
-    load_tpcc(cluster, tpcc, owners=list(cluster.workers),
-              segment_max_pages=config.load_segment_max_pages)
-    start_vacuum_daemon(cluster, interval=config.vacuum_interval)
-    return env, cluster, tpcc
 
 
 # -- the run ----------------------------------------------------------------
@@ -289,6 +258,7 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
     from repro.ha.faults import FaultInjector
     from repro.ha.replication import ReplicationManager
     from repro.ha.scrub import ScrubDaemon, ScrubPolicy
+    from repro.hardware import HDD_SPEC
     from repro.traffic import SessionEngine
 
     # Registers the ``*_view`` transaction bodies for both modes: with
@@ -299,12 +269,24 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
     config = config or ReadScalingConfig()
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    env, cluster, tpcc = _build(config)
+    # Both modes spread the data across every (always-on) node: the
+    # comparison isolates the read path, not placement.
+    env, cluster = harness.tpcc_cluster(
+        config.seed, config.tpcc, owners=None,
+        load_segment_max_pages=config.load_segment_max_pages,
+        vacuum_interval=config.vacuum_interval,
+        node_count=config.node_count, initially_active=config.node_count,
+        disk_specs=(HDD_SPEC,),
+        buffer_pages_per_node=config.buffer_pages_per_node,
+        page_bytes=config.page_bytes,
+        segment_max_pages=config.segment_max_pages,
+        lock_timeout=config.lock_timeout,
+    )
 
     # Both modes carry the same replication factor and failover
     # machinery — the crash in the fault schedule must be survivable
     # either way, and replica upkeep costs the same energy in both.
-    replication = ReplicationManager(cluster, k=config.replication_k)
+    replication = ReplicationManager(cluster, k=REPLICATION_K)
     env.run(until=env.process(replication.protect_all(), name="protect"))
     coordinator = FailoverCoordinator(cluster, replication)
     detector = FailureDetector(cluster, coordinator)
@@ -312,10 +294,9 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
     env.process(detector.run(), name="failure-detector")
     scrub = ScrubDaemon(
         cluster, replication, coordinator,
-        policy=ScrubPolicy(interval=config.scrub_interval,
-                           pages_per_tick=config.scrub_pages_per_tick),
-    )
-    scrub.start()
+        policy=ScrubPolicy(interval=SCRUB_INTERVAL,
+                           pages_per_tick=SCRUB_PAGES_PER_TICK),
+    ).start()
 
     tier = None
     if config.mode == "replica":
@@ -332,7 +313,7 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
         env.process(tier.views.run(), name="view-refresh")
 
     engine = SessionEngine(
-        cluster, tpcc, _tenants(config),
+        cluster, config.tpcc, _tenants(config),
         seed=config.seed, tick=config.tick, batch=config.batch,
         executors=config.executors, queue_limit=config.queue_limit,
         retry_budget=config.retry_budget,
@@ -350,15 +331,11 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
     if config.faults:
         d = config.duration
         injector = FaultInjector(cluster)
-        injector.crash_at(d * config.crash_at_fraction, config.crash_node)
-        injector.restart_at(d * config.restart_at_fraction,
-                            config.crash_node)
-        injector.bit_rot_at(d * config.bit_rot_at_fraction,
-                            config.bit_rot_node)
-        injector.sever_link_at(d * config.sever_at_fraction,
-                               config.sever_node)
-        injector.restore_link_at(d * config.restore_at_fraction,
-                                 config.sever_node)
+        injector.crash_at(d * config.crash_at_fraction, CRASH_NODE)
+        injector.restart_at(d * config.restart_at_fraction, CRASH_NODE)
+        injector.bit_rot_at(d * BIT_ROT_AT_FRACTION, BIT_ROT_NODE)
+        injector.sever_link_at(d * config.sever_at_fraction, SEVER_NODE)
+        injector.restore_link_at(d * config.restore_at_fraction, SEVER_NODE)
         env.process(injector.run(), name="fault-injector")
 
     checkpoint_matches: list[bool] = []
@@ -408,38 +385,12 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
     if tier is not None and not cluster.txns._committing:
         try_view_checkpoint("final")
 
-    # -- audit -----------------------------------------------------------
-    anomalies: list[str] = []
-    history_stats: dict[str, int] = {}
-    if recorder is not None:
-        from repro.audit import audit_history
-
-        recorder.checkpoint_coverage(cluster.master.gpt, env.now, "end")
-        report = audit_history(recorder, cluster)
-        anomalies = report.descriptions()
-        history_stats = recorder.stats()
+    anomalies, history_stats = harness.audit_epilogue(recorder, cluster, "end")
 
     # -- invariants ------------------------------------------------------
     stats = engine.admission.stats()
-    violations: list[str] = []
-    if stats["offered"] < config.min_requests:
-        violations.append(
-            f"run offered only {stats['offered']} logical requests "
-            f"(target {config.min_requests})"
-        )
-    if stats["offered"] != (stats["admitted"] + stats["rejected"]
-                            + stats["shed"]):
-        violations.append(
-            "admission leak: offered != admitted + rejected + shed "
-            f"({stats['offered']} != {stats['admitted']} + "
-            f"{stats['rejected']} + {stats['shed']})"
-        )
-    if stats["admitted"] != stats["completed"] + stats["abandoned"]:
-        violations.append(
-            "drain leak: admitted != completed + abandoned "
-            f"({stats['admitted']} != {stats['completed']} + "
-            f"{stats['abandoned']})"
-        )
+    violations = harness.admission_violations(stats, config.min_requests,
+                                              "run")
 
     tier_stats: dict[str, int | float] = {}
     if tier is not None:

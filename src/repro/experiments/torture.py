@@ -37,6 +37,7 @@ import typing
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.monitor import GrayFailureDetector
+from repro.experiments import harness
 from repro.ha import (
     FailoverCoordinator,
     FailureDetector,
@@ -52,15 +53,23 @@ from repro.metrics.report import (
     render_table,
 )
 from repro.metrics.series import percentile
-from repro.sim.engine import Environment
 from repro.storage.checksum import IntegrityError
 from repro.workload import (
     TpccConfig,
     TpccContext,
     WorkloadDriver,
-    load_tpcc,
     start_vacuum_daemon,
 )
+
+
+MONITOR_INTERVAL = 1.0
+SCRUB_INTERVAL = 5.0
+SCRUB_PAGES_PER_TICK = 256
+#: The limping node's disk serves I/O this many times slower.
+SLOW_FACTOR = 12.0
+#: The flaky node's NIC: packet loss probability and added delay.
+FLAKY_LOSS = 0.05
+FLAKY_EXTRA_DELAY = 0.005
 
 
 @dataclasses.dataclass
@@ -94,7 +103,6 @@ class TortureConfig:
     k: int = 2
 
     # Failure detection (staleness + gray).
-    monitor_interval: float = 1.0
     miss_threshold: int = 3
     restore_threshold: int = 2
     score_threshold: float = 3.0
@@ -103,16 +111,9 @@ class TortureConfig:
     quarantine_strikes: int = 2
     clear_polls: int = 4
 
-    # Scrubbing.
-    scrub_interval: float = 5.0
-    scrub_pages_per_tick: int = 256
-
     # Fault schedule, relative to workload start (after seeding).
     slow_disk_at: float = 20.0
-    slow_factor: float = 12.0
     flaky_at: float = 10.0
-    flaky_loss: float = 0.05
-    flaky_extra_delay: float = 0.005
     flaky_heal_after: float = 25.0
     torn_at: float = 40.0
     torn_restart_after: float = 12.0
@@ -198,22 +199,6 @@ HEADERS = ["seed", "commits", "lost", "corrupt", "unresolved", "repaired",
            "p99 ms", "gate"]
 
 
-def _build_cluster(config: TortureConfig) -> tuple[Environment, Cluster]:
-    env = Environment(seed=config.seed)
-    cluster = Cluster(
-        env, node_count=config.node_count,
-        initially_active=config.node_count,
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
-    cluster.monitor.interval = config.monitor_interval
-    owners = [cluster.worker(n) for n in config.data_nodes]
-    load_tpcc(cluster, config.tpcc, owners=owners,
-              segment_max_pages=config.segment_max_pages)
-    return env, cluster
-
-
 def _schedule_faults(injector: FaultInjector, config: TortureConfig,
                      t_start: float) -> tuple[int, int, int]:
     """Install the full gray-fault mix; returns the (limping, flaky,
@@ -224,10 +209,10 @@ def _schedule_faults(injector: FaultInjector, config: TortureConfig,
     torn = config.data_nodes[0]
 
     injector.slow_disk_at(t_start + config.slow_disk_at, limping,
-                          factor=config.slow_factor)
+                          factor=SLOW_FACTOR)
     injector.flaky_link_at(t_start + config.flaky_at, flaky,
-                           loss_probability=config.flaky_loss,
-                           extra_delay=config.flaky_extra_delay)
+                           loss_probability=FLAKY_LOSS,
+                           extra_delay=FLAKY_EXTRA_DELAY)
     injector.heal_link_at(
         t_start + config.flaky_at + config.flaky_heal_after, flaky
     )
@@ -245,35 +230,6 @@ def _schedule_faults(injector: FaultInjector, config: TortureConfig,
         node = rng.choice(list(config.data_nodes))
         injector.bit_rot_at(at, node)
     return limping, flaky, torn
-
-
-def _lost_commits(cluster: Cluster,
-                  committed: typing.Sequence[tuple[int, int, int]]) -> int:
-    """fig9's durability oracle: acknowledged NewOrders whose order row
-    is missing from wherever the GPT currently points (a fenced
-    partition does NOT excuse a loss — fencing protects integrity, the
-    replica promotion path must still have preserved the commit)."""
-    lost = 0
-    for w, d, o_id in committed:
-        key = (w, d, o_id)
-        try:
-            location = cluster.master.gpt.locate("orders", key)
-        except KeyError:
-            lost += 1
-            continue
-        worker = cluster.worker(location.node_id)
-        partition = worker.partitions.get(location.partition_id)
-        segment = partition.segment_for(key) if partition is not None else None
-        found = False
-        if segment is not None and hasattr(segment, "versions_for"):
-            for _page, _slot, version in segment.versions_for(key):
-                if (version.created_ts is not None
-                        and version.deleted_ts is None):
-                    found = True
-                    break
-        if not found:
-            lost += 1
-    return lost
 
 
 def _torn_txns_committed(cluster: Cluster, injector: FaultInjector) -> int:
@@ -375,7 +331,15 @@ def run_torture(config: TortureConfig | None = None,
     config = config or TortureConfig()
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    env, cluster = _build_cluster(config)
+    env, cluster = harness.tpcc_cluster(
+        config.seed, config.tpcc, owners=config.data_nodes,
+        load_segment_max_pages=config.segment_max_pages,
+        monitor_interval=MONITOR_INTERVAL,
+        node_count=config.node_count, initially_active=config.node_count,
+        buffer_pages_per_node=config.buffer_pages_per_node,
+        segment_max_pages=config.segment_max_pages,
+        lock_timeout=config.lock_timeout,
+    )
 
     replication = ReplicationManager(
         cluster, k=config.k,
@@ -404,8 +368,8 @@ def run_torture(config: TortureConfig | None = None,
 
     scrub = ScrubDaemon(
         cluster, replication, coordinator,
-        policy=ScrubPolicy(interval=config.scrub_interval,
-                           pages_per_tick=config.scrub_pages_per_tick),
+        policy=ScrubPolicy(interval=SCRUB_INTERVAL,
+                           pages_per_tick=SCRUB_PAGES_PER_TICK),
         until=t_end,
     )
 
@@ -417,13 +381,7 @@ def run_torture(config: TortureConfig | None = None,
         power_sample_interval=config.bucket,
         audit=config.audit,
     )
-    committed: list[tuple[int, int, int]] = []
-
-    def remember_commit(kind, _start, _end, _breakdown, result, _attempts):
-        if kind == "new_order" and isinstance(result, dict):
-            committed.append((result["w"], result["d"], result["o_id"]))
-
-    driver.completion_listener = remember_commit
+    committed = harness.remember_new_orders(driver)
 
     start_vacuum_daemon(cluster, interval=config.vacuum_interval,
                         until=t_end)
@@ -436,7 +394,7 @@ def run_torture(config: TortureConfig | None = None,
     env.run(until=workload)
 
     # -- gates -------------------------------------------------------------
-    lost = _lost_commits(cluster, committed)
+    lost = harness.lost_new_orders(cluster, committed)
     unresolved = _unresolved_corruptions(cluster, injector)
     torn_committed = _torn_txns_committed(cluster, injector)
 
@@ -461,16 +419,8 @@ def run_torture(config: TortureConfig | None = None,
     p99 = percentile(latencies, 99.0) if latencies else 0.0
     mean_qps = driver.total_completed / config.duration
 
-    anomalies: list[str] = []
-    history_stats: dict[str, int] = {}
-    if driver.history is not None:
-        from repro.audit import audit_history
-
-        driver.history.checkpoint_coverage(cluster.master.gpt, env.now,
-                                           "post-run")
-        report = audit_history(driver.history, cluster)
-        anomalies = report.descriptions()
-        history_stats = report.stats
+    anomalies, history_stats = harness.audit_epilogue(
+        driver.history, cluster, "post-run")
 
     fingerprint = repr((
         config.seed, len(committed), driver.total_completed,
@@ -532,13 +482,8 @@ def render_torture(results: typing.Sequence[TortureResult]) -> str:
                 f"(flagged: {r.limping_flagged_after}, "
                 f"SLO breach: {r.slo_breached_after})"
             )
-        for anomaly in r.anomalies:
-            lines.append(f"seed={r.seed}: ISOLATION ANOMALY: {anomaly}")
-    if any(r.audited for r in results):
-        total = sum(len(r.anomalies) for r in results)
-        ops = sum(r.history_stats.get("ops_recorded", 0) for r in results)
-        lines.append(f"audit: {total} isolation anomalies over {ops} "
-                     f"recorded operations")
+    lines += harness.render_anomaly_lines(
+        (f"seed={r.seed}", r) for r in results)
     for r in results:
         lines.append("")
         lines.append(render_scrub_summary(
@@ -547,6 +492,18 @@ def render_torture(results: typing.Sequence[TortureResult]) -> str:
             r.gray_stats,
             title=f"gray-failure detector (seed {r.seed})"))
     return "\n".join(lines)
+
+
+def rerun_gate(config: TortureConfig,
+               results: typing.Sequence[TortureResult]
+               ) -> tuple[list[str], bool]:
+    """Determinism gate: rerun the first seed and demand a bit-identical
+    metrics fingerprint.  Returns ``(report lines, failed)``."""
+    first = results[0]
+    same = run_torture(config, seed=first.seed).fingerprint \
+        == first.fingerprint
+    return (["determinism: seed %d rerun fingerprint %s"
+             % (first.seed, "MATCHES" if same else "DIVERGES")], not same)
 
 
 def quick_torture_config() -> TortureConfig:

@@ -29,7 +29,10 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.physiological import rollback_range_registration
+from repro.core.physiological import (
+    release_source,
+    rollback_range_registration,
+)
 from repro.moves import ABORTED, FAILED
 from repro.moves.journal import RangeMoveEntry
 from repro.storage.checksum import IntegrityError
@@ -215,6 +218,7 @@ class FailoverCoordinator:
         else:
             gpt.abort_move(entry.table, entry.target_partition_id)
             detail = "target died mid-move; source keeps ownership"
+        release_source(self.cluster, entry)
         journal.advance_range(entry, FAILED, detail)
         self._note("move_resolved", survivor, entry.target_partition_id,
                    detail)

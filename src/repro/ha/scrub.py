@@ -38,6 +38,8 @@ import dataclasses
 import typing
 
 from repro.hardware.disk import DiskFailedError
+from repro.hardware.power import LoadGauge, busy_nodes
+from repro.sim.daemon import PeriodicDaemon
 from repro.storage.checksum import IntegrityError, checksum_of
 from repro.txn.wal import LOG_BLOCK_BYTES
 
@@ -62,7 +64,7 @@ class ScrubPolicy:
     load_threshold: float | None = None
 
 
-class ScrubDaemon:
+class ScrubDaemon(PeriodicDaemon):
     """Background checksum verification with repair-or-fence."""
 
     def __init__(self, cluster: "Cluster",
@@ -71,18 +73,13 @@ class ScrubDaemon:
                  policy: ScrubPolicy | None = None,
                  until: float | None = None):
         self.cluster = cluster
-        self.env = cluster.env
         self.replication = replication
         self.coordinator = coordinator
         self.policy = policy or ScrubPolicy()
-        if self.policy.interval <= 0:
-            raise ValueError("scrub interval must be positive")
+        super().__init__(cluster.env, "scrub", self.policy.interval, until)
         if self.policy.pages_per_tick is not None \
                 and self.policy.pages_per_tick < 1:
             raise ValueError("pages_per_tick must be >= 1")
-        self.until = until
-        self.process = None
-        self._stop = False
         #: Work queue of the current pass.  Segment units are
         #: ``("segment", node_id, partition_id, segment_id, next_page)``
         #: (resumable mid-segment); replica units are
@@ -90,7 +87,7 @@ class ScrubDaemon:
         #: are re-resolved at visit time, so units whose segment moved
         #: or whose replica was dropped between ticks are safe no-ops.
         self._queue: collections.deque[tuple] = collections.deque()
-        self._gauges: dict[int, typing.Any] = {}
+        self._gauges: dict[int, LoadGauge] = {}
         # -- accounting ----------------------------------------------------
         self.ticks = 0
         self.passes = 0
@@ -106,45 +103,14 @@ class ScrubDaemon:
         #: every corruption the scrubber resolved, for reports/tests.
         self.events: list[tuple] = []
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ScrubDaemon":
-        self.process = self.env.process(self._run(), name="scrub-daemon")
-        return self
-
-    def stop(self) -> None:
-        self._stop = True
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop
-
-    def _run(self):
-        env = self.env
-        interval = self.policy.interval
-        while not self._stop:
-            target = env.now + interval
-            at_bound = False
-            if self.until is not None:
-                if self.until <= env.now:
-                    break
-                if target >= self.until:
-                    target = self.until
-                    at_bound = True
-            yield env.timeout(target - env.now)
-            if self._stop:
-                break
-            yield from self._tick()
-            if at_bound:
-                break
-
     # -- one wakeup --------------------------------------------------------
 
     def _tick(self):
         self.ticks += 1
         if not self._queue:
             self._build_queue()
-        busy = self._busy_nodes()
+        busy = busy_nodes(self.cluster, self._gauges,
+                          self.policy.load_threshold)
         budget = self.policy.pages_per_tick
         spent = 0
         deferred: list[tuple] = []
@@ -195,21 +161,6 @@ class ScrubDaemon:
                 self._queue.append(
                     ("replica", partition_id, replica.holder_node_id)
                 )
-
-    def _busy_nodes(self) -> set[int]:
-        if self.policy.load_threshold is None:
-            return set()
-        from repro.hardware.power import LoadGauge
-
-        busy: set[int] = set()
-        for worker in self.cluster.active_workers():
-            gauge = self._gauges.get(worker.node_id)
-            if gauge is None or gauge.machine is not worker.machine:
-                self._gauges[worker.node_id] = LoadGauge(worker.machine)
-                continue  # first window: no history yet, assume idle
-            if gauge.sample() > self.policy.load_threshold:
-                busy.add(worker.node_id)
-        return busy
 
     # -- segment scrubbing -------------------------------------------------
 

@@ -137,3 +137,22 @@ class LoadGauge:
         self._last_time = now
         self._last_integral = integral
         return busy
+
+
+def busy_nodes(cluster, gauges: dict[int, LoadGauge],
+               threshold: float | None) -> set[int]:
+    """Active nodes whose mean CPU utilisation since the caller's last
+    call exceeded ``threshold`` — the nodes a background daemon defers
+    this tick.  ``gauges`` is the caller's own ``node_id -> LoadGauge``
+    window state; a node seen for the first time (or rebooted onto a
+    new machine) has no history yet and counts as idle."""
+    if threshold is None:
+        return set()
+    busy: set[int] = set()
+    for worker in cluster.active_workers():
+        gauge = gauges.get(worker.node_id)
+        if gauge is None or gauge.machine is not worker.machine:
+            gauges[worker.node_id] = LoadGauge(worker.machine)
+        elif gauge.sample() > threshold:
+            busy.add(worker.node_id)
+    return busy

@@ -79,10 +79,6 @@ class PartitionTree:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def segment_ids(self) -> list[int]:
-        return list(self._entries.keys())
-
     def attach(self, segment_id: int, key_range: KeyRange, segment: typing.Any) -> None:
         """Splice a segment into the tree (the cheap top-index update
         that makes physiological repartitioning fast)."""

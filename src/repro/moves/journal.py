@@ -46,7 +46,6 @@ ABORTED = "ABORTED"
 FAILED = "FAILED"
 
 _OPEN_PHASES = (PREPARE, COPY, SWITCH)
-_CLOSED_PHASES = (DONE, ABORTED, FAILED)
 
 #: Range-move registration styles (see ``PhysiologicalPartitioning``):
 #: ``handover`` replaced the source's GPT entry outright, ``split``

@@ -304,10 +304,6 @@ class MoveManager:
             target.disk_space.evict(segment)
         self.journal.advance(entry, phase, reason)
 
-    def close_range_entry(self, entry: RangeMoveEntry, phase: str,
-                          reason: str = "") -> None:
-        self.journal.advance_range(entry, phase, reason)
-
     def resume_open_range_moves(self, priority: int = 0):
         """Generator: re-drive every suspended range move whose
         endpoints serve again.  Requires :attr:`resume_scheme` (the

@@ -173,7 +173,3 @@ class RecordVersion:
         verify((self.key, self.values), self.checksum,
                where=where, detail=self.key)
         self.clean = True
-
-    @property
-    def is_delete_pending_or_done(self) -> bool:
-        return self.deleted_by is not None

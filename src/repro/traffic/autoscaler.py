@@ -7,7 +7,10 @@ boost the samples the threshold policy judges, and the resulting
 decisions are executed through the existing
 :class:`~repro.core.rebalancer.Rebalancer` — power a standby node on
 and repartition towards it *before* a forecast ramp crosses the upper
-bound, pull data back and power nodes off after the ramp passes.
+bound, pull data back and power nodes off after the ramp passes.  This
+is the repo's one Sect. 3.4 control loop: it also re-drives range moves
+a fault left suspended before taking new work, and splits a node that
+runs out of storage space onto the node with the most free space.
 
 Two signals beyond the paper's CPU/disk thresholds close the loop with
 the traffic engine itself:
@@ -51,20 +54,24 @@ class ScaleEvent:
                 self.active_after, self.reason]
 
 
+#: Fraction of the hottest (or space-pressed) node's data shifted per
+#: scale-out.
+SCALE_FRACTION = 0.5
+#: Scale in only when every active node's *forecast* sits below this
+#: fraction of the policy's lower bound (hysteresis).
+SCALE_IN_FORECAST_MARGIN = 1.0
+#: Scale-in never takes the cluster below this many active nodes.
+MIN_ACTIVE_NODES = 1
+
+
 @dataclasses.dataclass
 class AutoscalerConfig:
     interval: float = 5.0
     #: Observe-only rounds after acting (repartitioning load must not
     #: re-trigger the policy; Sect. 2.3's minutes-not-seconds rule).
     cooldown_intervals: int = 6
-    #: Fraction of the hottest node's data shifted per scale-out.
-    scale_fraction: float = 0.5
     #: Admission backlog per active node that counts as overload.
     queue_pressure_per_node: int = 2_000
-    #: Scale in only when every active node's *forecast* sits below
-    #: this fraction of the policy's lower bound (hysteresis).
-    scale_in_forecast_margin: float = 1.0
-    min_active_nodes: int = 1
 
 
 class Autoscaler:
@@ -127,8 +134,7 @@ class Autoscaler:
 
     def _forecast_cold(self, samples) -> bool:
         """Every node's forecast below the scale-in margin?"""
-        bound = (self.policy.thresholds.cpu_lower
-                 * self.config.scale_in_forecast_margin)
+        bound = self.policy.thresholds.cpu_lower * SCALE_IN_FORECAST_MARGIN
         for sample in samples:
             predicted = self.forecaster.predict(sample.node_id, sample.time)
             if predicted is None or predicted >= bound:
@@ -160,7 +166,15 @@ class Autoscaler:
             if cooldown > 0:
                 cooldown -= 1
                 continue
-            if decision.wants_scale_out or pressure is not None:
+            if self.cluster.moves.journal.open_range_moves():
+                # Finish what an earlier, fault-interrupted step started
+                # before taking on new work.
+                yield from self.rebalancer.resume_interrupted()
+                cooldown = self.config.cooldown_intervals
+            elif decision.wants_space_relief:
+                yield from self._relieve_space(decision.space_pressed_nodes[0])
+                cooldown = self.config.cooldown_intervals
+            elif decision.wants_scale_out or pressure is not None:
                 hot = (decision.overloaded_nodes
                        or [self._hottest(samples)])
                 reason = pressure or "forecast over upper bound"
@@ -191,6 +205,23 @@ class Autoscaler:
 
     # -- actions -----------------------------------------------------------
 
+    def _relieve_space(self, pressed: int):
+        """Generator: "If a node goes out of storage space, DB
+        partitions are split up on nodes with free space" (Sect. 3.4) —
+        ship part of the pressed node's data to whichever other node
+        (standby ones are powered on) has the most free capacity."""
+        def free_bytes(worker):
+            space = worker.disk_space
+            return sum(space.free_bytes(d) for d in space.disks)
+
+        others = [w for w in self.cluster.workers if w.node_id != pressed]
+        if others:
+            yield from self.rebalancer.scale_out(
+                self.tables, [pressed],
+                [max(others, key=free_bytes).node_id],
+                fraction=SCALE_FRACTION,
+            )
+
     def _scale_out(self, hot_node: int, reason: str):
         standby = self.cluster.standby_workers()
         if not standby:
@@ -198,7 +229,7 @@ class Autoscaler:
         newcomer = standby[0]
         yield from self.rebalancer.scale_out(
             self.tables, [hot_node], [newcomer.node_id],
-            fraction=self.config.scale_fraction,
+            fraction=SCALE_FRACTION,
         )
         self.events.append(ScaleEvent(
             time=self.cluster.env.now, action="scale-out",
@@ -213,8 +244,7 @@ class Autoscaler:
             if n != self.cluster.master.node_id
             and self.cluster.worker(n).is_active
         ]
-        floor = max(self.config.min_active_nodes, 1)
-        if not victims or self.cluster.active_node_count <= floor:
+        if not victims or self.cluster.active_node_count <= MIN_ACTIVE_NODES:
             return False
         victim = victims[0]
         receivers = [
@@ -241,7 +271,8 @@ class Autoscaler:
 
     def _fits(self, receiver, victim_id: int) -> bool:
         """Centralising must not push the receiver past the storage
-        bound (mirrors the rebalancer's scale-in guard)."""
+        bound — otherwise scale-in and the out-of-space protocol would
+        slosh data back and forth."""
         victim = self.cluster.worker(victim_id)
         victim_bytes = sum(
             victim.disk_space.used_bytes(d) for d in victim.disk_space.disks

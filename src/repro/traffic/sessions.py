@@ -321,10 +321,6 @@ class SessionEngine:
     # -- aggregates ------------------------------------------------------
 
     @property
-    def offered_total(self) -> int:
-        return self.admission.offered
-
-    @property
     def completed_total(self) -> int:
         return self.admission.completed
 

@@ -36,6 +36,7 @@ import dataclasses
 import typing
 
 from repro.hardware.disk import DiskFailedError
+from repro.sim.daemon import PeriodicDaemon
 from repro.txn.wal import LOG_BLOCK_BYTES
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -154,7 +155,7 @@ def take_worker_checkpoint(worker: "WorkerNode",
     return lsn, record
 
 
-class CheckpointManager:
+class CheckpointManager(PeriodicDaemon):
     """Periodic fuzzy checkpoints plus WAL segment recycling.
 
     One background process walks the active workers on a fixed cadence:
@@ -170,17 +171,11 @@ class CheckpointManager:
                  interval: float = 60.0, until: float | None = None,
                  compact_replicas_over: int | None = 4096,
                  priority: int = 0):
-        if interval <= 0:
-            raise ValueError("checkpoint interval must be positive")
+        super().__init__(cluster.env, "checkpoint", interval, until)
         self.cluster = cluster
-        self.env = cluster.env
         self.replication = replication
-        self.interval = interval
-        self.until = until
         self.compact_replicas_over = compact_replicas_over
         self.priority = priority
-        self.process = None
-        self._stop = False
         # -- accounting ----------------------------------------------------
         self.checkpoints_taken = 0
         self.records_recycled = 0
@@ -199,33 +194,8 @@ class CheckpointManager:
         self.peak_footprint_slack = 0
         self.last_horizons: dict[int, int] = {}
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "CheckpointManager":
-        self.process = self.env.process(self._run(), name="checkpoint-daemon")
-        return self
-
-    def stop(self) -> None:
-        self._stop = True
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop
-
-    def _run(self):
-        env = self.env
-        while not self._stop:
-            target = env.now + self.interval
-            if self.until is not None:
-                target = min(target, self.until)
-                if target <= env.now:
-                    break
-            yield env.timeout(target - env.now)
-            if self._stop:
-                break
-            yield from self.checkpoint_all(self.priority)
-            if self.until is not None and target >= self.until:
-                break
+    def _tick(self):
+        return self.checkpoint_all(self.priority)
 
     # -- one checkpoint round ----------------------------------------------
 

@@ -83,10 +83,6 @@ class Transaction:
     def is_read_only(self) -> bool:
         return not self._created and not self._deleted
 
-    @property
-    def write_count(self) -> int:
-        return len(self._created) + len(self._deleted)
-
     def require_active(self) -> None:
         if self.state is not TxnState.ACTIVE:
             raise TransactionAborted(

@@ -19,10 +19,6 @@ from repro.workload.tpcc_txns import TpccContext
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
 
-#: Historical name for the daemon handle; the scheduler carries the
-#: same ``process`` / ``sweeps`` / ``reclaimed`` / ``stop()`` surface.
-VacuumDaemon = VacuumScheduler
-
 
 def start_vacuum_daemon(cluster: "Cluster", interval: float = 30.0,
                         until: float | None = None) -> VacuumScheduler:

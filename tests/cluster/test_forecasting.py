@@ -1,15 +1,13 @@
-"""Tests for load forecasting and the proactive policy."""
+"""Tests for load forecasting and the control loop's proactive
+boosting."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster import PolicyThresholds, ThresholdPolicy
-from repro.cluster.forecasting import (
-    ForecastingPolicy,
-    LoadForecaster,
-    WorkloadHint,
-)
+from repro.cluster.forecasting import LoadForecaster, WorkloadHint
 from repro.cluster.monitor import NodeSample
+from repro.traffic import Autoscaler
 
 
 def sample(node_id=0, cpu=0.0, time=0.0):
@@ -141,18 +139,31 @@ class TestForecasterProperties:
         assert at_end == pytest.approx(0.1, abs=0.05)
 
 
-class TestForecastingPolicy:
+class TestForecastBoosting:
+    """The control loop judges samples lifted to their forecast."""
+
+    @staticmethod
+    def make(forecaster=None):
+        # Signals only: no cluster or rebalancer is touched.
+        return Autoscaler(
+            None, None, [], forecaster=forecaster,
+            policy=ThresholdPolicy(PolicyThresholds(consecutive_samples=1)),
+        )
+
+    @staticmethod
+    def observe(scaler, samples):
+        """One loop round's signal path."""
+        scaler.forecaster.observe_all(samples)
+        return scaler.policy.observe(scaler._boosted(samples))
+
     def test_fires_before_threshold_is_violated(self):
         """A steeply rising load triggers scale-out while current
         utilisation is still under the 80% bound."""
-        base = ThresholdPolicy(PolicyThresholds(consecutive_samples=1))
-        policy = ForecastingPolicy(
-            base, LoadForecaster(alpha=0.8, beta=0.8, horizon=60)
-        )
+        scaler = self.make(LoadForecaster(alpha=0.8, beta=0.8, horizon=60))
         decision = None
         for i, t in enumerate(range(0, 40, 5)):
             cpu = 0.05 + 0.06 * i  # reaches only 0.47 now, 80%+ soon
-            decision = policy.observe([sample(cpu=cpu, time=float(t))])
+            decision = self.observe(scaler, [sample(cpu=cpu, time=float(t))])
         assert decision is not None
         assert decision.wants_scale_out
 
@@ -165,17 +176,15 @@ class TestForecastingPolicy:
         assert not decision.wants_scale_out
 
     def test_flat_load_does_not_false_fire(self):
-        base = ThresholdPolicy(PolicyThresholds(consecutive_samples=1))
-        policy = ForecastingPolicy(base)
+        scaler = self.make()
         decision = None
         for t in range(0, 60, 5):
-            decision = policy.observe([sample(cpu=0.5, time=float(t))])
+            decision = self.observe(scaler, [sample(cpu=0.5, time=float(t))])
         assert not decision.wants_scale_out
         assert not decision.wants_scale_in
 
-    def test_reset_passthrough(self):
-        base = ThresholdPolicy(PolicyThresholds(consecutive_samples=1))
-        policy = ForecastingPolicy(base)
-        policy.observe([sample(cpu=0.95, time=0.0)])
-        policy.reset(0)
-        assert policy.thresholds is base.thresholds
+    def test_boost_never_lowers_a_sample(self):
+        scaler = self.make()
+        hot = sample(cpu=0.95, time=5.0)
+        scaler.forecaster.observe(sample(cpu=0.1, time=0.0))
+        assert scaler._boosted([hot]) == [hot]

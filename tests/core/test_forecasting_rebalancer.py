@@ -1,15 +1,20 @@
-"""Integration: the forecasting policy drives proactive scale-out."""
+"""Integration: the forecaster makes the control loop scale out
+proactively."""
 
 import pytest
 
 from repro import Cluster, Column, Environment, Schema
 from repro.cluster import PolicyThresholds, ThresholdPolicy
-from repro.cluster.forecasting import (
-    ForecastingPolicy,
-    LoadForecaster,
-    WorkloadHint,
-)
+from repro.cluster.forecasting import LoadForecaster
 from repro.core import PhysiologicalPartitioning, Rebalancer
+from repro.traffic import Autoscaler, AutoscalerConfig
+
+
+class NoForecast(LoadForecaster):
+    """The plain-thresholds side: never predicts, so nothing is boosted."""
+
+    def predict(self, node_id, now=None, horizon=None):
+        return None
 
 
 def build():
@@ -48,18 +53,18 @@ def ramping_hog(env, cluster, stop_flag):
     return env.process(hog())
 
 
-def run_with_policy(policy, duration=120.0):
+def run_with_forecaster(forecaster, thresholds, duration=120.0):
     env, cluster = build()
-    rebalancer = Rebalancer(cluster, PhysiologicalPartitioning(),
-                            policy=policy)
+    rebalancer = Rebalancer(cluster, PhysiologicalPartitioning())
+    loop = Autoscaler(
+        cluster, rebalancer, ["kv"], admission=None, forecaster=forecaster,
+        policy=ThresholdPolicy(thresholds),
+        config=AutoscalerConfig(interval=5.0, cooldown_intervals=100),
+    )
     stop = [False]
     ramping_hog(env, cluster, stop)
     first_scale_out = []
-
-    loop = env.process(
-        rebalancer.run_policy_loop(["kv"], interval=5.0,
-                                   cooldown_intervals=100),
-    )
+    env.process(loop.run())
 
     def watcher():
         while env.now < duration:
@@ -68,7 +73,7 @@ def run_with_policy(policy, duration=120.0):
                 first_scale_out.append(env.now)
                 break
         stop[0] = True
-        rebalancer.stop()
+        loop.stop()
 
     env.run(until=env.process(watcher()))
     return first_scale_out[0] if first_scale_out else None
@@ -77,11 +82,9 @@ def run_with_policy(policy, duration=120.0):
 def test_forecasting_scales_out_before_plain_policy():
     thresholds = PolicyThresholds(cpu_upper=0.8, cpu_lower=0.02,
                                   consecutive_samples=2)
-    plain_time = run_with_policy(ThresholdPolicy(thresholds))
-    proactive_time = run_with_policy(ForecastingPolicy(
-        ThresholdPolicy(thresholds),
-        LoadForecaster(alpha=0.7, beta=0.6, horizon=40.0),
-    ))
+    plain_time = run_with_forecaster(NoForecast(), thresholds)
+    proactive_time = run_with_forecaster(
+        LoadForecaster(alpha=0.7, beta=0.6, horizon=40.0), thresholds)
     assert proactive_time is not None
     # The forecaster fires earlier on the same ramp (or the plain
     # policy never fires within the window at all).

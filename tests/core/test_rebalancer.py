@@ -1,14 +1,25 @@
-"""Rebalancer tests: scale-out, scale-in, helpers, policy loop."""
+"""Rebalancer tests: scale-out, scale-in, helpers, and the control
+loop (``Autoscaler``) driving them."""
 
 import pytest
 
 from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.cluster import PolicyThresholds, ThresholdPolicy
+from repro.traffic import Autoscaler, AutoscalerConfig
 from tests.core.conftest import read_all
 
 
 def make_rebalancer(cluster):
     return Rebalancer(cluster, PhysiologicalPartitioning())
+
+
+def make_loop(cluster, rebalancer, consecutive_samples):
+    return Autoscaler(
+        cluster, rebalancer, ["kv"], admission=None,
+        policy=ThresholdPolicy(
+            PolicyThresholds(consecutive_samples=consecutive_samples)),
+        config=AutoscalerConfig(interval=2.0),
+    )
 
 
 def test_scale_out_powers_on_targets_and_migrates(migration_cluster):
@@ -106,12 +117,10 @@ def test_helper_use_increases_power_draw(migration_cluster):
     assert watts["after"] < watts["during"]
 
 
-def test_policy_loop_scales_out_under_load(migration_cluster):
+def test_control_loop_scales_out_under_load(migration_cluster):
     env, cluster = migration_cluster
-    policy = ThresholdPolicy(PolicyThresholds(consecutive_samples=1))
-    rebalancer = Rebalancer(
-        cluster, PhysiologicalPartitioning(), policy=policy
-    )
+    rebalancer = make_rebalancer(cluster)
+    loop = make_loop(cluster, rebalancer, consecutive_samples=1)
 
     peak_active = []
 
@@ -124,9 +133,9 @@ def test_policy_loop_scales_out_under_load(migration_cluster):
     def driver():
         for _ in range(2):
             env.process(hog())
-        env.process(rebalancer.run_policy_loop(["kv"], interval=2.0))
+        env.process(loop.run())
         yield env.timeout(120)
-        rebalancer.stop()
+        loop.stop()
 
     env.run(until=env.process(driver()))
     # A standby node was recruited while the load lasted (the loop may
@@ -136,21 +145,19 @@ def test_policy_loop_scales_out_under_load(migration_cluster):
     assert read_all(env, cluster) == []
 
 
-def test_policy_loop_scales_in_when_idle(migration_cluster):
+def test_control_loop_scales_in_when_idle(migration_cluster):
     env, cluster = migration_cluster
-    policy = ThresholdPolicy(PolicyThresholds(consecutive_samples=2))
-    rebalancer = Rebalancer(
-        cluster, PhysiologicalPartitioning(), policy=policy
-    )
+    rebalancer = make_rebalancer(cluster)
+    loop = make_loop(cluster, rebalancer, consecutive_samples=2)
 
     def driver():
         # Spread data onto node 1 first so there is something to pull in.
         yield from rebalancer.scale_out(
             ["kv"], source_ids=[0], target_ids=[1], fraction=0.5
         )
-        env.process(rebalancer.run_policy_loop(["kv"], interval=2.0))
+        env.process(loop.run())
         yield env.timeout(120)
-        rebalancer.stop()
+        loop.stop()
 
     env.run(until=env.process(driver()))
     # Idle cluster: node 1 was quiesced and shut down.

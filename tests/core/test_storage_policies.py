@@ -14,6 +14,7 @@ from repro.core import (
 from repro.hardware import SSD_SPEC
 from repro.hardware.disk import DiskFailedError, DiskSpec
 from repro.storage.disk_space import OutOfDiskSpaceError
+from repro.traffic import Autoscaler, AutoscalerConfig
 from repro.workload.tpcc_gen import fast_insert
 
 SCHEMA = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
@@ -245,25 +246,22 @@ class TestOutOfSpaceProtocol:
         decision = policy.observe([sample])
         assert decision.wants_space_relief
 
-    def test_policy_loop_relieves_space_pressure(self):
+    def test_control_loop_relieves_space_pressure(self):
         env, cluster, partition = build(
             (tiny_disk(10),), node_count=2, active=2
         )
         worker = cluster.workers[0]
         for i in range(200):
             fast_insert(worker, partition, (i, "x" * 30))
-        rebalancer = Rebalancer(
-            cluster, PhysiologicalPartitioning(),
+        loop = Autoscaler(
+            cluster, Rebalancer(cluster, PhysiologicalPartitioning()),
+            ["kv"], admission=None,
             policy=ThresholdPolicy(PolicyThresholds(consecutive_samples=1,
                                                     storage_upper=0.8)),
+            config=AutoscalerConfig(interval=3.0),
         )
-        env.process(rebalancer.run_policy_loop(["kv"], interval=3.0))
-
-        def window():
-            yield env.timeout(30.0)
-
-        env.run(until=env.process(window()))
-        rebalancer.stop()
+        env.process(loop.run(until=30.0))
+        env.run(until=30.0)
         sample = cluster.monitor.sample_node(worker)
         # Half the data went to the node with free space.
         assert sample.storage_used_fraction < 0.7

@@ -82,3 +82,17 @@ def test_static_baseline_uses_more_energy(autoscale_result):
 def test_seed_changes_the_run(autoscale_result):
     other = run_elasticity(SMOKE, seed=1)
     assert other.admission != autoscale_result.admission
+
+
+def test_elastic_day_seed_21_survives_a_retired_forwarding_stub():
+    """The perf ledger's ``elastic_day`` shape on the seed that used to
+    kill the autoscaler process in a scale-in (``segment 90 range ...
+    overlaps segment 52``; see tests/core/test_range_move_minting.py)."""
+    preset = ElasticityConfig()
+    result = run_elasticity(dataclasses.replace(
+        preset, mode="autoscale", seed=21, day_seconds=300.0,
+        min_requests=125_000, batch_rate_limit=2.5 * preset.batch_rate,
+        load_segment_max_pages=32, audit=True,
+    ))
+    assert result.ok, result.violations
+    assert result.anomalies == [] and result.audited

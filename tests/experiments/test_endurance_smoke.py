@@ -9,6 +9,7 @@ import pytest
 from repro import Cluster, Column, Environment, Schema
 from repro.cluster.vacuum import VacuumPolicy, VacuumScheduler
 from repro.experiments.endurance import (
+    WAL_SEGMENT_RECORDS,
     EnduranceConfig,
     quick_endurance_config,
     render_endurance,
@@ -35,7 +36,7 @@ class TestEnduranceSmoke:
         # The WAL really got recycled (not just bounded by inactivity)...
         assert result.checkpoint_stats["records_recycled"] > 0
         assert result.checkpoint_stats["peak_footprint_slack"] <= \
-            2 * quick_endurance_config().wal_segment_records
+            2 * WAL_SEGMENT_RECORDS
         # ...and vacuum reclaimed dead versions in bounded chunks.
         assert result.vacuum_stats["reclaimed"] > 0
         # The drill rebuilt from image + bounded suffix.

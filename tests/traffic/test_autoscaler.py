@@ -7,6 +7,7 @@ from repro.cluster import PolicyThresholds, ThresholdPolicy
 from repro.cluster.forecasting import LoadForecaster, WorkloadHint
 from repro.cluster.monitor import NodeSample
 from repro.core import PhysiologicalPartitioning, Rebalancer
+from repro.moves import RetryPolicy
 from repro.traffic import (
     AdmissionController,
     Autoscaler,
@@ -15,6 +16,7 @@ from repro.traffic import (
 )
 from repro.workload import load_tpcc
 from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED, TpccConfig
+from tests.moves.conftest import build_move_cluster
 
 TPCC = TpccConfig(
     warehouses=4, districts_per_warehouse=2, customers_per_district=10,
@@ -128,7 +130,6 @@ class TestActions:
 
     def test_scale_in_respects_min_active_floor(self):
         env, cluster, admission, scaler = build(initially_active=1)
-        scaler.config.min_active_nodes = 1
         env.run(until=env.process(scaler._scale_in([0])))
         assert cluster.active_node_count == 1
 
@@ -159,3 +160,39 @@ class TestLoop:
         gap = outs[1].time - outs[0].time
         assert gap >= (scaler.config.cooldown_intervals
                        * scaler.config.interval)
+
+
+class TestInheritedBranches:
+    """What only the old rebalancer loop did before the two merged."""
+
+    def test_resumes_a_suspended_range_move_before_new_work(self):
+        env, cluster, _partition = build_move_cluster(rows=240)
+        cluster.moves.retry = RetryPolicy(max_attempts=2, base_delay=0.1,
+                                          multiplier=1.0, max_delay=0.1,
+                                          jitter=0.0)
+        rebalancer = Rebalancer(cluster, PhysiologicalPartitioning())
+        journal = cluster.moves.journal
+        target_port = cluster.worker(2).port
+
+        def sever_mid_move():
+            # One ~2 s segment has switched; the next is on the wire.
+            while not (journal.open_range_moves() and
+                       journal.open_range_moves()[0].segments_switched):
+                yield env.timeout(0.1)
+            target_port.sever()
+
+        env.process(sever_mid_move())
+        env.run(until=env.process(
+            rebalancer.scale_out(["kv"], [1], [2], fraction=1.0)))
+        assert len(rebalancer.failed_moves) == 1
+        (entry,) = journal.open_range_moves()     # suspended, not rolled back
+        switched_before = entry.segments_switched
+        target_port.restore()
+
+        scaler = Autoscaler(cluster, rebalancer, ["kv"], admission=None,
+                            config=AutoscalerConfig(interval=1.0))
+        env.run(until=env.process(scaler.run(until=env.now + 3.0)))
+        assert journal.open_range_moves() == []
+        assert entry.segments_switched > switched_before
+        assert scaler.events == []                # resumed; nothing new
+        assert cluster.worker(1).disk_space.segment_count() == 0
