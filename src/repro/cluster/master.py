@@ -91,13 +91,9 @@ class MasterNode:
         if target is self.worker:
             return
         if txn is not None:
-            visited = getattr(txn, "_visited_nodes", None)
-            if visited is None:
-                visited = set()
-                txn._visited_nodes = visited
-            if target.node_id in visited:
+            if target.node_id in txn.visited_nodes:
                 return
-            visited.add(target.node_id)
+            txn.visited_nodes.add(target.node_id)
         t0 = self.env.now
         yield from self.cluster.network.rpc_delay()
         if breakdown is not None:
@@ -171,7 +167,7 @@ class MasterNode:
 
         tier = self.read_tier
         if (tier is not None and txn is not None
-                and getattr(txn, "declared_read_only", False)):
+                and txn.declared_read_only):
             served = yield from tier.read_point(table, key, txn, breakdown,
                                                priority)
             if served is not tier.NOT_SERVED:
@@ -298,7 +294,7 @@ class MasterNode:
             txn.require_active()
         tier = self.read_tier
         if (tier is not None and txn is not None
-                and getattr(txn, "declared_read_only", False)):
+                and txn.declared_read_only):
             served = yield from tier.read_range(table, lo, hi, txn,
                                                 breakdown, priority, limit)
             if served is not tier.NOT_SERVED:

@@ -113,10 +113,6 @@ class WorkerNode:
         #: Per-partition activity counters for the monitor (Sect. 3.4).
         self.partition_page_requests: dict[int, int] = {}
         self.queries_executed = 0
-        #: Optional tap ``(worker, partition, record)`` invoked after
-        #: every data log record is appended — the replication manager
-        #: uses it to buffer the record for commit-time shipping.
-        self.on_log_write: typing.Callable | None = None
         #: Newest fuzzy-checkpoint base images, one per local partition
         #: (:mod:`repro.txn.checkpoint` replaces the whole dict each
         #: checkpoint, so memory stays bounded on endurance runs).
@@ -581,16 +577,7 @@ class WorkerNode:
             nbytes = 64
         txn.note_log(self.wal)
         self.wal.append(txn.txn_id, kind, payload, nbytes)
-        if self.on_log_write is not None:
-            self.on_log_write(self, partition, self.wal.tail)
-
-    def commit(self, txn: Transaction, breakdown: CostBreakdown | None = None,
-               cc: str = "mvcc", priority: int = 0):
-        """Generator: commit, with immediate version GC under locking
-        (single-version storage discipline)."""
-        yield from self.txns.commit(
-            txn, breakdown, priority, immediate_gc=(cc == "locking")
-        )
+        txn.redo.append((partition.partition_id, self.wal.tail))
 
     # -- bulk segment I/O (used by the migration engine) ----------------------
 

@@ -28,7 +28,7 @@ from repro.index.global_table import PartitionLocation
 from repro.index.partition_tree import Forwarding, KeyRange
 from repro.metrics.breakdown import CostBreakdown
 from repro.storage.segment import SegmentFullError
-from repro.txn import LockTimeoutError, TransactionAborted
+from repro.txn import LockTimeoutError, TransactionAborted, TxnState
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Partition
@@ -113,7 +113,7 @@ class LogicalPartitioning(PartitioningScheme):
                 if moved_this_sweep == 0:
                     break
         finally:
-            if guard is not None and guard.state.value == "active":
+            if guard is not None and guard.state is TxnState.ACTIVE:
                 yield from cluster.txns.commit(guard)
 
         # Reclaim the source-side space: old versions, empty segments.
@@ -276,12 +276,10 @@ class LogicalPartitioning(PartitioningScheme):
             report.bytes_copied += shipped_bytes
             return moved
         except (TransactionAborted, LockTimeoutError):
-            if mover.state.value == "active":
-                txns.abort(mover)
+            txns.abort_if_active(mover)
             return None
         except BaseException:
-            if mover.state.value == "active":
-                txns.abort(mover)
+            txns.abort_if_active(mover)
             raise
 
     @staticmethod

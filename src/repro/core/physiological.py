@@ -262,8 +262,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
                 )
                 yield from txns.commit(mover, breakdown, priority)
             except (MoveFailedError, LockTimeoutError) as exc:
-                if mover.state.value == "active":
-                    txns.abort(mover)
+                txns.abort_if_active(mover)
                 if not isinstance(exc, MoveFailedError):
                     # Writer drain stalled past its generous bound —
                     # degrade like any other failed segment transfer
@@ -272,8 +271,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
                 self._degrade(cluster, range_entry, report, exc)
                 raise exc
             except BaseException:
-                if mover.state.value == "active":
-                    txns.abort(mover)
+                txns.abort_if_active(mover)
                 raise
             journal.note_segment_switched(range_entry)
             moved_ids.add(segment.segment_id)

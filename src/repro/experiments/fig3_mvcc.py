@@ -157,8 +157,7 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
                 )
                 completed[0] += 1
             except (TransactionAborted, LockTimeoutError, LookupError):
-                if txn.state.value == "active":
-                    cluster.txns.abort(txn)
+                cluster.txns.abort_if_active(txn)
                 yield env.timeout(0.005)
             yield env.timeout(config.client_interval)
 

@@ -153,8 +153,7 @@ def kv_write_with_retries(cluster, op: str, key: int, value: str, retries):
                 yield from cluster.master.insert("kv", (key, value), txn)
             yield from cluster.txns.commit(txn)
         except KV_RETRYABLE:
-            if txn.state.value == "active":
-                cluster.txns.abort(txn)
+            cluster.txns.abort_if_active(txn)
             yield cluster.env.timeout(min(0.05 * (2 ** attempt), 0.5))
             continue
         return True

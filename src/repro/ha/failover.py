@@ -112,10 +112,7 @@ class FailoverCoordinator:
 
         # Locks of in-flight transactions on the dead node must not
         # strand survivors; usually the injector already did this.
-        for txn in self.cluster.txns.active_transactions():
-            visited = getattr(txn, "_visited_nodes", ())
-            if node_id in visited or dead.wal in txn._dirty_logs:
-                self.cluster.txns.abort(txn)
+        self.cluster.txns.abort_touching(dead)
 
         # Journal replay first: roll half-copied segment moves back and
         # resolve interrupted range moves, so the promotion loop below
@@ -369,10 +366,7 @@ class FailoverCoordinator:
             self.replication.avoid_nodes.add(node_id)
         # In-flight transactions on the limping node would hold locks
         # across the switch; abort them (they retry like any failover).
-        for txn in self.cluster.txns.active_transactions():
-            visited = getattr(txn, "_visited_nodes", ())
-            if node_id in visited or worker.wal in txn._dirty_logs:
-                self.cluster.txns.abort(txn)
+        self.cluster.txns.abort_touching(worker)
         t0 = self.env.now
         demoted = kept = 0
         for table, key_range, location in list(

@@ -270,7 +270,7 @@ class FaultInjector:
         worker = self.cluster.worker(event.node_id)
         if event.kind == "crash":
             worker.machine.crash()
-            self._abort_in_flight(worker)
+            self.cluster.txns.abort_touching(worker)
         elif event.kind == "restart":
             # Booting takes sim time; run it as its own process so the
             # injector keeps pace with the rest of the schedule.  Note:
@@ -280,7 +280,7 @@ class FaultInjector:
             self.env.process(worker.machine.power_on())
         elif event.kind == "sever_link":
             worker.port.sever()
-            self._abort_in_flight(worker)
+            self.cluster.txns.abort_touching(worker)
         elif event.kind == "restore_link":
             worker.port.restore()
         elif event.kind == "fail_disk":
@@ -288,7 +288,7 @@ class FaultInjector:
                 if not disk.failed:
                     disk.fail()
                     break
-            self._abort_in_flight(worker)
+            self.cluster.txns.abort_touching(worker)
         elif event.kind == "replace_disk":
             # Drive swap: the device serves again but its contents are
             # gone (``Disk.repair``) — re-replication must refill it.
@@ -447,12 +447,4 @@ class FaultInjector:
             target="wal-tail", lsn=commit_lsn, txn_id=txn_id,
         ))
         worker.machine.crash()
-        self._abort_in_flight(worker)
-
-    def _abort_in_flight(self, worker: "WorkerNode") -> None:
-        """Abort every active transaction that touched the worker, so
-        its locks release instead of stranding survivors."""
-        for txn in self.cluster.txns.active_transactions():
-            visited = getattr(txn, "_visited_nodes", ())
-            if worker.node_id in visited or worker.wal in txn._dirty_logs:
-                self.cluster.txns.abort(txn)
+        self.cluster.txns.abort_touching(worker)

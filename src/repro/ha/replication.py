@@ -10,14 +10,18 @@ synchronous-redundancy discipline that lets failover replay a replica
 log through the ordinary REDO path (:mod:`repro.txn.recovery`) and
 lose nothing that was acknowledged.
 
-The hooks this rides on:
+Where it sits on the commit path (:mod:`repro.txn.manager`):
 
-* ``WorkerNode.on_log_write`` buffers every data log record of a
-  protected partition, keyed by transaction.
-* ``TransactionManager.on_commit`` drains the buffer to the replica
-  holders inside the commit path (after the local log force, before
-  the commit returns).
-* ``TransactionManager.on_abort`` discards the loser's buffer.
+* The access layer appends every data log record to the writing
+  transaction's own ``redo`` list, keyed by partition.
+* :meth:`ReplicationManager.ship_commit` is a commit stage: after the
+  local log force and before the commit returns it is handed that list,
+  keeps the records whose partition has a replica set *now*, and forces
+  them on every live holder.  Deciding at commit time means a write
+  logged before its partition was protected is shipped all the same.
+* ``_retract_shipped`` is an abort stage: a crash-abort that races a
+  ship in flight takes the commit marker back off every replica that
+  already holds it.
 
 A holder that cannot be reached (crashed, severed NIC, dead log disk)
 marks its replica *stale* rather than failing the commit: the commit
@@ -125,6 +129,21 @@ class ReplicaSet:
         )
 
 
+def fold_committed_rows(log: LogManager) -> dict:
+    """The committed ``{key: (values, nbytes)}`` state of a replica
+    log: its redo scan (commit marker and no superseding abort record)
+    replayed in log order.  Callers verify checksums first; the auditor
+    keeps its own independent replay as the reference."""
+    rows: dict = {}
+    for record in log.committed_ops_since():
+        if record.kind == "delete":
+            rows.pop(record.payload[1], None)
+        else:
+            _table, key, values = record.payload
+            rows[key] = (values, record.nbytes)
+    return rows
+
+
 class ReplicationManager:
     """Keeps every protected partition at replication factor ``k``."""
 
@@ -136,8 +155,6 @@ class ReplicationManager:
         self.env = cluster.env
         self.k = k
         self.policy = policy or PlacementPolicy(cluster)
-        #: txn_id -> [(partition_id, record)] buffered until commit.
-        self._pending: dict[int, list[tuple[int, "LogRecord"]]] = {}
         #: txn_id -> [(replica, row-undo)] for replicas that already hold
         #: this transaction's flushed commit marker while ``ship_commit``
         #: is still in flight to the rest.  A crash-abort arriving in
@@ -160,39 +177,22 @@ class ReplicationManager:
         #: Nodes to keep new replicas off (quarantined / draining
         #: limping nodes; maintained by the failover coordinator).
         self.avoid_nodes: set[int] = set()
-        self._install()
-
-    def _install(self) -> None:
-        self.cluster.txns.on_commit = self.ship_commit
-        self.cluster.txns.on_abort = self._drop_pending
-        for worker in self.cluster.workers:
-            worker.on_log_write = self._note_log_write
+        cluster.txns.commit_stages.append(self.ship_commit)
+        cluster.txns.abort_stages.append(self._retract_shipped)
 
     @property
     def catalog(self):
         return self.cluster.catalog
 
-    # -- log-write buffering -------------------------------------------------
+    # -- abort stage ---------------------------------------------------------
 
-    def _note_log_write(self, worker: "WorkerNode", partition: "Partition",
-                        record: "LogRecord") -> None:
-        if partition.partition_id not in self.catalog.replica_sets:
-            return
-        self._pending.setdefault(record.txn_id, []).append(
-            (partition.partition_id, record)
-        )
-
-    def _drop_pending(self, txn: "Transaction") -> None:
-        self._pending.pop(txn.txn_id, None)
+    def _retract_shipped(self, txn: "Transaction") -> None:
         # Crash-abort raced a mid-flight ship: some replicas already
         # flushed this transaction's commit marker.  Mirror the local
         # WAL rule — the abort supersedes the commit — on every copy
         # that has the marker, and unwind the folded row state, so a
         # later promotion cannot resurrect the rolled-back transaction.
-        shipped = self._shipped_inflight.pop(txn.txn_id, None)
-        if not shipped:
-            return
-        for replica, undo in shipped:
+        for replica, undo in self._shipped_inflight.pop(txn.txn_id, ()):
             replica.log.append(txn.txn_id, "abort")
             for key, prev in undo.items():
                 if prev is None:
@@ -201,22 +201,21 @@ class ReplicationManager:
                     replica.rows[key] = prev
             self.commits_retracted += 1
 
-    # -- commit-time shipping ------------------------------------------------
+    # -- commit stage: shipping ----------------------------------------------
 
-    def ship_commit(self, txn: "Transaction", breakdown=None,
+    def ship_commit(self, txn: "Transaction", redo, breakdown=None,
                     priority: int = 0):
-        """Generator: force the transaction's buffered log records on
-        every live replica holder of every partition it wrote.
+        """Generator: force the transaction's redo records on every
+        live replica holder of every protected partition it wrote.
 
         Unreachable holders degrade to ``stale`` instead of failing
         the commit — the write is already durable on the primary.
         """
-        pending = self._pending.pop(txn.txn_id, None)
-        if not pending:
-            return
         t0 = self.env.now
         groups: dict[int, list["LogRecord"]] = {}
-        for partition_id, record in pending:
+        for partition_id, record in redo:
+            if self.catalog.replica_set_for(partition_id) is None:
+                continue
             # Never ship bytes that already fail their checksum: a
             # corrupt record must not propagate to healthy replicas,
             # and a commit whose log records are garbage must not be
@@ -227,6 +226,8 @@ class ReplicationManager:
                 self.integrity_failures += 1
                 raise
             groups.setdefault(partition_id, []).append(record)
+        if not groups:
+            return
         for partition_id, records in groups.items():
             replica_set = self.catalog.replica_set_for(partition_id)
             if replica_set is None:
@@ -239,7 +240,7 @@ class ReplicationManager:
                 # A crash-abort may land while this generator is parked
                 # on any of the yields below; once the transaction is no
                 # longer active, stop shipping — replicas that already
-                # hold the marker were retracted by ``_drop_pending``.
+                # hold the marker were retracted by ``_retract_shipped``.
                 if txn.state is not TxnState.ACTIVE:
                     return
                 holder = self.cluster.worker(replica.holder_node_id)
@@ -282,8 +283,8 @@ class ReplicationManager:
                 if txn.state is not TxnState.ACTIVE:
                     # Aborted during the marker flush — after the append
                     # but before this replica was registered in
-                    # ``_shipped_inflight``, so ``_drop_pending`` could
-                    # not see it.  Retract here: the abort record
+                    # ``_shipped_inflight``, so ``_retract_shipped``
+                    # could not see it.  Retract here: the abort record
                     # supersedes the marker in the replay scan, and the
                     # row map was never folded.
                     replica.log.append(txn.txn_id, "abort")
@@ -337,12 +338,13 @@ class ReplicationManager:
         """Lowest primary-WAL LSN on ``node_id`` that a replica of one
         of its partitions has *not* yet acknowledged, or ``None`` when
         nothing is in flight (shipping is synchronous, so a live
-        replica is only ever behind by the commits currently buffered).
+        replica is only ever behind by the redo that active transactions
+        still carry — commit takes it off them when shipping starts).
         WAL records below the returned LSN are safe to recycle as far
         as replication is concerned."""
         pin: int | None = None
-        for records in self._pending.values():
-            for partition_id, record in records:
+        for txn in self.cluster.txns.active_transactions():
+            for partition_id, record in txn.redo:
                 replica_set = self.catalog.replica_set_for(partition_id)
                 if replica_set is None \
                         or replica_set.primary_node_id != node_id \
@@ -398,24 +400,7 @@ class ReplicationManager:
             replica.stale = True
             self.integrity_failures += 1
             return False
-        committed: set[int] = set()
-        aborted: set[int] = set()
-        for record in log.records:
-            if record.kind == "commit":
-                committed.add(record.txn_id)
-            elif record.kind == "abort":
-                aborted.add(record.txn_id)
-        committed -= aborted
-        rows: dict = {}
-        for record in log.records:
-            if record.txn_id not in committed:
-                continue
-            if record.kind in ("insert", "update"):
-                _table, key, values = record.payload
-                rows[key] = (values, record.nbytes)
-            elif record.kind == "delete":
-                _table, key = record.payload
-                rows.pop(key, None)
+        rows = fold_committed_rows(log)
         first_new = log._next_lsn + 1
         for key, (values, nbytes) in rows.items():
             log.append(REPLICA_BASE_TXN_ID, "insert", (table, key, values),
@@ -504,7 +489,7 @@ class ReplicationManager:
             rows[key] = (tuple(values), REPLICA_BASE_TXN_ID, seed_ts)
         lsn = log.append(REPLICA_BASE_TXN_ID, "commit")
         # The base image reflects every row committed on the owner so
-        # far; in-flight transactions stay pinned by ``_pending``.
+        # far; in-flight transactions stay pinned by their ``redo``.
         replica.acked_lsn = owner.wal._next_lsn
         replica.rows = rows
         replica.replay_horizon = seed_ts

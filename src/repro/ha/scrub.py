@@ -39,6 +39,7 @@ import typing
 
 from repro.hardware.disk import DiskFailedError
 from repro.hardware.power import LoadGauge, busy_nodes
+from repro.ha.replication import fold_committed_rows
 from repro.sim.daemon import PeriodicDaemon
 from repro.storage.checksum import IntegrityError, checksum_of
 from repro.txn.wal import LOG_BLOCK_BYTES
@@ -270,32 +271,15 @@ class ScrubDaemon(PeriodicDaemon):
         except DiskFailedError:
             replica.stale = True
             return None
-        committed: set[int] = set()
-        aborted: set[int] = set()
         try:
             for record in replica.log.records:
                 record.verify(where="scrub-replica")
-                if record.kind == "commit":
-                    committed.add(record.txn_id)
-                elif record.kind == "abort":
-                    aborted.add(record.txn_id)
         except IntegrityError:
             replica.stale = True
             self.corruptions_found += 1
             self.replication.integrity_failures += 1
             return None
-        committed -= aborted
-        rows: dict = {}
-        for record in replica.log.records:
-            if record.txn_id not in committed:
-                continue
-            if record.kind in ("insert", "update"):
-                _table, key, values = record.payload
-                rows[key] = (values, record.nbytes)
-            elif record.kind == "delete":
-                _table, key = record.payload
-                rows.pop(key, None)
-        return rows
+        return fold_committed_rows(replica.log)
 
     # -- replica-log scrubbing ----------------------------------------------
 

@@ -11,8 +11,8 @@ The single admission rule that makes every derived copy safe to serve
 is the **safe read horizon** (:meth:`TransactionManager.
 safe_read_horizon`): a snapshot is only considered at all if every
 commit it could see has fully acknowledged — which, because replica
-shipping, cache write-through, and view feeding all run inside the
-commit hook, means every derived copy already reflects those commits.
+shipping, cache write-through, and view feeding all run as commit
+stages, means every derived copy already reflects those commits.
 On top of that:
 
 * a **replica** serves a key only when its single-version row state
@@ -109,9 +109,6 @@ class ReadTier:
                                        refresh_interval=view_refresh_interval,
                                        lag_bound=view_lag_bound)
         self._rr = 0  # round-robin cursor over eligible replicas
-        #: Commit-stream buffer: txn_id -> data log records, filled by
-        #: the chained per-worker log hook, drained at commit/abort.
-        self._pending: dict[int, list] = {}
 
         self.served_cache = 0
         self.served_replica = 0
@@ -121,46 +118,22 @@ class ReadTier:
         self.bounces: dict[str, int] = {r: 0 for r in BOUNCE_REASONS}
         self.failover_retries = 0
 
-        self._install()
-
-    # -- hook chaining --------------------------------------------------------
-
-    def _install(self) -> None:
-        """Chain behind whatever is already on the commit path (the
-        replicator, when one is installed) — the tier's bookkeeping
-        runs strictly after replica shipping, still inside the commit,
-        so invalidation and view feeding cost no extra round trip and
-        are ordered before the ack."""
-        txns = self.cluster.txns
-        self._prev_on_commit = txns.on_commit
-        self._prev_on_abort = txns.on_abort
-        txns.on_commit = self._on_commit
-        txns.on_abort = self._on_abort
-        for worker in self.cluster.workers:
-            prev = worker.on_log_write
-            worker.on_log_write = self._make_log_hook(prev)
+        # Appended after the replicator's shipping stage (it was built
+        # first — it is a constructor argument), so the tier's
+        # bookkeeping runs strictly after replica shipping, still inside
+        # the commit: invalidation and view feeding cost no extra round
+        # trip and are ordered before the ack.
+        cluster.txns.commit_stages.append(self._apply_commit)
         self.master.read_tier = self
 
-    def _make_log_hook(self, prev):
-        def hook(worker, partition, record):
-            if prev is not None:
-                prev(worker, partition, record)
-            if record.kind in ("insert", "update", "delete"):
-                self._pending.setdefault(record.txn_id, []).append(record)
-        return hook
-
-    def _on_commit(self, txn, breakdown, priority):
-        if self._prev_on_commit is not None:
-            yield from self._prev_on_commit(txn, breakdown, priority)
-        records = self._pending.pop(txn.txn_id, [])
-        if records:
-            self.cache.apply_commit(txn.txn_id, txn.commit_ts, records)
-            self.views.enqueue(txn.commit_ts, records, self.env.now)
-
-    def _on_abort(self, txn) -> None:
-        if self._prev_on_abort is not None:
-            self._prev_on_abort(txn)
-        self._pending.pop(txn.txn_id, None)
+    def _apply_commit(self, txn, redo, breakdown, priority):
+        """Commit stage (no sim time passes): cache coherence, then the
+        view feed."""
+        records = [record for _partition_id, record in redo]
+        self.cache.apply_commit(txn.txn_id, txn.commit_ts, records)
+        self.views.enqueue(txn.commit_ts, records, self.env.now)
+        return
+        yield  # pragma: no cover - keeps this a generator
 
     # -- shared plumbing ------------------------------------------------------
 
@@ -363,10 +336,9 @@ class ReadTier:
     def note_primary_read(self, table: str, key, values, txn) -> None:
         """A declared-read-only transaction read the primary (the tier
         bounced): install what it saw, quota and race guards willing."""
-        if values is None or not getattr(txn, "declared_read_only", False):
+        if values is None or not txn.declared_read_only:
             return
-        self.cache.fill(table, key, tuple(values), txn.begin_ts,
-                        getattr(txn, "tenant", None))
+        self.cache.fill(table, key, tuple(values), txn.begin_ts, txn.tenant)
 
     # -- introspection ---------------------------------------------------------
 

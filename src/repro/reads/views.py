@@ -8,7 +8,7 @@ Two views back the read-mostly TPC-C traffic:
   customer c" by a scan over the district's map);
 * **stock-level** — per warehouse, item -> committed stock quantity.
 
-Maintenance is *incremental*: the read tier's commit hook enqueues each
+Maintenance is *incremental*: the read tier's commit stage enqueues each
 committed transaction's data log records here (the same records that
 ship to replicas), and a refresher process folds them in every
 ``refresh_interval`` simulated seconds.  ``applied_horizon`` is the
@@ -121,7 +121,7 @@ class MaterializedViews:
 
     def enqueue(self, commit_ts: int, records: typing.Sequence,
                 now: float) -> None:
-        """Called from the commit hook: stage one committed
+        """Called from the commit stage: stage one committed
         transaction's deltas for the next refresh."""
         relevant = [r for r in records
                     if r.kind in ("insert", "update", "delete")
@@ -258,7 +258,7 @@ class MaterializedViews:
 def order_status_view(ctx, txn, breakdown=None, priority: int = 0):
     """OrderStatus answered by the materialized view (primary fallback
     when no read tier is installed)."""
-    tier = getattr(ctx.cluster.master, "read_tier", None)
+    tier = ctx.cluster.master.read_tier
     if tier is None:
         result = yield from _primary_order_status(ctx, txn, breakdown,
                                                   priority)
@@ -274,7 +274,7 @@ def order_status_view(ctx, txn, breakdown=None, priority: int = 0):
 def stock_level_view(ctx, txn, breakdown=None, priority: int = 0):
     """StockLevel answered by the materialized view (primary fallback
     when no read tier is installed)."""
-    tier = getattr(ctx.cluster.master, "read_tier", None)
+    tier = ctx.cluster.master.read_tier
     if tier is None:
         result = yield from _primary_stock_level(ctx, txn, breakdown,
                                                  priority)

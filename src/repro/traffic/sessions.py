@@ -257,8 +257,7 @@ class SessionEngine:
                     txn, immediate_gc=(ctx.cc == "locking")
                 )
             except RETRYABLE:
-                if txn.state.value == "active":
-                    cluster.txns.abort(txn)
+                cluster.txns.abort_if_active(txn)
                 runtime.conflicts += 1
                 yield env.timeout(backoff_delay(attempt))
                 continue

@@ -20,7 +20,10 @@ from repro.storage.record import RecordVersion
 from repro.storage.segment import Segment
 from repro.txn.ids import TimestampOracle
 from repro.txn.locks import LockManager
-from repro.txn.wal import LogManager
+from repro.txn.wal import LogManager, LogRecord
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.worker import WorkerNode
 
 
 class TxnState(enum.Enum):
@@ -40,6 +43,10 @@ class WriteConflictError(TransactionAborted):
 class Transaction:
     """One unit of work under either MVCC or MGL-RX."""
 
+    __slots__ = ("txn_id", "begin_ts", "is_system", "declared_read_only",
+                 "state", "commit_ts", "tenant", "redo", "visited_nodes",
+                 "_created", "_deleted", "_dirty_logs")
+
     def __init__(self, txn_id: int, begin_ts: int, is_system: bool = False,
                  read_only: bool = False):
         self.txn_id = txn_id
@@ -52,6 +59,17 @@ class Transaction:
         self.declared_read_only = read_only
         self.state = TxnState.ACTIVE
         self.commit_ts: int | None = None
+        #: Tenant the traffic engine runs this transaction for (the
+        #: read tier's cache accounts fills against per-tenant quotas).
+        self.tenant: str | None = None
+        #: ``(partition_id, LogRecord)`` of every data record the access
+        #: layer logged for this transaction.  :meth:`TransactionManager
+        #: .commit` hands the list to the commit stages and takes it off
+        #: the transaction, so records still here are exactly the ones
+        #: no replica has been offered yet.
+        self.redo: list[tuple[int, "LogRecord"]] = []
+        #: Remote workers enlisted by the master (one dispatch hop each).
+        self.visited_nodes: set[int] = set()
         self._created: list[tuple[Segment, RecordVersion, tuple[int, int]]] = []
         self._deleted: list[tuple[Segment, RecordVersion]] = []
         self._dirty_logs: list[LogManager] = []
@@ -109,14 +127,17 @@ class TransactionManager:
         self._committing: dict[int, int] = {}
         self.committed_count = 0
         self.aborted_count = 0
-        #: Optional commit-path generator hook ``(txn, breakdown,
-        #: priority)`` run after the local log force but before the
-        #: commit is acknowledged.  The HA subsystem uses it for
-        #: synchronous replica shipping; ``None`` means no extra work.
-        self.on_commit: typing.Callable | None = None
-        #: Plain-callable counterpart for aborts (no sim time passes):
-        #: lets the replicator drop buffered log records of the loser.
-        self.on_abort: typing.Callable | None = None
+        #: Commit pipeline: generator stages ``(txn, redo, breakdown,
+        #: priority)`` run in list order for every writing commit, after
+        #: the local log force and before the commit is acknowledged.
+        #: Subscribers append in their constructors, so construction
+        #: order is commit order: replica shipping (``ReplicationManager``)
+        #: before cache coherence and view feeding (``ReadTier``, which
+        #: takes the replicator as a constructor argument).
+        self.commit_stages: list[typing.Callable] = []
+        #: Plain-callable counterpart ``(txn)`` for aborts (no sim time
+        #: passes): the replicator retracts a half-shipped commit.
+        self.abort_stages: list[typing.Callable] = []
         #: Optional operation-history recorder (repro.audit).  ``None``
         #: by default: every hook site below and in the access layer is
         #: a single attribute test, so perf baselines and determinism
@@ -147,7 +168,7 @@ class TransactionManager:
         txn.require_active()
         commit_start = self.env.now
         commit_ts = self.oracle.next()
-        # Stamp the transaction early: the commit hooks (replication,
+        # Stamp the transaction early: the commit stages (replication,
         # cache invalidation, view maintenance) run inside this call
         # and need the timestamp; a crash-abort mid-flush resets it.
         txn.commit_ts = commit_ts
@@ -160,14 +181,20 @@ class TransactionManager:
         for log in txn._dirty_logs:
             lsn = log.append(txn.txn_id, "commit")
             yield from log.flush(lsn, breakdown, priority)
-        if self.on_commit is not None and not txn.is_read_only:
-            # Synchronous replication: the commit is only acknowledged
-            # once every live replica holder has the log tail.
-            yield from self.on_commit(txn, breakdown, priority)
         # A crash-abort (fault injection) may have rolled us back while
-        # the log force was in flight; the abort record it appended
-        # supersedes our commit record during recovery.
+        # the log force or a stage was in flight; the abort record it
+        # appended supersedes our commit record during recovery, and no
+        # later stage may act on the loser.
         txn.require_active()
+        redo = txn.redo
+        if redo:
+            # Off the transaction from here: the records are in flight
+            # to the replicas, no longer buffered behind them
+            # (``ReplicationManager.acked_horizon`` stops pinning them).
+            txn.redo = []
+            for stage in self.commit_stages:
+                yield from stage(txn, redo, breakdown, priority)
+                txn.require_active()
         if immediate_gc:
             for segment, version in txn._deleted:
                 home = version.home or segment
@@ -212,18 +239,34 @@ class TransactionManager:
         txn.commit_ts = None
         for log in txn._dirty_logs:
             log.append(txn.txn_id, "abort")
-        if self.on_abort is not None:
-            self.on_abort(txn)
+        for stage in self.abort_stages:
+            stage(txn)
         txn.state = TxnState.ABORTED
         self._finish(txn)
         self.aborted_count += 1
         if self.history is not None:
             self.history.record_abort(txn, self.env.now)
 
+    def abort_if_active(self, txn: Transaction) -> None:
+        """Error-path rollback: abort unless a crash-abort (or the
+        failed commit itself) already finished the transaction."""
+        if txn.state is TxnState.ACTIVE:
+            self.abort(txn)
+
+    def abort_touching(self, worker: "WorkerNode") -> None:
+        """Crash-abort every active transaction that enlisted ``worker``
+        or dirtied its WAL, so its locks release instead of stranding
+        survivors on a node that crashed, was cut off or is draining."""
+        for txn in self.active_transactions():
+            if worker.node_id in txn.visited_nodes \
+                    or worker.wal in txn._dirty_logs:
+                self.abort(txn)
+
     def _finish(self, txn: Transaction) -> None:
         self._active.pop(txn.txn_id, None)
         self._committing.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
+        txn.redo = []
 
     # -- snapshot horizon ------------------------------------------------------
 

@@ -131,8 +131,7 @@ class OltpClient:
                 # hardware fault observed mid-query: roll back and retry
                 # with exponential backoff — failover may be re-routing
                 # the partition in the meantime.
-                if txn.state.value == "active":
-                    cluster.txns.abort(txn)
+                cluster.txns.abort_if_active(txn)
                 self.driver.note_conflict(name)
                 self.retries += 1
                 yield env.timeout(backoff_delay(attempt))

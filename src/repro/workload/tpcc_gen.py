@@ -1,12 +1,8 @@
 """Deterministic TPC-C data generation and loading.
 
-Two load paths:
-
-* ``fast=True`` (default): rows are materialised directly into segments
-  as committed versions, outside the simulation clock — database
-  loading is not part of any measurement window in the paper.
-* ``fast=False``: rows go through the full transactional insert path
-  (useful for small integration tests of the write machinery).
+Rows are materialised directly into segments as committed versions,
+outside the simulation clock — database loading is not part of any
+measurement window in the paper.
 """
 
 from __future__ import annotations
@@ -204,7 +200,6 @@ def fast_insert(worker: "WorkerNode", partition: "Partition",
 def load_tpcc(cluster: "Cluster", config: TpccConfig,
               owners: typing.Sequence["WorkerNode"] | None = None,
               tables: typing.Sequence[str] | None = None,
-              fast: bool = True,
               segment_max_pages: int | None = None):
     """Create and populate the TPC-C tables.
 
@@ -212,10 +207,6 @@ def load_tpcc(cluster: "Cluster", config: TpccConfig,
     Fig. 6 starts "with two nodes, hosting the data"); warehouse ranges
     are split contiguously across them.  The item catalog lives on the
     first owner.  Returns ``{table: [partitions]}``.
-
-    With ``fast=False`` this is a generator that must be run on the
-    simulation (rows go through transactional inserts); with
-    ``fast=True`` it executes immediately and returns the mapping.
     """
     owners = list(owners) if owners else [cluster.master.worker]
     tables = list(tables) if tables else list(TPCC_TABLES)
@@ -248,11 +239,9 @@ def load_tpcc(cluster: "Cluster", config: TpccConfig,
                                          single=len(schema.key) == 1)
             created[table].append(partition)
 
-    if fast:
-        _fast_fill(cluster, generator, created, tables)
-        _create_secondary_indexes(config, created)
-        return created
-    return _slow_fill(cluster, generator, created, tables, config=config)
+    _fast_fill(cluster, generator, created, tables)
+    _create_secondary_indexes(config, created)
+    return created
 
 
 def _seed_warehouse_segments(config: TpccConfig, partition, key_range: KeyRange,
@@ -289,18 +278,3 @@ def _create_secondary_indexes(config: TpccConfig, created) -> None:
         for partition in created["customer"]:
             partition.create_secondary_index("customer_by_name", ["c_last"])
 
-
-def _slow_fill(cluster, generator, created, tables, batch: int = 100,
-               config: TpccConfig | None = None):
-    """Generator: transactional load through the full write path."""
-    master = cluster.master
-    for table in tables:
-        rows = list(generator.rows_for(table))
-        for start in range(0, len(rows), batch):
-            txn = cluster.txns.begin()
-            for values in rows[start:start + batch]:
-                yield from master.insert(table, tuple(values), txn)
-            yield from cluster.txns.commit(txn)
-    if config is not None:
-        _create_secondary_indexes(config, created)
-    return created

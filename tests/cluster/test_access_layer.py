@@ -84,7 +84,7 @@ def test_locking_update_logs_undo_image(rig):
     def work():
         txn = cluster.txns.begin()
         yield from cluster.master.update("kv", 1, (1, "y"), txn, cc="locking")
-        yield from worker.commit(txn, cc="locking")
+        yield from cluster.txns.commit(txn, immediate_gc=True)
 
     env.run(until=env.process(work()))
     kinds = [r.kind for r in worker.wal.records]
@@ -93,7 +93,7 @@ def test_locking_update_logs_undo_image(rig):
     def mvcc_work():
         txn = cluster.txns.begin()
         yield from cluster.master.update("kv", 2, (2, "y"), txn, cc="mvcc")
-        yield from worker.commit(txn, cc="mvcc")
+        yield from cluster.txns.commit(txn)
 
     before = [r.kind for r in worker.wal.records].count("undo")
     env.run(until=env.process(mvcc_work()))

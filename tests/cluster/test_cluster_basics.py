@@ -67,13 +67,13 @@ def test_insert_then_read_roundtrip():
         yield from master.plan()
         yield from master.insert("kv", (1, "hello"), txn)
         yield from master.insert("kv", (2, "world"), txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
         reader = cluster.txns.begin()
         results["r1"] = yield from master.read("kv", 1, reader)
         results["r2"] = yield from master.read("kv", 2, reader)
         results["r3"] = yield from master.read("kv", 3, reader)
-        yield from cluster.workers[0].commit(reader)
+        yield from cluster.txns.commit(reader)
 
     run(env, work())
     assert results["r1"] == (1, "hello")
@@ -90,20 +90,20 @@ def test_update_and_delete_roundtrip():
     def work():
         txn = cluster.txns.begin()
         yield from master.insert("kv", (1, "v1"), txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
         txn = cluster.txns.begin()
         yield from master.update("kv", 1, (1, "v2"), txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
         txn = cluster.txns.begin()
         results["after_update"] = yield from master.read("kv", 1, txn)
         yield from master.delete("kv", 1, txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
         txn = cluster.txns.begin()
         results["after_delete"] = yield from master.read("kv", 1, txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
     run(env, work())
     assert results["after_update"] == (1, "v2")
@@ -123,7 +123,7 @@ def test_read_on_remote_partition_costs_network_hop():
     def work():
         txn = cluster.txns.begin()
         yield from master.insert("kv", (7, "x"), txn, breakdown=breakdown)
-        yield from cluster.workers[1].commit(txn)
+        yield from cluster.txns.commit(txn)
 
     run(env, work())
     assert breakdown.network_io > 0
@@ -139,7 +139,7 @@ def test_inserts_spill_across_segments():
         txn = cluster.txns.begin()
         for i in range(500):
             yield from master.insert("kv", (i, "x" * 30), txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
     run(env, work())
     assert partition.record_count == 500
@@ -162,11 +162,11 @@ def test_split_full_segment_after_vacuum_emptied_its_tail():
         txn = cluster.txns.begin()
         for i in range(300):
             yield from master.insert("kv", (i, "x"), txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
         txn = cluster.txns.begin()
         for i in range(100, 300):
             yield from master.delete("kv", i, txn)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
     run(env, work())
     (segment,) = partition.segments.values()

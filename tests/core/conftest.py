@@ -26,7 +26,7 @@ def migration_cluster():
             txn = cluster.txns.begin()
             for i in range(start, start + 50):
                 yield from master.insert("kv", (i, "payload-%04d" % i), txn)
-            yield from cluster.workers[0].commit(txn)
+            yield from cluster.txns.commit(txn)
 
     env.run(until=env.process(load()))
     return env, cluster
@@ -42,7 +42,7 @@ def read_all(env, cluster, keys=range(400)):
             row = yield from cluster.master.read("kv", key, txn)
             if row is None or row[0] != key:
                 missing.append(key)
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
     env.run(until=env.process(check()))
     return missing

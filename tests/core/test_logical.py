@@ -129,7 +129,7 @@ def _fresh():
                 yield from cluster.master.insert(
                     "kv", (i, "payload-%04d" % i), txn
                 )
-            yield from cluster.workers[0].commit(txn)
+            yield from cluster.txns.commit(txn)
 
     env.run(until=env.process(load()))
     return env, cluster

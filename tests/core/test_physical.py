@@ -79,7 +79,7 @@ def test_remote_pages_cost_network(migration_cluster):
         # Key 399 lives in a moved (upper-range) segment.
         row = yield from cluster.master.read("kv", 399, txn)
         assert row is not None
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
     env.run(until=env.process(read_moved()))
     assert source.port.bytes_received > received_before

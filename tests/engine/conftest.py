@@ -28,7 +28,7 @@ def loaded():
             yield from master.insert(
                 "items", (i, i % 5, float(i), "x" * 20), txn
             )
-        yield from cluster.workers[0].commit(txn)
+        yield from cluster.txns.commit(txn)
 
     env.run(until=env.process(load()))
     worker = cluster.workers[0]

@@ -55,7 +55,7 @@ def test_table_scan_respects_mvcc_snapshot(loaded):
     def mutate_then_scan():
         writer = cluster.txns.begin()
         yield from master.insert("items", (999, 0, 0.0, "new"), writer)
-        yield from worker.commit(writer)
+        yield from cluster.txns.commit(writer)
         ctx = make_ctx(env, txn=reader)
         scan = TableScan(ctx, worker, partition)
         rows = yield from scan.drain()

@@ -21,6 +21,16 @@ def run(env, gen):
     return env.run(until=env.process(gen))
 
 
+def step_until(env, condition, dt=0.0005, limit=60.0):
+    """Advance the clock in ``dt`` steps until ``condition()`` holds —
+    for landing inside a commit's in-flight windows."""
+    deadline = env.now + limit
+    while not condition():
+        if env.now >= deadline:
+            raise AssertionError("condition never became true")
+        env.run(until=env.now + dt)
+
+
 def insert_rows(env, cluster, n, start=0):
     def work():
         txn = cluster.txns.begin()

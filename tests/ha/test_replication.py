@@ -4,7 +4,8 @@ import pytest
 
 from repro.ha.placement import PlacementPolicy
 from repro.ha.replication import REPLICA_BASE_TXN_ID, ReplicationManager
-from tests.ha.conftest import insert_rows, run
+from repro.txn.manager import TxnState
+from tests.ha.conftest import insert_rows, run, step_until
 
 
 def kv_partition(cluster):
@@ -85,6 +86,78 @@ def test_read_only_commit_ships_nothing(rig):
 
     run(env, reader())
     assert manager.commits_shipped == 0
+
+
+def test_write_logged_before_protection_is_shipped(rig):
+    """The ship decision is taken per partition at commit, from the
+    redo the transaction carries: a write logged while its partition
+    had no replica set yet (fresh scale-out, just-promoted copy) still
+    reaches the replica the commit is acknowledged against — seeding
+    copies committed rows only, so nothing else would bring it over."""
+    env, cluster = rig
+    manager = ReplicationManager(
+        cluster, k=2, policy=PlacementPolicy(cluster, rack_width=2))
+
+    def work():
+        txn = cluster.txns.begin()
+        yield from cluster.master.insert("kv", (1, "early"), txn)
+        yield from manager.protect_all()
+        yield from cluster.master.insert("kv", (2, "late"), txn)
+        yield from cluster.txns.commit(txn)
+
+    run(env, work())
+    rs = cluster.catalog.replica_set_for(kv_partition(cluster).partition_id)
+    replica = rs.replicas[0]
+    assert sorted(replica.rows) == [1, 2]
+    # ... and promotion, which replays the log, finds both too.
+    replayed = sorted(op.payload[1]
+                      for op in replica.log.committed_ops_since()
+                      if op.txn_id > 0)
+    assert replayed == [1, 2]
+
+
+def test_horizon_pins_redo_until_shipping_starts(rig):
+    """``acked_horizon`` / ``replication_lag`` across one transaction's
+    life: nothing pinned at begin, the first data record pinned from
+    the write through the local log force, released the moment the
+    redo is handed to the shipping stage, and still released at ack."""
+    env, cluster = rig
+    insert_rows(env, cluster, 3)
+    manager = protect(env, cluster, k=2)
+    owner = cluster.workers[1]
+    wal = owner.wal
+
+    def view():
+        return (manager.acked_horizon(owner.node_id),
+                manager.replication_lag(owner.node_id))
+
+    txn = cluster.txns.begin()
+    assert view() == (None, 0)
+
+    def write():
+        yield from cluster.master.insert("kv", (50, "a"), txn)
+        yield from cluster.master.insert("kv", (51, "b"), txn)
+
+    run(env, write())
+    first = min(r.lsn for r in wal.records if r.txn_id == txn.txn_id)
+    assert wal.tail.lsn == first + 1
+    assert view() == (first, 1)
+    # Only the primary's node is pinned.
+    assert manager.acked_horizon(cluster.workers[2].node_id) is None
+
+    env.process(cluster.txns.commit(txn), name="committer")
+    step_until(env, lambda: wal.tail.kind == "commit", dt=1e-6)
+    commit_lsn = wal.tail.lsn
+    assert wal.flushed_lsn < commit_lsn, "local force must be in flight"
+    assert view() == (first, 2)
+
+    step_until(env, lambda: wal.flushed_lsn >= commit_lsn, dt=1e-6)
+    assert txn.state is TxnState.ACTIVE, "shipping must be in flight"
+    assert view() == (None, 0)
+
+    step_until(env, lambda: txn.state is TxnState.COMMITTED)
+    assert view() == (None, 0)
+    assert manager.commits_shipped == 1
 
 
 def test_factor_degrades_without_doubling_up(rig):

@@ -8,6 +8,7 @@ import pytest
 from repro.audit import HistoryRecorder, audit_history
 from repro.cluster.master import NodeDownError
 from repro.txn.manager import TransactionAborted, TxnState
+from tests.ha.conftest import step_until
 from tests.reads.conftest import (
     insert_rows,
     install_tier,
@@ -23,14 +24,6 @@ def kv_partition(cluster):
 
 def replica_set(cluster):
     return cluster.catalog.replica_set_for(kv_partition(cluster).partition_id)
-
-
-def step_until(env, condition, dt=0.0005, limit=60.0):
-    deadline = env.now + limit
-    while not condition():
-        if env.now >= deadline:
-            raise AssertionError("condition never became true")
-        env.run(until=env.now + dt)
 
 
 # -- crash mid-replica-read (promotion regression) ---------------------------
@@ -165,10 +158,10 @@ class TestCommitRetraction:
 
         step_until(env, marker_on_some_replica)
         txn = state["txn"]
-        # The crash-abort (what FaultInjector._abort_in_flight does when
-        # the primary dies mid-commit).
+        # The crash-abort (what the fault injector does when the
+        # primary dies mid-commit): the transaction dirtied its WAL.
         cluster.workers[1].machine.crash()
-        cluster.txns.abort(txn)
+        cluster.txns.abort_touching(cluster.workers[1])
         env.run(until=env.now + 5.0)
 
         assert state.get("aborted"), "the commit must observe the abort"
@@ -195,6 +188,68 @@ class TestCommitRetraction:
         assert replication.commits_retracted == 0
         for replica in replica_set(cluster).replicas:
             assert 500 in replica.rows
+
+
+# -- commit stage order -------------------------------------------------------
+
+class TestCommitStageOrder:
+    def test_ship_then_coherence_then_ack(self, rig, monkeypatch):
+        """One committing write, k=2 plus a read tier: the replica log
+        holds the flushed commit marker before the cache entry is
+        rewritten and the view batch enqueued, and both happen before
+        the commit is counted and recorded — construction order of the
+        subscribers is the order of the stage list."""
+        env, cluster = rig
+        insert_rows(env, cluster, 4)
+        replication = protect(env, cluster, k=2)
+        tier = install_tier(cluster, replication)
+        recorder = HistoryRecorder().attach(cluster)
+        txns = cluster.txns
+        assert txns.commit_stages == [replication.ship_commit,
+                                      tier._apply_commit]
+        replica = replica_set(cluster).replicas[0]
+        assert tier.cache.fill("kv", 2, (2, "v002"), txns.oracle.current)
+        txn = txns.begin()
+        seen = []
+
+        def probe(target, attr, name):
+            inner = getattr(target, attr)
+
+            def wrapper(*args, **kwargs):
+                marker = [r for r in replica.log.records
+                          if r.kind == "commit" and r.txn_id == txn.txn_id]
+                seen.append((
+                    name,
+                    bool(marker)
+                    and replica.log.flushed_lsn >= marker[0].lsn,
+                    tier.cache.entry_for("kv", 2)[0],
+                    tier.views.pending_batches,
+                    txns.committed_count,
+                ))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(target, attr, wrapper)
+
+        probe(replication, "_apply_to_rows", "ship")
+        probe(tier.cache, "apply_commit", "cache")
+        probe(tier.views, "enqueue", "views")
+        probe(recorder, "record_commit", "ack")
+        before = txns.committed_count
+
+        def write():
+            yield from cluster.master.update("kv", 2, (2, "new"), txn)
+            yield from txns.commit(txn)
+
+        run(env, write())
+        assert seen == [
+            # marker durable on the replica, nothing downstream yet
+            ("ship", True, (2, "v002"), 0, before),
+            ("cache", True, (2, "v002"), 0, before),
+            # cache rewritten, view batch not yet staged
+            ("views", True, (2, "new"), 0, before),
+            # everything upstream done, commit counted, then recorded
+            ("ack", True, (2, "new"), 1, before + 1),
+        ]
 
 
 # -- commits landing inside a seeding window ---------------------------------

@@ -1,11 +1,14 @@
 """WAL and transaction-manager tests."""
 
+import types
+
 import pytest
 
 from repro.hardware import Disk, HDD_SPEC, Network, NetworkPort, SSD_SPEC
 from repro.metrics import CostBreakdown
 from repro.sim import Environment
 from repro.txn import LogManager, LogShippingSink, TransactionManager
+from repro.txn.manager import TransactionAborted, TxnState
 from repro.txn.wal import LOG_BLOCK_BYTES
 
 
@@ -147,6 +150,13 @@ class TestTransactionManager:
     def test_readonly_commit_no_io(self):
         env = Environment()
         tm = TransactionManager(env)
+        staged = []
+
+        def stage(txn, redo, breakdown, priority):
+            staged.append(txn.txn_id)
+            yield env.timeout(1.0)
+
+        tm.commit_stages.append(stage)
         txn = tm.begin()
 
         def work():
@@ -154,6 +164,109 @@ class TestTransactionManager:
 
         run(env, work())
         assert txn.is_read_only
+        # No redo, no stage: a read-only commit never waits on
+        # replication or cache upkeep.
+        assert staged == []
+        assert env.now == 0.0
+        assert tm.committed_count == 1
+
+    def test_commit_runs_stages_in_list_order_with_the_redo(self):
+        env = Environment()
+        log = LogManager(env, Disk(env, SSD_SPEC))
+        tm = TransactionManager(env)
+        calls = []
+
+        def make_stage(name):
+            def stage(txn, redo, breakdown, priority):
+                # The redo was taken off the transaction; the commit is
+                # not acknowledged while a stage runs.
+                calls.append((name, list(redo), list(txn.redo),
+                              tm.committed_count))
+                yield env.timeout(0.5)
+            return stage
+
+        tm.commit_stages.append(make_stage("first"))
+        tm.commit_stages.append(make_stage("second"))
+        txn = tm.begin()
+        log.append(txn.txn_id, "insert", ("t", 1, (1,)))
+        txn.note_log(log)
+        txn.redo.append((7, log.tail))
+
+        run(env, tm.commit(txn))
+        assert calls == [("first", [(7, log.records[0])], [], 0),
+                         ("second", [(7, log.records[0])], [], 0)]
+        assert tm.committed_count == 1
+
+    def test_abort_between_stages_stops_the_pipeline(self):
+        env = Environment()
+        log = LogManager(env, Disk(env, SSD_SPEC))
+        tm = TransactionManager(env)
+        ran, retracted = [], []
+
+        def slow_stage(txn, redo, breakdown, priority):
+            ran.append("slow")
+            yield env.timeout(1.0)
+
+        def late_stage(txn, redo, breakdown, priority):
+            ran.append("late")
+            yield env.timeout(1.0)
+
+        tm.commit_stages += [slow_stage, late_stage]
+        tm.abort_stages.append(lambda txn: retracted.append(txn.txn_id))
+        txn = tm.begin()
+        log.append(txn.txn_id, "insert", ("t", 1, (1,)))
+        txn.note_log(log)
+        txn.redo.append((7, log.tail))
+
+        def crash_abort():
+            yield env.timeout(0.5)
+            tm.abort(txn)
+
+        env.process(crash_abort())
+        with pytest.raises(TransactionAborted):
+            run(env, tm.commit(txn))
+        assert ran == ["slow"], "no stage may act on the loser"
+        assert retracted == [txn.txn_id]
+        assert tm.committed_count == 0 and tm.aborted_count == 1
+
+    def test_abort_touching_aborts_visitors_and_wal_dirtiers_only(self):
+        from repro.txn import LockMode
+
+        env = Environment()
+        tm = TransactionManager(env)
+        wal = LogManager(env, Disk(env, SSD_SPEC))
+        node = types.SimpleNamespace(node_id=3, wal=wal)
+        visitor, dirtier, bystander = tm.begin(), tm.begin(), tm.begin()
+        visitor.visited_nodes.add(3)
+        dirtier.note_log(wal)
+        bystander.visited_nodes.add(2)
+        bystander.note_log(LogManager(env, Disk(env, SSD_SPEC)))
+
+        def lock_all():
+            for txn in (visitor, dirtier, bystander):
+                yield from tm.locks.acquire(
+                    txn.txn_id, f"r{txn.txn_id}", LockMode.X)
+
+        run(env, lock_all())
+        tm.abort_touching(node)
+        assert visitor.state is TxnState.ABORTED
+        assert dirtier.state is TxnState.ABORTED
+        assert tm.active_transactions() == [bystander]
+        assert tm.locks.holders(f"r{visitor.txn_id}") == {}
+        assert tm.locks.holders(f"r{dirtier.txn_id}") == {}
+        assert tm.locks.holders(f"r{bystander.txn_id}") != {}
+        # The rollback path of a client that lost the race is a no-op.
+        tm.abort_if_active(visitor)
+        assert tm.aborted_count == 2
+
+    def test_transaction_rejects_undeclared_attributes(self):
+        tm = TransactionManager(Environment())
+        txn = tm.begin()
+        txn.tenant = "gold"  # declared
+        with pytest.raises(AttributeError):
+            txn._visited_nodes = set()
+        with pytest.raises(AttributeError):
+            txn.anything_else = 1
 
     def test_abort_releases_locks(self):
         env = Environment()

@@ -5,6 +5,7 @@ import pytest
 from repro import Cluster, Environment
 from repro.workload import TPCC_TABLES, TpccConfig, load_tpcc, table_schema
 from repro.workload.tpcc_gen import TpccGenerator
+from repro.workload.tpcc_schema import tables_for
 
 
 def tiny_config(**overrides):
@@ -150,12 +151,24 @@ class TestFastLoad:
         load_tpcc(cluster_fast, config, owners=[cluster_fast.workers[0]],
                   tables=["warehouse", "district", "customer"])
 
+        # The reference: the same rows through the full transactional
+        # write path, one transaction per table.
         env_slow = Environment()
         cluster_slow = make_cluster(env_slow, active=1)
-        gen = load_tpcc(cluster_slow, config, owners=[cluster_slow.workers[0]],
-                        tables=["warehouse", "district", "customer"],
-                        fast=False)
-        env_slow.run(until=env_slow.process(gen))
+        schemas = tables_for(config)
+        generator = TpccGenerator(config)
+
+        def slow_load():
+            for table in ("warehouse", "district", "customer"):
+                cluster_slow.master.create_table(
+                    table, schemas[table], owner=cluster_slow.workers[0])
+                txn = cluster_slow.txns.begin()
+                for values in generator.rows_for(table):
+                    yield from cluster_slow.master.insert(
+                        table, tuple(values), txn)
+                yield from cluster_slow.txns.commit(txn)
+
+        env_slow.run(until=env_slow.process(slow_load()))
 
         def read_all_rows(env, cluster):
             out = {}
