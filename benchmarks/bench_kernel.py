@@ -155,11 +155,11 @@ class _StubIO:
         self.reads = 0
         self.writes = 0
 
-    def read(self, breakdown, priority):
+    def read(self, breakdown):
         self.reads += 1
         yield self.env.timeout(0.002)
 
-    def write(self, breakdown, priority):
+    def write(self, breakdown):
         self.writes += 1
         yield self.env.timeout(0.003)
 

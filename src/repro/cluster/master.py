@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import typing
 
+from repro.cluster.worker import RecordNotHereError, WorkerNode
 from repro.engine.operators import SegmentMovedError
 from repro.hardware import specs
-from repro.index.global_table import GlobalPartitionTable
-from repro.metrics.breakdown import CostBreakdown
+from repro.index.global_table import GlobalPartitionTable, PartitionLocation
+from repro.index.partition_tree import KeyRange
 from repro.sim.engine import Environment
 from repro.txn.manager import Transaction
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Catalog
     from repro.cluster.cluster import Cluster
-    from repro.cluster.worker import WorkerNode
 
 
 class NoOwnerFoundError(RuntimeError):
@@ -72,15 +72,12 @@ class MasterNode:
 
     # -- planning ----------------------------------------------------------
 
-    def plan(self, priority: int = 0):
+    def plan(self):
         """Generator: charge the fixed planning/dispatch CPU cost."""
-        yield from self.worker.cpu.execute(
-            specs.CPU_PLAN_SECONDS_PER_QUERY, priority
-        )
+        yield from self.worker.cpu.execute(specs.CPU_PLAN_SECONDS_PER_QUERY)
         self.queries_planned += 1
 
-    def _hop(self, target: "WorkerNode", breakdown: CostBreakdown | None,
-             txn: Transaction | None = None):
+    def _hop(self, target: "WorkerNode", txn: Transaction):
         """Generator: master <-> worker dispatch hop.
 
         WattDB ships distributed *plans*: the master pays one round trip
@@ -88,32 +85,25 @@ class MasterNode:
         the same transaction on that worker run within the shipped plan
         (master-local workers are always free).
         """
-        if target is self.worker:
+        if target is self.worker or target.node_id in txn.visited_nodes:
             return
-        if txn is not None:
-            if target.node_id in txn.visited_nodes:
-                return
-            txn.visited_nodes.add(target.node_id)
+        txn.visited_nodes.add(target.node_id)
         t0 = self.env.now
         yield from self.cluster.network.rpc_delay()
-        if breakdown is not None:
-            breakdown.add("network_io", self.env.now - t0)
+        if txn.breakdown is not None:
+            txn.breakdown.add("network_io", self.env.now - t0)
 
     # -- routed record operations ------------------------------------------
 
     def _routed(self, table: str, key: typing.Any,
                 action: typing.Callable[["WorkerNode", typing.Any], typing.Generator],
-                breakdown: CostBreakdown | None,
-                txn: Transaction | None = None):
+                txn: Transaction):
         """Generator: run ``action(worker, partition)`` on the right node,
         following dual pointers and forwarding pointers."""
-        from repro.cluster.worker import RecordNotHereError
-
-        if txn is not None:
-            # A transaction aborted underneath us (e.g. its node was
-            # crash-killed) must stop issuing work — otherwise it could
-            # re-acquire locks after release_all and strand waiters.
-            txn.require_active()
+        # A transaction aborted underneath us (e.g. its node was
+        # crash-killed) must stop issuing work — otherwise it could
+        # re-acquire locks after release_all and strand waiters.
+        txn.require_active()
         location = self.gpt.locate(table, key)
         if not location.available:
             raise PartitionUnavailableError(
@@ -131,7 +121,7 @@ class MasterNode:
             if not worker.is_serving:
                 dead.add(worker.node_id)
                 continue
-            yield from self._hop(worker, breakdown, txn)
+            yield from self._hop(worker, txn)
             # Prefer the registered partition (covers inserts into key
             # regions with no segment yet); fall back to a tree search
             # for nodes reached via redirection.
@@ -154,36 +144,28 @@ class MasterNode:
             )
         raise NoOwnerFoundError(f"no node could serve {table!r} key {key!r}")
 
-    def read(self, table: str, key: typing.Any, txn: Transaction,
-             breakdown: CostBreakdown | None = None, cc: str = "mvcc",
-             priority: int = 0):
+    def read(self, table: str, key: typing.Any, txn: Transaction):
         """Generator: routed point read; returns the row or None.
 
         A candidate that holds the key range but no visible version is
         treated as "not here" — during a move the record may already
         (or still) live on the other candidate node.
         """
-        from repro.cluster.worker import RecordNotHereError
-
         tier = self.read_tier
-        if (tier is not None and txn is not None
-                and txn.declared_read_only):
-            served = yield from tier.read_point(table, key, txn, breakdown,
-                                               priority)
+        if tier is not None and txn.declared_read_only:
+            served = yield from tier.read_point(table, key, txn)
             if served is not tier.NOT_SERVED:
                 return served
 
         def action(worker, partition):
-            result = yield from worker.read_record(
-                partition, key, txn, breakdown, cc, priority
-            )
+            result = yield from worker.read_record(partition, key, txn)
             if result is None:
                 raise RecordNotHereError(f"{key!r} not visible here")
             return result
 
         t0 = self.env.now
         try:
-            result = yield from self._routed(table, key, action, breakdown, txn)
+            result = yield from self._routed(table, key, action, txn)
         except NoOwnerFoundError:
             # Per-node misses are normal mid-move; only the merged
             # verdict — no candidate had a visible version — is a
@@ -198,66 +180,51 @@ class MasterNode:
             tier.note_primary_read(table, key, result, txn)
         return result
 
-    def insert(self, table: str, values: typing.Sequence, txn: Transaction,
-               breakdown: CostBreakdown | None = None, cc: str = "mvcc",
-               priority: int = 0):
+    def insert(self, table: str, values: typing.Sequence, txn: Transaction):
         """Generator: routed insert."""
         key = self.catalog.table(table).schema.key_of(tuple(values))
 
         def action(worker, partition):
-            result = yield from worker.insert_record(
-                partition, values, txn, breakdown, cc, priority
-            )
+            result = yield from worker.insert_record(partition, values, txn)
             return result
 
-        result = yield from self._routed(table, key, action, breakdown, txn)
+        result = yield from self._routed(table, key, action, txn)
         return result
 
     def update(self, table: str, key: typing.Any, values: typing.Sequence,
-               txn: Transaction, breakdown: CostBreakdown | None = None,
-               cc: str = "mvcc", priority: int = 0):
+               txn: Transaction):
         """Generator: routed update.  A candidate where the key is not
         visible defers to the other candidate (mid-move redirection);
         KeyError surfaces only if no candidate can see it."""
-        from repro.cluster.worker import RecordNotHereError
 
         def action(worker, partition):
             try:
-                yield from worker.update_record(
-                    partition, key, values, txn, breakdown, cc, priority
-                )
+                yield from worker.update_record(partition, key, values, txn)
             except KeyError as exc:
                 raise RecordNotHereError(str(exc)) from exc
 
         try:
-            yield from self._routed(table, key, action, breakdown, txn)
+            yield from self._routed(table, key, action, txn)
         except NoOwnerFoundError:
             raise KeyError(f"update: {table}.{key!r} not found on any node")
 
-    def delete(self, table: str, key: typing.Any, txn: Transaction,
-               breakdown: CostBreakdown | None = None, cc: str = "mvcc",
-               priority: int = 0):
+    def delete(self, table: str, key: typing.Any, txn: Transaction):
         """Generator: routed delete (same redirection rules as update)."""
-        from repro.cluster.worker import RecordNotHereError
 
         def action(worker, partition):
             try:
-                yield from worker.delete_record(
-                    partition, key, txn, breakdown, cc, priority
-                )
+                yield from worker.delete_record(partition, key, txn)
             except KeyError as exc:
                 raise RecordNotHereError(str(exc)) from exc
 
         try:
-            yield from self._routed(table, key, action, breakdown, txn)
+            yield from self._routed(table, key, action, txn)
         except NoOwnerFoundError:
             raise KeyError(f"delete: {table}.{key!r} not found on any node")
 
     def read_by_secondary(self, table: str, route_key: typing.Any,
                           index_name: str, secondary_key: typing.Any,
-                          txn: Transaction,
-                          breakdown: CostBreakdown | None = None,
-                          cc: str = "mvcc", priority: int = 0):
+                          txn: Transaction):
         """Generator: routed secondary-index lookup.
 
         ``route_key`` is any primary key in the relevant range (e.g.
@@ -268,35 +235,25 @@ class MasterNode:
 
         def action(worker, partition):
             rows = yield from worker.read_by_secondary(
-                partition, index_name, secondary_key, txn, breakdown, cc,
-                priority,
+                partition, index_name, secondary_key, txn
             )
             return rows
 
         try:
-            rows = yield from self._routed(table, route_key, action,
-                                           breakdown, txn)
+            rows = yield from self._routed(table, route_key, action, txn)
         except NoOwnerFoundError:
             return []
         return rows
 
     def read_range(self, table: str, lo: typing.Any, hi: typing.Any,
-                   txn: Transaction, breakdown: CostBreakdown | None = None,
-                   cc: str = "mvcc", priority: int = 0,
-                   limit: int | None = None):
+                   txn: Transaction, limit: int | None = None):
         """Generator: routed range read over ``[lo, hi)`` with partition
         pruning; returns rows in key order."""
-        from repro.index.partition_tree import KeyRange
-        from repro.cluster.worker import RecordNotHereError
-
         key_range = KeyRange(lo, hi)
-        if txn is not None:
-            txn.require_active()
+        txn.require_active()
         tier = self.read_tier
-        if (tier is not None and txn is not None
-                and txn.declared_read_only):
-            served = yield from tier.read_range(table, lo, hi, txn,
-                                                breakdown, priority, limit)
+        if tier is not None and txn.declared_read_only:
+            served = yield from tier.read_range(table, lo, hi, txn, limit)
             if served is not tier.NOT_SERVED:
                 return served
         schema = self.catalog.table(table).schema
@@ -322,7 +279,7 @@ class MasterNode:
                     dead.add(worker.node_id)
                     continue
                 served += 1
-                yield from self._hop(worker, breakdown, txn)
+                yield from self._hop(worker, txn)
                 partitions = [
                     p for p in worker.partitions_for_table(table)
                     if p.tree.find_range(key_range)
@@ -330,8 +287,7 @@ class MasterNode:
                 for partition in partitions:
                     try:
                         part_rows = yield from worker.read_range(
-                            partition, lo, hi, txn, breakdown, cc, priority,
-                            limit,
+                            partition, lo, hi, txn, limit
                         )
                     except SegmentMovedError as moved:
                         queue.append(self.cluster.worker(moved.target_node_id))
@@ -352,8 +308,6 @@ class MasterNode:
     def create_table(self, name, schema, owner: "WorkerNode",
                      key_range=None):
         """Define a table with one initial partition on ``owner``."""
-        from repro.index.partition_tree import KeyRange
-
         partitions = self.create_partitioned_table(
             name, schema, [(key_range or KeyRange(None, None), owner)]
         )
@@ -362,8 +316,6 @@ class MasterNode:
     def create_partitioned_table(self, name, schema, assignments):
         """Define a table with one partition per ``(key_range, worker)``
         assignment; ranges must not overlap."""
-        from repro.index.global_table import PartitionLocation
-
         table = self.catalog.define_table(name, schema)
         partitions = []
         for key_range, owner in assignments:

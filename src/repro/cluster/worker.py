@@ -17,7 +17,7 @@ from repro.hardware import specs
 from repro.hardware.disk import Disk
 from repro.hardware.network import Network
 from repro.hardware.node import NodeMachine
-from repro.index.partition_tree import Forwarding
+from repro.index.partition_tree import Forwarding, KeyRange
 from repro.metrics.breakdown import CostBreakdown
 from repro.sim.engine import Environment
 from repro.storage.buffer import BufferPool
@@ -54,35 +54,33 @@ class _SegmentPageIO:
     def _locate(self) -> tuple["WorkerNode", Disk]:
         return self.worker.directory.location(self.segment_id)
 
-    def read(self, breakdown: CostBreakdown | None, priority: int):
+    def read(self, breakdown: CostBreakdown | None):
         host, disk = self._locate()
         if host is self.worker:
-            yield from disk.read_page(priority)
+            yield from disk.read_page()
             return
         network = self.worker.network
         t0 = self.worker.env.now
         yield from network.rpc_delay()
-        yield from disk.read_page(priority)
-        yield from network.transfer(
-            host.port, self.worker.port, specs.PAGE_BYTES, priority
-        )
+        yield from disk.read_page()
+        yield from network.transfer(host.port, self.worker.port,
+                                    specs.PAGE_BYTES)
         if breakdown is not None:
             # The disk share is charged by the caller; attribute the
             # whole remote detour here as network time minus disk time
             # is not separable cheaply — call it network.
             breakdown.add("network_io", self.worker.env.now - t0)
 
-    def write(self, breakdown: CostBreakdown | None, priority: int):
+    def write(self, breakdown: CostBreakdown | None):
         host, disk = self._locate()
         if host is self.worker:
-            yield from disk.write_page(priority)
+            yield from disk.write_page()
             return
         network = self.worker.network
         t0 = self.worker.env.now
-        yield from network.transfer(
-            self.worker.port, host.port, specs.PAGE_BYTES, priority
-        )
-        yield from disk.write_page(priority)
+        yield from network.transfer(self.worker.port, host.port,
+                                    specs.PAGE_BYTES)
+        yield from disk.write_page()
         if breakdown is not None:
             breakdown.add("network_io", self.worker.env.now - t0)
 
@@ -208,26 +206,23 @@ class WorkerNode:
                 self.disk_space.evict(segment)
             except KeyError:
                 pass
-            for page in segment.pages:
-                frame = self.buffer._frames.get(page.page_id)
-                if frame is not None and frame.pins > 0:
-                    # A reader died mid-pin; the frame ages out, but its
-                    # extent is gone so it must never be written back.
-                    frame.dirty = False
-                else:
-                    self.buffer.discard(page.page_id)
-                self._page_segment.pop(page.page_id, None)
+            self._forget_pages(segment)
         return partition
 
     def unhost_segment(self, segment: Segment) -> None:
         self.disk_space.evict(segment)
         self.directory.unregister(segment.segment_id)
+        self._forget_pages(segment)
+
+    def _forget_pages(self, segment: Segment) -> None:
+        """Drop the buffered pages of a segment whose extent just left
+        this node for good."""
         for page in segment.pages:
             frame = self.buffer._frames.get(page.page_id)
             if frame is not None and frame.pins > 0:
-                # A reader still holds the page; the frame ages out of
-                # the pool naturally.  Its backing extent is gone, so it
-                # must never be written back.
+                # A reader still holds the page (or died mid-pin); the
+                # frame ages out of the pool naturally.  Its backing
+                # extent is gone, so it must never be written back.
                 frame.dirty = False
             else:
                 self.buffer.discard(page.page_id)
@@ -241,11 +236,10 @@ class WorkerNode:
             raise KeyError(f"node {self.node_id}: unknown page {page_id}")
         return _SegmentPageIO(self, segment_id)
 
-    def fetch_page(self, page: Page, breakdown: CostBreakdown | None = None,
-                   priority: int = 0):
+    def fetch_page(self, page: Page, breakdown: CostBreakdown | None = None):
         """Generator: pin ``page`` through this node's buffer pool."""
         self._page_segment[page.page_id] = page.segment_id
-        yield from self.buffer.fetch(page.page_id, breakdown, priority)
+        yield from self.buffer.fetch(page.page_id, breakdown)
 
     def unpin_page(self, page: Page, dirty: bool = False) -> None:
         self.buffer.unpin(page.page_id, dirty)
@@ -276,33 +270,32 @@ class WorkerNode:
             raise SegmentMovedError(target.segment_id, target.target_node_id)
         return target
 
-    def serve_replica_read(self, priority: int = 0):
+    def serve_replica_read(self):
         """Generator: answer one point read from a replica's row state
         hosted on this node (an index probe into the in-memory map —
         no data disk touched, which is the read tier's whole case)."""
-        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP, priority)
+        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         self.replica_reads_served += 1
 
-    def serve_replica_range(self, entries: int, priority: int = 0):
+    def serve_replica_range(self, entries: int):
         """Generator: answer a range read of ``entries`` rows from a
         replica's row state hosted on this node."""
         yield from self.cpu.execute(
-            max(entries, 1) * specs.CPU_INDEX_SECONDS_PER_OP, priority
+            max(entries, 1) * specs.CPU_INDEX_SECONDS_PER_OP
         )
         self.replica_reads_served += 1
 
     def read_record(self, partition: "Partition", key: typing.Any,
-                    txn: Transaction, breakdown: CostBreakdown | None = None,
-                    cc: str = "mvcc", priority: int = 0):
+                    txn: Transaction):
         """Generator: point read; returns the row tuple or None."""
         segment = self._resolve_segment(partition, key)
-        if cc == "locking":
+        if txn.cc == "locking":
             yield from self.txns.locks.lock_record(
                 txn.txn_id, partition.table.name, partition.partition_id,
-                key, LockMode.S, breakdown,
+                key, LockMode.S, txn.breakdown,
             )
         t0 = self.env.now
-        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP, priority)
+        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         result = None
         found = None
         pinned: list[int] = []
@@ -310,9 +303,9 @@ class WorkerNode:
             for page_no, _slot, version in segment.versions_for(key):
                 page = segment.pages[page_no]
                 if page.page_id not in pinned:
-                    yield from self.fetch_page(page, breakdown, priority)
+                    yield from self.fetch_page(page, txn.breakdown)
                     pinned.append(page.page_id)
-                if self._version_readable(version, txn, cc):
+                if self._version_readable(version, txn):
                     result = version.values
                     found = version
                     break
@@ -330,20 +323,16 @@ class WorkerNode:
 
     def read_range(self, partition: "Partition", lo: typing.Any,
                    hi: typing.Any, txn: Transaction,
-                   breakdown: CostBreakdown | None = None,
-                   cc: str = "mvcc", priority: int = 0,
                    limit: int | None = None):
         """Generator: key-ordered range read ``[lo, hi)`` with segment
         pruning; returns the row list."""
-        from repro.index.partition_tree import KeyRange
-
         key_range = KeyRange(lo, hi)
-        if cc == "locking":
+        if txn.cc == "locking":
             # Range reads take a partition-level S lock (simple range
             # protection under MGL).
             yield from self.txns.locks.lock_partition(
                 txn.txn_id, partition.table.name, partition.partition_id,
-                LockMode.S, breakdown,
+                LockMode.S, txn.breakdown,
             )
         rows: list[tuple] = []
         pages_touched = 0
@@ -354,7 +343,7 @@ class WorkerNode:
                 # Moved segments are read on their new node — the master
                 # visits every candidate during a move and merges.
                 continue
-            yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP, priority)
+            yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
             for _key, chain in target.index_scan(lo=lo, hi=hi):
                 pinned: list[int] = []
                 try:
@@ -363,10 +352,10 @@ class WorkerNode:
                     ):
                         page = target.pages[page_no]
                         if page.page_id not in pinned:
-                            yield from self.fetch_page(page, breakdown, priority)
+                            yield from self.fetch_page(page, txn.breakdown)
                             pinned.append(page.page_id)
                             pages_touched += 1
-                        if self._version_readable(version, txn, cc):
+                        if self._version_readable(version, txn):
                             rows.append(version.values)
                             break
                 finally:
@@ -381,8 +370,8 @@ class WorkerNode:
         return rows if limit is None else rows[:limit]
 
     @staticmethod
-    def _version_readable(version: RecordVersion, txn: Transaction, cc: str) -> bool:
-        if cc == "mvcc":
+    def _version_readable(version: RecordVersion, txn: Transaction) -> bool:
+        if txn.cc == "mvcc":
             return mvcc.is_visible(version, txn)
         # Locking: read the newest committed version (plus own writes).
         # Uncommitted delete-marks from the migration's system
@@ -397,25 +386,24 @@ class WorkerNode:
         return created_ok and not deleted
 
     def insert_record(self, partition: "Partition", values: typing.Sequence,
-                      txn: Transaction, breakdown: CostBreakdown | None = None,
-                      cc: str = "mvcc", priority: int = 0,
-                      announce: bool = True):
+                      txn: Transaction, announce: bool = True):
         """Generator: transactional insert; returns the record key."""
+        txn.require_writable()
         schema = partition.schema
         version = RecordVersion.make(schema, values, txn.txn_id)
         t0 = self.env.now
         if announce:
-            yield from self._announce_write(partition, txn, breakdown)
+            yield from self._announce_write(partition, txn)
         target = partition.ensure_segment_for(version.key)
         if isinstance(target, Forwarding):
             raise SegmentMovedError(target.segment_id, target.target_node_id)
         self.ensure_hosted(target)
-        if cc == "locking":
+        if txn.cc == "locking":
             yield from self.txns.locks.lock_record(
                 txn.txn_id, partition.table.name, partition.partition_id,
-                version.key, LockMode.X, breakdown,
+                version.key, LockMode.X, txn.breakdown,
             )
-        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP, priority)
+        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         try:
             location = mvcc.insert(target, version, txn)
         except SegmentFullError:
@@ -424,8 +412,8 @@ class WorkerNode:
             # The split may have routed our key to either half.
             target = partition.segment_for(version.key)
             location = mvcc.insert(target, version, txn)
-        yield from self._dirty_page(target, location[0], breakdown, priority)
-        yield from self._maintain_secondary(partition, version.values, priority)
+        yield from self._dirty_page(target, location[0], txn)
+        yield from self._maintain_secondary(partition, version.values)
         self._log_write(txn, "insert", partition, version)
         self.note_partition_pages(partition.partition_id, 1)
         history = self.txns.history
@@ -437,20 +425,19 @@ class WorkerNode:
 
     def update_record(self, partition: "Partition", key: typing.Any,
                       values: typing.Sequence, txn: Transaction,
-                      breakdown: CostBreakdown | None = None,
-                      cc: str = "mvcc", priority: int = 0,
                       announce: bool = True):
         """Generator: transactional update (new version chained)."""
+        txn.require_writable()
         t0 = self.env.now
         if announce:
-            yield from self._announce_write(partition, txn, breakdown)
+            yield from self._announce_write(partition, txn)
         segment = self._resolve_segment(partition, key)
-        if cc == "locking":
+        if txn.cc == "locking":
             yield from self.txns.locks.lock_record(
                 txn.txn_id, partition.table.name, partition.partition_id,
-                key, LockMode.X, breakdown,
+                key, LockMode.X, txn.breakdown,
             )
-        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP, priority)
+        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         version = RecordVersion.make(partition.schema, values, txn.txn_id)
         if version.key != key:
             raise ValueError(
@@ -460,13 +447,13 @@ class WorkerNode:
         prev = (mvcc.visible_version(segment, key, txn)
                 if history is not None else None)
         location = mvcc.update(segment, key, version, txn)
-        yield from self._dirty_page(segment, location[0], breakdown, priority)
-        yield from self._maintain_secondary(partition, version.values, priority)
+        yield from self._dirty_page(segment, location[0], txn)
+        yield from self._maintain_secondary(partition, version.values)
         self._log_write(txn, "update", partition, version)
         if history is not None:
             history.record_write(txn, "update", partition.table.name, key,
                                  version.values, prev, t0, self.env.now)
-        if cc == "locking":
+        if txn.cc == "locking":
             # In-place updates must log the before-image for UNDO;
             # under MVCC the superseded version itself serves that role.
             self.wal.append(
@@ -476,27 +463,26 @@ class WorkerNode:
         self.note_partition_pages(partition.partition_id, 1)
 
     def delete_record(self, partition: "Partition", key: typing.Any,
-                      txn: Transaction, breakdown: CostBreakdown | None = None,
-                      cc: str = "mvcc", priority: int = 0,
-                      announce: bool = True):
+                      txn: Transaction, announce: bool = True):
         """Generator: transactional delete (delete-mark)."""
+        txn.require_writable()
         t0 = self.env.now
         if announce:
-            yield from self._announce_write(partition, txn, breakdown)
+            yield from self._announce_write(partition, txn)
         segment = self._resolve_segment(partition, key)
-        if cc == "locking":
+        if txn.cc == "locking":
             yield from self.txns.locks.lock_record(
                 txn.txn_id, partition.table.name, partition.partition_id,
-                key, LockMode.X, breakdown,
+                key, LockMode.X, txn.breakdown,
             )
-        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP, priority)
+        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         history = self.txns.history
         prev = (mvcc.visible_version(segment, key, txn)
                 if history is not None else None)
         mvcc.delete(segment, key, txn)
         chain = segment.versions_for(key)
         if chain:
-            yield from self._dirty_page(segment, chain[0][0], breakdown, priority)
+            yield from self._dirty_page(segment, chain[0][0], txn)
         self._log_write(txn, "delete", partition, key_only=key)
         self.note_partition_pages(partition.partition_id, 1)
         if history is not None:
@@ -504,20 +490,17 @@ class WorkerNode:
                                  None, prev, t0, self.env.now)
 
     def _maintain_secondary(self, partition: "Partition",
-                            values: typing.Sequence, priority: int):
+                            values: typing.Sequence):
         """Generator: update the partition's secondary indexes."""
         if not partition.secondary_indexes:
             return
         partition.index_row(values)
         yield from self.cpu.execute(
             len(partition.secondary_indexes) * specs.CPU_INDEX_SECONDS_PER_OP,
-            priority,
         )
 
     def read_by_secondary(self, partition: "Partition", index_name: str,
-                          secondary_key: typing.Any, txn: Transaction,
-                          breakdown: CostBreakdown | None = None,
-                          cc: str = "mvcc", priority: int = 0):
+                          secondary_key: typing.Any, txn: Transaction):
         """Generator: fetch the visible rows matching ``secondary_key``.
 
         Candidates from the index are re-read through the primary path;
@@ -530,22 +513,19 @@ class WorkerNode:
                 f"partition {partition.partition_id} has no index "
                 f"{index_name!r}"
             )
-        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP, priority)
+        yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         rows = []
         wanted = secondary_key if isinstance(secondary_key, tuple) \
             else (secondary_key,)
         for pk in index.candidates(secondary_key):
-            row = yield from self.read_record(
-                partition, pk, txn, breakdown, cc, priority
-            )
+            row = yield from self.read_record(partition, pk, txn)
             if row is None:
                 continue
             if index.secondary_key_of(row) == wanted:
                 rows.append(row)
         return rows
 
-    def _announce_write(self, partition: "Partition", txn: Transaction,
-                        breakdown: CostBreakdown | None):
+    def _announce_write(self, partition: "Partition", txn: Transaction):
         """Generator: partition-granule write intent (IX), under either
         CC scheme.
 
@@ -557,13 +537,12 @@ class WorkerNode:
         """
         yield from self.txns.locks.lock_partition(
             txn.txn_id, partition.table.name, partition.partition_id,
-            LockMode.IX, breakdown,
+            LockMode.IX, txn.breakdown,
         )
 
-    def _dirty_page(self, segment: Segment, page_no: int,
-                    breakdown: CostBreakdown | None, priority: int):
+    def _dirty_page(self, segment: Segment, page_no: int, txn: Transaction):
         page = segment.pages[page_no]
-        yield from self.fetch_page(page, breakdown, priority)
+        yield from self.fetch_page(page, txn.breakdown)
         self.unpin_page(page, dirty=True)
 
     def _log_write(self, txn: Transaction, kind: str, partition: "Partition",
@@ -581,12 +560,8 @@ class WorkerNode:
 
     # -- bulk segment I/O (used by the migration engine) ----------------------
 
-    def write_segment(self, segment: Segment, breakdown: CostBreakdown | None = None,
-                      priority: int = 0):
+    def write_segment(self, segment: Segment):
         """Generator: sequential write of a whole segment extent."""
         disk = self.disk_space.disk_of(segment.segment_id)
-        t0 = self.env.now
         nbytes = max(segment.used_bytes, specs.PAGE_BYTES)
-        yield from disk.write(nbytes, sequential=False, priority=priority)
-        if breakdown is not None:
-            breakdown.add("disk_io", self.env.now - t0)
+        yield from disk.write(nbytes, sequential=False)

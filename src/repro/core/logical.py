@@ -26,7 +26,6 @@ from repro.core.schemes import MoveReport, PartitioningScheme, split_key_at_frac
 from repro.hardware import specs
 from repro.index.global_table import PartitionLocation
 from repro.index.partition_tree import Forwarding, KeyRange
-from repro.metrics.breakdown import CostBreakdown
 from repro.storage.segment import SegmentFullError
 from repro.txn import LockTimeoutError, TransactionAborted, TxnState
 
@@ -49,8 +48,8 @@ class LogicalPartitioning(PartitioningScheme):
     """Delete-and-reinsert record movement between partitions.
 
     ``pace_delay`` throttles the mover (seconds of idle between
-    batches).  A paced move models a bulk reorganisation running at
-    background priority — or simply a far larger database — without
+    batches).  A paced move models a bulk reorganisation running in
+    the background — or simply a far larger database — without
     simulating every one of its bytes; experiments that study behaviour
     *while* a move is in flight (the paper's Fig. 3) use it to pin the
     move's duration.
@@ -66,9 +65,7 @@ class LogicalPartitioning(PartitioningScheme):
 
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange,
-                   breakdown: CostBreakdown | None = None,
-                   cc: str = "mvcc", priority: int = 0):
+                   key_range: KeyRange, cc: str = "mvcc"):
         env = cluster.env
         table = partition.table.name
         report = MoveReport(
@@ -85,18 +82,18 @@ class LogicalPartitioning(PartitioningScheme):
         # the move's duration: writers queue as "a list of pending
         # changes, which have to be applied to the data after their move
         # is finished" (Sect. 3.5); readers keep flowing.  The batches
-        # themselves then need no record locks.
+        # themselves then need no record locks: under either discipline
+        # they run as MVCC system transactions, and the delete-marked
+        # source versions go when ``_reclaim_source`` vacuums.
         guard = None
-        batch_cc = cc
         if cc == "locking":
             from repro.txn import LockMode
 
             guard = cluster.txns.begin(is_system=True)
             yield from cluster.txns.locks.lock_partition(
                 guard.txn_id, table, partition.partition_id,
-                LockMode.S, breakdown, timeout=GUARD_LOCK_TIMEOUT,
+                LockMode.S, timeout=GUARD_LOCK_TIMEOUT,
             )
-            batch_cc = "mvcc"
 
         try:
             # Sweep until a pass finds nothing (records inserted
@@ -107,8 +104,7 @@ class LogicalPartitioning(PartitioningScheme):
             while True:
                 moved_this_sweep = yield from self._sweep(
                     cluster, partition, target_partition, source, target,
-                    key_range, report, breakdown, batch_cc, priority,
-                    announce,
+                    key_range, report, announce,
                 )
                 if moved_this_sweep == 0:
                     break
@@ -118,7 +114,7 @@ class LogicalPartitioning(PartitioningScheme):
 
         # Reclaim the source-side space: old versions, empty segments.
         yield from self._reclaim_source(cluster, partition, source,
-                                        key_range, priority)
+                                        key_range)
         cluster.master.gpt.finish_move(table, target_partition.partition_id)
         report.finished_at = env.now
         return report
@@ -144,8 +140,7 @@ class LogicalPartitioning(PartitioningScheme):
     def _sweep(self, cluster: "Cluster", partition: "Partition",
                target_partition: "Partition", source: "WorkerNode",
                target: "WorkerNode", key_range: KeyRange,
-               report: MoveReport, breakdown: CostBreakdown | None,
-               cc: str, priority: int, announce: bool = True):
+               report: MoveReport, announce: bool = True):
         """Generator: one full pass over the range; returns #moved.
 
         Batch size adapts AIMD-style: conflicts against concurrent
@@ -164,7 +159,7 @@ class LogicalPartitioning(PartitioningScheme):
                 return moved
             done = yield from self._move_batch(
                 cluster, partition, target_partition, source, target,
-                batch, dead, report, breakdown, cc, priority, announce,
+                batch, dead, report, announce,
             )
             if done is None:
                 report.conflicts += 1
@@ -186,8 +181,7 @@ class LogicalPartitioning(PartitioningScheme):
     def _move_batch(self, cluster: "Cluster", partition: "Partition",
                     target_partition: "Partition", source: "WorkerNode",
                     target: "WorkerNode", batch: list, dead: set,
-                    report: MoveReport, breakdown: CostBreakdown | None,
-                    cc: str, priority: int, announce: bool = True):
+                    report: MoveReport, announce: bool = True):
         """Generator: move one batch in a system transaction; returns
         the number of records moved, or None on a conflict abort.
 
@@ -204,21 +198,18 @@ class LogicalPartitioning(PartitioningScheme):
         from repro.storage.record import RecordVersion
         from repro.txn import mvcc
 
-        env = cluster.env
         txns = cluster.txns
         mover = txns.begin(is_system=True)
         shipped_bytes = 0
         moved = 0
         try:
             if announce:
-                yield from source._announce_write(partition, mover, breakdown)
-                yield from target._announce_write(target_partition, mover,
-                                                  breakdown)
+                yield from source._announce_write(partition, mover)
+                yield from target._announce_write(target_partition, mover)
             # Clustered read of every page the batch touches.
-            yield from self._bulk_read(cluster, partition, source, batch,
-                                       breakdown, priority)
+            yield from self._bulk_read(partition, source, batch)
             yield from source.cpu.execute(
-                len(batch) * specs.CPU_INDEX_SECONDS_PER_OP, priority
+                len(batch) * specs.CPU_INDEX_SECONDS_PER_OP
             )
             inserted_pages: set[int] = set()
             for key in batch:
@@ -259,19 +250,13 @@ class LogicalPartitioning(PartitioningScheme):
                 shipped_bytes += version.size_bytes
                 moved += 1
             if shipped_bytes:
-                t0 = env.now
                 yield from cluster.network.transfer(
-                    source.port, target.port, shipped_bytes, priority
+                    source.port, target.port, shipped_bytes
                 )
-                if breakdown is not None:
-                    breakdown.add("network_io", env.now - t0)
                 # Bulk append on the receiving disk.
                 yield from self._bulk_write(target, target_partition,
-                                            inserted_pages, shipped_bytes,
-                                            priority)
-            yield from txns.commit(
-                mover, breakdown, priority, immediate_gc=(cc == "locking")
-            )
+                                            inserted_pages, shipped_bytes)
+            yield from txns.commit(mover)
             report.records_moved += moved
             report.bytes_copied += shipped_bytes
             return moved
@@ -283,9 +268,8 @@ class LogicalPartitioning(PartitioningScheme):
             raise
 
     @staticmethod
-    def _bulk_read(cluster: "Cluster", partition: "Partition",
-                   source: "WorkerNode", batch: list,
-                   breakdown: CostBreakdown | None, priority: int):
+    def _bulk_read(partition: "Partition", source: "WorkerNode",
+                   batch: list):
         """Generator: clustered read of the batch's source pages, one
         access penalty per contiguous sweep."""
         by_disk: dict[int, tuple] = {}
@@ -303,16 +287,13 @@ class LogicalPartitioning(PartitioningScheme):
             by_disk[id(disk)] = (disk,)
         if page_bytes == 0:
             return
-        t0 = cluster.env.now
         for (disk,) in by_disk.values():
             yield from disk.read(page_bytes // max(len(by_disk), 1),
-                                 sequential=False, priority=priority)
-        if breakdown is not None:
-            breakdown.add("disk_io", cluster.env.now - t0)
+                                 sequential=False)
 
     @staticmethod
     def _bulk_write(target: "WorkerNode", target_partition: "Partition",
-                    inserted_pages: set, nbytes: int, priority: int):
+                    inserted_pages: set, nbytes: int):
         """Generator: sequential append of the received records."""
         disks = {
             id(d): d for _sid, d in target.disk_space.placements()
@@ -320,8 +301,7 @@ class LogicalPartitioning(PartitioningScheme):
         if not disks:
             return
         disk = next(iter(disks.values()))
-        yield from disk.write(max(nbytes, 4096), sequential=False,
-                              priority=priority)
+        yield from disk.write(max(nbytes, 4096), sequential=False)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -356,8 +336,7 @@ class LogicalPartitioning(PartitioningScheme):
 
     @staticmethod
     def _reclaim_source(cluster: "Cluster", partition: "Partition",
-                        source: "WorkerNode", key_range: KeyRange,
-                        priority: int):
+                        source: "WorkerNode", key_range: KeyRange):
         """Generator: vacuum moved-out versions and drop empty segments.
 
         Emptied segments are detached from the tree immediately (no new
@@ -376,7 +355,7 @@ class LogicalPartitioning(PartitioningScheme):
             reclaimed = mvcc.vacuum(seg, horizon)
             if reclaimed:
                 yield from source.cpu.execute(
-                    reclaimed * specs.CPU_INDEX_SECONDS_PER_OP, priority
+                    reclaimed * specs.CPU_INDEX_SECONDS_PER_OP
                 )
             if seg.record_count == 0:
                 partition.detach_segment(seg_id)
@@ -402,9 +381,7 @@ class LogicalPartitioning(PartitioningScheme):
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float,
-                         breakdown: CostBreakdown | None = None,
-                         cc: str = "mvcc", priority: int = 0):
+                         fraction: float, cc: str = "mvcc"):
         """Generator: quantile-split fraction move (record-exact —
         logical partitioning is not bound to segment boundaries)."""
         if not targets:
@@ -431,7 +408,7 @@ class LogicalPartitioning(PartitioningScheme):
                     continue
                 report = yield from self.move_range(
                     cluster, partition, source, target,
-                    KeyRange(low, high), breakdown, cc, priority,
+                    KeyRange(low, high), cc,
                 )
                 reports.append(report)
         return reports

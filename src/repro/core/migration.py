@@ -13,7 +13,6 @@ import typing
 
 from repro.hardware import specs
 from repro.hardware.disk import Disk, DiskFailedError
-from repro.metrics.breakdown import CostBreakdown
 from repro.storage.disk_space import OutOfDiskSpaceError
 from repro.storage.segment import Segment
 
@@ -26,9 +25,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 COPY_CHUNK_BYTES = 2 * 1024 * 1024
 
 
-def flush_segment_pages(worker: "WorkerNode", segment: Segment,
-                        breakdown: CostBreakdown | None = None,
-                        priority: int = 0):
+def flush_segment_pages(worker: "WorkerNode", segment: Segment):
     """Generator: write back the segment's dirty buffered pages so the
     on-disk extent is current before it is copied.
 
@@ -41,14 +38,13 @@ def flush_segment_pages(worker: "WorkerNode", segment: Segment,
     for page in segment.pages:
         frame = worker.buffer._frames.get(page.page_id)
         if frame is not None and frame.dirty:
-            yield from worker.buffer._write_back(page.page_id, breakdown, priority)
+            yield from worker.buffer._write_back(page.page_id, None)
             frame.dirty = False
 
 
 def copy_segment_bytes(cluster: "Cluster", segment: Segment,
                        source_disk: Disk, target_disk: Disk,
-                       source: "WorkerNode", target: "WorkerNode",
-                       priority: int = 0):
+                       source: "WorkerNode", target: "WorkerNode"):
     """Generator: stream a segment's bytes source-disk -> wire ->
     target-disk in chunks.  Returns the byte count copied."""
     nbytes = max(segment.used_bytes, specs.PAGE_BYTES)
@@ -56,19 +52,16 @@ def copy_segment_bytes(cluster: "Cluster", segment: Segment,
     first = True
     while remaining > 0:
         chunk = min(remaining, COPY_CHUNK_BYTES)
-        yield from source_disk.read(chunk, sequential=not first, priority=priority)
-        yield from cluster.network.transfer(
-            source.port, target.port, chunk, priority
-        )
-        yield from target_disk.write(chunk, sequential=not first, priority=priority)
+        yield from source_disk.read(chunk, sequential=not first)
+        yield from cluster.network.transfer(source.port, target.port, chunk)
+        yield from target_disk.write(chunk, sequential=not first)
         remaining -= chunk
         first = False
     return nbytes
 
 
 def move_extent_local(cluster: "Cluster", worker: "WorkerNode",
-                      segment: Segment, target_disk: Disk,
-                      priority: int = 0):
+                      segment: Segment, target_disk: Disk):
     """Generator: move a segment's extent between two disks of the SAME
     node — the paper's local balancing step ("utilization among storage
     disks is first locally balanced on each node, before an allocation
@@ -89,16 +82,14 @@ def move_extent_local(cluster: "Cluster", worker: "WorkerNode",
             f"disk {target_disk.name} lacks room for "
             f"segment {segment.segment_id}"
         )
-    yield from flush_segment_pages(worker, segment, None, priority)
+    yield from flush_segment_pages(worker, segment)
     nbytes = max(segment.used_bytes, specs.PAGE_BYTES)
     remaining = nbytes
     first = True
     while remaining > 0:
         chunk = min(remaining, COPY_CHUNK_BYTES)
-        yield from source_disk.read(chunk, sequential=not first,
-                                    priority=priority)
-        yield from target_disk.write(chunk, sequential=not first,
-                                     priority=priority)
+        yield from source_disk.read(chunk, sequential=not first)
+        yield from target_disk.write(chunk, sequential=not first)
         remaining -= chunk
         first = False
     cluster.directory.unregister(segment.segment_id)
@@ -116,7 +107,7 @@ def move_extent_local(cluster: "Cluster", worker: "WorkerNode",
 
 
 def balance_local_disks(cluster: "Cluster", worker: "WorkerNode",
-                        max_moves: int = 8, priority: int = 0):
+                        max_moves: int = 8):
     """Generator: even out extent counts across a node's data disks.
 
     Greedy: repeatedly move one segment from the fullest to the
@@ -154,16 +145,13 @@ def balance_local_disks(cluster: "Cluster", worker: "WorkerNode",
             return moves
         if worker.disk_space.free_bytes(emptiest) < sample.extent_bytes:
             return moves
-        yield from move_extent_local(cluster, worker, sample, emptiest,
-                                     priority)
+        yield from move_extent_local(cluster, worker, sample, emptiest)
         moves += 1
     return moves
 
 
 def transfer_segment_storage(cluster: "Cluster", segment: Segment,
                              source: "WorkerNode", target: "WorkerNode",
-                             breakdown: CostBreakdown | None = None,
-                             priority: int = 0,
                              fence: tuple[str, int] | None = None,
                              range_entry=None):
     """Generator: move a segment's physical extent between nodes.
@@ -182,9 +170,8 @@ def transfer_segment_storage(cluster: "Cluster", segment: Segment,
     Logical ownership is NOT touched — that is each scheme's business.
     Returns the bytes copied.
     """
-    yield from flush_segment_pages(source, segment, breakdown, priority)
+    yield from flush_segment_pages(source, segment)
     entry = yield from cluster.moves.transfer_segment(
-        segment, source, target, breakdown=breakdown, priority=priority,
-        fence=fence, range_entry=range_entry,
+        segment, source, target, fence=fence, range_entry=range_entry,
     )
     return entry.bytes_total

@@ -29,7 +29,6 @@ from repro.core.schemes import (
     segment_chunks,
 )
 from repro.index.partition_tree import KeyRange
-from repro.metrics.breakdown import CostBreakdown
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Partition
@@ -45,9 +44,7 @@ class PhysicalPartitioning(PartitioningScheme):
 
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange,
-                   breakdown: CostBreakdown | None = None,
-                   cc: str = "mvcc", priority: int = 0):
+                   key_range: KeyRange, cc: str = "mvcc"):
         report = MoveReport(
             scheme=self.name, table=partition.table.name,
             source_node=source.node_id, target_node=target.node_id,
@@ -61,15 +58,12 @@ class PhysicalPartitioning(PartitioningScheme):
             # Lightweight latch: queries keep running; only the extent
             # itself is briefly locked by the copy machinery.
             nbytes = yield from transfer_segment_storage(
-                cluster, segment, source, target, breakdown, priority
+                cluster, segment, source, target
             )
             # Drop cached pages on the owner: the physical home changed
             # and the cache must not mask the new remote-access cost
             # for cold data (hot pages get re-cached on demand).
-            for page in segment.pages:
-                frame = source.buffer._frames.get(page.page_id)
-                if frame is not None and frame.pins == 0:
-                    source.buffer.discard(page.page_id)
+            source.buffer.discard_unpinned(p.page_id for p in segment.pages)
             report.segments_moved += 1
             report.bytes_copied += nbytes
             report.records_moved += segment.record_count
@@ -79,9 +73,7 @@ class PhysicalPartitioning(PartitioningScheme):
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float,
-                         breakdown: CostBreakdown | None = None,
-                         cc: str = "mvcc", priority: int = 0):
+                         fraction: float, cc: str = "mvcc"):
         """Generator: ship the top-``fraction`` segments' storage to the
         targets; no catalog change whatsoever (the logical layer stays
         oblivious)."""
@@ -95,7 +87,7 @@ class PhysicalPartitioning(PartitioningScheme):
                 high = chunk[-1][0].high
                 report = yield from self.move_range(
                     cluster, partition, source, target,
-                    KeyRange(low, high), breakdown, cc, priority,
+                    KeyRange(low, high), cc,
                 )
                 reports.append(report)
         return reports

@@ -33,7 +33,6 @@ from repro.core.schemes import (
 from repro.hardware import specs
 from repro.index.global_table import PartitionLocation
 from repro.index.partition_tree import KeyRange
-from repro.metrics.breakdown import CostBreakdown
 from repro.moves import (
     ABORTED,
     COPY,
@@ -105,9 +104,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
 
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange,
-                   breakdown: CostBreakdown | None = None,
-                   cc: str = "mvcc", priority: int = 0):
+                   key_range: KeyRange, cc: str = "mvcc"):
         """Generator: move the segments of ``key_range`` to ``target``.
 
         ``key_range`` must be aligned to segment boundaries (the low
@@ -146,14 +143,12 @@ class PhysiologicalPartitioning(PartitioningScheme):
 
         yield from self._drive_range(
             cluster, partition, target_partition, source, target,
-            key_range, range_entry, report, breakdown, priority,
+            key_range, range_entry, report,
         )
         report.finished_at = env.now
         return report
 
-    def resume_range_move(self, cluster: "Cluster", entry: RangeMoveEntry,
-                          breakdown: CostBreakdown | None = None,
-                          priority: int = 0):
+    def resume_range_move(self, cluster: "Cluster", entry: RangeMoveEntry):
         """Generator: re-drive a suspended range move from its journal
         entry (coordinator restarted, or a transient fault aborted the
         previous drive after some segments had switched).
@@ -179,7 +174,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
         )
         yield from self._drive_range(
             cluster, partition, target_partition, source, target,
-            key_range, entry, report, breakdown, priority,
+            key_range, entry, report,
         )
         report.finished_at = cluster.env.now
         return report
@@ -187,9 +182,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
     def _drive_range(self, cluster: "Cluster", partition: "Partition",
                      target_partition: "Partition", source: "WorkerNode",
                      target: "WorkerNode", key_range: KeyRange,
-                     range_entry: RangeMoveEntry, report: MoveReport,
-                     breakdown: CostBreakdown | None = None,
-                     priority: int = 0):
+                     range_entry: RangeMoveEntry, report: MoveReport):
         """Generator: steps 2..6 — per segment: drain writers, stream,
         splice — then close the move (finish_move + journal DONE).
 
@@ -231,13 +224,13 @@ class PhysiologicalPartitioning(PartitioningScheme):
             try:
                 yield from txns.locks.lock_partition(
                     mover.txn_id, table, partition.partition_id,
-                    LockMode.S, breakdown, timeout=WRITER_DRAIN_TIMEOUT,
+                    LockMode.S, timeout=WRITER_DRAIN_TIMEOUT,
                 )
                 seg_range = partition.tree.range_of(segment.segment_id)
                 if source.disk_space.holds(segment.segment_id):
                     nbytes = yield from transfer_segment_storage(
-                        cluster, segment, source, target, breakdown,
-                        priority, fence=fence, range_entry=range_entry,
+                        cluster, segment, source, target,
+                        fence=fence, range_entry=range_entry,
                     )
                 else:
                     nbytes = 0  # empty segment: pure metadata handover
@@ -246,21 +239,17 @@ class PhysiologicalPartitioning(PartitioningScheme):
                 if nbytes:
                     partition.tree.attach(segment.segment_id, seg_range, None)
                     partition.tree.forward(segment.segment_id, target.node_id)
-                for page in segment.pages:
-                    frame = source.buffer._frames.get(page.page_id)
-                    if frame is not None and frame.pins == 0:
-                        source.buffer.discard(page.page_id)
+                source.buffer.discard_unpinned(
+                    p.page_id for p in segment.pages)
                 # Target: splice into the top index — the cheap update
                 # that makes this scheme fast.
-                yield from target.cpu.execute(
-                    specs.CPU_INDEX_SECONDS_PER_OP, priority
-                )
+                yield from target.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
                 target_partition.attach_segment(segment, seg_range)
                 # The move acts as a checkpoint on the source log.
                 source.wal.checkpoint(
                     payload=("segment-moved", segment.segment_id, target.node_id)
                 )
-                yield from txns.commit(mover, breakdown, priority)
+                yield from txns.commit(mover)
             except (MoveFailedError, LockTimeoutError) as exc:
                 txns.abort_if_active(mover)
                 if not isinstance(exc, MoveFailedError):
@@ -401,9 +390,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float,
-                         breakdown: CostBreakdown | None = None,
-                         cc: str = "mvcc", priority: int = 0):
+                         fraction: float, cc: str = "mvcc"):
         """Generator: segment-aligned fraction move.
 
         Chunks are processed from the top of the key space downwards so
@@ -421,7 +408,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
                 try:
                     report = yield from self.move_range(
                         cluster, partition, source, target,
-                        KeyRange(low, high), breakdown, cc, priority,
+                        KeyRange(low, high), cc,
                     )
                 except MoveFailedError as exc:
                     # Completed chunks stay moved; the failed chunk was

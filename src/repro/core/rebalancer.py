@@ -15,7 +15,6 @@ from __future__ import annotations
 import typing
 
 from repro.core.schemes import MoveReport, PartitioningScheme
-from repro.metrics.breakdown import CostBreakdown
 from repro.moves import MoveFailedError
 from repro.storage.buffer import RemoteBufferExtension
 from repro.txn.wal import LogShippingSink
@@ -101,10 +100,7 @@ class Rebalancer:
                   source_ids: typing.Sequence[int],
                   target_ids: typing.Sequence[int],
                   fraction: float = 0.5,
-                  breakdown: CostBreakdown | None = None,
-                  cc: str = "mvcc",
-                  helpers: typing.Sequence[int] = (),
-                  priority: int = 0):
+                  helpers: typing.Sequence[int] = ()):
         """Generator: the Fig. 6/8 protocol — power up targets (and
         optional helpers), migrate ``fraction`` of each table from the
         sources, then stand the helpers down."""
@@ -123,7 +119,6 @@ class Rebalancer:
                     try:
                         reports = yield from self.scheme.migrate_fraction(
                             self.cluster, table, source, targets, fraction,
-                            breakdown, cc, priority,
                         )
                     except MoveFailedError as exc:
                         # The mover rolled back (or suspended) the
@@ -144,10 +139,7 @@ class Rebalancer:
         return self.reports
 
     def scale_in(self, tables: str | typing.Sequence[str], victim_id: int,
-                 receiver_id: int,
-                 breakdown: CostBreakdown | None = None,
-                 cc: str = "mvcc", priority: int = 0,
-                 power_off: bool = True):
+                 receiver_id: int, power_off: bool = True):
         """Generator: quiesce ``victim`` — move all its partitions of
         ``tables`` to ``receiver`` and (optionally) power it off.
 
@@ -164,7 +156,6 @@ class Rebalancer:
             try:
                 reports = yield from self.scheme.migrate_fraction(
                     self.cluster, table, victim, [receiver], 1.0,
-                    breakdown, cc, priority,
                 )
             except MoveFailedError as exc:
                 # Quiescing is best-effort under faults: the victim
@@ -182,12 +173,10 @@ class Rebalancer:
         self.scale_in_count += 1
         return all_reports
 
-    def resume_interrupted(self, priority: int = 0):
+    def resume_interrupted(self):
         """Generator: re-drive every suspended range move in the move
         journal whose endpoints serve again (crash-recovery for the
         repartitioning itself).  Returns the resumed reports."""
-        resumed = yield from self.cluster.moves.resume_open_range_moves(
-            priority
-        )
+        resumed = yield from self.cluster.moves.resume_open_range_moves()
         self.reports.extend(resumed)
         return resumed

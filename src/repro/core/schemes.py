@@ -15,7 +15,6 @@ import dataclasses
 import typing
 
 from repro.index.partition_tree import KeyRange
-from repro.metrics.breakdown import CostBreakdown
 from repro.storage.segment import Segment
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -144,21 +143,25 @@ class PartitioningScheme(abc.ABC):
     @abc.abstractmethod
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange,
-                   breakdown: CostBreakdown | None = None,
-                   cc: str = "mvcc", priority: int = 0):
+                   key_range: KeyRange, cc: str = "mvcc"):
         """Generator: move ``key_range`` of ``partition`` from
-        ``source`` to ``target``; returns a :class:`MoveReport`."""
+        ``source`` to ``target``; returns a :class:`MoveReport`.
+
+        ``cc`` is the discipline the clients run under: under
+        ``"locking"`` the record mover (logical) write-protects the
+        partition with an S guard for the whole move; the segment
+        shippers ignore it.  A move is background work on behalf of no
+        client query, so it has no Fig. 7 accumulator to charge.
+        """
 
     @abc.abstractmethod
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float,
-                         breakdown: CostBreakdown | None = None,
-                         cc: str = "mvcc", priority: int = 0):
+                         fraction: float, cc: str = "mvcc"):
         """Generator: move the top ``fraction`` of each of ``source``'s
-        partitions of ``table``, split across ``targets``.
+        partitions of ``table``, split across ``targets`` (``cc`` as in
+        :meth:`move_range`).
 
         This is the Fig. 6 driver ("migrate 50% of the records to two
         additional nodes").  Returns the list of move reports.

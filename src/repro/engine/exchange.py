@@ -62,17 +62,17 @@ class RemoteExchange(Operator):
 
         n = len(vector)
         yield from self.producer_cpu.execute(
-            n * specs.CPU_SERIALIZE_SECONDS_PER_RECORD, self.ctx.priority
+            n * specs.CPU_SERIALIZE_SECONDS_PER_RECORD
         )
         payload = self.vector_bytes(vector) + MESSAGE_OVERHEAD_BYTES
         t0 = self.ctx.env.now
         yield from self.network.transfer(
-            self.producer_port, self.consumer_port, payload, self.ctx.priority
+            self.producer_port, self.consumer_port, payload
         )
         self.ctx.charge("network_io", self.ctx.env.now - t0)
         self.bytes_shipped += payload
         yield from self.consumer_cpu.execute(
-            n * specs.CPU_SERIALIZE_SECONDS_PER_RECORD, self.ctx.priority
+            n * specs.CPU_SERIALIZE_SECONDS_PER_RECORD
         )
         return vector
 

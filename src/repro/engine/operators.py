@@ -70,9 +70,7 @@ class TableScan(Operator):
             page = next(self._iter, None)
             if page is None:
                 break
-            yield from self.worker.fetch_page(
-                page, self.ctx.breakdown, self.ctx.priority
-            )
+            yield from self.worker.fetch_page(page, self.ctx.breakdown)
             try:
                 for _slot, version in page.versions():
                     if _version_visible(version, self.ctx):
@@ -86,7 +84,7 @@ class TableScan(Operator):
         rows = self._pending[:self.ctx.vector_size]
         del self._pending[:len(rows)]
         yield from self.worker.cpu.execute(
-            len(rows) * specs.CPU_SCAN_SECONDS_PER_RECORD, self.ctx.priority
+            len(rows) * specs.CPU_SCAN_SECONDS_PER_RECORD
         )
         self.rows_produced += len(rows)
         return rows
@@ -112,18 +110,14 @@ class IndexLookup(Operator):
             return None
         if isinstance(target, Forwarding):
             raise SegmentMovedError(target.segment_id, target.target_node_id)
-        yield from self.worker.cpu.execute(
-            specs.CPU_INDEX_SECONDS_PER_OP, self.ctx.priority
-        )
+        yield from self.worker.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         fetched: set[int] = set()
         row = None
         try:
             for page_no, _slot, version in target.versions_for(self.key):
                 page = target.pages[page_no]
                 if page.page_id not in fetched:
-                    yield from self.worker.fetch_page(
-                        page, self.ctx.breakdown, self.ctx.priority
-                    )
+                    yield from self.worker.fetch_page(page, self.ctx.breakdown)
                     fetched.add(page.page_id)
                 if _version_visible(version, self.ctx):
                     row = version.values
@@ -191,7 +185,7 @@ class RangeIndexScan(Operator):
                     page = segment.pages[page_no]
                     if page.page_id not in pinned:
                         yield from self.worker.fetch_page(
-                            page, self.ctx.breakdown, self.ctx.priority
+                            page, self.ctx.breakdown
                         )
                         pinned.add(page.page_id)
                         fetched_pages += 1
@@ -210,7 +204,7 @@ class RangeIndexScan(Operator):
         rows = self._pending[:self.ctx.vector_size]
         del self._pending[:len(rows)]
         yield from self.worker.cpu.execute(
-            len(rows) * specs.CPU_INDEX_SECONDS_PER_OP, self.ctx.priority
+            len(rows) * specs.CPU_INDEX_SECONDS_PER_OP
         )
         return rows
 
@@ -239,7 +233,7 @@ class Project(Operator):
         if vector is None:
             return None
         yield from self.cpu.execute(
-            len(vector) * specs.CPU_PROJECT_SECONDS_PER_RECORD, self.ctx.priority
+            len(vector) * specs.CPU_PROJECT_SECONDS_PER_RECORD
         )
         return [tuple(row[i] for i in self._indexes) for row in vector]
 
@@ -268,7 +262,7 @@ class Filter(Operator):
             if vector is None:
                 return None
             yield from self.cpu.execute(
-                len(vector) * specs.CPU_FILTER_SECONDS_PER_RECORD, self.ctx.priority
+                len(vector) * specs.CPU_FILTER_SECONDS_PER_RECORD
             )
             kept = [row for row in vector if self.predicate(row)]
             if kept:
@@ -340,7 +334,6 @@ class Sort(Operator):
 
             yield from self.cpu.execute(
                 n * math.log2(n) * specs.CPU_SORT_SECONDS_PER_RECORD_LOG,
-                self.ctx.priority,
             )
         flat.sort(
             key=lambda row: tuple(row[i] for i in self._key_indexes),
@@ -415,7 +408,7 @@ class GroupAggregate(Operator):
                                              None if idx is None else row[idx])
         if total:
             yield from self.cpu.execute(
-                total * specs.CPU_GROUP_SECONDS_PER_RECORD, self.ctx.priority
+                total * specs.CPU_GROUP_SECONDS_PER_RECORD
             )
         self._result = [
             key + tuple(self._final(func, s)
@@ -498,7 +491,6 @@ class HashJoin(Operator):
                 break
             yield from self.cpu.execute(
                 len(vector) * specs.CPU_GROUP_SECONDS_PER_RECORD,
-                self.ctx.priority,
             )
             for row in vector:
                 key = tuple(row[i] for i in self._right_idx)
@@ -515,7 +507,6 @@ class HashJoin(Operator):
                 return None
             yield from self.cpu.execute(
                 len(vector) * specs.CPU_FILTER_SECONDS_PER_RECORD,
-                self.ctx.priority,
             )
             self.probe_rows += len(vector)
             out = []
@@ -561,7 +552,6 @@ class NestedLoopJoin(Operator):
             if comparisons:
                 yield from self.cpu.execute(
                     comparisons * specs.CPU_FILTER_SECONDS_PER_RECORD,
-                    self.ctx.priority,
                 )
             out = [
                 l + r for l in vector for r in self._build if self.predicate(l, r)

@@ -28,7 +28,6 @@ class ExecContext:
     txn: "Transaction | None" = None
     breakdown: CostBreakdown | None = None
     vector_size: int = 1
-    priority: int = 0
 
     def charge(self, component: str, seconds: float) -> None:
         if self.breakdown is not None:

@@ -141,20 +141,16 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
 
     def client():
         while not move_done.triggered:
-            txn = cluster.txns.begin()
+            txn = cluster.txns.begin(cc=cc)
             key = rng.randrange(config.rows)
             try:
                 if rng.random() < update_ratio:
-                    row = yield from master.read("acct", key, txn, cc=cc)
+                    row = yield from master.read("acct", key, txn)
                     if row is not None:
-                        yield from master.update(
-                            "acct", key, (key, ""), txn, cc=cc
-                        )
+                        yield from master.update("acct", key, (key, ""), txn)
                 else:
-                    yield from master.read("acct", key, txn, cc=cc)
-                yield from cluster.txns.commit(
-                    txn, immediate_gc=(cc == "locking")
-                )
+                    yield from master.read("acct", key, txn)
+                yield from cluster.txns.commit(txn)
                 completed[0] += 1
             except (TransactionAborted, LockTimeoutError, LookupError):
                 cluster.txns.abort_if_active(txn)

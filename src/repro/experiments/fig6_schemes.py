@@ -67,7 +67,6 @@ class Fig6Config:
     ))
     clients: int = 6
     client_interval: float = 0.4
-    cc: str = "mvcc"
 
     # Ballast: the byte volume the migration must ship.
     ballast_rows_per_warehouse: int = 12000
@@ -258,7 +257,7 @@ def run_fig6(scheme: str | PartitioningScheme,
     env, cluster = build_fig6_cluster(config)
     if instrument is not None:
         instrument(env, cluster)
-    ctx = TpccContext(cluster, config.tpcc, cc=config.cc)
+    ctx = TpccContext(cluster, config.tpcc)
     driver = WorkloadDriver(
         cluster, ctx, clients=config.clients,
         client_interval=config.client_interval,
@@ -291,7 +290,7 @@ def run_fig6(scheme: str | PartitioningScheme,
             moves.append(env.process(
                 rebalancer.scale_out(
                     migration_tables(), [source_id], [target_id],
-                    fraction=config.fraction, cc=config.cc,
+                    fraction=config.fraction,
                 ),
                 name=f"migrate-{source_id}->{target_id}",
             ))

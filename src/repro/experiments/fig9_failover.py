@@ -56,7 +56,6 @@ class Fig9Config:
     ))
     clients: int = 8
     client_interval: float = 0.3
-    cc: str = "mvcc"
 
     # Cluster.  All nodes active: failover needs live holders.
     node_count: int = 5
@@ -208,7 +207,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
 
     # The workload RNG derives from the experiment seed so "same seed,
     # same metrics" holds and different seeds genuinely differ.
-    ctx = TpccContext(cluster, config.tpcc, cc=config.cc,
+    ctx = TpccContext(cluster, config.tpcc,
                       rng=random.Random(config.seed * 7919 + 7))
     driver = WorkloadDriver(
         cluster, ctx, clients=config.clients,

@@ -91,7 +91,6 @@ class TortureConfig:
     ))
     clients: int = 8
     client_interval: float = 0.3
-    cc: str = "mvcc"
 
     node_count: int = 6
     data_nodes: tuple[int, ...] = (1, 2, 3)
@@ -373,7 +372,7 @@ def run_torture(config: TortureConfig | None = None,
         until=t_end,
     )
 
-    ctx = TpccContext(cluster, config.tpcc, cc=config.cc,
+    ctx = TpccContext(cluster, config.tpcc,
                       rng=random.Random(config.seed * 7919 + 7))
     driver = WorkloadDriver(
         cluster, ctx, clients=config.clients,

@@ -101,7 +101,7 @@ class FailoverCoordinator:
 
     # -- failure handling ----------------------------------------------------
 
-    def node_failed(self, node_id: int, priority: int = 0):
+    def node_failed(self, node_id: int):
         """Generator: take over everything the dead node owned."""
         if node_id in self.failed_nodes:
             return
@@ -131,7 +131,7 @@ class FailoverCoordinator:
                 continue
             replica_set = self.catalog.replica_set_for(location.partition_id)
             partition = yield from self._promote_any(
-                table, key_range, location, replica_set, priority
+                table, key_range, location, replica_set
             )
             if partition is None:
                 self.fence_partition(table, location.partition_id, node_id,
@@ -141,7 +141,7 @@ class FailoverCoordinator:
             promoted += 1
 
         if self.replication is not None:
-            yield from self._restore_factor(priority)
+            yield from self._restore_factor()
 
         self.recoveries.append({
             "node_id": node_id,
@@ -253,7 +253,7 @@ class FailoverCoordinator:
 
     def _promote_any(self, table: str, key_range: "KeyRange",
                      location: "PartitionLocation",
-                     replica_set: "ReplicaSet | None", priority: int = 0):
+                     replica_set: "ReplicaSet | None"):
         """Generator: promote the best replica, falling back past
         replicas whose logs fail their checksums mid-replay.  Returns
         the promoted partition, or ``None`` when no healthy live
@@ -265,7 +265,6 @@ class FailoverCoordinator:
             try:
                 partition = yield from self._promote(
                     table, key_range, location, replica_set, replica,
-                    priority,
                 )
             except IntegrityError:
                 # The replica's log is rotten: never promote garbage.
@@ -281,7 +280,7 @@ class FailoverCoordinator:
 
     def _promote(self, table: str, key_range: "KeyRange",
                  location: "PartitionLocation", replica_set: "ReplicaSet",
-                 replica: "SegmentReplica", priority: int = 0):
+                 replica: "SegmentReplica"):
         """Generator: rebuild the partition from ``replica``'s log on
         its holder and repoint the world at it."""
         t0 = self.env.now
@@ -296,9 +295,7 @@ class FailoverCoordinator:
         # ``live_bytes`` is maintained by the log manager, so promotion
         # cost is bounded by the compacted log, not the log's history.
         log_bytes = max(replica.log.live_bytes, LOG_BLOCK_BYTES)
-        yield from holder.log_disk.read(
-            log_bytes, sequential=True, priority=priority
-        )
+        yield from holder.log_disk.read(log_bytes, sequential=True)
 
         partition = self.catalog.rebuild_partition(
             location.partition_id, table, holder.node_id
@@ -310,7 +307,7 @@ class FailoverCoordinator:
         holder.add_partition(partition)
         for segment in list(partition.segments.values()):
             holder.ensure_hosted(segment)
-            yield from holder.write_segment(segment, priority=priority)
+            yield from holder.write_segment(segment)
         if old_partition is not None:
             for name, index in old_partition.secondary_indexes.items():
                 partition.create_secondary_index(name, index.key_columns)
@@ -334,7 +331,7 @@ class FailoverCoordinator:
                    f"replayed {report.redone_total} records in {seconds:.3f}s")
         return partition
 
-    def _restore_factor(self, priority: int = 0):
+    def _restore_factor(self):
         """Generator: top every surviving replica set back up to k."""
         for replica_set in list(self.catalog.replica_sets.values()):
             owner = self.cluster.worker(replica_set.primary_node_id)
@@ -343,11 +340,11 @@ class FailoverCoordinator:
             partition = owner.partitions.get(replica_set.partition_id)
             if partition is None:
                 continue
-            yield from self.replication.protect_partition(partition, priority)
+            yield from self.replication.protect_partition(partition)
 
     # -- limping-node drain (gray failures) ----------------------------------
 
-    def drain_node(self, node_id: int, priority: int = 0):
+    def drain_node(self, node_id: int):
         """Generator: demote every primary off a limping-but-alive
         node onto its replicas, and migrate the replicas it holds —
         the gray-failure response: the node never crashed, so waiting
@@ -384,7 +381,7 @@ class FailoverCoordinator:
             self.master.gpt.set_available(table, location.partition_id,
                                           False)
             partition = yield from self._promote_any(
-                table, key_range, location, replica_set, priority
+                table, key_range, location, replica_set
             )
             self.master.gpt.set_available(table, location.partition_id,
                                           True)
@@ -399,7 +396,7 @@ class FailoverCoordinator:
                 for replica in replica_set.replicas:
                     if replica.holder_node_id == node_id:
                         replica.stale = True
-            yield from self._restore_factor(priority)
+            yield from self._restore_factor()
         self.drains.append({
             "node_id": node_id,
             "started_at": t0,
@@ -436,7 +433,7 @@ class FailoverCoordinator:
                        detail=f"{torn} records")
         return torn
 
-    def node_restored(self, node_id: int, priority: int = 0):
+    def node_restored(self, node_id: int):
         """Generator: a failed node's heartbeats resumed — run local
         restart recovery (discarding any torn WAL tail), restore its
         unavailable partitions and refresh the stale replicas it holds."""
@@ -463,7 +460,7 @@ class FailoverCoordinator:
                 for replica in replica_set.replicas:
                     if replica.holder_node_id == node_id:
                         replica.stale = True
-            yield from self._restore_factor(priority)
+            yield from self._restore_factor()
 
 
 class FailureDetector:

@@ -203,8 +203,7 @@ class ReplicationManager:
 
     # -- commit stage: shipping ----------------------------------------------
 
-    def ship_commit(self, txn: "Transaction", redo, breakdown=None,
-                    priority: int = 0):
+    def ship_commit(self, txn: "Transaction", redo):
         """Generator: force the transaction's redo records on every
         live replica holder of every protected partition it wrote.
 
@@ -252,7 +251,7 @@ class ReplicationManager:
                     continue
                 try:
                     yield from self.cluster.network.transfer(
-                        primary.port, holder.port, payload_bytes, priority
+                        primary.port, holder.port, payload_bytes
                     )
                 except LinkDownError:
                     replica.stale = True
@@ -275,7 +274,7 @@ class ReplicationManager:
                     )
                 lsn = replica.log.append(txn.txn_id, "commit")
                 try:
-                    yield from replica.log.flush(lsn, None, priority)
+                    yield from replica.log.flush(lsn)
                 except DiskFailedError:
                     replica.stale = True
                     self.ship_failures += 1
@@ -304,8 +303,8 @@ class ReplicationManager:
                 self.bytes_shipped += payload_bytes
             self.commits_shipped += 1
         self._shipped_inflight.pop(txn.txn_id, None)
-        if breakdown is not None:
-            breakdown.add("replication", self.env.now - t0)
+        if txn.breakdown is not None:
+            txn.breakdown.add("replication", self.env.now - t0)
 
     @staticmethod
     def _apply_to_rows(replica: SegmentReplica, records, txn) -> dict:
@@ -367,8 +366,7 @@ class ReplicationManager:
 
     # -- replica-log compaction ----------------------------------------------
 
-    def compact_replica(self, replica: SegmentReplica, table: str,
-                        priority: int = 0):
+    def compact_replica(self, replica: SegmentReplica, table: str):
         """Generator: rewrite a replica's log as a fresh base image
         plus nothing — the bounded-promotion-replay counterpart of WAL
         recycling on the primary.
@@ -384,8 +382,7 @@ class ReplicationManager:
         log = replica.log
         old_bytes = max(log.live_bytes, LOG_BLOCK_BYTES)
         try:
-            yield from holder.log_disk.read(old_bytes, sequential=True,
-                                            priority=priority)
+            yield from holder.log_disk.read(old_bytes, sequential=True)
         except DiskFailedError:
             replica.stale = True
             self.ship_failures += 1
@@ -408,7 +405,7 @@ class ReplicationManager:
         lsn = log.append(REPLICA_BASE_TXN_ID, "commit")
         log.truncate_before(first_new)
         try:
-            yield from log.flush(lsn, None, priority)
+            yield from log.flush(lsn)
         except DiskFailedError:
             replica.stale = True
             self.ship_failures += 1
@@ -417,13 +414,13 @@ class ReplicationManager:
 
     # -- protection / re-replication ----------------------------------------
 
-    def protect_all(self, priority: int = 0):
+    def protect_all(self):
         """Generator: bring every partition in the cluster up to k."""
         for worker in self.cluster.workers:
             for partition in list(worker.partitions.values()):
-                yield from self.protect_partition(partition, priority)
+                yield from self.protect_partition(partition)
 
-    def protect_partition(self, partition: "Partition", priority: int = 0):
+    def protect_partition(self, partition: "Partition"):
         """Generator: ensure ``partition`` has k-1 live replicas,
         seeding new ones where needed.  Also serves as re-replication:
         dead and stale replicas are pruned first, then the set is
@@ -446,9 +443,7 @@ class ReplicationManager:
                 partition.node_id, need, exclude
             )
             for holder in holders:
-                yield from self._seed_replica(
-                    replica_set, partition, holder, priority
-                )
+                yield from self._seed_replica(replica_set, partition, holder)
         return replica_set
 
     def _prune(self, replica_set: ReplicaSet) -> None:
@@ -458,7 +453,7 @@ class ReplicationManager:
         ]
 
     def _seed_replica(self, replica_set: ReplicaSet, partition: "Partition",
-                      holder: "WorkerNode", priority: int = 0):
+                      holder: "WorkerNode"):
         """Generator: build a fresh replica on ``holder`` from the
         partition's current committed rows.
 
@@ -504,12 +499,12 @@ class ReplicationManager:
         data_bytes = max(partition.used_bytes, LOG_BLOCK_BYTES)
         try:
             yield from owner.disk_space.disks[0].read(
-                data_bytes, sequential=True, priority=priority
+                data_bytes, sequential=True
             )
             yield from self.cluster.network.transfer(
-                owner.port, holder.port, data_bytes, priority
+                owner.port, holder.port, data_bytes
             )
-            yield from log.flush(lsn, None, priority)
+            yield from log.flush(lsn)
         except BaseException:
             replica.stale = True
             if replica in replica_set.replicas:

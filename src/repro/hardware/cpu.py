@@ -23,7 +23,7 @@ class Cpu:
         self.name = name
         self._resource = Resource(env, capacity=cores, name=name)
 
-    def execute(self, seconds: float, priority: int = 0):
+    def execute(self, seconds: float):
         """Generator: occupy one core for ``seconds`` of CPU time.
 
         Usage: ``yield from cpu.execute(specs.CPU_SCAN_SECONDS_PER_RECORD)``.
@@ -32,7 +32,7 @@ class Cpu:
             raise ValueError(f"negative cpu time: {seconds}")
         if seconds == 0:
             return
-        yield from self._resource.serve(seconds, priority=priority)
+        yield from self._resource.serve(seconds)
 
     @property
     def tracker(self):

@@ -97,23 +97,23 @@ class Disk:
     def restore_speed(self) -> None:
         self.slow_factor = 1.0
 
-    def read(self, nbytes: int, sequential: bool = False, priority: int = 0):
+    def read(self, nbytes: int, sequential: bool = False):
         """Generator: perform a read of ``nbytes``.
 
         ``sequential=True`` skips the access penalty — used for the
         tail pages of a batched segment read.
         """
-        yield from self._io(nbytes, sequential, priority)
+        yield from self._io(nbytes, sequential)
         self.reads += 1
         self.bytes_read += nbytes
 
-    def write(self, nbytes: int, sequential: bool = False, priority: int = 0):
+    def write(self, nbytes: int, sequential: bool = False):
         """Generator: perform a write of ``nbytes``."""
-        yield from self._io(nbytes, sequential, priority)
+        yield from self._io(nbytes, sequential)
         self.writes += 1
         self.bytes_written += nbytes
 
-    def _io(self, nbytes: int, sequential: bool, priority: int):
+    def _io(self, nbytes: int, sequential: bool):
         if self.failed:
             raise DiskFailedError(f"disk {self.name} has failed")
         if nbytes < 0:
@@ -123,15 +123,15 @@ class Disk:
             duration += self.spec.access_seconds
         if self.slow_factor != 1.0:
             duration *= self.slow_factor
-        yield from self._resource.serve(duration, priority=priority)
+        yield from self._resource.serve(duration)
 
-    def read_page(self, priority: int = 0):
+    def read_page(self):
         """Generator: random read of one page."""
-        yield from self.read(specs.PAGE_BYTES, sequential=False, priority=priority)
+        yield from self.read(specs.PAGE_BYTES)
 
-    def write_page(self, priority: int = 0):
+    def write_page(self):
         """Generator: random write of one page."""
-        yield from self.write(specs.PAGE_BYTES, sequential=False, priority=priority)
+        yield from self.write(specs.PAGE_BYTES)
 
     @property
     def tracker(self):

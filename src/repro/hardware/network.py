@@ -92,8 +92,7 @@ class Network:
         self.transfer_count = 0
         self.bytes_total = 0
 
-    def transfer(self, src: NetworkPort, dst: NetworkPort, nbytes: int,
-                 priority: int = 0):
+    def transfer(self, src: NetworkPort, dst: NetworkPort, nbytes: int):
         """Generator: move ``nbytes`` from ``src`` to ``dst``.
 
         Completes after one-way latency plus wire time at the slower of
@@ -131,9 +130,9 @@ class Network:
             [(src.tx_lane_id, src.tx), (dst.rx_lane_id, dst.rx)],
             key=lambda pair: pair[0],
         )
-        first_req = lanes[0][1].request(priority)
+        first_req = lanes[0][1].request()
         yield first_req
-        second_req = lanes[1][1].request(priority)
+        second_req = lanes[1][1].request()
         yield second_req
         try:
             yield self.env.timeout(duration)

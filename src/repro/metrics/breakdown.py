@@ -1,10 +1,12 @@
 """Per-query cost breakdown.
 
 The paper's Fig. 7 splits query runtime into logging, latching,
-locking, network I/O, disk I/O, and other.  Every subsystem that can
-stall a query accepts an optional :class:`CostBreakdown` and adds the
-stall time to the matching bucket; the driver aggregates breakdowns
-across queries to regenerate the figure.
+locking, network I/O, disk I/O, and other.  The client hands one
+:class:`CostBreakdown` to ``begin(breakdown=)``; it rides on the
+transaction, and every subsystem that stalls the query adds the stall
+time to the matching bucket (layers with no transaction in hand — lock
+table, buffer pool, WAL — take it as an argument).  The driver
+aggregates breakdowns across queries to regenerate the figure.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ from repro.moves.retry import RetryPolicy
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.cluster.worker import WorkerNode
-    from repro.metrics.breakdown import CostBreakdown
     from repro.storage.segment import Segment
 
 #: Copy granularity: small enough to interleave with query I/O and to
@@ -119,8 +118,6 @@ class MoveManager:
 
     def transfer_segment(self, segment: "Segment", source: "WorkerNode",
                          target: "WorkerNode",
-                         breakdown: "CostBreakdown | None" = None,
-                         priority: int = 0,
                          fence: tuple[str, int] | None = None,
                          range_entry: RangeMoveEntry | None = None):
         """Generator: move ``segment``'s extent from ``source`` to
@@ -199,14 +196,12 @@ class MoveManager:
             try:
                 self._check_endpoints(source, target)
                 shipped = True
-                yield from source_disk.read(
-                    chunk, sequential=not fresh_stream, priority=priority
-                )
+                yield from source_disk.read(chunk, sequential=not fresh_stream)
                 yield from self.cluster.network.transfer(
-                    source.port, target.port, chunk, priority
+                    source.port, target.port, chunk
                 )
                 yield from target_disk.write(
-                    chunk, sequential=not fresh_stream, priority=priority
+                    chunk, sequential=not fresh_stream
                 )
                 # The checkpoint needs the target's ack — an endpoint
                 # that died while the chunk was in flight never sent
@@ -269,8 +264,6 @@ class MoveManager:
         source.disk_space.evict(segment)
         self.cluster.directory.register(segment.segment_id, target, target_disk)
         journal.advance(entry, DONE)
-        if breakdown is not None:
-            breakdown.add("disk_io", env.now - t0)
         return entry
 
     @staticmethod
@@ -304,7 +297,7 @@ class MoveManager:
             target.disk_space.evict(segment)
         self.journal.advance(entry, phase, reason)
 
-    def resume_open_range_moves(self, priority: int = 0):
+    def resume_open_range_moves(self):
         """Generator: re-drive every suspended range move whose
         endpoints serve again.  Requires :attr:`resume_scheme` (the
         rebalancer wires its scheme in); moves that cannot be driven
@@ -320,8 +313,7 @@ class MoveManager:
                 continue
             try:
                 report = yield from scheme.resume_range_move(
-                    self.cluster, entry, priority=priority
-                )
+                    self.cluster, entry)
             except MoveFailedError as exc:
                 # Still unlucky: the entry stays open (or was rolled
                 # back) — a later round may succeed.

@@ -126,7 +126,7 @@ class ReadTier:
         cluster.txns.commit_stages.append(self._apply_commit)
         self.master.read_tier = self
 
-    def _apply_commit(self, txn, redo, breakdown, priority):
+    def _apply_commit(self, txn, redo):
         """Commit stage (no sim time passes): cache coherence, then the
         view feed."""
         records = [record for _partition_id, record in redo]
@@ -187,8 +187,7 @@ class ReadTier:
 
     # -- point reads ----------------------------------------------------------
 
-    def read_point(self, table: str, key, txn, breakdown=None,
-                   priority: int = 0):
+    def read_point(self, table: str, key, txn):
         """Generator: serve a point read from cache or replica, return
         :data:`NOT_SERVED` to bounce to the primary."""
         txns = self.cluster.txns
@@ -200,7 +199,7 @@ class ReadTier:
         status, values = self.cache.probe(table, key, b)
         if status == cache_mod.HIT:
             entry = self.cache.entry_for(table, key)
-            yield from self._rpc(breakdown)  # shard round trip
+            yield from self._rpc(txn.breakdown)  # shard round trip
             self.served_cache += 1
             history = txns.history
             if history is not None:
@@ -234,9 +233,9 @@ class ReadTier:
             return self._bounce("version")
 
         holder = self.cluster.worker(replica.holder_node_id)
-        yield from self._rpc(breakdown)
+        yield from self._rpc(txn.breakdown)
         self._require_holder(holder)
-        yield from holder.serve_replica_read(priority)
+        yield from holder.serve_replica_read()
         self._require_holder(holder)
         replica.reads_served += 1
 
@@ -256,8 +255,8 @@ class ReadTier:
 
     # -- range reads ----------------------------------------------------------
 
-    def read_range(self, table: str, lo, hi, txn, breakdown=None,
-                   priority: int = 0, limit: int | None = None):
+    def read_range(self, table: str, lo, hi, txn,
+                   limit: int | None = None):
         """Generator: serve ``[lo, hi)`` from replicas only if *every*
         covering location can serve the whole snapshot — any entry
         newer than the snapshot bounces the entire range (all-or-
@@ -305,9 +304,9 @@ class ReadTier:
         by_key: dict = {}
         for replica, rows in plan:
             holder = self.cluster.worker(replica.holder_node_id)
-            yield from self._rpc(breakdown)
+            yield from self._rpc(txn.breakdown)
             self._require_holder(holder)
-            yield from holder.serve_replica_range(len(rows), priority)
+            yield from holder.serve_replica_range(len(rows))
             self._require_holder(holder)
             replica.reads_served += 1
             for key, values in rows:
@@ -320,7 +319,7 @@ class ReadTier:
 
     # -- views ----------------------------------------------------------------
 
-    def read_view(self, kind: str, args: tuple, priority: int = 0):
+    def read_view(self, kind: str, args: tuple):
         """Generator: answer from a materialized view (one round trip;
         the view state lives with the master)."""
         yield from self._rpc(None)

@@ -255,36 +255,33 @@ class MaterializedViews:
 # baseline mode) they fall back to the real primary-path bodies, so the
 # same mix is runnable — and comparable — in both modes.
 
-def order_status_view(ctx, txn, breakdown=None, priority: int = 0):
+def order_status_view(ctx, txn):
     """OrderStatus answered by the materialized view (primary fallback
     when no read tier is installed)."""
     tier = ctx.cluster.master.read_tier
     if tier is None:
-        result = yield from _primary_order_status(ctx, txn, breakdown,
-                                                  priority)
+        result = yield from _primary_order_status(ctx, txn)
         result["kind"] = "order_status_view"
         return result
     w = ctx.random_warehouse()
     d = ctx.random_district()
     c = ctx.random_customer()
-    hit = yield from tier.read_view("order_status", (w, d, c), priority)
+    hit = yield from tier.read_view("order_status", (w, d, c))
     return {"kind": "order_status_view", "found": hit is not None}
 
 
-def stock_level_view(ctx, txn, breakdown=None, priority: int = 0):
+def stock_level_view(ctx, txn):
     """StockLevel answered by the materialized view (primary fallback
     when no read tier is installed)."""
     tier = ctx.cluster.master.read_tier
     if tier is None:
-        result = yield from _primary_stock_level(ctx, txn, breakdown,
-                                                 priority)
+        result = yield from _primary_stock_level(ctx, txn)
         result["kind"] = "stock_level_view"
         return result
     w = ctx.random_warehouse()
     _d = ctx.random_district()
     threshold = ctx.rng.randint(10, 20)
-    low, checked = yield from tier.read_view("stock_level", (w, threshold),
-                                             priority)
+    low, checked = yield from tier.read_view("stock_level", (w, threshold))
     return {"kind": "stock_level_view", "low": low, "checked": checked}
 
 

@@ -33,11 +33,9 @@ class BufferPoolExhaustedError(RuntimeError):
 class PageIO(typing.Protocol):  # pragma: no cover - typing aid
     """What the pool needs to move one page to/from its home."""
 
-    def read(self, breakdown: CostBreakdown | None, priority: int
-             ) -> typing.Generator: ...
+    def read(self, breakdown: CostBreakdown | None) -> typing.Generator: ...
 
-    def write(self, breakdown: CostBreakdown | None, priority: int
-              ) -> typing.Generator: ...
+    def write(self, breakdown: CostBreakdown | None) -> typing.Generator: ...
 
 
 class _Frame:
@@ -75,7 +73,7 @@ class RemoteBufferExtension:
         return len(self._pages)
 
     def put(self, page_id: int, dirty: bool,
-            breakdown: CostBreakdown | None = None, priority: int = 0):
+            breakdown: CostBreakdown | None = None):
         """Generator: ship a page to the helper's memory.
 
         Returns a list of ``(page_id, dirty)`` overflow victims the
@@ -83,7 +81,7 @@ class RemoteBufferExtension:
         """
         t0 = self.env.now
         yield from self.network.transfer(
-            self.local_port, self.remote_port, specs.PAGE_BYTES, priority
+            self.local_port, self.remote_port, specs.PAGE_BYTES
         )
         if breakdown is not None:
             breakdown.add("network_io", self.env.now - t0)
@@ -96,13 +94,12 @@ class RemoteBufferExtension:
             overflow.append((victim, victim_dirty))
         return overflow
 
-    def get(self, page_id: int, breakdown: CostBreakdown | None = None,
-            priority: int = 0):
+    def get(self, page_id: int, breakdown: CostBreakdown | None = None):
         """Generator: fetch a page back; returns its dirty flag."""
         dirty = self._pages.pop(page_id)
         t0 = self.env.now
         yield from self.network.transfer(
-            self.remote_port, self.local_port, specs.PAGE_BYTES, priority
+            self.remote_port, self.local_port, specs.PAGE_BYTES
         )
         if breakdown is not None:
             breakdown.add("network_io", self.env.now - t0)
@@ -173,8 +170,7 @@ class BufferPool:
 
     # -- core protocol -----------------------------------------------------
 
-    def fetch(self, page_id: int, breakdown: CostBreakdown | None = None,
-              priority: int = 0):
+    def fetch(self, page_id: int, breakdown: CostBreakdown | None = None):
         """Generator: make the page resident and pin it.
 
         Concurrent fetchers of the same non-resident page queue on its
@@ -202,7 +198,7 @@ class BufferPool:
                                  name=f"{self.name}.latch{page_id}")
                 self._latches[page_id] = latch
                 self._fast_latched[page_id] = latch._admit_holder()
-            request = latch.request(priority)
+            request = latch.request()
             yield request
         if breakdown is not None:
             breakdown.add("latching", self.env.now - t0)
@@ -218,9 +214,9 @@ class BufferPool:
                 self._stamp += 1
                 frame.stamp = self._stamp
                 frame.pins += 1
-                yield from self.cpu.execute(specs.CPU_BUFFER_HIT_SECONDS, priority)
+                yield from self.cpu.execute(specs.CPU_BUFFER_HIT_SECONDS)
                 return
-            yield from self._make_room(breakdown, priority)
+            yield from self._make_room(breakdown)
             # Reserve the frame before the read: concurrent misses on
             # other pages must see this slot as taken, or the pool can
             # overshoot its capacity while reads are in flight.
@@ -234,14 +230,13 @@ class BufferPool:
                         and page_id in self.remote_extension):
                     self.remote_hits += 1
                     dirty = yield from self.remote_extension.get(
-                        page_id, breakdown, priority
-                    )
+                        page_id, breakdown)
                 else:
                     self.misses += 1
                     dirty = False
                     io = self._resolver(page_id)
                     start = self.env.now
-                    yield from io.read(breakdown, priority)
+                    yield from io.read(breakdown)
                     if breakdown is not None:
                         breakdown.add("disk_io", self.env.now - start)
             except BaseException:
@@ -295,7 +290,7 @@ class BufferPool:
         heapq.heapify(self._unpinned)
         self._stale = 0
 
-    def _make_room(self, breakdown: CostBreakdown | None, priority: int):
+    def _make_room(self, breakdown: CostBreakdown | None):
         """Generator: evict until one frame is free.
 
         With a remote extension, *dirty* victims go to the helper's
@@ -315,13 +310,13 @@ class BufferPool:
                 continue
             if self.remote_extension is not None:
                 overflow = yield from self.remote_extension.put(
-                    victim_id, True, breakdown, priority
+                    victim_id, True, breakdown
                 )
                 for overflow_id, overflow_dirty in overflow:
                     if overflow_dirty:
-                        yield from self._write_back(overflow_id, breakdown, priority)
+                        yield from self._write_back(overflow_id, breakdown)
             else:
-                yield from self._write_back(victim_id, breakdown, priority)
+                yield from self._write_back(victim_id, breakdown)
 
     def _pick_victim(self) -> int:
         # Ascending stamp order is the pool's LRU order, so the smallest
@@ -342,27 +337,35 @@ class BufferPool:
             f"{self.name}: all {self.capacity_pages} frames pinned"
         )
 
-    def _write_back(self, page_id: int, breakdown: CostBreakdown | None,
-                    priority: int):
+    def _write_back(self, page_id: int, breakdown: CostBreakdown | None):
         io = self._resolver(page_id)
         start = self.env.now
-        yield from io.write(breakdown, priority)
+        yield from io.write(breakdown)
         if breakdown is not None:
             breakdown.add("disk_io", self.env.now - start)
 
     # -- maintenance -------------------------------------------------------
 
-    def flush_all(self, breakdown: CostBreakdown | None = None,
-                  priority: int = 0):
+    def flush_all(self, breakdown: CostBreakdown | None = None):
         """Generator: write back every dirty frame (checkpoint-style)."""
         for page_id, frame in list(self._frames.items()):
             if frame.dirty:
-                yield from self._write_back(page_id, breakdown, priority)
+                yield from self._write_back(page_id, breakdown)
                 frame.dirty = False
         if self.remote_extension is not None:
             for page_id, dirty in self.remote_extension.drain():
                 if dirty:
-                    yield from self._write_back(page_id, breakdown, priority)
+                    yield from self._write_back(page_id, breakdown)
+
+    def discard_unpinned(self, page_ids: typing.Iterable[int]) -> None:
+        """Drop the resident, unpinned frames among ``page_ids`` (their
+        segment's extent moved to another node).  Pinned frames stay as
+        they are — still dirty if dirty: under physical partitioning
+        this node keeps writing them back, remotely."""
+        for page_id in page_ids:
+            frame = self._frames.get(page_id)
+            if frame is not None and frame.pins == 0:
+                self.discard(page_id)
 
     def discard(self, page_id: int) -> None:
         """Drop a page without write-back (its segment left this node)."""

@@ -107,9 +107,9 @@ class TenantTpccContext(TpccContext):
     """A tenant-private TPC-C context: its own rng stream and its own
     Zipf-skewed warehouse choice."""
 
-    def __init__(self, cluster: "Cluster", config: "TpccConfig", cc: str,
+    def __init__(self, cluster: "Cluster", config: "TpccConfig",
                  rng: random.Random, zipf: ZipfKeyChooser, hot_offset: int):
-        super().__init__(cluster=cluster, config=config, cc=cc, rng=rng)
+        super().__init__(cluster=cluster, config=config, rng=rng)
         self._zipf = zipf
         self._hot_offset = hot_offset
 
@@ -153,8 +153,7 @@ class SessionEngine:
                  admission: AdmissionController | None = None,
                  seed: int = 0, tick: float = 1.0, batch: int = 100,
                  executors: int = 8, queue_limit: int = 50_000,
-                 max_retries: int = 8, retry_budget: float = 15.0,
-                 cc: str = "mvcc"):
+                 max_retries: int = 8, retry_budget: float = 15.0):
         if not tenants:
             raise ValueError("need at least one tenant class")
         if tick <= 0 or batch < 1 or executors < 1:
@@ -179,7 +178,7 @@ class SessionEngine:
             runtime = TenantRuntime(
                 tenant=tenant,
                 ctx=TenantTpccContext(
-                    cluster, tpcc_config, cc,
+                    cluster, tpcc_config,
                     rng=random.Random(seed * 999_983 + index * 104_729 + 1),
                     zipf=ZipfKeyChooser(tpcc_config.warehouses,
                                         tenant.zipf_theta, zipf_rng),
@@ -245,17 +244,15 @@ class SessionEngine:
             if attempt and env.now - started > self.retry_budget:
                 self.admission.note_abandoned(request)
                 return
-            txn = cluster.txns.begin(read_only=read_only)
+            txn = cluster.txns.begin(read_only=read_only, cc=ctx.cc)
             # Tag the transaction with its tenant so the read tier's
             # cache can account fills against per-tenant quotas.
             txn.tenant = runtime.tenant.name
             try:
                 yield from cluster.network.rpc_delay()  # edge -> master
                 yield from cluster.master.plan()
-                result = yield from body(ctx, txn, None)
-                yield from cluster.txns.commit(
-                    txn, immediate_gc=(ctx.cc == "locking")
-                )
+                result = yield from body(ctx, txn)
+                yield from cluster.txns.commit(txn)
             except RETRYABLE:
                 cluster.txns.abort_if_active(txn)
                 runtime.conflicts += 1

@@ -96,8 +96,7 @@ def iter_committed_rows(partition: "Partition"):
 
 
 def take_worker_checkpoint(worker: "WorkerNode",
-                           gpt: "GlobalPartitionTable | None" = None,
-                           priority: int = 0):
+                           gpt: "GlobalPartitionTable | None" = None):
     """Generator: one fuzzy checkpoint of ``worker`` — no quiescing.
 
     Captures the committed base image of every local partition (an
@@ -148,10 +147,8 @@ def take_worker_checkpoint(worker: "WorkerNode",
     # The background page writer: only bytes dirtied since the last
     # checkpoint hit the data disk, never the whole partition.
     write_bytes = max(LOG_BLOCK_BYTES, min(image_bytes, dirty_bytes))
-    yield from worker.disk_space.disks[0].write(
-        write_bytes, sequential=True, priority=priority
-    )
-    yield from log.flush(lsn, None, priority)
+    yield from worker.disk_space.disks[0].write(write_bytes, sequential=True)
+    yield from log.flush(lsn)
     return lsn, record
 
 
@@ -169,13 +166,11 @@ class CheckpointManager(PeriodicDaemon):
     def __init__(self, cluster: "Cluster",
                  replication: "ReplicationManager | None" = None,
                  interval: float = 60.0, until: float | None = None,
-                 compact_replicas_over: int | None = 4096,
-                 priority: int = 0):
+                 compact_replicas_over: int | None = 4096):
         super().__init__(cluster.env, "checkpoint", interval, until)
         self.cluster = cluster
         self.replication = replication
         self.compact_replicas_over = compact_replicas_over
-        self.priority = priority
         # -- accounting ----------------------------------------------------
         self.checkpoints_taken = 0
         self.records_recycled = 0
@@ -195,11 +190,11 @@ class CheckpointManager(PeriodicDaemon):
         self.last_horizons: dict[int, int] = {}
 
     def _tick(self):
-        return self.checkpoint_all(self.priority)
+        return self.checkpoint_all()
 
     # -- one checkpoint round ----------------------------------------------
 
-    def checkpoint_all(self, priority: int = 0):
+    def checkpoint_all(self):
         """Generator: checkpoint every serving worker and recycle its
         WAL up to the horizon; then compact oversized replica logs."""
         journal = getattr(getattr(self.cluster, "moves", None),
@@ -215,7 +210,7 @@ class CheckpointManager(PeriodicDaemon):
             window = log._next_lsn - prev_redo + 1
             try:
                 lsn, record = yield from take_worker_checkpoint(
-                    worker, self.cluster.master.gpt, priority
+                    worker, self.cluster.master.gpt
                 )
             except DiskFailedError:
                 self.checkpoint_failures += 1
@@ -235,7 +230,7 @@ class CheckpointManager(PeriodicDaemon):
             self.last_horizons[worker.node_id] = horizon
         if (self.replication is not None
                 and self.compact_replicas_over is not None):
-            yield from self._compact_replicas(priority)
+            yield from self._compact_replicas()
 
     def recycling_horizon(self, worker: "WorkerNode", redo_lsn: int,
                           journal: "MoveJournal | None" = None) -> int:
@@ -253,7 +248,7 @@ class CheckpointManager(PeriodicDaemon):
                 horizon = min(horizon, pin)
         return horizon
 
-    def _compact_replicas(self, priority: int = 0):
+    def _compact_replicas(self):
         catalog = self.cluster.catalog
         for replica_set in list(catalog.replica_sets.values()):
             for replica in list(replica_set.replicas):
@@ -263,7 +258,7 @@ class CheckpointManager(PeriodicDaemon):
                     continue
                 before = replica.log.live_records
                 compacted = yield from self.replication.compact_replica(
-                    replica, replica_set.table, priority
+                    replica, replica_set.table
                 )
                 if compacted:
                     self.replica_compactions += 1

@@ -98,7 +98,7 @@ ResourceId = typing.Hashable
 
 
 class LockManager:
-    """FIFO multi-granularity lock table with upgrade priority."""
+    """FIFO multi-granularity lock table; upgrades are served first."""
 
     def __init__(self, env: Environment, default_timeout: float = 10.0):
         self.env = env

@@ -44,14 +44,24 @@ class Transaction:
     """One unit of work under either MVCC or MGL-RX."""
 
     __slots__ = ("txn_id", "begin_ts", "is_system", "declared_read_only",
-                 "state", "commit_ts", "tenant", "redo", "visited_nodes",
-                 "_created", "_deleted", "_dirty_logs")
+                 "cc", "breakdown", "state", "commit_ts", "tenant", "redo",
+                 "visited_nodes", "_created", "_deleted", "_dirty_logs")
 
     def __init__(self, txn_id: int, begin_ts: int, is_system: bool = False,
-                 read_only: bool = False):
+                 read_only: bool = False, cc: str = "mvcc",
+                 breakdown: CostBreakdown | None = None):
         self.txn_id = txn_id
         self.begin_ts = begin_ts
         self.is_system = is_system
+        #: Concurrency-control discipline the access layer runs this
+        #: transaction under: ``"mvcc"`` (snapshot reads, versions
+        #: linger) or ``"locking"`` (MGL-RX record locks, single-version
+        #: storage reclaimed at commit).
+        self.cc = cc
+        #: Where every layer this transaction stalls in (locks, latches,
+        #: disk, network, log force, replica shipping) adds its wait —
+        #: the client's Fig. 7 accumulator, or ``None`` to skip it.
+        self.breakdown = breakdown
         #: Declared up front by the client (``begin(read_only=True)``):
         #: the router may serve this transaction from replicas, the
         #: cache tier, or materialized views, and any write attempt is
@@ -127,9 +137,10 @@ class TransactionManager:
         self._committing: dict[int, int] = {}
         self.committed_count = 0
         self.aborted_count = 0
-        #: Commit pipeline: generator stages ``(txn, redo, breakdown,
-        #: priority)`` run in list order for every writing commit, after
-        #: the local log force and before the commit is acknowledged.
+        #: Commit pipeline: generator stages ``(txn, redo)`` run in list
+        #: order for every writing commit, after the local log force and
+        #: before the commit is acknowledged; a stage charges its stall
+        #: to ``txn.breakdown``.
         #: Subscribers append in their constructors, so construction
         #: order is commit order: replica shipping (``ReplicationManager``)
         #: before cache coherence and view feeding (``ReadTier``, which
@@ -146,21 +157,21 @@ class TransactionManager:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def begin(self, is_system: bool = False,
-              read_only: bool = False) -> Transaction:
+    def begin(self, is_system: bool = False, read_only: bool = False,
+              cc: str = "mvcc",
+              breakdown: CostBreakdown | None = None) -> Transaction:
         txn = Transaction(self.oracle.next(), self.oracle.current, is_system,
-                          read_only=read_only)
+                          read_only, cc, breakdown)
         self._active[txn.txn_id] = txn
         if self.history is not None:
             self.history.record_begin(txn, self.env.now)
         return txn
 
-    def commit(self, txn: Transaction, breakdown: CostBreakdown | None = None,
-               priority: int = 0, immediate_gc: bool = False):
+    def commit(self, txn: Transaction):
         """Generator: make the transaction durable and visible.
 
-        ``immediate_gc=True`` is the single-version (locking) storage
-        discipline: versions this transaction superseded are physically
+        A ``cc="locking"`` transaction follows the single-version
+        storage discipline: versions it superseded are physically
         reclaimed at commit — under strict 2PL no snapshot can still
         need them.  Under MVCC they linger for old readers (Fig. 3's
         storage-overhead line) until vacuumed.
@@ -180,7 +191,7 @@ class TransactionManager:
             version.deleted_ts = commit_ts
         for log in txn._dirty_logs:
             lsn = log.append(txn.txn_id, "commit")
-            yield from log.flush(lsn, breakdown, priority)
+            yield from log.flush(lsn, txn.breakdown)
         # A crash-abort (fault injection) may have rolled us back while
         # the log force or a stage was in flight; the abort record it
         # appended supersedes our commit record during recovery, and no
@@ -193,9 +204,9 @@ class TransactionManager:
             # (``ReplicationManager.acked_horizon`` stops pinning them).
             txn.redo = []
             for stage in self.commit_stages:
-                yield from stage(txn, redo, breakdown, priority)
+                yield from stage(txn, redo)
                 txn.require_active()
-        if immediate_gc:
+        if txn.cc == "locking":
             for segment, version in txn._deleted:
                 home = version.home or segment
                 for page_no, slot, candidate in home.versions_for(version.key):

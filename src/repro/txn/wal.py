@@ -184,12 +184,11 @@ class LogShippingSink:
         self.remote_port = remote_port
         self.remote_disk = remote_disk
 
-    def write(self, nbytes: int, priority: int):
+    def write(self, nbytes: int):
         """Generator: push log bytes to the helper and persist there."""
         yield from self.network.transfer(
-            self.local_port, self.remote_port, nbytes, priority
-        )
-        yield from self.remote_disk.write(nbytes, sequential=True, priority=priority)
+            self.local_port, self.remote_port, nbytes)
+        yield from self.remote_disk.write(nbytes, sequential=True)
 
 
 class LogManager:
@@ -320,8 +319,7 @@ class LogManager:
             self.appended_at_last_checkpoint = self._appended_bytes
         return record.lsn
 
-    def flush(self, lsn: int, breakdown: CostBreakdown | None = None,
-              priority: int = 0):
+    def flush(self, lsn: int, breakdown: CostBreakdown | None = None):
         """Generator: force the log out at least up to ``lsn``.
 
         Group commit falls out of the flush lock: committers that queue
@@ -330,7 +328,7 @@ class LogManager:
         """
         t0 = self.env.now
         while self.flushed_lsn < lsn:
-            request = self._flush_lock.request(priority)
+            request = self._flush_lock.request()
             yield request
             try:
                 if self.flushed_lsn >= lsn:
@@ -340,10 +338,9 @@ class LogManager:
                 target_bytes = self._appended_bytes
                 nbytes = max(pending, LOG_BLOCK_BYTES)
                 if self._sink is not None:
-                    yield from self._sink.write(nbytes, priority)
+                    yield from self._sink.write(nbytes)
                 else:
-                    yield from self.disk.write(nbytes, sequential=True,
-                                               priority=priority)
+                    yield from self.disk.write(nbytes, sequential=True)
                 self.flushed_lsn = target_lsn
                 self._flushed_bytes = target_bytes
                 self.flush_count += 1

@@ -116,16 +116,13 @@ class OltpClient:
                 self.driver.note_abandoned(name, start, env.now,
                                            attempts=attempt)
                 return
-            txn = cluster.txns.begin()
             breakdown = CostBreakdown()
+            txn = cluster.txns.begin(cc=self.ctx.cc, breakdown=breakdown)
             try:
                 yield from cluster.network.rpc_delay()  # client -> master
                 yield from cluster.master.plan()
-                result = yield from body(self.ctx, txn, breakdown)
-                yield from cluster.txns.commit(
-                    txn, breakdown,
-                    immediate_gc=(self.ctx.cc == "locking"),
-                )
+                result = yield from body(self.ctx, txn)
+                yield from cluster.txns.commit(txn)
             except RETRYABLE:
                 # Conflict, lock timeout, routing race, down node, or a
                 # hardware fault observed mid-query: roll back and retry

@@ -12,7 +12,6 @@ import dataclasses
 import random
 import typing
 
-from repro.metrics.breakdown import CostBreakdown
 from repro.workload.tpcc_schema import TpccConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -67,105 +66,94 @@ def _require(row, what: str):
     return row
 
 
-def new_order(ctx: TpccContext, txn: "Transaction",
-              breakdown: CostBreakdown | None = None, priority: int = 0):
+def new_order(ctx: TpccContext, txn: "Transaction"):
     """NewOrder: the write-heavy backbone of the mix."""
     master = ctx.cluster.master
-    cc = ctx.cc
     w = ctx.random_warehouse()
     d = ctx.random_district()
     c = ctx.random_customer()
     ol_cnt = ctx.rng.randint(5, 15)
 
     warehouse = _require(
-        (yield from master.read("warehouse", w, txn, breakdown, cc, priority)),
+        (yield from master.read("warehouse", w, txn)),
         f"warehouse {w}",
     )
     district = _require(
-        (yield from master.read("district", (w, d), txn, breakdown, cc, priority)),
+        (yield from master.read("district", (w, d), txn)),
         f"district {(w, d)}",
     )
     o_id = district[9]  # d_next_o_id
     updated = district[:9] + (o_id + 1,)
-    yield from master.update("district", (w, d), updated, txn,
-                             breakdown, cc, priority)
+    yield from master.update("district", (w, d), updated, txn)
     customer = _require(
-        (yield from master.read("customer", (w, d, c), txn, breakdown, cc,
-                                priority)),
+        (yield from master.read("customer", (w, d, c), txn)),
         f"customer {(w, d, c)}",
     )
 
     total = 0.0
     for number in range(1, ol_cnt + 1):
         i = ctx.random_item()
-        item = yield from master.read("item", i, txn, breakdown, cc, priority)
+        item = yield from master.read("item", i, txn)
         if item is None:
             continue  # spec: 1% unused item -> rollback; we tolerate
-        stock = yield from master.read("stock", (w, i), txn, breakdown, cc,
-                                       priority)
+        stock = yield from master.read("stock", (w, i), txn)
         if stock is not None:
             quantity = stock[2]
             new_quantity = quantity - 5 if quantity >= 15 else quantity + 86
             new_stock = (stock[:2] + (new_quantity,) + stock[3:4]
                          + (stock[4] + 5, stock[5] + 1) + stock[6:])
-            yield from master.update("stock", (w, i), new_stock, txn,
-                                     breakdown, cc, priority)
+            yield from master.update("stock", (w, i), new_stock, txn)
         amount = 5 * item[3]
         total += amount
         yield from master.insert(
             "order_line",
             (w, d, o_id, number, i, w, "", 5, amount, "x" * 24),
-            txn, breakdown, cc, priority,
+            txn,
         )
 
     yield from master.insert(
         "orders", (w, d, o_id, c, "2015-01-01", 0, ol_cnt, 1),
-        txn, breakdown, cc, priority,
+        txn,
     )
-    yield from master.insert(
-        "new_order", (w, d, o_id), txn, breakdown, cc, priority,
-    )
+    yield from master.insert("new_order", (w, d, o_id), txn)
     total *= (1 + warehouse[6]) * (1 - customer[14])
     return {"kind": "new_order", "w": w, "d": d, "o_id": o_id, "total": total}
 
 
-def payment(ctx: TpccContext, txn: "Transaction",
-            breakdown: CostBreakdown | None = None, priority: int = 0):
+def payment(ctx: TpccContext, txn: "Transaction"):
     """Payment: short read-modify-write plus a history append."""
     master = ctx.cluster.master
-    cc = ctx.cc
     w = ctx.random_warehouse()
     d = ctx.random_district()
     c = ctx.random_customer()
     amount = ctx.rng.uniform(1.0, 5000.0)
 
     warehouse = _require(
-        (yield from master.read("warehouse", w, txn, breakdown, cc, priority)),
+        (yield from master.read("warehouse", w, txn)),
         f"warehouse {w}",
     )
     yield from master.update(
         "warehouse", w, warehouse[:7] + (warehouse[7] + amount,),
-        txn, breakdown, cc, priority,
+        txn,
     )
     by_name = (
         ctx.config.index_customer_name and ctx.rng.random() < 0.6
     )
     district = _require(
-        (yield from master.read("district", (w, d), txn, breakdown, cc,
-                                priority)),
+        (yield from master.read("district", (w, d), txn)),
         f"district {(w, d)}",
     )
     yield from master.update(
         "district", (w, d),
         district[:8] + (district[8] + amount, district[9]),
-        txn, breakdown, cc, priority,
+        txn,
     )
     if by_name:
         # Spec clause 2.5.2.2: select by last name, take the middle
         # match (ordered by first name; our ids serve as the order).
         matches = yield from master.read_by_secondary(
             "customer", (w, d, 1), "customer_by_name", "name-%04d" % c,
-            txn, breakdown, cc, priority,
+            txn,
         )
         matches = [m for m in matches if m[0] == w and m[1] == d]
         customer = _require(
@@ -175,8 +163,7 @@ def payment(ctx: TpccContext, txn: "Transaction",
         c = customer[2]
     else:
         customer = _require(
-            (yield from master.read("customer", (w, d, c), txn, breakdown, cc,
-                                    priority)),
+            (yield from master.read("customer", (w, d, c), txn)),
             f"customer {(w, d, c)}",
         )
     new_customer = (
@@ -184,27 +171,24 @@ def payment(ctx: TpccContext, txn: "Transaction",
         + (customer[15] - amount, customer[16] + amount, customer[17] + 1)
         + customer[18:]
     )
-    yield from master.update("customer", (w, d, c), new_customer, txn,
-                             breakdown, cc, priority)
+    yield from master.update("customer", (w, d, c), new_customer, txn)
     # txn ids are unique cluster-wide: a natural history key.  Offset
     # past any loader-assigned history ids.
     h_id = HISTORY_ID_BASE + txn.txn_id
     yield from master.insert(
         "history", (w, h_id, w, d, c, d, "2015-01-01", amount, "pay"),
-        txn, breakdown, cc, priority,
+        txn,
     )
     return {"kind": "payment", "amount": amount}
 
 
-def order_status(ctx: TpccContext, txn: "Transaction",
-                 breakdown: CostBreakdown | None = None, priority: int = 0):
+def order_status(ctx: TpccContext, txn: "Transaction"):
     """OrderStatus: read-only — a customer's most recent order.
 
     With the name index enabled, 60% of lookups go by last name (spec
     clause 2.6.1.2), like Payment.
     """
     master = ctx.cluster.master
-    cc = ctx.cc
     w = ctx.random_warehouse()
     d = ctx.random_district()
     c = ctx.random_customer()
@@ -212,7 +196,7 @@ def order_status(ctx: TpccContext, txn: "Transaction",
     if ctx.config.index_customer_name and ctx.rng.random() < 0.6:
         matches = yield from master.read_by_secondary(
             "customer", (w, d, 1), "customer_by_name", "name-%04d" % c,
-            txn, breakdown, cc, priority,
+            txn,
         )
         matches = [m for m in matches if m[0] == w and m[1] == d]
         customer = _require(
@@ -222,67 +206,58 @@ def order_status(ctx: TpccContext, txn: "Transaction",
         c = customer[2]
     else:
         _require(
-            (yield from master.read("customer", (w, d, c), txn, breakdown,
-                                    cc, priority)),
+            (yield from master.read("customer", (w, d, c), txn)),
             f"customer {(w, d, c)}",
         )
     district = _require(
-        (yield from master.read("district", (w, d), txn, breakdown, cc,
-                                priority)),
+        (yield from master.read("district", (w, d), txn)),
         f"district {(w, d)}",
     )
     next_o_id = district[9]
     # Adapted: walk back from the newest order until one is found.
     order = None
     for o_id in range(next_o_id - 1, max(next_o_id - 6, 0), -1):
-        order = yield from master.read("orders", (w, d, o_id), txn,
-                                       breakdown, cc, priority)
+        order = yield from master.read("orders", (w, d, o_id), txn)
         if order is not None:
             break
     lines = []
     if order is not None:
         lines = yield from master.read_range(
             "order_line", (w, d, order[2], 0), (w, d, order[2] + 1, 0),
-            txn, breakdown, cc, priority,
+            txn,
         )
     return {"kind": "order_status", "lines": len(lines)}
 
 
-def delivery(ctx: TpccContext, txn: "Transaction",
-             breakdown: CostBreakdown | None = None, priority: int = 0):
+def delivery(ctx: TpccContext, txn: "Transaction"):
     """Delivery: consume the oldest undelivered order of one district."""
     master = ctx.cluster.master
-    cc = ctx.cc
     w = ctx.random_warehouse()
     d = ctx.random_district()
 
     pending = yield from master.read_range(
-        "new_order", (w, d, 0), (w, d + 1, 0), txn, breakdown, cc, priority,
-        limit=1,
+        "new_order", (w, d, 0), (w, d + 1, 0), txn, limit=1,
     )
     if not pending:
         return {"kind": "delivery", "delivered": 0}
     o_id = pending[0][2]
-    yield from master.delete("new_order", (w, d, o_id), txn, breakdown, cc,
-                             priority)
-    order = yield from master.read("orders", (w, d, o_id), txn, breakdown,
-                                   cc, priority)
+    yield from master.delete("new_order", (w, d, o_id), txn)
+    order = yield from master.read("orders", (w, d, o_id), txn)
     if order is None:
         return {"kind": "delivery", "delivered": 0}
     carrier = ctx.rng.randint(1, 10)
     yield from master.update(
         "orders", (w, d, o_id),
         order[:5] + (carrier,) + order[6:],
-        txn, breakdown, cc, priority,
+        txn,
     )
     lines = yield from master.read_range(
         "order_line", (w, d, o_id, 0), (w, d, o_id + 1, 0),
-        txn, breakdown, cc, priority,
+        txn,
     )
     total = sum(line[8] for line in lines)
     c = order[3]
-    customer = yield from master.read("customer", (w, d, c), txn, breakdown,
-                                      cc, priority)
+    customer = yield from master.read("customer", (w, d, c), txn)
     if customer is not None:
         new_customer = (
             customer[:15]
@@ -290,36 +265,31 @@ def delivery(ctx: TpccContext, txn: "Transaction",
             + (customer[18] + 1,)
             + customer[19:]
         )
-        yield from master.update("customer", (w, d, c), new_customer, txn,
-                                 breakdown, cc, priority)
+        yield from master.update("customer", (w, d, c), new_customer, txn)
     return {"kind": "delivery", "delivered": 1, "o_id": o_id}
 
 
-def stock_level(ctx: TpccContext, txn: "Transaction",
-                breakdown: CostBreakdown | None = None, priority: int = 0):
+def stock_level(ctx: TpccContext, txn: "Transaction"):
     """StockLevel: read-heavy scan over recent order lines + stock."""
     master = ctx.cluster.master
-    cc = ctx.cc
     w = ctx.random_warehouse()
     d = ctx.random_district()
     threshold = ctx.rng.randint(10, 20)
 
     district = _require(
-        (yield from master.read("district", (w, d), txn, breakdown, cc,
-                                priority)),
+        (yield from master.read("district", (w, d), txn)),
         f"district {(w, d)}",
     )
     next_o_id = district[9]
     lines = yield from master.read_range(
         "order_line",
         (w, d, max(next_o_id - 20, 0), 0), (w, d, next_o_id, 0),
-        txn, breakdown, cc, priority,
+        txn,
     )
     items = {line[4] for line in lines}
     low = 0
     for i in sorted(items):
-        stock = yield from master.read("stock", (w, i), txn, breakdown, cc,
-                                       priority)
+        stock = yield from master.read("stock", (w, i), txn)
         if stock is not None and stock[2] < threshold:
             low += 1
     return {"kind": "stock_level", "low": low, "checked": len(items)}

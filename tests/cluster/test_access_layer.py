@@ -4,7 +4,10 @@ visibility, and mid-move read routing."""
 import pytest
 
 from repro import Cluster, Column, Environment, Schema
+from repro.hardware import specs
+from repro.metrics import CostBreakdown
 from repro.txn import LockMode
+from repro.txn.manager import TransactionAborted
 
 
 @pytest.fixture()
@@ -77,28 +80,31 @@ def test_partition_read_lock_drains_mvcc_writers(rig):
     assert log[1][0] == "lock-granted"
 
 
-def test_locking_update_logs_undo_image(rig):
+def test_locking_update_logs_undo_image_and_reclaims_at_commit(rig):
     env, cluster, partition = rig
     worker = cluster.workers[0]
 
-    def work():
-        txn = cluster.txns.begin()
-        yield from cluster.master.update("kv", 1, (1, "y"), txn, cc="locking")
-        yield from cluster.txns.commit(txn, immediate_gc=True)
-
-    env.run(until=env.process(work()))
-    kinds = [r.kind for r in worker.wal.records]
-    assert "undo" in kinds
-
-    def mvcc_work():
-        txn = cluster.txns.begin()
-        yield from cluster.master.update("kv", 2, (2, "y"), txn, cc="mvcc")
+    def update(key, cc):
+        txn = cluster.txns.begin(cc=cc)
+        yield from cluster.master.update("kv", key, (key, "y"), txn)
         yield from cluster.txns.commit(txn)
 
+    def versions(key):
+        return [v.values for _page, _slot, v
+                in partition.segment_for(key).versions_for(key)]
+
+    env.run(until=env.process(update(1, "locking")))
+    kinds = [r.kind for r in worker.wal.records]
+    assert "undo" in kinds
+    # Single-version storage: the commit reclaimed what it superseded.
+    assert versions(1) == [(1, "y")]
+
     before = [r.kind for r in worker.wal.records].count("undo")
-    env.run(until=env.process(mvcc_work()))
+    env.run(until=env.process(update(2, "mvcc")))
     after = [r.kind for r in worker.wal.records].count("undo")
     assert after == before  # MVCC needs no separate undo image
+    # ... because the superseded version itself lingers for old readers.
+    assert sorted(versions(2)) == [(2, "x"), (2, "y")]
 
 
 def test_locking_read_ignores_uncommitted_delete_mark(rig):
@@ -108,19 +114,15 @@ def test_locking_read_ignores_uncommitted_delete_mark(rig):
     results = {}
 
     def work():
-        deleter = cluster.txns.begin()
-        yield from cluster.master.delete("kv", 5, deleter, cc="mvcc")
+        deleter = cluster.txns.begin(cc="mvcc")
+        yield from cluster.master.delete("kv", 5, deleter)
         # Uncommitted delete: a locking-mode reader still sees the row.
-        reader = cluster.txns.begin()
-        results["during"] = yield from cluster.master.read(
-            "kv", 5, reader, cc="locking"
-        )
+        reader = cluster.txns.begin(cc="locking")
+        results["during"] = yield from cluster.master.read("kv", 5, reader)
         yield from cluster.txns.commit(reader)
         yield from cluster.txns.commit(deleter)
-        reader2 = cluster.txns.begin()
-        results["after"] = yield from cluster.master.read(
-            "kv", 5, reader2, cc="locking"
-        )
+        reader2 = cluster.txns.begin(cc="locking")
+        results["after"] = yield from cluster.master.read("kv", 5, reader2)
         yield from cluster.txns.commit(reader2)
 
     env.run(until=env.process(work()))
@@ -152,9 +154,6 @@ def test_read_tries_other_candidate_when_not_visible_here(rig):
 
 def test_dispatch_hop_charged_once_per_txn_per_node(rig):
     """Plan shipping: the master pays one RPC per (txn, worker)."""
-    from repro.metrics import CostBreakdown
-    from repro.hardware import specs
-
     env, cluster, partition = rig
     # Move the table to node 1 so access needs a hop.
     cluster.master.create_table(
@@ -165,10 +164,9 @@ def test_dispatch_hop_charged_once_per_txn_per_node(rig):
     breakdown = CostBreakdown()
 
     def work():
-        txn = cluster.txns.begin()
+        txn = cluster.txns.begin(breakdown=breakdown)
         for i in range(10):
-            yield from cluster.master.insert("far", (i, "x"), txn,
-                                             breakdown=breakdown)
+            yield from cluster.master.insert("far", (i, "x"), txn)
         yield from cluster.txns.commit(txn)
 
     env.run(until=env.process(work()))
@@ -176,3 +174,32 @@ def test_dispatch_hop_charged_once_per_txn_per_node(rig):
     assert breakdown.network_io == pytest.approx(
         specs.NET_RPC_LATENCY_SECONDS, rel=0.2
     )
+
+
+def test_read_only_write_refused_before_any_side_effect():
+    """A declared-read-only transaction's write is refused up front:
+    no partition intent, no segment minted for the uncovered key, no
+    CPU charged.  (A fresh, empty table — the shared rig's one segment
+    already covers every key, which would hide the minting.)"""
+    env = Environment()
+    cluster = Cluster(env, node_count=2, initially_active=2,
+                      buffer_pages_per_node=64, segment_max_pages=16,
+                      page_bytes=2048)
+    schema = Schema([Column("id"), Column("v", "str", width=32)], key=("id",))
+    partition = cluster.master.create_table("kv", schema,
+                                            owner=cluster.workers[0])
+    directory_before = dict(cluster.directory._locations)
+    assert len(partition.segments) == 0
+    txn = cluster.txns.begin(read_only=True)
+
+    def work():
+        yield from cluster.master.insert("kv", (1, "x"), txn)
+
+    started = env.now
+    with pytest.raises(TransactionAborted, match="read-only"):
+        env.run(until=env.process(work()))
+    assert len(partition.segments) == 0
+    assert dict(cluster.directory._locations) == directory_before
+    assert cluster.txns.locks.mode_held(
+        txn.txn_id, ("partition", partition.partition_id)) is None
+    assert env.now == started

@@ -103,7 +103,7 @@ def test_quarantine_drives_drain_and_clear_undrains(rig):
             self.drained = []
             self.undrained = []
 
-        def drain_node(self, node_id, priority=0):
+        def drain_node(self, node_id):
             self.drained.append(node_id)
             return iter(())
 

@@ -204,3 +204,40 @@ def test_locking_mode_movement(migration_cluster):
     reports = migrate(env, cluster, fraction=0.4, targets=(2,), cc="locking")
     assert sum(r.records_moved for r in reports) == 160
     assert read_all(env, cluster) == []
+
+
+def test_locking_move_drains_writers_and_reclaims_the_source(migration_cluster):
+    """Under MGL-RX the mover's partition guard queues behind a writer
+    that got in first ("updating transactions need to commit before the
+    lock is granted", Sect. 4.3) and nothing moves until it commits;
+    the batches then run as system transactions under the guard, and
+    the move itself vacuums the delete-marked source versions."""
+    env, cluster = migration_cluster
+    source_partition = list(cluster.workers[0].partitions.values())[0]
+    guard_resource = ("partition", source_partition.partition_id)
+    seen = {}
+
+    def writer():
+        txn = cluster.txns.begin(cc="locking")
+        yield from cluster.master.update("kv", 399, (399, "late"), txn)
+        while not cluster.txns.locks.queue_length(guard_resource):
+            yield env.timeout(0.1)  # hold the intent until the guard queues
+        seen["moved_while_held"] = sum(
+            p.record_count for p in cluster.worker(2).partitions.values())
+        yield from cluster.txns.commit(txn)
+
+    env.process(writer())
+    reports = migrate(env, cluster, fraction=0.4, targets=(2,), cc="locking")
+    assert seen["moved_while_held"] == 0
+    assert sum(r.records_moved for r in reports) == 160
+
+    def read_moved():
+        txn = cluster.txns.begin(cc="locking")
+        row = yield from cluster.master.read("kv", 399, txn)
+        yield from cluster.txns.commit(txn)
+        return row
+
+    assert env.run(until=env.process(read_moved())) == (399, "late")
+    for key in range(240, 400):
+        segment = source_partition.segment_for(key)
+        assert segment is None or segment.versions_for(key) == []

@@ -88,6 +88,8 @@ def fig6_fingerprint(config: Fig6Config | None = None) -> dict:
         "bytes_moved": result.bytes_moved,
         "records_moved": result.records_moved,
         "migration_seconds": result.migration_seconds,
+        "breakdown_normal": result.breakdown_normal.as_dict(),
+        "breakdown_rebalancing": result.breakdown_rebalancing.as_dict(),
         "table": result.to_table(),
     })
 

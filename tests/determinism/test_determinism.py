@@ -42,7 +42,8 @@ class TestFig6SmallGolden:
     def test_model_visible_metrics(self, fig6_fp):
         golden = load_golden("fig6_small")
         for key in ("total_completed", "total_failed", "conflicts",
-                    "bytes_moved", "records_moved"):
+                    "bytes_moved", "records_moved",
+                    "breakdown_normal", "breakdown_rebalancing"):
             assert fig6_fp[key] == golden[key], key
 
     def test_rendered_table_identical(self, fig6_fp):

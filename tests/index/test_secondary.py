@@ -77,9 +77,9 @@ def lookup(env, cluster, partition, value, cc="mvcc"):
     worker = cluster.workers[0]
 
     def go():
-        txn = cluster.txns.begin()
+        txn = cluster.txns.begin(cc=cc)
         rows = yield from worker.read_by_secondary(
-            partition, "by_city", value, txn, cc=cc
+            partition, "by_city", value, txn
         )
         yield from cluster.txns.commit(txn)
         return rows

@@ -15,11 +15,11 @@ class DiskPageIO:
         self.env = env
         self.disk = disk
 
-    def read(self, breakdown, priority):
-        yield from self.disk.read_page(priority)
+    def read(self, breakdown):
+        yield from self.disk.read_page()
 
-    def write(self, breakdown, priority):
-        yield from self.disk.write_page(priority)
+    def write(self, breakdown):
+        yield from self.disk.write_page()
 
 
 def make_pool(capacity_pages=4):

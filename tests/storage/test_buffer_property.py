@@ -21,13 +21,13 @@ class CountingIO:
         outer = self
 
         class _IO:
-            def read(self, breakdown, priority):
+            def read(self, breakdown):
                 outer.reads[page_id] = outer.reads.get(page_id, 0) + 1
-                yield from outer.disk.read_page(priority)
+                yield from outer.disk.read_page()
 
-            def write(self, breakdown, priority):
+            def write(self, breakdown):
                 outer.writes[page_id] = outer.writes.get(page_id, 0) + 1
-                yield from outer.disk.write_page(priority)
+                yield from outer.disk.write_page()
 
         return _IO()
 

@@ -86,7 +86,7 @@ class TestSessionEngine:
     def test_tenant_context_uses_hot_offset(self):
         env, cluster = make_cluster()
         zipf = ZipfKeyChooser(2, theta=3.0, rng=random.Random(5))
-        ctx = TenantTpccContext(cluster, SMALL_TPCC, "mvcc",
+        ctx = TenantTpccContext(cluster, SMALL_TPCC,
                                 rng=random.Random(6), zipf=zipf,
                                 hot_offset=1)
         picks = [ctx.random_warehouse() for _ in range(300)]

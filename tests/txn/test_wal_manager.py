@@ -152,7 +152,7 @@ class TestTransactionManager:
         tm = TransactionManager(env)
         staged = []
 
-        def stage(txn, redo, breakdown, priority):
+        def stage(txn, redo):
             staged.append(txn.txn_id)
             yield env.timeout(1.0)
 
@@ -176,18 +176,22 @@ class TestTransactionManager:
         tm = TransactionManager(env)
         calls = []
 
+        seen = []
+
         def make_stage(name):
-            def stage(txn, redo, breakdown, priority):
+            def stage(txn, redo):
                 # The redo was taken off the transaction; the commit is
                 # not acknowledged while a stage runs.
                 calls.append((name, list(redo), list(txn.redo),
                               tm.committed_count))
+                seen.append(txn.breakdown)
                 yield env.timeout(0.5)
             return stage
 
         tm.commit_stages.append(make_stage("first"))
         tm.commit_stages.append(make_stage("second"))
-        txn = tm.begin()
+        breakdown = CostBreakdown()
+        txn = tm.begin(breakdown=breakdown)
         log.append(txn.txn_id, "insert", ("t", 1, (1,)))
         txn.note_log(log)
         txn.redo.append((7, log.tail))
@@ -195,6 +199,10 @@ class TestTransactionManager:
         run(env, tm.commit(txn))
         assert calls == [("first", [(7, log.records[0])], [], 0),
                          ("second", [(7, log.records[0])], [], 0)]
+        # A stage charges its stall to the very accumulator the client
+        # handed to ``begin`` — the one the log force already wrote to.
+        assert seen[0] is breakdown and seen[1] is breakdown
+        assert breakdown.logging > 0
         assert tm.committed_count == 1
 
     def test_abort_between_stages_stops_the_pipeline(self):
@@ -203,11 +211,11 @@ class TestTransactionManager:
         tm = TransactionManager(env)
         ran, retracted = [], []
 
-        def slow_stage(txn, redo, breakdown, priority):
+        def slow_stage(txn, redo):
             ran.append("slow")
             yield env.timeout(1.0)
 
-        def late_stage(txn, redo, breakdown, priority):
+        def late_stage(txn, redo):
             ran.append("late")
             yield env.timeout(1.0)
 

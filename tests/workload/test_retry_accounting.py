@@ -68,7 +68,7 @@ class _Flaky:
         self.failures = failures
         self.calls = 0
 
-    def __call__(self, ctx, txn, breakdown):
+    def __call__(self, ctx, txn):
         self.calls += 1
         if self.calls <= self.failures:
             ctx.cluster.txns.abort(txn)
