@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine import ExecContext
 from repro.engine.planner import plan_scan_project
-from repro.experiments.runner import build_micro_cluster, warm_buffer
+from repro.experiments.harness import build_micro_cluster, warm_buffer
 
 
 def _remote_project_rate(rows: int, vector_size: int,

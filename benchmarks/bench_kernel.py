@@ -87,12 +87,12 @@ def contended_resource(procs: int = 80, rounds: int = 60) -> float:
     env = Environment()
     res = Resource(env, capacity=1, name="hot")
 
-    def worker(i):
+    def worker():
         for _ in range(rounds):
-            yield from res.serve(0.0001, priority=i % 3)
+            yield from res.serve(0.0001)
 
-    for i in range(procs):
-        env.process(worker(i))
+    for _ in range(procs):
+        env.process(worker())
     env.run()
     return env.now
 
@@ -112,7 +112,7 @@ def cancelled_requests(procs: int = 120, rounds: int = 40) -> int:
     def quitter():
         nonlocal cancelled
         for _ in range(rounds):
-            req = res.request(priority=1)
+            req = res.request()
             yield env.timeout(0.001)
             res.release(req)          # never granted: cancels in queue
             cancelled += 1

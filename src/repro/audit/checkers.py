@@ -61,12 +61,6 @@ class Anomaly:
     key: typing.Any = None
     txns: tuple[int, ...] = ()
 
-    def to_row(self) -> list:
-        return [self.kind, self.table or "-",
-                "-" if self.key is None else repr(self.key),
-                ",".join(str(t) for t in self.txns) or "-",
-                self.description]
-
 
 class History:
     """An indexed view over a sequence of :class:`Op` records."""
@@ -428,12 +422,10 @@ def check_staleness_bounds(history: History,
     return anomalies
 
 
-def check_cache_coherence(history: History,
-                          invalidation_window: float = 0.0) -> list[Anomaly]:
-    """No stale cache hit beyond the invalidation window: once a
-    committed write to a key has *fully completed* (its commit
-    acknowledged — which includes the write-through/invalidation pass)
-    at least ``invalidation_window`` before a cache read started, that
+def check_cache_coherence(history: History) -> list[Anomaly]:
+    """No stale cache hit: once a committed write to a key has *fully
+    completed* (its commit acknowledged — which includes the
+    write-through/invalidation pass) before a cache read started, that
     read must not observe any older version of the key.
 
     Two entry shapes exist.  A write-through entry carries its writer's
@@ -454,8 +446,7 @@ def check_cache_coherence(history: History,
 
         def completed(txn_id: int) -> bool:
             done = history.commit_done.get(txn_id)
-            return (done is not None
-                    and done <= read.t0 - invalidation_window)
+            return done is not None and done <= read.t0
 
         if read.writer_txn is not None and history.known(read.writer_txn):
             v_ts = read.version_ts
@@ -722,7 +713,6 @@ class AuditReport:
 def audit_history(recorder: HistoryRecorder,
                   cluster: "Cluster | None" = None, *,
                   staleness_budget: float | None = None,
-                  invalidation_window: float = 0.0,
                   view_lag_bound: float | None = None) -> AuditReport:
     """Run every checker over a recorder's history.  ``cluster``, when
     given, additionally enables the replica-convergence comparison
@@ -743,14 +733,14 @@ def audit_history(recorder: HistoryRecorder,
     anomalies += check_snapshot_reads(history)
     anomalies += check_partition_coverage(recorder.coverage)
     if staleness_budget is None:
-        staleness_budget = getattr(recorder, "staleness_budget", None)
+        staleness_budget = recorder.staleness_budget
     if staleness_budget is not None:
         anomalies += check_staleness_bounds(history, staleness_budget)
-    anomalies += check_cache_coherence(history, invalidation_window)
+    anomalies += check_cache_coherence(history)
     if view_lag_bound is None:
-        view_lag_bound = getattr(recorder, "view_lag_bound", None)
+        view_lag_bound = recorder.view_lag_bound
     anomalies += check_view_checkpoints(
-        getattr(recorder, "view_checkpoints", ()), view_lag_bound)
+        recorder.view_checkpoints, view_lag_bound)
     if cluster is not None and cluster.catalog.replica_sets:
         anomalies += check_replica_convergence(cluster)
     return AuditReport(anomalies=anomalies, stats=recorder.stats())

@@ -216,10 +216,6 @@ class HistoryRecorder:
         cluster.txns.history = self
         return self
 
-    @staticmethod
-    def detach(cluster) -> None:
-        cluster.txns.history = None
-
     # -- recording ---------------------------------------------------------
 
     def _push(self, op: Op) -> Op:

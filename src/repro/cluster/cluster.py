@@ -47,9 +47,6 @@ class SegmentDirectory:
             raise KeyError(f"segment {segment_id} is not registered")
         return self._locations[segment_id]
 
-    def host_of(self, segment_id: int) -> WorkerNode:
-        return self.location(segment_id)[0]
-
     def __contains__(self, segment_id: int) -> bool:
         return segment_id in self._locations
 
@@ -59,7 +56,6 @@ class Cluster:
 
     def __init__(self, env: Environment,
                  node_count: int = specs.CLUSTER_NODE_COUNT,
-                 cores_per_node: int = specs.CPU_CORES_PER_NODE,
                  disk_specs: typing.Sequence[DiskSpec] = DEFAULT_DISK_SPECS,
                  buffer_pages_per_node: int = 4096,
                  segment_max_pages: int = specs.SEGMENT_PAGES,
@@ -87,7 +83,7 @@ class Cluster:
         self.workers: list[WorkerNode] = []
         for node_id in range(node_count):
             machine = NodeMachine(
-                env, node_id, cores=cores_per_node, disk_specs=disk_specs,
+                env, node_id, disk_specs=disk_specs,
                 boot_seconds=boot_seconds, shutdown_seconds=shutdown_seconds,
                 start_active=(node_id < initially_active),
             )

@@ -118,8 +118,3 @@ class LoadForecaster:
         if hinted is not None:
             value = max(value, hinted)
         return value
-
-    def trend(self, node_id: int) -> float | None:
-        """Utilisation slope per second, or None before observations."""
-        state = self._state.get(node_id)
-        return state[1] if state is not None else None

@@ -16,10 +16,9 @@ from __future__ import annotations
 import typing
 
 from repro.cluster.worker import RecordNotHereError, WorkerNode
-from repro.engine.operators import SegmentMovedError
 from repro.hardware import specs
 from repro.index.global_table import GlobalPartitionTable, PartitionLocation
-from repro.index.partition_tree import KeyRange
+from repro.index.partition_tree import KeyRange, SegmentMovedError
 from repro.sim.engine import Environment
 from repro.txn.manager import Transaction
 

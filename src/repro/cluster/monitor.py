@@ -140,15 +140,7 @@ class ClusterMonitor:
 
     @staticmethod
     def _reachable(worker: "WorkerNode") -> bool:
-        if not worker.is_active:
-            return False
-        port = getattr(worker, "port", None)
-        if port is not None and getattr(port, "severed", False):
-            return False
-        return True
-
-    def last_heartbeat(self, node_id: int) -> float | None:
-        return self.heartbeats.get(node_id)
+        return worker.is_active and not worker.port.severed
 
     def sample_node(self, worker: "WorkerNode") -> NodeSample:
         now = self.env.now
@@ -206,8 +198,8 @@ class ClusterMonitor:
         # (an expectation, not a draw), so monitoring never perturbs
         # the event timeline.
         rtt = 2.0 * specs.NET_RPC_LATENCY_SECONDS
-        loss = getattr(port, "loss_probability", 0.0)
-        extra = getattr(port, "extra_delay", 0.0)
+        loss = port.loss_probability
+        extra = port.extra_delay
         if extra:
             rtt += 2.0 * extra
         if loss:
@@ -234,12 +226,6 @@ class ClusterMonitor:
         for sample in self.history:
             out[sample.node_id] = sample
         return out
-
-    def latest_for(self, node_id: int) -> NodeSample | None:
-        for sample in reversed(self.history):
-            if sample.node_id == node_id:
-                return sample
-        return None
 
 
 def _median(values: list[float]) -> float:
@@ -300,7 +286,6 @@ class GrayFailureDetector:
                  suspect_strikes: int = 2,
                  quarantine_strikes: int = 2,
                  clear_polls: int = 3,
-                 poll_interval: float | None = None,
                  min_cluster_samples: int = 3,
                  drain: bool = True):
         if clear_threshold > score_threshold:
@@ -316,8 +301,7 @@ class GrayFailureDetector:
         self.suspect_strikes = suspect_strikes
         self.quarantine_strikes = quarantine_strikes
         self.clear_polls = clear_polls
-        self.poll_interval = (poll_interval if poll_interval is not None
-                              else self.monitor.interval)
+        self.poll_interval = self.monitor.interval
         self.min_cluster_samples = min_cluster_samples
         self.drain = drain
         self.state: dict[int, str] = {}

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import typing
 
-from repro.engine.operators import SegmentMovedError
 from repro.hardware import specs
 from repro.hardware.disk import Disk
 from repro.hardware.network import Network
 from repro.hardware.node import NodeMachine
-from repro.index.partition_tree import Forwarding, KeyRange
+from repro.index.partition_tree import (
+    Forwarding,
+    KeyRange,
+    SegmentMovedError,
+)
 from repro.metrics.breakdown import CostBreakdown
 from repro.sim.engine import Environment
 from repro.storage.buffer import BufferPool

@@ -11,12 +11,7 @@ from repro.core.physiological import (
     PhysiologicalPartitioning,
     rollback_range_registration,
 )
-from repro.core.migration import (
-    balance_local_disks,
-    copy_segment_bytes,
-    move_extent_local,
-    transfer_segment_storage,
-)
+from repro.core.migration import transfer_segment_storage
 from repro.core.rebalancer import HelperProtocol, Rebalancer
 
 __all__ = [
@@ -27,9 +22,6 @@ __all__ = [
     "PhysicalPartitioning",
     "PhysiologicalPartitioning",
     "Rebalancer",
-    "balance_local_disks",
-    "copy_segment_bytes",
-    "move_extent_local",
     "rollback_range_registration",
     "transfer_segment_storage",
 ]

@@ -414,7 +414,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
                     # Completed chunks stay moved; the failed chunk was
                     # rolled back or suspended by move_range.  Hand the
                     # full picture to the caller for degradation.
-                    if getattr(exc, "report", None) is not None:
+                    if exc.report is not None:
                         reports.append(exc.report)
                     exc.reports = reports
                     raise

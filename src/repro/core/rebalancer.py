@@ -31,10 +31,6 @@ class HelperProtocol:
         self.cluster = cluster
         self._engagements: list[tuple["WorkerNode", "WorkerNode"]] = []
 
-    @property
-    def active(self) -> bool:
-        return bool(self._engagements)
-
     def engage(self, stressed: typing.Sequence["WorkerNode"],
                helper_ids: typing.Sequence[int],
                remote_buffer_pages: int = 4096):
@@ -93,8 +89,7 @@ class Rebalancer:
         self.scale_out_count = 0
         self.scale_in_count = 0
         # Suspended range moves are re-driven through this scheme.
-        if hasattr(scheme, "resume_range_move"):
-            cluster.moves.resume_scheme = scheme
+        cluster.moves.resume_scheme = scheme
 
     def scale_out(self, tables: typing.Sequence[str],
                   source_ids: typing.Sequence[int],
@@ -125,7 +120,7 @@ class Rebalancer:
                         # failed range; completed chunks stay moved.
                         # Degrade this step and keep going — a resume
                         # round or the next autoscaler tick picks it up.
-                        self.reports.extend(getattr(exc, "reports", []) or [])
+                        self.reports.extend(exc.reports)
                         self.failed_moves.append(
                             (self.cluster.env.now, table, source.node_id,
                              str(exc))
@@ -161,7 +156,7 @@ class Rebalancer:
                 # Quiescing is best-effort under faults: the victim
                 # simply keeps what could not move (the power-off guard
                 # below already refuses while data remains).
-                all_reports.extend(getattr(exc, "reports", []) or [])
+                all_reports.extend(exc.reports)
                 self.failed_moves.append(
                     (self.cluster.env.now, table, victim_id, str(exc))
                 )

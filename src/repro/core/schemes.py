@@ -48,10 +48,6 @@ class MoveReport:
     #: switched and left open (journal entry stays live) for a resume.
     suspended: bool = False
 
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
 
 def ordered_segments(partition: "Partition") -> list[tuple[KeyRange, Segment]]:
     """The partition's segments in ascending key-range order."""
@@ -166,3 +162,11 @@ class PartitioningScheme(abc.ABC):
         This is the Fig. 6 driver ("migrate 50% of the records to two
         additional nodes").  Returns the list of move reports.
         """
+
+    def resume_range_move(self, cluster: "Cluster", entry):
+        """Generator: re-drive a suspended journaled range move and
+        return its :class:`MoveReport`.  Only physiological partitioning
+        journals its range moves; the others have nothing to resume and
+        return None."""
+        return
+        yield

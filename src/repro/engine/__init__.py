@@ -4,51 +4,27 @@ WattDB "is using vectorized volcano-style query operators, hence,
 operators ship a set of records on each call ...  To further decrease
 network latencies, buffering operators are used to prefetch records
 from remote nodes." (Sect. 3.3)  Pipelining operators stay local;
-blocking operators (sort, group) may be offloaded to balance load.
+blocking operators (sort) may be offloaded to balance load.
 """
 
 from repro.engine.row_source import ExecContext, Operator
-from repro.engine.operators import (
-    Filter,
-    GroupAggregate,
-    HashJoin,
-    IndexLookup,
-    Limit,
-    NestedLoopJoin,
-    Project,
-    RangeIndexScan,
-    SegmentMovedError,
-    Sort,
-    TableScan,
-)
+from repro.engine.operators import Project, Sort, TableScan
 from repro.engine.exchange import PrefetchBuffer, RemoteExchange
 from repro.engine.planner import (
     exchange_between,
-    pick_offload_target,
     plan_scan_project,
     plan_scan_sort,
-    run_plan,
 )
 
 __all__ = [
     "ExecContext",
-    "Filter",
-    "GroupAggregate",
-    "HashJoin",
-    "IndexLookup",
-    "Limit",
-    "NestedLoopJoin",
     "Operator",
     "PrefetchBuffer",
     "Project",
-    "RangeIndexScan",
     "RemoteExchange",
-    "SegmentMovedError",
     "Sort",
     "TableScan",
     "exchange_between",
-    "pick_offload_target",
     "plan_scan_project",
     "plan_scan_sort",
-    "run_plan",
 ]

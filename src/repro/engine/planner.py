@@ -63,39 +63,3 @@ def plan_scan_sort(ctx: ExecContext, cluster: "Cluster",
     source = exchange_between(ctx, cluster, scan, owner, consumer,
                               prefetch_depth)
     return Sort(ctx, consumer.cpu, source, sort_columns)
-
-
-def pick_offload_target(cluster: "Cluster", owner: "WorkerNode",
-                        monitor=None) -> "WorkerNode | None":
-    """Choose the least-loaded other active node for a blocking
-    operator, or None when the owner itself is the best choice.
-
-    "offloading queries at low utilization levels is inferior to
-    centralized processing" — with a monitor, the owner keeps the work
-    unless its CPU is hotter than the best candidate's.
-    """
-    candidates = [w for w in cluster.active_workers() if w is not owner]
-    if not candidates:
-        return None
-    if monitor is None:
-        return min(candidates, key=lambda w: w.cpu.in_use + w.cpu.queue_length)
-
-    def load(worker):
-        sample = monitor.latest_for(worker.node_id)
-        return sample.cpu_utilization if sample else 0.0
-
-    best = min(candidates, key=load)
-    owner_sample = monitor.latest_for(owner.node_id)
-    owner_load = owner_sample.cpu_utilization if owner_sample else 0.0
-    if owner_load <= load(best) + 0.10:
-        return None
-    return best
-
-
-def run_plan(env, root: Operator):
-    """Convenience process: drain a plan to completion.
-
-    Usage: ``rows = env.run(until=env.process(run_plan(env, root)))``.
-    """
-    rows = yield from root.drain()
-    return rows

@@ -130,10 +130,6 @@ class EnduranceConfig:
     #: configuration must clear 1e6 committed transactions).
     min_commits: int = 1000
 
-    @property
-    def duration(self) -> float:
-        return self.windows * (self.window_seconds + SETTLE_SECONDS)
-
 
 @dataclasses.dataclass
 class WindowResult:

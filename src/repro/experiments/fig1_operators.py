@@ -22,7 +22,7 @@ from repro.engine import ExecContext, TableScan
 from repro.engine.planner import plan_scan_project
 from repro.hardware import specs
 from repro.metrics.report import render_table
-from repro.experiments.runner import build_micro_cluster, warm_buffer
+from repro.experiments.harness import build_micro_cluster, warm_buffer
 
 
 @dataclasses.dataclass

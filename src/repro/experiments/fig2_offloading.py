@@ -17,7 +17,7 @@ import dataclasses
 from repro.engine import ExecContext
 from repro.engine.planner import plan_scan_sort
 from repro.metrics.report import render_table
-from repro.experiments.runner import build_micro_cluster, warm_buffer
+from repro.experiments.harness import build_micro_cluster, warm_buffer
 
 
 @dataclasses.dataclass

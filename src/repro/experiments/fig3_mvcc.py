@@ -29,6 +29,10 @@ from repro.txn import TransactionAborted
 from repro.txn.locks import LockTimeoutError
 from repro.workload.tpcc_gen import fast_insert
 
+#: Mover pacing: models the paper's long-running reorganisation of a
+#: far larger database (see LogicalPartitioning.pace_delay).
+MOVE_PACE_DELAY = 3.0
+
 
 @dataclasses.dataclass
 class Fig3Config:
@@ -51,9 +55,6 @@ class Fig3Config:
     buffer_pages: int = 256
     seed: int = 11
     vacuum_interval: float = 6.0
-    #: Mover pacing: models the paper's long-running reorganisation of
-    #: a far larger database (see LogicalPartitioning.pace_delay).
-    move_pace_delay: float = 3.0
     #: Cap on one cell's duration if the move drags (simulated seconds).
     max_window: float = 600.0
 
@@ -165,7 +166,7 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
     def mover():
         """Relocate the upper half of the partitions, one at a time —
         '50% of the records moved to another partition'."""
-        scheme = LogicalPartitioning(pace_delay=config.move_pace_delay)
+        scheme = LogicalPartitioning(pace_delay=MOVE_PACE_DELAY)
         yield from cluster.power_on(2)
         upper_half = partitions[len(partitions) // 2:]
         for partition in upper_half:

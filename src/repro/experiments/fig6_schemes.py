@@ -98,10 +98,6 @@ class Fig6Config:
     source_nodes: tuple[int, int] = (0, 1)
     target_nodes: tuple[int, int] = (2, 3)
     helper_nodes: tuple[int, ...] = ()
-    #: The paper ran all measurement nodes powered throughout ("Because
-    #: the same number of machines was used, power consumption is
-    #: almost identical in all cases") — only the data moves at t=0.
-    targets_active_from_start: bool = True
 
     vacuum_interval: float = 10.0
 
@@ -168,12 +164,6 @@ class Fig6Result:
             ),
         )
 
-    def to_csv(self, path) -> "str":
-        """Write the four panels as one CSV for external plotting."""
-        from repro.metrics.export import series_to_csv
-
-        return str(series_to_csv(path, self.series()))
-
 
 def _ballast_pad_bytes(config: Fig6Config) -> Schema:
     return Schema(
@@ -185,9 +175,10 @@ def _ballast_pad_bytes(config: Fig6Config) -> Schema:
 
 def build_fig6_cluster(config: Fig6Config) -> tuple[Environment, Cluster]:
     """Cluster + TPC-C + ballast, data on the two source nodes."""
-    active = len(config.source_nodes)
-    if config.targets_active_from_start:
-        active += len(config.target_nodes)
+    # The paper ran all measurement nodes powered throughout ("Because
+    # the same number of machines was used, power consumption is
+    # almost identical in all cases") — only the data moves at t=0.
+    active = len(config.source_nodes) + len(config.target_nodes)
     # The environment seed is fixed; runs differ through ``tpcc.seed``.
     env, cluster = harness.tpcc_cluster(
         0, config.tpcc, owners=config.source_nodes,

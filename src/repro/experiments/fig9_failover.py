@@ -44,6 +44,10 @@ from repro.workload import (
     start_vacuum_daemon,
 )
 
+#: A post-crash qps bucket counts as "recovered" at this fraction of
+#: the pre-crash baseline.
+RECOVERY_QPS_FRACTION = 0.7
+
 
 @dataclasses.dataclass
 class Fig9Config:
@@ -77,8 +81,6 @@ class Fig9Config:
 
     # Timeline, relative to workload start (after replica seeding).
     crash_at: float = 40.0
-    #: Which node to kill; defaults to the first data node.
-    crash_node: int | None = None
     #: Restart the dead node this long after the crash (None: never).
     #: Needed for k=1 to regain availability.
     restart_after: float | None = 40.0
@@ -87,10 +89,6 @@ class Fig9Config:
 
     seed: int = 0
     vacuum_interval: float = 10.0
-
-    #: A post-crash qps bucket counts as "recovered" at this fraction
-    #: of the pre-crash baseline.
-    recovery_qps_fraction: float = 0.7
 
     #: Record the operation history and run the isolation checkers —
     #: including replica convergence — post-hoc (repro.audit).
@@ -197,8 +195,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
     )
     t_start = env.now
     crash_abs = t_start + config.crash_at
-    crash_node = (config.crash_node if config.crash_node is not None
-                  else config.data_nodes[0])
+    crash_node = config.data_nodes[0]
 
     injector = FaultInjector(cluster)
     injector.crash_at(crash_abs, crash_node)
@@ -258,7 +255,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
     recovered = None
     for t, v in qps:
         if t >= 0 and v is not None and baseline > 0 \
-                and v >= config.recovery_qps_fraction * baseline:
+                and v >= RECOVERY_QPS_FRACTION * baseline:
             recovered = t
             break
 

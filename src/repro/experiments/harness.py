@@ -1,16 +1,21 @@
 """What the experiments used to paste from each other, as plain
 functions: TPC-C cluster build, acknowledged-NewOrder oracle, audit
 epilogue and footer, admission conservation gate, ``kv`` writer and
-readback.  Each experiment still wires its own processes — their start
-order is part of the determinism contract."""
+readback, the Fig. 1/2 micro table.  Each experiment still wires its
+own processes — their start order is part of the determinism contract."""
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 from repro.cluster.cluster import Cluster
+from repro.engine import ExecContext, TableScan
 from repro.hardware.disk import DiskFailedError
 from repro.hardware.network import LinkDownError
 from repro.sim.engine import Environment
 from repro.storage.record import Column, Schema
+from repro.storage.segment import Segment
 from repro.txn.locks import LockTimeoutError
 from repro.txn.manager import TransactionAborted
 from repro.workload import load_tpcc, start_vacuum_daemon
@@ -63,7 +68,7 @@ def lost_new_orders(cluster: Cluster, committed) -> int:
         partition = cluster.worker(location.node_id).partitions.get(
             location.partition_id)
         segment = partition.segment_for(key) if partition is not None else None
-        stored = hasattr(segment, "versions_for")     # not a forwarding stub
+        stored = isinstance(segment, Segment)     # not a forwarding stub
         versions = segment.versions_for(key) if stored else ()
         if not any(v.created_ts is not None and v.deleted_ts is None
                    for _page, _slot, v in versions):
@@ -177,3 +182,56 @@ def kv_readback(env, cluster, oracle: dict[int, str]) -> list[str]:
 
     env.run(until=env.process(readback(), name="kv-readback"))
     return violations
+
+
+# -- the buffer-warm single table of the operator experiments (fig1, fig2) ----
+@dataclasses.dataclass
+class MicroTable:
+    """A simple single-table fixture for the operator micro-benchmarks."""
+
+    cluster: Cluster
+    partition: typing.Any
+    rows: int
+    schema: Schema
+
+
+MICRO_SCHEMA = Schema(
+    [Column("id"), Column("grp"), Column("val", "float"),
+     Column("pad", "str", width=160)],
+    key=("id",),
+)
+
+#: Roughly 200 B per record on the wire, matching the Fig. 1 derivation.
+MICRO_PAD = "x" * 160
+
+
+def build_micro_cluster(rows: int, node_count: int = 3,
+                        active: int = 3,
+                        buffer_pages: int | None = None) -> MicroTable:
+    """A cluster with one pre-loaded, buffer-warm table on node 0.
+
+    The table is loaded fast-path (not measured) and sized so the whole
+    table fits in the buffer pool — Fig. 1/2 measure operator and
+    network costs, not disk I/O.
+    """
+    env = Environment()
+    if buffer_pages is None:
+        buffer_pages = max(1024, rows // 16)
+    cluster = Cluster(
+        env, node_count=node_count, initially_active=active,
+        buffer_pages_per_node=buffer_pages, segment_max_pages=2048,
+    )
+    owner = cluster.workers[0]
+    partition = cluster.master.create_table("micro", MICRO_SCHEMA, owner=owner)
+    for i in range(rows):
+        fast_insert(owner, partition, (i, i % 7, float(i), MICRO_PAD))
+    return MicroTable(cluster, partition, rows, MICRO_SCHEMA)
+
+
+def warm_buffer(table: MicroTable) -> None:
+    """Pre-fault every page of the table into the owner's buffer pool."""
+    env = table.cluster.env
+    worker = table.cluster.workers[0]
+    ctx = ExecContext(env=env, vector_size=512)
+    scan = TableScan(ctx, worker, table.partition)
+    env.run(until=env.process(scan.drain()))

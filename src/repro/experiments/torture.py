@@ -52,6 +52,7 @@ from repro.metrics.report import (
     render_scrub_summary,
     render_table,
 )
+from repro.index.partition_tree import Forwarding
 from repro.metrics.series import percentile
 from repro.storage.checksum import IntegrityError
 from repro.workload import (
@@ -245,8 +246,6 @@ def _torn_txns_committed(cluster: Cluster, injector: FaultInjector) -> int:
     for worker in cluster.workers:
         for partition in worker.partitions.values():
             for segment in partition.segments.values():
-                if not hasattr(segment, "scan_versions"):
-                    continue
                 for _p, _s, version in segment.scan_versions():
                     if version.created_by in torn_ids \
                             and version.created_ts is not None:
@@ -275,7 +274,7 @@ def _unresolved_corruptions(cluster: Cluster,
             if partition is None:
                 continue
             segment = partition.segment_for(c.key)
-            if segment is None or not hasattr(segment, "versions_for"):
+            if segment is None or isinstance(segment, Forwarding):
                 continue
             for _p, _s, version in segment.versions_for(c.key):
                 if version.deleted_ts is not None:

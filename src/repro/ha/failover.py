@@ -476,7 +476,6 @@ class FailureDetector:
     def __init__(self, cluster: "Cluster",
                  coordinator: FailoverCoordinator,
                  miss_threshold: int = 3,
-                 poll_interval: float | None = None,
                  restore_threshold: int = 2):
         if miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
@@ -486,8 +485,7 @@ class FailureDetector:
         self.env = cluster.env
         self.coordinator = coordinator
         self.monitor = cluster.monitor
-        self.poll_interval = (poll_interval if poll_interval is not None
-                              else self.monitor.interval)
+        self.poll_interval = self.monitor.interval
         self.deadline = miss_threshold * self.monitor.interval
         #: Hysteresis on the way back: a failed node must look healthy
         #: for this many *consecutive* polls before it is restored.  A

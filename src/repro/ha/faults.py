@@ -325,9 +325,8 @@ class FaultInjector:
         """Every distinct device on the node (data disks + log disk):
         a limping controller/backplane slows them all."""
         disks = list(worker.disk_space.disks)
-        log_disk = getattr(worker, "log_disk", None)
-        if log_disk is not None and log_disk not in disks:
-            disks.append(log_disk)
+        if worker.log_disk not in disks:
+            disks.append(worker.log_disk)
         return disks
 
     def _garble(self, values: tuple) -> tuple:

@@ -43,9 +43,5 @@ class Cpu:
     def in_use(self) -> int:
         return self._resource.in_use
 
-    @property
-    def queue_length(self) -> int:
-        return self._resource.queue_length
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cpu {self.name} cores={self.cores} busy={self.in_use}>"

@@ -138,10 +138,6 @@ class Disk:
         return self._resource.tracker
 
     @property
-    def queue_length(self) -> int:
-        return self._resource.queue_length
-
-    @property
     def io_count(self) -> int:
         return self.reads + self.writes
 

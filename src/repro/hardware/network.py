@@ -83,12 +83,8 @@ class NetworkPort:
 class Network:
     """The cluster interconnect: a non-blocking switch joining ports."""
 
-    def __init__(self, env: Environment,
-                 message_latency: float = specs.NET_MESSAGE_LATENCY_SECONDS,
-                 rpc_latency: float = specs.NET_RPC_LATENCY_SECONDS):
+    def __init__(self, env: Environment):
         self.env = env
-        self.message_latency = message_latency
-        self.rpc_latency = rpc_latency
         self.transfer_count = 0
         self.bytes_total = 0
 
@@ -107,7 +103,8 @@ class Network:
         if src is dst:
             return
         wire_time = nbytes / min(src.bandwidth, dst.bandwidth)
-        duration = self.message_latency + wire_time
+        attempt = specs.NET_MESSAGE_LATENCY_SECONDS + wire_time
+        duration = attempt
         # Flaky-link degradation.  Only a degraded port consumes random
         # numbers, so healthy runs keep their exact event timeline.
         extra = src.extra_delay + dst.extra_delay
@@ -120,7 +117,7 @@ class Network:
             while resends < 8 and rng.random() < loss:
                 resends += 1
             if resends:
-                duration += resends * (self.message_latency + wire_time)
+                duration += resends * attempt
                 port = src if src.loss_probability >= dst.loss_probability \
                     else dst
                 port.retransmits += resends
@@ -152,4 +149,4 @@ class Network:
         this is the cost that single-record volcano iteration cannot
         amortise (paper Fig. 1, third bar).
         """
-        yield self.env.timeout(self.rpc_latency)
+        yield self.env.timeout(specs.NET_RPC_LATENCY_SECONDS)

@@ -28,8 +28,6 @@ class NodeMachine:
     """Hardware of one cluster node (paper Sect. 3.1)."""
 
     def __init__(self, env: Environment, node_id: int,
-                 cores: int = specs.CPU_CORES_PER_NODE,
-                 dram_bytes: int = specs.DRAM_BYTES_PER_NODE,
                  disk_specs: typing.Sequence[DiskSpec] = DEFAULT_DISK_SPECS,
                  power_model: NodePowerModel | None = None,
                  boot_seconds: float = specs.NODE_BOOT_SECONDS,
@@ -37,13 +35,12 @@ class NodeMachine:
                  start_active: bool = False):
         self.env = env
         self.node_id = node_id
-        self.dram_bytes = dram_bytes
         self.power_model = power_model or NodePowerModel()
         self.boot_seconds = boot_seconds
         self.shutdown_seconds = shutdown_seconds
 
         name = f"node{node_id}"
-        self.cpu = Cpu(env, cores, name=f"{name}.cpu")
+        self.cpu = Cpu(env, specs.CPU_CORES_PER_NODE, name=f"{name}.cpu")
         self.disks = [
             Disk(env, spec, name=f"{name}.{spec.kind}{i}")
             for i, spec in enumerate(disk_specs)

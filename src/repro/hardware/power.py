@@ -69,10 +69,8 @@ class ClusterEnergyMeter:
     is the running integral for joules-per-query.
     """
 
-    def __init__(self, env: "Environment",
-                 switch_watts: float = specs.SWITCH_WATTS):
+    def __init__(self, env: "Environment"):
         self.env = env
-        self.switch_watts = switch_watts
         self._nodes: list["NodeMachine"] = []
         self._start_time = env.now
         self._last_sample_time = env.now
@@ -85,12 +83,12 @@ class ClusterEnergyMeter:
         """Total cluster energy consumed since the meter was created."""
         if now is None:
             now = self.env.now
-        switch_energy = self.switch_watts * (now - self._start_time)
+        switch_energy = specs.SWITCH_WATTS * (now - self._start_time)
         return switch_energy + sum(n.energy_joules(now) for n in self._nodes)
 
     def current_watts(self) -> float:
         """Instantaneous cluster draw at the current simulated time."""
-        return self.switch_watts + sum(n.current_watts() for n in self._nodes)
+        return specs.SWITCH_WATTS + sum(n.current_watts() for n in self._nodes)
 
     def sample(self) -> tuple[float, float]:
         """Return ``(now, mean_watts_since_last_sample)`` and advance

@@ -130,12 +130,6 @@ CPU_SERIALIZE_SECONDS_PER_RECORD = 4.0e-6
 #: Sort: O(n log n) comparisons; per record per log2(n) step.
 CPU_SORT_SECONDS_PER_RECORD_LOG = 3.0e-6
 
-#: Hash/group aggregation per record.
-CPU_GROUP_SECONDS_PER_RECORD = 6.0e-6
-
-#: Evaluating one filter predicate on one record.
-CPU_FILTER_SECONDS_PER_RECORD = 2.0e-6
-
 #: B-tree point lookup / insert CPU cost (excluding any I/O).
 CPU_INDEX_SECONDS_PER_OP = 8.0e-6
 

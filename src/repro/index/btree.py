@@ -44,16 +44,6 @@ class BPlusTree(typing.Generic[K, V]):
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def height(self) -> int:
-        """Number of levels (1 = a single leaf)."""
-        height = 1
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-            height += 1
-        return height
-
     # -- lookup ----------------------------------------------------------
 
     def _find_leaf(self, key: K) -> _Node:
@@ -70,22 +60,8 @@ class BPlusTree(typing.Generic[K, V]):
             return leaf.values[idx]
         return default
 
-    def __contains__(self, key: K) -> bool:
-        sentinel = object()
-        return self.get(key, default=typing.cast(V, sentinel)) is not sentinel
-
-    # delete() is lazy, so the outermost leaves can be empty while the
-    # tree is not: min_key/max_key skip them.
-
-    def min_key(self) -> K:
-        if not self._size:
-            raise KeyError("tree is empty")
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-        while not node.keys:
-            node = node.next_leaf
-        return node.keys[0]
+    # delete() is lazy, so the rightmost leaves can be empty while the
+    # tree is not: max_key skips them.
 
     def max_key(self) -> K:
         if not self._size:
@@ -198,26 +174,3 @@ class BPlusTree(typing.Generic[K, V]):
                 idx += 1
             node = node.next_leaf
             idx = 0
-
-    def keys(self) -> typing.Iterator[K]:
-        for key, _value in self.items():
-            yield key
-
-    def values(self) -> typing.Iterator[V]:
-        for _key, value in self.items():
-            yield value
-
-    def first_at_or_after(self, key: K) -> tuple[K, V] | None:
-        """Smallest entry with key >= ``key``, or None."""
-        for item in self.items(lo=key):
-            return item
-        return None
-
-    @classmethod
-    def bulk_load(cls, items: typing.Iterable[tuple[K, V]],
-                  order: int = 64) -> "BPlusTree[K, V]":
-        """Build a tree from (not necessarily sorted) items."""
-        tree = cls(order=order)
-        for key, value in sorted(items, key=lambda kv: kv[0]):
-            tree.insert(key, value)
-        return tree

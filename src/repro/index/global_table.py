@@ -206,12 +206,3 @@ class GlobalPartitionTable:
                 if node_id in location.candidate_nodes:
                     out.append((table, key_range, location))
         return out
-
-    def nodes_with_data(self, table: str | None = None) -> set[int]:
-        """All nodes currently owning (or receiving) partitions."""
-        tables = [table] if table is not None else self.tables()
-        nodes: set[int] = set()
-        for t in tables:
-            for _range, location in self.partitions(t):
-                nodes.update(location.candidate_nodes)
-        return nodes

@@ -63,6 +63,19 @@ class Forwarding:
     target_node_id: int
 
 
+class SegmentMovedError(RuntimeError):
+    """An access hit a forwarding pointer: the segment lives elsewhere
+    now.
+
+    The routing layer catches this and re-issues the access on the
+    target node (the paper's redirection of in-flight queries)."""
+
+    def __init__(self, segment_id: int, target_node_id: int):
+        super().__init__(f"segment {segment_id} moved to node {target_node_id}")
+        self.segment_id = segment_id
+        self.target_node_id = target_node_id
+
+
 class PartitionTree:
     """The top index of one partition: key range -> attached segment.
 

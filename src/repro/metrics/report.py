@@ -59,21 +59,6 @@ def render_series_table(
     return render_table([time_header] + names, rows, title=title)
 
 
-def render_retry_summary(summary: dict[str, int | float],
-                         title: str = "retry summary") -> str:
-    """Render a driver's :meth:`retry_summary` — first-try commits are
-    reported separately from commits that needed retries."""
-    rows = [
-        ["first-try commits", summary.get("first_try_completions", 0)],
-        ["retried commits", summary.get("retried_completions", 0)],
-        ["retries spent", summary.get("retries_total", 0)],
-        ["exhausted (failed)", summary.get("exhausted_failures", 0)],
-        ["abandoned (gave up)", summary.get("abandoned_requests", 0)],
-        ["retried fraction", summary.get("retried_fraction", 0.0)],
-    ]
-    return render_table(["metric", "value"], rows, title=title)
-
-
 def render_slo_table(tenants: dict[str, dict[str, float | int]],
                      title: str = "latency SLOs") -> str:
     """Render per-tenant latency percentiles and shed accounting.
@@ -308,27 +293,6 @@ def render_audit_summary(label: str, anomalies: typing.Sequence[str],
     for anomaly in anomalies:
         lines.append(f"  ANOMALY: {anomaly}")
     return "\n".join(lines)
-
-
-def render_audit_report(report, title: str = "isolation audit") -> str:
-    """Render a full :class:`repro.audit.AuditReport`: one row per
-    anomaly (kind / table / key / transactions / description) plus the
-    history stats that size the evidence."""
-    verdict = "CLEAN" if report.ok else f"{len(report.anomalies)} ANOMALIES"
-    parts = []
-    if report.anomalies:
-        parts.append(render_table(
-            ["kind", "table", "key", "txns", "description"],
-            [a.to_row() for a in report.anomalies],
-            title=f"{title} — {verdict}",
-        ))
-    stats_rows = sorted(report.stats.items())
-    parts.append(render_table(
-        ["stat", "value"], stats_rows,
-        title=f"{title} history stats" + ("" if report.anomalies
-                                          else f" — {verdict}"),
-    ))
-    return "\n\n".join(parts)
 
 
 def _fmt(value: typing.Any) -> str:

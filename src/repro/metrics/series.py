@@ -237,9 +237,3 @@ class TimeSeries:
             out.append((start, count / width))
             start += width
         return out
-
-    def mean(self) -> float:
-        values = self.values()
-        if not values:
-            raise ValueError(f"series {self.name!r} is empty")
-        return sum(values) / len(values)

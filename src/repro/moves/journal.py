@@ -92,10 +92,6 @@ class SegmentMoveEntry:
     def is_open(self) -> bool:
         return self.phase in _OPEN_PHASES
 
-    @property
-    def bytes_acked(self) -> int:
-        return min(self.chunks_acked * self.chunk_bytes, self.bytes_total)
-
 
 @dataclasses.dataclass
 class RangeMoveEntry:

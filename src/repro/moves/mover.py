@@ -65,6 +65,12 @@ class MoveFailedError(RuntimeError):
     fault, and was rolled back.  Policy code must degrade the step it
     was executing, not crash."""
 
+    #: The failed range's partial ``MoveReport``, when the scheme that
+    #: raised had one, and the reports of the chunks that completed
+    #: before it (``migrate_fraction`` fills them in).
+    report = None
+    reports: typing.Sequence = ()
+
 
 class MoveTimeoutError(MoveFailedError):
     """The per-move deadline expired."""
@@ -317,7 +323,7 @@ class MoveManager:
             except MoveFailedError as exc:
                 # Still unlucky: the entry stays open (or was rolled
                 # back) — a later round may succeed.
-                report = getattr(exc, "report", None)
+                report = exc.report
             if report is not None:
                 resumed.append(report)
         return resumed

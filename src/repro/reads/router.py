@@ -92,7 +92,6 @@ class ReadTier:
     def __init__(self, cluster: "Cluster",
                  replication: "ReplicationManager | None" = None, *,
                  lag_budget: int = 64,
-                 cache_nodes: typing.Sequence[int] | None = None,
                  cache_seed: int = 0, per_tenant_quota: int = 4096,
                  view_refresh_interval: float = 0.05,
                  view_lag_bound: float = 5.0):
@@ -101,10 +100,9 @@ class ReadTier:
         self.master = cluster.master
         self.replication = replication
         self.lag_budget = lag_budget
-        if cache_nodes is None:
-            cache_nodes = [w.node_id for w in cluster.workers]
-        self.cache = DistributedCache(cluster, cache_nodes, seed=cache_seed,
-                                      per_tenant_quota=per_tenant_quota)
+        self.cache = DistributedCache(
+            cluster, [w.node_id for w in cluster.workers], seed=cache_seed,
+            per_tenant_quota=per_tenant_quota)
         self.views = MaterializedViews(cluster,
                                        refresh_interval=view_refresh_interval,
                                        lag_bound=view_lag_bound)

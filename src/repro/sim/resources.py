@@ -6,14 +6,10 @@
 :meth:`Resource.release` when done; contention shows up as queueing
 delay on the simulated clock.
 
-The wait queue is *int-keyed* (DESIGN.md §14): each queued request's
-``(priority, seq)`` identity is interned into one dense integer key
-``priority * 2**48 + seq``, so heap entries are ``(key, request)``
-pairs whose sift comparisons resolve on a single int compare instead of
-lexicographic ``(priority, seq, Request)`` tuple walks.  Cancellation
-just flips the request's ``released`` flag and counts a tombstone
-(skipped on pop, compacted lazily once tombstones dominate — the
-policy PR 4 introduced).
+The wait queue is a FIFO ``deque``: requests are granted in arrival
+order.  Cancellation just flips the request's ``released`` flag and
+counts a tombstone (skipped on pop, compacted lazily once tombstones
+dominate — the policy PR 4 introduced).
 
 Every resource carries a :class:`UtilizationTracker` — a time-weighted
 integral of busy units — because the power model converts component
@@ -25,18 +21,11 @@ from __future__ import annotations
 
 import collections
 import typing
-from heapq import heapify, heappop, heappush
 
 from repro.sim.events import PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
-
-#: Key packing for the int-keyed wait queue: ``priority * _SEQ_SPAN +
-#: seq``.  Sequence numbers are per-resource and bounded far below the
-#: span, so integer order equals lexicographic ``(priority, seq)``
-#: order for any (even negative) integer priority.
-_SEQ_SPAN = 1 << 48
 
 
 class UtilizationTracker:
@@ -48,9 +37,8 @@ class UtilizationTracker:
     tracker.
     """
 
-    def __init__(self, env: "Environment", capacity: int):
+    def __init__(self, env: "Environment"):
         self.env = env
-        self.capacity = capacity
         self._busy_integral = 0.0
         self._in_use = 0
         self._last_change = env.now
@@ -72,22 +60,13 @@ class UtilizationTracker:
     def in_use(self) -> int:
         return self._in_use
 
-    def utilization_since(self, t0: float, integral_at_t0: float) -> float:
-        """Mean utilisation (0..1) over ``[t0, now]`` given a checkpoint."""
-        now = self.env.now
-        elapsed = now - t0
-        if elapsed <= 0:
-            return self._in_use / self.capacity if self.capacity else 0.0
-        busy = self.integral(now) - integral_at_t0
-        return busy / (elapsed * self.capacity)
-
 
 class Request(Event):
     """A pending claim on one unit of a :class:`Resource`."""
 
-    __slots__ = ("resource", "priority", "released")
+    __slots__ = ("resource", "released")
 
-    def __init__(self, resource: "Resource", priority: int):
+    def __init__(self, resource: "Resource"):
         # Event.__init__ inlined: requests ride the uncontended fast
         # path by the million, and the extra call shows up.
         self.env = resource.env
@@ -97,7 +76,6 @@ class Request(Event):
         self._processed = False
         self.defused = False
         self.resource = resource
-        self.priority = priority
         self.released = False
 
     def __enter__(self) -> "Request":
@@ -109,11 +87,7 @@ class Request(Event):
 
 
 class Resource:
-    """A server with ``capacity`` units and a priority FIFO queue.
-
-    Lower ``priority`` values are served first; ties are FIFO.  The
-    default priority is 0, so plain callers get strict FIFO service.
-    """
+    """A server with ``capacity`` units and a FIFO wait queue."""
 
     def __init__(self, env: "Environment", capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -122,17 +96,13 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.users: set[Request] = set()
-        #: Heap of ``(key, request)`` pairs, key = priority * _SEQ_SPAN
-        #: + seq.  Keys are unique, so sift comparisons never fall
-        #: through to comparing requests.
-        self._queue: list[tuple[int, Request]] = []
-        self._seq = 0
+        self._queue: collections.deque[Request] = collections.deque()
         #: Queue entries whose request was cancelled before being
-        #: granted.  They stay in the heap as tombstones (skipped by
+        #: granted.  They stay in the queue as tombstones (skipped by
         #: ``_dispatch``) instead of forcing an O(n) rebuild on every
         #: cancellation.
         self._cancelled = 0
-        self.tracker = UtilizationTracker(env, capacity)
+        self.tracker = UtilizationTracker(env)
         #: Total completed grants, for throughput accounting.
         self.grant_count = 0
 
@@ -144,13 +114,13 @@ class Resource:
     def in_use(self) -> int:
         return len(self.users)
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a unit; the returned event triggers when granted."""
-        req = Request(self, priority)
+        req = Request(self)
         # Uncontended fast path: no live waiter can be ahead of us and a
-        # unit is free, so grant without touching the heap.  The grant
+        # unit is free, so grant without touching the queue.  The grant
         # event still travels through the kernel's zero-delay FIFO
-        # (``req.succeed``), which is exactly the trip the heap-based
+        # (``req.succeed``), which is exactly the trip the queued
         # dispatch would have given it — the simulated clock cannot tell.
         users = self.users
         queue = self._queue
@@ -161,8 +131,7 @@ class Resource:
             self.grant_count += 1
             req.succeed(req)
             return req
-        self._seq += 1
-        heappush(queue, (priority * _SEQ_SPAN + self._seq, req))
+        queue.append(req)
         self._dispatch()
         return req
 
@@ -178,7 +147,7 @@ class Resource:
             if self._queue:
                 self._dispatch()
         else:
-            # Cancelled before it was granted: leave it in the heap as a
+            # Cancelled before it was granted: leave it in the queue as a
             # tombstone; compact only once tombstones dominate.
             self._cancelled += 1
             if self._cancelled > 32 and self._cancelled * 2 > len(self._queue):
@@ -194,14 +163,14 @@ class Resource:
         it never waits on the returned request — so triggering it would
         add a kernel event the unupgraded execution never had.
         """
-        req = Request(self, 0)
+        req = Request(self)
         self.users.add(req)
         self.tracker.update(len(self.users))
         return req
 
     def _compact(self) -> None:
-        self._queue = [entry for entry in self._queue if not entry[1].released]
-        heapify(self._queue)
+        self._queue = collections.deque(
+            req for req in self._queue if not req.released)
         self._cancelled = 0
 
     def _dispatch(self) -> None:
@@ -209,7 +178,7 @@ class Resource:
         users = self.users
         capacity = self.capacity
         while queue and len(users) < capacity:
-            req = heappop(queue)[1]
+            req = queue.popleft()
             if req.released:
                 self._cancelled -= 1
                 continue
@@ -218,14 +187,14 @@ class Resource:
             self.grant_count += 1
             req.succeed(req)
 
-    def serve(self, duration: float, priority: int = 0):
+    def serve(self, duration: float):
         """Generator helper: acquire a unit, hold it ``duration``, release.
 
         Usage inside a process::
 
             yield from resource.serve(0.005)
         """
-        req = self.request(priority)
+        req = self.request()
         yield req
         try:
             yield self.env.timeout(duration)

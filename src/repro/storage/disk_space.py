@@ -42,9 +42,6 @@ class DiskSpaceManager:
     def segment_count(self) -> int:
         return len(self._placement)
 
-    def has_room_for(self, segment: Segment) -> bool:
-        return any(self.free_bytes(d) >= segment.extent_bytes for d in self.disks)
-
     def place(self, segment: Segment, disk: Disk | None = None) -> Disk:
         """Choose a disk for ``segment`` and record the placement.
 

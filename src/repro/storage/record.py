@@ -103,10 +103,6 @@ class Schema:
             if column.kind in ("str", "blob") and not isinstance(value, str):
                 raise TypeError(f"column {column.name!r} expects str, got {value!r}")
 
-    def project(self, values: typing.Sequence[typing.Any],
-                names: typing.Sequence[str]) -> tuple:
-        return tuple(values[self.column_index(n)] for n in names)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(c.name for c in self.columns)
         return f"<Schema ({cols}) key={self.key}>"

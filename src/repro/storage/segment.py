@@ -13,6 +13,7 @@ travels with the pages.
 
 from __future__ import annotations
 
+import itertools
 import typing
 
 from repro.hardware import specs
@@ -30,15 +31,13 @@ class Segment:
 
     def __init__(self, segment_id: int, table: str,
                  max_pages: int = specs.SEGMENT_PAGES,
-                 page_bytes: int = specs.PAGE_BYTES,
-                 page_id_allocator: typing.Callable[[], int] | None = None):
+                 page_bytes: int = specs.PAGE_BYTES):
         if max_pages < 1:
             raise ValueError("segment needs at least one page")
         self.segment_id = segment_id
         self.table = table
         self.max_pages = max_pages
         self.page_bytes = page_bytes
-        self._alloc_page_id = page_id_allocator or _GLOBAL_PAGE_IDS.__next__
         self.pages: list[Page] = []
         #: key -> list of (page_no, slot), newest version first.
         self.index: BPlusTree = BPlusTree()
@@ -125,7 +124,7 @@ class Segment:
             raise SegmentFullError(
                 f"segment {self.segment_id}: all {self.max_pages} pages full"
             )
-        page = Page(self._alloc_page_id(), self.segment_id, self.page_bytes)
+        page = Page(next(_GLOBAL_PAGE_IDS), self.segment_id, self.page_bytes)
         self.pages.append(page)
         # The caller (insert_version) raises _max_free_ub from this
         # page's free space once its insert has landed.
@@ -177,20 +176,8 @@ class Segment:
         """Key-order scan of the embedded index over ``[lo, hi)``."""
         yield from self.index.items(lo=lo, hi=hi, hi_inclusive=hi_inclusive)
 
-    def min_key(self) -> typing.Any:
-        return self.index.min_key()
-
     def max_key(self) -> typing.Any:
         return self.index.max_key()
-
-    def touched_page_numbers(self, lo: typing.Any = None,
-                             hi: typing.Any = None) -> list[int]:
-        """Distinct pages holding keys in ``[lo, hi)`` — what an
-        index-driven range read must fetch."""
-        pages: set[int] = set()
-        for _key, chain in self.index.items(lo=lo, hi=hi):
-            pages.update(pno for pno, _slot in chain)
-        return sorted(pages)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -199,13 +186,6 @@ class Segment:
         )
 
 
-def _page_id_counter() -> typing.Iterator[int]:
-    n = 0
-    while True:
-        n += 1
-        yield n
-
-
-#: Shared default allocator: page ids must be unique across segments
+#: Shared allocator: page ids must be unique across segments
 #: because the buffer pool keys frames by page id.
-_GLOBAL_PAGE_IDS = _page_id_counter()
+_GLOBAL_PAGE_IDS = itertools.count(1)

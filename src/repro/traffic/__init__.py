@@ -27,8 +27,6 @@ from repro.traffic.arrivals import (
     ConstantArrivals,
     DiurnalArrivals,
     FlashCrowd,
-    ScaledArrivals,
-    TraceArrivals,
     sample_poisson,
 )
 from repro.traffic.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
@@ -53,13 +51,11 @@ __all__ = [
     "FlashCrowd",
     "Request",
     "ScaleEvent",
-    "ScaledArrivals",
     "SessionEngine",
     "TenantClass",
     "TenantCounters",
     "TenantTpccContext",
     "TokenBucket",
-    "TraceArrivals",
     "ZipfKeyChooser",
     "sample_poisson",
 ]

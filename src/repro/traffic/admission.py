@@ -73,10 +73,6 @@ class TokenBucket:
             return True
         return False
 
-    def available(self, now: float) -> float:
-        self._refill(now)
-        return self.tokens
-
 
 @dataclasses.dataclass
 class TenantCounters:
@@ -202,9 +198,6 @@ class AdmissionController:
         self.abandoned += request.count
 
     # -- reporting --------------------------------------------------------
-
-    def shed_fraction(self) -> float:
-        return self.shed / self.offered if self.offered else 0.0
 
     def stats(self) -> dict[str, int | float]:
         return {

@@ -55,21 +55,6 @@ class ArrivalProcess:
     def __add__(self, other: "ArrivalProcess") -> "ArrivalProcess":
         return CompositeArrivals([self, other])
 
-    def scaled(self, factor: float) -> "ArrivalProcess":
-        return ScaledArrivals(self, factor)
-
-    def mean_rate(self, t0: float, t1: float, step: float = 1.0) -> float:
-        """Trapezoid-free mean of ``rate`` over ``[t0, t1)`` (used by
-        tests and for sizing admission contracts)."""
-        if t1 <= t0:
-            raise ValueError("need t1 > t0")
-        times = []
-        t = t0
-        while t < t1:
-            times.append(t)
-            t += step
-        return sum(self.rate(t) for t in times) / len(times)
-
 
 @dataclasses.dataclass(frozen=True)
 class ConstantArrivals(ArrivalProcess):
@@ -146,40 +131,6 @@ class FlashCrowd(ArrivalProcess):
         return self.peak_rate * math.exp(-dt / self.decay)
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceArrivals(ArrivalProcess):
-    """A replayable schedule: piecewise-linear through ``(t, rate)``
-    points, held flat before the first and after the last point.
-
-    This is the hook for replaying a recorded production trace — the
-    points are the trace, and the same points always produce the same
-    run.
-    """
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("trace needs at least one point")
-        times = [t for t, _r in self.points]
-        if times != sorted(times) or len(set(times)) != len(times):
-            raise ValueError("trace points must have strictly rising times")
-        if any(r < 0 for _t, r in self.points):
-            raise ValueError("trace rates cannot be negative")
-
-    def rate(self, t: float) -> float:
-        points = self.points
-        if t <= points[0][0]:
-            return points[0][1]
-        if t >= points[-1][0]:
-            return points[-1][1]
-        for (t0, r0), (t1, r1) in zip(points, points[1:]):
-            if t0 <= t < t1:
-                frac = (t - t0) / (t1 - t0)
-                return r0 + (r1 - r0) * frac
-        return points[-1][1]  # pragma: no cover - unreachable
-
-
 class CompositeArrivals(ArrivalProcess):
     """Sum of component intensities (diurnal base + flash crowds)."""
 
@@ -196,16 +147,3 @@ class CompositeArrivals(ArrivalProcess):
 
     def rate(self, t: float) -> float:
         return sum(part.rate(t) for part in self.parts)
-
-
-class ScaledArrivals(ArrivalProcess):
-    """A component intensity multiplied by a constant factor."""
-
-    def __init__(self, inner: ArrivalProcess, factor: float):
-        if factor < 0:
-            raise ValueError("scale factor cannot be negative")
-        self.inner = inner
-        self.factor = factor
-
-    def rate(self, t: float) -> float:
-        return self.inner.rate(t) * self.factor

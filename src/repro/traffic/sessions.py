@@ -32,7 +32,7 @@ from repro.traffic.admission import (
     TokenBucket,
 )
 from repro.traffic.arrivals import ArrivalProcess, sample_poisson
-from repro.workload.client import RETRYABLE, backoff_delay
+from repro.workload.client import MAX_RETRIES, RETRYABLE, backoff_delay
 from repro.workload.tpcc_txns import DEFAULT_MIX, TRANSACTIONS, TpccContext
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -153,7 +153,7 @@ class SessionEngine:
                  admission: AdmissionController | None = None,
                  seed: int = 0, tick: float = 1.0, batch: int = 100,
                  executors: int = 8, queue_limit: int = 50_000,
-                 max_retries: int = 8, retry_budget: float = 15.0):
+                 retry_budget: float = 15.0):
         if not tenants:
             raise ValueError("need at least one tenant class")
         if tick <= 0 or batch < 1 or executors < 1:
@@ -162,7 +162,6 @@ class SessionEngine:
         self.tick = tick
         self.batch = batch
         self.executors = executors
-        self.max_retries = max_retries
         self.retry_budget = retry_budget
         self.admission = admission or AdmissionController(
             cluster.env, queue_limit=queue_limit,
@@ -240,7 +239,7 @@ class SessionEngine:
         body = TRANSACTIONS[kind]
         read_only = kind in READ_ONLY_KINDS
         started = env.now
-        for attempt in range(self.max_retries):
+        for attempt in range(MAX_RETRIES):
             if attempt and env.now - started > self.retry_budget:
                 self.admission.note_abandoned(request)
                 return
@@ -315,10 +314,6 @@ class SessionEngine:
             yield executor
 
     # -- aggregates ------------------------------------------------------
-
-    @property
-    def completed_total(self) -> int:
-        return self.admission.completed
 
     def tenant_report(self) -> dict[str, dict[str, float | int]]:
         """Per-tenant rows for :func:`repro.metrics.report

@@ -197,8 +197,7 @@ class CheckpointManager(PeriodicDaemon):
     def checkpoint_all(self):
         """Generator: checkpoint every serving worker and recycle its
         WAL up to the horizon; then compact oversized replica logs."""
-        journal = getattr(getattr(self.cluster, "moves", None),
-                          "journal", None)
+        journal = self.cluster.moves.journal
         for worker in list(self.cluster.active_workers()):
             if not worker.is_serving:
                 continue

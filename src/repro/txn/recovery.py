@@ -20,6 +20,7 @@ import dataclasses
 import itertools
 import typing
 
+from repro.index.partition_tree import Forwarding
 from repro.storage.checksum import IntegrityError
 from repro.storage.record import RecordVersion
 from repro.txn.wal import LogManager, LogRecord
@@ -69,13 +70,7 @@ class RecoveryReport:
 
 def last_checkpoint_lsn(log: LogManager) -> int:
     """The LSN of the most recent checkpoint record (0 if none)."""
-    tracked = getattr(log, "last_checkpoint_lsn", None)
-    if tracked is not None:
-        return tracked
-    for record in reversed(log.records):
-        if record.kind == "checkpoint":
-            return record.lsn
-    return 0
+    return log.last_checkpoint_lsn
 
 
 def redo_start_lsn(log: LogManager) -> int:
@@ -83,23 +78,7 @@ def redo_start_lsn(log: LogManager) -> int:
     carries a fuzzy-checkpoint payload, otherwise the checkpoint's own
     LSN (the historical move-checkpoint semantics), 0 with no
     checkpoint at all."""
-    tracked = getattr(log, "last_checkpoint_redo_lsn", None)
-    if tracked is not None:
-        return tracked
-    for record in reversed(log.records):
-        if record.kind == "checkpoint":
-            payload_redo = getattr(record.payload, "redo_lsn", None)
-            return record.lsn if payload_redo is None else payload_redo
-    return 0
-
-
-def _iter_after(log: LogManager, start_lsn: int):
-    """Records with LSN > ``start_lsn`` — whole-segment skip when the
-    log supports it, plain filter for duck-typed logs in tests."""
-    iter_from = getattr(log, "iter_from", None)
-    if iter_from is not None:
-        return iter_from(start_lsn)
-    return (r for r in log.records if r.lsn > start_lsn)
+    return log.last_checkpoint_redo_lsn
 
 
 def integrity_scan(log: LogManager, start_lsn: int = 0
@@ -117,7 +96,7 @@ def integrity_scan(log: LogManager, start_lsn: int = 0
     or drop acknowledged effects, so it raises ``IntegrityError`` and
     the caller must fall back to another replica or fence.
     """
-    records = list(_iter_after(log, start_lsn))
+    records = list(log.iter_from(start_lsn))
     bad = None
     for i, record in enumerate(records):
         try:
@@ -134,7 +113,7 @@ def integrity_scan(log: LogManager, start_lsn: int = 0
             continue
         raise IntegrityError(
             f"mid-log corruption: record lsn={records[bad].lsn} of "
-            f"{log.name if hasattr(log, 'name') else 'log'} fails its "
+            f"{log.name} fails its "
             f"checksum but valid records follow",
             where="wal-replay", detail=records[bad].lsn,
         )
@@ -229,7 +208,7 @@ def _apply_upsert(partition: "Partition", values: tuple, kind: str,
 
 def _apply_delete(partition: "Partition", key, report: RecoveryReport) -> None:
     target = partition.segment_for(key)
-    if target is None or not hasattr(target, "versions_for"):
+    if target is None or isinstance(target, Forwarding):
         return
     for page_no, slot, _version in list(target.versions_for(key)):
         target.remove_version(key, page_no, slot)
@@ -272,9 +251,7 @@ def recover_worker_table(log: LogManager, partition: "Partition",
         # Physically drop the torn suffix (real recovery truncates the
         # tail it discards) so post-restart appends don't turn the torn
         # record into apparent mid-log corruption for later replays.
-        discard = getattr(log, "discard_tail", None)
-        if discard is not None:
-            discard(report.torn_records_discarded)
+        log.discard_tail(report.torn_records_discarded)
     writer = _fresh_redo_writer()
     if image is not None:
         for key, values, _nbytes in image.rows:

@@ -90,30 +90,18 @@ class LogSegment:
         self.records: list[LogRecord] = []
         self.sealed = False
 
-    @property
-    def first_lsn(self) -> int:
-        return self.records[0].lsn if self.records else 0
-
-    @property
-    def last_lsn(self) -> int:
-        return self.records[-1].lsn if self.records else 0
-
-    def __len__(self) -> int:
-        return len(self.records)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "sealed" if self.sealed else "tail"
-        return f"<LogSegment {state} lsn {self.first_lsn}..{self.last_lsn}>"
+        return f"<LogSegment {state}: {len(self.records)} records>"
 
 
 class LogRecordsView:
     """Sequence view over a log's live records, across segments.
 
-    Backward-compatible stand-in for the monolithic ``records`` list:
-    iteration, ``len``, indexing, ``reversed``, ``index`` — and item
-    assignment, which writes through to the owning segment (the audit
-    suite's tamper helpers rely on in-place mutation being visible to
-    later replays).
+    Iteration, ``len``, indexing — and item assignment,
+    which writes through to the owning segment (the fault injector and
+    the audit suite's tamper helpers rely on in-place mutation being
+    visible to later replays).
     """
 
     __slots__ = ("_log",)
@@ -124,16 +112,9 @@ class LogRecordsView:
     def __len__(self) -> int:
         return self._log.live_records
 
-    def __bool__(self) -> bool:
-        return self._log.live_records > 0
-
     def __iter__(self):
         for segment in self._log._segments:
             yield from segment.records
-
-    def __reversed__(self):
-        for segment in reversed(self._log._segments):
-            yield from reversed(segment.records)
 
     def _locate(self, index: int) -> tuple[list[LogRecord], int]:
         n = self._log.live_records
@@ -157,18 +138,6 @@ class LogRecordsView:
     def __setitem__(self, index: int, value: LogRecord) -> None:
         records, i = self._locate(index)
         records[i] = value
-
-    def __contains__(self, record) -> bool:
-        return any(r is record or r == record for r in self)
-
-    def index(self, record) -> int:
-        for i, r in enumerate(self):
-            if r is record or r == record:
-                return i
-        raise ValueError(f"{record!r} is not in the log")
-
-    def count(self, record) -> int:
-        return sum(1 for r in self if r == record)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LogRecordsView of {self._log.name}: {len(self)} records>"
@@ -256,10 +225,6 @@ class LogManager:
         return self._sink is not None
 
     # -- segment plumbing -----------------------------------------------------
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
 
     def _push_segment(self) -> LogSegment:
         if self._free:

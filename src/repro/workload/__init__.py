@@ -8,7 +8,7 @@ user interaction and to execute in 'a single run' on the database."
 no response-time constraints, custom mix) are configuration knobs here.
 """
 
-from repro.workload.tpcc_schema import TPCC_TABLES, TpccConfig, table_schema
+from repro.workload.tpcc_schema import TPCC_TABLES, TpccConfig
 from repro.workload.tpcc_gen import load_tpcc
 from repro.workload.tpcc_txns import (
     DEFAULT_MIX,
@@ -36,5 +36,4 @@ __all__ = [
     "payment",
     "start_vacuum_daemon",
     "stock_level",
-    "table_schema",
 ]

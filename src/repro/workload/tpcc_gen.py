@@ -34,22 +34,13 @@ LOAD_COMMIT_TS = 1
 
 class TpccGenerator:
     """Seeded row generator following the TPC-C population rules
-    (NURand with fixed C constants, random alphanumeric fill)."""
+    (random alphanumeric fill)."""
 
     def __init__(self, config: TpccConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        # Per-spec the C constant is random at load; fixed for determinism.
-        self.c_last = 123
-        self.c_id = 259
-        self.i_id = 7911
 
     # -- randomness helpers ---------------------------------------------------
-
-    def nurand(self, a: int, x: int, y: int, c: int) -> int:
-        """Non-uniform random, per TPC-C clause 2.1.6."""
-        r = self.rng
-        return ((r.randint(0, a) | r.randint(x, y)) + c) % (y - x + 1) + x
 
     def rand_str(self, low: int, high: int) -> str:
         n = self.rng.randint(low, high)

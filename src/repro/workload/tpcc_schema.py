@@ -120,12 +120,6 @@ WAREHOUSE_PARTITIONED = [t for t in TPCC_TABLES if t != "item"]
 PADDED_TABLES = ("customer", "stock")
 
 
-def table_schema(name: str) -> Schema:
-    if name not in TPCC_TABLES:
-        raise KeyError(f"unknown TPC-C table {name!r}")
-    return TPCC_TABLES[name]
-
-
 def tables_for(config: TpccConfig) -> dict[str, Schema]:
     """The nine schemas, with the pad blob applied per ``config``."""
     if config.pad_blob_bytes <= 0:

@@ -67,7 +67,8 @@ def tamper(replica, values):
     records = replica.log.records
     record = shipped_insert(replica)
     table, key, _values = record.payload
-    records[records.index(record)] = dataclasses.replace(
+    index = next(i for i, r in enumerate(records) if r is record)
+    records[index] = dataclasses.replace(
         record, payload=(table, key, values))
     return key
 

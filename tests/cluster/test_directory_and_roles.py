@@ -17,7 +17,6 @@ class TestSegmentDirectory:
         disk = Disk(env, SSD_SPEC)
         directory.register(1, "worker-a", disk)
         assert directory.location(1) == ("worker-a", disk)
-        assert directory.host_of(1) == "worker-a"
         assert 1 in directory
         assert 2 not in directory
 
@@ -129,7 +128,7 @@ class TestRemotePageAccess:
                     worker0.buffer.discard(page.page_id)
 
         env.run(until=env.process(move()))
-        assert cluster.directory.host_of(segment.segment_id) is worker1
+        assert cluster.directory.location(segment.segment_id)[0] is worker1
 
         row, remote_time = env.run(until=env.process(timed_read()))
         assert row is not None

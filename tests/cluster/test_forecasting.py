@@ -30,14 +30,12 @@ class TestLoadForecaster:
     def test_no_prediction_before_observation(self):
         f = LoadForecaster()
         assert f.predict(0) is None
-        assert f.trend(0) is None
 
     def test_flat_load_predicts_flat(self):
         f = LoadForecaster(horizon=30)
         for t in range(0, 60, 5):
             f.observe(sample(cpu=0.4, time=float(t)))
         assert f.predict(0, now=55.0) == pytest.approx(0.4, abs=0.05)
-        assert f.trend(0) == pytest.approx(0.0, abs=0.01)
 
     def test_rising_load_predicts_above_current(self):
         f = LoadForecaster(horizon=30)
@@ -46,7 +44,6 @@ class TestLoadForecaster:
         current = 0.02 * 11
         predicted = f.predict(0, now=55.0)
         assert predicted > current
-        assert f.trend(0) > 0
 
     def test_prediction_clamped_to_unit_interval(self):
         f = LoadForecaster(horizon=1000)

@@ -142,8 +142,6 @@ class TestClusterMonitor:
         env.process(cluster.monitor.run())
         env.run(until=7.0)
         assert len(cluster.monitor.history) == 3 * 2  # 3 rounds x 2 nodes
-        assert cluster.monitor.latest_for(1) is not None
-        assert cluster.monitor.latest_for(9) is None
 
     def test_history_limit(self):
         env, cluster = self.make_cluster()

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Cluster, Column, Environment, Schema
 from repro.core import LogicalPartitioning, PhysiologicalPartitioning
+from repro.storage.segment import Segment
 
 
 @pytest.fixture()
@@ -37,10 +38,39 @@ def read_range(env, cluster, lo, hi, limit=None):
     return env.run(until=env.process(go()))
 
 
-def test_basic_range(rig):
+def test_basic_range(rig, monkeypatch):
     env, cluster = rig
+    scanned = []
+    index_scan = Segment.index_scan
+
+    def counting_scan(segment, **bounds):
+        scanned.append(segment.segment_id)
+        return index_scan(segment, **bounds)
+
+    monkeypatch.setattr(Segment, "index_scan", counting_scan)
     rows = read_range(env, cluster, 100, 110)
     assert [r[0] for r in rows] == list(range(100, 110))
+    # Segment pruning: only the segments overlapping [100, 110) are
+    # opened, not all of the partition's.
+    (partition,) = cluster.workers[0].partitions.values()
+    assert 1 <= len(scanned) < partition.segment_count
+
+
+def test_empty_range_and_reader_snapshot(rig):
+    env, cluster = rig
+    assert read_range(env, cluster, 5000, 6000) == []
+
+    def insert_then_scan_as_older_reader():
+        reader = cluster.txns.begin()
+        writer = cluster.txns.begin()
+        yield from cluster.master.insert("kv", (500, "new"), writer)
+        yield from cluster.txns.commit(writer)
+        rows = yield from cluster.master.read_range("kv", 290, 600, reader)
+        yield from cluster.txns.commit(reader)
+        return rows
+
+    rows = env.run(until=env.process(insert_then_scan_as_older_reader()))
+    assert [r[0] for r in rows] == list(range(290, 300))    # no key 500
 
 
 def test_range_with_limit(rig):

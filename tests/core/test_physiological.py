@@ -3,8 +3,10 @@ dual-pointer routing, forwarding retirement, checkpoint logging."""
 
 import pytest
 
-from repro.core import PhysiologicalPartitioning
-from repro.index.partition_tree import Forwarding
+from repro.core import PhysiologicalPartitioning, rollback_range_registration
+from repro.core.schemes import ordered_segments
+from repro.index.partition_tree import Forwarding, KeyRange
+from repro.moves import SPLIT
 from tests.core.conftest import read_all
 
 
@@ -187,3 +189,45 @@ def test_reports_record_bytes_and_segments(migration_cluster):
     assert sum(r.segments_moved for r in reports) > 0
     assert sum(r.records_moved for r in reports) >= 150
     assert all(r.scheme == "physiological" for r in reports)
+
+
+def test_split_mode_registration_rolls_back_to_the_pre_move_table(
+        migration_cluster):
+    """A range move that carved the upper half out of the source's
+    entry (SPLIT) and dies before any segment switched is undone by
+    ``unsplit``: one ``[-inf, +inf)`` entry on the source again."""
+    env, cluster = migration_cluster
+    source, target = cluster.workers[0], cluster.workers[1]
+    (partition,) = source.partitions.values()
+    gpt = cluster.master.gpt
+    epoch_before = gpt.epoch_of("kv", partition.partition_id)
+    segments = ordered_segments(partition)
+    split_key = segments[len(segments) // 2][0].low
+
+    target_partition, mode = PhysiologicalPartitioning._register_move(
+        cluster, partition, source, target, KeyRange(split_key, None))
+    assert mode == SPLIT
+    assert len(list(gpt.partitions("kv"))) == 2
+    entry = cluster.moves.journal.open_range_move(
+        "kv", partition.partition_id, target_partition.partition_id,
+        source.node_id, target.node_id, mode,
+        epoch=gpt.epoch_of("kv", target_partition.partition_id))
+    rollback_range_registration(cluster, entry)
+
+    ((key_range, location),) = gpt.partitions("kv")
+    assert key_range == KeyRange(None, None)
+    assert location.partition_id == partition.partition_id
+    assert location.node_id == source.node_id
+    assert not location.is_moving
+    assert location.epoch > epoch_before
+    assert target.partitions == {}
+    assert partition.moving_out == {}
+    assert read_all(env, cluster) == []
+
+    def insert_above_the_old_split():
+        txn = cluster.txns.begin()
+        yield from cluster.master.insert("kv", (1000, "after"), txn)
+        yield from cluster.txns.commit(txn)
+
+    env.run(until=env.process(insert_above_the_old_split()))
+    assert read_all(env, cluster, keys=[1000]) == []

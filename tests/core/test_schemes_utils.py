@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro import Cluster, Column, Environment, Schema
 from repro.cluster.catalog import successor
 from repro.core.schemes import (
-    MoveReport,
     ordered_segments,
     segment_chunks,
     select_upper_segments,
@@ -118,9 +117,3 @@ class TestSelection:
         partition = loaded_partition(rows=20)
         chunks = segment_chunks(partition, 1.0, 10)
         assert all(chunk for chunk in chunks)
-
-
-class TestMoveReport:
-    def test_duration(self):
-        report = MoveReport("x", "t", 0, 1, started_at=5.0, finished_at=9.0)
-        assert report.duration == 4.0

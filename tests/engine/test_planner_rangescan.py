@@ -1,70 +1,15 @@
-"""Tests for plan construction helpers and the range index scan."""
+"""Tests for the plan construction helpers."""
 
-import pytest
-
-from repro.engine import RangeIndexScan
 from repro.engine.planner import (
     exchange_between,
-    pick_offload_target,
     plan_scan_project,
     plan_scan_sort,
-    run_plan,
 )
 from tests.engine.conftest import make_ctx
 
 
 def drain(env, op):
     return env.run(until=env.process(op.drain()))
-
-
-class TestRangeIndexScan:
-    def test_range_scan_returns_ordered_rows(self, loaded):
-        env, cluster, worker, partition = loaded
-        ctx = make_ctx(env)
-        scan = RangeIndexScan(ctx, worker, partition, lo=50, hi=60)
-        rows = drain(env, scan)
-        assert [r[0] for r in rows] == list(range(50, 60))
-
-    def test_unbounded_range(self, loaded):
-        env, cluster, worker, partition = loaded
-        ctx = make_ctx(env)
-        rows = drain(env, RangeIndexScan(ctx, worker, partition))
-        assert len(rows) == 200
-
-    def test_segment_pruning_counts(self, loaded):
-        env, cluster, worker, partition = loaded
-        if partition.segment_count < 2:
-            pytest.skip("needs multiple segments to show pruning")
-        ctx = make_ctx(env)
-        scan = RangeIndexScan(ctx, worker, partition, lo=0, hi=5)
-        drain(env, scan)
-        assert scan.segments_scanned < partition.segment_count
-        assert scan.segments_pruned >= 1
-
-    def test_empty_range(self, loaded):
-        env, cluster, worker, partition = loaded
-        ctx = make_ctx(env)
-        rows = drain(env, RangeIndexScan(ctx, worker, partition,
-                                         lo=5000, hi=6000))
-        assert rows == []
-
-    def test_respects_mvcc_snapshot(self, loaded):
-        env, cluster, worker, partition = loaded
-        reader = cluster.txns.begin()
-
-        def mutate_then_scan():
-            writer = cluster.txns.begin()
-            yield from cluster.master.insert(
-                "items", (500, 0, 0.0, "new"), writer
-            )
-            yield from cluster.txns.commit(writer)
-            ctx = make_ctx(env, txn=reader)
-            scan = RangeIndexScan(ctx, worker, partition, lo=400, hi=600)
-            rows = yield from scan.drain()
-            return rows
-
-        rows = env.run(until=env.process(mutate_then_scan()))
-        assert all(r[0] != 500 for r in rows)
 
 
 class TestPlanner:
@@ -105,7 +50,7 @@ class TestPlanner:
             ctx, cluster, worker, partition, ["id"],
             project_on=cluster.workers[1],
         )
-        rows = env.run(until=env.process(run_plan(env, plan)))
+        rows = drain(env, plan)
         assert sorted(r[0] for r in rows) == list(range(200))
 
     def test_plan_scan_sort_rows(self, loaded):
@@ -118,29 +63,3 @@ class TestPlanner:
         rows = drain(env, plan)
         values = [r[2] for r in rows]
         assert values == sorted(values)
-
-    def test_pick_offload_target_prefers_idle_node(self, loaded):
-        env, cluster, worker, partition = loaded
-        target = pick_offload_target(cluster, worker)
-        assert target is not None
-        assert target is not worker
-
-    def test_pick_offload_target_none_when_alone(self):
-        from repro import Cluster, Environment
-
-        env = Environment()
-        cluster = Cluster(env, node_count=2, initially_active=1,
-                          buffer_pages_per_node=64)
-        assert pick_offload_target(cluster, cluster.workers[0]) is None
-
-    def test_pick_offload_with_monitor_keeps_work_local_when_cool(self, loaded):
-        env, cluster, worker, partition = loaded
-        cluster.monitor.collect()  # checkpoint away the loading phase
-
-        def idle():
-            yield env.timeout(10.0)
-
-        env.run(until=env.process(idle()))
-        cluster.monitor.collect()  # a genuinely idle window
-        target = pick_offload_target(cluster, worker, cluster.monitor)
-        assert target is None  # owner is not hotter than candidates

@@ -4,8 +4,13 @@ and every resolution fences the stale mover out."""
 
 import pytest
 
-from repro.core import PhysiologicalPartitioning, Rebalancer
+from repro.core import (
+    LogicalPartitioning,
+    PhysiologicalPartitioning,
+    Rebalancer,
+)
 from repro.ha.failover import FailoverCoordinator
+from repro.index import KeyRange
 from repro.moves import ABORTED, FAILED, HANDOVER, MoveFailedError, RetryPolicy
 
 from tests.moves.conftest import build_move_cluster, first_segment
@@ -138,3 +143,36 @@ class TestCollapseMatrix:
         FailoverCoordinator(cluster)._resolve_range_entry(entry, 1)
         assert entry.is_open  # left for the next failover round
         assert location.is_moving  # dual pointer intact until then
+
+
+class TestNonJournaledMover:
+    def test_target_death_collapses_a_record_mover_s_dual_pointer(self):
+        """The record-at-a-time mover keeps no journal entry, so the
+        journal replay finds nothing: the dual pointer it registered is
+        collapsed onto the surviving source by the promotion loop."""
+        env, cluster, partition = build_move_cluster(rows=200)
+        source, target = cluster.worker(1), cluster.worker(2)
+        coordinator = FailoverCoordinator(cluster)
+
+        def failover():
+            # The first of three batches has landed: mid-sweep.
+            while not any(p.record_count
+                          for p in target.partitions.values()):
+                yield env.timeout(0.5)
+            target.machine.crash()
+            yield from coordinator.node_failed(target.node_id)
+
+        env.process(LogicalPartitioning(pace_delay=1.0).move_range(
+            cluster, partition, source, target, KeyRange(40, None)),
+            name="mover")
+        env.run(until=env.process(failover(), name="failover"))
+
+        assert cluster.moves.journal.range_moves == {}
+        locations = [loc for _r, loc in cluster.master.gpt.partitions("kv")]
+        assert len(locations) == 2          # the split stays registered
+        for location in locations:
+            assert not location.is_moving
+            assert location.node_id == source.node_id
+        (resolved,) = [e for e in coordinator.events
+                       if e.kind == "move_resolved"]
+        assert resolved.node_id == source.node_id

@@ -76,7 +76,6 @@ def test_cpu_utilization_tracked():
     env.process(work())
     env.run(until=4.0)
     assert cpu.tracker.integral(4.0) == pytest.approx(3.0)
-    assert cpu.tracker.utilization_since(0, 0.0) == pytest.approx(3.0 / 8.0)
 
 
 def test_hdd_random_page_read_cost():

@@ -16,10 +16,7 @@ def test_empty_tree():
     tree = BPlusTree()
     assert len(tree) == 0
     assert tree.get(1) is None
-    assert 1 not in tree
     assert list(tree.items()) == []
-    with pytest.raises(KeyError):
-        tree.min_key()
     with pytest.raises(KeyError):
         tree.max_key()
 
@@ -46,7 +43,7 @@ def test_reverse_insertion_order():
     tree = BPlusTree(order=4)
     for i in reversed(range(200)):
         tree.insert(i, i)
-    assert list(tree.keys()) == list(range(200))
+    assert [k for k, _v in tree.items()] == list(range(200))
 
 
 def test_delete():
@@ -57,7 +54,7 @@ def test_delete():
     assert not tree.delete(25)
     assert len(tree) == 49
     assert tree.get(25) is None
-    assert list(tree.keys()) == [i for i in range(50) if i != 25]
+    assert [k for k, _v in tree.items()] == [i for i in range(50) if i != 25]
 
 
 def test_range_scan_half_open():
@@ -93,7 +90,6 @@ def test_min_max_keys():
     tree = BPlusTree(order=4)
     for i in (5, 1, 9, 3):
         tree.insert(i, i)
-    assert tree.min_key() == 1
     assert tree.max_key() == 9
 
 
@@ -101,7 +97,7 @@ def test_min_max_keys():
 def test_min_max_keys_skip_leaves_emptied_by_lazy_delete(emptied):
     """delete() never merges leaves, so the outermost leaves can sit
     empty under a non-empty tree (vacuum of a segment's tail does
-    exactly this); min/max must agree with the scan."""
+    exactly this); max_key must agree with the scan."""
     tree = BPlusTree(order=4)
     for i in range(40):
         tree.insert(i, i)
@@ -113,7 +109,6 @@ def test_min_max_keys_skip_leaves_emptied_by_lazy_delete(emptied):
             tree.delete(i)
     keys = [k for k, _v in tree.items()]
     assert keys and len(keys) == len(tree)
-    assert tree.min_key() == keys[0]
     assert tree.max_key() == keys[-1]
 
 
@@ -124,18 +119,7 @@ def test_min_max_keys_raise_keyerror_once_every_key_is_deleted():
     for i in range(20):
         tree.delete(i)
     with pytest.raises(KeyError):
-        tree.min_key()
-    with pytest.raises(KeyError):
         tree.max_key()
-
-
-def test_first_at_or_after():
-    tree = BPlusTree(order=4)
-    for i in (10, 20, 30):
-        tree.insert(i, str(i))
-    assert tree.first_at_or_after(15) == (20, "20")
-    assert tree.first_at_or_after(20) == (20, "20")
-    assert tree.first_at_or_after(31) is None
 
 
 def test_tuple_keys():
@@ -154,19 +138,7 @@ def test_string_keys():
     words = ["pear", "apple", "fig", "banana", "cherry"]
     for w in words:
         tree.insert(w, len(w))
-    assert list(tree.keys()) == sorted(words)
-
-
-def test_height_grows_logarithmically():
-    tree = BPlusTree(order=8)
-    for i in range(1000):
-        tree.insert(i, i)
-    assert 2 <= tree.height <= 6
-
-
-def test_bulk_load():
-    tree = BPlusTree.bulk_load([(3, "c"), (1, "a"), (2, "b")], order=4)
-    assert list(tree.items()) == [(1, "a"), (2, "b"), (3, "c")]
+    assert [k for k, _v in tree.items()] == sorted(words)
 
 
 @settings(max_examples=50)

@@ -94,13 +94,6 @@ def test_split_partition():
     assert gpt.range_of("orders", 2) == KeyRange(100, 500)
 
 
-def test_nodes_with_data():
-    gpt = make_table()
-    assert gpt.nodes_with_data() == {0, 1}
-    gpt.begin_move("orders", 1, target_node_id=5)
-    assert gpt.nodes_with_data("orders") == {0, 1, 5}
-
-
 def test_unregister():
     gpt = make_table()
     gpt.unregister("orders", 1)

@@ -76,7 +76,6 @@ class TestTimeSeries:
         s.record(2.0, 20.0)
         assert len(s) == 2
         assert s.values() == [10.0, 20.0]
-        assert s.mean() == 15.0
 
     def test_between(self):
         s = TimeSeries()
@@ -104,10 +103,6 @@ class TestTimeSeries:
             s.bucket_mean(0, 1, 0)
         with pytest.raises(ValueError):
             s.bucket_rate(0, 1, -1)
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries("empty").mean()
 
 
 class TestReport:

@@ -144,12 +144,12 @@ def _execute(env, resource, program, slices=()):
             if op == "timeout":
                 yield env.timeout(delay)
             elif op == "hold":
-                request = resource.request(priority=step_index % 3)
+                request = resource.request()
                 yield request
                 yield env.timeout(delay)
                 resource.release(request)
             else:  # cancel: give up while (possibly) still queued
-                request = resource.request(priority=2)
+                request = resource.request()
                 yield env.timeout(delay if delay else 0.0001)
                 granted = request._value is not PENDING
                 resource.release(request)

@@ -45,31 +45,6 @@ def test_multi_unit_resource_allows_parallelism():
     assert finishes == [(0, 10), (1, 10), (2, 20), (3, 20)]
 
 
-def test_priority_request_jumps_queue():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder():
-        yield from res.serve(5)
-
-    def normal():
-        yield env.timeout(1)
-        yield from res.serve(1)
-        order.append("normal")
-
-    def urgent():
-        yield env.timeout(2)
-        yield from res.serve(1, priority=-10)
-        order.append("urgent")
-
-    env.process(holder())
-    env.process(normal())
-    env.process(urgent())
-    env.run()
-    assert order == ["urgent", "normal"]
-
-
 def test_release_is_idempotent():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -141,21 +116,6 @@ def test_utilization_integral_tracks_busy_time():
     env.run(until=20)
     # Busy from t=5 to t=15 -> 10 busy unit-seconds.
     assert res.tracker.integral(20) == pytest.approx(10.0)
-
-
-def test_utilization_since_checkpoint():
-    env = Environment()
-    res = Resource(env, capacity=2)
-
-    def user(start, dur):
-        yield env.timeout(start)
-        yield from res.serve(dur)
-
-    env.process(user(0, 10))
-    env.process(user(0, 10))
-    env.run(until=10)
-    # Both units busy for the whole window -> utilisation 1.0.
-    assert res.tracker.utilization_since(0, 0.0) == pytest.approx(1.0)
 
 
 def test_grant_count():

@@ -142,17 +142,7 @@ class TestSegment:
         seg = Segment(1, "t", max_pages=10, page_bytes=512)
         for i in (5, 3, 9):
             seg.insert_version(version(i))
-        assert seg.min_key() == 3
         assert seg.max_key() == 9
-
-    def test_touched_page_numbers(self):
-        seg = Segment(1, "t", max_pages=10, page_bytes=512)
-        for i in range(20):
-            seg.insert_version(version(i))
-        all_pages = seg.touched_page_numbers()
-        assert all_pages == list(range(seg.page_count))
-        some = seg.touched_page_numbers(lo=0, hi=3)
-        assert len(some) <= len(all_pages)
 
     def test_used_bytes_includes_old_versions(self):
         """The Fig. 3 measurement hook: old MVCC versions occupy space."""

@@ -73,13 +73,6 @@ def test_validate_types():
     schema.validate((1, 2, "ok", 3))  # int acceptable as float
 
 
-def test_project():
-    schema = order_schema()
-    assert schema.project((1, 2, "c", 4.0), ["o_carrier", "o_id"]) == ("c", 1)
-    with pytest.raises(KeyError):
-        schema.project((1, 2, "c", 4.0), ["nope"])
-
-
 def test_record_version_make():
     schema = order_schema()
     version = RecordVersion.make(schema, (5, 1, "x", 9.0), created_by=77)

@@ -25,8 +25,8 @@ class TestTokenBucket:
         assert b.try_take(50, now=0.0)
         assert not b.try_take(20, now=1.0)   # only 10 back
         assert b.try_take(20, now=2.0)
-        b.try_take(b.available(100.0), now=100.0)
-        assert b.available(1e6) == pytest.approx(50.0)  # capped at burst
+        assert not b.try_take(51, now=1e6)   # refill is capped at burst
+        assert b.try_take(50, now=1e6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -126,9 +126,3 @@ class TestAdmissionController:
         ac.close()
         with pytest.raises(RuntimeError):
             ac.offer(Request("web", 0.0, count=1))
-
-    def test_shed_fraction(self):
-        env, ac = self.make(queue_limit=10)
-        ac.offer(Request("web", 0.0, count=10))
-        ac.offer(Request("web", 0.0, count=10))
-        assert ac.shed_fraction() == pytest.approx(0.5)

@@ -10,7 +10,6 @@ from repro.traffic import (
     ConstantArrivals,
     DiurnalArrivals,
     FlashCrowd,
-    TraceArrivals,
     sample_poisson,
 )
 
@@ -50,18 +49,6 @@ class TestShapes:
         assert a.rate(275.0) == pytest.approx(200.0 * math.exp(-1.0))
         assert a.rate(10_000.0) < 1e-9
 
-    def test_trace_interpolates_and_holds_ends(self):
-        a = TraceArrivals(points=((10.0, 0.0), (20.0, 100.0),
-                                  (40.0, 50.0)))
-        assert a.rate(0.0) == 0.0           # held before first point
-        assert a.rate(15.0) == pytest.approx(50.0)
-        assert a.rate(30.0) == pytest.approx(75.0)
-        assert a.rate(100.0) == 50.0        # held after last point
-        with pytest.raises(ValueError):
-            TraceArrivals(points=((10.0, 1.0), (10.0, 2.0)))
-        with pytest.raises(ValueError):
-            TraceArrivals(points=((0.0, -1.0),))
-
 
 class TestComposition:
     def test_add_sums_rates(self):
@@ -73,17 +60,6 @@ class TestComposition:
             + ConstantArrivals(3.0)
         assert len(a.parts) == 3
         assert a.rate(0) == pytest.approx(6.0)
-
-    def test_scaled(self):
-        a = ConstantArrivals(10.0).scaled(2.5)
-        assert a.rate(0) == pytest.approx(25.0)
-        with pytest.raises(ValueError):
-            ConstantArrivals(1.0).scaled(-1.0)
-
-    def test_mean_rate(self):
-        a = DiurnalArrivals(base_rate=100.0, amplitude=0.6, period=100.0)
-        # A full period averages back to the base rate.
-        assert a.mean_rate(0.0, 100.0) == pytest.approx(100.0, rel=0.01)
 
 
 class TestPoisson:

@@ -125,7 +125,7 @@ class TestSessionEngine:
     def test_completions_series_sums_to_completed(self):
         engine = run_engine()
         total = sum(v for _t, v in engine.completions.points)
-        assert total == engine.completed_total
+        assert total == engine.admission.completed
 
     def test_bit_identical_replay(self):
         a = run_engine(seed=3)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro import Cluster, Environment
-from repro.workload import TPCC_TABLES, TpccConfig, load_tpcc, table_schema
+from repro.workload import TPCC_TABLES, TpccConfig, load_tpcc
 from repro.workload.tpcc_gen import TpccGenerator
 from repro.workload.tpcc_schema import tables_for
+from repro.workload.tpcc_txns import TpccContext
 
 
 def tiny_config(**overrides):
@@ -40,11 +41,6 @@ class TestSchema:
             else:
                 assert schema.key[0].endswith("w_id")
 
-    def test_table_schema_lookup(self):
-        assert table_schema("customer").key == ("c_w_id", "c_d_id", "c_id")
-        with pytest.raises(KeyError):
-            table_schema("nope")
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TpccConfig(warehouses=0)
@@ -77,9 +73,11 @@ class TestGenerator:
                 schema.validate(values)
 
     def test_nurand_in_bounds(self):
-        gen = TpccGenerator(tiny_config())
+        config = tiny_config()
+        ctx = TpccContext(None, config)
         for _ in range(200):
-            assert 1 <= gen.nurand(1023, 1, 30, 259) <= 30
+            assert 1 <= ctx.random_customer() <= config.customers_per_district
+            assert 1 <= ctx.random_item() <= config.items
 
 
 class TestFastLoad:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.workload import TpccConfig
 from repro.workload.tpcc_gen import TpccGenerator, warehouse_ranges
 from repro.workload.tpcc_schema import TPCC_TABLES, tables_for
+from repro.workload.tpcc_txns import TpccContext
 
 
 small_configs = st.builds(
@@ -98,7 +99,7 @@ def test_nurand_distribution_is_skewed():
     """NURand should visit a hot subset far more than uniform would."""
     from collections import Counter
 
-    gen = TpccGenerator(TpccConfig(customers_per_district=100))
-    counts = Counter(gen.nurand(1023, 1, 100, 259) for _ in range(20_000))
+    ctx = TpccContext(None, TpccConfig(customers_per_district=100))
+    counts = Counter(ctx.random_customer() for _ in range(20_000))
     top_decile = sum(n for _v, n in counts.most_common(10))
     assert top_decile > 20_000 * 0.15  # uniform would give ~10%
