@@ -98,7 +98,7 @@ def contended_resource(procs: int = 80, rounds: int = 60) -> float:
 
 
 def cancelled_requests(procs: int = 120, rounds: int = 40) -> int:
-    """Queue on a held resource, then give up: the lazy-cancel path."""
+    """Queue on a held resource, then give up before the grant."""
     env = Environment()
     res = Resource(env, capacity=1, name="held")
     cancelled = 0

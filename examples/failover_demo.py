@@ -196,11 +196,9 @@ def main():
     assert summary["open_moves"] == 0 and summary["open_range_moves"] == 0
 
     # How much of the run the kernel fast paths absorbed: zero-delay
-    # events that skipped the heap, synchronous resource grants, and
-    # buffer latches taken without ever materialising a Resource.
+    # events that skipped the heap and synchronous resource grants,
+    # beside the buffer latches somebody had to wait for.
     stats = dict(env.kernel_stats())
-    stats["latch_fast_hits"] = sum(
-        w.buffer.latch_fast_hits for w in cluster.workers)
     stats["latch_contended"] = sum(
         w.buffer.latch_contended for w in cluster.workers)
     print()

@@ -389,14 +389,13 @@ class WorkerNode:
         return created_ok and not deleted
 
     def insert_record(self, partition: "Partition", values: typing.Sequence,
-                      txn: Transaction, announce: bool = True):
+                      txn: Transaction):
         """Generator: transactional insert; returns the record key."""
         txn.require_writable()
         schema = partition.schema
         version = RecordVersion.make(schema, values, txn.txn_id)
         t0 = self.env.now
-        if announce:
-            yield from self._announce_write(partition, txn)
+        yield from self._announce_write(partition, txn)
         target = partition.ensure_segment_for(version.key)
         if isinstance(target, Forwarding):
             raise SegmentMovedError(target.segment_id, target.target_node_id)
@@ -427,13 +426,11 @@ class WorkerNode:
         return version.key
 
     def update_record(self, partition: "Partition", key: typing.Any,
-                      values: typing.Sequence, txn: Transaction,
-                      announce: bool = True):
+                      values: typing.Sequence, txn: Transaction):
         """Generator: transactional update (new version chained)."""
         txn.require_writable()
         t0 = self.env.now
-        if announce:
-            yield from self._announce_write(partition, txn)
+        yield from self._announce_write(partition, txn)
         segment = self._resolve_segment(partition, key)
         if txn.cc == "locking":
             yield from self.txns.locks.lock_record(
@@ -466,12 +463,11 @@ class WorkerNode:
         self.note_partition_pages(partition.partition_id, 1)
 
     def delete_record(self, partition: "Partition", key: typing.Any,
-                      txn: Transaction, announce: bool = True):
+                      txn: Transaction):
         """Generator: transactional delete (delete-mark)."""
         txn.require_writable()
         t0 = self.env.now
-        if announce:
-            yield from self._announce_write(partition, txn)
+        yield from self._announce_write(partition, txn)
         segment = self._resolve_segment(partition, key)
         if txn.cc == "locking":
             yield from self.txns.locks.lock_record(

@@ -52,20 +52,24 @@ class LogicalPartitioning(PartitioningScheme):
     the background — or simply a far larger database — without
     simulating every one of its bytes; experiments that study behaviour
     *while* a move is in flight (the paper's Fig. 3) use it to pin the
-    move's duration.
+    move's duration.  ``cc`` is the discipline the clients run under:
+    under ``"locking"`` the mover write-protects the partition with an
+    S guard for the whole move.
     """
 
     name = "logical"
     transfers_ownership = True
 
-    def __init__(self, pace_delay: float = 0.0):
+    def __init__(self, pace_delay: float = 0.0,
+                 cc: typing.Literal["mvcc", "locking"] = "mvcc"):
         if pace_delay < 0:
             raise ValueError("pace_delay must be >= 0")
         self.pace_delay = pace_delay
+        self.cc = cc
 
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange, cc: str = "mvcc"):
+                   key_range: KeyRange):
         env = cluster.env
         table = partition.table.name
         report = MoveReport(
@@ -86,7 +90,7 @@ class LogicalPartitioning(PartitioningScheme):
         # they run as MVCC system transactions, and the delete-marked
         # source versions go when ``_reclaim_source`` vacuums.
         guard = None
-        if cc == "locking":
+        if self.cc == "locking":
             from repro.txn import LockMode
 
             guard = cluster.txns.begin(is_system=True)
@@ -97,14 +101,11 @@ class LogicalPartitioning(PartitioningScheme):
 
         try:
             # Sweep until a pass finds nothing (records inserted
-            # mid-move are caught by later sweeps).  Batches under a
-            # guard act with the guard's authority and do not announce
-            # their own partition write intents.
-            announce = guard is None
+            # mid-move are caught by later sweeps).
             while True:
                 moved_this_sweep = yield from self._sweep(
                     cluster, partition, target_partition, source, target,
-                    key_range, report, announce,
+                    key_range, report,
                 )
                 if moved_this_sweep == 0:
                     break
@@ -140,7 +141,7 @@ class LogicalPartitioning(PartitioningScheme):
     def _sweep(self, cluster: "Cluster", partition: "Partition",
                target_partition: "Partition", source: "WorkerNode",
                target: "WorkerNode", key_range: KeyRange,
-               report: MoveReport, announce: bool = True):
+               report: MoveReport):
         """Generator: one full pass over the range; returns #moved.
 
         Batch size adapts AIMD-style: conflicts against concurrent
@@ -159,7 +160,7 @@ class LogicalPartitioning(PartitioningScheme):
                 return moved
             done = yield from self._move_batch(
                 cluster, partition, target_partition, source, target,
-                batch, dead, report, announce,
+                batch, dead, report,
             )
             if done is None:
                 report.conflicts += 1
@@ -181,7 +182,7 @@ class LogicalPartitioning(PartitioningScheme):
     def _move_batch(self, cluster: "Cluster", partition: "Partition",
                     target_partition: "Partition", source: "WorkerNode",
                     target: "WorkerNode", batch: list, dead: set,
-                    report: MoveReport, announce: bool = True):
+                    report: MoveReport):
         """Generator: move one batch in a system transaction; returns
         the number of records moved, or None on a conflict abort.
 
@@ -203,7 +204,9 @@ class LogicalPartitioning(PartitioningScheme):
         shipped_bytes = 0
         moved = 0
         try:
-            if announce:
+            if self.cc != "locking":
+                # Batches under the S guard act with its authority and
+                # do not announce their own partition write intents.
                 yield from source._announce_write(partition, mover)
                 yield from target._announce_write(target_partition, mover)
             # Clustered read of every page the batch touches.
@@ -381,7 +384,7 @@ class LogicalPartitioning(PartitioningScheme):
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float, cc: str = "mvcc"):
+                         fraction: float):
         """Generator: quantile-split fraction move (record-exact —
         logical partitioning is not bound to segment boundaries)."""
         if not targets:
@@ -408,7 +411,7 @@ class LogicalPartitioning(PartitioningScheme):
                     continue
                 report = yield from self.move_range(
                     cluster, partition, source, target,
-                    KeyRange(low, high), cc,
+                    KeyRange(low, high),
                 )
                 reports.append(report)
         return reports

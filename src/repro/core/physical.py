@@ -44,7 +44,7 @@ class PhysicalPartitioning(PartitioningScheme):
 
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange, cc: str = "mvcc"):
+                   key_range: KeyRange):
         report = MoveReport(
             scheme=self.name, table=partition.table.name,
             source_node=source.node_id, target_node=target.node_id,
@@ -73,7 +73,7 @@ class PhysicalPartitioning(PartitioningScheme):
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float, cc: str = "mvcc"):
+                         fraction: float):
         """Generator: ship the top-``fraction`` segments' storage to the
         targets; no catalog change whatsoever (the logical layer stays
         oblivious)."""
@@ -87,7 +87,7 @@ class PhysicalPartitioning(PartitioningScheme):
                 high = chunk[-1][0].high
                 report = yield from self.move_range(
                     cluster, partition, source, target,
-                    KeyRange(low, high), cc,
+                    KeyRange(low, high),
                 )
                 reports.append(report)
         return reports

@@ -104,7 +104,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
 
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange, cc: str = "mvcc"):
+                   key_range: KeyRange):
         """Generator: move the segments of ``key_range`` to ``target``.
 
         ``key_range`` must be aligned to segment boundaries (the low
@@ -390,7 +390,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float, cc: str = "mvcc"):
+                         fraction: float):
         """Generator: segment-aligned fraction move.
 
         Chunks are processed from the top of the key space downwards so
@@ -408,7 +408,7 @@ class PhysiologicalPartitioning(PartitioningScheme):
                 try:
                     report = yield from self.move_range(
                         cluster, partition, source, target,
-                        KeyRange(low, high), cc,
+                        KeyRange(low, high),
                     )
                 except MoveFailedError as exc:
                     # Completed chunks stay moved; the failed chunk was

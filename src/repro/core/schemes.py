@@ -139,25 +139,21 @@ class PartitioningScheme(abc.ABC):
     @abc.abstractmethod
     def move_range(self, cluster: "Cluster", partition: "Partition",
                    source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange, cc: str = "mvcc"):
+                   key_range: KeyRange):
         """Generator: move ``key_range`` of ``partition`` from
         ``source`` to ``target``; returns a :class:`MoveReport`.
 
-        ``cc`` is the discipline the clients run under: under
-        ``"locking"`` the record mover (logical) write-protects the
-        partition with an S guard for the whole move; the segment
-        shippers ignore it.  A move is background work on behalf of no
-        client query, so it has no Fig. 7 accumulator to charge.
+        A move is background work on behalf of no client query, so it
+        has no Fig. 7 accumulator to charge.
         """
 
     @abc.abstractmethod
     def migrate_fraction(self, cluster: "Cluster", table: str,
                          source: "WorkerNode",
                          targets: typing.Sequence["WorkerNode"],
-                         fraction: float, cc: str = "mvcc"):
+                         fraction: float):
         """Generator: move the top ``fraction`` of each of ``source``'s
-        partitions of ``table``, split across ``targets`` (``cc`` as in
-        :meth:`move_range`).
+        partitions of ``table``, split across ``targets``.
 
         This is the Fig. 6 driver ("migrate 50% of the records to two
         additional nodes").  Returns the list of move reports.

@@ -166,7 +166,7 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
     def mover():
         """Relocate the upper half of the partitions, one at a time —
         '50% of the records moved to another partition'."""
-        scheme = LogicalPartitioning(pace_delay=MOVE_PACE_DELAY)
+        scheme = LogicalPartitioning(pace_delay=MOVE_PACE_DELAY, cc=cc)
         yield from cluster.power_on(2)
         upper_half = partitions[len(partitions) // 2:]
         for partition in upper_half:
@@ -175,7 +175,7 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
             )
             yield from scheme.move_range(
                 cluster, partition, cluster.workers[0], cluster.worker(2),
-                hull, cc=cc,
+                hull,
             )
         if not move_done.triggered:
             move_done.succeed()

@@ -1,11 +1,13 @@
 """A B+-tree with range scans.
 
-Used in three places, matching the paper's Fig. 4 / Sect. 4.3 layering:
+Used in two places of the paper's Fig. 4 / Sect. 4.3 layering:
 
 * the per-segment primary-key index (one root per segment, so moving a
   segment never invalidates it),
-* each partition's *top index* over its segments' key ranges,
 * secondary indexes on partitions.
+
+(Each partition's *top index* over its segments' key ranges is
+:class:`repro.index.partition_tree.PartitionTree`, a dict.)
 
 Keys may be any totally-ordered values (ints, strings, tuples of
 those); values are arbitrary objects.

@@ -79,14 +79,14 @@ class SegmentMovedError(RuntimeError):
 class PartitionTree:
     """The top index of one partition: key range -> attached segment.
 
-    Entries are keyed by each segment's low key.  Lookup returns either
+    Entries are keyed by segment id.  Lookup returns either
     the segment object or a :class:`Forwarding` if the segment has been
     shipped away and the pointer not yet retired.
     """
 
     def __init__(self, partition_id: int):
         self.partition_id = partition_id
-        # Sorted association: low-key -> (KeyRange, segment-or-forwarding).
+        # segment id -> (KeyRange, segment-or-forwarding).
         self._entries: dict[int, tuple[KeyRange, typing.Any]] = {}
 
     def __len__(self) -> int:

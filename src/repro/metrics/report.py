@@ -183,16 +183,12 @@ def render_wal_summary(retention: dict[str, int],
                        checkpoint_stats: dict[str, int] | None = None,
                        vacuum_stats: dict[str, int] | None = None,
                        title: str = "WAL summary") -> str:
-    """Render one WAL's :meth:`retention_stats` — the segment
-    lifecycle counters — optionally joined with a checkpoint manager's
-    and a vacuum scheduler's :meth:`stats` for the endurance report."""
+    """Render one WAL's :meth:`retention_stats`, optionally joined
+    with a checkpoint manager's and a vacuum scheduler's :meth:`stats`
+    for the endurance report."""
     rows = [
         ["live records", retention.get("live_records", 0)],
         ["live bytes", retention.get("live_bytes", 0)],
-        ["segments held", retention.get("segments", 0)],
-        ["segments sealed", retention.get("segments_sealed", 0)],
-        ["segments dropped", retention.get("segments_dropped", 0)],
-        ["segments recycled", retention.get("segments_recycled", 0)],
         ["records truncated", retention.get("records_truncated", 0)],
         ["next LSN", retention.get("next_lsn", 0)],
     ]
@@ -312,7 +308,7 @@ def _fmt(value: typing.Any) -> str:
 def render_kernel_stats(stats: dict[str, int | float],
                         title: str = "kernel stats") -> str:
     """Render :meth:`Environment.kernel_stats` (plus any extra counters
-    the caller merged in, e.g. a buffer pool's latch fast-path hits)."""
+    the caller merged in, e.g. the buffer pools' contended latches)."""
     rows = [
         ["events processed", stats.get("events_processed", 0)],
         ["heap scheduled", stats.get("heap_scheduled", 0)],
@@ -321,7 +317,6 @@ def render_kernel_stats(stats: dict[str, int | float],
         ["heap peak depth", stats.get("heap_peak", 0)],
         ["resource fast grants", stats.get("resource_fast_grants", 0)],
     ]
-    for key in ("latch_fast_hits", "latch_contended"):
-        if key in stats:
-            rows.append([key.replace("_", " "), stats[key]])
+    if "latch_contended" in stats:
+        rows.append(["latch contended", stats["latch_contended"]])
     return render_table(["counter", "value"], rows, title=title)

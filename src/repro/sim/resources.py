@@ -7,9 +7,7 @@
 delay on the simulated clock.
 
 The wait queue is a FIFO ``deque``: requests are granted in arrival
-order.  Cancellation just flips the request's ``released`` flag and
-counts a tombstone (skipped on pop, compacted lazily once tombstones
-dominate — the policy PR 4 introduced).
+order, and a request released before its grant is removed from it.
 
 Every resource carries a :class:`UtilizationTracker` — a time-weighted
 integral of busy units — because the power model converts component
@@ -97,18 +95,13 @@ class Resource:
         self.name = name
         self.users: set[Request] = set()
         self._queue: collections.deque[Request] = collections.deque()
-        #: Queue entries whose request was cancelled before being
-        #: granted.  They stay in the queue as tombstones (skipped by
-        #: ``_dispatch``) instead of forcing an O(n) rebuild on every
-        #: cancellation.
-        self._cancelled = 0
         self.tracker = UtilizationTracker(env)
         #: Total completed grants, for throughput accounting.
         self.grant_count = 0
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue) - self._cancelled
+        return len(self._queue)
 
     @property
     def in_use(self) -> int:
@@ -117,14 +110,14 @@ class Resource:
     def request(self) -> Request:
         """Claim a unit; the returned event triggers when granted."""
         req = Request(self)
-        # Uncontended fast path: no live waiter can be ahead of us and a
-        # unit is free, so grant without touching the queue.  The grant
+        # Uncontended fast path: no waiter is ahead of us and a unit is
+        # free, so grant without touching the queue.  The grant
         # event still travels through the kernel's zero-delay FIFO
         # (``req.succeed``), which is exactly the trip the queued
         # dispatch would have given it — the simulated clock cannot tell.
         users = self.users
         queue = self._queue
-        if len(users) < self.capacity and len(queue) == self._cancelled:
+        if len(users) < self.capacity and not queue:
             self.env.resource_fast_grants += 1
             users.add(req)
             self.tracker.update(len(users))
@@ -147,31 +140,8 @@ class Resource:
             if self._queue:
                 self._dispatch()
         else:
-            # Cancelled before it was granted: leave it in the queue as a
-            # tombstone; compact only once tombstones dominate.
-            self._cancelled += 1
-            if self._cancelled > 32 and self._cancelled * 2 > len(self._queue):
-                self._compact()
-
-    def _admit_holder(self) -> Request:
-        """Seat a unit-holder synchronously, emitting no grant event.
-
-        Used when a lock already held outside the Resource (e.g. a
-        buffer latch taken on its uncontended fast path) is upgraded to
-        a queued Resource because contention arrived: the existing
-        holder must occupy a unit so new requests queue behind it, but
-        it never waits on the returned request — so triggering it would
-        add a kernel event the unupgraded execution never had.
-        """
-        req = Request(self)
-        self.users.add(req)
-        self.tracker.update(len(self.users))
-        return req
-
-    def _compact(self) -> None:
-        self._queue = collections.deque(
-            req for req in self._queue if not req.released)
-        self._cancelled = 0
+            # Given up before it was granted.
+            self._queue.remove(request)
 
     def _dispatch(self) -> None:
         queue = self._queue
@@ -179,9 +149,6 @@ class Resource:
         capacity = self.capacity
         while queue and len(users) < capacity:
             req = queue.popleft()
-            if req.released:
-                self._cancelled -= 1
-                continue
             users.add(req)
             self.tracker.update(len(users))
             self.grant_count += 1

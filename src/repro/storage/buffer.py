@@ -7,15 +7,14 @@ extension of the paper's final experiment — a remote-memory fetch,
 "still faster than flushing a page from the buffer and reading it back
 from disk when needed" (Sect. 5.2).
 
-Per-page latches are real queued resources: when rebalancing floods the
-pool, queries measurably wait on latches, which is one of the Fig. 7
+Per-page latches really queue: when rebalancing floods the pool,
+queries measurably wait on latches, which is one of the Fig. 7
 components.
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
 import typing
 
 from repro.hardware import specs
@@ -23,7 +22,7 @@ from repro.hardware.cpu import Cpu
 from repro.hardware.network import Network, NetworkPort
 from repro.metrics.breakdown import CostBreakdown
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource
+from repro.sim.events import Event
 
 
 class BufferPoolExhaustedError(RuntimeError):
@@ -39,14 +38,11 @@ class PageIO(typing.Protocol):  # pragma: no cover - typing aid
 
 
 class _Frame:
-    __slots__ = ("pins", "dirty", "stamp")
+    __slots__ = ("pins", "dirty")
 
     def __init__(self):
         self.pins = 0
         self.dirty = False
-        #: Monotonic LRU stamp: reassigned on every insertion and every
-        #: hit, so ascending stamp order equals the pool's LRU order.
-        self.stamp = 0
 
 
 class RemoteBufferExtension:
@@ -125,33 +121,18 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self.name = name
         self._resolver = resolver
+        #: Resident frames in LRU order: a frame is inserted at the end
+        #: and moved to the end on every hit.
         self._frames: collections.OrderedDict[int, _Frame] = collections.OrderedDict()
-        # Latch Resources exist only for pages with *actual* contention;
-        # the common case holds the latch via ``_fast_latched`` with no
-        # Resource, no queue, and no tracker updates.  A page appears in
-        # ``_fast_latched`` while its latch is held on the fast path; the
-        # value is the placeholder Request seated in the upgraded
-        # Resource if contention arrived mid-hold, else None.
-        self._latches: dict[int, Resource] = {}
-        self._fast_latched: dict[int, typing.Any] = {}
-        # Lazy min-heap of (stamp, page_id) eviction candidates: entries
-        # are pushed when a frame's pin count drops to zero and verified
-        # against the frame's current stamp when popped, so
-        # ``_pick_victim`` never scans pinned frames.
-        self._unpinned: list[tuple[int, int]] = []
-        #: Heap entries invalidated since the last compaction (page
-        #: re-pinned, discarded, or evicted from under them).  They stay
-        #: in the heap as tombstones and are skipped by ``_pick_victim``;
-        #: the heap is rebuilt only once they dominate — the same lazy
-        #: policy as the resource wait queues.
-        self._stale = 0
-        self._stamp = 0
+        #: Held latches: a page is here exactly while its latch is held.
+        #: The value is the FIFO of events the fetchers queued behind
+        #: the holder wait on, or None while nobody has had to wait.
+        self._latched: dict[int, collections.deque[Event] | None] = {}
         self.remote_extension: RemoteBufferExtension | None = None
         self.hits = 0
         self.misses = 0
         self.remote_hits = 0
         self.evictions = 0
-        self.latch_fast_hits = 0
         self.latch_contended = 0
 
     # -- introspection -----------------------------------------------------
@@ -174,32 +155,23 @@ class BufferPool:
         """Generator: make the page resident and pin it.
 
         Concurrent fetchers of the same non-resident page queue on its
-        latch, so only one disk read is issued.  Uncontended latches
-        (the overwhelming majority) are held via ``_fast_latched`` with
-        no Resource at all; a queued Resource is materialised only when
-        a second fetcher actually collides, and reaped once idle.
+        latch in arrival order, so only one disk read is issued.
         """
         t0 = self.env.now
-        latch = self._latches.get(page_id)
-        if latch is None and page_id not in self._fast_latched:
-            self.latch_fast_hits += 1
-            self._fast_latched[page_id] = None
-            request = None
-            # One zero-delay hop — exactly the trip an uncontended
-            # Resource grant costs, so the clock sees no difference.
+        latched = self._latched
+        if page_id not in latched:
+            latched[page_id] = None
+            # The uncontended grant costs one zero-delay hop, as the
+            # hand-over to a waiter below does.
             yield self.env.immediate()
         else:
             self.latch_contended += 1
-            if latch is None:
-                # Contention against a fast-path hold: upgrade by
-                # seating the holder in a fresh Resource (no grant
-                # event — it already holds the latch) and queue behind.
-                latch = Resource(self.env, capacity=1,
-                                 name=f"{self.name}.latch{page_id}")
-                self._latches[page_id] = latch
-                self._fast_latched[page_id] = latch._admit_holder()
-            request = latch.request()
-            yield request
+            waiters = latched[page_id]
+            if waiters is None:
+                waiters = latched[page_id] = collections.deque()
+            turn = self.env.event()
+            waiters.append(turn)
+            yield turn
         if breakdown is not None:
             breakdown.add("latching", self.env.now - t0)
         try:
@@ -207,12 +179,6 @@ class BufferPool:
             if frame is not None:
                 self.hits += 1
                 self._frames.move_to_end(page_id)
-                if frame.pins == 0:
-                    # Re-pinning orphans the frame's eviction-candidate
-                    # heap entry (pushed on the last pin-count-zero).
-                    self._stale += 1
-                self._stamp += 1
-                frame.stamp = self._stamp
                 frame.pins += 1
                 yield from self.cpu.execute(specs.CPU_BUFFER_HIT_SECONDS)
                 return
@@ -222,8 +188,6 @@ class BufferPool:
             # overshoot its capacity while reads are in flight.
             frame = _Frame()
             frame.pins = 1
-            self._stamp += 1
-            frame.stamp = self._stamp
             self._frames[page_id] = frame
             try:
                 if (self.remote_extension is not None
@@ -244,25 +208,12 @@ class BufferPool:
                 raise
             frame.dirty = dirty
         finally:
-            self._release_latch(page_id, request)
-
-    def _release_latch(self, page_id: int, request) -> None:
-        if request is not None:
-            latch = request.resource
-            latch.release(request)
-            if (not latch.users and not latch.queue_length
-                    and page_id not in self._fast_latched
-                    and self._latches.get(page_id) is latch):
-                del self._latches[page_id]
-            return
-        placeholder = self._fast_latched.pop(page_id, None)
-        if placeholder is not None:
-            # Waiters arrived during the fast-path hold: hand over.
-            latch = placeholder.resource
-            latch.release(placeholder)
-            if (not latch.users and not latch.queue_length
-                    and self._latches.get(page_id) is latch):
-                del self._latches[page_id]
+            waiters = latched[page_id]
+            if waiters:
+                # Hand the latch to the next fetcher; it stays held.
+                waiters.popleft().succeed()
+            else:
+                del latched[page_id]
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         frame = self._frames.get(page_id)
@@ -271,24 +222,6 @@ class BufferPool:
         frame.pins -= 1
         if dirty:
             frame.dirty = True
-        if frame.pins == 0:
-            heapq.heappush(self._unpinned, (frame.stamp, page_id))
-            if self._stale > 32 and self._stale * 2 > len(self._unpinned):
-                self._compact_unpinned()
-
-    def _compact_unpinned(self) -> None:
-        """Rebuild the candidate heap from the live unpinned frames.
-
-        Called once tombstones dominate, so the amortized cost per
-        invalidation is O(1) and the heap stays bounded by roughly one
-        entry per frame plus the tombstone allowance — long runs no
-        longer accrete stale ``(stamp, page_id)`` pairs without limit.
-        """
-        self._unpinned = [(frame.stamp, page_id)
-                          for page_id, frame in self._frames.items()
-                          if frame.pins == 0]
-        heapq.heapify(self._unpinned)
-        self._stale = 0
 
     def _make_room(self, breakdown: CostBreakdown | None):
         """Generator: evict until one frame is free.
@@ -303,9 +236,6 @@ class BufferPool:
             victim_id = self._pick_victim()
             frame = self._frames.pop(victim_id)
             self.evictions += 1
-            latch = self._latches.get(victim_id)
-            if latch is not None and not latch.users and not latch.queue_length:
-                del self._latches[victim_id]
             if not frame.dirty:
                 continue
             if self.remote_extension is not None:
@@ -319,20 +249,11 @@ class BufferPool:
                 yield from self._write_back(victim_id, breakdown)
 
     def _pick_victim(self) -> int:
-        # Ascending stamp order is the pool's LRU order, so the smallest
-        # *valid* heap entry is exactly the frame the full LRU scan would
-        # have chosen.  Entries whose page was evicted, re-pinned, or
-        # re-stamped since they were pushed are discarded lazily here.
-        heap = self._unpinned
-        while heap:
-            stamp, page_id = heap[0]
-            frame = self._frames.get(page_id)
-            if frame is None or frame.stamp != stamp or frame.pins:
-                heapq.heappop(heap)
-                self._stale -= 1
-                continue
-            heapq.heappop(heap)
-            return page_id
+        # A pinned frame was just fetched, so it sits at the MRU end:
+        # the first frame is unpinned unless nearly all are pinned.
+        for page_id, frame in self._frames.items():
+            if not frame.pins:
+                return page_id
         raise BufferPoolExhaustedError(
             f"{self.name}: all {self.capacity_pages} frames pinned"
         )
@@ -370,16 +291,9 @@ class BufferPool:
     def discard(self, page_id: int) -> None:
         """Drop a page without write-back (its segment left this node)."""
         frame = self._frames.get(page_id)
-        if frame is not None and frame.pins > 0:
-            # Checked before touching the frame table: a rejected
-            # discard must leave the pinned page resident, not half-drop
-            # it and raise.
+        if frame is None:
+            return
+        if frame.pins > 0:
+            # A rejected discard leaves the pinned page resident.
             raise RuntimeError(f"discarding pinned page {page_id}")
-        if frame is not None:
-            del self._frames[page_id]
-            # The dropped frame was unpinned, so its eviction-candidate
-            # heap entry is now a tombstone.
-            self._stale += 1
-        latch = self._latches.get(page_id)
-        if latch is not None and not latch.users and not latch.queue_length:
-            del self._latches[page_id]
+        del self._frames[page_id]

@@ -7,7 +7,7 @@ periodic checkpoints the WAL grows without bound and recovery replays
 from the beginning of time.  This module adds ARIES-flavoured *fuzzy*
 checkpoints — taken without quiescing transactions — and the horizon
 arithmetic that lets :meth:`repro.txn.wal.LogManager.truncate_before`
-recycle sealed log segments:
+recycle the log:
 
 * a :class:`CheckpointRecord` (active-transaction table, dirty-extent
   table, partition-table epochs, and the ``redo_lsn`` REDO must start
@@ -153,7 +153,7 @@ def take_worker_checkpoint(worker: "WorkerNode",
 
 
 class CheckpointManager(PeriodicDaemon):
-    """Periodic fuzzy checkpoints plus WAL segment recycling.
+    """Periodic fuzzy checkpoints plus WAL recycling.
 
     One background process walks the active workers on a fixed cadence:
     checkpoint, compute the recycling horizon, truncate.  With a
@@ -184,8 +184,7 @@ class CheckpointManager(PeriodicDaemon):
         self.peak_live_records = 0
         #: Live records beyond the horizon after recycling — the
         #: footprint bound the endurance gate asserts on (exact-LSN
-        #: truncation keeps this at zero; a lazier whole-segment-only
-        #: strategy may legitimately reach 2 segments).
+        #: truncation keeps this at zero).
         self.peak_footprint_slack = 0
         self.last_horizons: dict[int, int] = {}
 

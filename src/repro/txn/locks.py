@@ -75,7 +75,7 @@ class LockTimeoutError(RuntimeError):
 
 
 class _Waiter:
-    __slots__ = ("txn_id", "mode", "event", "is_upgrade", "cancelled")
+    __slots__ = ("txn_id", "mode", "event", "is_upgrade")
 
     def __init__(self, env: Environment, txn_id: int, mode: LockMode,
                  is_upgrade: bool):
@@ -83,7 +83,6 @@ class _Waiter:
         self.mode = mode
         self.event: Event = env.event()
         self.is_upgrade = is_upgrade
-        self.cancelled = False
 
 
 class _LockState:
@@ -134,14 +133,14 @@ class LockManager:
 
     def _clears_queue(self, state: _LockState, mode: LockMode,
                       upto: _Waiter | None = None) -> bool:
-        """Whether ``mode`` is compatible with every live waiter queued
+        """Whether ``mode`` is compatible with every waiter queued
         (ahead of ``upto``) — the fairness rule that keeps a queued X
         from being starved by a stream of later compatible requests,
         while still letting e.g. IS slip past a queued S."""
         for waiter in state.queue:
             if waiter is upto:
                 return True
-            if not waiter.cancelled and not compatible(waiter.mode, mode):
+            if not compatible(waiter.mode, mode):
                 return False
         return True
 
@@ -180,7 +179,6 @@ class LockManager:
         if breakdown is not None:
             breakdown.add("locking", self.env.now - t0)
         if not waiter.event.processed and not waiter.event.triggered:
-            waiter.cancelled = True
             state.queue.remove(waiter)
             self.timeout_count += 1
             raise LockTimeoutError(
@@ -216,7 +214,6 @@ class LockManager:
         progress = True
         while progress:
             progress = False
-            state.queue = [w for w in state.queue if not w.cancelled]
             for waiter in list(state.queue):
                 if not self._grantable(state, waiter.txn_id, waiter.mode):
                     continue

@@ -1,4 +1,4 @@
-"""Write-ahead logging with group commit, log shipping, and segments.
+"""Write-ahead logging with group commit and log shipping.
 
 "For durability reasons, write-ahead logs must be maintained at all
 times.  When repartitioning, although record ownership changes, log
@@ -11,17 +11,16 @@ the network instead of the local disk — implemented here as a pluggable
 sink.
 
 Endurance runs hold the log for simulated hours, so the record store is
-*segmented*: the tail segment absorbs appends, fills up, and is sealed;
-:meth:`LogManager.truncate_before` drops whole sealed segments in O(1)
-once they fall behind the recycling horizon (the checkpoint/replication/
-move minimum computed by :mod:`repro.txn.checkpoint`), recycling their
-shells for future tail segments instead of growing the heap forever.
+a ``deque``: :meth:`LogManager.truncate_before` pops, LSN-exactly, the
+records that fell behind the recycling horizon (the checkpoint/
+replication/move minimum computed by :mod:`repro.txn.checkpoint`).
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import typing
 
 from repro.hardware.disk import Disk
@@ -36,14 +35,6 @@ LOG_BLOCK_BYTES = 4096
 
 #: Fixed serialized overhead per log record.
 LOG_RECORD_HEADER_BYTES = 48
-
-#: Records per log segment before the tail is sealed and a new one
-#: starts.  Small enough that a horizon advance frees memory promptly,
-#: large enough that sealing is rare on the append path.
-DEFAULT_SEGMENT_RECORDS = 1024
-
-#: Recycled (empty) segment shells kept for reuse per log.
-_MAX_FREE_SEGMENTS = 8
 
 
 def log_record_checksum(lsn: int, txn_id: int, kind: str,
@@ -75,74 +66,6 @@ class LogRecord:
                          self.checksum, where=where, detail=self.lsn)
 
 
-class LogSegment:
-    """A fixed-capacity run of consecutive records.
-
-    Only the youngest segment of a log accepts appends; once full it is
-    *sealed*.  A sealed segment whose last LSN falls behind the
-    recycling horizon is dropped whole — an O(1) deque pop — and its
-    shell reused for a future tail segment.
-    """
-
-    __slots__ = ("records", "sealed")
-
-    def __init__(self):
-        self.records: list[LogRecord] = []
-        self.sealed = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "sealed" if self.sealed else "tail"
-        return f"<LogSegment {state}: {len(self.records)} records>"
-
-
-class LogRecordsView:
-    """Sequence view over a log's live records, across segments.
-
-    Iteration, ``len``, indexing — and item assignment,
-    which writes through to the owning segment (the fault injector and
-    the audit suite's tamper helpers rely on in-place mutation being
-    visible to later replays).
-    """
-
-    __slots__ = ("_log",)
-
-    def __init__(self, log: "LogManager"):
-        self._log = log
-
-    def __len__(self) -> int:
-        return self._log.live_records
-
-    def __iter__(self):
-        for segment in self._log._segments:
-            yield from segment.records
-
-    def _locate(self, index: int) -> tuple[list[LogRecord], int]:
-        n = self._log.live_records
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("log record index out of range")
-        for segment in self._log._segments:
-            m = len(segment.records)
-            if index < m:
-                return segment.records, index
-            index -= m
-        raise IndexError("log record index out of range")  # pragma: no cover
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        records, i = self._locate(index)
-        return records[i]
-
-    def __setitem__(self, index: int, value: LogRecord) -> None:
-        records, i = self._locate(index)
-        records[i] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LogRecordsView of {self._log.name}: {len(self)} records>"
-
-
 class LogShippingSink:
     """A remote log destination on a helper node (Fig. 8)."""
 
@@ -163,18 +86,13 @@ class LogShippingSink:
 class LogManager:
     """Per-node WAL: in-memory append, forced flush with group commit."""
 
-    def __init__(self, env: Environment, disk: Disk, name: str = "wal",
-                 segment_records: int = DEFAULT_SEGMENT_RECORDS):
-        if segment_records < 1:
-            raise ValueError("segment_records must be positive")
+    def __init__(self, env: Environment, disk: Disk, name: str = "wal"):
         self.env = env
         self.disk = disk
         self.name = name
-        self.segment_records = segment_records
-        self._segments: collections.deque[LogSegment] = collections.deque()
-        self._segments.append(LogSegment())
-        self._free: list[LogSegment] = []
-        self.records = LogRecordsView(self)
+        #: The live records, oldest first.  Fault injectors assign to
+        #: an index to rot a record in place.
+        self.records: collections.deque[LogRecord] = collections.deque()
         self._next_lsn = 0
         self._appended_bytes = 0
         self._flushed_bytes = 0
@@ -183,14 +101,13 @@ class LogManager:
         self._sink: LogShippingSink | None = None
         self.flush_count = 0
         self.bytes_flushed_total = 0
-        #: The most recently appended record (the hot-path accessor the
-        #: access layer uses instead of indexing the records view).
+        #: The most recently appended record.
         self.tail: LogRecord | None = None
         # -- retention bookkeeping ----------------------------------------
-        #: Records / payload bytes currently held in memory (after
-        #: truncation, not since birth).
-        self.live_records = 0
+        #: Payload bytes currently held in memory (after truncation,
+        #: not since birth), and records cut by ``truncate_before``.
         self.live_bytes = 0
+        self.records_truncated = 0
         #: LSN of the newest checkpoint record, and the REDO start LSN
         #: it implies (its own LSN for plain/move checkpoints, the
         #: payload's ``redo_lsn`` for fuzzy checkpoints).
@@ -203,12 +120,6 @@ class LogManager:
         #: unresolved (popped on commit/abort) — the active-transaction
         #: table a fuzzy checkpoint snapshots.
         self._txn_first_lsn: dict[int, int] = {}
-        # -- segment lifecycle counters -----------------------------------
-        self.segments_sealed = 0
-        self.segments_dropped = 0
-        self.segments_recycled = 0
-        self.segments_allocated = 1
-        self.records_truncated = 0
 
     # -- sink management (log shipping) --------------------------------------
 
@@ -223,27 +134,6 @@ class LogManager:
     @property
     def is_shipping(self) -> bool:
         return self._sink is not None
-
-    # -- segment plumbing -----------------------------------------------------
-
-    def _push_segment(self) -> LogSegment:
-        if self._free:
-            segment = self._free.pop()
-            self.segments_recycled += 1
-        else:
-            segment = LogSegment()
-            self.segments_allocated += 1
-        self._segments.append(segment)
-        return segment
-
-    def _drop_segment(self) -> LogSegment:
-        segment = self._segments.popleft()
-        segment.records.clear()
-        segment.sealed = False
-        self.segments_dropped += 1
-        if len(self._free) < _MAX_FREE_SEGMENTS:
-            self._free.append(segment)
-        return segment
 
     # -- append / flush ------------------------------------------------------
 
@@ -260,14 +150,8 @@ class LogManager:
             checksum=log_record_checksum(self._next_lsn, txn_id, kind,
                                          payload),
         )
-        segment = self._segments[-1]
-        if len(segment.records) >= self.segment_records:
-            segment.sealed = True
-            self.segments_sealed += 1
-            segment = self._push_segment()
-        segment.records.append(record)
+        self.records.append(record)
         self.tail = record
-        self.live_records += 1
         self.live_bytes += size
         self._appended_bytes += size
         if txn_id > 0:
@@ -276,13 +160,16 @@ class LogManager:
             elif txn_id not in self._txn_first_lsn:
                 self._txn_first_lsn[txn_id] = record.lsn
         elif kind == "checkpoint":
-            self.last_checkpoint_lsn = record.lsn
-            redo = getattr(payload, "redo_lsn", None)
-            self.last_checkpoint_redo_lsn = (
-                record.lsn if redo is None else redo
-            )
-            self.appended_at_last_checkpoint = self._appended_bytes
+            self._point_at_checkpoint(record, self._appended_bytes)
         return record.lsn
+
+    def _point_at_checkpoint(self, record: LogRecord, appended: int) -> None:
+        """Make ``record`` the newest checkpoint; ``appended`` is
+        ``_appended_bytes`` as of that record."""
+        self.last_checkpoint_lsn = record.lsn
+        redo = getattr(record.payload, "redo_lsn", None)
+        self.last_checkpoint_redo_lsn = record.lsn if redo is None else redo
+        self.appended_at_last_checkpoint = appended
 
     def flush(self, lsn: int, breakdown: CostBreakdown | None = None):
         """Generator: force the log out at least up to ``lsn``.
@@ -334,33 +221,12 @@ class LogManager:
 
         After a successful partition move "the old copies and the old
         log file are no longer required".
-
-        Whole segments behind the horizon are dropped in O(1) each and
-        their shells recycled; only the single boundary segment needs a
-        prefix trim, keeping the LSN-exact contract of the monolithic
-        implementation at amortized O(1) per retired record.
         """
+        records = self.records
         cut = 0
-        while len(self._segments) > 1:
-            head = self._segments[0]
-            if not head.records or head.records[-1].lsn >= lsn:
-                break
-            n = len(head.records)
-            nbytes = sum(r.nbytes for r in head.records)
-            cut += n
-            self.live_records -= n
-            self.live_bytes -= nbytes
-            self._drop_segment()
-        head = self._segments[0].records
-        keep_from = 0
-        while keep_from < len(head) and head[keep_from].lsn < lsn:
-            keep_from += 1
-        if keep_from:
-            trimmed = head[:keep_from]
-            del head[:keep_from]
-            cut += len(trimmed)
-            self.live_records -= len(trimmed)
-            self.live_bytes -= sum(r.nbytes for r in trimmed)
+        while records and records[0].lsn < lsn:
+            self.live_bytes -= records.popleft().nbytes
+            cut += 1
         self.records_truncated += cut
         return cut
 
@@ -370,53 +236,47 @@ class LogManager:
         final flush, so the suffix never existed on disk).  LSNs are
         not reissued — the sequence keeps climbing past the hole, as a
         real log switch would.  Returns how many records were cut."""
+        records = self.records
         cut = 0
-        while cut < count and self._segments:
-            segment = self._segments[-1]
-            if not segment.records:
-                if len(self._segments) == 1:
-                    break
-                self._segments.pop()
-                continue
-            record = segment.records.pop()
+        lost_checkpoint = False
+        while cut < count and records:
+            record = records.pop()
             cut += 1
-            self.live_records -= 1
             self.live_bytes -= record.nbytes
             self._appended_bytes -= record.nbytes
             if record.txn_id > 0:
                 self._txn_first_lsn.pop(record.txn_id, None)
-        tail = self._segments[-1] if self._segments else None
-        if tail is not None and not tail.records and len(self._segments) > 1:
-            self._segments.pop()
-            tail = self._segments[-1]
-        if tail is not None:
-            tail.sealed = False
-            self.tail = tail.records[-1] if tail.records else None
+            elif record.kind == "checkpoint":
+                lost_checkpoint = True
+        self.tail = records[-1] if records else None
         if self._flushed_bytes > self._appended_bytes:
             self._flushed_bytes = self._appended_bytes
+        if lost_checkpoint:
+            # The pointers must not outlive their record, or REDO would
+            # start behind the newest checkpoint that survives.
+            self.last_checkpoint_lsn = self.last_checkpoint_redo_lsn = 0
+            self.appended_at_last_checkpoint = 0
+            appended = self._appended_bytes
+            for record in reversed(records):
+                if record.txn_id <= 0 and record.kind == "checkpoint":
+                    self._point_at_checkpoint(record, appended)
+                    break
+                appended -= record.nbytes
         return cut
 
     def iter_from(self, lsn: int) -> typing.Iterator[LogRecord]:
-        """Iterate live records with LSN strictly greater than ``lsn``,
-        skipping whole segments that end at or before it — the bounded
-        REDO scan (recovery never touches pre-checkpoint segments)."""
-        for segment in self._segments:
-            records = segment.records
-            if not records or records[-1].lsn <= lsn:
-                continue
-            if records[0].lsn > lsn:
-                yield from records
-                continue
-            # Boundary segment: LSNs are consecutive within a segment.
-            lo, hi = 0, len(records)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if records[mid].lsn <= lsn:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            for i in range(lo, len(records)):
-                yield records[i]
+        """Iterate live records with LSN strictly greater than ``lsn``
+        (the bounded REDO scan)."""
+        records = self.records
+        if not records or records[0].lsn > lsn:
+            return iter(records)
+        # LSNs climb by one except across a discarded torn tail, so the
+        # offset from the head is exact without a hole and an upper
+        # bound with one.
+        skip = min(lsn - records[0].lsn + 1, len(records))
+        while records[skip - 1].lsn > lsn:
+            skip -= 1
+        return itertools.islice(records, skip, None)
 
     def committed_ops_since(self, lsn: int = 0) -> list[LogRecord]:
         """Redo scan: data records of transactions with a flushed-side
@@ -443,16 +303,16 @@ class LogManager:
 
     # -- introspection --------------------------------------------------------
 
+    @property
+    def live_records(self) -> int:
+        """Records currently held in memory (after truncation)."""
+        return len(self.records)
+
     def retention_stats(self) -> dict[str, int]:
-        """Segment-lifecycle counters for the metrics report."""
+        """Retention counters for the metrics report."""
         return {
             "live_records": self.live_records,
             "live_bytes": self.live_bytes,
-            "segments": len(self._segments),
-            "segments_sealed": self.segments_sealed,
-            "segments_dropped": self.segments_dropped,
-            "segments_recycled": self.segments_recycled,
-            "segments_allocated": self.segments_allocated,
             "records_truncated": self.records_truncated,
             "next_lsn": self._next_lsn,
         }

@@ -7,7 +7,7 @@ from tests.core.conftest import read_all
 
 
 def migrate(env, cluster, fraction=0.5, targets=(2, 3), cc="mvcc"):
-    scheme = LogicalPartitioning()
+    scheme = LogicalPartitioning(cc=cc)
     target_workers = []
 
     def go():
@@ -17,7 +17,7 @@ def migrate(env, cluster, fraction=0.5, targets=(2, 3), cc="mvcc"):
                 yield from cluster.power_on(node_id)
             target_workers.append(worker)
         reports = yield from scheme.migrate_fraction(
-            cluster, "kv", cluster.workers[0], target_workers, fraction, cc=cc
+            cluster, "kv", cluster.workers[0], target_workers, fraction
         )
         return reports
 

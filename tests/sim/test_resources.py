@@ -252,9 +252,9 @@ def test_store_put_after_get_refills_waiting_getter():
     assert got == ["x", "y", "z"]
 
 
-def test_cancelled_requests_tombstone_and_compact():
-    """Cancelling queued requests must not disturb grant order, and
-    queue_length must count live waiters only (tombstones excluded)."""
+def test_requests_released_before_grant_leave_the_queue():
+    """Releasing queued requests before their grant must not disturb
+    grant order, and queue_length must count live waiters only."""
     env = Environment()
     res = Resource(env, capacity=1)
     order = []

@@ -204,7 +204,6 @@ def test_stale_image_is_ignored(rig):
 def test_manager_recycles_behind_horizon(rig):
     env, cluster = rig
     worker = cluster.workers[0]
-    worker.wal.segment_records = 8
     run(env, write_batch(cluster, 0, 40, "bulk")())
     manager = CheckpointManager(cluster, interval=5.0)
 

@@ -192,11 +192,21 @@ def test_timeout_raises_and_cleans_queue():
         except LockTimeoutError:
             failures.append(env.now)
 
+    def patient():
+        yield from lm.acquire(3, "r", LockMode.S, timeout=1000.0)
+        granted.append(env.now)
+
+    granted = []
     env.process(holder())
     env.process(waiter())
+    env.process(patient())
     env.run()
     assert failures == [pytest.approx(2.0)]
     assert lm.timeout_count == 1
+    # The holder's release granted the waiter queued behind the
+    # timed-out one.
+    assert granted == [pytest.approx(100.0)]
+    assert lm.holders("r") == {3: LockMode.S}
     assert lm.queue_length("r") == 0
 
 

@@ -1,7 +1,7 @@
 """Property test: WAL recycling never outruns its horizons.
 
-``CheckpointManager.recycling_horizon`` is the safety valve of the
-segmented WAL: whatever interleaving of appends, replication lag, open
+``CheckpointManager.recycling_horizon`` is the safety valve of WAL
+recycling: whatever interleaving of appends, replication lag, open
 moves, and checkpoints occurs, ``truncate_before(horizon)`` must never
 drop a record that
 
@@ -68,12 +68,11 @@ OP = st.one_of(
 
 
 @settings(max_examples=80, deadline=None)
-@given(ops=st.lists(OP, min_size=1, max_size=100),
-       segment_records=st.integers(2, 8))
-def test_recycling_never_crosses_any_horizon(ops, segment_records):
+@given(ops=st.lists(OP, min_size=1, max_size=100))
+def test_recycling_never_crosses_any_horizon(ops):
     env = Environment()
     disk = Disk(env, SSD_SPEC, name="logdisk")
-    log = LogManager(env, disk, segment_records=segment_records)
+    log = LogManager(env, disk)
     worker = StubWorker(log)
     replication = StubReplication()
     journal = StubJournal(log)

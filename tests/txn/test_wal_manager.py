@@ -118,6 +118,29 @@ class TestLogManager:
         ops = log.committed_ops_since(0)
         assert [r.payload for r in ops] == ["a"]
 
+    def test_discard_tail_repoints_the_checkpoint(self):
+        """A torn tail that takes the newest checkpoint with it must
+        leave REDO starting at the newest checkpoint that survives."""
+        from repro.txn.recovery import redo_start_lsn
+
+        _env, _disk, log = make_log()
+        log.append(1, "insert")
+        log.append(1, "commit")
+        log.checkpoint()                       # lsn 3
+        appended_at_3 = log.appended_at_last_checkpoint
+        log.append(2, "insert")
+        log.append(2, "commit")
+        log.checkpoint()                       # lsn 6
+        assert log.discard_tail(1) == 1
+        assert log.last_checkpoint_lsn == 3
+        assert log.last_checkpoint_redo_lsn == 3
+        assert log.appended_at_last_checkpoint == appended_at_3
+        assert [r.lsn for r in log.iter_from(redo_start_lsn(log))] == [4, 5]
+        # No checkpoint survives: REDO starts from the head.
+        log.discard_tail(3)
+        assert log.last_checkpoint_lsn == log.last_checkpoint_redo_lsn == 0
+        assert log.appended_at_last_checkpoint == 0
+
 
 class TestTransactionManager:
     def test_begin_assigns_snapshot(self):

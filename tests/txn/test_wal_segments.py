@@ -1,76 +1,41 @@
-"""Segmented WAL: seal/recycle/drop lifecycle and LSN-exact recycling.
+"""The WAL's record store: LSN-exact recycling, the bounded REDO scan,
+and the sequence shape of ``records``.
 
-The log is a deque of fixed-size segments; ``truncate_before`` must
-drop whole sealed segments in O(1) while keeping the historical
-LSN-exact contract (the returned cut count and the surviving records
-are identical to the old list-slicing implementation).
+The log is one deque of records; ``truncate_before`` pops exactly the
+records below the horizon (the returned cut count and the surviving
+records are those of a list slice).
 """
-
-import pytest
 
 from repro.hardware import Disk, SSD_SPEC
 from repro.sim import Environment
 from repro.txn import LogManager
 
 
-def make_log(segment_records=4):
+def make_log():
     env = Environment()
     disk = Disk(env, SSD_SPEC, name="logdisk")
-    return env, disk, LogManager(env, disk, segment_records=segment_records)
+    return env, disk, LogManager(env, disk)
 
 
 class TestSegmentLifecycle:
-    def test_full_segments_seal_and_count(self):
-        _env, _disk, log = make_log(segment_records=4)
-        for i in range(10):
-            log.append(1, "insert", payload=i)
-        stats = log.retention_stats()
-        assert stats["segments"] == 3          # 4 + 4 + 2
-        assert stats["segments_sealed"] == 2
-        assert log.live_records == 10
-        assert [r.payload for r in log.records] == list(range(10))
-
-    def test_truncate_drops_whole_segments(self):
-        _env, _disk, log = make_log(segment_records=4)
-        for i in range(12):
-            log.append(1, "insert", payload=i)
-        cut = log.truncate_before(9)           # segments [1-4] [5-8] whole
-        assert cut == 8
-        assert log.live_records == 4
-        assert [r.lsn for r in log.records] == [9, 10, 11, 12]
-        stats = log.retention_stats()
-        assert stats["segments_dropped"] == 2
-        assert stats["records_truncated"] == 8
-
     def test_truncate_is_lsn_exact_within_a_segment(self):
-        """A horizon inside a segment trims the record prefix exactly —
-        not rounded down to a segment boundary."""
-        _env, _disk, log = make_log(segment_records=8)
+        """A horizon trims the record prefix exactly."""
+        _env, _disk, log = make_log()
         for i in range(8):
             log.append(1, "insert", payload=i)
         cut = log.truncate_before(4)
         assert cut == 3
         assert [r.lsn for r in log.records] == [4, 5, 6, 7, 8]
-        # Second exact cut in the same boundary segment.
+        # Second exact cut.
         assert log.truncate_before(6) == 2
         assert [r.lsn for r in log.records] == [6, 7, 8]
-
-    def test_dropped_segment_shells_are_recycled(self):
-        _env, _disk, log = make_log(segment_records=4)
-        for i in range(9):
-            log.append(1, "insert", payload=i)
-        log.truncate_before(9)
-        before = log.retention_stats()
-        assert before["segments_dropped"] == 2
-        for i in range(8):                     # fills two fresh segments
-            log.append(1, "insert", payload=100 + i)
-        after = log.retention_stats()
-        assert after["segments_recycled"] >= 1
-        # LSNs stay contiguous across recycling.
-        assert [r.lsn for r in log.records] == list(range(9, 18))
+        stats = log.retention_stats()
+        assert stats["records_truncated"] == 5
+        assert stats["live_records"] == log.live_records == 3
+        assert stats["live_bytes"] == sum(r.nbytes for r in log.records)
 
     def test_truncate_never_drops_the_tail_segment(self):
-        _env, _disk, log = make_log(segment_records=4)
+        _env, _disk, log = make_log()
         for i in range(6):
             log.append(1, "insert", payload=i)
         cut = log.truncate_before(10_000)      # horizon past the tail
@@ -83,7 +48,7 @@ class TestSegmentLifecycle:
 
 class TestIterFrom:
     def test_iter_from_skips_sealed_segments(self):
-        _env, _disk, log = make_log(segment_records=4)
+        _env, _disk, log = make_log()
         for i in range(12):
             log.append(1, "insert", payload=i)
         assert [r.lsn for r in log.iter_from(9)] == [10, 11, 12]
@@ -91,46 +56,52 @@ class TestIterFrom:
         assert list(log.iter_from(12)) == []
 
     def test_iter_from_binary_searches_boundary_segment(self):
-        _env, _disk, log = make_log(segment_records=8)
+        _env, _disk, log = make_log()
         for i in range(8):
             log.append(1, "insert", payload=i)
         assert [r.lsn for r in log.iter_from(5)] == [6, 7, 8]
 
     def test_iter_from_after_truncation(self):
-        _env, _disk, log = make_log(segment_records=4)
+        _env, _disk, log = make_log()
         for i in range(12):
             log.append(1, "insert", payload=i)
         log.truncate_before(7)
         assert [r.lsn for r in log.iter_from(8)] == [9, 10, 11, 12]
 
-
-class TestRecordsView:
-    """The ``records`` attribute stayed sequence-shaped for existing
-    callers: len, iteration, indexing, negative indexing, slices."""
-
-    def test_indexing_spans_segments(self):
-        _env, _disk, log = make_log(segment_records=3)
+    def test_iter_from_across_a_discarded_tail(self):
+        """LSNs are not reissued after ``discard_tail``, so the sequence
+        has a hole; the scan still starts at the first larger LSN."""
+        _env, _disk, log = make_log()
         for i in range(8):
             log.append(1, "insert", payload=i)
-        assert log.records[0].payload == 0
-        assert log.records[4].payload == 4
-        assert log.records[-1].payload == 7
-        assert [r.payload for r in log.records[2:5]] == [2, 3, 4]
-        with pytest.raises(IndexError):
-            log.records[8]
+        assert log.discard_tail(3) == 3
+        for i in range(3):
+            log.append(1, "insert", payload=100 + i)
+        assert [r.lsn for r in log.records] == [1, 2, 3, 4, 5, 9, 10, 11]
+        for lsn in range(13):
+            assert [r.lsn for r in log.iter_from(lsn)] == \
+                [l for l in (1, 2, 3, 4, 5, 9, 10, 11) if l > lsn]
+        log.truncate_before(3)
+        assert [r.lsn for r in log.iter_from(6)] == [9, 10, 11]
+
+
+class TestRecordsView:
+    """The ``records`` attribute is sequence-shaped: len, iteration,
+    ``reversed``, integer indexing."""
 
     def test_reversed_iteration(self):
-        _env, _disk, log = make_log(segment_records=3)
+        _env, _disk, log = make_log()
         for i in range(7):
             log.append(1, "insert", payload=i)
         assert [r.payload for r in reversed(log.records)] == \
             list(reversed(range(7)))
 
     def test_tail_matches_last_index(self):
-        _env, _disk, log = make_log(segment_records=3)
+        _env, _disk, log = make_log()
         for i in range(5):
             log.append(1, "insert", payload=i)
         assert log.tail is log.records[-1]
+        assert [log.records[i].payload for i in range(5)] == list(range(5))
 
 
 class TestActiveTxnTracking:
