@@ -22,8 +22,8 @@ Run:  python examples/failover_demo.py     (a few seconds)
 """
 
 from repro import Cluster, Column, Environment, Schema
-from repro.cluster.master import NoOwnerFoundError
 from repro.core import PhysiologicalPartitioning, Rebalancer
+from repro.errors import TransientError
 from repro.ha import (
     FailoverCoordinator,
     FailureDetector,
@@ -31,15 +31,7 @@ from repro.ha import (
     PlacementPolicy,
     ReplicationManager,
 )
-from repro.hardware.network import LinkDownError
 from repro.metrics import render_kernel_stats, render_move_summary
-from repro.txn.locks import LockTimeoutError
-from repro.txn.manager import TransactionAborted
-
-#: Client-visible errors worth a retry: aborts, lock timeouts, and
-#: routing races while a partition is mid-move.
-RETRYABLE = (TransactionAborted, LockTimeoutError, LookupError,
-             LinkDownError, NoOwnerFoundError)
 
 
 def main():
@@ -136,7 +128,7 @@ def main():
                         yield from cluster.master.insert(
                             "accounts", (key, f"mid-move-{wid}"), txn)
                         yield from cluster.txns.commit(txn)
-                    except RETRYABLE:
+                    except TransientError:
                         if txn.state.value == "active":
                             cluster.txns.abort(txn)
                         attempts += 1

@@ -30,6 +30,7 @@ Run:  python examples/torture_demo.py     (a few seconds)
 
 from repro import Cluster, Column, Environment, Schema
 from repro.cluster.monitor import GrayFailureDetector
+from repro.errors import TransientError
 from repro.ha import (
     FailoverCoordinator,
     FailureDetector,
@@ -146,7 +147,7 @@ def main():
                         table, (2000 + n, "w%03d" % n), txn)
                     yield from cluster.txns.commit(txn)
                     stop["done"] += 1
-                except Exception:
+                except TransientError:
                     if txn.state.value == "active":
                         cluster.txns.abort(txn)
             n += 1
@@ -170,7 +171,7 @@ def main():
 def _maybe(env, cluster, key):
     try:
         return read_row(env, cluster, key)
-    except LookupError:
+    except TransientError:
         return None
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import typing
 
 from repro.cluster.worker import RecordNotHereError, WorkerNode
+from repro.errors import TransientError
 from repro.hardware import specs
 from repro.index.global_table import GlobalPartitionTable, PartitionLocation
 from repro.index.partition_tree import KeyRange, SegmentMovedError
@@ -27,21 +28,24 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
 
 
-class NoOwnerFoundError(RuntimeError):
-    """No candidate node could serve the key (routing inconsistency)."""
-
-
-class NodeDownError(LookupError):
+class NodeDownError(TransientError):
     """Every candidate owner of the key is currently unreachable
-    (crashed, booting, or network-partitioned).  Subclasses LookupError
-    so clients treat it as transient and retry — failover re-routes the
-    partition in the meantime."""
+    (crashed, booting, or network-partitioned).  Transient: failover
+    re-routes the partition in the meantime."""
 
 
-class PartitionUnavailableError(LookupError):
+class PartitionUnavailableError(TransientError):
     """The partition lost its only copy (replication factor 1 and the
     owner died).  Transient from the client's point of view — retries
     are bounded and exhaust cleanly; a node restart restores service."""
+
+
+class RoutedMissError(TransientError):
+    """No candidate node served the key: a concurrent transaction
+    deleted the row, or it is in flight between the two ends of a move
+    (every candidate forwarded it on).  Routed reads answer it with
+    "no row"; a write, or a TPC-C read that needs its row, retries.
+    The typed miss — a ``KeyError`` reaching a client is a defect."""
 
 
 class MasterNode:
@@ -141,7 +145,7 @@ class MasterNode:
             raise NodeDownError(
                 f"owner(s) {sorted(dead)} of {table!r} key {key!r} are down"
             )
-        raise NoOwnerFoundError(f"no node could serve {table!r} key {key!r}")
+        raise RoutedMissError(f"no node could serve {table!r} key {key!r}")
 
     def read(self, table: str, key: typing.Any, txn: Transaction):
         """Generator: routed point read; returns the row or None.
@@ -165,7 +169,7 @@ class MasterNode:
         t0 = self.env.now
         try:
             result = yield from self._routed(table, key, action, txn)
-        except NoOwnerFoundError:
+        except RoutedMissError:
             # Per-node misses are normal mid-move; only the merged
             # verdict — no candidate had a visible version — is a
             # history-relevant read of "nothing".
@@ -194,7 +198,7 @@ class MasterNode:
                txn: Transaction):
         """Generator: routed update.  A candidate where the key is not
         visible defers to the other candidate (mid-move redirection);
-        KeyError surfaces only if no candidate can see it."""
+        RoutedMissError surfaces only if no candidate can see it."""
 
         def action(worker, partition):
             try:
@@ -202,10 +206,7 @@ class MasterNode:
             except KeyError as exc:
                 raise RecordNotHereError(str(exc)) from exc
 
-        try:
-            yield from self._routed(table, key, action, txn)
-        except NoOwnerFoundError:
-            raise KeyError(f"update: {table}.{key!r} not found on any node")
+        yield from self._routed(table, key, action, txn)
 
     def delete(self, table: str, key: typing.Any, txn: Transaction):
         """Generator: routed delete (same redirection rules as update)."""
@@ -216,10 +217,7 @@ class MasterNode:
             except KeyError as exc:
                 raise RecordNotHereError(str(exc)) from exc
 
-        try:
-            yield from self._routed(table, key, action, txn)
-        except NoOwnerFoundError:
-            raise KeyError(f"delete: {table}.{key!r} not found on any node")
+        yield from self._routed(table, key, action, txn)
 
     def read_by_secondary(self, table: str, route_key: typing.Any,
                           index_name: str, secondary_key: typing.Any,
@@ -240,7 +238,7 @@ class MasterNode:
 
         try:
             rows = yield from self._routed(table, route_key, action, txn)
-        except NoOwnerFoundError:
+        except RoutedMissError:
             return []
         return rows
 

@@ -124,14 +124,10 @@ class ClusterMonitor:
         for worker in list(self.workers):
             if not self._reachable(worker):
                 continue
-            try:
-                sample = self.sample_node(worker)
-            except Exception:
-                # A node can fail between the reachability check and
-                # the sample (e.g. its disk died mid-report); treat it
-                # as a missed heartbeat, not a monitor crash.
-                continue
-            samples.append(sample)
+            # Sampling only reads counters (no yield, no I/O): a raise
+            # in there is a defect and must not pass for a missed
+            # heartbeat — that would end in a false failover.
+            samples.append(self.sample_node(worker))
             self.heartbeats[worker.node_id] = self.env.now
         self.history.extend(samples)
         if len(self.history) > self.history_limit:

@@ -21,12 +21,11 @@ import random
 
 from repro.core import LogicalPartitioning
 from repro.cluster.cluster import Cluster
+from repro.errors import TransientError
 from repro.hardware.disk import HDD_SPEC
 from repro.metrics.report import render_table
 from repro.sim.engine import Environment
 from repro.storage.record import Column, Schema
-from repro.txn import TransactionAborted
-from repro.txn.locks import LockTimeoutError
 from repro.workload.tpcc_gen import fast_insert
 
 #: Mover pacing: models the paper's long-running reorganisation of a
@@ -153,7 +152,7 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
                     yield from master.read("acct", key, txn)
                 yield from cluster.txns.commit(txn)
                 completed[0] += 1
-            except (TransactionAborted, LockTimeoutError, LookupError):
+            except TransientError:
                 cluster.txns.abort_if_active(txn)
                 yield env.timeout(0.005)
             yield env.timeout(config.client_interval)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import typing
 
 from repro.experiments import harness
 from repro.ha import (
@@ -36,7 +37,7 @@ from repro.ha import (
     PlacementPolicy,
     ReplicationManager,
 )
-from repro.metrics.report import render_table
+from repro.metrics.report import render_retry_lines, render_table
 from repro.workload import (
     TpccConfig,
     TpccContext,
@@ -115,7 +116,7 @@ class Fig9KResult:
     replicas_seeded: int
     commits_shipped: int
     bytes_shipped: int
-    retry_summary: dict[str, int | float]
+    retry_summary: dict[str, typing.Any]
     events: list
     #: Post-hoc isolation audit (populated when config.audit was set).
     anomalies: list[str] = dataclasses.field(default_factory=list)
@@ -162,8 +163,13 @@ class Fig9Result:
             self.HEADERS, rows,
             title="Fig. 9 — failover: crash at t=0, one data node killed",
         )
-        return "\n".join([table] + harness.render_anomaly_lines(
-            (f"k={k}", self.runs[k]) for k in sorted(self.runs)))
+        labelled = [(f"k={k}", self.runs[k]) for k in sorted(self.runs)]
+        return "\n".join(
+            [table]
+            + render_retry_lines(
+                (label, run.retry_summary["retries_by_class"])
+                for label, run in labelled)
+            + harness.render_anomaly_lines(labelled))
 
 
 def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:

@@ -11,13 +11,10 @@ import typing
 
 from repro.cluster.cluster import Cluster
 from repro.engine import ExecContext, TableScan
-from repro.hardware.disk import DiskFailedError
-from repro.hardware.network import LinkDownError
+from repro.errors import TransientError
 from repro.sim.engine import Environment
 from repro.storage.record import Column, Schema
 from repro.storage.segment import Segment
-from repro.txn.locks import LockTimeoutError
-from repro.txn.manager import TransactionAborted
 from repro.workload import load_tpcc, start_vacuum_daemon
 from repro.workload.tpcc_gen import fast_insert
 
@@ -130,11 +127,6 @@ def admission_violations(stats, min_requests: int, noun: str) -> list[str]:
 # -- the seeded ``kv`` table and its writers (chaos, endurance) ---------------
 KV_SCHEMA = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
 
-#: What a kv writer retries — the OLTP client's set: aborts, lock
-#: timeouts, routing races/down nodes, hardware.
-KV_RETRYABLE = (TransactionAborted, LockTimeoutError, LookupError,
-                DiskFailedError, LinkDownError)
-
 
 def kv_cluster_rows(cluster: Cluster, owner_node: int, rows: int) -> None:
     """Create ``kv`` on ``owner_node`` and fast-load keys ``0..rows-1``."""
@@ -157,7 +149,7 @@ def kv_write_with_retries(cluster, op: str, key: int, value: str, retries):
             else:
                 yield from cluster.master.insert("kv", (key, value), txn)
             yield from cluster.txns.commit(txn)
-        except KV_RETRYABLE:
+        except TransientError:
             cluster.txns.abort_if_active(txn)
             yield cluster.env.timeout(min(0.05 * (2 ** attempt), 0.5))
             continue

@@ -49,6 +49,7 @@ from repro.ha import (
 )
 from repro.metrics.report import (
     render_gray_summary,
+    render_retry_lines,
     render_scrub_summary,
     render_table,
 )
@@ -160,7 +161,7 @@ class TortureResult:
     integrity_errors_surfaced: int
     promotions: int
     fenced_partitions: int
-    retry_summary: dict[str, int | float]
+    retry_summary: dict[str, typing.Any]
     fingerprint: str
     anomalies: list[str] = dataclasses.field(default_factory=list)
     history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
@@ -480,6 +481,9 @@ def render_torture(results: typing.Sequence[TortureResult]) -> str:
                 f"(flagged: {r.limping_flagged_after}, "
                 f"SLO breach: {r.slo_breached_after})"
             )
+    lines += render_retry_lines(
+        (f"seed={r.seed}", r.retry_summary["retries_by_class"])
+        for r in results)
     lines += harness.render_anomaly_lines(
         (f"seed={r.seed}", r) for r in results)
     for r in results:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.errors import TransientError
 from repro.hardware import specs
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
@@ -51,7 +52,7 @@ SSD_SPEC = DiskSpec(
 )
 
 
-class DiskFailedError(RuntimeError):
+class DiskFailedError(TransientError):
     """I/O against a failed device (fault injection)."""
 
 

@@ -13,12 +13,13 @@ in ascending global lane id, the classic total-order acquisition rule.
 
 from __future__ import annotations
 
+from repro.errors import TransientError
 from repro.hardware import specs
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
 
 
-class LinkDownError(RuntimeError):
+class LinkDownError(TransientError):
     """A transfer touched a severed port (fault injection)."""
 
 

@@ -99,7 +99,21 @@ def render_slo_table(tenants: dict[str, dict[str, float | int]],
             t.get("write_p99"), shed_pct,
             rejected_pct, t.get("abandoned", 0), verdict,
         ])
-    return render_table(headers, rows, title=title)
+    return "\n".join([render_table(headers, rows, title=title)]
+                     + render_retry_lines(
+                         (name, tenants[name].get("retries_by_class"))
+                         for name in sorted(tenants)))
+
+
+def render_retry_lines(retries_by_label) -> list[str]:
+    """Why clients retried: a line per ``(label, retries_by_class)``
+    that retried at all — aborted attempts by exception class name, as
+    the request loop counted them."""
+    return [
+        f"{label}: retries by class: "
+        + ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
+        for label, counts in retries_by_label if counts
+    ]
 
 
 def render_reads_summary(stats: dict[str, int | float],

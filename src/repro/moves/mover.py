@@ -41,6 +41,7 @@ from repro.moves.journal import (
     SWITCH,
 )
 from repro.moves.retry import RetryPolicy
+from repro.storage.disk_space import OutOfDiskSpaceError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -56,7 +57,8 @@ DEFAULT_CHUNK_BYTES = 2 * 1024 * 1024
 DEFAULT_MOVE_TIMEOUT = 900.0
 
 #: Faults worth waiting out: the link may be restored, the node may
-#: reboot.  A failed disk is not in this set — its contents are gone.
+#: reboot.  Narrower than the clients' ``TransientError`` on purpose: a
+#: failed disk is not in this set — its contents are gone.
 TRANSIENT_ERRORS = (LinkDownError, NodeDownError)
 
 
@@ -167,7 +169,7 @@ class MoveManager:
             )
             try:
                 target_disk = target.disk_space.place(segment)
-            except Exception as exc:
+            except OutOfDiskSpaceError as exc:
                 journal.advance(entry, ABORTED, f"no target extent: {exc}")
                 raise MoveFailedError(
                     f"segment {segment.segment_id}: cannot reserve target "

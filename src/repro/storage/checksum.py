@@ -26,8 +26,10 @@ from __future__ import annotations
 import typing
 import zlib
 
+from repro.errors import TransientError
 
-class IntegrityError(Exception):
+
+class IntegrityError(TransientError):
     """A checksum verification failed: the stored bytes do not match
     the checksum they were written with.  The corrupted object is
     *never* returned as data — callers repair from a replica, fence

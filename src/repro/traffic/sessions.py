@@ -32,8 +32,8 @@ from repro.traffic.admission import (
     TokenBucket,
 )
 from repro.traffic.arrivals import ArrivalProcess, sample_poisson
-from repro.workload.client import MAX_RETRIES, RETRYABLE, backoff_delay
-from repro.workload.tpcc_txns import DEFAULT_MIX, TRANSACTIONS, TpccContext
+from repro.workload.client import pick_kind, run_request
+from repro.workload.tpcc_txns import DEFAULT_MIX, TpccContext
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -132,16 +132,12 @@ class TenantRuntime:
     write_latency: LatencyHistogram | None = None
     dispatched_cohorts: int = 0
     executed: int = 0          # executed transactions (cohorts)
-    conflicts: int = 0         # aborted attempts across all cohorts
+    #: Aborted attempts across all cohorts, by exception class name.
+    retries_by_class: dict[str, int] = dataclasses.field(default_factory=dict)
 
-    def pick_kind(self) -> str:
-        roll = self.ctx.rng.random()
-        acc = 0.0
-        for name, weight in self.tenant.mix:
-            acc += weight
-            if roll < acc:
-                return name
-        return self.tenant.mix[-1][0]
+    @property
+    def conflicts(self) -> int:
+        return sum(self.retries_by_class.values())
 
 
 class SessionEngine:
@@ -229,53 +225,40 @@ class SessionEngine:
     # -- consumer --------------------------------------------------------
 
     def _execute(self, request: Request, runtime: TenantRuntime):
-        """Run one cohort as one transaction, bounded retries inside a
-        total-retry-time budget; latency is arrival -> completion, i.e.
-        it *includes* the admission-queue wait."""
+        """Run one cohort as one transaction through the one request
+        loop (bounded retries inside a total-retry-time budget);
+        latency is arrival -> completion, i.e. it *includes* the
+        admission-queue wait."""
         env = self.cluster.env
-        cluster = self.cluster
-        ctx = runtime.ctx
-        kind = runtime.pick_kind()
-        body = TRANSACTIONS[kind]
+        kind = pick_kind(runtime.ctx.rng, runtime.tenant.mix)
         read_only = kind in READ_ONLY_KINDS
-        started = env.now
-        for attempt in range(MAX_RETRIES):
-            if attempt and env.now - started > self.retry_budget:
-                self.admission.note_abandoned(request)
-                return
-            txn = cluster.txns.begin(read_only=read_only, cc=ctx.cc)
+
+        def begin():
+            txn = self.cluster.txns.begin(read_only=read_only,
+                                          cc=runtime.ctx.cc)
             # Tag the transaction with its tenant so the read tier's
             # cache can account fills against per-tenant quotas.
             txn.tenant = runtime.tenant.name
-            try:
-                yield from cluster.network.rpc_delay()  # edge -> master
-                yield from cluster.master.plan()
-                result = yield from body(ctx, txn)
-                yield from cluster.txns.commit(txn)
-            except RETRYABLE:
-                cluster.txns.abort_if_active(txn)
-                runtime.conflicts += 1
-                yield env.timeout(backoff_delay(attempt))
-                continue
-            del result
-            runtime.executed += 1
-            latency_ms = max((env.now - request.arrival) * 1000.0, 0.0)
-            runtime.latency.record(latency_ms, count=request.count)
-            split = (runtime.read_latency if read_only
-                     else runtime.write_latency)
-            if split is not None:
-                split.record(latency_ms, count=request.count)
-            self.completions.record(env.now, request.count)
-            self.results_by_kind[kind] = (
-                self.results_by_kind.get(kind, 0) + 1
-            )
-            self.admission.note_completed(request)
-            history = cluster.txns.history
-            if history is not None:
-                history.record_ack(txn.txn_id, kind, request.arrival,
-                                   env.now, attempts=attempt + 1)
+            return txn
+
+        txn, _result, _attempts = yield from run_request(
+            runtime.ctx, kind, begin, request.arrival, self.retry_budget,
+            runtime.retries_by_class)
+        if txn is None:
+            self.admission.note_abandoned(request)
             return
-        self.admission.note_abandoned(request)
+        runtime.executed += 1
+        latency_ms = max((env.now - request.arrival) * 1000.0, 0.0)
+        runtime.latency.record(latency_ms, count=request.count)
+        split = (runtime.read_latency if read_only
+                 else runtime.write_latency)
+        if split is not None:
+            split.record(latency_ms, count=request.count)
+        self.completions.record(env.now, request.count)
+        self.results_by_kind[kind] = (
+            self.results_by_kind.get(kind, 0) + 1
+        )
+        self.admission.note_completed(request)
 
     def _executor_loop(self):
         while True:
@@ -335,5 +318,6 @@ class SessionEngine:
             row["users"] = runtime.tenant.users
             row["executed_txns"] = runtime.executed
             row["conflicts"] = runtime.conflicts
+            row["retries_by_class"] = dict(runtime.retries_by_class)
             out[name] = row
         return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import typing
 
+from repro.errors import TransientError
 from repro.metrics.breakdown import CostBreakdown
 from repro.sim.engine import Environment
 from repro.sim.events import AnyOf, Event
@@ -70,7 +71,7 @@ def supremum(a: LockMode, b: LockMode) -> LockMode:
     return _SUPREMUM[frozenset({a, b})]
 
 
-class LockTimeoutError(RuntimeError):
+class LockTimeoutError(TransientError):
     """Lock wait exceeded the deadlock-breaking timeout."""
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import typing
 
+from repro.errors import TransientError
 from repro.metrics.breakdown import CostBreakdown
 from repro.sim.engine import Environment
 from repro.storage.record import RecordVersion
@@ -32,7 +33,7 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
-class TransactionAborted(RuntimeError):
+class TransactionAborted(TransientError):
     """The transaction cannot continue and must be rolled back."""
 
 

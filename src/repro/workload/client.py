@@ -10,17 +10,15 @@ benchmarking." (Sect. 5.1)
 
 from __future__ import annotations
 
+import random
 import typing
 
-from repro.hardware.disk import DiskFailedError
-from repro.hardware.network import LinkDownError
+from repro.errors import TransientError
 from repro.metrics.breakdown import CostBreakdown
-from repro.storage.checksum import IntegrityError
-from repro.txn.manager import TransactionAborted
-from repro.txn.locks import LockTimeoutError
 from repro.workload.tpcc_txns import DEFAULT_MIX, TRANSACTIONS, TpccContext
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.txn.manager import Transaction
     from repro.workload.driver import WorkloadDriver
 
 #: A query is abandoned after this many conflict-retries.
@@ -39,20 +37,63 @@ BACKOFF_BASE_SECONDS = 0.01
 #: without hammering the master, short enough to notice recovery).
 BACKOFF_CAP_SECONDS = 0.5
 
-#: Transient errors worth retrying: aborts/conflicts, lock timeouts,
-#: routing races and down nodes (LookupError covers NodeDownError and
-#: PartitionUnavailableError), and hardware faults observed mid-query.
-#: IntegrityError is retryable too: a checksum mismatch is *surfaced*
-#: (never silently read past) and the scrub daemon repairs or fences
-#: the row, so a later retry either succeeds or fails fast on an
-#: unavailable partition.
-RETRYABLE = (TransactionAborted, LockTimeoutError, LookupError,
-             DiskFailedError, LinkDownError, IntegrityError)
-
 
 def backoff_delay(attempt: int) -> float:
     """Exponential backoff for the ``attempt``-th retry (0-based)."""
     return min(BACKOFF_BASE_SECONDS * (2 ** attempt), BACKOFF_CAP_SECONDS)
+
+
+def pick_kind(rng: random.Random, mix) -> str:
+    """Draw one transaction kind from the weighted ``mix``."""
+    roll = rng.random()
+    acc = 0.0
+    for name, weight in mix:
+        acc += weight
+        if roll < acc:
+            return name
+    return mix[-1][0]
+
+
+def run_request(ctx: TpccContext, kind: str,
+                begin: typing.Callable[[], "Transaction"], submitted: float,
+                retry_budget: float, retries_by_class: dict[str, int]):
+    """Generator: the one TPC-C request loop — ``begin()``, client RPC,
+    plan, body, commit.  A :class:`TransientError` rolls the attempt
+    back and retries it with exponential backoff (failover may be
+    re-routing the partition meanwhile), counted under its class name
+    in ``retries_by_class``; anything else is a defect and propagates.
+
+    Returns ``(txn, result, attempts)`` once acknowledged: only the
+    last attempt's transaction produced what the client saw, in the
+    real-time window ``submitted`` .. now.  A request that gave up
+    returns ``(None, None, attempts)`` — ``MAX_RETRIES`` when it
+    exhausted them, fewer when its retries had burned ``retry_budget``
+    seconds, which reports count separately as shed load."""
+    cluster = ctx.cluster
+    env = cluster.env
+    body = TRANSACTIONS[kind]
+    start = env.now
+    for attempt in range(MAX_RETRIES):
+        if attempt and env.now - start > retry_budget:
+            return None, None, attempt
+        txn = begin()
+        try:
+            yield from cluster.network.rpc_delay()  # client -> master
+            yield from cluster.master.plan()
+            result = yield from body(ctx, txn)
+            yield from cluster.txns.commit(txn)
+        except TransientError as exc:
+            cluster.txns.abort_if_active(txn)
+            name = type(exc).__name__
+            retries_by_class[name] = retries_by_class.get(name, 0) + 1
+            yield env.timeout(backoff_delay(attempt))
+            continue
+        history = cluster.txns.history
+        if history is not None:
+            history.record_ack(txn.txn_id, kind, submitted, env.now,
+                               attempts=attempt + 1)
+        return txn, result, attempt + 1
+    return None, None, MAX_RETRIES
 
 
 class OltpClient:
@@ -75,76 +116,35 @@ class OltpClient:
         self.queries_done = 0
         self.queries_failed = 0
         self.queries_abandoned = 0
-        self.retries = 0
 
-    def _pick(self) -> str:
-        roll = self.ctx.rng.random()
-        acc = 0.0
-        for name, weight in self.mix:
-            acc += weight
-            if roll < acc:
-                return name
-        return self.mix[-1][0]
+    def _begin(self) -> "Transaction":
+        return self.ctx.cluster.txns.begin(cc=self.ctx.cc,
+                                           breakdown=CostBreakdown())
 
     def run(self, until: float):
         """Generator process: the client's closed submit loop."""
         env = self.ctx.cluster.env
+        driver = self.driver
         next_submit = env.now
         while env.now < until:
             if next_submit > env.now:
                 yield env.timeout(next_submit - env.now)
             if env.now >= until:
                 break
-            submit_time = env.now
-            yield from self._one_query()
-            # "the next query is delayed until the subsequent interval"
-            next_submit = submit_time + self.interval
-
-    def _one_query(self):
-        env = self.ctx.cluster.env
-        cluster = self.ctx.cluster
-        name = self._pick()
-        body = TRANSACTIONS[name]
-        start = env.now
-        for attempt in range(MAX_RETRIES):
-            if attempt and env.now - start > self.retry_budget:
-                # Give up early: the retries have already burned the
-                # whole budget.  Distinct from exhausting MAX_RETRIES —
-                # this is shed load under overload, and the report
-                # counts it separately.
+            start = env.now
+            name = pick_kind(self.ctx.rng, self.mix)
+            txn, result, attempts = yield from run_request(
+                self.ctx, name, self._begin, start, self.retry_budget,
+                driver.retries_by_class)
+            if txn is not None:
+                self.queries_done += 1
+                driver.note_completion(name, start, env.now, txn.breakdown,
+                                       result, attempts=attempts)
+            elif attempts < MAX_RETRIES:
                 self.queries_abandoned += 1
-                self.driver.note_abandoned(name, start, env.now,
-                                           attempts=attempt)
-                return
-            breakdown = CostBreakdown()
-            txn = cluster.txns.begin(cc=self.ctx.cc, breakdown=breakdown)
-            try:
-                yield from cluster.network.rpc_delay()  # client -> master
-                yield from cluster.master.plan()
-                result = yield from body(self.ctx, txn)
-                yield from cluster.txns.commit(txn)
-            except RETRYABLE:
-                # Conflict, lock timeout, routing race, down node, or a
-                # hardware fault observed mid-query: roll back and retry
-                # with exponential backoff — failover may be re-routing
-                # the partition in the meantime.
-                cluster.txns.abort_if_active(txn)
-                self.driver.note_conflict(name)
-                self.retries += 1
-                yield env.timeout(backoff_delay(attempt))
-                continue
-            self.queries_done += 1
-            history = cluster.txns.history
-            if history is not None:
-                # The client-visible acknowledgement: only the *last*
-                # attempt's transaction produced the result the client
-                # saw; its real-time window is the full query interval.
-                history.record_ack(txn.txn_id, name, start, env.now,
-                                   attempts=attempt + 1)
-            self.driver.note_completion(
-                name, start, env.now, breakdown, result,
-                attempts=attempt + 1,
-            )
-            return
-        self.queries_failed += 1
-        self.driver.note_failure(name, start, env.now, attempts=MAX_RETRIES)
+                driver.note_abandoned(name, start, env.now, attempts=attempts)
+            else:
+                self.queries_failed += 1
+                driver.note_failure(name, start, env.now, attempts=attempts)
+            # "the next query is delayed until the subsequent interval"
+            next_submit = start + self.interval

@@ -78,7 +78,9 @@ class WorkloadDriver:
         #: Queries that gave up inside their total-retry-time budget —
         #: shed load made visible, distinct from MAX_RETRIES exhaustion.
         self.abandoned = TimeSeries("abandoned")
-        self.conflicts = 0
+        #: Aborted attempts by exception class name, counted by the
+        #: request loop itself — the one place that knows why it retried.
+        self.retries_by_class: dict[str, int] = {}
         self.breakdown_samples: list[tuple[float, CostBreakdown]] = []
         self.results_by_kind: dict[str, int] = {}
         #: Retry accounting: commits that landed on the first attempt
@@ -122,9 +124,6 @@ class WorkloadDriver:
         self.abandoned.record(end, 1.0)
         self.retries_total += max(attempts - 1, 0)
 
-    def note_conflict(self, kind: str) -> None:
-        self.conflicts += 1
-
     # -- run ----------------------------------------------------------------
 
     def run(self, duration: float):
@@ -166,6 +165,10 @@ class WorkloadDriver:
     # -- aggregates ----------------------------------------------------------
 
     @property
+    def conflicts(self) -> int:
+        return sum(self.retries_by_class.values())
+
+    @property
     def total_completed(self) -> int:
         return len(self.completions)
 
@@ -198,7 +201,7 @@ class WorkloadDriver:
                 out.append((time, watts / rate))
         return out
 
-    def retry_summary(self) -> dict[str, int | float]:
+    def retry_summary(self) -> dict[str, typing.Any]:
         """Commit-path retry accounting: first-try commits reported
         separately from commits that needed retries."""
         completed = self.first_try_completions + self.retried_completions
@@ -206,6 +209,7 @@ class WorkloadDriver:
             "first_try_completions": self.first_try_completions,
             "retried_completions": self.retried_completions,
             "retries_total": self.retries_total,
+            "retries_by_class": dict(self.retries_by_class),
             "exhausted_failures": self.total_failed,
             "abandoned_requests": self.total_abandoned,
             "retried_fraction": (

@@ -12,6 +12,7 @@ import dataclasses
 import random
 import typing
 
+from repro.cluster.master import RoutedMissError
 from repro.workload.tpcc_schema import TpccConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -62,7 +63,7 @@ class TpccContext:
 
 def _require(row, what: str):
     if row is None:
-        raise LookupError(f"tpcc: missing {what}")
+        raise RoutedMissError(f"tpcc: missing {what}")
     return row
 
 

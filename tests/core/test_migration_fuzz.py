@@ -16,8 +16,7 @@ from repro.core import (
     PhysicalPartitioning,
     PhysiologicalPartitioning,
 )
-from repro.txn import TransactionAborted
-from repro.txn.locks import LockTimeoutError
+from repro.errors import TransientError
 
 ROWS = 240
 
@@ -95,7 +94,7 @@ def test_fuzz_random_traffic_during_migration(scheme_name, seed):
                         yield from master.delete("kv", key, txn)
                         yield from cluster.txns.commit(txn)
                         oracle[key] = None
-            except (TransactionAborted, LockTimeoutError, LookupError):
+            except TransientError:
                 if txn.state.value == "active":
                     cluster.txns.abort(txn)
             yield env.timeout(rng.random() * 0.1)

@@ -86,7 +86,7 @@ def test_k1_partition_goes_unavailable_then_restores(rig):
 
     def reader():
         txn = cluster.txns.begin()
-        with pytest.raises(LookupError):
+        with pytest.raises(PartitionUnavailableError):
             yield from cluster.master.read("kv", 1, txn)
         cluster.txns.abort(txn)
 

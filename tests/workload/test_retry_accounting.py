@@ -94,7 +94,7 @@ def run_flaky_client(failures, retry_budget=None):
 def test_client_counts_retries_and_backs_off():
     env, driver, client = run_flaky_client(failures=2)
     assert client.queries_done == 1
-    assert client.retries == 2
+    assert driver.retries_by_class == {"TransactionAborted": 2}
     assert driver.retried_completions == 1
     assert driver.first_try_completions == 0
     assert driver.retries_total == 2
