@@ -22,6 +22,7 @@ from repro.index.global_table import GlobalPartitionTable, PartitionLocation
 from repro.index.partition_tree import KeyRange, SegmentMovedError
 from repro.sim.engine import Environment
 from repro.txn.manager import Transaction
+from repro.txn.mvcc import NotVisibleError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Catalog
@@ -203,7 +204,7 @@ class MasterNode:
         def action(worker, partition):
             try:
                 yield from worker.update_record(partition, key, values, txn)
-            except KeyError as exc:
+            except NotVisibleError as exc:
                 raise RecordNotHereError(str(exc)) from exc
 
         yield from self._routed(table, key, action, txn)
@@ -214,7 +215,7 @@ class MasterNode:
         def action(worker, partition):
             try:
                 yield from worker.delete_record(partition, key, txn)
-            except KeyError as exc:
+            except NotVisibleError as exc:
                 raise RecordNotHereError(str(exc)) from exc
 
         yield from self._routed(table, key, action, txn)

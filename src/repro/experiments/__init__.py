@@ -10,17 +10,9 @@ from repro.experiments.fig3_mvcc import run_fig3
 from repro.experiments.fig6_schemes import Fig6Config, run_fig6
 from repro.experiments.fig7_breakdown import run_fig7
 from repro.experiments.fig8_helper import run_fig8
-from repro.experiments.fig9_failover import (
-    Fig9Config,
-    run_fig9,
-    run_fig9_single,
-)
+from repro.experiments.fig9_failover import Fig9Config, run_fig9_single
 from repro.experiments.scale_in import ScaleInConfig, run_scale_in
-from repro.experiments.chaos_moves import (
-    ChaosConfig,
-    run_chaos,
-    run_chaos_suite,
-)
+from repro.experiments.chaos_moves import ChaosConfig, run_chaos
 from repro.experiments.endurance import EnduranceConfig, run_endurance
 from repro.experiments.elasticity import ElasticityConfig, run_elasticity
 from repro.experiments.read_scaling import (
@@ -41,10 +33,8 @@ __all__ = [
     "run_fig6",
     "run_fig7",
     "run_fig8",
-    "run_fig9",
     "run_fig9_single",
     "run_chaos",
-    "run_chaos_suite",
     "run_elasticity",
     "run_endurance",
     "run_power_validation",

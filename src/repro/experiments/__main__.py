@@ -23,16 +23,15 @@ The extension sweeps share ``--seeds``, ``--jobs`` and ``--audit``::
     python -m repro.experiments torture      # gray-failure torture run
 
 ``--quick`` (default) uses reduced parameters; ``--full`` the defaults
-documented in EXPERIMENTS.md.
+documented in EXPERIMENTS.md.  Every command is its own gate — a result
+with ``violations`` exits non-zero — so ``all`` is the fidelity run.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import dataclasses
 import functools
-import pstats
 import sys
 import time
 import typing
@@ -42,6 +41,7 @@ from repro.experiments import (
     chaos_moves,
     elasticity,
     endurance,
+    fig2_offloading,
     fig3_mvcc,
     fig6_schemes,
     fig9_failover,
@@ -60,16 +60,18 @@ def _fig6_config(args):
             else fig6_schemes.Fig6Config())
 
 
-def run_fig2_cmd(args) -> str:
-    quick = dict(rows=800, concurrency_levels=(1, 10, 100), window=15.0)
-    return experiments.run_fig2(**(quick if args.quick else {})).to_table()
+def gated(report: str, violations=(), failed=False) -> str:
+    """Every command's way out: its report with a line per violation —
+    as ``SystemExit``'s message (exit status 1) when any gate failed."""
+    report = "\n".join(
+        [report] + [f"VIOLATION: {line}" for line in violations])
+    if violations or failed:
+        raise SystemExit(report)
+    return report
 
 
-def run_fig3_cmd(args) -> str:
-    quick = dict(rows=1200, clients=10, update_ratios=(0.0, 0.5, 1.0),
-                 max_window=400.0)
-    return experiments.run_fig3(
-        fig3_mvcc.Fig3Config(**(quick if args.quick else {}))).to_table()
+def figure(result) -> str:
+    return gated(result.to_table(), result.violations)
 
 
 def run_fig6_cmd(args) -> str:
@@ -82,7 +84,7 @@ def run_fig6_cmd(args) -> str:
         jobs=args.jobs,
     )
     parts = []
-    anomalies: list[str] = []
+    violations: list[str] = []
     for scheme, result in zip(schemes, results):
         parts.append(result.to_table())
         parts.append(
@@ -94,11 +96,12 @@ def run_fig6_cmd(args) -> str:
             parts.append(render_audit_summary(
                 f"fig6 [{scheme}]", result.anomalies, result.history_stats
             ))
-            anomalies += [f"[{scheme}] {a}" for a in result.anomalies]
-    out = "\n\n".join(parts)
-    if anomalies:
-        raise SystemExit(out)
-    return out
+            violations += [f"[{scheme}] {a}" for a in result.anomalies]
+        violations += result.violations
+    if not args.scheme:
+        violations += fig6_schemes.cross_scheme_violations(
+            dict(zip(schemes, results)))
+    return gated("\n\n".join(parts), violations)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,17 +122,32 @@ class Sweep:
     pooled: bool = False
     #: ``seeds(quick)`` when ``--seeds`` is absent (else the config's).
     seeds: typing.Callable | None = None
-    #: Cross-result gate: ``gate(config, results) -> (lines, failed)``.
+    #: Cross-result gate: ``gate(config, results) -> (lines, failed)``,
+    #: the lines printed under the group's rendering.
     gate: typing.Callable | None = None
+
+
+def _suite_gate(suite: typing.Callable) -> typing.Callable:
+    """A :attr:`Sweep.gate` on ``suite(config, results).violations``."""
+    def gate(config, results):
+        lines = [f"VIOLATION: {line}"
+                 for line in suite(config, results).violations]
+        return lines, bool(lines)
+    return gate
+
+
+def _fig9_result(config, runs) -> fig9_failover.Fig9Result:
+    return fig9_failover.Fig9Result(
+        config, dict(zip(config.replication_factors, runs)))
 
 
 SWEEPS = {
     "fig9": Sweep(
         fig9_failover.quick_fig9_config, fig9_failover.Fig9Config,
         fig9_failover.run_fig9_single,
-        lambda config, runs: fig9_failover.Fig9Result(
-            config, dict(zip(config.replication_factors, runs))).to_table(),
+        lambda config, runs: _fig9_result(config, runs).to_table(),
         modes=lambda config: config.replication_factors,
+        gate=_suite_gate(_fig9_result),
     ),
     "chaos": Sweep(
         chaos_moves.ChaosConfig, chaos_moves.ChaosConfig,
@@ -137,6 +155,7 @@ SWEEPS = {
         lambda config, runs: chaos_moves.render_chaos(
             chaos_moves.ChaosSuiteResult(config, runs)),
         pooled=True, seeds=lambda quick: range(3 if quick else 10),
+        gate=_suite_gate(chaos_moves.ChaosSuiteResult),
     ),
     "endurance": Sweep(
         endurance.quick_endurance_config, endurance.full_endurance_config,
@@ -148,6 +167,8 @@ SWEEPS = {
         elasticity.run_elasticity,
         lambda config, runs: elasticity.render_elasticity(runs),
         modes=lambda config: ("autoscale", "static"),
+        gate=lambda config, runs: (
+            [], bool(elasticity.compare_elasticity(runs))),
     ),
     "read-scaling": Sweep(
         read_scaling.quick_read_scaling_config,
@@ -201,25 +222,25 @@ def run_sweep(sweep: Sweep, args) -> str:
             lines += extra
             failed = failed or gate_failed
         parts.append("\n".join(lines))
-    out = "\n\n".join(parts)
-    if failed:
-        raise SystemExit(out)
-    return out
+    return gated("\n\n".join(parts), failed=failed)
 
 
 COMMANDS = {
-    "power": lambda args: experiments.run_power_validation().to_table(),
-    "fig1": lambda args: experiments.run_fig1(
-        rows=20_000 if args.quick else 40_000).to_table(),
-    "fig2": run_fig2_cmd,
-    "fig3": run_fig3_cmd,
+    "power": lambda args: figure(experiments.run_power_validation()),
+    "fig1": lambda args: figure(experiments.run_fig1(
+        **({} if args.quick else {"rows": 40_000}))),
+    "fig2": lambda args: figure(experiments.run_fig2(
+        **(fig2_offloading.QUICK_FIG2 if args.quick else {}))),
+    "fig3": lambda args: figure(experiments.run_fig3(
+        fig3_mvcc.quick_fig3_config() if args.quick
+        else fig3_mvcc.Fig3Config())),
     "fig6": run_fig6_cmd,
-    "fig7": lambda args: experiments.run_fig7(
-        _fig6_config(args) if args.quick else None).to_table(),
-    "fig8": lambda args: experiments.run_fig8(
-        _fig6_config(args) if args.quick else None).to_table(),
+    "fig7": lambda args: figure(experiments.run_fig7(
+        _fig6_config(args) if args.quick else None)),
+    "fig8": lambda args: figure(experiments.run_fig8(
+        _fig6_config(args) if args.quick else None)),
     "fig9": functools.partial(run_sweep, SWEEPS["fig9"]),
-    "scale-in": lambda args: experiments.run_scale_in().to_table(),
+    "scale-in": lambda args: figure(experiments.run_scale_in()),
     **{name: functools.partial(run_sweep, sweep)
        for name, sweep in SWEEPS.items() if name != "fig9"},
 }
@@ -262,17 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "full operation history and run the "
                              "isolation checkers (repro.audit) post-hoc; "
                              "exits non-zero on any anomaly")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and print the hottest "
-                             "functions after each experiment")
-    parser.add_argument("--profile-sort", default="cumulative",
-                        choices=["cumulative", "tottime", "ncalls"],
-                        metavar="KEY",
-                        help="--profile: stat to sort by (cumulative, "
-                             "tottime, or ncalls; default cumulative)")
-    parser.add_argument("--profile-limit", type=int, default=25, metavar="N",
-                        help="--profile: number of rows to print "
-                             "(default 25)")
     return parser
 
 
@@ -285,13 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in chosen:
         start = time.time()
         print(f"=== {name} " + "=" * (60 - len(name)))
-        if args.profile:
-            profiler = cProfile.Profile()
-            print(profiler.runcall(COMMANDS[name], args))
-            stats = pstats.Stats(profiler).sort_stats(args.profile_sort)
-            stats.print_stats(args.profile_limit)
-        else:
-            print(COMMANDS[name](args))
+        print(COMMANDS[name](args))
         print(f"--- {name} finished in {time.time() - start:.1f}s wall\n")
     return 0
 

@@ -196,6 +196,26 @@ class ChaosSuiteResult:
     def any_resumed_completion(self) -> bool:
         return any(r.resumed_move_completed for r in self.runs)
 
+    def move_totals(self) -> dict[str, int]:
+        totals: dict[str, int] = {}
+        for run in self.runs:
+            for key, value in run.move_summary.items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    @property
+    def violations(self) -> list[str]:
+        """The sweep means something only if the schedules interfered
+        with the moves and a chunk-level resume carried one through."""
+        return harness.shape_violations("chaos", {
+            "moves": self.move_totals(), "max": max,
+            "resumes": [r.move_summary["resumes_total"] for r in self.runs],
+            "moves_done_by_chunk_resume": sum(
+                r.resumed_move_completed for r in self.runs),
+        }, ["moves_done_by_chunk_resume > 0", "moves['open_moves'] == 0",
+            "moves['open_range_moves'] == 0", "moves['retries_total'] > 0",
+            "max(resumes) > 0"])
+
     def to_table(self) -> str:
         table = render_table(
             self.HEADERS, [r.to_row() for r in self.runs],
@@ -510,31 +530,9 @@ def run_chaos(config: ChaosConfig | None = None,
     )
 
 
-def run_chaos_suite(seeds: typing.Sequence[int] = tuple(range(10)),
-                    config: ChaosConfig | None = None,
-                    jobs: int = 1) -> ChaosSuiteResult:
-    """The acceptance sweep: one run per seed on identical parameters.
-
-    Seeded schedules are independent simulations, so ``jobs > 1`` fans
-    them across worker processes without changing any result.
-    """
-    from repro.experiments.parallel import run_tasks
-
-    config = config or ChaosConfig()
-    runs = run_tasks(
-        [(run_chaos, (config,), {"seed": seed}) for seed in seeds],
-        jobs=jobs,
-    )
-    return ChaosSuiteResult(config=config, runs=runs)
-
-
 def render_chaos(result: ChaosSuiteResult) -> str:
-    parts = [result.to_table()]
-    totals: dict[str, int] = {}
-    for run in result.runs:
-        for key, value in run.move_summary.items():
-            totals[key] = totals.get(key, 0) + value
-    parts.append(render_move_summary(
-        totals, title="move summary (all schedules)"
-    ))
-    return "\n\n".join(parts)
+    return "\n\n".join([
+        result.to_table(),
+        render_move_summary(result.move_totals(),
+                            title="move summary (all schedules)"),
+    ])

@@ -492,6 +492,16 @@ def full_elasticity_config() -> ElasticityConfig:
     )
 
 
+def compare_elasticity(
+        results: typing.Sequence[ElasticityResult]) -> list[str]:
+    """The cross-mode gate: static provisioning must spend more joules
+    than breathing with the trace, same seed and day."""
+    return harness.shape_violations(
+        f"elasticity (seed {results[0].seed})",
+        {result.mode: result for result in results},
+        ["static.energy_joules > autoscale.energy_joules"])
+
+
 def render_elasticity(results: typing.Sequence[ElasticityResult]) -> str:
     """Render the scenario suite plus the energy comparison."""
     parts = [result.to_table() for result in results]
@@ -508,4 +518,6 @@ def render_elasticity(results: typing.Sequence[ElasticityResult]) -> str:
                 f"({static.joules_per_request:.2f} J/request) — "
                 f"{saved:.0f}% saved by breathing with the trace"
             )
+    parts += [f"ELASTICITY VIOLATION: {violation}"
+              for violation in compare_elasticity(results)]
     return "\n\n".join(parts)

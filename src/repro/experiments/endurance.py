@@ -120,7 +120,7 @@ class EnduranceConfig:
     miss_threshold: int = 3
 
     #: Windowed isolation audit (the endurance story; off only for
-    #: bench timing runs).
+    #: timing runs).
     audit: bool = True
 
     #: The sustained-throughput gate (acceptance: the full

@@ -22,13 +22,32 @@ from repro.engine import ExecContext, TableScan
 from repro.engine.planner import plan_scan_project
 from repro.hardware import specs
 from repro.metrics.report import render_table
-from repro.experiments.harness import build_micro_cluster, warm_buffer
+from repro.experiments.harness import (
+    build_micro_cluster,
+    shape_violations,
+    warm_buffer,
+)
 
 
 @dataclasses.dataclass
 class Fig1Result:
     rows: int
     records_per_second: dict[str, float]
+
+    @property
+    def violations(self) -> list[str]:
+        """The paper's bands (generous, but ordering-tight), and the
+        orderings that define the figure."""
+        return shape_violations("Fig. 1", self.records_per_second, [
+            "35_000 <= tbscan_local <= 45_000",
+            "30_000 <= project_local <= 38_000",
+            "project_remote_single < 1_000",
+            "20_000 <= project_remote_vectorized <= 28_000",
+            "25_000 <= project_remote_buffered <= 34_000",
+            "tbscan_local > project_local > project_remote_buffered",
+            "project_remote_buffered > project_remote_vectorized",
+            "project_remote_vectorized > 20 * project_remote_single",
+        ])
 
     def to_table(self) -> str:
         order = [
@@ -63,7 +82,7 @@ def _timed_run(table, build_plan) -> float:
 
 def run_fig1(rows: int = 20_000,
              vector_size: int = specs.DEFAULT_VECTOR_SIZE) -> Fig1Result:
-    """Run all five configurations; returns records/second for each."""
+    """Run all five configurations (``rows``: the quick preset by default)."""
     table = build_micro_cluster(rows)
     warm_buffer(table)
     cluster = table.cluster

@@ -17,7 +17,14 @@ import dataclasses
 from repro.engine import ExecContext
 from repro.engine.planner import plan_scan_sort
 from repro.metrics.report import render_table
-from repro.experiments.harness import build_micro_cluster, warm_buffer
+from repro.experiments.harness import (
+    build_micro_cluster,
+    shape_violations,
+    warm_buffer,
+)
+
+#: ``run_fig2`` arguments of the CLI's ``--quick`` (``--full``: defaults).
+QUICK_FIG2 = {"rows": 800, "concurrency_levels": (1, 10, 100), "window": 15.0}
 
 
 @dataclasses.dataclass
@@ -32,6 +39,18 @@ class Fig2Result:
             if self.offloaded_qps[n] > self.local_qps[n]:
                 return n
         return None
+
+    @property
+    def violations(self) -> list[str]:
+        """Local wins the isolated query, offloading wins once the node
+        saturates, and they cross inside the paper's 1..100 band."""
+        return shape_violations("Fig. 2", {
+            **vars(self), "crossover": self.crossover(),
+            "low": self.concurrency_levels[0],
+            "high": self.concurrency_levels[-1],
+        }, ["local_qps[low] > offloaded_qps[low]",
+            "offloaded_qps[high] > 1.3 * local_qps[high]",
+            "1 < crossover <= 100"])
 
     def to_table(self) -> str:
         rows = [

@@ -22,6 +22,7 @@ import random
 from repro.core import LogicalPartitioning
 from repro.cluster.cluster import Cluster
 from repro.errors import TransientError
+from repro.experiments.harness import shape_violations
 from repro.hardware.disk import HDD_SPEC
 from repro.metrics.report import render_table
 from repro.sim.engine import Environment
@@ -75,6 +76,20 @@ class Fig3Result:
         """MVCC throughput gain over locking at one update ratio."""
         return self.tpm["mvcc"][ratio] / self.tpm["locking"][ratio] - 1.0
 
+    @property
+    def violations(self) -> list[str]:
+        """MVCC never loses; its gain and its storage grow with the
+        update share (compared at the lowest and the highest ratio)."""
+        return shape_violations("Fig. 3", {
+            "gain": self.speedup, "storage_pct": self.storage_pct,
+            "reads": self.config.update_ratios[0],
+            "writes": self.config.update_ratios[-1],
+        }, ["gain(reads) >= -0.05", "gain(writes) >= 0.30",
+            "gain(writes) > gain(reads)",
+            "storage_pct['mvcc'][writes] > storage_pct['mvcc'][reads]",
+            "storage_pct['mvcc'][writes] > "
+            "storage_pct['locking'][writes] - 2.0"])
+
     def to_table(self) -> str:
         rows = []
         for ratio in self.config.update_ratios:
@@ -92,6 +107,12 @@ class Fig3Result:
             rows,
             title="Fig. 3 — MVCC vs MGL-RX while moving 50% of records",
         )
+
+
+def quick_fig3_config() -> Fig3Config:
+    """Reduced parameters for fast runs (CLI --quick, tier-1 shapes)."""
+    return Fig3Config(rows=1200, clients=10, update_ratios=(0.0, 0.5, 1.0),
+                      max_window=400.0)
 
 
 def _build(config: Fig3Config):

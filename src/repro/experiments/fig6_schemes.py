@@ -147,6 +147,33 @@ class Fig6Result:
         values = [v for t, v in series if lo <= t < hi and v is not None]
         return sum(values) / len(values) if values else None
 
+    def response_around_move(self) -> tuple:
+        """Mean response ms before, during and (20 s) after the move."""
+        before = self.mean_between(self.response_ms, -self.config.warmup, 0)
+        during = self.mean_between(self.response_ms, 0,
+                                   self.migration_seconds)
+        after = self.mean_between(
+            self.response_ms, self.migration_seconds + 20, self.config.tail)
+        return before, during, after
+
+    @property
+    def violations(self) -> list[str]:
+        """This scheme's Fig. 6 shape (Sect. 5.2) in mean response ms
+        before / during / 20 s after the move, and that the run did the
+        work the figure is about — the breadth floors are the 100-node
+        profile's 10 000 records and 100 MiB, restated per warehouse."""
+        before, during, after = self.response_around_move()
+        return harness.shape_violations(f"Fig. 6 [{self.scheme}]", {
+            **vars(self), "before": before, "during": during, "after": after,
+        }, ["total_completed > 0",
+            "rebalance_finished < config.warmup + config.tail",
+            "records_moved > 10 * config.tpcc.warehouses",
+            "bytes_moved / 2**20 > 0.1 * config.tpcc.warehouses"] + {
+            "physical": ["during > before", "after > 0.6 * before"],
+            "logical": ["during > 1.2 * before"],
+            "physiological": ["after < 1.1 * before"],
+        }.get(self.scheme, []))
+
     def series(self) -> dict[str, list[tuple[float, float | None]]]:
         return {
             "qps": self.qps,
@@ -163,6 +190,32 @@ class Fig6Result:
                 f"migration took {self.migration_seconds:.0f}s"
             ),
         )
+
+
+def cross_scheme_violations(results: dict[str, Fig6Result]) -> list[str]:
+    """The orderings across the three schemes' runs that *are* Fig. 6
+    (Sect. 5.2); a window some scheme has no samples in is not compared."""
+    tail = results["physical"].config.tail
+    settled = max(r.migration_seconds for r in results.values()) + 20
+    values = {
+        **results, "max": max, "min": min,
+        "after": {name: r.mean_between(r.response_ms, settled, tail)
+                  for name, r in results.items()},
+        "during": {name: r.response_around_move()[1]
+                   for name, r in results.items()},
+        "watts": [w for w in (r.mean_between(r.watts, 0, tail)
+                              for r in results.values()) if w is not None],
+    }
+    claims = ["physiological.migration_seconds < logical.migration_seconds",
+              "physical.migration_seconds < logical.migration_seconds",
+              "max(watts) < 1.25 * min(watts)"]
+    if None not in values["after"].values():
+        claims += ["after['physical'] > 2 * after['physiological']",
+                   "after['physical'] > 2 * after['logical']"]
+    if None not in values["during"].values():
+        claims += ["during['logical'] >= during['physiological']",
+                   "during['logical'] >= during['physical']"]
+    return harness.shape_violations("Fig. 6", values, claims)
 
 
 def _ballast_pad_bytes(config: Fig6Config) -> Schema:
@@ -375,7 +428,7 @@ def scale_fig6_config(nodes: int = 100, partitions: int = 10_000) -> Fig6Config:
 
 
 def quick_fig6_config() -> Fig6Config:
-    """Reduced parameters for fast runs (benches, CLI --quick, examples):
+    """Reduced parameters for fast runs (CLI --quick, tier-1, examples):
     same regime as the defaults — disk-bound hot set, ballast-weighted
     migration — on a shorter timeline with less ballast."""
     return Fig6Config(

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments.fig6_schemes import Fig6Config, run_fig6
+from repro.experiments.fig6_schemes import Fig6Config, Fig6Result
+from repro.experiments.fig8_helper import run_fig8
+from repro.experiments.harness import shape_violations
 from repro.metrics.breakdown import COMPONENTS, CostBreakdown
 from repro.metrics.report import render_table
 
@@ -29,6 +31,17 @@ class Fig7Result:
     rebalancing: CostBreakdown
     improved: CostBreakdown
     mean_response_ms: dict[str, float]
+
+    @property
+    def violations(self) -> list[str]:
+        """Slower while rebalancing, helpers claw part of it back, and
+        disk I/O, locking or logging is what grew."""
+        return shape_violations("Fig. 7", {**vars(self), "max": max}, [
+            "mean_response_ms['rebalancing'] > mean_response_ms['normal']",
+            "mean_response_ms['improved'] < mean_response_ms['rebalancing']",
+            "max(rebalancing.disk_io - normal.disk_io, "
+            "rebalancing.locking - normal.locking, "
+            "rebalancing.logging - normal.logging) > 0"])
 
     def _row(self, label: str, breakdown: CostBreakdown,
              response_ms: float) -> list:
@@ -59,30 +72,22 @@ class Fig7Result:
         )
 
 
-def run_fig7(config: Fig6Config | None = None,
-             helper_nodes: tuple[int, ...] = (4, 5)) -> Fig7Result:
-    base = config or Fig6Config()
-    plain = run_fig6("physiological", base)
-    helped = run_fig6(
-        "physiological",
-        dataclasses.replace(base, helper_nodes=helper_nodes),
-    )
-
-    def window_mean_response(result, lo, hi):
-        value = result.mean_between(result.response_ms, lo, hi)
-        return value if value is not None else 0.0
-
+def fig7_from_cells(plain: Fig6Result, helped: Fig6Result) -> Fig7Result:
+    """Fig. 7 out of two Fig. 6 physiological cells: plain, and with
+    helper nodes engaged."""
+    before, rebalancing, _after = plain.response_around_move()
+    improved = helped.response_around_move()[1]
     return Fig7Result(
         normal=plain.breakdown_normal,
         rebalancing=plain.breakdown_rebalancing,
         improved=helped.breakdown_rebalancing,
-        mean_response_ms={
-            "normal": window_mean_response(plain, -base.warmup, 0.0),
-            "rebalancing": window_mean_response(
-                plain, 0.0, plain.migration_seconds
-            ),
-            "improved": window_mean_response(
-                helped, 0.0, helped.migration_seconds
-            ),
-        },
+        mean_response_ms={"normal": before or 0.0,
+                          "rebalancing": rebalancing or 0.0,
+                          "improved": improved or 0.0},
     )
+
+
+def run_fig7(config: Fig6Config | None = None,
+             helper_nodes: tuple[int, ...] = (4, 5)) -> Fig7Result:
+    cells = run_fig8(config, helper_nodes)
+    return fig7_from_cells(cells.plain, cells.helped)

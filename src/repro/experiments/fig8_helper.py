@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.experiments.fig6_schemes import Fig6Config, Fig6Result, run_fig6
+from repro.experiments.harness import shape_violations
 from repro.metrics.report import render_table
 
 
@@ -24,6 +25,18 @@ from repro.metrics.report import render_table
 class Fig8Result:
     plain: Fig6Result
     helped: Fig6Result
+
+    @property
+    def violations(self) -> list[str]:
+        """Helpers improve responsiveness at the cost of two more active
+        nodes: means over each variant's own rebalance window."""
+        return shape_violations("Fig. 8", {
+            name: {"resp_ms": cell.response_around_move()[1],
+                   "watts": cell.mean_between(cell.watts, 0.0,
+                                              cell.migration_seconds)}
+            for name, cell in vars(self).items()
+        }, ["helped['resp_ms'] < plain['resp_ms']",
+            "helped['watts'] > plain['watts'] + 10"])
 
     def comparison_rows(self) -> list[list]:
         """During-rebalance means for the four panels."""

@@ -157,6 +157,23 @@ class Fig9Result:
                "failover(s)", "recover(s)", "promoted", "unavail",
                "lost", "1st-try", "retried", "exhausted"]
 
+    @property
+    def violations(self) -> list[str]:
+        """k >= 2 promotes and stays available, k = 1 degrades
+        gracefully, no k loses an acknowledged commit — audited or not."""
+        claims = [" < ".join(f"k[{k}].replicas_seeded"
+                             for k in sorted(self.runs))]
+        for k in sorted(self.runs):
+            claims += [f"k[{k}].lost_commits == 0"] + (
+                ["k[1].promotions == 0", "k[1].unavailable_partitions > 0"]
+                if k == 1 else
+                [f"k[{k}].promotions > 0",
+                 f"k[{k}].unavailable_partitions == 0",
+                 f"k[{k}].committed_orders > 0",
+                 f"k[{k}].detection_seconds >= 0",
+                 f"k[{k}].failover_seconds >= 0"])
+        return harness.shape_violations("Fig. 9", {"k": self.runs}, claims)
+
     def to_table(self) -> str:
         rows = [self.runs[k].to_row() for k in sorted(self.runs)]
         table = render_table(
@@ -296,25 +313,8 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
     )
 
 
-def run_fig9(config: Fig9Config | None = None,
-             jobs: int = 1) -> Fig9Result:
-    """The full sweep over the configured replication factors.
-
-    Each replication factor is an independent simulation; ``jobs > 1``
-    spreads the sweep over worker processes with identical results.
-    """
-    from repro.experiments.parallel import run_tasks
-
-    config = config or Fig9Config()
-    ks = list(config.replication_factors)
-    results = run_tasks(
-        [(run_fig9_single, (k, config), {}) for k in ks], jobs=jobs,
-    )
-    return Fig9Result(config=config, runs=dict(zip(ks, results)))
-
-
 def quick_fig9_config() -> Fig9Config:
-    """Reduced parameters for fast runs (benches, CLI --quick)."""
+    """Reduced parameters for fast runs (CLI --quick, tier-1 shapes)."""
     return Fig9Config(
         tpcc=TpccConfig(
             warehouses=4, districts_per_warehouse=3,

@@ -1,12 +1,14 @@
 """What the experiments used to paste from each other, as plain
-functions: TPC-C cluster build, acknowledged-NewOrder oracle, audit
-epilogue and footer, admission conservation gate, ``kv`` writer and
-readback, the Fig. 1/2 micro table.  Each experiment still wires its
-own processes — their start order is part of the determinism contract."""
+functions: the shape-claim checker behind every figure's ``violations``,
+TPC-C cluster build, acknowledged-NewOrder oracle, audit epilogue and
+footer, admission conservation gate, ``kv`` writer and readback, the
+Fig. 1/2 micro table.  Each experiment still wires its own processes —
+their start order is part of the determinism contract."""
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import typing
 
 from repro.cluster.cluster import Cluster
@@ -17,6 +19,33 @@ from repro.storage.record import Column, Schema
 from repro.storage.segment import Segment
 from repro.workload import load_tpcc, start_vacuum_daemon
 from repro.workload.tpcc_gen import fast_insert
+
+
+# -- the paper's shapes, in the sweeps' ``violations`` dialect -----------------
+_COMPARISON = re.compile(r" (<=|>=|==|<|>) ")
+
+
+def shape_violations(figure: str, values: dict, claims) -> list[str]:
+    """Each claim is a comparison chain over the names in ``values`` —
+    ``"after < 1.1 * before"``, ``"60 <= minimal_watts <= 70"`` — and
+    each link that does not hold is one sentence naming the figure, the
+    inequality and both numbers.  A term without samples (``None``)
+    fails its link."""
+    violations = []
+    for claim in claims:
+        terms = _COMPARISON.split(claim)
+        for left, op, right in zip(terms[0::2], terms[1::2], terms[2::2]):
+            try:
+                a, b = (eval(term, {"__builtins__": {}}, values)
+                        for term in (left, right))
+                held = eval(f"a {op} b", {}, {"a": a, "b": b})
+                numbers = f"{a:.6g} {op} {b:.6g}"
+            except TypeError:
+                held, numbers = False, "no samples"
+            if not held:
+                violations.append(f"{figure}: {left} {op} {right} does not "
+                                  f"hold ({numbers})")
+    return violations
 
 
 def tpcc_cluster(seed: int, tpcc, *, owners, load_segment_max_pages,

@@ -22,6 +22,7 @@ from repro.hardware import (
     SSD_SPEC,
     specs,
 )
+from repro.experiments.harness import shape_violations
 from repro.metrics.report import render_table
 from repro.sim.engine import Environment
 
@@ -35,6 +36,20 @@ class PowerValidationResult:
     node_active_peak_watts: float
     node_standby_watts: float
     proportionality_curve: list[tuple[int, float]]
+
+    @property
+    def violations(self) -> list[str]:
+        """The paper's bands, and idle watts monotone in active nodes."""
+        return shape_violations("Sect. 3.1", {
+            **vars(self), "idle_watts": dict(self.proportionality_curve),
+        }, ["60 <= minimal_watts <= 70",
+            "62 <= realistic_minimal_watts <= 78",
+            "255 <= full_load_watts <= 285",
+            "20 <= node_active_idle_watts <= 24",
+            "24 <= node_active_peak_watts <= 28",
+            "node_standby_watts == 2.5",
+            " < ".join(f"idle_watts[{n}]"
+                       for n, _watts in self.proportionality_curve)])
 
     def to_table(self) -> str:
         rows = [

@@ -16,6 +16,7 @@ import dataclasses
 
 from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.cluster.cluster import Cluster
+from repro.experiments.harness import shape_violations
 from repro.metrics.report import render_series_table
 from repro.sim.engine import Environment
 from repro.workload import (
@@ -67,6 +68,21 @@ class ScaleInResult:
     def mean_between(self, series, lo, hi):
         values = [v for t, v in series if lo <= t < hi and v is not None]
         return sum(values) / len(values) if values else None
+
+    @property
+    def violations(self) -> list[str]:
+        """Two wimpy nodes go dark, energy per query improves and the
+        light load is still served: means over [-30, 0) vs [20, 110)."""
+        def means(lo, hi):
+            return {name: self.mean_between(getattr(self, name), lo, hi)
+                    for name in ("watts", "qps", "joules_per_query")}
+
+        return shape_violations("Scale-in", {
+            **vars(self), "before": means(-30, 0), "after": means(20, 110),
+        }, ["active_after < active_before", "total_failed == 0",
+            "after['watts'] < before['watts'] - 25",
+            "after['joules_per_query'] < 0.8 * before['joules_per_query']",
+            "after['qps'] > 0.9 * before['qps']"])
 
     def to_table(self) -> str:
         return render_series_table(

@@ -147,7 +147,7 @@ DEFAULT_VECTOR_SIZE = 512
 # --------------------------------------------------------------------------
 
 #: "the dataset from the well-known TPC-C benchmark with a scale factor
-#: of 1,000".  Our default is far smaller; benches scale it up.
+#: of 1,000".  Our default is far smaller; the experiments scale it up.
 PAPER_TPCC_WAREHOUSES = 1000
 
 #: Monitoring cadence: "the nodes send their monitoring data every few

@@ -1,6 +1,6 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints the same rows/series the paper's figures
+The experiments print the same rows/series the paper's figures
 plot, as aligned text tables, so results can be eyeballed against the
 paper without a plotting stack.
 """

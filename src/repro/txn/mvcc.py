@@ -31,6 +31,11 @@ class DuplicateKeyError(TransactionAborted):
     """
 
 
+class NotVisibleError(RuntimeError):
+    """An update or delete found no version of the key visible to the
+    transaction: the router's cue to try the other end of a move."""
+
+
 def is_visible(version: RecordVersion, txn: "Transaction") -> bool:
     """Snapshot-isolation visibility of one version to one transaction."""
     created_visible = (
@@ -103,7 +108,7 @@ def update(segment: Segment, key: typing.Any, new_version: RecordVersion,
         raise WriteConflictError(f"write-write conflict on key {key!r}")
     current = visible_version(segment, key, txn)
     if current is None:
-        raise KeyError(f"key {key!r} not visible to txn {txn.txn_id}")
+        raise NotVisibleError(f"key {key!r} not visible to txn {txn.txn_id}")
     current.deleted_by = txn.txn_id
     txn.note_deleted(segment, current)
     # Version chains may overflow the extent until vacuum runs.
@@ -121,7 +126,7 @@ def delete(segment: Segment, key: typing.Any, txn: "Transaction") -> None:
         raise WriteConflictError(f"write-write conflict on key {key!r}")
     current = visible_version(segment, key, txn)
     if current is None:
-        raise KeyError(f"key {key!r} not visible to txn {txn.txn_id}")
+        raise NotVisibleError(f"key {key!r} not visible to txn {txn.txn_id}")
     current.deleted_by = txn.txn_id
     txn.note_deleted(segment, current)
 

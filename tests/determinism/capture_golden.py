@@ -1,31 +1,22 @@
-"""Capture the determinism goldens.
+"""Capture every determinism golden.
 
 Run from the repository root::
 
     PYTHONPATH=src python -m tests.determinism.capture_golden
 
-The committed goldens were captured on the *pre-optimization* kernel
-(commit with the heap-only event loop), so the determinism tests prove
-the fast paths replay the original event order.  Re-capture only when
-a deliberate, understood model change shifts the virtual clock — never
-to paper over an unexplained mismatch.
+Rewrites ``golden/<name>.json`` for every entry of ``harness.GOLDENS``
+from the current tree; two runs produce identical files.  A PR that
+moves simulated behaviour on purpose commits the re-captured goldens
+and explains the diff — never re-capture to paper over a mismatch
+nobody understands.
 """
 
-from tests.determinism.harness import (
-    chaos_fingerprint,
-    fig6_fingerprint,
-    save_golden,
-)
+from tests.determinism.harness import GOLDENS, save_golden
 
 
 def main() -> None:
-    for name, fn in (("fig6_small", fig6_fingerprint),
-                     ("chaos_seed0", chaos_fingerprint)):
-        fingerprint = fn()
-        path = save_golden(name, fingerprint)
-        print(f"{name}: {path} "
-              f"(end={fingerprint['end_time']}, "
-              f"events={fingerprint['events_processed']})")
+    for name, fingerprint in GOLDENS.items():
+        print(f"{name}: {save_golden(name, fingerprint())}")
 
 
 if __name__ == "__main__":

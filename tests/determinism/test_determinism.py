@@ -1,19 +1,25 @@
-"""Determinism gate for the kernel fast paths.
+"""Identity gate: bit-identical simulated behaviour, family by family.
 
-The goldens under ``golden/`` were captured on the pre-optimization
-kernel (heap-only event loop, per-page latch Resources, O(n) victim
-scan).  These tests re-run the same seeded experiments on the current
-kernel and require bit-identical fingerprints: simulated end time,
-commit counts, metrics tables, and a ``(time, events_processed)``
-checkpoint trace.  A fast path that changed anything the virtual clock
-can see fails here.
+Every entry of ``harness.FAMILIES`` — the quick cells of the paper's
+figures and the smoke-scale run of each sweep, runs tier-1 makes
+anyway — is compared with its committed golden: the rendered report
+and, per kernel the run built, the final clock and the number of events
+processed.  ``fig6_small`` and ``chaos_seed0`` additionally pin a
+``(time, events_processed)`` trace sampled every five simulated seconds
+(first captured before the kernel's fast paths existed and identical
+ever since), which says *when* a run first left the recorded order.  A
+mismatch here means the change moved simulated behaviour: either that
+is the point of the PR and the goldens are re-captured with the diff
+explained, or it is a bug.
 """
 
 import pytest
 
 from tests.determinism.harness import (
+    FAMILIES,
     chaos_fingerprint,
     fig6_fingerprint,
+    fingerprint,
     load_golden,
 )
 
@@ -63,3 +69,9 @@ class TestChaosSeedGolden:
 
     def test_repeatable_within_process(self, chaos_fp):
         assert chaos_fingerprint() == chaos_fp
+
+
+@pytest.mark.timeout(600)
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_matches_its_golden(family):
+    assert fingerprint(family) == load_golden(family)

@@ -2,10 +2,9 @@
 
 DESIGN.md calls out two tunables the paper fixes by fiat: the 32 MiB
 segment size (Sect. 4's unit of distribution) and the 80 % CPU upper
-bound (Sect. 3.4).  These benches show each choice's trade-off surface.
+bound (Sect. 3.4).  These tests show each choice's trade-off surface
+(run with ``-s`` to see the sweeps).
 """
-
-import pytest
 
 from repro import Cluster, Column, Environment, Schema
 from repro.cluster import PolicyThresholds, ThresholdPolicy
@@ -45,16 +44,13 @@ def _migrate_with_segment_size(segment_pages: int, rows: int = 2000,
     return env.now - t0, moved["segments"]
 
 
-def test_ablation_segment_size(benchmark):
+def test_ablation_segment_size():
     """Coarser segments amortise the per-segment lock/splice/commit
     overhead: the same bytes move faster — why the paper uses 32 MiB
     segments rather than page-granular movement."""
 
-    def sweep():
-        return {pages: _migrate_with_segment_size(pages)
-                for pages in (4, 32, 256)}
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = {pages: _migrate_with_segment_size(pages)
+               for pages in (4, 32, 256)}
     print()
     for pages, (seconds, segments) in results.items():
         print(f"  segment={pages:>4} pages: {segments:>4} moves, "
@@ -73,26 +69,21 @@ def _ramp_samples(slope_per_round: float, rounds: int = 40):
         )
 
 
-def test_ablation_cpu_threshold_sensitivity(benchmark):
+def test_ablation_cpu_threshold_sensitivity():
     """Lower bounds fire earlier on a rising load; the paper's 80%
     sits between hair-trigger and too-late."""
 
-    def sweep():
-        out = {}
-        for upper in (0.5, 0.8, 0.95):
-            policy = ThresholdPolicy(PolicyThresholds(
-                cpu_upper=upper, cpu_lower=0.05, consecutive_samples=2,
-            ))
-            fired_at = None
-            for sample in _ramp_samples(slope_per_round=0.03):
-                decision = policy.observe([sample])
-                if decision.wants_scale_out:
-                    fired_at = sample.time
-                    break
-            out[upper] = fired_at
-        return out
-
-    fired = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    fired = {}
+    for upper in (0.5, 0.8, 0.95):
+        policy = ThresholdPolicy(PolicyThresholds(
+            cpu_upper=upper, cpu_lower=0.05, consecutive_samples=2,
+        ))
+        fired[upper] = None
+        for sample in _ramp_samples(slope_per_round=0.03):
+            decision = policy.observe([sample])
+            if decision.wants_scale_out:
+                fired[upper] = sample.time
+                break
     print()
     for upper, at in fired.items():
         print(f"  cpu_upper={upper:.2f}: scale-out fires at t={at}")

@@ -1,12 +1,10 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablations of the design choices DESIGN.md calls out.
 
 Not figures from the paper — sensitivity sweeps over the mechanisms the
 paper's results rest on: the vector size behind Fig. 1, the prefetch
 depth behind the buffering operator, and the scale-in protocol the
 paper describes but does not evaluate.
 """
-
-import pytest
 
 from repro.engine import ExecContext
 from repro.engine.planner import plan_scan_project
@@ -29,16 +27,13 @@ def _remote_project_rate(rows: int, vector_size: int,
     return rows / (env.now - t0)
 
 
-def test_ablation_vector_size(benchmark):
+def test_ablation_vector_size():
     """Fig. 1's mechanism: throughput vs. vector size is monotone and
     saturating — latency amortisation has diminishing returns."""
     rows = 8_000
     sizes = (1, 8, 64, 512)
 
-    def sweep():
-        return {v: _remote_project_rate(rows, v) for v in sizes}
-
-    rates = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rates = {v: _remote_project_rate(rows, v) for v in sizes}
     print()
     for v in sizes:
         print(f"  vector={v:>4}: {rates[v]:>10,.0f} records/s")
@@ -49,15 +44,12 @@ def test_ablation_vector_size(benchmark):
     assert rates[512] / rates[64] < rates[8] / rates[1]
 
 
-def test_ablation_prefetch_depth(benchmark):
+def test_ablation_prefetch_depth():
     """Deeper prefetch pipelines help until the producer is saturated."""
     rows = 8_000
 
-    def sweep():
-        return {d: _remote_project_rate(rows, 256, prefetch_depth=d)
-                for d in (0, 1, 3)}
-
-    rates = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rates = {d: _remote_project_rate(rows, 256, prefetch_depth=d)
+             for d in (0, 1, 3)}
     print()
     for depth, rate in rates.items():
         print(f"  depth={depth}: {rate:>10,.0f} records/s")
@@ -65,7 +57,7 @@ def test_ablation_prefetch_depth(benchmark):
     assert rates[3] >= rates[1] * 0.98
 
 
-def test_ablation_scale_in_protocol(benchmark):
+def test_ablation_scale_in_protocol():
     """The paper's scale-in (Sect. 3.4): quiesce a node, pull its data
     back, power it off — data stays readable, watts drop."""
     from repro import Cluster, Column, Environment, Schema
@@ -109,9 +101,7 @@ def test_ablation_scale_in_protocol(benchmark):
         env.run(until=env.process(verify()))
         return watts_before, watts_after, missing
 
-    watts_before, watts_after, missing = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    watts_before, watts_after, missing = run()
     print(f"\n  scale-in: {watts_before:.1f} W -> {watts_after:.1f} W, "
           f"{len(missing)} records lost")
     assert missing == []

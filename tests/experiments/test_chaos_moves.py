@@ -1,5 +1,6 @@
 """Chaos harness: schedule determinism and the invariant gate on a
-few fixed seeds (the full 10-seed sweep runs as a benchmark / CI job)."""
+few fixed seeds (``python -m repro.experiments chaos --full`` sweeps
+ten)."""
 
 import random
 
@@ -10,8 +11,8 @@ from repro.experiments.chaos_moves import (
     build_schedule,
     render_chaos,
     run_chaos,
-    run_chaos_suite,
 )
+from tests.determinism.harness import result_of
 
 # Consistent with tier-1's global --timeout=600.
 pytestmark = pytest.mark.timeout(600)
@@ -55,7 +56,8 @@ class TestInvariantGate:
         assert result.move_summary["open_range_moves"] == 0
 
     def test_three_seed_suite_holds_invariants_and_resumes(self):
-        suite = run_chaos_suite(seeds=(0, 1, 2))
+        suite = result_of("chaos")      # seeds 0-2; also a golden
+        assert [run.seed for run in suite.runs] == [0, 1, 2]
         assert suite.total_violations == 0, suite.to_table()
         # At least one schedule must complete a move through a
         # chunk-level resume — the metric the tentpole promises.

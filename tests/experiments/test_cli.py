@@ -1,11 +1,14 @@
 """The experiments CLI: its sweep table and its argument surface."""
 
+import copy
 import dataclasses
 import pickle
 
 import pytest
 
+from repro import experiments
 from repro.experiments.__main__ import COMMANDS, SWEEPS, build_parser, main
+from tests.determinism.harness import result_of
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -40,3 +43,33 @@ def test_a_sweep_runs_end_to_end_through_the_table(capsys):
     out = capsys.readouterr().out
     assert "1 schedules, 0 invariant violations" in out
     assert "audit: 0 isolation anomalies" in out
+
+
+def test_a_figure_whose_shape_is_violated_exits_with_its_table(monkeypatch):
+    """Every command is its own gate: swap two Fig. 1 bars and ``fig1``
+    leaves through ``SystemExit`` carrying the table and the violated
+    inequality — the path a failed sweep takes."""
+    doctored = copy.deepcopy(result_of("fig1"))
+    rates = doctored.records_per_second
+    rates["tbscan_local"], rates["project_local"] = (
+        rates["project_local"], rates["tbscan_local"])
+    monkeypatch.setattr(experiments, "run_fig1", lambda: doctored)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig1"])
+    report = str(exit_info.value.code)
+    assert report.startswith(doctored.to_table())
+    assert ("VIOLATION: Fig. 1: tbscan_local > project_local does not hold "
+            f"({rates['tbscan_local']:.6g} > {rates['project_local']:.6g})"
+            ) in report
+
+
+def test_unaudited_fig9_fails_on_a_lost_commit_at_k2():
+    result = copy.deepcopy(result_of("fig9"))
+    assert all(run.ok for run in result.runs.values())
+    result.runs[2].lost_commits = 1
+    lines, failed = SWEEPS["fig9"].gate(
+        result.config,
+        [result.runs[k] for k in result.config.replication_factors])
+    assert failed
+    assert lines == [
+        "VIOLATION: Fig. 9: k[2].lost_commits == 0 does not hold (1 == 0)"]

@@ -1,6 +1,8 @@
 """Elasticity experiment smoke: a compressed audited day must breathe
 with the trace, conserve every offered request, and replay
-bit-identically."""
+bit-identically.  The autoscale and static days are the ``elasticity``
+family of tests/determinism/harness.py, so they are also pinned by its
+golden."""
 
 import dataclasses
 
@@ -8,26 +10,16 @@ import pytest
 
 from repro.experiments.elasticity import (
     ElasticityConfig,
+    compare_elasticity,
     render_elasticity,
     run_elasticity,
 )
-
-SMOKE = ElasticityConfig(
-    day_seconds=240.0,
-    min_requests=60_000,
-    flash_ramp=20.0, flash_hold=40.0, flash_decay=30.0,
-    hint_lead=40.0,
-    autoscale_interval=5.0,
-    cooldown_intervals=4,
-    power_sample_interval=5.0,
-    report_buckets=6,
-    audit=True,
-)
+from tests.determinism.harness import ELASTICITY_SMOKE as SMOKE, result_of
 
 
 @pytest.fixture(scope="module")
 def autoscale_result():
-    return run_elasticity(SMOKE)
+    return result_of("elasticity")[0]
 
 
 def test_autoscale_day_is_clean(autoscale_result):
@@ -68,12 +60,13 @@ def test_replay_is_bit_identical(autoscale_result):
 
 
 def test_static_baseline_uses_more_energy(autoscale_result):
-    static = run_elasticity(dataclasses.replace(SMOKE, mode="static"))
-    assert static.violations == []
+    static = result_of("elasticity")[1]
+    assert static.mode == "static" and static.violations == []
     assert static.events == []
     assert static.final_active_nodes == SMOKE.node_count
     # Full provisioning burns more joules for the same day of demand.
     assert static.energy_joules > autoscale_result.energy_joules
+    assert compare_elasticity([autoscale_result, static]) == []
     out = render_elasticity([autoscale_result, static])
     assert "saved by breathing with the trace" in out
     assert "per-tenant latency SLOs" in out

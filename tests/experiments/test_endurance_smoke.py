@@ -17,6 +17,7 @@ from repro.experiments.endurance import (
 from repro.sim.events import AllOf
 from repro.txn.checkpoint import CheckpointManager
 from repro.workload.tpcc_gen import fast_insert
+from tests.determinism.harness import result_of
 
 # Consistent with tier-1's global --timeout=600.
 pytestmark = pytest.mark.timeout(600)
@@ -24,7 +25,8 @@ pytestmark = pytest.mark.timeout(600)
 
 class TestEnduranceSmoke:
     def test_quick_run_holds_every_invariant(self):
-        result = run_endurance(quick_endurance_config(), seed=0)
+        # The ``endurance`` family: also compared with its golden.
+        result = result_of("endurance")
         assert result.ok, result.to_table()
         assert result.acked_writes >= 500
         assert result.audited
@@ -42,6 +44,14 @@ class TestEnduranceSmoke:
         rendered = render_endurance(result)
         assert "recovery drill:" in rendered
         assert "ENDURANCE VIOLATION" not in rendered
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_other_ci_seeds_are_not_vacuous(self, seed):
+        result = run_endurance(quick_endurance_config(), seed=seed)
+        assert result.ok, result.to_table()
+        assert result.total_anomalies == 0
+        assert result.crashes >= 1 and result.promotions >= 1
+        assert result.drill["image_rows"] > 0
 
     def test_same_seed_same_run(self):
         a = run_endurance(quick_endurance_config(), seed=1)

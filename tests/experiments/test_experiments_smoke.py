@@ -1,5 +1,5 @@
-"""Fast smoke tests of the experiment harness (full-scale shape checks
-live in benchmarks/)."""
+"""Fast smoke tests of the experiment harness at tiny scale (the
+paper's shapes at the quick presets: test_paper_shapes.py)."""
 
 import dataclasses
 
@@ -14,6 +14,7 @@ from repro.experiments import (
     run_power_validation,
 )
 from repro.experiments.fig3_mvcc import Fig3Config
+from repro.experiments.fig6_schemes import scale_fig6_config
 from repro.workload import TpccConfig
 
 
@@ -99,6 +100,19 @@ def test_fig6_helper_variant_runs():
     before = result.mean_between(result.watts, -15, 0)
     if during is not None and before is not None:
         assert during > before
+
+
+def test_scale_profile_shape():
+    config = scale_fig6_config(nodes=100, partitions=10_000)
+    assert config.node_count == 100
+    assert len(config.source_nodes) == len(config.target_nodes) == 50
+    assert not set(config.source_nodes) & set(config.target_nodes)
+    # ~10 per-warehouse table slices carry the requested partition count.
+    assert config.tpcc.warehouses == 1000
+    with pytest.raises(ValueError):
+        scale_fig6_config(nodes=7)
+    with pytest.raises(ValueError):
+        scale_fig6_config(nodes=100, partitions=100)
 
 
 def test_scale_in_tiny_run():

@@ -3,10 +3,9 @@
 import dataclasses
 import json
 
-from repro.experiments.chaos_moves import run_chaos_suite
 from repro.experiments.parallel import default_jobs, run_tasks
 
-from tests.determinism.harness import tiny_chaos_config
+from tests.determinism.harness import chaos_sweep, tiny_chaos_config
 
 
 def _square(x):
@@ -57,7 +56,7 @@ def test_chaos_suite_jobs_invariant():
     seeded schedule is an independent simulation."""
     config = tiny_chaos_config()
     seeds = [0, 1]
-    sequential = run_chaos_suite(seeds=seeds, config=config, jobs=1)
-    parallel = run_chaos_suite(seeds=seeds, config=config, jobs=2)
+    sequential = chaos_sweep(seeds, config, jobs=1)
+    parallel = chaos_sweep(seeds, config, jobs=2)
     assert _suite_fingerprint(sequential) == _suite_fingerprint(parallel)
     assert sequential.to_table() == parallel.to_table()

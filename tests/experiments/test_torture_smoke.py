@@ -12,6 +12,7 @@ from repro.experiments.torture import (
     render_torture,
     run_torture,
 )
+from tests.determinism.harness import result_of
 
 # Consistent with tier-1's global --timeout=600.
 pytestmark = pytest.mark.timeout(600)
@@ -19,7 +20,8 @@ pytestmark = pytest.mark.timeout(600)
 
 class TestTortureSmoke:
     def test_quick_run_holds_every_gate(self):
-        result = run_torture(quick_torture_config(), seed=0)
+        # The ``torture`` family: also compared with its golden.
+        result = result_of("torture")
         assert result.ok, render_torture([result])
         assert result.lost_commits == 0
         assert result.unresolved == []
@@ -45,14 +47,16 @@ class TestTortureSmoke:
         a = run_torture(quick_torture_config(), seed=2)
         b = run_torture(quick_torture_config(), seed=2)
         assert a.ok and b.ok
+        assert a.corruptions_injected >= 1
         assert a.fingerprint == b.fingerprint
         assert a.committed_orders == b.committed_orders
         assert a.scrub_stats == b.scrub_stats
         assert a.gray_stats == b.gray_stats
 
     def test_distinct_seeds_distinct_schedules(self):
-        a = run_torture(quick_torture_config(), seed=0)
+        a = result_of("torture")
         b = run_torture(quick_torture_config(), seed=1)
+        assert b.ok and b.corruptions_injected >= 1
         assert a.fingerprint != b.fingerprint
 
     def test_audit_mode_is_clean(self):

@@ -7,30 +7,19 @@ import dataclasses
 import pytest
 
 from repro.experiments.read_scaling import (
-    ReadScalingConfig,
     compare_read_scaling,
     run_read_scaling,
 )
+from tests.determinism.harness import READ_SCALING_SMOKE as SMOKE, result_of
 
 pytestmark = pytest.mark.timeout(600)
 
-#: One quarter of the quick config's duration — long enough that the
-#: whole fault schedule (bit rot, sever + restore, crash + restart)
-#: lands and both failovers complete before the audit.
-SMOKE = ReadScalingConfig(
-    duration=60.0,
-    min_requests=8_000,
-    audit=True,
-)
-
-_cache: dict[str, object] = {}
-
 
 def smoke_result(mode):
-    if mode not in _cache:
-        _cache[mode] = run_read_scaling(
-            dataclasses.replace(SMOKE, mode=mode))
-    return _cache[mode]
+    """Both modes are the ``read_scaling`` family of the determinism
+    harness: run once, also compared with its golden."""
+    replica, primary = result_of("read_scaling")
+    return {"replica": replica, "primary": primary}[mode]
 
 
 def test_replica_mode_runs_clean_under_faults():

@@ -137,9 +137,9 @@ def test_first_committer_wins_against_stale_snapshot(setup):
 def test_update_missing_key(setup):
     env, tm, schema, seg = setup
     txn = tm.begin()
-    with pytest.raises(KeyError):
+    with pytest.raises(mvcc.NotVisibleError):
         mvcc.update(seg, 99, ver(schema, 99, "x", txn), txn)
-    with pytest.raises(KeyError):
+    with pytest.raises(mvcc.NotVisibleError):
         mvcc.delete(seg, 99, txn)
 
 

@@ -60,3 +60,35 @@ def test_defect_under_session_engine_fails_the_run(install_body, defect):
     assert stats["completed"] == 0 and stats["abandoned"] == 0
     assert engine.runtimes["web"].conflicts == 0
     assert engine.runtimes["web"].executed == 0
+
+
+def test_defect_inside_update_record_is_not_taken_for_a_routed_miss(
+        install_body, monkeypatch):
+    """``MasterNode.update`` routes on only for the typed "not visible
+    here" miss; a ``KeyError`` from below ``update_record`` (here: the
+    page lookup) used to be translated into one, become a
+    ``RoutedMissError`` and be retried eight times."""
+    from repro.cluster.worker import WorkerNode
+    from repro.experiments.harness import kv_cluster_rows
+
+    defect = KeyError("node 0: unknown page 7")
+
+    def broken_dirty_page(self, segment, page_no, txn):
+        raise defect
+        yield  # pragma: no cover - makes this a generator function
+
+    def body(ctx, txn):
+        yield from ctx.cluster.master.update("kv", 1, (1, "new"), txn)
+
+    install_body("defect", body)
+    env, cluster = make_cluster()
+    kv_cluster_rows(cluster, 0, rows=4)
+    monkeypatch.setattr(WorkerNode, "_dirty_page", broken_dirty_page)
+    ctx = TpccContext(cluster, TpccConfig(warehouses=1))
+    driver = WorkloadDriver(cluster, ctx, clients=1, client_interval=1.0,
+                            mix=[("defect", 1.0)])
+    env.process(driver.clients[0].run(until=0.5), name="client-0")
+    with pytest.raises(SimulationError, match="client-0") as crash:
+        env.run(until=60.0)
+    assert crash.value.__cause__ is defect
+    assert driver.retries_total == 0 and driver.total_failed == 0
