@@ -27,7 +27,7 @@ COMMANDS = [
     "fig7", "fig8", "fig9 --audit", "scale-in",
     "chaos --seeds 0 1 2 --audit", "chaos --full --audit",
     "endurance --audit --seeds 0 1 2", "elasticity --seeds 0 --audit",
-    "read-scaling --seeds 0 1 --audit",
+    "read-scaling --seeds 0 1 2 --audit",
     "torture --quick --audit --seeds 0 1 2",
 ]
 

@@ -128,10 +128,8 @@ class Network:
             [(src.tx_lane_id, src.tx), (dst.rx_lane_id, dst.rx)],
             key=lambda pair: pair[0],
         )
-        first_req = lanes[0][1].request()
-        yield first_req
-        second_req = lanes[1][1].request()
-        yield second_req
+        first_req = yield from lanes[0][1].acquire()
+        second_req = yield from lanes[1][1].acquire()
         try:
             yield self.env.timeout(duration)
         finally:

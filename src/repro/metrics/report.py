@@ -329,7 +329,7 @@ def render_kernel_stats(stats: dict[str, int | float],
         ["zero-delay fast-pathed", stats.get("fast_scheduled", 0)],
         ["fast-path fraction", stats.get("fast_fraction", 0.0)],
         ["heap peak depth", stats.get("heap_peak", 0)],
-        ["resource fast grants", stats.get("resource_fast_grants", 0)],
+        ["event-free resource grants", stats.get("resource_fast_grants", 0)],
     ]
     if "latch_contended" in stats:
         rows.append(["latch contended", stats["latch_contended"]])

@@ -7,11 +7,11 @@ that clock: every value the generator yields must be an
 triggers, receiving the event's value (or its exception).
 
 Timed events sit in one global ``heapq`` of ``(time, seq, event)``
-entries; zero-delay events (the large majority) bypass it through a
-FIFO.  Dispatch order is the global ``(time, seq)`` order, pinned
-bit-for-bit by the golden fingerprints in ``tests/determinism/`` and by
-the property test that replays random schedules against a plain
-reference kernel.
+entries; zero-delay events (process bootstraps, hand-overs to queued
+waiters) bypass it through a FIFO.  Dispatch order is the global
+``(time, seq)`` order, pinned bit-for-bit by the golden fingerprints in
+``tests/determinism/`` and by the property test that replays random
+schedules against a plain reference kernel.
 """
 
 from __future__ import annotations
@@ -120,14 +120,15 @@ class Environment:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         # Zero-delay events (succeed/fail deliveries, process bootstraps,
-        # immediate grants) skip the heap entirely: they are appended to
-        # this FIFO and drained at the current clock value.  Ordering is
-        # preserved because a heap entry at time == now can only have been
-        # scheduled *before* the clock reached now (delay > 0), hence
-        # before any zero-delay event created at now — so "heap entries
-        # due at now first, then the FIFO, then advance" replays the
-        # exact global (time, seq) order a heap holding every event
-        # would produce.
+        # grants to queued waiters — an uncontended grant is no event
+        # at all, see ``Resource.acquire``) skip the heap entirely: they
+        # are appended to this FIFO and drained at the current clock
+        # value.  Ordering is preserved because a heap entry at
+        # time == now can only have been scheduled *before* the clock
+        # reached now (delay > 0), hence before any zero-delay event
+        # created at now — so "heap entries due at now first, then the
+        # FIFO, then advance" replays the exact global (time, seq) order
+        # a heap holding every event would produce.
         self._fast: collections.deque[Event] = collections.deque()
         self._seq = 0
         self._crashes: list[tuple[Process, BaseException]] = []
@@ -196,11 +197,6 @@ class Environment:
     def process(self, generator: ProcessGenerator, name: str | None = None) -> Process:
         """Launch ``generator`` as a new process, returning its handle."""
         return Process(self, generator, name=name)
-
-    def immediate(self, value: typing.Any = None) -> Event:
-        """An already-succeeded event: yielding it costs exactly one
-        zero-delay scheduling round, same as a freshly-granted request."""
-        return Event(self).succeed(value)
 
     def run(self, until: float | Event | None = None) -> typing.Any:
         """Run the simulation.

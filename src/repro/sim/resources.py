@@ -2,9 +2,10 @@
 
 :class:`Resource` models a server with ``capacity`` identical units
 (CPU cores, a disk's single actuator, a link's DMA engine).  Processes
-``yield resource.request()`` to obtain a unit and call
-:meth:`Resource.release` when done; contention shows up as queueing
-delay on the simulated clock.
+``req = yield from resource.acquire()`` to obtain a unit — a free one
+is a plain return and costs no kernel event, a busy one is queueing
+delay on the simulated clock — and call :meth:`Resource.release` when
+done.
 
 The wait queue is a FIFO ``deque``: requests are granted in arrival
 order, and a request released before its grant is removed from it.
@@ -65,8 +66,8 @@ class Request(Event):
     __slots__ = ("resource", "released")
 
     def __init__(self, resource: "Resource"):
-        # Event.__init__ inlined: requests ride the uncontended fast
-        # path by the million, and the extra call shows up.
+        # Event.__init__ inlined: requests are made by the million,
+        # and the extra call shows up.
         self.env = resource.env
         self.callbacks = []
         self._value = PENDING
@@ -108,24 +109,30 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        """Claim a unit; the returned event triggers when granted."""
+        """Queue a claim; the returned event triggers when granted."""
         req = Request(self)
-        # Uncontended fast path: no waiter is ahead of us and a unit is
-        # free, so grant without touching the queue.  The grant
-        # event still travels through the kernel's zero-delay FIFO
-        # (``req.succeed``), which is exactly the trip the queued
-        # dispatch would have given it — the simulated clock cannot tell.
+        self._queue.append(req)
+        self._dispatch()
+        return req
+
+    def acquire(self):
+        """Generator: ``req = yield from resource.acquire()``.
+
+        A free unit with nobody queued is taken without yielding — no
+        event, the caller runs on.  Nobody is overtaken: a release with
+        waiters re-fills the unit inside ``_dispatch`` before any other
+        process runs.  Otherwise the request waits its FIFO turn.
+        """
         users = self.users
-        queue = self._queue
-        if len(users) < self.capacity and not queue:
+        if len(users) < self.capacity and not self._queue:
+            req = Request(self)
             self.env.resource_fast_grants += 1
             users.add(req)
             self.tracker.update(len(users))
             self.grant_count += 1
-            req.succeed(req)
             return req
-        queue.append(req)
-        self._dispatch()
+        req = self.request()
+        yield req
         return req
 
     def release(self, request: Request) -> None:
@@ -155,14 +162,14 @@ class Resource:
             req.succeed(req)
 
     def serve(self, duration: float):
-        """Generator helper: acquire a unit, hold it ``duration``, release.
+        """Generator helper: acquire a unit, hold it ``duration``, release
+        (on a free unit the timeout is the only event this costs).
 
         Usage inside a process::
 
             yield from resource.serve(0.005)
         """
-        req = self.request()
-        yield req
+        req = yield from self.acquire()
         try:
             yield self.env.timeout(duration)
         finally:

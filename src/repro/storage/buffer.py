@@ -157,23 +157,21 @@ class BufferPool:
         Concurrent fetchers of the same non-resident page queue on its
         latch in arrival order, so only one disk read is issued.
         """
-        t0 = self.env.now
         latched = self._latched
         if page_id not in latched:
+            # A free latch is taken on the spot: no event, no wait.
             latched[page_id] = None
-            # The uncontended grant costs one zero-delay hop, as the
-            # hand-over to a waiter below does.
-            yield self.env.immediate()
         else:
             self.latch_contended += 1
+            t0 = self.env.now
             waiters = latched[page_id]
             if waiters is None:
                 waiters = latched[page_id] = collections.deque()
             turn = self.env.event()
             waiters.append(turn)
             yield turn
-        if breakdown is not None:
-            breakdown.add("latching", self.env.now - t0)
+            if breakdown is not None:
+                breakdown.add("latching", self.env.now - t0)
         try:
             frame = self._frames.get(page_id)
             if frame is not None:

@@ -180,8 +180,7 @@ class LogManager:
         """
         t0 = self.env.now
         while self.flushed_lsn < lsn:
-            request = self._flush_lock.request()
-            yield request
+            request = yield from self._flush_lock.acquire()
             try:
                 if self.flushed_lsn >= lsn:
                     break

@@ -1,7 +1,9 @@
 """Identity gate: one committed golden per experiment family.
 
 Simulated behaviour is a pure function of the seed, and every PR since
-the kernel rewrite has promised to keep it bit-identical.  The goldens
+the kernel rewrite has promised to keep it bit-identical (PR 24, which
+made an uncontended grant cost no event, is the one re-capture: event
+counts fell everywhere and same-timestamp ties moved).  The goldens
 under ``golden/`` pin what that promise covers *today*, on the current
 kernel: for each family in :data:`FAMILIES` the rendered report of one
 run tier-1 makes anyway (the quick cells of the paper's figures, the

@@ -6,11 +6,12 @@ anyway — is compared with its committed golden: the rendered report
 and, per kernel the run built, the final clock and the number of events
 processed.  ``fig6_small`` and ``chaos_seed0`` additionally pin a
 ``(time, events_processed)`` trace sampled every five simulated seconds
-(first captured before the kernel's fast paths existed and identical
-ever since), which says *when* a run first left the recorded order.  A
-mismatch here means the change moved simulated behaviour: either that
-is the point of the PR and the goldens are re-captured with the diff
-explained, or it is a bug.
+(captured before the kernel's fast paths existed and identical until
+PR 24 stopped sending uncontended grants through the kernel, when every
+golden was re-captured once), which says *when* a run first left the
+recorded order.  A mismatch here means the change moved simulated
+behaviour: either that is the point of the PR and the goldens are
+re-captured with the diff explained, or it is a bug.
 """
 
 import pytest

@@ -6,9 +6,10 @@ zero-delay events FIFO among themselves — whether the schedule is run
 in one go or in ``run(until=t)`` slices.  The determinism goldens pin
 this on two big model workloads; this test pins it on *adversarial*
 random schedules: zero-delay cascades, exact-duplicate timestamps,
-delays from sub-millisecond to seconds, resource requests cancelled
-while queued (heap tombstones), and slice bounds that land between,
-on and past event times.
+delays from sub-millisecond to seconds, one resource held through
+event-granted requests (``hold``) and inline-or-queued ``acquire`` alike,
+requests cancelled while queued, and slice bounds that land between, on
+and past event times.
 
 The reference kernel below is that rule written down with nothing
 else: one global ``heapq`` keyed ``(time, seq, event)`` plus the
@@ -117,7 +118,7 @@ DELAYS = [0.0, 0.0001, 0.00025, 0.0005, 0.0005, 0.001, 0.0013,
           0.01, 0.25, 1.5, 5.0]
 
 step_strategy = st.tuples(
-    st.sampled_from(["timeout", "hold", "cancel"]),
+    st.sampled_from(["timeout", "hold", "acquire", "cancel"]),
     st.sampled_from(DELAYS),
 )
 program_strategy = st.lists(
@@ -146,6 +147,11 @@ def _execute(env, resource, program, slices=()):
             elif op == "hold":
                 request = resource.request()
                 yield request
+                yield env.timeout(delay)
+                resource.release(request)
+            elif op == "acquire":
+                # Inline grant when the unit is free, queued otherwise.
+                request = yield from resource.acquire()
                 yield env.timeout(delay)
                 resource.release(request)
             else:  # cancel: give up while (possibly) still queued

@@ -305,3 +305,93 @@ def test_uncontended_request_counts_fast_grant():
     env.run()
     assert env.resource_fast_grants == 2
     assert res.grant_count == 2
+    # A free unit is taken without an event: each process costs its
+    # bootstrap, its timeout and its own completion, nothing for the
+    # grant.
+    assert env.events_processed == 6
+    assert env.heap_scheduled == 2
+
+
+def test_acquire_behind_a_holder_is_granted_in_arrival_order():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    grants = []
+
+    def user(tag, arrive, hold):
+        yield env.timeout(arrive)
+        req = yield from res.acquire()
+        grants.append((tag, env.now))
+        yield env.timeout(hold)
+        res.release(req)
+
+    env.process(user("holder", 0, 10))
+    env.process(user("late", 2, 1))
+    env.process(user("early", 1, 1))
+    env.run(until=5)
+    assert res.queue_length == 2
+    assert env.resource_fast_grants == 1
+    env.run()
+    assert grants == [("holder", 0), ("early", 10), ("late", 11)]
+    assert env.resource_fast_grants == 1
+    assert res.grant_count == 3
+
+
+def test_release_then_reacquire_cannot_overtake_a_waiter():
+    """The releaser keeps running at the release timestamp; its next
+    acquire must queue behind the waiter the release just served."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    grants = []
+
+    def greedy():
+        for round_ in range(2):
+            req = yield from res.acquire()
+            grants.append(("greedy", round_, env.now))
+            yield env.timeout(5)
+            res.release(req)
+
+    def waiter():
+        yield env.timeout(1)
+        req = yield from res.acquire()
+        grants.append(("waiter", env.now))
+        yield env.timeout(5)
+        res.release(req)
+
+    env.process(greedy())
+    env.process(waiter())
+    env.run()
+    assert grants == [("greedy", 0, 0), ("waiter", 5), ("greedy", 1, 10)]
+
+
+def test_inline_grant_is_released_once_and_accounted_like_a_queued_one():
+    def busy_seconds(queued):
+        env = Environment()
+        res = Resource(env, capacity=1)
+
+        def user():
+            if queued:
+                req = res.request()
+                yield req
+            else:
+                req = yield from res.acquire()
+            assert res.in_use == 1
+            with req:
+                yield env.timeout(3)
+            assert res.in_use == 0
+            res.release(req)
+            res.release(req)
+            # The unit is free for the next taker, not freed twice.
+            other = yield from res.acquire()
+            assert res.in_use == 1
+            req.__exit__(None, None, None)
+            assert res.in_use == 1
+            yield env.timeout(4)
+            res.release(other)
+
+        env.process(user())
+        env.run(until=20)
+        assert res.in_use == 0
+        assert res.queue_length == 0
+        return res.tracker.integral(20), res.grant_count
+
+    assert busy_seconds(queued=False) == busy_seconds(queued=True) == (7.0, 2)

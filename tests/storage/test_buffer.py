@@ -191,20 +191,57 @@ def test_concurrent_fetch_single_io():
     assert pool._latched == {}
 
 
-def test_latch_wait_recorded_in_breakdown():
+def test_uncontended_resident_fetch_costs_only_its_cpu_timeout():
+    """A free latch and a free core are both taken without an event:
+    the only thing a buffer hit waits for is its CPU time."""
     env, pool, _disk = make_pool()
+    spent = []
+
+    def work():
+        yield from pool.fetch(1)
+        pool.unpin(1)
+        breakdown = CostBreakdown()
+        before, t0 = env.events_processed, env.now
+        yield from pool.fetch(1, breakdown=breakdown)
+        spent.append((env.events_processed - before, env.now - t0,
+                      breakdown.latching))
+        pool.unpin(1)
+
+    run(env, work())
+    [(events, seconds, latching)] = spent
+    assert events == 1
+    assert seconds == pytest.approx(specs.CPU_BUFFER_HIT_SECONDS)
+    assert latching == 0.0
+    assert pool.latch_contended == 0
+    assert pool._latched == {}
+
+
+def test_latch_wait_recorded_in_breakdown():
+    """Two fetchers colliding on a cold page: one read, arrival order,
+    and only the one that queued is charged latching time."""
+    env, pool, disk = make_pool()
     breakdowns = [CostBreakdown(), CostBreakdown()]
+    got_page = []
 
     def work(i):
         yield from pool.fetch(1, breakdown=breakdowns[i])
+        got_page.append((i, env.now))
         pool.unpin(1)
 
     env.process(work(0))
     env.process(work(1))
     env.run()
-    # The second fetcher waited on the first one's I/O-holding latch.
-    assert breakdowns[1].latching > 0
+    assert disk.reads == 1
+    assert pool.latch_contended == 1
+    assert [i for i, _when in got_page] == [0, 1]
+    # The first fetcher found the latch free and did the I/O ...
+    assert breakdowns[0].latching == 0.0
     assert breakdowns[0].disk_io > 0
+    # ... the second waited on that I/O-holding latch from t=0 until
+    # the first one let go, then hit the now-resident page.
+    assert breakdowns[1].latching == got_page[0][1] > 0
+    assert breakdowns[1].disk_io == 0.0
+    assert pool._latched == {}
 
 
 def test_flush_all_writes_dirty_frames():
