@@ -31,7 +31,7 @@ from repro.ha import (
     PlacementPolicy,
     ReplicationManager,
 )
-from repro.metrics import render_kernel_stats, render_move_summary
+from repro.metrics import render_counters, render_timeline
 
 
 def main():
@@ -79,11 +79,7 @@ def main():
         env.process(injector.run())
         yield env.timeout(12.0)  # crash + detection + promotion happen here
 
-        for event in coordinator.events:
-            where = ("" if event.partition_id is None
-                     else f" partition {event.partition_id}")
-            print(f"[{event.time:7.3f}s] {event.kind}{where} "
-                  f"(node {event.node_id}) {event.detail}")
+        print(render_timeline("cluster timeline", cluster.timeline))
         for rec in coordinator.recoveries:
             print(f"[{env.now:7.3f}s] node {rec['node_id']} handled in "
                   f"{rec['seconds']:.3f}s: {rec['promoted']} promoted, "
@@ -177,9 +173,9 @@ def main():
 
     # Both retry ledgers, side by side: segment moves and client
     # commits each report first-try vs retried work.
-    summary = cluster.moves.summary()
+    summary = cluster.moves.journal.stats()
     print()
-    print(render_move_summary(summary))
+    print(render_counters("move summary", summary))
     print(f"\nClient commits: {client_stats['first_try']} first-try, "
           f"{client_stats['retried']} retried")
     assert summary["moves_total"] >= 2
@@ -194,7 +190,7 @@ def main():
     stats["latch_contended"] = sum(
         w.buffer.latch_contended for w in cluster.workers)
     print()
-    print(render_kernel_stats(stats))
+    print(render_counters("kernel stats", stats))
 
 
 if __name__ == "__main__":

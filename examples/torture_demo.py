@@ -39,7 +39,7 @@ from repro.ha import (
     ScrubDaemon,
     ScrubPolicy,
 )
-from repro.metrics import render_gray_summary, render_scrub_summary
+from repro.metrics import render_counters, render_timeline
 
 
 def run(env, gen):
@@ -104,7 +104,7 @@ def main():
             print(f"  after scrub, key {corruption.key!r} reads "
                   f"{row!r} (original bytes restored: "
                   f"{tuple(row) == tuple(corruption.original)})")
-    print(render_scrub_summary(scrub.stats()))
+    print(render_counters("scrub summary", scrub.stats()))
     print()
 
     # ---- Act 2: a torn commit record recovers as a loser -------------
@@ -163,7 +163,10 @@ def main():
     print(f"  commits during the limp: {stop['done']}")
     row = read_row(env, cluster, 13)
     print(f"  reads keep working mid-drain: {row!r}")
-    print(render_gray_summary(gray.stats(), gray.events))
+    print(render_counters("gray-failure detector", gray.stats()))
+    print(render_timeline(
+        "gray-failure timeline",
+        [e for e in cluster.timeline if e.source == "gray"]))
 
     scrub.stop()
 

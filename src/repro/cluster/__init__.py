@@ -3,7 +3,7 @@ threshold policies, and the cluster container itself (Fig. 4's entity
 model: Table -> Partition -> Segment -> Page, Node -> Disk)."""
 
 from repro.cluster.catalog import Catalog, Partition, TableDef
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import Cluster, TimelineEvent
 from repro.cluster.master import MasterNode
 from repro.cluster.monitor import ClusterMonitor, NodeSample, PartitionStats
 from repro.cluster.policies import PolicyThresholds, ScaleDecision, ThresholdPolicy
@@ -22,6 +22,7 @@ __all__ = [
     "ScaleDecision",
     "TableDef",
     "ThresholdPolicy",
+    "TimelineEvent",
     "VacuumPolicy",
     "VacuumScheduler",
     "WorkerNode",

@@ -3,10 +3,18 @@
 Builds the paper's testbed in one call: n identical wimpy nodes behind
 one switch, with node 0 permanently active as the master.  Nodes can be
 powered on and off at runtime (workers on standby nodes refuse work).
+
+The master also keeps the cluster's one event log, :attr:`Cluster
+.timeline`: every state transition a component makes — a fault
+applied, a node declared failed, a replica promoted, a limping node
+suspected, a scale-out, a row repaired by the scrubber — is one
+:class:`TimelineEvent` appended through :meth:`Cluster.note`, so the
+log is ordered by simulated time by construction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 
 from repro.cluster.catalog import Catalog
@@ -49,6 +57,20 @@ class SegmentDirectory:
 
     def __contains__(self, segment_id: int) -> bool:
         return segment_id in self._locations
+
+
+@dataclasses.dataclass(frozen=True)
+class TimelineEvent:
+    """One state transition, stamped with the simulated time it
+    happened.  ``source`` names the component (``fault``, ``failover``,
+    ``gray``, ``autoscaler``, ``scrub``), ``kind`` the transition."""
+
+    time: float
+    source: str
+    kind: str
+    node_id: int
+    partition_id: int | None = None
+    detail: str = ""
 
 
 class Cluster:
@@ -99,6 +121,13 @@ class Cluster:
         from repro.moves import MoveManager
 
         self.moves = MoveManager(self)
+        self.timeline: list[TimelineEvent] = []
+
+    def note(self, source: str, kind: str, node_id: int,
+             partition_id: int | None = None, detail: str = "") -> None:
+        """Append one transition to :attr:`timeline` at the current time."""
+        self.timeline.append(TimelineEvent(
+            self.env.now, source, kind, node_id, partition_id, detail))
 
     # -- lookup ----------------------------------------------------------
 

@@ -235,14 +235,9 @@ def _median(values: list[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-@dataclasses.dataclass(frozen=True)
-class GrayEvent:
-    """One state transition of the gray-failure detector."""
-
-    time: float
-    kind: str  # suspect | quarantine | drain | cleared
-    node_id: int
-    detail: str = ""
+#: Fewer scored nodes than this and the gray detector scores nobody: a
+#: median of one or two nodes is no cluster to be an outlier against.
+MIN_CLUSTER_SAMPLES = 3
 
 
 class GrayFailureDetector:
@@ -274,6 +269,7 @@ class GrayFailureDetector:
 
     Scoring is relative, so a cluster-wide slowdown (everyone busy)
     flags nobody; only a node that is slow *compared to its peers* is.
+    Every transition is a ``gray`` event on the cluster's timeline.
     """
 
     def __init__(self, cluster, coordinator=None, *,
@@ -281,9 +277,7 @@ class GrayFailureDetector:
                  clear_threshold: float = 1.5,
                  suspect_strikes: int = 2,
                  quarantine_strikes: int = 2,
-                 clear_polls: int = 3,
-                 min_cluster_samples: int = 3,
-                 drain: bool = True):
+                 clear_polls: int = 3):
         if clear_threshold > score_threshold:
             raise ValueError("clear_threshold must not exceed score_threshold")
         if min(suspect_strikes, quarantine_strikes, clear_polls) < 1:
@@ -298,22 +292,16 @@ class GrayFailureDetector:
         self.quarantine_strikes = quarantine_strikes
         self.clear_polls = clear_polls
         self.poll_interval = self.monitor.interval
-        self.min_cluster_samples = min_cluster_samples
-        self.drain = drain
         self.state: dict[int, str] = {}
         self._strikes: dict[int, int] = {}
         self._healthy: dict[int, int] = {}
-        self.events: list[GrayEvent] = []
-        #: node_id -> sim time the node was FIRST flagged suspect (the
-        #: detection-latency metric the torture experiment gates on).
-        self.first_flagged: dict[int, float] = {}
         self.suspects = 0
         self.quarantines = 0
         self.drains = 0
         self.clears = 0
 
     def _note(self, kind: str, node_id: int, detail: str = "") -> None:
-        self.events.append(GrayEvent(self.env.now, kind, node_id, detail))
+        self.cluster.note("gray", kind, node_id, detail=detail)
 
     def scores(self) -> dict[int, float]:
         """Per-node outlier score over the newest samples (the pure
@@ -324,7 +312,7 @@ class GrayFailureDetector:
             for node_id, sample in self.monitor.latest().items()
             if node_id != master_id
         }
-        if len(latest) < self.min_cluster_samples:
+        if len(latest) < MIN_CLUSTER_SAMPLES:
             return {}
         rtt_median = _median([s.heartbeat_rtt for s in latest.values()])
         svc_values = [s.disk_service_time for s in latest.values()
@@ -352,7 +340,6 @@ class GrayFailureDetector:
                 if state == "alive" and strikes >= self.suspect_strikes:
                     self.state[node_id] = "suspect"
                     self.monitor.set_status(node_id, "suspect")
-                    self.first_flagged.setdefault(node_id, self.env.now)
                     self.suspects += 1
                     self._note("suspect", node_id, f"score {score:.2f}")
                 elif state == "suspect" and strikes >= (
@@ -361,7 +348,7 @@ class GrayFailureDetector:
                     self.monitor.set_status(node_id, "quarantined")
                     self.quarantines += 1
                     self._note("quarantine", node_id, f"score {score:.2f}")
-                    if self.drain and self.coordinator is not None:
+                    if self.coordinator is not None:
                         to_drain.append(node_id)
             elif score < self.clear_threshold and state != "alive":
                 healthy = self._healthy.get(node_id, 0) + 1

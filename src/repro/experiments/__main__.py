@@ -49,7 +49,7 @@ from repro.experiments import (
     torture,
 )
 from repro.experiments.parallel import default_jobs, run_tasks
-from repro.metrics.report import render_audit_summary
+from repro.metrics.report import render_counters
 
 
 def _fig6_config(args):
@@ -93,9 +93,11 @@ def run_fig6_cmd(args) -> str:
             f"({result.records_moved} records)"
         )
         if result.audited:
-            parts.append(render_audit_summary(
-                f"fig6 [{scheme}]", result.anomalies, result.history_stats
-            ))
+            verdict = "ANOMALIES FOUND" if result.anomalies else "CLEAN"
+            parts.append("\n".join(
+                [render_counters(f"audit [fig6 [{scheme}]] — {verdict}",
+                                 result.history_stats)]
+                + [f"  ANOMALY: {a}" for a in result.anomalies]))
             violations += [f"[{scheme}] {a}" for a in result.anomalies]
         violations += result.violations
     if not args.scheme:

@@ -40,7 +40,7 @@ from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.experiments import harness
 from repro.ha import FaultInjector
 from repro.hardware.disk import DiskSpec
-from repro.metrics.report import render_move_summary, render_table
+from repro.metrics.report import render_counters, render_table
 from repro.moves import DONE, RetryPolicy
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
@@ -518,7 +518,7 @@ def run_chaos(config: ChaosConfig | None = None,
         seed=config.seed,
         violations=violations,
         faults=schedule,
-        move_summary=journal.summary(),
+        move_summary=journal.stats(),
         resumed_move_completed=resumed_done,
         acked_writes=acked,
         exhausted_writes=exhausted,
@@ -533,6 +533,6 @@ def run_chaos(config: ChaosConfig | None = None,
 def render_chaos(result: ChaosSuiteResult) -> str:
     return "\n\n".join([
         result.to_table(),
-        render_move_summary(result.move_totals(),
-                            title="move summary (all schedules)"),
+        render_counters("move summary (all schedules)",
+                        result.move_totals()),
     ])

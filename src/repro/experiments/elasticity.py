@@ -42,9 +42,10 @@ import typing
 
 from repro.experiments import harness
 from repro.metrics.report import (
-    render_admission_summary,
+    render_counters,
     render_slo_table,
     render_table,
+    render_timeline,
 )
 from repro.workload import TpccConfig
 
@@ -151,8 +152,8 @@ class ElasticityResult:
     #: Pre-rendered rows: [t, offered/s, done/s, nodes, queue, watts,
     #: J/req] per report bucket.
     timeline: list[list]
-    #: Autoscaler actions as ScaleEvent.to_row() rows.
-    events: list[list]
+    #: The autoscaler's actions: its events on the cluster timeline.
+    events: list
     energy_joules: float
     peak_active_nodes: int
     final_active_nodes: int
@@ -164,7 +165,6 @@ class ElasticityResult:
 
     TIMELINE_HEADERS = ["t(s)", "offered/s", "done/s", "nodes", "queue",
                        "watts", "J/req"]
-    EVENT_HEADERS = ["t(s)", "action", "node", "active", "reason"]
 
     @property
     def ok(self) -> bool:
@@ -184,13 +184,12 @@ class ElasticityResult:
         )]
         parts.append(render_slo_table(
             self.tenants, title=f"[{self.mode}] per-tenant latency SLOs"))
-        parts.append(render_admission_summary(
-            self.admission, title=f"[{self.mode}] admission control"))
+        parts.append(render_counters(
+            f"[{self.mode}] admission control", self.admission))
         if self.events:
-            parts.append(render_table(
-                self.EVENT_HEADERS, self.events,
-                title=f"[{self.mode}] autoscaler timeline "
-                      f"(traffic peak at t={self.peak_time:.0f}s)"))
+            parts.append(render_timeline(
+                f"[{self.mode}] autoscaler timeline "
+                f"(traffic peak at t={self.peak_time:.0f}s)", self.events))
         for violation in self.violations:
             parts.append(f"ELASTICITY VIOLATION [{self.mode}]: {violation}")
         for anomaly in self.anomalies:
@@ -419,10 +418,10 @@ def run_elasticity(config: ElasticityConfig | None = None,
     peak_active = int(max(
         (v for _t, v in nodes_series.points), default=cluster.active_node_count
     ))
-    events = [e.to_row() for e in autoscaler.events] if autoscaler else []
+    events = [e for e in cluster.timeline if e.source == "autoscaler"]
     if autoscaler is not None:
-        outs = [e.time for e in autoscaler.events if e.action == "scale-out"]
-        ins = [e.time for e in autoscaler.events if e.action == "scale-in"]
+        outs = [e.time for e in events if e.kind == "scale-out"]
+        ins = [e.time for e in events if e.kind == "scale-in"]
         if not outs:
             violations.append("autoscaler never scaled out")
         elif min(outs) >= peak_time:

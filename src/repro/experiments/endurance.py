@@ -59,7 +59,7 @@ from repro.ha import (
     FaultInjector,
     ReplicationManager,
 )
-from repro.metrics.report import render_table, render_wal_summary
+from repro.metrics.report import render_counters, render_table
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
 from repro.txn import recovery
@@ -188,14 +188,12 @@ class EnduranceResult:
                   f"{self.acked_writes} commits, "
                   f"{self.crashes} crashes, {self.promotions} promotions",
         )]
-        for i, node_id in enumerate(sorted(self.wal_stats)):
-            parts.append(render_wal_summary(
-                self.wal_stats[node_id],
-                self.checkpoint_stats if i == 0 else None,
-                self.vacuum_stats if i == 0 else None,
-                title=(f"node {node_id} WAL (+ cluster checkpoint/vacuum "
-                       f"totals)" if i == 0 else f"node {node_id} WAL"),
-            ))
+        parts += [render_counters(f"node {node_id} WAL",
+                                  self.wal_stats[node_id])
+                  for node_id in sorted(self.wal_stats)]
+        parts.append(render_counters("checkpoints (cluster)",
+                                     self.checkpoint_stats))
+        parts.append(render_counters("vacuum (cluster)", self.vacuum_stats))
         if self.drill:
             parts.append(
                 "recovery drill: image rows %(image_rows)d + replayed "
@@ -420,7 +418,7 @@ def run_endurance(config: EnduranceConfig | None = None,
         checkpoint_stats=checkpoints.stats(),
         vacuum_stats=vacuum.stats(),
         wal_stats={
-            worker.node_id: worker.wal.retention_stats()
+            worker.node_id: worker.wal.stats()
             for worker in cluster.workers
         },
         replication_stats={

@@ -117,6 +117,7 @@ class Fig9KResult:
     commits_shipped: int
     bytes_shipped: int
     retry_summary: dict[str, typing.Any]
+    #: The run's ``Cluster.timeline`` (faults and failover steps).
     events: list
     #: Post-hoc isolation audit (populated when config.audit was set).
     anomalies: list[str] = dataclasses.field(default_factory=list)
@@ -265,11 +266,10 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
     # noisy pre-crash baseline, which is "no dip", not a negative one.
     dip = max(0.0, 1.0 - (min_after / baseline)) if baseline > 0 else 0.0
 
-    detection = None
-    for t, node_id in detector.detections:
-        if node_id == crash_node:
-            detection = t - crash_abs
-            break
+    failover_events = [e for e in cluster.timeline if e.source == "failover"]
+    detection = next((e.time - crash_abs for e in failover_events
+                      if e.kind == "node_failed" and e.node_id == crash_node),
+                     None)
     failover = None
     for recovery in coordinator.recoveries:
         if recovery["node_id"] == crash_node:
@@ -298,15 +298,13 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
         committed_orders=len(committed),
         lost_commits=harness.lost_new_orders(cluster, committed),
         promotions=len(coordinator.promotions),
-        unavailable_partitions=len(
-            [e for e in coordinator.events
-             if e.kind == "partition_unavailable"]
-        ),
+        unavailable_partitions=sum(
+            e.kind == "partition_unavailable" for e in failover_events),
         replicas_seeded=replicas_seeded,
         commits_shipped=replication.commits_shipped,
         bytes_shipped=replication.bytes_shipped,
         retry_summary=driver.retry_summary(),
-        events=list(coordinator.events),
+        events=list(cluster.timeline),
         anomalies=anomalies,
         history_stats=history_stats,
         audited=config.audit,

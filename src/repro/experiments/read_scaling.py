@@ -46,8 +46,7 @@ import typing
 
 from repro.experiments import harness
 from repro.metrics.report import (
-    render_admission_summary,
-    render_reads_summary,
+    render_counters,
     render_slo_table,
     render_table,
 )
@@ -200,11 +199,11 @@ class ReadScalingResult:
                    f"{self.energy_joules / 1000:.1f} kJ, "
                    f"{self.reads_per_kilojoule:.1f} reads/kJ"),
         )]
-        parts.append(render_admission_summary(
-            self.admission, title=f"[{self.mode}] admission control"))
+        parts.append(render_counters(
+            f"[{self.mode}] admission control", self.admission))
         if self.tier_stats:
-            parts.append(render_reads_summary(
-                self.tier_stats, title=f"[{self.mode}] read tier"))
+            parts.append(render_counters(
+                f"[{self.mode}] read tier", self.tier_stats))
         if self.faults_injected:
             parts.append(f"[{self.mode}] faults: "
                          + "; ".join(self.faults_injected))
@@ -327,7 +326,6 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
         recorder.staleness_budget = float(config.lag_budget)
         recorder.view_lag_bound = config.view_lag_bound
 
-    injector = None
     if config.faults:
         d = config.duration
         injector = FaultInjector(cluster)
@@ -425,12 +423,8 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
         for row in tenants_report.values()
     )
 
-    faults_injected = []
-    if injector is not None:
-        faults_injected = [
-            f"t={event.at:.0f}s {event.kind} node {event.node_id}"
-            for event in injector.injected
-        ]
+    faults_injected = [f"t={e.time:.0f}s {e.kind} node {e.node_id}"
+                       for e in cluster.timeline if e.source == "fault"]
 
     return ReadScalingResult(
         mode=config.mode,

@@ -48,9 +48,8 @@ from repro.ha import (
     ScrubPolicy,
 )
 from repro.metrics.report import (
-    render_gray_summary,
+    render_counters,
     render_retry_lines,
-    render_scrub_summary,
     render_table,
 )
 from repro.index.partition_tree import Forwarding
@@ -398,7 +397,9 @@ def run_torture(config: TortureConfig | None = None,
     torn_committed = _torn_txns_committed(cluster, injector)
 
     slow_abs = t_start + config.slow_disk_at
-    flagged = gray.first_flagged.get(limping)
+    flagged = next((e.time for e in cluster.timeline
+                    if e.source == "gray" and e.kind == "suspect"
+                    and e.node_id == limping), None)
     flagged_after = None if flagged is None else flagged - slow_abs
     breach_after = None
     start = t_start
@@ -488,11 +489,10 @@ def render_torture(results: typing.Sequence[TortureResult]) -> str:
         (f"seed={r.seed}", r) for r in results)
     for r in results:
         lines.append("")
-        lines.append(render_scrub_summary(
-            r.scrub_stats, title=f"scrub summary (seed {r.seed})"))
-        lines.append(render_gray_summary(
-            r.gray_stats,
-            title=f"gray-failure detector (seed {r.seed})"))
+        lines.append(render_counters(f"scrub summary (seed {r.seed})",
+                                     r.scrub_stats))
+        lines.append(render_counters(
+            f"gray-failure detector (seed {r.seed})", r.gray_stats))
     return "\n".join(lines)
 
 

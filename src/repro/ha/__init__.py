@@ -21,7 +21,7 @@ a disaster.  This package keeps partitions available through it:
 """
 
 from repro.ha.faults import Corruption, FAULT_KINDS, FaultEvent, FaultInjector
-from repro.ha.failover import FailoverCoordinator, FailoverEvent, FailureDetector
+from repro.ha.failover import FailoverCoordinator, FailureDetector
 from repro.ha.placement import PlacementPolicy
 from repro.ha.replication import (
     REPLICA_BASE_TXN_ID,
@@ -37,7 +37,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FailoverCoordinator",
-    "FailoverEvent",
     "FailureDetector",
     "PlacementPolicy",
     "REPLICA_BASE_TXN_ID",

@@ -26,7 +26,6 @@ stale replicas it held.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.core.physiological import (
@@ -46,19 +45,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.index.partition_tree import KeyRange
 
 
-@dataclasses.dataclass(frozen=True)
-class FailoverEvent:
-    """One step of the failover timeline (for experiments/tests)."""
-
-    time: float
-    kind: str  # node_failed | promoted | partition_unavailable | ...
-    node_id: int
-    partition_id: int | None = None
-    detail: str = ""
-
-
 class FailoverCoordinator:
-    """Master-side recovery driver."""
+    """Master-side recovery driver; every step is a ``failover`` event
+    on the cluster's timeline (``node_failed``, ``promoted``,
+    ``partition_unavailable``, ``node_restored``, ...)."""
 
     def __init__(self, cluster: "Cluster",
                  replication: "ReplicationManager | None" = None):
@@ -66,7 +56,6 @@ class FailoverCoordinator:
         self.env = cluster.env
         self.replication = replication
         self.failed_nodes: set[int] = set()
-        self.events: list[FailoverEvent] = []
         #: ``(table, partition_id)`` pairs currently without a live copy.
         self.unavailable: list[tuple[str, int]] = []
         #: One dict per promotion: partition, nodes, replayed records,
@@ -95,9 +84,7 @@ class FailoverCoordinator:
 
     def _note(self, kind: str, node_id: int,
               partition_id: int | None = None, detail: str = "") -> None:
-        self.events.append(
-            FailoverEvent(self.env.now, kind, node_id, partition_id, detail)
-        )
+        self.cluster.note("failover", kind, node_id, partition_id, detail)
 
     # -- failure handling ----------------------------------------------------
 
@@ -469,8 +456,9 @@ class FailureDetector:
     Runs as a simulation process next to the cluster monitor.  A node
     is suspected once its last heartbeat is older than
     ``miss_threshold`` monitoring intervals; a failed node whose
-    heartbeats resume is handed back as restored.  Nodes that never
-    reported (still on standby) are ignored.
+    heartbeats resume is handed back as restored (the coordinator's
+    ``node_failed`` / ``node_restored`` timeline events).  Nodes that
+    never reported (still on standby) are ignored.
     """
 
     def __init__(self, cluster: "Cluster",
@@ -495,10 +483,6 @@ class FailureDetector:
         #: all over again.
         self.restore_threshold = restore_threshold
         self._fresh_polls: dict[int, int] = {}
-        #: ``(time, node_id)`` of every staleness detection.
-        self.detections: list[tuple[float, int]] = []
-        #: ``(time, node_id)`` of every restoration actually issued.
-        self.restorations: list[tuple[float, int]] = []
 
     def run(self):
         """Generator: the detection loop (never returns)."""
@@ -523,9 +507,7 @@ class FailureDetector:
                         self._fresh_polls[node_id] = fresh
                         continue
                     self._fresh_polls.pop(node_id, None)
-                    self.restorations.append((now, node_id))
                     yield from self.coordinator.node_restored(node_id)
                 elif stale:
                     self._fresh_polls.pop(node_id, None)
-                    self.detections.append((now, node_id))
                     yield from self.coordinator.node_failed(node_id)

@@ -142,7 +142,8 @@ class Corruption:
 
 
 class FaultInjector:
-    """Replays a fault schedule as a simulation process."""
+    """Replays a fault schedule as a simulation process; every fault
+    applied is a ``fault`` event on the cluster's timeline."""
 
     def __init__(self, cluster: "Cluster",
                  rng: random.Random | None = None):
@@ -152,8 +153,6 @@ class FaultInjector:
         #: the schedule a pure function of the simulation seed.
         self.rng = rng if rng is not None else self.env.rng
         self.schedule: list[FaultEvent] = []
-        #: Events actually applied, in application order.
-        self.injected: list[FaultEvent] = []
         #: Every corruption injected, for the integrity cross-check.
         self.corruptions: list[Corruption] = []
         self._torn_seq = itertools.count()
@@ -316,7 +315,8 @@ class FaultInjector:
             worker.port.heal()
         else:  # pragma: no cover - guarded by at()
             raise ValueError(f"unknown fault kind {event.kind!r}")
-        self.injected.append(event)
+        self.cluster.note("fault", event.kind, event.node_id,
+                          detail=" ".join(f"{arg:g}" for arg in event.args))
 
     # -- gray-fault mechanics -------------------------------------------------
 

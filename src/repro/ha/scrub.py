@@ -8,14 +8,10 @@ scrub daemon closes that window: it walks every segment page and every
 replica log in the background, verifies checksums, and repairs what it
 finds while healthy copies still exist.
 
-The daemon reuses the power-aware incremental discipline of
+The daemon reuses the incremental discipline of
 :class:`repro.cluster.vacuum.VacuumScheduler`: a *pass* enumerates the
-cluster's scrub units once (segments and replica logs), each tick
-visits at most ``pages_per_tick`` pages, resuming where it left off,
-and nodes whose recent CPU utilisation (a
-:class:`~repro.hardware.power.LoadGauge` window) exceeds
-``load_threshold`` are deferred — scrubbing hides in the load valleys
-instead of stealing the peaks.
+cluster's scrub units once (segments and replica logs), and each tick
+visits at most ``pages_per_tick`` pages, resuming where it left off.
 
 Repair protocol, in order of preference:
 
@@ -29,6 +25,8 @@ Repair protocol, in order of preference:
 3. **Replica log fails its checksum** — the replica is marked stale
    (never promoted) and re-replication rebuilds it from the primary
    (``replicas_rebuilt``).
+
+Each resolution is a ``scrub`` event on the cluster's timeline.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import dataclasses
 import typing
 
 from repro.hardware.disk import DiskFailedError
-from repro.hardware.power import LoadGauge, busy_nodes
 from repro.ha.replication import fold_committed_rows
 from repro.sim.daemon import PeriodicDaemon
 from repro.storage.checksum import IntegrityError, checksum_of
@@ -60,9 +57,6 @@ class ScrubPolicy:
     #: Pages verified per wakeup across all segments (None = a full
     #: pass every tick — fine for short figures, not for endurance).
     pages_per_tick: int | None = 64
-    #: Mean CPU utilisation (0..1) over the last tick above which a
-    #: node's segments are deferred to a later tick (None = never).
-    load_threshold: float | None = None
 
 
 class ScrubDaemon(PeriodicDaemon):
@@ -88,7 +82,6 @@ class ScrubDaemon(PeriodicDaemon):
         #: are re-resolved at visit time, so units whose segment moved
         #: or whose replica was dropped between ticks are safe no-ops.
         self._queue: collections.deque[tuple] = collections.deque()
-        self._gauges: dict[int, LoadGauge] = {}
         # -- accounting ----------------------------------------------------
         self.ticks = 0
         self.passes = 0
@@ -99,10 +92,6 @@ class ScrubDaemon(PeriodicDaemon):
         self.repaired = 0
         self.fenced = 0
         self.replicas_rebuilt = 0
-        self.throttled_ticks = 0
-        #: ``(time, kind, table, partition_id, key_or_none)`` ledger of
-        #: every corruption the scrubber resolved, for reports/tests.
-        self.events: list[tuple] = []
 
     # -- one wakeup --------------------------------------------------------
 
@@ -110,22 +99,15 @@ class ScrubDaemon(PeriodicDaemon):
         self.ticks += 1
         if not self._queue:
             self._build_queue()
-        busy = busy_nodes(self.cluster, self._gauges,
-                          self.policy.load_threshold)
         budget = self.policy.pages_per_tick
         spent = 0
         deferred: list[tuple] = []
-        throttled = False
         for _ in range(len(self._queue)):
             if budget is not None and spent >= budget:
                 break
             unit = self._queue.popleft()
             if unit[0] == "segment":
                 _kind, node_id, partition_id, segment_id, next_page = unit
-                if node_id in busy:
-                    deferred.append(unit)
-                    throttled = True
-                    continue
                 remaining = None if budget is None else budget - spent
                 done, pages = yield from self._scrub_segment(
                     node_id, partition_id, segment_id, next_page, remaining
@@ -136,15 +118,9 @@ class ScrubDaemon(PeriodicDaemon):
                                      segment_id, next_page + pages))
             else:
                 _kind, partition_id, holder_id = unit
-                if holder_id in busy:
-                    deferred.append(unit)
-                    throttled = True
-                    continue
                 yield from self._scrub_replica(partition_id, holder_id)
                 spent += 1
         self._queue.extend(deferred)
-        if throttled:
-            self.throttled_ticks += 1
         if not self._queue:
             self.passes += 1
 
@@ -238,16 +214,14 @@ class ScrubDaemon(PeriodicDaemon):
                 version.clean = False
                 version.verify(where="scrub-repair")
                 self.repaired += 1
-                self.events.append(
-                    (self.env.now, "repaired", table,
-                     partition.partition_id, version.key)
-                )
+                self.cluster.note("scrub", "repaired", partition.node_id,
+                                  partition.partition_id,
+                                  f"{table} key {version.key!r}")
                 return
         self.fenced += 1
-        self.events.append(
-            (self.env.now, "fenced", table, partition.partition_id,
-             version.key)
-        )
+        self.cluster.note("scrub", "fenced", partition.node_id,
+                          partition.partition_id,
+                          f"{table} key {version.key!r}")
         if self.coordinator is not None:
             self.coordinator.fence_partition(
                 table, partition.partition_id, partition.node_id,
@@ -335,15 +309,9 @@ class ScrubDaemon(PeriodicDaemon):
             )
         if rebuilt:
             self.replicas_rebuilt += 1
-            self.events.append(
-                (self.env.now, "replica_rebuilt", replica_set.table,
-                 partition_id, None)
-            )
-        else:
-            self.events.append(
-                (self.env.now, "replica_dropped", replica_set.table,
-                 partition_id, None)
-            )
+        self.cluster.note(
+            "scrub", "replica_rebuilt" if rebuilt else "replica_dropped",
+            holder_id, partition_id, replica_set.table)
 
     # -- introspection -----------------------------------------------------
 
@@ -358,6 +326,5 @@ class ScrubDaemon(PeriodicDaemon):
             "repaired": self.repaired,
             "fenced": self.fenced,
             "replicas_rebuilt": self.replicas_rebuilt,
-            "throttled_ticks": self.throttled_ticks,
             "pending_units": len(self._queue),
         }

@@ -3,14 +3,11 @@
 from repro.metrics.breakdown import CostBreakdown
 from repro.metrics.series import LatencyHistogram, TimeSeries, percentile
 from repro.metrics.report import (
-    render_admission_summary,
-    render_gray_summary,
-    render_kernel_stats,
-    render_move_summary,
-    render_scrub_summary,
+    render_counters,
     render_series_table,
     render_slo_table,
     render_table,
+    render_timeline,
 )
 
 __all__ = [
@@ -18,12 +15,9 @@ __all__ = [
     "LatencyHistogram",
     "TimeSeries",
     "percentile",
-    "render_admission_summary",
-    "render_gray_summary",
-    "render_kernel_stats",
-    "render_move_summary",
-    "render_scrub_summary",
+    "render_counters",
     "render_series_table",
     "render_slo_table",
     "render_table",
+    "render_timeline",
 ]

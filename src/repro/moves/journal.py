@@ -267,7 +267,7 @@ class MoveJournal:
 
     # -- accounting -------------------------------------------------------
 
-    def summary(self) -> dict[str, int]:
+    def stats(self) -> dict[str, int]:
         """Cluster-wide move accounting, shaped like the client retry
         summary: first-try moves reported separately from moves that
         needed retries or a chunk-level resume."""

@@ -329,6 +329,3 @@ class MoveManager:
             if report is not None:
                 resumed.append(report)
         return resumed
-
-    def summary(self) -> dict[str, int]:
-        return self.journal.summary()

@@ -284,7 +284,7 @@ class Environment:
         """Counters for the kernel's own machinery (events, fast paths).
 
         Always collected (plain integer bumps); rendering is opt-in via
-        :func:`repro.metrics.report.render_kernel_stats`.
+        :func:`repro.metrics.report.render_counters`.
         """
         scheduled = self.heap_scheduled + self.fast_scheduled
         return {

@@ -29,7 +29,7 @@ from repro.traffic.arrivals import (
     FlashCrowd,
     sample_poisson,
 )
-from repro.traffic.autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
+from repro.traffic.autoscaler import Autoscaler, AutoscalerConfig
 from repro.traffic.sessions import (
     SessionEngine,
     TenantClass,
@@ -50,7 +50,6 @@ __all__ = [
     "DiurnalArrivals",
     "FlashCrowd",
     "Request",
-    "ScaleEvent",
     "SessionEngine",
     "TenantClass",
     "TenantCounters",

@@ -39,21 +39,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.traffic.admission import AdmissionController
 
 
-@dataclasses.dataclass
-class ScaleEvent:
-    """One executed elasticity action, for the timeline report."""
-
-    time: float
-    action: str            # "scale-out" | "scale-in"
-    node_id: int
-    active_after: int
-    reason: str
-
-    def to_row(self) -> list:
-        return [round(self.time, 1), self.action, self.node_id,
-                self.active_after, self.reason]
-
-
 #: Fraction of the hottest (or space-pressed) node's data shifted per
 #: scale-out.
 SCALE_FRACTION = 0.5
@@ -75,9 +60,10 @@ class AutoscalerConfig:
 
 
 class Autoscaler:
-    """Periodic monitor -> forecast -> threshold -> act loop."""
-
-    HEADERS = ["t(s)", "action", "node", "active", "reason"]
+    """Periodic monitor -> forecast -> threshold -> act loop.  Every
+    executed action is an ``autoscaler`` event on the cluster's timeline
+    (``scale-out`` / ``scale-in``; the detail carries the reason and the
+    active node count after it)."""
 
     def __init__(self, cluster: "Cluster", rebalancer: "Rebalancer",
                  tables: typing.Sequence[str],
@@ -93,7 +79,6 @@ class Autoscaler:
         self.policy = policy or ThresholdPolicy()
         self.config = config or AutoscalerConfig()
         self.node_count = TimeSeries("active_nodes")
-        self.events: list[ScaleEvent] = []
         self.rounds = 0
         self._last_shed = 0
         self._running = False
@@ -231,11 +216,7 @@ class Autoscaler:
             self.tables, [hot_node], [newcomer.node_id],
             fraction=SCALE_FRACTION,
         )
-        self.events.append(ScaleEvent(
-            time=self.cluster.env.now, action="scale-out",
-            node_id=newcomer.node_id,
-            active_after=self.cluster.active_node_count, reason=reason,
-        ))
+        self._note("scale-out", newcomer.node_id, reason)
         return True
 
     def _scale_in(self, underloaded: typing.Sequence[int]):
@@ -262,12 +243,13 @@ class Autoscaler:
         if victim_worker.disk_space.segment_count() == 0:
             yield from self.cluster.power_off(victim)
         self.policy.reset(victim)
-        self.events.append(ScaleEvent(
-            time=self.cluster.env.now, action="scale-in", node_id=victim,
-            active_after=self.cluster.active_node_count,
-            reason="forecast under lower bound",
-        ))
+        self._note("scale-in", victim, "forecast under lower bound")
         return True
+
+    def _note(self, action: str, node_id: int, reason: str) -> None:
+        self.cluster.note(
+            "autoscaler", action, node_id,
+            detail=f"{reason}; {self.cluster.active_node_count} active")
 
     def _fits(self, receiver, victim_id: int) -> bool:
         """Centralising must not push the receiver past the storage

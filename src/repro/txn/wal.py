@@ -307,8 +307,8 @@ class LogManager:
         """Records currently held in memory (after truncation)."""
         return len(self.records)
 
-    def retention_stats(self) -> dict[str, int]:
-        """Retention counters for the metrics report."""
+    def stats(self) -> dict[str, int]:
+        """Retention counters."""
         return {
             "live_records": self.live_records,
             "live_bytes": self.live_bytes,

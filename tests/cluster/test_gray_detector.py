@@ -83,7 +83,8 @@ def test_suspect_needs_consecutive_strikes(rig):
     assert detector.state[4] == "suspect"
     assert cluster.monitor.status_of(4) == "suspect"
     assert detector.suspects == 1
-    assert 4 in detector.first_flagged
+    assert [(e.source, e.kind, e.node_id) for e in cluster.timeline] == [
+        ("gray", "suspect", 4)]
 
 
 def test_cluster_wide_slowdown_flags_nobody(rig):
@@ -159,7 +160,7 @@ def test_oscillating_node_does_not_flap(rig):
 
 def test_too_few_samples_scores_nothing(rig):
     env, cluster = rig
-    detector = GrayFailureDetector(cluster, min_cluster_samples=3)
+    detector = GrayFailureDetector(cluster)
     _feed(cluster, [_sample(cluster, 1), _sample(cluster, 2)])
     assert detector.scores() == {}
 

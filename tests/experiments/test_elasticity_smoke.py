@@ -32,11 +32,11 @@ def test_autoscale_day_is_clean(autoscale_result):
 
 def test_cluster_breathes_with_the_trace(autoscale_result):
     r = autoscale_result
-    outs = [row for row in r.events if row[1] == "scale-out"]
-    ins = [row for row in r.events if row[1] == "scale-in"]
+    outs = [e for e in r.events if e.kind == "scale-out"]
+    ins = [e for e in r.events if e.kind == "scale-in"]
     assert outs and ins
-    assert outs[0][0] < r.peak_time      # recruited before the peak
-    assert ins[-1][0] > r.peak_time      # released after it
+    assert outs[0].time < r.peak_time    # recruited before the peak
+    assert ins[-1].time > r.peak_time    # released after it
     assert r.peak_active_nodes > SMOKE.initially_active
 
 

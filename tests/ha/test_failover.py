@@ -18,6 +18,12 @@ def protect(env, cluster, k=2):
     return manager
 
 
+def failover_times(cluster, kind):
+    """``(time, node_id)`` of the coordinator's ``kind`` timeline events."""
+    return [(e.time, e.node_id) for e in cluster.timeline
+            if e.source == "failover" and e.kind == kind]
+
+
 def read_all(env, cluster, keys):
     rows = {}
 
@@ -117,11 +123,40 @@ def test_detector_drives_failover_from_heartbeats(rig):
         yield env.timeout(20.0)
 
     run(env, script())
-    assert detector.detections and detector.detections[0][1] == 1
-    detected_at = detector.detections[0][0]
+    detections = failover_times(cluster, "node_failed")
+    assert detections and detections[0][1] == 1
+    detected_at = detections[0][0]
     assert 5.0 < detected_at <= 5.0 + 3 * 1.0 + 2 * 1.0
     assert coordinator.promotions
     assert coordinator.recoveries[0]["node_id"] == 1
+
+
+def test_timeline_orders_crash_failover_restart_restore(rig):
+    """Faults and the failover they trigger land on one time-ordered
+    log: crash, detection, restart, restoration — in that order."""
+    env, cluster = rig
+    insert_rows(env, cluster, 10)
+    coordinator = FailoverCoordinator(cluster,
+                                      replication=protect(env, cluster))
+    cluster.monitor.interval = 1.0
+    detector = FailureDetector(cluster, coordinator, miss_threshold=3)
+    injector = FaultInjector(cluster).crash_at(env.now + 5.0, 1)
+    injector.restart_at(env.now + 15.0, 1)
+
+    def script():
+        env.process(cluster.monitor.run())
+        env.process(detector.run())
+        env.process(injector.run())
+        yield env.timeout(60.0)
+
+    run(env, script())
+    times = [e.time for e in cluster.timeline]
+    assert times == sorted(times)
+    steps = [(e.source, e.kind) for e in cluster.timeline
+             if e.node_id == 1 and e.kind in (
+                 "crash", "node_failed", "restart", "node_restored")]
+    assert steps == [("fault", "crash"), ("failover", "node_failed"),
+                     ("fault", "restart"), ("failover", "node_restored")]
 
 
 def test_node_failed_is_idempotent(rig):
@@ -170,11 +205,12 @@ def test_rapid_sever_restore_does_not_oscillate_detector(rig):
         yield env.process(flapper())
 
     run(env, script())
-    assert len(detector.detections) == 1
-    assert len(detector.restorations) == 1
+    restorations = failover_times(cluster, "node_restored")
+    assert len(failover_times(cluster, "node_failed")) == 1
+    assert len(restorations) == 1
     # The restoration came from the stable window at the end, not from
     # any mid-flap lucky heartbeat.
-    assert detector.restorations[0][0] > stable_at["t"]
+    assert restorations[0][0] > stable_at["t"]
 
 
 def test_restore_threshold_validated(rig):

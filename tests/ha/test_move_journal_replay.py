@@ -55,7 +55,8 @@ class TestSegmentEntryReplay:
         assert not target.disk_space.holds(segment.segment_id)
         assert source.disk_space.holds(segment.segment_id)
         assert cluster.directory.location(segment.segment_id)[0] is source
-        assert any(e.kind == "move_rolled_back" for e in coordinator.events)
+        assert any(e.source == "failover" and e.kind == "move_rolled_back"
+                   for e in cluster.timeline)
 
 
 class TestRangeEntryReplay:
@@ -173,6 +174,6 @@ class TestNonJournaledMover:
         for location in locations:
             assert not location.is_moving
             assert location.node_id == source.node_id
-        (resolved,) = [e for e in coordinator.events
-                       if e.kind == "move_resolved"]
+        (resolved,) = [e for e in cluster.timeline
+                       if e.source == "failover" and e.kind == "move_resolved"]
         assert resolved.node_id == source.node_id

@@ -8,10 +8,13 @@ from repro.metrics import (
     CostBreakdown,
     TimeSeries,
     percentile,
+    render_counters,
     render_series_table,
     render_table,
 )
 from repro.metrics.breakdown import COMPONENTS
+from repro.sim.engine import Environment
+from repro.traffic import AdmissionController, Request
 
 
 class TestCostBreakdown:
@@ -137,3 +140,17 @@ class TestReport:
     def test_render_series_table_empty(self):
         with pytest.raises(ValueError):
             render_series_table({})
+
+    def test_render_counters_prints_every_stat_in_order(self):
+        """A component's ``stats()`` is the one place its counters are
+        named: the report shows every key and value, in dict order."""
+        admission = AdmissionController(Environment(), queue_limit=10)
+        admission.offer(Request("web", 0.0, count=12))
+        stats = admission.stats()
+        lines = render_counters("admission", stats).splitlines()
+        assert lines[0] == "admission"
+        rows = [line.split() for line in lines[3:]]
+        assert [key for key, _value in rows] == list(stats)
+        assert [float(value) for _key, value in rows] == [
+            float(value) for value in stats.values()]
+        assert stats["offered"] == stats["shed"] == 12

@@ -119,7 +119,7 @@ class TestAccounting:
         still_open = open_move(journal, segment_id=5)
         journal.advance(still_open, COPY)
 
-        summary = journal.summary()
+        summary = journal.stats()
         assert summary["moves_total"] == 5
         assert summary["first_try_moves"] == 1
         assert summary["retried_moves"] == 1

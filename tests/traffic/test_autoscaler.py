@@ -32,6 +32,11 @@ def make_sample(node_id=0, cpu=0.0, time=0.0):
     )
 
 
+def scale_events(cluster):
+    """The autoscaler's actions, as the cluster timeline recorded them."""
+    return [e for e in cluster.timeline if e.source == "autoscaler"]
+
+
 def build(initially_active=1, queue_limit=10_000):
     env = Environment()
     cluster = Cluster(env, node_count=3,
@@ -100,32 +105,32 @@ class TestActions:
         assert cluster.active_node_count == 1
         env.run(until=env.process(scaler._scale_out(0, "test pressure")))
         assert cluster.active_node_count == 2
-        assert len(scaler.events) == 1
-        event = scaler.events[0]
-        assert event.action == "scale-out"
-        assert event.reason == "test pressure"
+        assert len(scale_events(cluster)) == 1
+        event = scale_events(cluster)[0]
+        assert event.kind == "scale-out"
+        assert event.detail == "test pressure; 2 active"
         newcomer = cluster.worker(event.node_id)
         assert newcomer.disk_space.segment_count() > 0
 
     def test_scale_out_without_standby_is_a_noop(self):
         env, cluster, admission, scaler = build(initially_active=3)
         env.run(until=env.process(scaler._scale_out(0, "x")))
-        assert scaler.events == []
+        assert scale_events(cluster) == []
 
     def test_scale_in_consolidates_and_powers_off(self):
         env, cluster, admission, scaler = build(initially_active=1)
         env.run(until=env.process(scaler._scale_out(0, "grow")))
-        victim = scaler.events[0].node_id
+        victim = scale_events(cluster)[0].node_id
         env.run(until=env.process(scaler._scale_in([victim])))
         assert cluster.active_node_count == 1
         assert not cluster.worker(victim).is_active
-        assert scaler.events[-1].action == "scale-in"
+        assert scale_events(cluster)[-1].kind == "scale-in"
 
     def test_scale_in_never_targets_master(self):
         env, cluster, admission, scaler = build(initially_active=2)
         env.run(until=env.process(
             scaler._scale_in([cluster.master.node_id])))
-        assert all(e.action != "scale-in" for e in scaler.events)
+        assert all(e.kind != "scale-in" for e in scale_events(cluster))
         assert cluster.active_node_count == 2
 
     def test_scale_in_respects_min_active_floor(self):
@@ -145,7 +150,7 @@ class TestLoop:
         env.run(until=30.0)
         scaler.stop()
         assert cluster.active_node_count >= 2
-        assert any(e.action == "scale-out" for e in scaler.events)
+        assert any(e.kind == "scale-out" for e in scale_events(cluster))
 
     def test_loop_respects_cooldown(self):
         env, cluster, admission, scaler = build(initially_active=1)
@@ -155,7 +160,7 @@ class TestLoop:
         env.process(scaler.run(until=60.0), name="autoscaler")
         env.run(until=60.0)
         scaler.stop()
-        outs = [e for e in scaler.events if e.action == "scale-out"]
+        outs = [e for e in scale_events(cluster) if e.kind == "scale-out"]
         assert len(outs) == 2     # only two standby nodes exist
         gap = outs[1].time - outs[0].time
         assert gap >= (scaler.config.cooldown_intervals
@@ -194,5 +199,5 @@ class TestInheritedBranches:
         env.run(until=env.process(scaler.run(until=env.now + 3.0)))
         assert journal.open_range_moves() == []
         assert entry.segments_switched > switched_before
-        assert scaler.events == []                # resumed; nothing new
+        assert scale_events(cluster) == []        # resumed; nothing new
         assert cluster.worker(1).disk_space.segment_count() == 0

@@ -29,7 +29,7 @@ class TestSegmentLifecycle:
         # Second exact cut.
         assert log.truncate_before(6) == 2
         assert [r.lsn for r in log.records] == [6, 7, 8]
-        stats = log.retention_stats()
+        stats = log.stats()
         assert stats["records_truncated"] == 5
         assert stats["live_records"] == log.live_records == 3
         assert stats["live_bytes"] == sum(r.nbytes for r in log.records)
