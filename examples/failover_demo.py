@@ -184,8 +184,9 @@ def main():
     assert summary["open_moves"] == 0 and summary["open_range_moves"] == 0
 
     # How much of the run the kernel fast paths absorbed: zero-delay
-    # events that skipped the heap and resource grants that cost no
-    # event at all, beside the buffer latches somebody had to wait for.
+    # events that skipped the heap, resource grants that cost no event
+    # at all and holds that advanced the clock inline, beside the
+    # buffer latches somebody had to wait for.
     stats = dict(env.kernel_stats())
     stats["latch_contended"] = sum(
         w.buffer.latch_contended for w in cluster.workers)

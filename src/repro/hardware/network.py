@@ -131,7 +131,7 @@ class Network:
         first_req = yield from lanes[0][1].acquire()
         second_req = yield from lanes[1][1].acquire()
         try:
-            yield self.env.timeout(duration)
+            yield from self.env.hold(duration)
         finally:
             lanes[0][1].release(first_req)
             lanes[1][1].release(second_req)
@@ -148,4 +148,4 @@ class Network:
         this is the cost that single-record volcano iteration cannot
         amortise (paper Fig. 1, third bar).
         """
-        yield self.env.timeout(specs.NET_RPC_LATENCY_SECONDS)
+        yield from self.env.hold(specs.NET_RPC_LATENCY_SECONDS)

@@ -8,8 +8,10 @@ triggers, receiving the event's value (or its exception).
 
 Timed events sit in one global ``heapq`` of ``(time, seq, event)``
 entries; zero-delay events (process bootstraps, hand-overs to queued
-waiters) bypass it through a FIFO.  Dispatch order is the global
-``(time, seq)`` order, pinned bit-for-bit by the golden fingerprints in
+waiters) bypass it through a FIFO.  A hold that nothing can pre-empt
+(:meth:`Environment.hold`) is neither: the clock advances inline and
+the process runs on.  Dispatch order is the global ``(time, seq)``
+order, pinned bit-for-bit by the golden fingerprints in
 ``tests/determinism/`` and by the property test that replays random
 schedules against a plain reference kernel.
 """
@@ -141,6 +143,14 @@ class Environment:
         self.resource_fast_grants = 0
         #: Clock advances: one per distinct timestamp dispatched.
         self.cohorts_dispatched = 0
+        #: Holds whose clock advance ran inline instead of through the heap.
+        self.inline_holds = 0
+        # What :meth:`hold` must know of the running run(): whether the
+        # callback being delivered is its event's only one, the time
+        # bound and the stop event.  Outside run() nothing is sole.
+        self._sole = False
+        self._limit = float("inf")
+        self._stop: Event | None = None
         #: The simulation's own RNG stream, for stochastic model inputs
         #: (fault schedules, jitter).  Seeded so two environments built
         #: with the same seed replay identically; workload generators
@@ -194,6 +204,39 @@ class Environment:
         """An event that triggers ``delay`` simulated seconds from now."""
         return Timeout(self, delay, value)
 
+    def hold(self, delay: float):
+        """Generator: ``yield from env.hold(delay)`` passes ``delay``
+        simulated seconds, exactly like ``yield env.timeout(delay)``.
+
+        When nothing can run before a positive hold ends, the clock
+        advances inline and the caller runs on without yielding: the
+        callback being delivered is its event's only one, the FIFO is
+        empty, the heap is empty or its head is *strictly* later than
+        ``now + delay`` (an entry due at exactly that time was scheduled
+        first, so it must run first), and ``now + delay`` is within the
+        running run()'s bound while its stop event is still pending.
+        Anything the caller schedules next carries a later sequence
+        number than the timeout would have, so the ``(time, seq)``
+        order is unchanged.  An inline hold still counts as the event it
+        replaces (``events_processed``, ``cohorts_dispatched``), so every
+        count but ``heap_scheduled`` reads as if it had been a timeout.
+        """
+        now = self._now
+        end = now + delay
+        heap = self._heap
+        stop = self._stop
+        if (self._sole and delay > 0 and not self._fast
+                and end <= self._limit
+                and (not heap or heap[0][0] > end)
+                and (stop is None or stop._value is PENDING)):
+            self._now = end
+            self.inline_holds += 1
+            self.events_processed += 1
+            if end != now:
+                self.cohorts_dispatched += 1
+            return
+        yield Timeout(self, delay)
+
     def process(self, generator: ProcessGenerator, name: str | None = None) -> Process:
         """Launch ``generator`` as a new process, returning its handle."""
         return Process(self, generator, name=name)
@@ -225,34 +268,43 @@ class Environment:
         pop_fast = fast.popleft
         limit = float("inf") if stop_time is None else stop_time
         now = self._now
-        ep = self.events_processed
+        # A run() nested inside a callback hands hold() back the outer
+        # run's bound and stop event when it returns.
+        outer = self._sole, self._limit, self._stop
+        self._limit = limit
+        self._stop = stop_event
 
-        while True:
-            # Due heap entries, then the FIFO, then advance (see
-            # __init__).  A due entry can be scheduled *during* the FIFO
-            # drain — now + delay rounding down to now — so the heap top
-            # is re-checked before every FIFO pop.
-            if heap and heap[0][0] <= now:
-                event = heappop(heap)[2]
-            elif fast:
-                event = pop_fast()
-            elif heap and heap[0][0] <= limit:
-                now, _seq, event = heappop(heap)
-                self._now = now
-                self.cohorts_dispatched += 1
-            else:
-                break
-            ep += 1
-            self.events_processed = ep
-            event._processed = True
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if crashes:
-                self._raise_orphan_crashes()
-            if stop_event is not None and stop_event._value is not PENDING:
-                return self._finish_stop(stop_event)
+        try:
+            while True:
+                # Due heap entries, then the FIFO, then advance (see
+                # __init__).  A due entry can be scheduled *during* the
+                # FIFO drain — now + delay rounding down to now — so the
+                # heap top is re-checked before every FIFO pop.
+                if heap and heap[0][0] <= now:
+                    event = heappop(heap)[2]
+                elif fast:
+                    event = pop_fast()
+                elif heap and heap[0][0] <= limit:
+                    now, _seq, event = heappop(heap)
+                    self._now = now
+                    self.cohorts_dispatched += 1
+                else:
+                    break
+                self.events_processed += 1
+                event._processed = True
+                callbacks = event.callbacks
+                event.callbacks = None
+                self._sole = len(callbacks) == 1
+                for callback in callbacks:
+                    callback(event)
+                # An inline hold inside the callback moved the clock.
+                now = self._now
+                if crashes:
+                    self._raise_orphan_crashes()
+                if stop_event is not None and stop_event._value is not PENDING:
+                    return self._finish_stop(stop_event)
+        finally:
+            self._sole, self._limit, self._stop = outer
 
         if stop_time is not None:
             self._now = stop_time
@@ -296,4 +348,5 @@ class Environment:
             "heap_peak": self.heap_peak,
             "resource_fast_grants": self.resource_fast_grants,
             "cohorts_dispatched": self.cohorts_dispatched,
+            "inline_holds": self.inline_holds,
         }

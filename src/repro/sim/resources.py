@@ -162,8 +162,13 @@ class Resource:
             req.succeed(req)
 
     def serve(self, duration: float):
-        """Generator helper: acquire a unit, hold it ``duration``, release
-        (on a free unit the timeout is the only event this costs).
+        """Generator helper: acquire a unit, hold it ``duration``, release.
+
+        On a free unit that nothing can pre-empt before ``duration`` is
+        up, this is no heap entry at all: the grant is a return and the
+        hold advances the clock inline (:meth:`Environment.hold`).  The
+        unit stays held across the advance, so the tracker's integral
+        is what a timeout would have left.
 
         Usage inside a process::
 
@@ -171,7 +176,7 @@ class Resource:
         """
         req = yield from self.acquire()
         try:
-            yield self.env.timeout(duration)
+            yield from self.env.hold(duration)
         finally:
             self.release(req)
 

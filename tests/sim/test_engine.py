@@ -366,6 +366,180 @@ def test_sub_ulp_timeout_preempts_the_zero_delay_fifo():
     assert env.kernel_stats()["cohorts_dispatched"] == 0
 
 
+# -- hold(): inline when nothing can pre-empt it, a timeout otherwise --------
+
+def _holder(env, delay, seen, tag="held"):
+    def proc():
+        yield from env.hold(delay)
+        seen.append((tag, env.now))
+    return proc()
+
+
+def test_hold_nothing_can_preempt_advances_the_clock_inline():
+    env = Environment()
+    seen = []
+    env.process(_holder(env, 2.0, seen))
+    env.run()
+    assert seen == [("held", 2.0)]
+    stats = env.kernel_stats()
+    assert stats["inline_holds"] == 1
+    assert stats["heap_scheduled"] == 0
+    # Counted as the timeout it replaces: bootstrap, hold, completion.
+    assert stats["events_processed"] == 3
+    assert stats["cohorts_dispatched"] == 1
+
+
+def test_sub_ulp_hold_is_inline_without_a_clock_advance():
+    start = 2.0 ** 52
+    env = Environment(initial_time=start)
+    seen = []
+    env.process(_holder(env, 0.25, seen))
+    env.run()
+    assert seen == [("held", start)]
+    assert env.inline_holds == 1
+    assert env.kernel_stats()["cohorts_dispatched"] == 0
+
+
+def test_sub_ulp_timeout_after_an_inline_hold_runs_before_the_fifo():
+    """run() reads the clock an inline hold moved: a timeout that
+    rounds to the new ``now`` is due at once, ahead of the FIFO."""
+    start = 2.0 ** 52
+    env = Environment(initial_time=start)
+    order = []
+
+    def proc():
+        yield from env.hold(1.0)
+        gate = env.event()
+        gate.callbacks.append(lambda _e: order.append("fifo"))
+        gate.succeed()
+        tick = env.timeout(0.25)
+        tick.callbacks.append(lambda _e: order.append("timed"))
+
+    env.process(proc())
+    env.run()
+    assert order == ["timed", "fifo"]
+    assert env.now == start + 1.0
+    assert env.kernel_stats()["cohorts_dispatched"] == 1
+
+
+def test_hold_yields_a_timeout_while_the_fifo_holds_work():
+    env = Environment()
+    seen = []
+    env.process(_holder(env, 2.0, seen))
+    env.process(_holder(env, 1.0, seen, tag="second"))  # FIFO at t=0
+    env.run()
+    assert seen == [("second", 1.0), ("held", 2.0)]
+    # The first waited on the heap; the second, alone by then and due
+    # before the heap head, did not.
+    assert env.heap_scheduled == 1
+    assert env.inline_holds == 1
+
+
+def test_hold_yields_a_timeout_when_the_heap_head_ties_its_end():
+    env = Environment()
+    seen = []
+    earlier = env.timeout(2.0)
+    earlier.callbacks.append(lambda _e: seen.append(("earlier", env.now)))
+    env.process(_holder(env, 2.0, seen))
+    env.run()
+    # The entry due at exactly now + d was scheduled first: it runs first.
+    assert seen == [("earlier", 2.0), ("held", 2.0)]
+    assert env.inline_holds == 0
+    assert env.heap_scheduled == 2
+
+
+def test_hold_yields_a_timeout_past_the_run_bound():
+    env = Environment()
+    seen = []
+    env.process(_holder(env, 5.0, seen))
+    env.run(until=3.0)
+    assert env.now == 3.0
+    assert seen == []
+    assert env.inline_holds == 0
+    env.run()
+    assert seen == [("held", 5.0)]
+
+
+def test_hold_yields_a_timeout_once_the_stop_event_triggered():
+    env = Environment()
+    seen = []
+    stop = env.event()
+    stop.succeed()
+    env.run()  # delivers the stop event; the FIFO is empty again
+    env.process(_holder(env, 1.0, seen))
+    env.run(until=stop)
+    # run() returns after the bootstrap, at the clock it started on.
+    assert env.now == 0.0
+    assert seen == []
+    assert env.inline_holds == 0
+    env.run()
+    assert seen == [("held", 1.0)]
+
+
+def test_hold_yields_a_timeout_for_an_event_with_two_callbacks():
+    env = Environment()
+    gate = env.event()
+    woken = []
+
+    def waiter(tag):
+        yield gate
+        woken.append((tag, env.now))
+        yield from env.hold(1.0)
+
+    env.process(waiter("a"))
+    env.process(waiter("b"))
+    env.run()  # both now wait on the gate
+    env.timeout(0.5).callbacks.append(lambda _e: gate.succeed())
+    env.run()
+    # "b" is delivered the same event after "a": it must wake at 0.5.
+    assert woken == [("a", 0.5), ("b", 0.5)]
+    assert env.inline_holds == 0
+    assert env.now == 1.5
+
+
+def test_hold_outside_run_yields_a_timeout():
+    env = Environment()
+    hold = env.hold(1.0)
+    timeout = next(hold)
+    assert timeout.delay == 1.0
+    assert env.now == 0.0
+    assert env.inline_holds == 0
+
+
+def test_crash_after_an_inline_hold_surfaces_at_the_advanced_clock():
+    env = Environment()
+
+    def crasher():
+        yield from env.hold(4.0)
+        raise ValueError("after the hold")
+
+    env.process(crasher())
+    with pytest.raises(SimulationError, match="after the hold"):
+        env.run()
+    assert env.now == 4.0
+    assert env.inline_holds == 1
+
+
+def test_nested_run_hands_the_outer_stop_event_back_to_hold():
+    env = Environment()
+    stop = env.event()
+    stop.callbacks.append(lambda _e: None)
+    seen = []
+
+    def outer():
+        stop.succeed()
+        env.run()  # nested, unbounded: delivers the stop event
+        yield from env.hold(5.0)  # the outer run's stop has triggered
+        seen.append(env.now)
+
+    env.process(outer())
+    env.run(until=stop)
+    assert env.now == 0.0
+    assert seen == []
+    env.run()
+    assert seen == [5.0]
+
+
 # -- kernel_stats contract ---------------------------------------------------
 
 def test_kernel_stats_keeps_the_keys_the_perf_ledger_reads():

@@ -7,14 +7,17 @@ in one go or in ``run(until=t)`` slices.  The determinism goldens pin
 this on two big model workloads; this test pins it on *adversarial*
 random schedules: zero-delay cascades, exact-duplicate timestamps,
 delays from sub-millisecond to seconds, one resource held through
-event-granted requests (``hold``) and inline-or-queued ``acquire`` alike,
-requests cancelled while queued, and slice bounds that land between, on
-and past event times.
+event-granted requests (``request``), inline-or-queued ``acquire`` and
+``Resource.serve`` alike, bare ``Environment.hold`` steps that may or may
+not advance the clock inline, several processes joining one, requests
+cancelled while queued, slice bounds that land between, on and past
+event times, and runs stopped by one of the processes.
 
 The reference kernel below is that rule written down with nothing
 else: one global ``heapq`` keyed ``(time, seq, event)`` plus the
-zero-delay deque, no hoisted locals, no inlined fast paths.  It
-duck-types ``Environment`` closely enough to reuse the real
+zero-delay deque, no hoisted locals, no inlined fast paths — its
+``hold`` is always a timeout.  It duck-types ``Environment`` closely
+enough to reuse the real
 ``Event``/``Timeout``/``Process``/``Resource`` classes, so both kernels
 execute the *same* workload code and only the scheduler differs.
 """
@@ -25,7 +28,7 @@ import heapq
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Environment, Process
-from repro.sim.events import PENDING
+from repro.sim.events import PENDING, Event, Timeout
 from repro.sim.resources import Resource
 
 
@@ -39,6 +42,7 @@ class ReferenceEnvironment:
         self._seq = 0
         self._crashes = []
         self.events_processed = 0
+        self.cohorts_dispatched = 0
         self.fast_scheduled = 0
         self.heap_scheduled = 0
         self.heap_peak = 0
@@ -64,8 +68,6 @@ class ReferenceEnvironment:
         self._fast.append(event)
 
     def _call_soon(self, thunk):
-        from repro.sim.events import Event
-
         event = Event(self)
         event.callbacks.append(lambda _e: thunk())
         event._ok = True
@@ -76,14 +78,17 @@ class ReferenceEnvironment:
         self._crashes.append((process, exc))
 
     def timeout(self, delay, value=None):
-        from repro.sim.events import Timeout
-
         return Timeout(self, delay, value)
+
+    def hold(self, delay):
+        yield Timeout(self, delay)
 
     def process(self, generator, name=None):
         return Process(self, generator, name=name)
 
     def run(self, until=None):
+        stop = until if isinstance(until, Event) else None
+        bound = None if stop is not None else until
         heap = self._heap
         fast = self._fast
         while heap or fast:
@@ -95,10 +100,11 @@ class ReferenceEnvironment:
             elif fast:
                 event = fast.popleft()
             else:
-                if until is not None and heap[0][0] > until:
+                if bound is not None and heap[0][0] > bound:
                     break
                 when, _seq, event = heapq.heappop(heap)
                 self._now = when
+                self.cohorts_dispatched += 1
             self.events_processed += 1
             event._processed = True
             callbacks, event.callbacks = event.callbacks, []
@@ -107,8 +113,10 @@ class ReferenceEnvironment:
             if self._crashes:
                 _process, exc = self._crashes[0]
                 raise exc
-        if until is not None:
-            self._now = until
+            if stop is not None and stop._value is not PENDING:
+                return stop._value
+        if bound is not None:
+            self._now = bound
 
 
 # Zero-delay (the FIFO fast path), exact duplicates (same-timestamp
@@ -118,7 +126,8 @@ DELAYS = [0.0, 0.0001, 0.00025, 0.0005, 0.0005, 0.001, 0.0013,
           0.01, 0.25, 1.5, 5.0]
 
 step_strategy = st.tuples(
-    st.sampled_from(["timeout", "hold", "acquire", "cancel"]),
+    st.sampled_from(["timeout", "request", "acquire", "serve", "hold",
+                     "join", "cancel"]),
     st.sampled_from(DELAYS),
 )
 program_strategy = st.lists(
@@ -132,19 +141,23 @@ slices_strategy = st.lists(
                      5.0, 6.5, 40.0]),
     max_size=4,
 ).map(sorted)
+# The process whose completion stops one run() (modulo the program's
+# length), or no such run.
+stop_strategy = st.none() | st.integers(min_value=0, max_value=7)
 
 
-def _execute(env, resource, program, slices=()):
-    """Run ``program`` on ``env`` — in ``run(until=t)`` slices, then to
-    completion — and return the dispatch trace, with a marker recording
-    the clock and the progress made at the end of each slice."""
+def _execute(env, resource, program, slices=(), stop=None):
+    """Run ``program`` on ``env`` — in ``run(until=t)`` slices, then up
+    to the end of process ``stop``, then to completion — and return the
+    dispatch trace, with a marker recording the clock and the progress
+    made at the end of each partial run."""
     trace = []
 
     def runner(pid, script):
         for step_index, (op, delay) in enumerate(script):
             if op == "timeout":
                 yield env.timeout(delay)
-            elif op == "hold":
+            elif op == "request":
                 request = resource.request()
                 yield request
                 yield env.timeout(delay)
@@ -154,6 +167,18 @@ def _execute(env, resource, program, slices=()):
                 request = yield from resource.acquire()
                 yield env.timeout(delay)
                 resource.release(request)
+            elif op == "serve":
+                yield from resource.serve(delay)
+            elif op == "hold":
+                # Inline clock advance when nothing can pre-empt it.
+                yield from env.hold(delay)
+            elif op == "join":
+                # Wait for the last process: every joiner is a callback
+                # of one event, so the ones delivered first must not
+                # advance the clock under the later ones.
+                if pid < len(processes) - 1:
+                    yield processes[-1]
+                yield from env.hold(delay)
             else:  # cancel: give up while (possibly) still queued
                 request = resource.request()
                 yield env.timeout(delay if delay else 0.0001)
@@ -163,29 +188,38 @@ def _execute(env, resource, program, slices=()):
                 continue
             trace.append((env.now, pid, step_index))
 
-    for pid, script in enumerate(program):
-        env.process(runner(pid, script), name=f"p{pid}")
+    processes = [env.process(runner(pid, script), name=f"p{pid}")
+                 for pid, script in enumerate(program)]
     for bound in slices:
         env.run(until=bound)
         trace.append(("slice", env.now, env.events_processed))
+    if stop is not None:
+        # Then single steps: a run whose stop event has triggered
+        # delivers one event and must not move the clock past it.
+        for _ in range(6):
+            env.run(until=processes[stop % len(processes)])
+            trace.append(("stop", env.now, env.events_processed))
     env.run()
     return trace
 
 
-@settings(max_examples=120, deadline=None)
-@given(program=program_strategy, slices=slices_strategy)
-def test_kernel_matches_plain_reference(program, slices):
+@settings(max_examples=300, deadline=None)
+@given(program=program_strategy, slices=slices_strategy, stop=stop_strategy)
+def test_kernel_matches_plain_reference(program, slices, stop):
     real_env = Environment()
     real_trace = _execute(real_env, Resource(real_env, capacity=1),
-                          program, slices)
+                          program, slices, stop)
 
     ref_env = ReferenceEnvironment()
     ref_trace = _execute(ref_env, Resource(ref_env, capacity=1),
-                         program, slices)
+                         program, slices, stop)
 
     assert real_trace == ref_trace
     assert real_env.now == ref_env.now
     assert real_env.events_processed == ref_env.events_processed
-    # Same number of timed schedules on both sides: the fast path did
-    # not silently reroute timed work through the zero-delay FIFO.
-    assert real_env.heap_scheduled == ref_env.heap_scheduled
+    assert real_env.cohorts_dispatched == ref_env.cohorts_dispatched
+    # Every timed schedule of the reference is a heap entry or an
+    # inline hold here: the fast paths did not silently reroute timed
+    # work through the zero-delay FIFO.
+    assert (real_env.heap_scheduled + real_env.inline_holds
+            == ref_env.heap_scheduled)
