@@ -28,7 +28,7 @@ import dataclasses
 
 from repro.experiments.elasticity import (
     ElasticityConfig,
-    render_elasticity,
+    compare,
     run_elasticity,
 )
 
@@ -52,10 +52,10 @@ def main() -> None:
         run_elasticity(dataclasses.replace(DEMO, mode=mode))
         for mode in ("autoscale", "static")
     ]
-    print(render_elasticity(results))
-    for result in results:
-        if not result.ok:
-            raise SystemExit(f"[{result.mode}] day violated its invariants")
+    results.append(compare(results))
+    print("\n\n".join(result.to_table() for result in results))
+    if not all(result.ok for result in results):
+        raise SystemExit("the day violated its invariants")
 
 
 if __name__ == "__main__":

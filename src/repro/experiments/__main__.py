@@ -109,82 +109,56 @@ def run_fig6_cmd(args) -> str:
 @dataclasses.dataclass(frozen=True)
 class Sweep:
     """One row per sweep experiment: pick quick/full, apply ``--audit``,
-    run every (seed, mode) cell through ``run_tasks``, render, and exit
-    non-zero when a gate fails."""
+    run every (seed, mode) cell through ``run_tasks``, print each
+    result's table, and exit non-zero when a gate fails."""
 
     quick: typing.Callable
     full: typing.Callable
     #: Module-level (picklable) function of one cell's config — see
     #: :func:`_run_cell` for how a mode reaches it.
     run: typing.Callable
-    #: ``render(config, results)`` of one seed's modes — or of every
-    #: seed at once when ``pooled``.
-    render: typing.Callable
     modes: typing.Callable = lambda config: (None,)
     pooled: bool = False
     #: ``seeds(quick)`` when ``--seeds`` is absent (else the config's).
     seeds: typing.Callable | None = None
-    #: Cross-result gate: ``gate(config, results) -> (lines, failed)``,
-    #: the lines printed under the group's rendering.
+    #: Cross-result gate: ``gate(config, results) -> Result`` of one
+    #: seed's modes — or of every seed at once when ``pooled``.
     gate: typing.Callable | None = None
-
-
-def _suite_gate(suite: typing.Callable) -> typing.Callable:
-    """A :attr:`Sweep.gate` on ``suite(config, results).violations``."""
-    def gate(config, results):
-        lines = [f"VIOLATION: {line}"
-                 for line in suite(config, results).violations]
-        return lines, bool(lines)
-    return gate
-
-
-def _fig9_result(config, runs) -> fig9_failover.Fig9Result:
-    return fig9_failover.Fig9Result(
-        config, dict(zip(config.replication_factors, runs)))
 
 
 SWEEPS = {
     "fig9": Sweep(
         fig9_failover.quick_fig9_config, fig9_failover.Fig9Config,
         fig9_failover.run_fig9_single,
-        lambda config, runs: _fig9_result(config, runs).to_table(),
         modes=lambda config: config.replication_factors,
-        gate=_suite_gate(_fig9_result),
+        gate=lambda config, runs: fig9_failover.suite(runs),
     ),
     "chaos": Sweep(
         chaos_moves.ChaosConfig, chaos_moves.ChaosConfig,
         chaos_moves.run_chaos,
-        lambda config, runs: chaos_moves.render_chaos(
-            chaos_moves.ChaosSuiteResult(config, runs)),
         pooled=True, seeds=lambda quick: range(3 if quick else 10),
-        gate=_suite_gate(chaos_moves.ChaosSuiteResult),
+        gate=lambda config, runs: chaos_moves.suite(runs),
     ),
     "endurance": Sweep(
         endurance.quick_endurance_config, endurance.full_endurance_config,
         endurance.run_endurance,
-        lambda config, runs: endurance.render_endurance(runs[0]),
     ),
     "elasticity": Sweep(
         elasticity.quick_elasticity_config, elasticity.full_elasticity_config,
         elasticity.run_elasticity,
-        lambda config, runs: elasticity.render_elasticity(runs),
         modes=lambda config: ("autoscale", "static"),
-        gate=lambda config, runs: (
-            [], bool(elasticity.compare_elasticity(runs))),
+        gate=lambda config, runs: elasticity.compare(runs),
     ),
     "read-scaling": Sweep(
         read_scaling.quick_read_scaling_config,
         read_scaling.full_read_scaling_config,
         read_scaling.run_read_scaling,
-        lambda config, runs: read_scaling.render_read_scaling(runs),
         modes=lambda config: ("replica", "primary"),
-        gate=lambda config, runs: (
-            [], bool(read_scaling.compare_read_scaling(runs))),
+        gate=lambda config, runs: read_scaling.compare(runs),
     ),
     "torture": Sweep(
         torture.quick_torture_config, torture.full_torture_config,
         torture.run_torture,
-        lambda config, runs: torture.render_torture(runs),
         pooled=True, gate=torture.rerun_gate,
     ),
 }
@@ -214,17 +188,12 @@ def run_sweep(sweep: Sweep, args) -> str:
         jobs=args.jobs,
     )
     step = len(runs) if sweep.pooled else len(modes)
-    parts = []
-    failed = any(not run.ok for run in runs)
+    results = []
     for start in range(0, len(runs), step):
         group = runs[start:start + step]
-        lines = [sweep.render(config, group)]
-        if sweep.gate is not None:
-            extra, gate_failed = sweep.gate(config, group)
-            lines += extra
-            failed = failed or gate_failed
-        parts.append("\n".join(lines))
-    return gated("\n\n".join(parts), failed=failed)
+        results += group + ([sweep.gate(config, group)] if sweep.gate else [])
+    return gated("\n\n".join(result.to_table() for result in results),
+                 failed=not all(result.ok for result in results))
 
 
 COMMANDS = {

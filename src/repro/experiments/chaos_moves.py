@@ -40,7 +40,6 @@ from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.experiments import harness
 from repro.ha import FaultInjector
 from repro.hardware.disk import DiskSpec
-from repro.metrics.report import render_counters, render_table
 from repro.moves import DONE, RetryPolicy
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
@@ -122,119 +121,6 @@ class ChaosConfig:
     @property
     def duration(self) -> float:
         return self.warmup + self.fault_span + self.tail
-
-
-@dataclasses.dataclass
-class ChaosRunResult:
-    """Outcome of one seeded schedule."""
-
-    seed: int
-    violations: list[str]
-    faults: list[tuple[float, str, int]]
-    move_summary: dict[str, int]
-    #: A DONE move that resumed from a chunk checkpoint after losing
-    #: in-flight bytes — the metric the acceptance gate looks for.
-    resumed_move_completed: bool
-    acked_writes: int
-    exhausted_writes: int
-    degraded_steps: int
-    resume_rounds_used: int
-    #: Isolation anomalies the post-hoc audit found (empty when the
-    #: audit was off or found nothing); plus the history's evidence
-    #: stats so a truncated recording is never mistaken for a proof.
-    anomalies: list[str] = dataclasses.field(default_factory=list)
-    history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
-    audited: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.anomalies
-
-    def to_row(self) -> list:
-        if not self.audited:
-            audit_cell = "-"
-        elif self.anomalies:
-            audit_cell = f"{len(self.anomalies)} anomalies"
-        else:
-            audit_cell = "clean"
-        if self.ok:
-            verdict = "ok"
-        elif self.violations:
-            verdict = f"{len(self.violations)} violations"
-        else:
-            verdict = "audit failed"
-        return [
-            self.seed,
-            verdict,
-            len(self.faults),
-            self.move_summary.get("moves_total", 0),
-            self.move_summary.get("retries_total", 0),
-            self.move_summary.get("resumes_total", 0),
-            self.move_summary.get("rolled_back_moves", 0),
-            self.move_summary.get("bytes_reshipped", 0),
-            "yes" if self.resumed_move_completed else "no",
-            self.acked_writes,
-            self.exhausted_writes,
-            audit_cell,
-        ]
-
-
-@dataclasses.dataclass
-class ChaosSuiteResult:
-    config: ChaosConfig
-    runs: list[ChaosRunResult]
-
-    HEADERS = ["seed", "verdict", "faults", "moves", "retries", "resumes",
-               "rollbacks", "re-shipped", "resume-done", "acked",
-               "exhausted", "audit"]
-
-    @property
-    def total_violations(self) -> int:
-        return sum(len(r.violations) for r in self.runs)
-
-    @property
-    def any_resumed_completion(self) -> bool:
-        return any(r.resumed_move_completed for r in self.runs)
-
-    def move_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for run in self.runs:
-            for key, value in run.move_summary.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    @property
-    def violations(self) -> list[str]:
-        """The sweep means something only if the schedules interfered
-        with the moves and a chunk-level resume carried one through."""
-        return harness.shape_violations("chaos", {
-            "moves": self.move_totals(), "max": max,
-            "resumes": [r.move_summary["resumes_total"] for r in self.runs],
-            "moves_done_by_chunk_resume": sum(
-                r.resumed_move_completed for r in self.runs),
-        }, ["moves_done_by_chunk_resume > 0", "moves['open_moves'] == 0",
-            "moves['open_range_moves'] == 0", "moves['retries_total'] > 0",
-            "max(resumes) > 0"])
-
-    def to_table(self) -> str:
-        table = render_table(
-            self.HEADERS, [r.to_row() for r in self.runs],
-            title="chaos — journaled repartitioning under fault schedules",
-        )
-        lines = [table, ""]
-        for run in self.runs:
-            for violation in run.violations:
-                lines.append(f"seed {run.seed}: INVARIANT VIOLATED: "
-                             f"{violation}")
-        lines.append(
-            f"{len(self.runs)} schedules, "
-            f"{self.total_violations} invariant violations, "
-            f"chunk-level resume completed a move: "
-            f"{'yes' if self.any_resumed_completion else 'NO'}"
-        )
-        lines += harness.render_anomaly_lines(
-            (f"seed {run.seed}", run) for run in self.runs)
-        return "\n".join(lines)
 
 
 # -- schedule ---------------------------------------------------------------
@@ -387,7 +273,7 @@ def check_invariants(env: Environment, cluster: Cluster,
 def run_chaos(config: ChaosConfig | None = None,
               seed: int | None = None,
               instrument: typing.Callable[[Environment, Cluster], None]
-              | None = None) -> ChaosRunResult:
+              | None = None) -> harness.Result:
     """One seeded schedule, end to end: load, faults, quiesce, verify.
 
     ``instrument``, if given, is called with the freshly built
@@ -503,36 +389,53 @@ def run_chaos(config: ChaosConfig | None = None,
     env.run(until=env.process(resume_rounds(), name="chaos-resume"))
 
     violations = check_invariants(env, cluster, oracle)
+    journal = cluster.moves.journal
+    counters = {
+        "run": {
+            "seed": config.seed,
+            "faults": len(schedule),
+            "acked_writes": acked,
+            "exhausted_writes": exhausted,
+            # A DONE move that resumed from a chunk checkpoint after
+            # losing in-flight bytes — what the sweep's gate looks for.
+            "resumed_move_completed": any(
+                e.phase == DONE and e.resumes > 0 and e.bytes_reshipped > 0
+                and e.bytes_reshipped < e.bytes_total
+                for e in journal.segment_moves.values()),
+            "degraded_steps": len(rebalancer.failed_moves),
+            "resume_rounds_used": rounds_used,
+        },
+        **harness.snapshot(moves=journal),
+    }
     # One final snapshot of the healed table, then the full audit (the
     # readback's reads are part of the history too — the checkers prove
     # even the verification pass read consistently).
-    anomalies, history_stats = harness.audit_epilogue(
-        recorder, cluster, "post-quiesce")
-    journal = cluster.moves.journal
-    resumed_done = any(
-        e.phase == DONE and e.resumes > 0 and e.bytes_reshipped > 0
-        and e.bytes_reshipped < e.bytes_total
-        for e in journal.segment_moves.values()
-    )
-    return ChaosRunResult(
-        seed=config.seed,
-        violations=violations,
-        faults=schedule,
-        move_summary=journal.stats(),
-        resumed_move_completed=resumed_done,
-        acked_writes=acked,
-        exhausted_writes=exhausted,
-        degraded_steps=len(rebalancer.failed_moves),
-        resume_rounds_used=rounds_used,
-        anomalies=anomalies,
-        history_stats=history_stats,
-        audited=config.audit,
-    )
+    violations += harness.audit_violations(recorder, cluster, "post-quiesce",
+                                           counters)
+    return harness.Result(
+        f"chaos — seed {config.seed}: journaled repartitioning under "
+        "fault schedules", counters, list(cluster.timeline), violations)
 
 
-def render_chaos(result: ChaosSuiteResult) -> str:
-    return "\n\n".join([
-        result.to_table(),
-        render_counters("move summary (all schedules)",
-                        result.move_totals()),
-    ])
+def suite(runs: typing.Sequence[harness.Result]) -> harness.Result:
+    """The sweep's gate: it means something only if the schedules
+    interfered with the moves and a chunk-level resume carried one
+    through."""
+    moves: dict[str, int] = {}
+    for run in runs:
+        for key, value in run.counters["moves"].items():
+            moves[key] = moves.get(key, 0) + value
+    sweep = {
+        "schedules": len(runs),
+        "moves_done_by_chunk_resume": sum(
+            run.counters["run"]["resumed_move_completed"] for run in runs),
+        "max_resumes": max(run.counters["moves"]["resumes_total"]
+                           for run in runs),
+    }
+    return harness.Result(
+        f"chaos — {len(runs)} schedules", {
+            "sweep": sweep, "moves (all schedules)": moves}, [],
+        harness.shape_violations("chaos", {**sweep, "moves": moves}, [
+            "moves_done_by_chunk_resume > 0", "moves['open_moves'] == 0",
+            "moves['open_range_moves'] == 0", "moves['retries_total'] > 0",
+            "max_resumes > 0"]))

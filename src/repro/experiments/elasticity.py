@@ -19,7 +19,7 @@ Two scenarios run under the same seed and the same traffic:
   (classic full provisioning), the energy baseline the paper argues
   against.
 
-Invariants asserted (``ElasticityResult.violations``):
+Invariants asserted (the result's ``violations``):
 
 1. the day offered at least ``min_requests`` logical requests;
 2. admission conservation: every offered request is accounted exactly
@@ -41,13 +41,6 @@ import dataclasses
 import typing
 
 from repro.experiments import harness
-from repro.metrics.report import (
-    render_counters,
-    render_slo_table,
-    render_table,
-    render_timeline,
-)
-from repro.workload import TpccConfig
 
 # The day curve's fixed shape (logical requests/second per tenant
 # class); runs vary day length, flash ramp/hold/decay and batch contract.
@@ -73,24 +66,12 @@ class ElasticityConfig:
     #: nodes powered and loaded all day — the energy baseline).
     mode: str = "autoscale"
 
-    # Cluster — disk-bound on purpose (shared HDD spindle, padded hot
-    # rows, small buffer pool): the regime the paper's wimpy nodes
-    # lived in, so the day's peak saturates a node's disk and the
-    # monitor has something to act on.
+    # Cluster — the open-loop disk-bound regime (harness.open_loop),
+    # so the day's peak saturates a node's disk and the monitor has
+    # something to act on.
     node_count: int = 4
     initially_active: int = 1
-    buffer_pages_per_node: int = 192
-    page_bytes: int = 8192
-    segment_max_pages: int = 64
     load_segment_max_pages: int = 8
-    lock_timeout: float = 2.0
-
-    #: TPC-C shape (kept small; the padding does the disk work).
-    tpcc: TpccConfig = TpccConfig(
-        warehouses=8, districts_per_warehouse=4, customers_per_district=30,
-        items=200, orders_per_district=10, order_lines_per_order=4,
-        pad_blob_bytes=2048,
-    )
 
     day_seconds: float = 2400.0
     #: Not a field: callers read it to scale the contract, none sets it.
@@ -138,63 +119,8 @@ class ElasticityConfig:
         return self.day_seconds * FLASH_START_FRACTION
 
 
-@dataclasses.dataclass
-class ElasticityResult:
-    """One scenario's outcome — plain data, picklable for run_tasks."""
-
-    mode: str
-    seed: int
-    violations: list[str]
-    offered: int
-    completed: int
-    admission: dict[str, int | float]
-    tenants: dict[str, dict[str, float | int]]
-    #: Pre-rendered rows: [t, offered/s, done/s, nodes, queue, watts,
-    #: J/req] per report bucket.
-    timeline: list[list]
-    #: The autoscaler's actions: its events on the cluster timeline.
-    events: list
-    energy_joules: float
-    peak_active_nodes: int
-    final_active_nodes: int
-    peak_time: float
-    wall_events: int
-    anomalies: list[str] = dataclasses.field(default_factory=list)
-    history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
-    audited: bool = False
-
-    TIMELINE_HEADERS = ["t(s)", "offered/s", "done/s", "nodes", "queue",
-                       "watts", "J/req"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.anomalies
-
-    @property
-    def joules_per_request(self) -> float:
-        return self.energy_joules / max(self.completed, 1)
-
-    def to_table(self) -> str:
-        parts = [render_table(
-            self.TIMELINE_HEADERS, self.timeline,
-            title=(f"elasticity [{self.mode}] — seed {self.seed}, "
-                   f"{self.offered} requests offered, "
-                   f"{self.energy_joules / 1000:.0f} kJ, "
-                   f"{self.joules_per_request:.2f} J/request"),
-        )]
-        parts.append(render_slo_table(
-            self.tenants, title=f"[{self.mode}] per-tenant latency SLOs"))
-        parts.append(render_counters(
-            f"[{self.mode}] admission control", self.admission))
-        if self.events:
-            parts.append(render_timeline(
-                f"[{self.mode}] autoscaler timeline "
-                f"(traffic peak at t={self.peak_time:.0f}s)", self.events))
-        for violation in self.violations:
-            parts.append(f"ELASTICITY VIOLATION [{self.mode}]: {violation}")
-        for anomaly in self.anomalies:
-            parts.append(f"ISOLATION ANOMALY [{self.mode}]: {anomaly}")
-        return "\n".join(parts)
+#: The record perfledger/ reads (``offered``, ``completed``, ``ok``).
+ElasticityResult = harness.OpenLoopResult
 
 
 # -- tenants ----------------------------------------------------------------
@@ -275,9 +201,8 @@ def run_elasticity(config: ElasticityConfig | None = None,
     from repro.cluster.forecasting import LoadForecaster, WorkloadHint
     from repro.cluster.policies import PolicyThresholds, ThresholdPolicy
     from repro.core import PhysiologicalPartitioning, Rebalancer
-    from repro.hardware import HDD_SPEC
     from repro.metrics.series import TimeSeries
-    from repro.traffic import Autoscaler, AutoscalerConfig, SessionEngine
+    from repro.traffic import Autoscaler, AutoscalerConfig
 
     config = config or ElasticityConfig()
     if seed is not None:
@@ -285,38 +210,18 @@ def run_elasticity(config: ElasticityConfig | None = None,
     # Static provisioning spreads the data across every (always-on)
     # node; the autoscaled day starts consolidated on the master and
     # lets the rebalancer spread it when the trace demands.
-    active = (config.node_count if config.mode == "static"
-              else config.initially_active)
-    env, cluster = harness.tpcc_cluster(
-        config.seed, config.tpcc,
-        owners=range(active) if config.mode == "static" else (0,),
-        load_segment_max_pages=config.load_segment_max_pages,
-        vacuum_interval=config.vacuum_interval,
-        node_count=config.node_count, initially_active=active,
-        disk_specs=(HDD_SPEC,),
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        page_bytes=config.page_bytes,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
+    autoscale = config.mode == "autoscale"
     tenants = _tenants(config)
     peak_time = _peak_time(tenants, config.day_seconds)
-
-    engine = SessionEngine(
-        cluster, config.tpcc, tenants,
-        seed=config.seed, tick=config.tick, batch=config.batch,
-        executors=config.executors, queue_limit=config.queue_limit,
-        retry_budget=config.retry_budget,
+    run = harness.open_loop(
+        config, tenants,
+        owners=(0,) if autoscale else range(config.node_count),
+        active=config.initially_active if autoscale else config.node_count,
     )
-
-    recorder = None
-    if config.audit:
-        from repro.audit import HistoryRecorder
-
-        recorder = HistoryRecorder().attach(cluster)
+    cluster = run.cluster
 
     autoscaler = None
-    if config.mode == "autoscale":
+    if autoscale:
         from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED
 
         policy = ThresholdPolicy(PolicyThresholds(
@@ -327,7 +232,7 @@ def run_elasticity(config: ElasticityConfig | None = None,
         rebalancer = Rebalancer(cluster, PhysiologicalPartitioning())
         autoscaler = Autoscaler(
             cluster, rebalancer, list(WAREHOUSE_PARTITIONED),
-            admission=engine.admission,
+            admission=run.engine.admission,
             forecaster=LoadForecaster(horizon=config.forecast_horizon),
             policy=policy,
             config=AutoscalerConfig(
@@ -345,124 +250,72 @@ def run_elasticity(config: ElasticityConfig | None = None,
                  + config.flash_hold + config.flash_decay),
             expected_utilization=0.95,
         ))
-        env.process(autoscaler.run(), name="autoscaler")
+        run.env.process(autoscaler.run(), name="autoscaler")
 
-    nodes_series = TimeSeries("active_nodes")
-    queue_series = TimeSeries("queue_depth")
-    watts_series = TimeSeries("watts")
-    done: list[float] = []
+    samples = {name: TimeSeries(name) for name in ("nodes", "queue", "watts")}
 
-    def traffic():
-        yield from engine.run(config.day_seconds)
-        done.append(env.now)
+    def sample(now, watts):
+        samples["watts"].record(now, watts)
+        samples["nodes"].record(now, cluster.active_node_count)
+        samples["queue"].record(now, run.engine.admission.queue_depth)
 
-    def meter_loop():
-        meter = cluster.meter
-        meter.sample()
-        if recorder is not None:
-            recorder.checkpoint_coverage(cluster.master.gpt, env.now,
-                                         "day-start")
-        while not done:
-            yield env.timeout(config.power_sample_interval)
-            now, watts = meter.sample()
-            watts_series.record(now, watts)
-            nodes_series.record(now, cluster.active_node_count)
-            queue_series.record(now, engine.admission.queue_depth)
-            if recorder is not None:
-                recorder.checkpoint_coverage(cluster.master.gpt, now,
-                                             "meter")
-
-    env.process(meter_loop(), name="power-meter")
-    env.run(until=env.process(traffic(), name="traffic"))
+    counters, violations = harness.drive_open_loop(
+        run, config, config.day_seconds, sample, "elasticity")
     if autoscaler is not None:
         autoscaler.stop()
 
-    anomalies, history_stats = harness.audit_epilogue(
-        recorder, cluster, "day-end")
-
-    # -- timeline --------------------------------------------------------
+    # -- the day in report buckets ---------------------------------------
     width = config.day_seconds / config.report_buckets
-    done_by_bucket = dict(
-        engine.completions.bucket_sum(0.0, config.day_seconds, width))
-    nodes_by_bucket = dict(
-        nodes_series.bucket_mean(0.0, config.day_seconds, width))
-    queue_by_bucket = dict(
-        queue_series.bucket_mean(0.0, config.day_seconds, width))
-    watts_by_bucket = dict(
-        watts_series.bucket_mean(0.0, config.day_seconds, width))
-    timeline: list[list] = []
+    done = dict(run.engine.completions.bucket_sum(0.0, config.day_seconds,
+                                                  width))
+    means = {name: dict(sampled.bucket_mean(0.0, config.day_seconds, width))
+             for name, sampled in samples.items()}
+    series: dict[str, list] = {}
     t = 0.0
     while t < config.day_seconds:
-        offered_rate = _total_rate(tenants, t + width / 2)
-        done_rate = done_by_bucket.get(t, 0.0) / width
-        watts = watts_by_bucket.get(t)
-        nodes = nodes_by_bucket.get(t)
-        queue = queue_by_bucket.get(t)
-        jpr = (watts * width / done_by_bucket[t]
-               if watts is not None and done_by_bucket.get(t, 0) > 0
-               else None)
-        timeline.append([
-            round(t), round(offered_rate, 1), round(done_rate, 1),
-            round(nodes, 1) if nodes is not None else "-",
-            round(queue) if queue is not None else "-",
-            round(watts, 1) if watts is not None else "-",
-            round(jpr, 2) if jpr is not None else "-",
-        ])
+        watts = means["watts"].get(t)
+        jpr = (watts * width / done[t]
+               if watts is not None and done.get(t, 0) > 0 else None)
+        for name, value, digits in (
+                ("offered/s", _total_rate(tenants, t + width / 2), 1),
+                ("done/s", done.get(t, 0.0) / width, 1),
+                ("nodes", means["nodes"].get(t), 1),
+                ("queue", means["queue"].get(t), None),
+                ("watts", watts, 1), ("J/req", jpr, 2)):
+            series.setdefault(name, []).append(
+                (round(t), None if value is None else round(value, digits)))
         t += width
 
-    # -- invariants ------------------------------------------------------
-    stats = engine.admission.stats()
-    violations = harness.admission_violations(stats, config.min_requests,
-                                              "day")
-
-    peak_active = int(max(
-        (v for _t, v in nodes_series.points), default=cluster.active_node_count
-    ))
-    events = [e for e in cluster.timeline if e.source == "autoscaler"]
+    # -- claims ------------------------------------------------------------
+    events = list(cluster.timeline)
+    energy = cluster.energy_joules()
+    joules_per_request = energy / max(counters["admission"]["completed"], 1)
+    counters = {"run": {
+        "seed": config.seed, "mode": config.mode, "peak_time": peak_time,
+        "energy_joules": energy, "joules_per_request": joules_per_request,
+        "peak_active_nodes": int(max(
+            (v for _t, v in samples["nodes"].points),
+            default=cluster.active_node_count)),
+        "final_active_nodes": cluster.active_node_count,
+        "first_scale_out": min((e.time for e in events
+                                if e.kind == "scale-out"), default=None),
+        "last_scale_in": max((e.time for e in events
+                              if e.kind == "scale-in"), default=None),
+    }, **counters}
     if autoscaler is not None:
-        outs = [e.time for e in events if e.kind == "scale-out"]
-        ins = [e.time for e in events if e.kind == "scale-in"]
-        if not outs:
-            violations.append("autoscaler never scaled out")
-        elif min(outs) >= peak_time:
-            violations.append(
-                f"first scale-out at t={min(outs):.0f}s, after the "
-                f"traffic peak (t={peak_time:.0f}s) — not ahead of the ramp"
-            )
-        if not ins:
-            violations.append("autoscaler never scaled back in")
-        elif max(ins) <= peak_time:
-            violations.append(
-                f"last scale-in at t={max(ins):.0f}s, before the traffic "
-                f"peak (t={peak_time:.0f}s)"
-            )
-        if peak_active <= config.initially_active:
-            violations.append(
-                f"active nodes never rose above the starting "
-                f"{config.initially_active}"
-            )
-    for anomaly in anomalies:
-        violations.append(f"ISOLATION ANOMALY: {anomaly}")
-
+        # The cluster breathed: recruited before the traffic peak,
+        # released after it, and grew past its starting size.
+        violations += harness.shape_violations("elasticity", {
+            **counters["run"], "initially_active": config.initially_active,
+        }, ["first_scale_out < peak_time", "last_scale_in > peak_time",
+            "peak_active_nodes > initially_active"])
+    violations += harness.audit_violations(run.recorder, cluster, "end",
+                                           counters)
     return ElasticityResult(
-        mode=config.mode,
-        seed=config.seed,
-        violations=violations,
-        offered=stats["offered"],
-        completed=stats["completed"],
-        admission=stats,
-        tenants=engine.tenant_report(),
-        timeline=timeline,
-        events=events,
-        energy_joules=cluster.energy_joules(),
-        peak_active_nodes=peak_active,
-        final_active_nodes=cluster.active_node_count,
-        peak_time=peak_time,
-        wall_events=env.events_processed,
-        anomalies=anomalies,
-        history_stats=history_stats,
-        audited=config.audit,
-    )
+        f"elasticity [{config.mode}] — seed {config.seed}, "
+        f"{counters['admission']['offered']} requests offered, "
+        f"{energy / 1000:.0f} kJ, {joules_per_request:.2f} J/request",
+        counters, events, violations, series=series)
 
 
 # -- configurations ---------------------------------------------------------
@@ -491,32 +344,18 @@ def full_elasticity_config() -> ElasticityConfig:
     )
 
 
-def compare_elasticity(
-        results: typing.Sequence[ElasticityResult]) -> list[str]:
+def compare(runs: typing.Sequence[ElasticityResult]) -> harness.Result:
     """The cross-mode gate: static provisioning must spend more joules
     than breathing with the trace, same seed and day."""
-    return harness.shape_violations(
-        f"elasticity (seed {results[0].seed})",
-        {result.mode: result for result in results},
-        ["static.energy_joules > autoscale.energy_joules"])
-
-
-def render_elasticity(results: typing.Sequence[ElasticityResult]) -> str:
-    """Render the scenario suite plus the energy comparison."""
-    parts = [result.to_table() for result in results]
-    by_mode = {result.mode: result for result in results}
-    if "autoscale" in by_mode and "static" in by_mode:
-        auto, static = by_mode["autoscale"], by_mode["static"]
-        if static.energy_joules > 0:
-            saved = 100.0 * (1.0 - auto.energy_joules
-                             / static.energy_joules)
-            parts.append(
-                f"energy: autoscale {auto.energy_joules / 1000:.0f} kJ "
-                f"({auto.joules_per_request:.2f} J/request) vs static "
-                f"{static.energy_joules / 1000:.0f} kJ "
-                f"({static.joules_per_request:.2f} J/request) — "
-                f"{saved:.0f}% saved by breathing with the trace"
-            )
-    parts += [f"ELASTICITY VIOLATION: {violation}"
-              for violation in compare_elasticity(results)]
-    return "\n\n".join(parts)
+    modes = harness.by_run_key(runs, "mode")
+    auto, static = modes["autoscale"], modes["static"]
+    return harness.Result(
+        f"energy: autoscale {auto.energy_joules / 1000:.0f} kJ "
+        f"({auto.joules_per_request:.2f} J/request) vs static "
+        f"{static.energy_joules / 1000:.0f} kJ "
+        f"({static.joules_per_request:.2f} J/request) — "
+        f"{100.0 * (1.0 - auto.energy_joules / static.energy_joules):.0f}% "
+        "saved by breathing with the trace", {}, [],
+        harness.shape_violations(
+            f"elasticity (seed {auto.seed})", modes,
+            ["static.energy_joules > autoscale.energy_joules"]))

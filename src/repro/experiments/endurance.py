@@ -32,7 +32,7 @@ and compares it row-for-row with the live committed state — proving
 the recycled log still recovers, and that replay length is bounded by
 the checkpoint interval, not the run length.
 
-Invariants asserted (``EnduranceResult.violations``):
+Invariants asserted (the result's ``violations``):
 
 1. every acknowledged write reads back with the acknowledged value;
 2. WAL footprint stays bounded: no live record is older than the
@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-import typing
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.vacuum import VacuumPolicy, VacuumScheduler
@@ -59,7 +58,6 @@ from repro.ha import (
     FaultInjector,
     ReplicationManager,
 )
-from repro.metrics.report import render_counters, render_table
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
 from repro.txn import recovery
@@ -128,86 +126,17 @@ class EnduranceConfig:
     min_commits: int = 1000
 
 
-@dataclasses.dataclass
-class WindowResult:
-    """One audit window's verdict and counters."""
-
-    index: int
-    t0: float
-    t1: float
-    acked: int
-    exhausted: int
-    anomalies: list[str]
-    history_stats: dict[str, int]
-
-    def to_row(self) -> list:
-        return [
-            self.index,
-            round(self.t0, 1),
-            round(self.t1, 1),
-            self.acked,
-            self.exhausted,
-            self.history_stats.get("ops_recorded", 0),
-            self.history_stats.get("coverage_taken", 0),
-            self.history_stats.get("coverage_deduped", 0),
-            "clean" if not self.anomalies else f"{len(self.anomalies)}",
-        ]
-
-
-@dataclasses.dataclass
-class EnduranceResult:
-    seed: int
-    violations: list[str]
-    windows: list[WindowResult]
-    acked_writes: int
-    exhausted_writes: int
-    crashes: int
-    promotions: int
-    checkpoint_stats: dict[str, int]
-    vacuum_stats: dict[str, int]
-    wal_stats: dict[int, dict[str, int]]
-    replication_stats: dict[str, int]
-    drill: dict[str, int]
-    audited: bool = False
-
-    WINDOW_HEADERS = ["win", "t0", "t1", "acked", "exhausted", "ops",
-                      "coverage", "deduped", "audit"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def total_anomalies(self) -> int:
-        return sum(len(w.anomalies) for w in self.windows)
-
-    def to_table(self) -> str:
-        parts = [render_table(
-            self.WINDOW_HEADERS, [w.to_row() for w in self.windows],
-            title=f"endurance — seed {self.seed}, "
-                  f"{self.acked_writes} commits, "
-                  f"{self.crashes} crashes, {self.promotions} promotions",
-        )]
-        parts += [render_counters(f"node {node_id} WAL",
-                                  self.wal_stats[node_id])
-                  for node_id in sorted(self.wal_stats)]
-        parts.append(render_counters("checkpoints (cluster)",
-                                     self.checkpoint_stats))
-        parts.append(render_counters("vacuum (cluster)", self.vacuum_stats))
-        if self.drill:
-            parts.append(
-                "recovery drill: image rows %(image_rows)d + replayed "
-                "%(analyzed_records)d records from LSN %(start_lsn)d "
-                "(log tail %(next_lsn)d)" % self.drill
-            )
-        lines = ["\n".join(parts)]
-        for violation in self.violations:
-            lines.append(f"ENDURANCE VIOLATION: {violation}")
-        lines.append(
-            f"{len(self.windows)} windows, {self.total_anomalies} isolation "
-            f"anomalies, {len(self.violations)} violations"
-        )
-        return "\n".join(lines)
+#: The run's gates over its counters: the commit target sustained,
+#: the WAL footprint bounded and actually recycled, and the recovery
+#: drill rebuilding the committed state exactly from the last
+#: checkpoint's redo point, replaying no more than the suffix after it.
+CLAIMS = [
+    "acked_writes >= min_commits",
+    "peak_footprint_slack == 0", "checkpoints_taken > 0",
+    "records_recycled > 0",
+    "diverged_rows == 0", "start_lsn >= redo_lsn",
+    "analyzed_records <= next_lsn - redo_lsn + 1",
+]
 
 
 # -- build ------------------------------------------------------------------
@@ -254,7 +183,7 @@ def _diurnal_interval(config: EnduranceConfig, now: float) -> float:
 # -- the run ----------------------------------------------------------------
 
 def run_endurance(config: EnduranceConfig | None = None,
-                  seed: int | None = None) -> EnduranceResult:
+                  seed: int | None = None) -> harness.Result:
     """One seeded endurance run: windows of diurnal load with periodic
     chaos, audited at each quiescent boundary, drilled at the end."""
     config = config or EnduranceConfig()
@@ -293,7 +222,9 @@ def run_endurance(config: EnduranceConfig | None = None,
     oracle: dict[int, str] = {}
     acked = exhausted = 0
     violations: list[str] = []
-    window_results: list[WindowResult] = []
+    #: One row per audit window, keyed by its start.
+    windows: dict[str, list] = {}
+    window_audit: dict = {}
     crashes = 0
 
     def writer(writer_id: int, until: float):
@@ -365,89 +296,59 @@ def run_endurance(config: EnduranceConfig | None = None,
         # land before judging the window.
         env.run(until=env.now + SETTLE_SECONDS)
 
-        anomalies, history_stats = harness.audit_epilogue(
-            recorder, cluster, f"window-{window}-end")
+        violations += [f"window {window}: {anomaly}" for anomaly in
+                       harness.audit_violations(recorder, cluster,
+                                                f"window-{window}-end",
+                                                window_audit)]
         if recorder is not None:
             recorder.reset_window()
-        window_results.append(WindowResult(
-            index=window, t0=t0, t1=env.now,
-            acked=acked - window_acked,
-            exhausted=exhausted - window_exhausted,
-            anomalies=anomalies, history_stats=history_stats,
-        ))
+        # The recorder's counts run on across windows.
+        history = window_audit.get("audit", {})
+        for name, value in (
+                ("t1", round(env.now, 1)), ("acked", acked - window_acked),
+                ("exhausted", exhausted - window_exhausted),
+                ("ops", history.get("ops_recorded", 0)),
+                ("coverage", history.get("coverage_taken", 0)),
+                ("deduped", history.get("coverage_deduped", 0))):
+            windows.setdefault(name, []).append((round(t0, 1), value))
 
     checkpoints.stop()
     vacuum.stop()
-
-    # -- invariant 1: acknowledged writes read back ----------------------
     violations += harness.kv_readback(env, cluster, oracle)
-
-    # -- invariant 2: bounded WAL footprint ------------------------------
-    if checkpoints.peak_footprint_slack > 0:
-        violations.append(
-            f"WAL footprint unbounded: {checkpoints.peak_footprint_slack} "
-            f"live records past the horizon"
-        )
-    if checkpoints.checkpoints_taken == 0:
-        violations.append("no checkpoint was ever taken")
-    if checkpoints.records_recycled == 0:
-        violations.append("no WAL record was ever recycled")
-
-    # -- invariant 3: the recovery drill ---------------------------------
-    drill = _recovery_drill(cluster, violations)
-
-    # -- invariant 4 & 5: audit + throughput -----------------------------
-    for result in window_results:
-        for anomaly in result.anomalies:
-            violations.append(
-                f"window {result.index}: ISOLATION ANOMALY: {anomaly}"
-            )
-    if acked < config.min_commits:
-        violations.append(
-            f"sustained only {acked} commits (target {config.min_commits})"
-        )
-
-    return EnduranceResult(
-        seed=config.seed,
-        violations=violations,
-        windows=window_results,
-        acked_writes=acked,
-        exhausted_writes=exhausted,
-        crashes=crashes,
-        promotions=len(coordinator.promotions),
-        checkpoint_stats=checkpoints.stats(),
-        vacuum_stats=vacuum.stats(),
-        wal_stats={
-            worker.node_id: worker.wal.stats()
-            for worker in cluster.workers
-        },
-        replication_stats={
-            "commits_shipped": replication.commits_shipped,
-            "records_shipped": replication.records_shipped,
-            "bytes_shipped": replication.bytes_shipped,
-            "ship_failures": replication.ship_failures,
-        },
-        drill=drill,
-        audited=config.audit,
-    )
+    drill = _recovery_drill(cluster)
+    counters = {
+        "run": {"seed": config.seed, "acked_writes": acked,
+                "exhausted_writes": exhausted, "crashes": crashes,
+                "promotions": len(coordinator.promotions)},
+        **harness.snapshot(**{f"node {worker.node_id} WAL": worker.wal
+                              for worker in cluster.workers},
+                           checkpoints=checkpoints, vacuum=vacuum),
+        "drill": drill,
+        **window_audit,
+    }
+    violations += harness.shape_violations("endurance", {
+        **counters["run"], **counters["checkpoints"], **drill,
+        "min_commits": config.min_commits}, CLAIMS)
+    return harness.Result(
+        f"endurance — seed {config.seed}, {acked} commits, {crashes} "
+        f"crashes, {len(coordinator.promotions)} promotions",
+        counters, list(cluster.timeline), violations, series=windows)
 
 
-def _recovery_drill(cluster: Cluster, violations: list[str]) -> dict[str, int]:
+def _recovery_drill(cluster: Cluster) -> dict:
     """Crash-less recovery rehearsal on the current primary: rebuild the
     partition from checkpoint image + WAL suffix into a scratch
-    partition and diff against the live committed rows."""
+    partition and diff it against the live committed rows.  Every value
+    is None — every drill claim fails for want of samples — when the
+    primary is not hosted or has no checkpoint image."""
     location = cluster.master.gpt.locate("kv", 0)
     worker = cluster.worker(location.node_id)
     partition = worker.partitions.get(location.partition_id)
-    if partition is None:
-        violations.append("recovery drill: primary partition not hosted "
-                          f"on node {location.node_id}")
-        return {}
     image = worker.checkpoint_images.get(location.partition_id)
-    if image is None:
-        violations.append("recovery drill: no checkpoint image on the "
-                          "primary (checkpoint daemon never covered it)")
-        return {}
+    if partition is None or image is None:
+        return dict.fromkeys(("live_rows", "diverged_rows", "image_rows",
+                              "analyzed_records", "start_lsn", "redo_lsn",
+                              "next_lsn"))
 
     expected = {key: values
                 for key, values, _nbytes in iter_committed_rows(partition)}
@@ -459,37 +360,17 @@ def _recovery_drill(cluster: Cluster, violations: list[str]) -> dict[str, int]:
         for _page, _slot, version in segment.scan_versions():
             if version.deleted_ts is None:
                 rebuilt[version.key] = tuple(version.values)
-
-    if rebuilt != expected:
-        missing = sorted(set(expected) - set(rebuilt))[:5]
-        extra = sorted(set(rebuilt) - set(expected))[:5]
-        changed = [k for k in sorted(set(rebuilt) & set(expected))
-                   if rebuilt[k] != expected[k]][:5]
-        violations.append(
-            f"recovery drill diverged: {len(expected)} live vs "
-            f"{len(rebuilt)} rebuilt rows (missing {missing}, "
-            f"extra {extra}, changed {changed})"
-        )
-    log = worker.wal
     # Replay must start at the last checkpoint's redo point — i.e. be
     # bounded by the checkpoint interval, not by run length.
-    if report.start_lsn < log.last_checkpoint_redo_lsn:
-        violations.append(
-            f"recovery drill replayed from LSN {report.start_lsn}, "
-            f"before the checkpoint redo point "
-            f"{log.last_checkpoint_redo_lsn}"
-        )
-    bound = log._next_lsn - log.last_checkpoint_redo_lsn + 1
-    if report.analyzed_records > bound:
-        violations.append(
-            f"recovery drill replayed {report.analyzed_records} records, "
-            f"more than the checkpoint-bounded suffix ({bound})"
-        )
     return {
+        "live_rows": len(expected),
+        "diverged_rows": sum(rebuilt.get(key) != expected.get(key)
+                             for key in expected.keys() | rebuilt.keys()),
         "image_rows": report.image_rows,
         "analyzed_records": report.analyzed_records,
         "start_lsn": report.start_lsn,
-        "next_lsn": log._next_lsn,
+        "redo_lsn": worker.wal.last_checkpoint_redo_lsn,
+        "next_lsn": worker.wal._next_lsn,
     }
 
 
@@ -517,7 +398,3 @@ def full_endurance_config() -> EnduranceConfig:
                                    max_reclaim_per_tick=16_384,
                                    load_threshold=0.9),
     )
-
-
-def render_endurance(result: EnduranceResult) -> str:
-    return result.to_table()

@@ -26,24 +26,10 @@ the same seed yields the same crash schedule and the same metrics.
 from __future__ import annotations
 
 import dataclasses
-import random
 import typing
 
 from repro.experiments import harness
-from repro.ha import (
-    FailoverCoordinator,
-    FailureDetector,
-    FaultInjector,
-    PlacementPolicy,
-    ReplicationManager,
-)
-from repro.metrics.report import render_retry_lines, render_table
-from repro.workload import (
-    TpccConfig,
-    TpccContext,
-    WorkloadDriver,
-    start_vacuum_daemon,
-)
+from repro.workload import TpccConfig, start_vacuum_daemon
 
 #: A post-crash qps bucket counts as "recovered" at this fraction of
 #: the pre-crash baseline.
@@ -54,11 +40,7 @@ RECOVERY_QPS_FRACTION = 0.7
 class Fig9Config:
     """Failover experiment parameters."""
 
-    tpcc: TpccConfig = dataclasses.field(default_factory=lambda: TpccConfig(
-        warehouses=6, districts_per_warehouse=4,
-        customers_per_district=20, items=200, orders_per_district=10,
-        order_lines_per_order=5,
-    ))
+    tpcc: TpccConfig = harness.HA_TPCC
     clients: int = 8
     client_interval: float = 0.3
 
@@ -76,8 +58,8 @@ class Fig9Config:
     # Replication factors to sweep.
     replication_factors: tuple[int, ...] = (1, 2, 3)
 
-    # Failure detection.
-    monitor_interval: float = 1.0
+    #: Failure detection: missed heartbeats before a node is declared
+    #: failed.
     miss_threshold: int = 3
 
     # Timeline, relative to workload start (after replica seeding).
@@ -96,167 +78,38 @@ class Fig9Config:
     audit: bool = False
 
 
-@dataclasses.dataclass
-class Fig9KResult:
-    """One run at one replication factor (crash at t=0 on the axis)."""
-
-    k: int
-    qps: list[tuple[float, float]]
-    response_ms: list[tuple[float, float | None]]
-    baseline_qps: float
-    min_qps_after_crash: float
-    dip_fraction: float          # 1 - min/baseline (0 = no dip)
-    detection_seconds: float | None
-    failover_seconds: float | None   # crash -> promotion/handling done
-    throughput_recovery_seconds: float | None
-    committed_orders: int
-    lost_commits: int
-    promotions: int
-    unavailable_partitions: int
-    replicas_seeded: int
-    commits_shipped: int
-    bytes_shipped: int
-    retry_summary: dict[str, typing.Any]
-    #: The run's ``Cluster.timeline`` (faults and failover steps).
-    events: list
-    #: Post-hoc isolation audit (populated when config.audit was set).
-    anomalies: list[str] = dataclasses.field(default_factory=list)
-    history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
-    audited: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.anomalies
-
-    def to_row(self) -> list:
-        return [
-            self.k,
-            round(self.baseline_qps, 2),
-            round(self.min_qps_after_crash, 2),
-            round(self.dip_fraction, 3),
-            (None if self.detection_seconds is None
-             else round(self.detection_seconds, 1)),
-            (None if self.failover_seconds is None
-             else round(self.failover_seconds, 1)),
-            (None if self.throughput_recovery_seconds is None
-             else round(self.throughput_recovery_seconds, 1)),
-            self.promotions,
-            self.unavailable_partitions,
-            self.lost_commits,
-            self.retry_summary["first_try_completions"],
-            self.retry_summary["retried_completions"],
-            self.retry_summary["exhausted_failures"],
-        ]
-
-
-@dataclasses.dataclass
-class Fig9Result:
-    config: Fig9Config
-    runs: dict[int, Fig9KResult]
-
-    HEADERS = ["k", "base qps", "min qps", "dip", "detect(s)",
-               "failover(s)", "recover(s)", "promoted", "unavail",
-               "lost", "1st-try", "retried", "exhausted"]
-
-    @property
-    def violations(self) -> list[str]:
-        """k >= 2 promotes and stays available, k = 1 degrades
-        gracefully, no k loses an acknowledged commit — audited or not."""
-        claims = [" < ".join(f"k[{k}].replicas_seeded"
-                             for k in sorted(self.runs))]
-        for k in sorted(self.runs):
-            claims += [f"k[{k}].lost_commits == 0"] + (
-                ["k[1].promotions == 0", "k[1].unavailable_partitions > 0"]
-                if k == 1 else
-                [f"k[{k}].promotions > 0",
-                 f"k[{k}].unavailable_partitions == 0",
-                 f"k[{k}].committed_orders > 0",
-                 f"k[{k}].detection_seconds >= 0",
-                 f"k[{k}].failover_seconds >= 0"])
-        return harness.shape_violations("Fig. 9", {"k": self.runs}, claims)
-
-    def to_table(self) -> str:
-        rows = [self.runs[k].to_row() for k in sorted(self.runs)]
-        table = render_table(
-            self.HEADERS, rows,
-            title="Fig. 9 — failover: crash at t=0, one data node killed",
-        )
-        labelled = [(f"k={k}", self.runs[k]) for k in sorted(self.runs)]
-        return "\n".join(
-            [table]
-            + render_retry_lines(
-                (label, run.retry_summary["retries_by_class"])
-                for label, run in labelled)
-            + harness.render_anomaly_lines(labelled))
-
-
-def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
+def run_fig9_single(k: int, config: Fig9Config | None = None
+                    ) -> harness.Result:
     """One crash-and-recover run at replication factor ``k``."""
     config = config or Fig9Config()
-    env, cluster = harness.tpcc_cluster(
-        config.seed, config.tpcc, owners=config.data_nodes,
-        load_segment_max_pages=config.segment_max_pages,
-        monitor_interval=config.monitor_interval,
-        node_count=config.node_count, initially_active=config.node_count,
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
-
-    replication = ReplicationManager(
-        cluster, k=k,
-        policy=PlacementPolicy(cluster, rack_width=config.rack_width),
-    )
-    coordinator = FailoverCoordinator(cluster, replication)
-    detector = FailureDetector(
-        cluster, coordinator, miss_threshold=config.miss_threshold
-    )
-
-    # Seed replicas before the workload; the crash clock starts after.
-    env.run(until=env.process(replication.protect_all(), name="protect"))
+    ha = harness.ha_tpcc(config, k)
+    env, cluster = ha.env, ha.cluster
     replicas_seeded = sum(
         len(rs.replicas) for rs in cluster.catalog.replica_sets.values()
     )
-    t_start = env.now
-    crash_abs = t_start + config.crash_at
+    crash_abs = ha.t_start + config.crash_at
     crash_node = config.data_nodes[0]
-
-    injector = FaultInjector(cluster)
-    injector.crash_at(crash_abs, crash_node)
+    ha.injector.crash_at(crash_abs, crash_node)
     if config.restart_after is not None:
-        injector.restart_at(crash_abs + config.restart_after, crash_node)
-
-    # The workload RNG derives from the experiment seed so "same seed,
-    # same metrics" holds and different seeds genuinely differ.
-    ctx = TpccContext(cluster, config.tpcc,
-                      rng=random.Random(config.seed * 7919 + 7))
-    driver = WorkloadDriver(
-        cluster, ctx, clients=config.clients,
-        client_interval=config.client_interval,
-        power_sample_interval=config.bucket,
-        audit=config.audit,
-    )
-    committed = harness.remember_new_orders(driver)
+        ha.injector.restart_at(crash_abs + config.restart_after, crash_node)
 
     # Audited runs bound the vacuum daemon to the workload's end so the
     # drained simulation is a stable subject for the offline checkers.
     start_vacuum_daemon(
         cluster, interval=config.vacuum_interval,
-        until=(t_start + config.duration) if config.audit else None,
+        until=(ha.t_start + config.duration) if config.audit else None,
     )
     env.process(cluster.monitor.run(), name="monitor")
-    env.process(detector.run(), name="failure-detector")
-    env.process(injector.run(), name="fault-injector")
-    workload = env.process(driver.run(config.duration), name="workload")
-    env.run(until=workload)
+    env.process(ha.detector.run(), name="failure-detector")
+    env.process(ha.injector.run(), name="fault-injector")
+    env.run(until=env.process(ha.driver.run(config.duration),
+                              name="workload"))
 
     # -- metrics (time axis shifted so the crash is t=0) -------------------
-    qps_abs = driver.qps_series(t_start, t_start + config.duration,
-                                config.bucket)
-    resp_abs = driver.response_series(t_start, t_start + config.duration,
-                                      config.bucket)
-    qps = [(t - crash_abs, v) for t, v in qps_abs]
-    response_ms = [(t - crash_abs, v) for t, v in resp_abs]
+    window = (ha.t_start, ha.t_start + config.duration, config.bucket)
+    qps = [(t - crash_abs, v) for t, v in ha.driver.qps_series(*window)]
+    response_ms = [(t - crash_abs, v)
+                   for t, v in ha.driver.response_series(*window)]
 
     pre = [v for t, v in qps if t < 0 and v is not None]
     baseline = sum(pre) / len(pre) if pre else 0.0
@@ -267,48 +120,53 @@ def run_fig9_single(k: int, config: Fig9Config | None = None) -> Fig9KResult:
     dip = max(0.0, 1.0 - (min_after / baseline)) if baseline > 0 else 0.0
 
     failover_events = [e for e in cluster.timeline if e.source == "failover"]
-    detection = next((e.time - crash_abs for e in failover_events
-                      if e.kind == "node_failed" and e.node_id == crash_node),
-                     None)
-    failover = None
-    for recovery in coordinator.recoveries:
-        if recovery["node_id"] == crash_node:
-            failover = recovery["completed_at"] - crash_abs
-            break
-    recovered = None
-    for t, v in qps:
-        if t >= 0 and v is not None and baseline > 0 \
-                and v >= RECOVERY_QPS_FRACTION * baseline:
-            recovered = t
-            break
-
-    anomalies, history_stats = harness.audit_epilogue(
-        driver.history, cluster, "post-run")
-
-    return Fig9KResult(
-        k=k,
-        qps=qps,
-        response_ms=response_ms,
-        baseline_qps=baseline,
-        min_qps_after_crash=min_after,
-        dip_fraction=dip,
-        detection_seconds=detection,
-        failover_seconds=failover,
-        throughput_recovery_seconds=recovered,
-        committed_orders=len(committed),
-        lost_commits=harness.lost_new_orders(cluster, committed),
-        promotions=len(coordinator.promotions),
-        unavailable_partitions=sum(
+    counters, violations = harness.ha_counters(ha, {
+        "k": k,
+        "baseline_qps": baseline,
+        "min_qps_after_crash": min_after,
+        "dip_fraction": round(dip, 3),
+        "detection_seconds": next(
+            (e.time - crash_abs for e in failover_events
+             if e.kind == "node_failed" and e.node_id == crash_node), None),
+        # crash -> promotion/handling done
+        "failover_seconds": next(
+            (r["completed_at"] - crash_abs for r in ha.coordinator.recoveries
+             if r["node_id"] == crash_node), None),
+        "throughput_recovery_seconds": next(
+            (t for t, v in qps if t >= 0 and v is not None and baseline > 0
+             and v >= RECOVERY_QPS_FRACTION * baseline), None),
+        "unavailable_partitions": sum(
             e.kind == "partition_unavailable" for e in failover_events),
-        replicas_seeded=replicas_seeded,
-        commits_shipped=replication.commits_shipped,
-        bytes_shipped=replication.bytes_shipped,
-        retry_summary=driver.retry_summary(),
-        events=list(cluster.timeline),
-        anomalies=anomalies,
-        history_stats=history_stats,
-        audited=config.audit,
+        "replicas_seeded": replicas_seeded,
+        "commits_shipped": ha.replication.commits_shipped,
+        "bytes_shipped": ha.replication.bytes_shipped,
+    })
+    return harness.Result(
+        f"Fig. 9 — failover at k={k}: crash at t=0, one data node killed",
+        counters, list(cluster.timeline), violations,
+        series={"qps": qps, "response_ms": response_ms},
     )
+
+
+def suite(runs: typing.Sequence[harness.Result]) -> harness.Result:
+    """The sweep's gate: k >= 2 promotes and stays available, k = 1
+    degrades gracefully, no k loses an acknowledged commit — audited or
+    not."""
+    ks = sorted(run.counters["run"]["k"] for run in runs)
+    claims = [" < ".join(f"k[{k}].replicas_seeded" for k in ks)]
+    for k in ks:
+        claims += [f"k[{k}].lost_commits == 0"] + (
+            ["k[1].promotions == 0", "k[1].unavailable_partitions > 0"]
+            if k == 1 else
+            [f"k[{k}].promotions > 0",
+             f"k[{k}].unavailable_partitions == 0",
+             f"k[{k}].committed_orders > 0",
+             f"k[{k}].detection_seconds >= 0",
+             f"k[{k}].failover_seconds >= 0"])
+    return harness.Result(
+        "Fig. 9 — the sweep over k = " + ", ".join(map(str, ks)), {}, [],
+        harness.shape_violations(
+            "Fig. 9", {"k": harness.by_run_key(runs, "k")}, claims))
 
 
 def quick_fig9_config() -> Fig9Config:

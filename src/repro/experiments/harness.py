@@ -1,24 +1,105 @@
 """What the experiments used to paste from each other, as plain
-functions: the shape-claim checker behind every figure's ``violations``,
-TPC-C cluster build, acknowledged-NewOrder oracle, audit epilogue and
-footer, admission conservation gate, ``kv`` writer and readback, the
-Fig. 1/2 micro table.  Each experiment still wires its own processes —
-their start order is part of the determinism contract."""
+functions: the sweeps' :class:`Result` record and its :func:`snapshot`,
+the shape-claim checker behind every ``violations``, TPC-C cluster
+build, the HA build of fig9 and torture with its acknowledged-NewOrder
+oracle, the open-loop run of elasticity and read-scaling with its
+admission gate, audit epilogue, ``kv`` writer and readback, the Fig. 1/2
+micro table.  Each experiment still starts its own processes — their
+start order is part of the determinism contract."""
 
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
+import types
 import typing
 
 from repro.cluster.cluster import Cluster
 from repro.engine import ExecContext, TableScan
 from repro.errors import TransientError
+from repro.ha import (
+    FailoverCoordinator,
+    FailureDetector,
+    FaultInjector,
+    PlacementPolicy,
+    ReplicationManager,
+)
+from repro.metrics.report import (
+    render_counters,
+    render_series_table,
+    render_slo_table,
+    render_timeline,
+)
 from repro.sim.engine import Environment
 from repro.storage.record import Column, Schema
 from repro.storage.segment import Segment
-from repro.workload import load_tpcc, start_vacuum_daemon
+from repro.workload import (
+    TpccConfig,
+    TpccContext,
+    WorkloadDriver,
+    load_tpcc,
+    start_vacuum_daemon,
+)
 from repro.workload.tpcc_gen import fast_insert
+
+
+# -- one run of a sweep, as the paper reports a run --------------------------
+@dataclasses.dataclass
+class Result:
+    """What the components counted (``{name: stats()}``, the run's own
+    derived scalars under ``"run"``, ``"audit"`` only when the run was
+    audited), the slice of ``Cluster.timeline`` the run is about, the
+    claims that did not hold, and any bucketed series.  Plain data:
+    picklable for ``run_tasks``."""
+
+    title: str
+    counters: dict[str, dict]
+    timeline: list
+    violations: list[str]
+    #: ``{name: [(t, value)]}`` on shared bucket starts.
+    series: dict[str, list] = dataclasses.field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_table(self) -> str:
+        parts = [self.title]
+        if self.series:
+            parts.append(render_series_table(self.series))
+        parts += [render_slo_table(stats, title=name) if name == "tenants"
+                  else render_counters(name, stats)
+                  for name, stats in self.counters.items()]
+        if self.timeline:
+            parts.append(render_timeline("timeline", self.timeline))
+        return "\n".join(parts + [f"VIOLATION: {v}" for v in self.violations])
+
+
+class OpenLoopResult(Result):
+    """Elasticity's and read-scaling's record.  ``perfledger/`` resolves
+    these names on the class, so they stay read-only views of the
+    counters."""
+
+    offered = property(lambda self: self.counters["admission"]["offered"])
+    completed = property(
+        lambda self: self.counters["admission"]["completed"])
+    view_checkpoints_matched = property(
+        lambda self: self.counters["run"].get("view_checkpoints_matched", 0))
+
+
+def snapshot(**components) -> dict[str, dict]:
+    """``{name: component.stats()}``: counters as the components name
+    them."""
+    return {name: component.stats() for name, component in components.items()}
+
+
+def by_run_key(runs, key: str) -> dict:
+    """``{run's counters["run"][key]: its scalars as attributes}`` — the
+    names a cross-run claim reads (``k[2].lost_commits``,
+    ``static.energy_joules``)."""
+    return {run.counters["run"][key]: types.SimpleNamespace(
+        **run.counters["run"]) for run in runs}
 
 
 # -- the paper's shapes, in the sweeps' ``violations`` dialect -----------------
@@ -66,7 +147,87 @@ def tpcc_cluster(seed: int, tpcc, *, owners, load_segment_max_pages,
     return env, cluster
 
 
-# -- acknowledged-commit durability (fig9, torture) -------------------------
+# -- the HA build and acknowledged-commit durability (fig9, torture) ---------
+#: Heartbeat cadence of the HA runs' cluster monitor.
+HA_MONITOR_INTERVAL = 1.0
+#: The HA runs' default TPC-C.
+HA_TPCC = TpccConfig(
+    warehouses=6, districts_per_warehouse=4, customers_per_district=20,
+    items=200, orders_per_district=10, order_lines_per_order=5,
+)
+
+
+@dataclasses.dataclass
+class HaTpcc:
+    """An HA run's pieces, built and seeded, before any process starts."""
+
+    env: Environment
+    cluster: Cluster
+    replication: ReplicationManager
+    coordinator: FailoverCoordinator
+    detector: FailureDetector
+    injector: FaultInjector
+    driver: WorkloadDriver
+    #: ``(w, d, o_id)`` of every acknowledged NewOrder, as acknowledged.
+    committed: list
+    #: Workload start: after the replicas were seeded.
+    t_start: float
+
+
+def ha_tpcc(config, k: int) -> HaTpcc:
+    """TPC-C on ``config.data_nodes`` under k-way rack-aware replication,
+    a failover coordinator and a staleness detector, the replicas seeded,
+    and a closed-loop driver whose acknowledged NewOrders are remembered.
+    Nothing is started: the experiment schedules ``injector`` and starts
+    its processes."""
+    env, cluster = tpcc_cluster(
+        config.seed, config.tpcc, owners=config.data_nodes,
+        load_segment_max_pages=config.segment_max_pages,
+        monitor_interval=HA_MONITOR_INTERVAL,
+        node_count=config.node_count, initially_active=config.node_count,
+        buffer_pages_per_node=config.buffer_pages_per_node,
+        segment_max_pages=config.segment_max_pages,
+        lock_timeout=config.lock_timeout,
+    )
+    replication = ReplicationManager(
+        cluster, k=k,
+        policy=PlacementPolicy(cluster, rack_width=config.rack_width),
+    )
+    coordinator = FailoverCoordinator(cluster, replication)
+    detector = FailureDetector(cluster, coordinator,
+                               miss_threshold=config.miss_threshold)
+    env.run(until=env.process(replication.protect_all(), name="protect"))
+    # The workload RNG derives from the experiment seed so "same seed,
+    # same metrics" holds and different seeds genuinely differ.
+    driver = WorkloadDriver(
+        cluster, TpccContext(cluster, config.tpcc,
+                             rng=random.Random(config.seed * 7919 + 7)),
+        clients=config.clients, client_interval=config.client_interval,
+        power_sample_interval=config.bucket, audit=config.audit,
+    )
+    return HaTpcc(env, cluster, replication, coordinator, detector,
+                  FaultInjector(cluster), driver,
+                  remember_new_orders(driver), env.now)
+
+
+def ha_counters(ha: HaTpcc, run: dict) -> tuple[dict, list[str]]:
+    """What every HA run reports beside its own ``run`` scalars: the
+    acknowledged NewOrders and how many are lost, promotions, the client
+    retry ledger, the audit when recorded; returns ``(counters, audit
+    violations)``."""
+    retries = ha.driver.retry_summary()
+    by_class = retries.pop("retries_by_class")
+    counters = {
+        "run": {**run, "committed_orders": len(ha.committed),
+                "lost_commits": lost_new_orders(ha.cluster, ha.committed),
+                "promotions": len(ha.coordinator.promotions)},
+        "retries": retries,
+        "retries by class": by_class,
+    }
+    return counters, audit_violations(ha.driver.history, ha.cluster,
+                                      "post-run", counters)
+
+
 def remember_new_orders(driver) -> list[tuple[int, int, int]]:
     """Collect the ``(w, d, o_id)`` of every acknowledged NewOrder
     through the driver's completion listener; returns the live list."""
@@ -116,41 +277,115 @@ def audit_epilogue(recorder, cluster, label: str) -> tuple[list, dict]:
     return report.descriptions(), report.stats
 
 
-def render_anomaly_lines(results) -> list[str]:
-    """Sweep-table footer: a line per anomaly of each ``(label, result)``
-    and, if any run was audited, the evidence totals — so a truncated
-    recording is never mistaken for a proof."""
-    results = list(results)
-    lines = [f"{label}: ISOLATION ANOMALY: {anomaly}"
-             for label, result in results for anomaly in result.anomalies]
-    if any(result.audited for _label, result in results):
-        ops, dropped = (
-            sum(result.history_stats.get(key, 0) for _label, result in results)
-            for key in ("ops_recorded", "ops_dropped"))
-        lines.append(f"audit: {len(lines)} isolation anomalies over {ops} "
-                     f"recorded operations ({dropped} dropped)")
-    return lines
+def audit_violations(recorder, cluster, label: str, counters) -> list[str]:
+    """A :class:`Result`'s audit: the history's evidence as
+    ``counters["audit"]`` — so a truncated recording is never mistaken
+    for a proof — and an ``ISOLATION ANOMALY:`` violation per anomaly;
+    nothing when the run was not recorded."""
+    if recorder is None:
+        return []
+    anomalies, counters["audit"] = audit_epilogue(recorder, cluster, label)
+    return [f"ISOLATION ANOMALY: {anomaly}" for anomaly in anomalies]
 
 
-# -- open-loop admission conservation (elasticity, read-scaling) -------------
-def admission_violations(stats, min_requests: int, noun: str) -> list[str]:
-    """Every offered request is accounted for exactly once, and the
-    ``noun`` ("day", "run") offered at least ``min_requests``."""
-    offered, admitted = stats["offered"], stats["admitted"]
-    violations = []
-    if offered < min_requests:
-        violations.append(f"{noun} offered only {offered} logical requests "
-                          f"(target {min_requests})")
-    if offered != admitted + stats["rejected"] + stats["shed"]:
-        violations.append(
-            "admission leak: offered != admitted + rejected + shed "
-            f"({offered} != {admitted} + {stats['rejected']} + "
-            f"{stats['shed']})")
-    if admitted != stats["completed"] + stats["abandoned"]:
-        violations.append(
-            "drain leak: admitted != completed + abandoned "
-            f"({admitted} != {stats['completed']} + {stats['abandoned']})")
-    return violations
+# -- the open-loop run (elasticity, read-scaling) ----------------------------
+#: Every offered request is accounted for exactly once.
+ADMISSION_CLAIMS = ["offered >= min_requests",
+                    "offered == admitted + rejected + shed",
+                    "admitted == completed + abandoned"]
+
+
+def admission_violations(stats, min_requests: int, figure: str) -> list[str]:
+    """The admission gate: conservation, and at least ``min_requests``
+    offered."""
+    return shape_violations(figure, {**stats, "min_requests": min_requests},
+                            ADMISSION_CLAIMS)
+
+
+#: TPC-C of the open-loop runs: kept small, the padding does the disk
+#: work.
+OPEN_LOOP_TPCC = TpccConfig(
+    warehouses=8, districts_per_warehouse=4, customers_per_district=30,
+    items=200, orders_per_district=10, order_lines_per_order=4,
+    pad_blob_bytes=2048,
+)
+
+
+@dataclasses.dataclass
+class OpenLoop:
+    """An open-loop run's pieces, built, before any process starts."""
+
+    env: Environment
+    cluster: Cluster
+    engine: typing.Any
+    #: The history recorder, attached when ``config.audit``.
+    recorder: typing.Any
+
+
+def open_loop(config, tenants, *, owners, active: int) -> OpenLoop:
+    """The cluster both open-loop experiments run on, disk-bound on
+    purpose — :data:`OPEN_LOOP_TPCC` on ``owners``, one shared HDD
+    spindle per node, a small buffer pool, the vacuum daemon: the regime
+    the paper's wimpy nodes lived in — with ``active`` nodes powered,
+    the session engine over ``tenants`` and, when ``config.audit``, the
+    history recorder.  The experiment wires its own machinery next, then
+    :func:`drive_open_loop`."""
+    from repro.hardware import HDD_SPEC
+    from repro.traffic import SessionEngine
+
+    env, cluster = tpcc_cluster(
+        config.seed, OPEN_LOOP_TPCC, owners=owners,
+        load_segment_max_pages=config.load_segment_max_pages,
+        vacuum_interval=config.vacuum_interval,
+        node_count=config.node_count, initially_active=active,
+        disk_specs=(HDD_SPEC,), buffer_pages_per_node=192, page_bytes=8192,
+        segment_max_pages=64, lock_timeout=2.0,
+    )
+    engine = SessionEngine(
+        cluster, OPEN_LOOP_TPCC, tenants,
+        seed=config.seed, tick=config.tick, batch=config.batch,
+        executors=config.executors, queue_limit=config.queue_limit,
+        retry_budget=config.retry_budget,
+    )
+    recorder = None
+    if config.audit:
+        from repro.audit import HistoryRecorder
+
+        recorder = HistoryRecorder().attach(cluster)
+    return OpenLoop(env, cluster, engine, recorder)
+
+
+def drive_open_loop(run: OpenLoop, config, duration: float, sample,
+                    figure: str) -> tuple[dict, list[str]]:
+    """Start the power meter — ``sample(now, watts)`` after each reading,
+    a partition-table coverage snapshot before it when audited — then the
+    traffic, and run until the traffic has offered ``duration`` seconds.
+    Returns the engine's counters (``tenants``, ``admission``) and the
+    admission gate's violations."""
+    env, cluster, recorder = run.env, run.cluster, run.recorder
+    done: list[float] = []
+
+    def traffic():
+        yield from run.engine.run(duration)
+        done.append(env.now)
+
+    def meter_loop():
+        cluster.meter.sample()
+        if recorder is not None:
+            recorder.checkpoint_coverage(cluster.master.gpt, env.now, "start")
+        while not done:
+            yield env.timeout(config.power_sample_interval)
+            now, watts = cluster.meter.sample()
+            if recorder is not None:
+                recorder.checkpoint_coverage(cluster.master.gpt, now, "meter")
+            sample(now, watts)
+
+    env.process(meter_loop(), name="power-meter")
+    env.run(until=env.process(traffic(), name="traffic"))
+    counters = {"tenants": run.engine.tenant_report(),
+                **snapshot(admission=run.engine.admission)}
+    return counters, admission_violations(
+        counters["admission"], config.min_requests, figure)
 
 
 # -- the seeded ``kv`` table and its writers (chaos, endurance) ---------------

@@ -24,7 +24,7 @@ small buffer pool, one HDD per node): the primary baseline saturates
 its spindles while the read tier answers from memory, which is the
 throughput-per-watt argument in numbers.
 
-Invariants asserted (``ReadScalingResult.violations``):
+Invariants asserted (the result's ``violations``):
 
 1. the run offered at least ``min_requests`` logical requests and
    admission conservation held (offered = admitted + rejected + shed;
@@ -35,7 +35,7 @@ Invariants asserted (``ReadScalingResult.violations``):
    bit for bit (at least one checkpoint must have been taken);
 4. zero anomalies when ``--audit`` is on — including the read-tier
    checkers: staleness bounds, cache coherence, view equivalence;
-5. across modes (``compare_read_scaling``): replica mode completed
+5. across modes (:func:`compare`): replica mode completed
    more read requests per joule than the primary baseline.
 """
 
@@ -45,12 +45,6 @@ import dataclasses
 import typing
 
 from repro.experiments import harness
-from repro.metrics.report import (
-    render_counters,
-    render_slo_table,
-    render_table,
-)
-from repro.workload import TpccConfig
 
 #: Declared read-only tenant mix: the two TPC-C read profiles plus
 #: their materialized-view equivalents.
@@ -100,21 +94,11 @@ class ReadScalingConfig:
     #: ``replica`` (read tier installed) or ``primary`` (baseline).
     mode: str = "replica"
 
-    # Cluster — same disk-bound regime as the elasticity day: the
-    # baseline must pay seeks for its reads or there is nothing to
+    # Cluster — the open-loop disk-bound regime (harness.open_loop):
+    # the baseline must pay seeks for its reads or there is nothing to
     # scale away from.
     node_count: int = 4
-    buffer_pages_per_node: int = 192
-    page_bytes: int = 8192
-    segment_max_pages: int = 64
     load_segment_max_pages: int = 8
-    lock_timeout: float = 2.0
-
-    tpcc: TpccConfig = TpccConfig(
-        warehouses=8, districts_per_warehouse=4, customers_per_district=30,
-        items=200, orders_per_district=10, order_lines_per_order=4,
-        pad_blob_bytes=2048,
-    )
 
     # Traffic (``batch`` logical requests ride one executed
     # transaction).
@@ -135,7 +119,6 @@ class ReadScalingConfig:
     # Fault schedule (fractions of ``duration``): the sever and the
     # crash are spaced so each promotion completes before the next
     # fault.
-    faults: bool = True
     sever_at_fraction: float = 0.25
     restore_at_fraction: float = 0.40
     crash_at_fraction: float = 0.55
@@ -149,78 +132,18 @@ class ReadScalingConfig:
     min_requests: int = 40_000
 
 
-@dataclasses.dataclass
-class ReadScalingResult:
-    """One mode's outcome — plain data, picklable for run_tasks."""
+#: The record perfledger/ reads (``offered``, ``completed``, ``ok``,
+#: ``view_checkpoints_matched``).
+ReadScalingResult = harness.OpenLoopResult
 
-    mode: str
-    seed: int
-    violations: list[str]
-    offered: int
-    completed: int
-    #: Completed declared-read-only logical requests (the numerator of
-    #: the throughput-per-watt comparison).
-    reads_completed: int
-    admission: dict[str, int | float]
-    tenants: dict[str, dict[str, float | int]]
-    #: ``ReadTier.stats()`` ledgers (empty in primary mode).
-    tier_stats: dict[str, int | float]
-    energy_joules: float
-    wall_seconds: float
-    wall_events: int
-    faults_injected: list[str]
-    view_checkpoints: int
-    view_checkpoints_matched: int
-    anomalies: list[str] = dataclasses.field(default_factory=list)
-    history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
-    audited: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.anomalies
-
-    @property
-    def reads_per_kilojoule(self) -> float:
-        return 1000.0 * self.reads_completed / max(self.energy_joules, 1e-9)
-
-    def summary_row(self) -> list:
-        return [
-            self.mode, self.offered, self.completed, self.reads_completed,
-            round(self.energy_joules / 1000.0, 1),
-            round(self.reads_per_kilojoule, 1),
-            round(self.wall_seconds, 1),
-        ]
-
-    def to_table(self) -> str:
-        parts = [render_slo_table(
-            self.tenants,
-            title=(f"read-scaling [{self.mode}] — seed {self.seed}, "
-                   f"{self.offered} requests offered, "
-                   f"{self.energy_joules / 1000:.1f} kJ, "
-                   f"{self.reads_per_kilojoule:.1f} reads/kJ"),
-        )]
-        parts.append(render_counters(
-            f"[{self.mode}] admission control", self.admission))
-        if self.tier_stats:
-            parts.append(render_counters(
-                f"[{self.mode}] read tier", self.tier_stats))
-        if self.faults_injected:
-            parts.append(f"[{self.mode}] faults: "
-                         + "; ".join(self.faults_injected))
-        if self.view_checkpoints:
-            parts.append(
-                f"[{self.mode}] view checkpoints: "
-                f"{self.view_checkpoints_matched}/{self.view_checkpoints} "
-                f"matched recompute")
-        for violation in self.violations:
-            parts.append(f"READ-SCALING VIOLATION [{self.mode}]: {violation}")
-        for anomaly in self.anomalies:
-            parts.append(f"ISOLATION ANOMALY [{self.mode}]: {anomaly}")
-        return "\n".join(parts)
-
-
-SUMMARY_HEADERS = ["mode", "offered", "completed", "reads", "kJ",
-                   "reads/kJ", "wall s"]
+#: Replica mode's gates: the tier carried traffic on every path, the
+#: cache ledger balanced, and every quiesced view checkpoint matched a
+#: from-scratch recompute.
+TIER_CLAIMS = [
+    "replica_reads > 0", "cache_hits > 0", "cache_ledger_conserved == True",
+    "view_reads_order_status + view_reads_stock_level > 0",
+    "view_checkpoints > 0", "view_checkpoints_matched == view_checkpoints",
+]
 
 
 # -- tenants ----------------------------------------------------------------
@@ -257,8 +180,7 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
     from repro.ha.faults import FaultInjector
     from repro.ha.replication import ReplicationManager
     from repro.ha.scrub import ScrubDaemon, ScrubPolicy
-    from repro.hardware import HDD_SPEC
-    from repro.traffic import SessionEngine
+    from repro.storage.checksum import IntegrityError
 
     # Registers the ``*_view`` transaction bodies for both modes: with
     # no read tier installed they fall back to the primary read path,
@@ -270,17 +192,12 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
         config = dataclasses.replace(config, seed=seed)
     # Both modes spread the data across every (always-on) node: the
     # comparison isolates the read path, not placement.
-    env, cluster = harness.tpcc_cluster(
-        config.seed, config.tpcc, owners=None,
-        load_segment_max_pages=config.load_segment_max_pages,
-        vacuum_interval=config.vacuum_interval,
-        node_count=config.node_count, initially_active=config.node_count,
-        disk_specs=(HDD_SPEC,),
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        page_bytes=config.page_bytes,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
+    run = harness.open_loop(config, _tenants(config), owners=None,
+                            active=config.node_count)
+    env, cluster, recorder = run.env, run.cluster, run.recorder
+    if recorder is not None:
+        recorder.staleness_budget = float(config.lag_budget)
+        recorder.view_lag_bound = config.view_lag_bound
 
     # Both modes carry the same replication factor and failover
     # machinery — the crash in the fault schedule must be survivable
@@ -311,161 +228,87 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
         )
         env.process(tier.views.run(), name="view-refresh")
 
-    engine = SessionEngine(
-        cluster, config.tpcc, _tenants(config),
-        seed=config.seed, tick=config.tick, batch=config.batch,
-        executors=config.executors, queue_limit=config.queue_limit,
-        retry_budget=config.retry_budget,
-    )
-
-    recorder = None
-    if config.audit:
-        from repro.audit import HistoryRecorder
-
-        recorder = HistoryRecorder().attach(cluster)
-        recorder.staleness_budget = float(config.lag_budget)
-        recorder.view_lag_bound = config.view_lag_bound
-
-    if config.faults:
-        d = config.duration
-        injector = FaultInjector(cluster)
-        injector.crash_at(d * config.crash_at_fraction, CRASH_NODE)
-        injector.restart_at(d * config.restart_at_fraction, CRASH_NODE)
-        injector.bit_rot_at(d * BIT_ROT_AT_FRACTION, BIT_ROT_NODE)
-        injector.sever_link_at(d * config.sever_at_fraction, SEVER_NODE)
-        injector.restore_link_at(d * config.restore_at_fraction, SEVER_NODE)
-        env.process(injector.run(), name="fault-injector")
+    d = config.duration
+    injector = FaultInjector(cluster)
+    injector.crash_at(d * config.crash_at_fraction, CRASH_NODE)
+    injector.restart_at(d * config.restart_at_fraction, CRASH_NODE)
+    injector.bit_rot_at(d * BIT_ROT_AT_FRACTION, BIT_ROT_NODE)
+    injector.sever_link_at(d * config.sever_at_fraction, SEVER_NODE)
+    injector.restore_link_at(d * config.restore_at_fraction, SEVER_NODE)
+    env.process(injector.run(), name="fault-injector")
 
     checkpoint_matches: list[bool] = []
-    checkpoint_skips: list[str] = []
-    done: list[float] = []
 
     def try_view_checkpoint(label: str) -> None:
-        from repro.storage.checksum import IntegrityError
-
-        # The recompute side of a checkpoint scans pages, so it can
-        # trip over injected corruption the scrubber has not repaired
-        # yet.  That is detection working, not divergence: skip the
-        # attempt and let a post-repair checkpoint do the proving.
+        # A view checkpoint is only meaningful when no writer is
+        # mid-commit: commit timestamps are stamped at commit entry, so
+        # a recompute taken mid-commit would see rows the maintenance
+        # queue has not been fed yet.  The recompute scans pages, so it
+        # can trip over injected corruption the scrubber has not
+        # repaired yet.  That is detection working, not divergence:
+        # skip the attempt and let a post-repair checkpoint do the
+        # proving.
+        if tier is None or cluster.txns._committing:
+            return
         try:
             checkpoint_matches.append(
                 tier.views.checkpoint(label, env.now, recorder))
         except IntegrityError:
-            checkpoint_skips.append(label)
+            pass
 
-    def traffic():
-        yield from engine.run(config.duration)
-        done.append(env.now)
-
-    def meter_loop():
-        meter = cluster.meter
-        meter.sample()
-        if recorder is not None:
-            recorder.checkpoint_coverage(cluster.master.gpt, env.now,
-                                         "start")
-        while not done:
-            yield env.timeout(config.power_sample_interval)
-            meter.sample()
-            if recorder is not None:
-                recorder.checkpoint_coverage(cluster.master.gpt, env.now,
-                                             "meter")
-            # A view checkpoint is only meaningful when no writer is
-            # mid-commit: commit timestamps are stamped at commit
-            # entry, so a recompute taken mid-commit would see rows
-            # the maintenance queue has not been fed yet.
-            if tier is not None and not cluster.txns._committing:
-                try_view_checkpoint(f"meter-{env.now:.0f}")
-
-    env.process(meter_loop(), name="power-meter")
-    env.run(until=env.process(traffic(), name="traffic"))
+    counters, violations = harness.drive_open_loop(
+        run, config, config.duration,
+        lambda now, _watts: try_view_checkpoint(f"meter-{now:.0f}"),
+        "read-scaling")
     scrub.stop()
     cluster.meter.sample()
-    if tier is not None and not cluster.txns._committing:
-        try_view_checkpoint("final")
+    try_view_checkpoint("final")
 
-    anomalies, history_stats = harness.audit_epilogue(recorder, cluster, "end")
-
-    # -- invariants ------------------------------------------------------
-    stats = engine.admission.stats()
-    violations = harness.admission_violations(stats, config.min_requests,
-                                              "run")
-
-    tier_stats: dict[str, int | float] = {}
+    reads = sum(int(row.get("read_requests") or 0)
+                for row in counters["tenants"].values())
+    energy = cluster.energy_joules()
+    counters = {"run": {
+        "seed": config.seed, "mode": config.mode,
+        # Completed declared-read-only logical requests: the numerator
+        # of the throughput-per-watt comparison.
+        "reads_completed": reads, "energy_joules": energy,
+        "reads_per_kilojoule": 1000.0 * reads / max(energy, 1e-9),
+        "sim_seconds": env.now,
+        "view_checkpoints": len(checkpoint_matches),
+        "view_checkpoints_matched": sum(checkpoint_matches),
+    }, **counters}
     if tier is not None:
-        tier_stats = tier.stats()
-        if tier.replica_reads_total == 0:
-            violations.append("replica path never served a read")
-        if tier_stats.get("cache_hits", 0) == 0:
-            violations.append("distributed cache never served a hit")
-        if not tier.cache.ledger_conserved():
-            violations.append(
-                "cache ledger leak: lookups != hits + misses, or fills "
-                "not accounted as accepted + rejected"
-            )
-        view_reads = (tier_stats.get("view_reads_order_status", 0)
-                      + tier_stats.get("view_reads_stock_level", 0))
-        if view_reads == 0:
-            violations.append("materialized views never served a read")
-        if not checkpoint_matches:
-            violations.append("no quiesced view checkpoint was taken")
-        elif not all(checkpoint_matches):
-            diverged = len(checkpoint_matches) - sum(checkpoint_matches)
-            violations.append(
-                f"{diverged} view checkpoint(s) diverged from a "
-                f"from-scratch recompute"
-            )
-    for anomaly in anomalies:
-        violations.append(f"ISOLATION ANOMALY: {anomaly}")
-
-    tenants_report = engine.tenant_report()
-    reads_completed = sum(
-        int(row.get("read_requests") or 0)
-        for row in tenants_report.values()
-    )
-
-    faults_injected = [f"t={e.time:.0f}s {e.kind} node {e.node_id}"
-                       for e in cluster.timeline if e.source == "fault"]
-
+        counters["run"].update(
+            replica_reads=tier.replica_reads_total,
+            cache_ledger_conserved=tier.cache.ledger_conserved())
+        counters["read tier"] = tier.stats()
+        violations += harness.shape_violations(
+            "read-scaling", {**counters["read tier"], **counters["run"]},
+            TIER_CLAIMS)
+    violations += harness.audit_violations(recorder, cluster, "end",
+                                           counters)
     return ReadScalingResult(
-        mode=config.mode,
-        seed=config.seed,
-        violations=violations,
-        offered=stats["offered"],
-        completed=stats["completed"],
-        reads_completed=reads_completed,
-        admission=stats,
-        tenants=tenants_report,
-        tier_stats=tier_stats,
-        energy_joules=cluster.energy_joules(),
-        wall_seconds=env.now,
-        wall_events=env.events_processed,
-        faults_injected=faults_injected,
-        view_checkpoints=len(checkpoint_matches),
-        view_checkpoints_matched=sum(checkpoint_matches),
-        anomalies=anomalies,
-        history_stats=history_stats,
-        audited=config.audit,
-    )
+        f"read-scaling [{config.mode}] — seed {config.seed}, "
+        f"{counters['admission']['offered']} requests offered, "
+        f"{energy / 1000:.1f} kJ, "
+        f"{counters['run']['reads_per_kilojoule']:.1f} reads/kJ",
+        counters, list(cluster.timeline), violations)
 
 
-# -- the cross-mode gate ----------------------------------------------------
-
-def compare_read_scaling(
-        results: typing.Sequence[ReadScalingResult]) -> list[str]:
-    """The acceptance gate: replica mode must complete more reads per
+def compare(runs: typing.Sequence[ReadScalingResult]) -> harness.Result:
+    """The cross-mode gate: replica mode must complete more reads per
     joule than the primary baseline under the same seed and faults."""
-    by_mode = {result.mode: result for result in results}
-    violations: list[str] = []
-    if "replica" in by_mode and "primary" in by_mode:
-        replica, primary = by_mode["replica"], by_mode["primary"]
-        if replica.reads_per_kilojoule <= primary.reads_per_kilojoule:
-            violations.append(
-                f"no read scaling: replica "
-                f"{replica.reads_per_kilojoule:.1f} reads/kJ <= primary "
-                f"{primary.reads_per_kilojoule:.1f} reads/kJ "
-                f"(seed {replica.seed})"
-            )
-    return violations
+    modes = harness.by_run_key(runs, "mode")
+    replica, primary = modes["replica"], modes["primary"]
+    return harness.Result(
+        f"read throughput per watt: replica "
+        f"{replica.reads_per_kilojoule:.1f} reads/kJ vs primary "
+        f"{primary.reads_per_kilojoule:.1f} reads/kJ — "
+        f"{replica.reads_per_kilojoule / primary.reads_per_kilojoule:.2f}x "
+        "from the read tier", {}, [],
+        harness.shape_violations(
+            f"read-scaling (seed {replica.seed})", modes,
+            ["replica.reads_per_kilojoule > primary.reads_per_kilojoule"]))
 
 
 # -- configurations ---------------------------------------------------------
@@ -482,29 +325,3 @@ def full_read_scaling_config() -> ReadScalingConfig:
         min_requests=200_000,
         power_sample_interval=15.0,
     )
-
-
-def render_read_scaling(
-        results: typing.Sequence[ReadScalingResult]) -> str:
-    """Render the mode suite plus the throughput-per-watt comparison."""
-    parts = [render_table(
-        SUMMARY_HEADERS, [result.summary_row() for result in results],
-        title=(f"read scaling — seed "
-               f"{results[0].seed if results else '?'}"),
-    )]
-    parts += [result.to_table() for result in results]
-    by_mode = {result.mode: result for result in results}
-    if "replica" in by_mode and "primary" in by_mode:
-        replica, primary = by_mode["replica"], by_mode["primary"]
-        if primary.reads_per_kilojoule > 0:
-            gain = (replica.reads_per_kilojoule
-                    / primary.reads_per_kilojoule)
-            parts.append(
-                f"read throughput per watt: replica "
-                f"{replica.reads_per_kilojoule:.1f} reads/kJ vs primary "
-                f"{primary.reads_per_kilojoule:.1f} reads/kJ — "
-                f"{gain:.2f}x from the read tier"
-            )
-    for violation in compare_read_scaling(results):
-        parts.append(f"READ-SCALING VIOLATION: {violation}")
-    return "\n\n".join(parts)

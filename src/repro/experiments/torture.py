@@ -19,9 +19,9 @@ them simultaneously and gates on the hardening holding up end to end:
 * **gray detection beats the SLO** — the latency-outlier detector
   flags the limping node (``suspect``) no later than the end of the
   first workload bucket whose p99 breaches the SLO;
-* **determinism** — the same seed reproduces the same fingerprint
-  (committed counts, corruption ledger, detector events), checked by
-  the CLI's rerun and the smoke tests.
+* **determinism** — the same seed reproduces the same counters
+  (committed counts, corruption ledger, detector and scrub stats),
+  checked by the CLI's rerun and the smoke tests.
 
 With ``audit=True`` the full operation history is recorded and the
 isolation checkers (:mod:`repro.audit`) run post-hoc — a garbled value
@@ -32,38 +32,20 @@ even if every other gate passed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import typing
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.monitor import GrayFailureDetector
 from repro.experiments import harness
-from repro.ha import (
-    FailoverCoordinator,
-    FailureDetector,
-    FaultInjector,
-    PlacementPolicy,
-    ReplicationManager,
-    ScrubDaemon,
-    ScrubPolicy,
-)
-from repro.metrics.report import (
-    render_counters,
-    render_retry_lines,
-    render_table,
-)
+from repro.ha import FaultInjector, ScrubDaemon, ScrubPolicy
 from repro.index.partition_tree import Forwarding
 from repro.metrics.series import percentile
 from repro.storage.checksum import IntegrityError
-from repro.workload import (
-    TpccConfig,
-    TpccContext,
-    WorkloadDriver,
-    start_vacuum_daemon,
-)
+from repro.workload import TpccConfig, start_vacuum_daemon
 
 
-MONITOR_INTERVAL = 1.0
 SCRUB_INTERVAL = 5.0
 SCRUB_PAGES_PER_TICK = 256
 #: The limping node's disk serves I/O this many times slower.
@@ -85,11 +67,7 @@ class TortureConfig:
     nodes at seeded times.
     """
 
-    tpcc: TpccConfig = dataclasses.field(default_factory=lambda: TpccConfig(
-        warehouses=6, districts_per_warehouse=4,
-        customers_per_district=20, items=200, orders_per_district=10,
-        order_lines_per_order=5,
-    ))
+    tpcc: TpccConfig = harness.HA_TPCC
     clients: int = 8
     client_interval: float = 0.3
 
@@ -104,7 +82,6 @@ class TortureConfig:
 
     # Failure detection (staleness + gray).
     miss_threshold: int = 3
-    restore_threshold: int = 2
     score_threshold: float = 3.0
     clear_threshold: float = 1.5
     suspect_strikes: int = 2
@@ -131,78 +108,18 @@ class TortureConfig:
     audit: bool = False
 
 
-@dataclasses.dataclass
-class TortureResult:
-    """One seeded torture run and its gate verdicts."""
-
-    seed: int
-    committed_orders: int
-    lost_commits: int
-    corruptions_injected: int
-    #: Human-readable descriptions of every unresolved corruption
-    #: (empty = the integrity gate passed).
-    unresolved: list[str]
-    torn_txns_committed: int
-    scrub_stats: dict[str, int]
-    gray_stats: dict[str, int]
-    gray_suspects: int
-    gray_quarantines: int
-    gray_drains: int
-    #: Seconds after the slow-disk onset at which the limping node was
-    #: first flagged suspect (None = never flagged).
-    limping_flagged_after: float | None
-    #: Seconds after onset at which a bucket's p99 first breached the
-    #: SLO, observed at bucket end (None = never breached).
-    slo_breached_after: float | None
-    detection_ok: bool
-    p99_ms: float
-    mean_qps: float
-    integrity_errors_surfaced: int
-    promotions: int
-    fenced_partitions: int
-    retry_summary: dict[str, typing.Any]
-    fingerprint: str
-    anomalies: list[str] = dataclasses.field(default_factory=list)
-    history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
-    audited: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return (self.lost_commits == 0
-                and not self.unresolved
-                and self.torn_txns_committed == 0
-                and self.detection_ok
-                and not self.anomalies)
-
-    def to_row(self) -> list:
-        return [
-            self.seed,
-            self.committed_orders,
-            self.lost_commits,
-            self.corruptions_injected,
-            len(self.unresolved),
-            self.scrub_stats.get("repaired", 0),
-            self.scrub_stats.get("fenced", 0) + self.fenced_partitions,
-            self.gray_suspects,
-            self.gray_drains,
-            (None if self.limping_flagged_after is None
-             else round(self.limping_flagged_after, 1)),
-            (None if self.slo_breached_after is None
-             else round(self.slo_breached_after, 1)),
-            round(self.p99_ms, 1),
-            "PASS" if self.ok else "FAIL",
-        ]
-
-
-HEADERS = ["seed", "commits", "lost", "corrupt", "unresolved", "repaired",
-           "fenced", "suspects", "drains", "flag(s)", "breach(s)",
-           "p99 ms", "gate"]
+#: The run's gates over ``counters["run"]``: no acknowledged NewOrder
+#: lost, every injected corruption resolved, no torn transaction
+#: committed, and the limping node flagged no later than the first SLO
+#: breach (``inf``: none).
+CLAIMS = ["lost_commits == 0", "unresolved_corruptions == 0",
+          "torn_txns_committed == 0",
+          "limping_flagged_after <= slo_breached_after"]
 
 
 def _schedule_faults(injector: FaultInjector, config: TortureConfig,
-                     t_start: float) -> tuple[int, int, int]:
-    """Install the full gray-fault mix; returns the (limping, flaky,
-    torn) node roles."""
+                     t_start: float) -> int:
+    """Install the full gray-fault mix; returns the limping node."""
     limping = config.data_nodes[-1]
     flaky = config.data_nodes[1] if len(config.data_nodes) > 1 \
         else config.data_nodes[0]
@@ -229,7 +146,7 @@ def _schedule_faults(injector: FaultInjector, config: TortureConfig,
         at = t_start + rng.uniform(lo, min(hi, config.duration - 5.0))
         node = rng.choice(list(config.data_nodes))
         injector.bit_rot_at(at, node)
-    return limping, flaky, torn
+    return limping
 
 
 def _torn_txns_committed(cluster: Cluster, injector: FaultInjector) -> int:
@@ -324,188 +241,103 @@ def _unresolved_corruptions(cluster: Cluster,
 
 
 def run_torture(config: TortureConfig | None = None,
-                seed: int | None = None) -> TortureResult:
+                seed: int | None = None) -> harness.Result:
     """One seeded torture run."""
     config = config or TortureConfig()
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    env, cluster = harness.tpcc_cluster(
-        config.seed, config.tpcc, owners=config.data_nodes,
-        load_segment_max_pages=config.segment_max_pages,
-        monitor_interval=MONITOR_INTERVAL,
-        node_count=config.node_count, initially_active=config.node_count,
-        buffer_pages_per_node=config.buffer_pages_per_node,
-        segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
-    )
-
-    replication = ReplicationManager(
-        cluster, k=config.k,
-        policy=PlacementPolicy(cluster, rack_width=config.rack_width),
-    )
-    coordinator = FailoverCoordinator(cluster, replication)
-    detector = FailureDetector(
-        cluster, coordinator, miss_threshold=config.miss_threshold,
-        restore_threshold=config.restore_threshold,
-    )
+    ha = harness.ha_tpcc(config, config.k)
+    env, cluster = ha.env, ha.cluster
     gray = GrayFailureDetector(
-        cluster, coordinator,
+        cluster, ha.coordinator,
         score_threshold=config.score_threshold,
         clear_threshold=config.clear_threshold,
         suspect_strikes=config.suspect_strikes,
         quarantine_strikes=config.quarantine_strikes,
         clear_polls=config.clear_polls,
     )
-
-    env.run(until=env.process(replication.protect_all(), name="protect"))
-    t_start = env.now
-    t_end = t_start + config.duration
-
-    injector = FaultInjector(cluster)
-    limping, _flaky, _torn = _schedule_faults(injector, config, t_start)
-
+    t_end = ha.t_start + config.duration
+    limping = _schedule_faults(ha.injector, config, ha.t_start)
     scrub = ScrubDaemon(
-        cluster, replication, coordinator,
+        cluster, ha.replication, ha.coordinator,
         policy=ScrubPolicy(interval=SCRUB_INTERVAL,
                            pages_per_tick=SCRUB_PAGES_PER_TICK),
         until=t_end,
     )
 
-    ctx = TpccContext(cluster, config.tpcc,
-                      rng=random.Random(config.seed * 7919 + 7))
-    driver = WorkloadDriver(
-        cluster, ctx, clients=config.clients,
-        client_interval=config.client_interval,
-        power_sample_interval=config.bucket,
-        audit=config.audit,
-    )
-    committed = harness.remember_new_orders(driver)
-
     start_vacuum_daemon(cluster, interval=config.vacuum_interval,
                         until=t_end)
     scrub.start()
     env.process(cluster.monitor.run(), name="monitor")
-    env.process(detector.run(), name="failure-detector")
+    env.process(ha.detector.run(), name="failure-detector")
     env.process(gray.run(), name="gray-detector")
-    env.process(injector.run(), name="fault-injector")
-    workload = env.process(driver.run(config.duration), name="workload")
-    env.run(until=workload)
+    env.process(ha.injector.run(), name="fault-injector")
+    env.run(until=env.process(ha.driver.run(config.duration),
+                              name="workload"))
 
     # -- gates -------------------------------------------------------------
-    lost = harness.lost_new_orders(cluster, committed)
-    unresolved = _unresolved_corruptions(cluster, injector)
-    torn_committed = _torn_txns_committed(cluster, injector)
-
-    slow_abs = t_start + config.slow_disk_at
+    unresolved = _unresolved_corruptions(cluster, ha.injector)
+    slow_abs = ha.t_start + config.slow_disk_at
     flagged = next((e.time for e in cluster.timeline
                     if e.source == "gray" and e.kind == "suspect"
                     and e.node_id == limping), None)
-    flagged_after = None if flagged is None else flagged - slow_abs
-    breach_after = None
-    start = t_start
+    # Seconds after the slow-disk onset at which a bucket's p99 first
+    # breached the SLO.
+    breach_after = math.inf
+    start = ha.t_start
     while start < t_end:
-        values = driver.response_times.between(start, start + config.bucket)
+        values = ha.driver.response_times.between(start,
+                                                  start + config.bucket)
         bucket_end = start + config.bucket
         if values and bucket_end > slow_abs \
                 and percentile(values, 99.0) > config.slo_p99_ms:
             breach_after = bucket_end - slow_abs
             break
         start += config.bucket
-    detection_ok = flagged_after is not None and (
-        breach_after is None or flagged_after <= breach_after
+    latencies = ha.driver.response_times.between(ha.t_start, t_end)
+
+    counters, violations = harness.ha_counters(ha, {
+        "seed": config.seed,
+        "corruptions_injected": len(ha.injector.corruptions),
+        "unresolved_corruptions": len(unresolved),
+        "torn_txns_committed": _torn_txns_committed(cluster, ha.injector),
+        "limping_flagged_after": (None if flagged is None
+                                  else flagged - slow_abs),
+        "slo_breached_after": breach_after,
+        "p99_ms": percentile(latencies, 99.0) if latencies else 0.0,
+        "mean_qps": ha.driver.total_completed / config.duration,
+        "conflicts": ha.driver.conflicts,
+        "integrity_errors_surfaced": ha.replication.integrity_failures
+        + ha.coordinator.integrity_fallbacks + scrub.corruptions_found,
+        "fenced_partitions": ha.coordinator.fenced,
+        "torn_discarded": ha.coordinator.torn_discarded,
+    })
+    counters.update(harness.snapshot(scrub=scrub, gray=gray))
+    return harness.Result(
+        f"torture — seed {config.seed}: TPC-C under bit rot, torn writes, "
+        "slow disks, flaky links",
+        counters, list(cluster.timeline),
+        unresolved + harness.shape_violations("torture", counters["run"],
+                                              CLAIMS) + violations,
     )
-
-    latencies = driver.response_times.between(t_start, t_end)
-    p99 = percentile(latencies, 99.0) if latencies else 0.0
-    mean_qps = driver.total_completed / config.duration
-
-    anomalies, history_stats = harness.audit_epilogue(
-        driver.history, cluster, "post-run")
-
-    fingerprint = repr((
-        config.seed, len(committed), driver.total_completed,
-        driver.total_failed, driver.total_abandoned, driver.conflicts,
-        lost, len(injector.corruptions), torn_committed,
-        tuple(sorted(scrub.stats().items())),
-        gray.suspects, gray.quarantines, gray.drains, gray.clears,
-        len(coordinator.promotions), coordinator.fenced,
-        coordinator.torn_discarded, replication.integrity_failures,
-        round(p99, 9), round(mean_qps, 9),
-    ))
-
-    return TortureResult(
-        seed=config.seed,
-        committed_orders=len(committed),
-        lost_commits=lost,
-        corruptions_injected=len(injector.corruptions),
-        unresolved=unresolved,
-        torn_txns_committed=torn_committed,
-        scrub_stats=scrub.stats(),
-        gray_stats=gray.stats(),
-        gray_suspects=gray.suspects,
-        gray_quarantines=gray.quarantines,
-        gray_drains=gray.drains,
-        limping_flagged_after=flagged_after,
-        slo_breached_after=breach_after,
-        detection_ok=detection_ok,
-        p99_ms=p99,
-        mean_qps=mean_qps,
-        integrity_errors_surfaced=replication.integrity_failures
-        + coordinator.integrity_fallbacks + scrub.corruptions_found,
-        promotions=len(coordinator.promotions),
-        fenced_partitions=coordinator.fenced,
-        retry_summary=driver.retry_summary(),
-        fingerprint=fingerprint,
-        anomalies=anomalies,
-        history_stats=history_stats,
-        audited=config.audit,
-    )
-
-
-def render_torture(results: typing.Sequence[TortureResult]) -> str:
-    rows = [r.to_row() for r in results]
-    table = render_table(
-        HEADERS, rows,
-        title="Torture — TPC-C under bit rot, torn writes, slow disks, "
-              "flaky links",
-    )
-    lines = [table]
-    for r in results:
-        for problem in r.unresolved:
-            lines.append(f"seed={r.seed}: UNRESOLVED: {problem}")
-        if r.torn_txns_committed:
-            lines.append(f"seed={r.seed}: TORN TXN COMMITTED "
-                         f"({r.torn_txns_committed} rows)")
-        if not r.detection_ok:
-            lines.append(
-                f"seed={r.seed}: gray detector missed the limping node "
-                f"(flagged: {r.limping_flagged_after}, "
-                f"SLO breach: {r.slo_breached_after})"
-            )
-    lines += render_retry_lines(
-        (f"seed={r.seed}", r.retry_summary["retries_by_class"])
-        for r in results)
-    lines += harness.render_anomaly_lines(
-        (f"seed={r.seed}", r) for r in results)
-    for r in results:
-        lines.append("")
-        lines.append(render_counters(f"scrub summary (seed {r.seed})",
-                                     r.scrub_stats))
-        lines.append(render_counters(
-            f"gray-failure detector (seed {r.seed})", r.gray_stats))
-    return "\n".join(lines)
 
 
 def rerun_gate(config: TortureConfig,
-               results: typing.Sequence[TortureResult]
-               ) -> tuple[list[str], bool]:
-    """Determinism gate: rerun the first seed and demand a bit-identical
-    metrics fingerprint.  Returns ``(report lines, failed)``."""
-    first = results[0]
-    same = run_torture(config, seed=first.seed).fingerprint \
-        == first.fingerprint
-    return (["determinism: seed %d rerun fingerprint %s"
-             % (first.seed, "MATCHES" if same else "DIVERGES")], not same)
+               runs: typing.Sequence[harness.Result]) -> harness.Result:
+    """Determinism gate: rerun the first seed and demand identical
+    counters."""
+    first = runs[0].counters
+    seed = first["run"]["seed"]
+    again = run_torture(config, seed=seed).counters
+    differing = sorted(name for name in first.keys() | again.keys()
+                       if first.get(name) != again.get(name))
+    rerun = {"seed": seed, "differing_counter_groups": len(differing)}
+    return harness.Result(
+        f"torture — determinism: seed {seed} rerun "
+        + (f"DIVERGES in {', '.join(differing)}" if differing else "MATCHES"),
+        {"rerun": rerun}, [],
+        harness.shape_violations("torture", rerun,
+                                 ["differing_counter_groups == 0"]))
 
 
 def quick_torture_config() -> TortureConfig:

@@ -35,6 +35,10 @@ import json
 import pathlib
 
 from repro.experiments import (
+    chaos_moves,
+    elasticity,
+    fig9_failover,
+    read_scaling,
     run_fig1,
     run_fig2,
     run_fig3,
@@ -43,35 +47,18 @@ from repro.experiments import (
     run_power_validation,
     run_scale_in,
 )
-from repro.experiments.chaos_moves import (
-    ChaosConfig,
-    ChaosSuiteResult,
-    render_chaos,
-    run_chaos,
-)
-from repro.experiments.elasticity import (
-    ElasticityConfig,
-    render_elasticity,
-    run_elasticity,
-)
+from repro.experiments.chaos_moves import ChaosConfig, run_chaos
+from repro.experiments.elasticity import ElasticityConfig, run_elasticity
 from repro.experiments.endurance import quick_endurance_config, run_endurance
 from repro.experiments.fig2_offloading import QUICK_FIG2
 from repro.experiments.fig3_mvcc import quick_fig3_config
 from repro.experiments.fig6_schemes import Fig6Config, quick_fig6_config
 from repro.experiments.fig7_breakdown import fig7_from_cells
 from repro.experiments.fig8_helper import Fig8Result
-from repro.experiments.fig9_failover import Fig9Result, quick_fig9_config
+from repro.experiments.fig9_failover import quick_fig9_config
 from repro.experiments.parallel import run_tasks
-from repro.experiments.read_scaling import (
-    ReadScalingConfig,
-    render_read_scaling,
-    run_read_scaling,
-)
-from repro.experiments.torture import (
-    quick_torture_config,
-    render_torture,
-    run_torture,
-)
+from repro.experiments.read_scaling import ReadScalingConfig, run_read_scaling
+from repro.experiments.torture import quick_torture_config, run_torture
 from repro.sim.engine import Environment
 from repro.workload import TpccConfig
 
@@ -108,19 +95,26 @@ def _per_mode(run, config, modes) -> list:
     return [run(dataclasses.replace(config, mode=mode)) for mode in modes]
 
 
-def _fig9_sweep(config) -> Fig9Result:
-    return Fig9Result(config, {k: run_fig9_single(k, config)
-                               for k in config.replication_factors})
+def _fig9_sweep(config) -> list:
+    return [run_fig9_single(k, config) for k in config.replication_factors]
 
 
-def chaos_sweep(seeds, config: ChaosConfig, jobs: int = 1) -> ChaosSuiteResult:
+def chaos_sweep(seeds, config: ChaosConfig, jobs: int = 1) -> list:
     """One run per seed, the way the CLI's ``chaos`` sweeps them."""
-    return ChaosSuiteResult(config, run_tasks(
-        [(run_chaos, (config,), {"seed": seed}) for seed in seeds], jobs=jobs))
+    return run_tasks(
+        [(run_chaos, (config,), {"seed": seed}) for seed in seeds], jobs=jobs)
 
 
 def _table(result) -> str:
     return result.to_table()
+
+
+def _with_gate(gate):
+    """A sweep group's report as the CLI prints it: every run's table,
+    then the group gate's."""
+    def render(runs) -> str:
+        return "\n\n".join(result.to_table() for result in [*runs, gate(runs)])
+    return render
 
 
 #: ``family -> (run, render)``.  Figs. 7 and 8 are derived from two of
@@ -144,18 +138,21 @@ FAMILIES = {
     "fig8": (lambda: Fig8Result(result_of("fig6_physiological"),
                                 result_of("fig6_helper")), _table),
     "scale_in": (run_scale_in, _table),
-    "fig9": (lambda: _fig9_sweep(quick_fig9_config()), _table),
-    "chaos": (lambda: chaos_sweep((0, 1, 2), ChaosConfig()), render_chaos),
+    "fig9": (lambda: _fig9_sweep(quick_fig9_config()),
+             _with_gate(fig9_failover.suite)),
+    "chaos": (lambda: chaos_sweep((0, 1, 2), ChaosConfig()),
+              _with_gate(chaos_moves.suite)),
     "endurance": (
         lambda: run_endurance(quick_endurance_config(), seed=0), _table),
     "elasticity": (
         lambda: _per_mode(run_elasticity, ELASTICITY_SMOKE,
-                          ("autoscale", "static")), render_elasticity),
+                          ("autoscale", "static")),
+        _with_gate(elasticity.compare)),
     "read_scaling": (
         lambda: _per_mode(run_read_scaling, READ_SCALING_SMOKE,
-                          ("replica", "primary")), render_read_scaling),
-    "torture": (lambda: run_torture(quick_torture_config(), seed=0),
-                lambda result: render_torture([result])),
+                          ("replica", "primary")),
+        _with_gate(read_scaling.compare)),
+    "torture": (lambda: run_torture(quick_torture_config(), seed=0), _table),
 }
 
 _PLAIN_INIT = Environment.__init__
@@ -273,18 +270,17 @@ def chaos_fingerprint(config: ChaosConfig | None = None) -> dict:
     instrument = _checkpointer(checkpoints)
     result = run_chaos(config, instrument=instrument)
     env = instrument.env
+    run = result.counters["run"]
     return _normalise({
         "checkpoints": checkpoints,
         "end_time": env.now,
         "events_processed": env.events_processed,
         "violations": result.violations,
-        "faults": result.faults,
-        "move_summary": result.move_summary,
-        "resumed_move_completed": result.resumed_move_completed,
-        "acked_writes": result.acked_writes,
-        "exhausted_writes": result.exhausted_writes,
-        "degraded_steps": result.degraded_steps,
-        "resume_rounds_used": result.resume_rounds_used,
+        "faults": [[e.time, e.kind, e.node_id] for e in result.timeline],
+        "move_summary": result.counters["moves"],
+        **{key: run[key] for key in (
+            "resumed_move_completed", "acked_writes", "exhausted_writes",
+            "degraded_steps", "resume_rounds_used")},
     })
 
 

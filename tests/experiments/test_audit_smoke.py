@@ -16,19 +16,16 @@ pytestmark = pytest.mark.timeout(600)
 
 def test_audited_chaos_run_is_clean():
     result = run_chaos(config=ChaosConfig(audit=True), seed=0)
-    assert result.audited
-    assert result.ok, result.violations + result.anomalies
-    assert result.anomalies == []
-    assert result.history_stats["ops_recorded"] > 0
-    assert result.history_stats["ops_dropped"] == 0
-    assert result.history_stats["coverage_checkpoints"] >= 2
-    assert "clean" in result.to_row()
+    assert result.ok, result.violations
+    audit = result.counters["audit"]
+    assert audit["ops_recorded"] > 0
+    assert audit["ops_dropped"] == 0
+    assert audit["coverage_checkpoints"] >= 2
 
 
 def test_audited_failover_run_is_clean():
     config = dataclasses.replace(quick_fig9_config(), audit=True)
     result = run_fig9_single(2, config)
-    assert result.audited
-    assert result.anomalies == []
-    assert result.lost_commits == 0
-    assert result.history_stats["ops_recorded"] > 0
+    assert result.ok, result.violations
+    assert result.counters["run"]["lost_commits"] == 0
+    assert result.counters["audit"]["ops_recorded"] > 0

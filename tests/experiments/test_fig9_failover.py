@@ -30,48 +30,51 @@ def tiny_fig9_config(**overrides) -> Fig9Config:
 
 def test_k2_crash_zero_lost_and_automatic_promotion():
     result = run_fig9_single(2, tiny_fig9_config())
-    assert result.committed_orders > 0
-    assert result.lost_commits == 0
-    assert result.promotions > 0
-    assert result.unavailable_partitions == 0
-    assert result.replicas_seeded > 0
-    assert result.commits_shipped > 0
+    run = result.counters["run"]
+    assert run["committed_orders"] > 0
+    assert run["lost_commits"] == 0
+    assert run["promotions"] > 0
+    assert run["unavailable_partitions"] == 0
+    assert run["replicas_seeded"] > 0
+    assert run["commits_shipped"] > 0
     # Detection and failover happened and are reported.
-    assert result.detection_seconds is not None
-    assert 0 < result.detection_seconds < 10
-    assert result.failover_seconds is not None
-    assert result.failover_seconds >= result.detection_seconds
-    assert 0.0 <= result.dip_fraction <= 1.0
-    assert result.baseline_qps > 0
+    assert run["detection_seconds"] is not None
+    assert 0 < run["detection_seconds"] < 10
+    assert run["failover_seconds"] is not None
+    assert run["failover_seconds"] >= run["detection_seconds"]
+    assert 0.0 <= run["dip_fraction"] <= 1.0
+    assert run["baseline_qps"] > 0
+    assert any(e.kind == "promoted" for e in result.timeline)
 
 
 def test_k1_degrades_gracefully():
     result = run_fig9_single(1, tiny_fig9_config())
+    run = result.counters["run"]
     # No replicas to promote: partitions go unavailable instead.
-    assert result.promotions == 0
-    assert result.unavailable_partitions > 0
-    assert result.replicas_seeded == 0
+    assert run["promotions"] == 0
+    assert run["unavailable_partitions"] > 0
+    assert run["replicas_seeded"] == 0
     # The run terminates (no hang) and acknowledged commits survive
     # on the restarted node's disk-backed partitions.
-    assert result.committed_orders > 0
-    assert result.lost_commits == 0
+    assert run["committed_orders"] > 0
+    assert run["lost_commits"] == 0
     # Clients kept retrying and/or exhausted cleanly during the outage.
-    summary = result.retry_summary
-    assert summary["retried_completions"] + summary["exhausted_failures"] > 0
+    retries = result.counters["retries"]
+    assert retries["retried_completions"] + retries["exhausted_failures"] > 0
 
 
 def test_same_seed_same_metrics():
     a = run_fig9_single(2, tiny_fig9_config())
     b = run_fig9_single(2, tiny_fig9_config())
-    assert a.qps == b.qps
-    assert a.committed_orders == b.committed_orders
-    assert a.to_row() == b.to_row()
-    assert [(e.time, e.kind, e.node_id) for e in a.events] == \
-           [(e.time, e.kind, e.node_id) for e in b.events]
+    assert a.series == b.series
+    assert a.counters == b.counters
+    assert a.timeline == b.timeline
 
 
 def test_different_seed_different_schedule():
     a = run_fig9_single(2, tiny_fig9_config(seed=0))
     b = run_fig9_single(2, tiny_fig9_config(seed=1))
     # Same crash plan, but the workload interleaving differs.
-    assert a.committed_orders != b.committed_orders or a.qps != b.qps
+    assert (a.counters["run"]["committed_orders"]
+            != b.counters["run"]["committed_orders"]
+            or a.series["qps"] != b.series["qps"])

@@ -2,6 +2,7 @@
 (``repro.experiments.harness``)."""
 
 from repro import Cluster, Environment
+from repro.audit import HistoryRecorder
 from repro.experiments import harness
 from repro.workload import TpccConfig
 
@@ -46,16 +47,14 @@ def test_admission_violations_names_each_leak():
     clean = dict(offered=100, admitted=90, rejected=6, shed=4,
                  completed=85, abandoned=5)
     assert harness.admission_violations(clean, 100, "day") == []
-
-    (short,) = harness.admission_violations(clean, 101, "day")
-    assert short.startswith("day offered only 100") and "101" in short
-
-    (leak,) = harness.admission_violations({**clean, "shed": 3}, 100, "run")
-    assert leak.startswith("admission leak") and "100 != 90 + 6 + 3" in leak
-
-    (drain,) = harness.admission_violations(
-        {**clean, "abandoned": 4}, 100, "run")
-    assert drain.startswith("drain leak") and "90 != 85 + 4" in drain
+    assert harness.admission_violations(clean, 101, "day") == [
+        "day: offered >= min_requests does not hold (100 >= 101)"]
+    assert harness.admission_violations({**clean, "shed": 3}, 100, "run") == [
+        "run: offered == admitted + rejected + shed does not hold "
+        "(100 == 99)"]
+    assert harness.admission_violations(
+        {**clean, "abandoned": 4}, 100, "run") == [
+        "run: admitted == completed + abandoned does not hold (90 == 89)"]
 
 
 def kv_cluster():
@@ -94,18 +93,36 @@ def test_kv_write_with_retries_gives_up_after_the_conflicts():
 
 
 def test_render_anomaly_lines_counts_evidence_only_when_audited():
-    class Run:
-        def __init__(self, anomalies, audited, ops=0, dropped=0):
-            self.anomalies, self.audited = anomalies, audited
-            self.history_stats = {"ops_recorded": ops, "ops_dropped": dropped}
+    """A run's audit evidence is its ``audit`` counters: printed for an
+    audited run, so a truncated recording is never mistaken for a proof,
+    and absent from an unaudited one."""
+    env, cluster = kv_cluster()
+    unaudited = {"run": {"acked": 0}}
+    assert harness.audit_violations(None, cluster, "end", unaudited) == []
+    assert "audit" not in harness.Result("plain", unaudited, [], []).to_table()
 
-    assert harness.render_anomaly_lines([("k=1", Run([], False))]) == []
-    lines = harness.render_anomaly_lines([
-        ("seed 0", Run(["g1c: cycle"], True, ops=10, dropped=1)),
-        ("seed 1", Run([], True, ops=5)),
-    ])
-    assert lines == [
-        "seed 0: ISOLATION ANOMALY: g1c: cycle",
-        "audit: 1 isolation anomalies over 15 recorded operations "
-        "(1 dropped)",
-    ]
+    recorder = HistoryRecorder().attach(cluster)
+    assert harness.kv_readback(env, cluster, {3: "seed-00003"}) == []
+    counters = {"run": {"acked": 1}}
+    assert harness.audit_violations(recorder, cluster, "end", counters) == []
+    assert counters["audit"]["ops_recorded"] > 0
+    table = harness.Result("audited", counters, [], []).to_table()
+    assert "\naudit\ncounter" in table and "ops_recorded" in table
+    assert "VIOLATION" not in table
+
+
+def test_a_result_is_its_components_counters_timeline_and_violations():
+    env, cluster = kv_cluster()
+    cluster.note("fault", "crash", 1)
+    result = harness.Result(
+        "kv — seed 0", {"run": {"acked": 3}, **harness.snapshot(
+            wal=cluster.workers[1].wal)}, list(cluster.timeline),
+        ["kv: acked > 3 does not hold (3 > 3)"],
+        series={"acked": [(0.0, 1), (5.0, 2)]})
+    assert not result.ok
+    assert result.counters["wal"] == cluster.workers[1].wal.stats()
+    lines = result.to_table().splitlines()
+    assert lines[0] == "kv — seed 0"
+    assert lines[1].split() == ["t(s)", "acked"]
+    assert "timeline" in lines and "wal" in lines
+    assert lines[-1] == "VIOLATION: kv: acked > 3 does not hold (3 > 3)"

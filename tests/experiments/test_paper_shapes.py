@@ -7,14 +7,15 @@ naming the figure, the inequality and both numbers.
 The runs come from ``tests/determinism/harness.py`` (once per process,
 shared with the golden comparison): the four quick Fig. 6 cells —
 physical, logical, physiological, physiological + helpers — also yield
-Figs. 7 and 8.
+Figs. 7 and 8.  The fig9 and chaos families are lists of runs, judged
+by their runs and their sweep's gate over the runs' counters.
 """
 
 import copy
 
 import pytest
 
-from repro.experiments.elasticity import compare_elasticity
+from repro.experiments import chaos_moves, elasticity, fig9_failover
 from repro.experiments.fig6_schemes import SCHEMES, cross_scheme_violations
 from tests.determinism.harness import result_of
 
@@ -28,9 +29,20 @@ def fig6_cells() -> dict:
     return {scheme: result_of(f"fig6_{scheme}") for scheme in SCHEMES}
 
 
+#: The sweeps' gates: claims that span a family's runs.
+SWEEP_GATES = {"fig9": fig9_failover.suite, "chaos": chaos_moves.suite}
+
+
+def violations(family, result) -> list[str]:
+    if family not in SWEEP_GATES:
+        return result.violations
+    return ([v for run in result for v in run.violations]
+            + SWEEP_GATES[family](result).violations)
+
+
 @pytest.mark.parametrize("family", FIGURES)
 def test_the_papers_shape_holds(family):
-    assert result_of(family).violations == []
+    assert violations(family, result_of(family)) == []
 
 
 def test_fig6_orderings_across_the_schemes_hold():
@@ -84,10 +96,10 @@ DOCTORED = [
     ("scale_in", lambda r: set_series(r.watts, 100.0),
      "Scale-in", "after['watts'] < before['watts'] - 25",
      lambda r: (100.0, 75.0)),
-    ("fig9", lambda r: setattr(r.runs[2], "lost_commits", 1),
+    ("fig9", lambda r: r[1].counters["run"].update(lost_commits=1),
      "Fig. 9", "k[2].lost_commits == 0", lambda r: (1, 0)),
-    ("chaos", lambda r: [setattr(run, "resumed_move_completed", False)
-                         for run in r.runs],
+    ("chaos", lambda r: [run.counters["run"].update(
+        resumed_move_completed=False) for run in r],
      "chaos", "moves_done_by_chunk_resume > 0", lambda r: (0, 0)),
 ]
 
@@ -97,18 +109,18 @@ DOCTORED = [
 def test_a_doctored_result_names_figure_inequality_and_numbers(
         family, doctor, figure, claim, numbers):
     result = copy.deepcopy(result_of(family))
-    assert result.violations == []
+    assert violations(family, result) == []
     doctor(result)
     (op,) = [token for token in claim.split() if token in OPERATORS]
     left, right = numbers(result)
     assert (f"{figure}: {claim} does not hold "
-            f"({left:.6g} {op} {right:.6g})") in result.violations
+            f"({left:.6g} {op} {right:.6g})") in violations(family, result)
 
 
 def test_a_missing_sample_fails_its_claim():
-    result = copy.deepcopy(result_of("fig9"))
-    result.runs[2].detection_seconds = None
-    assert result.violations == [
+    runs = copy.deepcopy(result_of("fig9"))
+    runs[1].counters["run"]["detection_seconds"] = None
+    assert fig9_failover.suite(runs).violations == [
         "Fig. 9: k[2].detection_seconds >= 0 does not hold (no samples)"]
 
 
@@ -124,8 +136,9 @@ def test_doctored_cross_scheme_and_cross_mode_gates_fail():
             ) in cross_scheme_violations(cells)
 
     auto, static = copy.deepcopy(result_of("elasticity"))
-    static.energy_joules = auto.energy_joules - 1.0
-    assert compare_elasticity([auto, static]) == [
-        f"elasticity (seed {auto.seed}): static.energy_joules > "
+    joules = auto.counters["run"]["energy_joules"]
+    static.counters["run"]["energy_joules"] = joules - 1.0
+    assert elasticity.compare([auto, static]).violations == [
+        f"elasticity (seed 0): static.energy_joules > "
         f"autoscale.energy_joules does not hold "
-        f"({static.energy_joules:.6g} > {auto.energy_joules:.6g})"]
+        f"({joules - 1.0:.6g} > {joules:.6g})"]

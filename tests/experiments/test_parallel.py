@@ -45,10 +45,8 @@ def test_worker_exception_propagates():
         raise AssertionError("worker exception was swallowed")
 
 
-def _suite_fingerprint(result):
-    return json.loads(json.dumps([
-        dataclasses.asdict(run) for run in result.runs
-    ]))
+def _suite_fingerprint(runs):
+    return json.loads(json.dumps([dataclasses.asdict(run) for run in runs]))
 
 
 def test_chaos_suite_jobs_invariant():
@@ -59,4 +57,5 @@ def test_chaos_suite_jobs_invariant():
     sequential = chaos_sweep(seeds, config, jobs=1)
     parallel = chaos_sweep(seeds, config, jobs=2)
     assert _suite_fingerprint(sequential) == _suite_fingerprint(parallel)
-    assert sequential.to_table() == parallel.to_table()
+    assert [run.to_table() for run in sequential] == \
+        [run.to_table() for run in parallel]

@@ -6,10 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.read_scaling import (
-    compare_read_scaling,
-    run_read_scaling,
-)
+from repro.experiments.read_scaling import compare, run_read_scaling
 from tests.determinism.harness import READ_SCALING_SMOKE as SMOKE, result_of
 
 pytestmark = pytest.mark.timeout(600)
@@ -24,27 +21,29 @@ def smoke_result(mode):
 
 def test_replica_mode_runs_clean_under_faults():
     result = smoke_result("replica")
-    assert result.ok, result.violations + result.anomalies
-    assert result.audited
-    assert len(result.faults_injected) == 5
+    assert result.ok, result.violations
+    assert "audit" in result.counters
+    assert len([e for e in result.timeline if e.source == "fault"]) == 5
     # The tier actually carried traffic ...
-    assert result.tier_stats["reads_replica"] > 0
-    assert result.tier_stats["cache_hits"] > 0
+    assert result.counters["read tier"]["reads_replica"] > 0
+    assert result.counters["read tier"]["cache_hits"] > 0
     # ... and every quiesced checkpoint matched its recompute.
-    assert result.view_checkpoints > 0
-    assert result.view_checkpoints_matched == result.view_checkpoints
+    run = result.counters["run"]
+    assert run["view_checkpoints"] > 0
+    assert result.view_checkpoints_matched == run["view_checkpoints"]
 
 
 def test_primary_mode_runs_clean_under_faults():
     result = smoke_result("primary")
-    assert result.ok, result.violations + result.anomalies
-    assert result.tier_stats == {}
-    assert result.reads_completed > 0
+    assert result.ok, result.violations
+    assert "read tier" not in result.counters
+    assert result.view_checkpoints_matched == 0
+    assert result.counters["run"]["reads_completed"] > 0
 
 
 def test_replica_mode_beats_primary_per_joule():
     results = [smoke_result("replica"), smoke_result("primary")]
-    assert compare_read_scaling(results) == []
+    assert compare(results).violations == []
 
 
 def test_same_seed_same_story():
@@ -52,6 +51,6 @@ def test_same_seed_same_story():
                                  min_requests=2_000)
     a = run_read_scaling(config)
     b = run_read_scaling(config)
-    assert a.summary_row() == b.summary_row()
-    assert a.tier_stats == b.tier_stats
-    assert a.admission == b.admission
+    assert a.counters == b.counters
+    assert a.timeline == b.timeline
+    assert a.completed == b.completed == a.counters["admission"]["completed"]
