@@ -550,11 +550,13 @@ class WorkerNode:
         if version is not None:
             payload = (partition.table.name, version.key, version.values)
             nbytes = version.size_bytes + 48
+            row_crc = version.checksum
         else:
             payload = (partition.table.name, key_only)
             nbytes = 64
+            row_crc = None
         txn.note_log(self.wal)
-        self.wal.append(txn.txn_id, kind, payload, nbytes)
+        self.wal.append(txn.txn_id, kind, payload, nbytes, row_crc=row_crc)
         txn.redo.append((partition.partition_id, self.wal.tail))
 
     # -- bulk segment I/O (used by the migration engine) ----------------------

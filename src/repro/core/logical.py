@@ -231,8 +231,11 @@ class LogicalPartitioning(PartitioningScheme):
                     (partition.table.name, key), nbytes=64,
                 )
                 mover.note_log(source.wal)
+                # ``current`` was just returned verified: the row keeps
+                # its CRC on the target, as a moved segment would.
                 version = RecordVersion.make(
-                    target_partition.schema, row, mover.txn_id
+                    target_partition.schema, row, mover.txn_id,
+                    checksum=current.checksum,
                 )
                 t_segment = target_partition.ensure_segment_for(key)
                 target.ensure_hosted(t_segment)
@@ -248,6 +251,7 @@ class LogicalPartitioning(PartitioningScheme):
                     mover.txn_id, "insert",
                     (partition.table.name, key, row),
                     nbytes=version.size_bytes + 48,
+                    row_crc=version.checksum,
                 )
                 mover.note_log(target.wal)
                 shipped_bytes += version.size_bytes

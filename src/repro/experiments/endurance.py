@@ -350,8 +350,8 @@ def _recovery_drill(cluster: Cluster) -> dict:
                               "analyzed_records", "start_lsn", "redo_lsn",
                               "next_lsn"))
 
-    expected = {key: values
-                for key, values, _nbytes in iter_committed_rows(partition)}
+    expected = {version.key: tuple(version.values)
+                for version in iter_committed_rows(partition)}
     scratch = cluster.catalog.new_partition("kv", worker.node_id)
     report = recovery.recover_worker_table(worker.wal, scratch, "kv",
                                            image=image)

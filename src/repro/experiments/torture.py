@@ -211,14 +211,9 @@ def _unresolved_corruptions(cluster: Cluster,
             for replica in replica_set.replicas:
                 if replica.stale:
                     continue
-                bad = False
-                for record in replica.log.records:
-                    try:
-                        record.verify(where="torture-check")
-                    except IntegrityError:
-                        bad = True
-                        break
-                if bad:
+                try:
+                    replica.log.verify_all(where="torture-check")
+                except IntegrityError:
                     problems.append(
                         f"bit_rot@{c.at:.1f}: replica log of partition "
                         f"{c.partition_id} on node "
@@ -228,15 +223,13 @@ def _unresolved_corruptions(cluster: Cluster,
             worker = cluster.worker(c.node_id)
             if not worker.is_serving:
                 continue  # never restarted: nothing can read that WAL
-            for record in worker.wal.records:
-                try:
-                    record.verify(where="torture-check")
-                except IntegrityError:
-                    problems.append(
-                        f"torn_write@{c.at:.1f}: torn record still in "
-                        f"node {c.node_id}'s WAL after restart"
-                    )
-                    break
+            try:
+                worker.wal.verify_all(where="torture-check")
+            except IntegrityError:
+                problems.append(
+                    f"torn_write@{c.at:.1f}: torn record still in "
+                    f"node {c.node_id}'s WAL after restart"
+                )
     return problems
 
 

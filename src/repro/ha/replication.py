@@ -38,6 +38,7 @@ from repro.hardware.disk import DiskFailedError
 from repro.hardware.network import LinkDownError
 from repro.ha.placement import PlacementPolicy
 from repro.storage.checksum import IntegrityError
+from repro.txn.checkpoint import iter_committed_rows
 from repro.txn.manager import TxnState
 from repro.txn.wal import LOG_BLOCK_BYTES, LOG_RECORD_HEADER_BYTES, LogManager
 
@@ -267,10 +268,12 @@ class ReplicationManager:
                     replica.stale = True
                     self.ship_failures += 1
                     continue
+                # Verified above: each record's row CRC still matches
+                # its payload, so the replica's record chains it.
                 for record in records:
                     replica.log.append(
                         record.txn_id, record.kind, record.payload,
-                        record.nbytes,
+                        record.nbytes, row_crc=record.row_crc,
                     )
                 lsn = replica.log.append(txn.txn_id, "commit")
                 try:
@@ -388,8 +391,7 @@ class ReplicationManager:
             self.ship_failures += 1
             return False
         try:
-            for record in log.records:
-                record.verify(where="replica-compact")
+            log.verify_all(where="replica-compact")
         except IntegrityError:
             # A rotten replica log must not be folded into a "clean"
             # base image; drop the replica and let re-replication
@@ -472,16 +474,18 @@ class ReplicationManager:
         replica = SegmentReplica(holder.node_id, log, self.env.now,
                                  seeding=True)
         rows: dict = {}
-        for key, values, row_bytes in self._committed_rows(partition):
+        for version in iter_committed_rows(partition):
+            key, values = version.key, tuple(version.values)
             log.append(
                 REPLICA_BASE_TXN_ID, "insert",
                 (replica_set.table, key, values),
-                nbytes=row_bytes + LOG_RECORD_HEADER_BYTES,
+                nbytes=version.size_bytes + LOG_RECORD_HEADER_BYTES,
+                row_crc=version.checksum,
             )
             # The base image is a committed snapshot as of ``seed_ts``:
             # a conservative version stamp (reads below it bounce to
             # the primary rather than risk staleness).
-            rows[key] = (tuple(values), REPLICA_BASE_TXN_ID, seed_ts)
+            rows[key] = (values, REPLICA_BASE_TXN_ID, seed_ts)
         lsn = log.append(REPLICA_BASE_TXN_ID, "commit")
         # The base image reflects every row committed on the owner so
         # far; in-flight transactions stay pinned by their ``redo``.
@@ -514,11 +518,3 @@ class ReplicationManager:
         replica.bytes_shipped += data_bytes
         self.bytes_shipped += data_bytes
         return replica
-
-    @staticmethod
-    def _committed_rows(partition: "Partition"):
-        """Yield ``(key, values, size_bytes)`` for the newest committed
-        version of every live record (the shared base-image scan)."""
-        from repro.txn.checkpoint import iter_committed_rows
-
-        return iter_committed_rows(partition)

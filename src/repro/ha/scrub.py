@@ -246,8 +246,7 @@ class ScrubDaemon(PeriodicDaemon):
             replica.stale = True
             return None
         try:
-            for record in replica.log.records:
-                record.verify(where="scrub-replica")
+            replica.log.verify_all(where="scrub-replica")
         except IntegrityError:
             replica.stale = True
             self.corruptions_found += 1
@@ -282,14 +281,11 @@ class ScrubDaemon(PeriodicDaemon):
         except DiskFailedError:
             replica.stale = True
             return
-        bad = False
-        for record in replica.log.records:
-            try:
-                record.verify(where="scrub-replica")
-            except IntegrityError:
-                bad = True
-                break
-        if not bad:
+        try:
+            replica.log.verify_all(where="scrub-replica")
+        except IntegrityError:
+            pass
+        else:
             return
         self.corruptions_found += 1
         replica.stale = True

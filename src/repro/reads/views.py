@@ -55,8 +55,8 @@ def canonical_rows(cluster: "Cluster", table: str):
             worker = cluster.worker(node_id)
             partition = worker.partitions.get(location.partition_id)
             if partition is not None:
-                for key, values, _nbytes in _iter_committed(partition):
-                    yield key, values
+                for version in _iter_committed(partition):
+                    yield version.key, tuple(version.values)
                 break
 
 

@@ -1,9 +1,15 @@
 """CRC32 end-to-end data integrity.
 
 Every stored record version and every WAL record carries a CRC32 over
-a canonical serialization of its immutable payload, computed when the
-object is created and verified whenever the bytes cross a trust
-boundary: a page read, a WAL replay, a replica shipment, a scrub pass.
+a canonical serialization of its immutable payload.  One rule decides
+when a row's bytes are hashed: **where they are created, and again only
+after a modelled fault has touched them.**  A version is hashed once by
+``RecordVersion.make`` (a moved row keeps its source CRC); a WAL row
+record's CRC covers its header plus that same row CRC instead of
+re-walking the values.  Every trust boundary — a page read, a WAL
+replay, a replica shipment, a scrub pass — still calls ``verify``, and
+each object caches the verdict (``RecordVersion.clean``,
+``LogRecord.verified``) until the fault injector rewrites its bytes.
 A mismatch raises :class:`IntegrityError` — corrupted bytes are never
 returned to a caller as data.
 

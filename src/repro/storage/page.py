@@ -69,11 +69,11 @@ class Page:
     def get(self, slot: int) -> RecordVersion:
         """Fetch a slot, verifying its checksum before returning it.
 
-        Verification is cached per version (see ``RecordVersion.clean``)
-        so buffer-resident rows are not re-hashed on every logical
-        read; the fault injector drops the cache when it corrupts the
-        stored bytes, so the *next* read raises ``IntegrityError``
-        instead of returning garbage.
+        The verdict is cached per version (see ``RecordVersion.clean``):
+        a version is born verified, so a read re-hashes a row only after
+        a modelled fault touched it — the fault injector drops the cache
+        when it corrupts the stored bytes, so the *next* read raises
+        ``IntegrityError`` instead of returning garbage.
         """
         version = self._slots[slot] if 0 <= slot < len(self._slots) else None
         if version is None:

@@ -140,16 +140,19 @@ class RecordVersion:
     checksum: int | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
-    #: Cleared by the fault injector when it rots the stored bytes;
-    #: pages verify lazily — once after creation, and again whenever
-    #: this flag drops (modelling re-verification on the next fetch of
-    #: changed on-disk bytes, without re-hashing buffer-resident rows
-    #: on every logical read).
+    #: The cached verdict: ``make`` sets it (the CRC was just taken
+    #: from the bytes in hand), and the fault injector and scrub repair
+    #: clear it when they rewrite the stored bytes — so pages re-hash a
+    #: row only on the next fetch after a modelled fault touched it.
     clean: bool = dataclasses.field(default=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, schema: Schema, values: typing.Sequence[typing.Any],
-             created_by: int) -> "RecordVersion":
+             created_by: int, checksum: int | None = None
+             ) -> "RecordVersion":
+        """A new version, born verified.  ``checksum`` is the row's
+        known CRC when the caller holds one for exactly these bytes (a
+        moved row keeps its source CRC); otherwise it is computed."""
         values = tuple(values)
         key = schema.key_of(values)
         return cls(
@@ -157,7 +160,9 @@ class RecordVersion:
             values=values,
             size_bytes=schema.sizeof(values) + VERSION_HEADER_BYTES,
             created_by=created_by,
-            checksum=checksum_of((key, values)),
+            checksum=checksum_of((key, values)) if checksum is None
+            else checksum,
+            clean=True,
         )
 
     def verify(self, *, where: str = "page-read") -> None:

@@ -82,16 +82,17 @@ class CheckpointImage:
 
 
 def iter_committed_rows(partition: "Partition"):
-    """Yield ``(key, values, size_bytes)`` for the newest committed
-    version of every live record — the base-image scan, shared with
-    replica seeding (:mod:`repro.ha.replication`)."""
+    """Yield the newest committed version of every live record — the
+    base-image scan, shared with replica seeding
+    (:mod:`repro.ha.replication`).  Each comes through the verifying
+    page read, so its ``checksum`` matches its bytes."""
     for segment_id in sorted(partition.segments):
         segment = partition.segments[segment_id]
         for key, _chain in segment.index_scan():
             for _page_no, _slot, version in segment.versions_for(key):
                 if version.created_ts is None or version.deleted_ts is not None:
                     continue
-                yield key, tuple(version.values), version.size_bytes
+                yield version
                 break
 
 
@@ -118,9 +119,10 @@ def take_worker_checkpoint(worker: "WorkerNode",
     for partition_id, partition in sorted(worker.partitions.items()):
         rows = []
         nbytes = 0
-        for key, values, row_bytes in iter_committed_rows(partition):
-            rows.append((key, values, row_bytes))
-            nbytes += row_bytes
+        for version in iter_committed_rows(partition):
+            rows.append((version.key, tuple(version.values),
+                         version.size_bytes))
+            nbytes += version.size_bytes
         images[partition_id] = CheckpointImage(
             checkpoint_lsn=own_lsn, redo_lsn=redo_lsn, taken_at=env.now,
             rows=rows, nbytes=nbytes,

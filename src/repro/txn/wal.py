@@ -37,11 +37,26 @@ LOG_BLOCK_BYTES = 4096
 LOG_RECORD_HEADER_BYTES = 48
 
 
-def log_record_checksum(lsn: int, txn_id: int, kind: str,
-                        payload: typing.Any) -> int:
-    """The CRC32 a well-formed log record carries (over its header
-    fields and the canonical serialization of its payload)."""
-    return checksum_of((lsn, txn_id, kind, payload))
+def _row_crc(kind: str, payload: typing.Any) -> int | None:
+    """A row record's row CRC — ``checksum_of((key, values))``, the CRC
+    the row's version carries — or ``None`` for any other record.  A
+    row record is an ``insert``/``update`` whose payload has the
+    ``(table, key, values)`` shape; any other shape, such as a rotten
+    wrapper, is not one."""
+    if ((kind == "insert" or kind == "update")
+            and type(payload) is tuple and len(payload) == 3):
+        return checksum_of(payload[1:])
+    return None
+
+
+def _covered(lsn: int, txn_id: int, kind: str, payload: typing.Any,
+             row_crc: int | None) -> tuple:
+    """What a log record's CRC is taken over: a row record's header and
+    table with its row CRC chained behind, instead of re-walking the
+    values; any other record's header and whole payload."""
+    if row_crc is None:
+        return (lsn, txn_id, kind, payload)
+    return (lsn, txn_id, kind, payload[0], row_crc)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,17 +68,35 @@ class LogRecord:
     kind: str  # insert | delete | update | commit | abort | checkpoint
     payload: typing.Any = None
     nbytes: int = LOG_RECORD_HEADER_BYTES
-    #: CRC32 over (lsn, txn_id, kind, payload), stamped by
-    #: ``LogManager.append``.  ``None`` on hand-built records (test
-    #: fixtures) — those verify trivially.
+    #: CRC32 over the record's header and payload (see ``_covered``),
+    #: stamped by ``LogManager.append``.  ``None`` on hand-built
+    #: records (test fixtures) — those verify trivially.
     checksum: int | None = dataclasses.field(default=None, compare=False)
+    #: A row record's row CRC as stamped by ``append``, so a replica
+    #: append of a verified record can chain it without re-walking the
+    #: values.  ``verify`` never trusts it: it recomputes from the
+    #: payload.
+    row_crc: int | None = dataclasses.field(default=None, compare=False,
+                                            repr=False)
+    #: The cached verdict, as ``RecordVersion.clean`` is for a page
+    #: row: set by ``append`` (it hashed the bytes in hand) and by a
+    #: passing ``verify``.  Not an init field, so ``dataclasses.replace``
+    #: — how a fault rots or tears a record — yields an unverified copy.
+    verified: bool = dataclasses.field(default=False, init=False,
+                                       compare=False, repr=False)
 
     def verify(self, *, where: str = "wal-replay") -> None:
         """Raise ``IntegrityError`` unless the record still matches the
         checksum it was appended with (bit rot / torn write detection
-        on every replay and shipment)."""
-        _verify_checksum((self.lsn, self.txn_id, self.kind, self.payload),
-                         self.checksum, where=where, detail=self.lsn)
+        on every replay and shipment); returns at once on a record
+        whose bytes have not changed since they were hashed."""
+        if self.verified:
+            return
+        _verify_checksum(
+            _covered(self.lsn, self.txn_id, self.kind, self.payload,
+                     _row_crc(self.kind, self.payload)),
+            self.checksum, where=where, detail=self.lsn)
+        object.__setattr__(self, "verified", True)
 
 
 class LogShippingSink:
@@ -138,18 +171,26 @@ class LogManager:
     # -- append / flush ------------------------------------------------------
 
     def append(self, txn_id: int, kind: str, payload: typing.Any = None,
-               nbytes: int | None = None) -> int:
+               nbytes: int | None = None, row_crc: int | None = None) -> int:
         """Add a record to the in-memory log tail; returns its LSN.
 
+        ``row_crc`` is a row record's ``checksum_of((key, values))``
+        when the caller already holds it (the version's own CRC, or a
+        verified shipped record's); otherwise it is computed here, once.
         Durability requires a later :meth:`flush` up to this LSN.
         """
         self._next_lsn += 1
+        lsn = self._next_lsn
         size = LOG_RECORD_HEADER_BYTES if nbytes is None else nbytes
+        if row_crc is None:
+            row_crc = _row_crc(kind, payload)
         record = LogRecord(
-            self._next_lsn, txn_id, kind, payload, size,
-            checksum=log_record_checksum(self._next_lsn, txn_id, kind,
-                                         payload),
+            lsn, txn_id, kind, payload, size,
+            checksum=checksum_of(_covered(lsn, txn_id, kind, payload,
+                                          row_crc)),
+            row_crc=row_crc,
         )
+        object.__setattr__(record, "verified", True)
         self.records.append(record)
         self.tail = record
         self.live_bytes += size
@@ -276,6 +317,12 @@ class LogManager:
         while records[skip - 1].lsn > lsn:
             skip -= 1
         return itertools.islice(records, skip, None)
+
+    def verify_all(self, *, where: str) -> None:
+        """Verify every live record, oldest first; raise the first
+        failure's ``IntegrityError``."""
+        for record in self.records:
+            record.verify(where=where)
 
     def committed_ops_since(self, lsn: int = 0) -> list[LogRecord]:
         """Redo scan: data records of transactions with a flushed-side

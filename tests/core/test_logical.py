@@ -57,6 +57,30 @@ def test_target_partitions_hold_the_moved_records(migration_cluster):
     assert source_partition.record_count == 200
 
 
+def test_moved_row_carries_its_source_crc(migration_cluster):
+    """The mover re-creates each row born verified with the CRC it was
+    read with, and that CRC still matches the bytes once the verdict
+    is dropped."""
+    env, cluster = migration_cluster
+    source_partition = list(cluster.workers[0].partitions.values())[0]
+    source_crc = {
+        version.key: version.checksum
+        for segment in source_partition.segments.values()
+        for _p, _s, version in segment.scan_versions()
+    }
+    migrate(env, cluster)
+    moved = 0
+    for node_id in (2, 3):
+        for partition in cluster.worker(node_id).partitions.values():
+            for segment in partition.segments.values():
+                for _p, _s, version in segment.scan_versions():
+                    assert version.checksum == source_crc[version.key]
+                    version.clean = False
+                    version.verify()
+                    moved += 1
+    assert moved == 200
+
+
 def test_logical_rewrites_records_into_new_segments(migration_cluster):
     """Unlike physiological, logical movement re-creates records in
     freshly allocated segments on the target."""

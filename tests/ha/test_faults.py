@@ -245,6 +245,28 @@ def test_bit_rot_detected_on_read(rig):
             version.verify()
 
 
+def test_born_verified_row_still_fails_after_bit_rot(rig):
+    """A freshly written row is born ``clean`` (no read has hashed it
+    yet); the injector's garble drops the verdict, so the next page
+    read re-hashes and refuses it."""
+    from repro.storage.checksum import IntegrityError
+
+    env, cluster = rig
+    insert_rows(env, cluster, 10)
+    partition = cluster.worker(1).partitions_for_table("kv")[0]
+    versions = [v for segment in partition.segments.values()
+                for _p, _s, v in segment.scan_versions()]
+    assert versions and all(v.clean for v in versions)
+    injector = FaultInjector(cluster)
+    injector.apply(injector.bit_rot_at(0.0, 1).schedule[-1])
+    rot = injector.corruptions[0]
+    segment = partition.segment_for(rot.key)
+    rotten = [v for _p, _s, v in segment.scan_versions() if v.key == rot.key]
+    assert rotten and not any(v.clean for v in rotten)
+    with pytest.raises(IntegrityError):
+        segment.versions_for(rot.key)
+
+
 def test_bit_rot_ledger_records_original_bytes(rig):
     env, cluster = rig
     insert_rows(env, cluster, 10)

@@ -57,6 +57,36 @@ def test_commit_ships_log_tail_synchronously(rig):
     assert manager.records_shipped >= 14
 
 
+def test_replica_append_reuses_the_shipped_row_crc(rig, monkeypatch):
+    """Neither the primary append nor a replica append re-walks a
+    written row: both chain the version's own CRC."""
+    from repro.storage.checksum import checksum_of
+    from repro.txn import wal as wal_module
+
+    env, cluster = rig
+    insert_rows(env, cluster, 3)
+    protect(env, cluster, k=3)
+    rs = cluster.catalog.replica_set_for(kv_partition(cluster).partition_id)
+    hashed = []
+
+    def recording(obj):
+        hashed.append(obj)
+        return checksum_of(obj)
+
+    monkeypatch.setattr(wal_module, "checksum_of", recording)
+    insert_rows(env, cluster, 1, start=100)
+    row = (100, (100, "v100"))
+    assert row not in hashed
+    primary = next(r for r in cluster.worker(1).wal.records
+                   if r.kind == "insert" and r.payload[1] == 100)
+    assert primary.row_crc == checksum_of(row)
+    for replica in rs.replicas:
+        shipped = next(r for r in replica.log.records
+                       if r.kind == "insert" and r.payload[1] == 100)
+        assert shipped.row_crc == primary.row_crc
+        assert shipped.verified
+
+
 def test_abort_discards_buffered_records(rig):
     env, cluster = rig
     insert_rows(env, cluster, 3)

@@ -6,7 +6,7 @@ import dataclasses
 import zlib
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import pytest
 
 from repro.hardware import Disk, SSD_SPEC
@@ -80,6 +80,11 @@ def test_record_version_round_trip_and_garble_detection(rows):
                     key=("id",))
     for key, text in rows:
         version = RecordVersion.make(schema, (key, text), created_by=1)
+        assert version.clean  # born verified: hashed from the bytes in hand
+        assert version.checksum == checksum_of((key, (key, text)))
+        known = RecordVersion.make(schema, (key, text), created_by=2,
+                                   checksum=version.checksum)
+        assert known.clean and known.checksum == version.checksum
         version.verify(where="prop")
         version.clean = False
         version.verify(where="prop")  # idempotent
@@ -91,6 +96,51 @@ def test_record_version_round_trip_and_garble_detection(rows):
 
 def _log(env):
     return LogManager(env, Disk(env, SSD_SPEC), name="prop")
+
+
+@given(st.sampled_from(["insert", "update"]), payloads, payloads)
+@settings(max_examples=100, deadline=None)
+def test_replaced_log_record_is_unverified_and_fails_after_payload_change(
+        kind, values, other):
+    """``append`` leaves a record verified; ``dataclasses.replace`` —
+    how a fault rots a record — yields an unverified copy, which fails
+    as soon as its row bytes differ (the header chains the row CRC and
+    ``verify`` recomputes it from the payload)."""
+    log = _log(Environment(seed=1))
+    log.append(3, kind, ("t", 7, values))
+    record = log.records[0]
+    assert record.verified
+    assert record.row_crc == checksum_of((7, values))
+    same = dataclasses.replace(record)
+    assert not same.verified
+    same.verify(where="prop")
+    assert same.verified
+    if canonical_bytes(other) == canonical_bytes(values):
+        return
+    rotten = dataclasses.replace(record, payload=("t", 7, other))
+    assert not rotten.verified
+    with pytest.raises(IntegrityError):
+        rotten.verify(where="prop")
+    assert not rotten.verified
+
+
+@given(st.sampled_from(["insert", "update"]), payloads,
+       st.one_of(payloads,
+                 st.tuples(st.text(max_size=3), scalars, payloads),
+                 st.tuples(st.just("§rot"), payloads)))
+@settings(max_examples=200, deadline=None)
+def test_any_payload_substituted_into_a_row_record_raises_integrity_error(
+        kind, values, substitute):
+    """Whatever shape replaces a row record's payload — another row, a
+    scalar, the injector's two-field rot wrapper — ``verify`` raises
+    ``IntegrityError`` and nothing else."""
+    log = _log(Environment(seed=1))
+    log.append(3, kind, ("t", 7, values))
+    record = log.records[0]
+    assume(canonical_bytes(substitute) != canonical_bytes(record.payload))
+    rotten = dataclasses.replace(record, payload=substitute)
+    with pytest.raises(IntegrityError):
+        rotten.verify(where="prop")
 
 
 @given(st.lists(payloads, min_size=1, max_size=6),
