@@ -43,6 +43,9 @@ MAX_BATCH_RETRIES = 25
 #: Bound on draining in-flight writers before an MGL-guarded move.
 GUARD_LOCK_TIMEOUT = 300.0
 
+#: A collection mark's key when the scan found every key excluded.
+_SPENT = object()
+
 
 class LogicalPartitioning(PartitioningScheme):
     """Delete-and-reinsert record movement between partitions.
@@ -122,20 +125,46 @@ class LogicalPartitioning(PartitioningScheme):
 
     # -- movement ----------------------------------------------------------
 
-    def _collect_batch(self, partition: "Partition", key_range: KeyRange,
-                       exclude: set, batch_size: int = MOVE_BATCH_SIZE) -> list:
-        """The next batch of keys in the range still on the source."""
+    @staticmethod
+    def _collect_batch(partition: "Partition", key_range: KeyRange,
+                       exclude: set, marks: dict,
+                       batch_size: int = MOVE_BATCH_SIZE) -> list:
+        """The next batch of keys in the range still on the source.
+
+        ``marks`` (one dict per sweep, by segment id) holds, per
+        segment, its index, the index's ``key_inserts`` and the first
+        key the last scan found outside ``exclude`` (or ``_SPENT`` if
+        it found none).  While the index and the counter still match,
+        the scan resumes there: ``exclude`` only grows within a sweep
+        and no key has entered the index since, so every key below the
+        mark is still excluded.  Removals (vacuum, a median split) only
+        drop keys, and a new segment has no mark.
+        """
         keys: list = []
         for target in partition.tree.find_range(key_range):
             if isinstance(target, Forwarding) or target is None:
                 continue
-            for key, _chain in target.index_scan(lo=key_range.low,
-                                                 hi=key_range.high):
+            index = target.index
+            lo = key_range.low
+            mark = marks.get(target.segment_id)
+            if mark is not None and mark[0] is index \
+                    and mark[1] == index.key_inserts:
+                lo = mark[2]
+                if lo is _SPENT:
+                    continue
+            start = len(keys)
+            for key, _chain in target.index_scan(lo=lo, hi=key_range.high):
                 if key in exclude:
                     continue
                 keys.append(key)
                 if len(keys) >= batch_size:
-                    return keys
+                    break
+            marks[target.segment_id] = (
+                index, index.key_inserts,
+                keys[start] if len(keys) > start else _SPENT,
+            )
+            if len(keys) >= batch_size:
+                return keys
         return keys
 
     def _sweep(self, cluster: "Cluster", partition: "Partition",
@@ -151,10 +180,11 @@ class LogicalPartitioning(PartitioningScheme):
         """
         moved = 0
         dead: set = set()  # keys that vanished under us (client deletes)
+        marks: dict = {}  # segment id -> where its next scan may start
         batch_size = MOVE_BATCH_SIZE
         stall_strikes = 0
         while True:
-            batch = self._collect_batch(partition, key_range, dead,
+            batch = self._collect_batch(partition, key_range, dead, marks,
                                         batch_size)
             if not batch:
                 return moved

@@ -7,7 +7,8 @@ Used in two places of the paper's Fig. 4 / Sect. 4.3 layering:
 * secondary indexes on partitions.
 
 (Each partition's *top index* over its segments' key ranges is
-:class:`repro.index.partition_tree.PartitionTree`, a dict.)
+:class:`repro.index.partition_tree.PartitionTree`: a dict by segment
+id beside a list sorted by low key, which a lookup bisects.)
 
 Keys may be any totally-ordered values (ints, strings, tuples of
 those); values are arbitrary objects.
@@ -42,6 +43,9 @@ class BPlusTree(typing.Generic[K, V]):
         self.order = order
         self._root = _Node(is_leaf=True)
         self._size = 0
+        #: Keys ever added (overwrites and deletes leave it alone): a
+        #: scanner that remembers it knows no key has entered since.
+        self.key_inserts = 0
 
     def __len__(self) -> int:
         return self._size
@@ -101,6 +105,7 @@ class BPlusTree(typing.Generic[K, V]):
             node.keys.insert(idx, key)
             node.values.insert(idx, value)
             self._size += 1
+            self.key_inserts += 1
         else:
             idx = bisect.bisect_right(node.keys, key)
             split = self._insert(node.children[idx], key, value)

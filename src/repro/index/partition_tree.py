@@ -9,6 +9,7 @@ source node so in-flight queries find a moved segment's new home.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -82,12 +83,23 @@ class PartitionTree:
     Entries are keyed by segment id.  Lookup returns either
     the segment object or a :class:`Forwarding` if the segment has been
     shipped away and the pointer not yet retired.
+
+    Attached ranges never overlap, so :meth:`find` bisects a view of
+    the entries sorted by low key; the one range unbounded below (if
+    any) sits beside it.  Every mutation updates the view in place.
     """
 
     def __init__(self, partition_id: int):
         self.partition_id = partition_id
-        # segment id -> (KeyRange, segment-or-forwarding).
+        # segment id -> (KeyRange, segment-or-forwarding).  Its order is
+        # what find_range / entries report, and the logical mover's
+        # batch order follows it.
         self._entries: dict[int, tuple[KeyRange, typing.Any]] = {}
+        # The same entry tuples sorted by low key (``_lows`` parallel),
+        # and the one entry whose range is unbounded below.
+        self._lows: list = []
+        self._sorted: list[tuple[KeyRange, typing.Any]] = []
+        self._unbounded: tuple[KeyRange, typing.Any] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,25 +107,34 @@ class PartitionTree:
     def attach(self, segment_id: int, key_range: KeyRange, segment: typing.Any) -> None:
         """Splice a segment into the tree (the cheap top-index update
         that makes physiological repartitioning fast)."""
-        for other_id, (other_range, _target) in self._entries.items():
-            if other_id != segment_id and other_range.overlaps(key_range):
-                raise ValueError(
-                    f"segment {segment_id} range {key_range} overlaps "
-                    f"segment {other_id} range {other_range}"
-                )
-        self._entries[segment_id] = (key_range, segment)
+        old = self._entries.get(segment_id)
+        if old is not None:
+            self._unlink(old[0])
+        clash = self._overlapping(key_range)
+        if clash is not None:
+            if old is not None:
+                self._link(old)
+            other_id = next(sid for sid, other in self._entries.items()
+                            if other is clash)
+            raise ValueError(
+                f"segment {segment_id} range {key_range} overlaps "
+                f"segment {other_id} range {clash[0]}"
+            )
+        entry = (key_range, segment)
+        self._entries[segment_id] = entry
+        self._link(entry)
 
     def detach(self, segment_id: int) -> None:
         if segment_id not in self._entries:
             raise KeyError(f"segment {segment_id} not in partition tree")
-        del self._entries[segment_id]
+        self._unlink(self._entries.pop(segment_id)[0])
 
     def forward(self, segment_id: int, target_node_id: int) -> None:
         """Replace a segment entry with a pointer to its new node."""
         key_range, _old = self._entries[segment_id]
-        self._entries[segment_id] = (
-            key_range, Forwarding(segment_id, target_node_id),
-        )
+        entry = (key_range, Forwarding(segment_id, target_node_id))
+        self._entries[segment_id] = entry
+        self._link(entry, replace=True)
 
     def retire_forwarding(self, segment_id: int) -> None:
         """Drop a forwarding pointer once all old transactions drained."""
@@ -121,19 +142,60 @@ class PartitionTree:
         if entry is None or not isinstance(entry[1], Forwarding):
             raise KeyError(f"no forwarding pointer for segment {segment_id}")
         del self._entries[segment_id]
+        self._unlink(entry[0])
+
+    def _link(self, entry: tuple[KeyRange, typing.Any],
+              replace: bool = False) -> None:
+        """Put ``entry`` in the sorted view (``replace``: over the entry
+        already there for the same range)."""
+        low = entry[0].low
+        if low is None:
+            self._unbounded = entry
+            return
+        i = bisect.bisect_left(self._lows, low)
+        if replace:
+            self._sorted[i] = entry
+        else:
+            self._lows.insert(i, low)
+            self._sorted.insert(i, entry)
+
+    def _overlapping(self, key_range: KeyRange) -> tuple | None:
+        """The view's entry overlapping ``key_range``, if any.  Only the
+        range unbounded below and the two sorted neighbours of
+        ``key_range.low`` can: every other range ends below the lower
+        neighbour's low or starts above the upper one's."""
+        i = 0 if key_range.low is None else bisect.bisect_left(
+            self._lows, key_range.low)
+        for entry in [self._unbounded, *self._sorted[max(i - 1, 0):i + 1]]:
+            if entry is not None and entry[0].overlaps(key_range):
+                return entry
+        return None
+
+    def _unlink(self, key_range: KeyRange) -> None:
+        low = key_range.low
+        if low is None:
+            self._unbounded = None
+            return
+        i = bisect.bisect_left(self._lows, low)
+        del self._lows[i]
+        del self._sorted[i]
 
     def find(self, key: typing.Any) -> typing.Any | None:
         """Segment (or Forwarding) whose range contains ``key``."""
-        # KeyRange.contains, inlined: this lookup sits on every routed
-        # record operation.
-        for key_range, target in self._entries.values():
-            low = key_range.low
-            if low is not None and key < low:
-                continue
+        # This lookup sits on every routed record operation.  Ranges do
+        # not overlap, so the only candidates are the range unbounded
+        # below and the last one whose low key is <= ``key``.
+        entry = self._unbounded
+        if entry is not None:
+            high = entry[0].high
+            if high is None or key < high:
+                return entry[1]
+        i = bisect.bisect_right(self._lows, key)
+        if i:
+            key_range, target = self._sorted[i - 1]
             high = key_range.high
-            if high is not None and key >= high:
-                continue
-            return target
+            if high is None or key < high:
+                return target
         return None
 
     def find_range(self, key_range: KeyRange) -> list[typing.Any]:

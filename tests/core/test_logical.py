@@ -1,9 +1,18 @@
 """Logical partitioning: record-level delete+reinsert movement."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import Column, Schema
+from repro.cluster.catalog import Catalog
 from repro.core import LogicalPartitioning, PhysiologicalPartitioning
+from repro.core.logical import _SPENT
+from repro.index.partition_tree import Forwarding, KeyRange
+from repro.storage.record import RecordVersion
+from repro.storage.segment import Segment, SegmentFullError
 from tests.core.conftest import read_all
+
+KV = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
 
 
 def migrate(env, cluster, fraction=0.5, targets=(2, 3), cc="mvcc"):
@@ -135,19 +144,18 @@ def test_logical_is_slower_than_physiological(migration_cluster):
     assert logical_time > physio_time
 
 
-def _fresh():
-    from repro import Cluster, Column, Environment, Schema
+def _fresh(rows=400):
+    from repro import Cluster, Environment
 
     env = Environment()
     cluster = Cluster(
         env, node_count=4, initially_active=2,
         buffer_pages_per_node=512, segment_max_pages=8, page_bytes=1024,
     )
-    schema = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
-    cluster.master.create_table("kv", schema, owner=cluster.workers[0])
+    cluster.master.create_table("kv", KV, owner=cluster.workers[0])
 
     def load():
-        for start in range(0, 400, 50):
+        for start in range(0, rows, 50):
             txn = cluster.txns.begin()
             for i in range(start, start + 50):
                 yield from cluster.master.insert(
@@ -265,3 +273,154 @@ def test_locking_move_drains_writers_and_reclaims_the_source(migration_cluster):
     for key in range(240, 400):
         segment = source_partition.segment_for(key)
         assert segment is None or segment.versions_for(key) == []
+
+
+# -- batch collection: resuming from a mark --------------------------------
+
+
+def rescan_batch(partition, key_range, exclude, batch_size):
+    """Reference collector: every call scans from the range's low bound."""
+    keys = []
+    for target in partition.tree.find_range(key_range):
+        if isinstance(target, Forwarding) or target is None:
+            continue
+        for key, _chain in target.index_scan(lo=key_range.low,
+                                             hi=key_range.high):
+            if key in exclude:
+                continue
+            keys.append(key)
+            if len(keys) >= batch_size:
+                return keys
+    return keys
+
+
+def _put(partition, key, split_when_full=False):
+    """Add a version of ``key``: a new key enters the index, a key
+    still indexed grows its chain.  Unless ``split_when_full``, a full
+    segment overflows, so only the test's own split steps split."""
+    segment = partition.ensure_segment_for(key)
+    version = RecordVersion.make(KV, (key, "v"), created_by=1)
+    try:
+        segment.insert_version(version, allow_overflow=not split_when_full)
+    except SegmentFullError:
+        partition.split_full_segment(segment, key)
+        partition.segment_for(key).insert_version(version)
+
+
+def _segments(partition):
+    return [seg for _sid, _r, seg in partition.tree.entries()
+            if isinstance(seg, Segment)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bounds=st.tuples(st.sampled_from([None, 100, 250]),
+                     st.sampled_from([None, 700, 900])),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["collect", "insert", "insert_below_mark",
+                             "reinsert_dead", "vacuum", "split_tail",
+                             "split_median"]),
+            st.integers(min_value=0, max_value=999),
+        ),
+        max_size=60,
+    ),
+)
+def test_property_marked_collection_matches_full_rescan(bounds, ops):
+    """Batches collected from per-sweep marks equal a full rescan's
+    under interleaved client inserts (below and above a mark),
+    re-inserts of excluded keys, vacuum removals and both paths of
+    ``split_full_segment``."""
+    catalog = Catalog(segment_max_pages=2, page_bytes=1024)
+    catalog.define_table("kv", KV)
+    partition = catalog.new_partition("kv", node_id=0)
+    for key in range(0, 1000, 3):
+        _put(partition, key, split_when_full=True)
+    key_range = KeyRange(*bounds)
+    exclude: set = set()
+    marks: dict = {}
+    collect = LogicalPartitioning._collect_batch
+    for op, n in ops + [("collect", n) for n in range(40)]:
+        segments = _segments(partition)
+        if op == "collect":
+            batch_size = 1 + n % 8
+            batch = collect(partition, key_range, exclude, marks, batch_size)
+            assert batch == rescan_batch(partition, key_range, exclude,
+                                         batch_size)
+            # The exclusion set only grows within a sweep.
+            exclude.update(batch[:1 + n % max(len(batch), 1)])
+        elif op == "insert":
+            if partition.segment_for(n).index.get(n) is None:
+                _put(partition, n)
+        elif op == "insert_below_mark":
+            live = [(sid, mark[2]) for sid, mark in sorted(marks.items())
+                    if mark[2] is not _SPENT and sid in partition.segments]
+            if not live:
+                continue
+            sid, mark = live[n % len(live)]
+            segment = partition.segments[sid]
+            seg_range = partition.tree.range_of(sid)
+            for key in range(mark - 1, mark - 40, -1):
+                if not seg_range.contains(key):
+                    break
+                if segment.index.get(key) is None:
+                    _put(partition, key)
+                    break
+        elif op == "reinsert_dead" and exclude:
+            _put(partition, sorted(exclude)[n % len(exclude)])
+        elif op == "vacuum":
+            keys = [k for seg in segments for k, _c in seg.index_scan()]
+            if keys:
+                key = keys[n % len(keys)]
+                segment = partition.segment_for(key)
+                for page_no, slot, _v in segment.versions_for(key):
+                    segment.remove_version(key, page_no, slot)
+        elif op in ("split_tail", "split_median"):
+            full = [seg for seg in segments if seg.record_count >= 2]
+            if not full:
+                continue
+            segment = full[n % len(full)]
+            pending = None if op == "split_tail" else \
+                next(k for k, _c in segment.index_scan())
+            partition.split_full_segment(segment, pending)
+
+
+def _visits_per_moved_record(monkeypatch, rows):
+    """Move the upper half of a ``rows``-record table logically and
+    count the B-tree entries batch collection visits per moved record."""
+    env, cluster = _fresh(rows)
+    visits = [0]
+    collecting = [False]
+    scan = Segment.index_scan
+    collect = LogicalPartitioning._collect_batch
+
+    def counted_scan(self, *args, **kwargs):
+        for entry in scan(self, *args, **kwargs):
+            visits[0] += collecting[0]
+            yield entry
+
+    def counted_collect(*args, **kwargs):
+        collecting[0] = True
+        try:
+            return collect(*args, **kwargs)
+        finally:
+            collecting[0] = False
+
+    monkeypatch.setattr(Segment, "index_scan", counted_scan)
+    monkeypatch.setattr(LogicalPartitioning, "_collect_batch",
+                        staticmethod(counted_collect))
+    reports = migrate(env, cluster, fraction=0.5, targets=(2,))
+    moved = sum(r.records_moved for r in reports)
+    assert moved == rows // 2
+    return visits[0] / moved
+
+
+def test_collection_work_per_moved_record_does_not_grow_with_the_range(
+        monkeypatch):
+    """A rescan from the range's low bound per batch visits entries in
+    proportion to the range per record moved; resuming from the sweep's
+    marks keeps the visits per record flat."""
+    small = _visits_per_moved_record(monkeypatch, 400)
+    large = _visits_per_moved_record(monkeypatch, 1600)
+    assert large <= small * 1.25, (small, large)
+    assert large <= 8, (small, large)
