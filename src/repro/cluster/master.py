@@ -20,7 +20,7 @@ from repro.errors import TransientError
 from repro.hardware import specs
 from repro.index.global_table import GlobalPartitionTable, PartitionLocation
 from repro.index.partition_tree import KeyRange, SegmentMovedError
-from repro.sim.engine import Environment
+from repro.sim.engine import DONE, Environment, after
 from repro.txn.manager import Transaction
 from repro.txn.mvcc import NotVisibleError
 
@@ -77,21 +77,28 @@ class MasterNode:
     # -- planning ----------------------------------------------------------
 
     def plan(self):
-        """Generator: charge the fixed planning/dispatch CPU cost."""
-        yield from self.worker.cpu.execute(specs.CPU_PLAN_SECONDS_PER_QUERY)
+        """Charge the fixed planning/dispatch CPU cost (a step)."""
+        return after(self.worker.cpu.execute(specs.CPU_PLAN_SECONDS_PER_QUERY),
+                     self._count_planned)
+
+    def _count_planned(self) -> None:
         self.queries_planned += 1
 
     def _hop(self, target: "WorkerNode", txn: Transaction):
-        """Generator: master <-> worker dispatch hop.
+        """Master <-> worker dispatch hop (a step).
 
         WattDB ships distributed *plans*: the master pays one round trip
         to enlist a worker in a transaction; subsequent operations of
         the same transaction on that worker run within the shipped plan
-        (master-local workers are always free).
+        (master-local workers are always free), so their hop is
+        ``DONE``.
         """
         if target is self.worker or target.node_id in txn.visited_nodes:
-            return
+            return DONE
         txn.visited_nodes.add(target.node_id)
+        return self._enlist(txn)
+
+    def _enlist(self, txn: Transaction):
         t0 = self.env.now
         yield from self.cluster.network.rpc_delay()
         if txn.breakdown is not None:
@@ -114,9 +121,36 @@ class MasterNode:
                 f"partition {location.partition_id} of {table!r} has no "
                 f"live copy"
             )
-        tried: set[int] = set()
-        dead: set[int] = set()
-        queue = [self.cluster.worker(n) for n in location.candidate_nodes]
+        if location.moving_to_node_id is not None:
+            tried: set[int] = set()
+            dead: set[int] = set()
+            queue = [self.cluster.worker(n) for n in location.candidate_nodes]
+        else:
+            # One owner: the loop below for a single candidate, with
+            # none of its bookkeeping unless that candidate fails —
+            # then the loop goes on from exactly the state it would hold.
+            worker = self.cluster.worker(location.node_id)
+            serving = worker.is_serving
+            moved_to = None
+            if serving:
+                yield from self._hop(worker, txn)
+                partition = worker.partitions.get(location.partition_id)
+                if partition is None:
+                    try:
+                        partition = worker.find_partition(table, key)
+                    except RecordNotHereError:
+                        pass
+                if partition is not None:
+                    try:
+                        result = yield from action(worker, partition)
+                        return result
+                    except SegmentMovedError as moved:
+                        moved_to = moved.target_node_id
+                    except RecordNotHereError:
+                        pass
+            tried = {worker.node_id}
+            dead = set() if serving else {worker.node_id}
+            queue = [] if moved_to is None else [self.cluster.worker(moved_to)]
         while queue:
             worker = queue.pop(0)
             if worker.node_id in tried:

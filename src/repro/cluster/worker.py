@@ -22,7 +22,7 @@ from repro.index.partition_tree import (
     SegmentMovedError,
 )
 from repro.metrics.breakdown import CostBreakdown
-from repro.sim.engine import Environment
+from repro.sim.engine import DONE, Environment, after
 from repro.storage.buffer import BufferPool
 from repro.storage.disk_space import DiskSpaceManager
 from repro.storage.page import Page
@@ -156,7 +156,12 @@ class WorkerNode:
 
     @property
     def has_failed_data_disk(self) -> bool:
-        return any(d.failed for d in self.disk_space.disks)
+        # A loop, not any(<genexpr>): routing asks this on every record
+        # operation (is_serving).
+        for disk in self.disk_space.disks:
+            if disk.failed:
+                return True
+        return False
 
     @property
     def is_serving(self) -> bool:
@@ -240,9 +245,10 @@ class WorkerNode:
         return _SegmentPageIO(self, segment_id)
 
     def fetch_page(self, page: Page, breakdown: CostBreakdown | None = None):
-        """Generator: pin ``page`` through this node's buffer pool."""
+        """Pin ``page`` through this node's buffer pool (a step:
+        :meth:`BufferPool.fetch`)."""
         self._page_segment[page.page_id] = page.segment_id
-        yield from self.buffer.fetch(page.page_id, breakdown)
+        return self.buffer.fetch(page.page_id, breakdown)
 
     def unpin_page(self, page: Page, dirty: bool = False) -> None:
         self.buffer.unpin(page.page_id, dirty)
@@ -490,11 +496,11 @@ class WorkerNode:
 
     def _maintain_secondary(self, partition: "Partition",
                             values: typing.Sequence):
-        """Generator: update the partition's secondary indexes."""
+        """Update the partition's secondary indexes (a step)."""
         if not partition.secondary_indexes:
-            return
+            return DONE
         partition.index_row(values)
-        yield from self.cpu.execute(
+        return self.cpu.execute(
             len(partition.secondary_indexes) * specs.CPU_INDEX_SECONDS_PER_OP,
         )
 
@@ -525,8 +531,8 @@ class WorkerNode:
         return rows
 
     def _announce_write(self, partition: "Partition", txn: Transaction):
-        """Generator: partition-granule write intent (IX), under either
-        CC scheme.
+        """Partition-granule write intent (IX), under either CC scheme
+        (a step: :meth:`LockManager.lock_partition`).
 
         The repartitioning protocol depends on it: the mover's
         partition read lock "wait[s] for pre-existing queries to finish
@@ -534,15 +540,16 @@ class WorkerNode:
         before the lock is granted" (Sect. 4.3) — which requires even
         MVCC writers to announce themselves at the partition granule.
         """
-        yield from self.txns.locks.lock_partition(
+        return self.txns.locks.lock_partition(
             txn.txn_id, partition.table.name, partition.partition_id,
             LockMode.IX, txn.breakdown,
         )
 
     def _dirty_page(self, segment: Segment, page_no: int, txn: Transaction):
+        """Fetch a page and unpin it dirty (a step)."""
         page = segment.pages[page_no]
-        yield from self.fetch_page(page, txn.breakdown)
-        self.unpin_page(page, dirty=True)
+        return after(self.fetch_page(page, txn.breakdown), self.unpin_page,
+                     page, True)
 
     def _log_write(self, txn: Transaction, kind: str, partition: "Partition",
                    version: RecordVersion | None = None,

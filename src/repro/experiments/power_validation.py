@@ -89,6 +89,19 @@ def _fresh_cluster(env: Environment, active: int, disks=True):
     return meter, nodes
 
 
+def _saturate(env: Environment, node: NodeMachine) -> None:
+    """Keep every core and every disk of ``node`` busy for 10 s."""
+    for _ in range(node.cpu.cores):
+        env.process(_busy(node.cpu.execute, 10.0))
+    for disk in node.disks:
+        env.process(_busy(disk.read,
+                          int(disk.spec.bandwidth_bytes_per_s * 10), True))
+
+
+def _busy(start, *args):
+    yield from start(*args)
+
+
 def run_power_validation() -> PowerValidationResult:
     env = Environment()
 
@@ -110,13 +123,7 @@ def run_power_validation() -> PowerValidationResult:
     env3 = Environment()
     meter_full, nodes = _fresh_cluster(env3, active=specs.CLUSTER_NODE_COUNT)
     for node in nodes:
-        for _ in range(node.cpu.cores):
-            env3.process(node.cpu.execute(10.0))
-        for disk in node.disks:
-            env3.process(
-                disk.read(int(disk.spec.bandwidth_bytes_per_s * 10),
-                          sequential=True)
-            )
+        _saturate(env3, node)
     env3.run(until=5.0)
     full = meter_full.current_watts()
 
@@ -124,13 +131,7 @@ def run_power_validation() -> PowerValidationResult:
     env4 = Environment()
     active_node = NodeMachine(env4, 0, start_active=True)
     idle_w = active_node.current_watts()
-    for _ in range(active_node.cpu.cores):
-        env4.process(active_node.cpu.execute(10.0))
-    for disk in active_node.disks:
-        env4.process(
-            disk.read(int(disk.spec.bandwidth_bytes_per_s * 10),
-                      sequential=True)
-        )
+    _saturate(env4, active_node)
     env4.run(until=5.0)
     peak_w = active_node.current_watts()
     standby_node = NodeMachine(env4, 1, start_active=False)

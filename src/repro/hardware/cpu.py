@@ -8,7 +8,7 @@ Fig. 2 (offloading beats local execution once the local CPU saturates).
 
 from __future__ import annotations
 
-from repro.sim.engine import Environment
+from repro.sim.engine import DONE, Environment
 from repro.sim.resources import Resource
 
 
@@ -24,15 +24,17 @@ class Cpu:
         self._resource = Resource(env, capacity=cores, name=name)
 
     def execute(self, seconds: float):
-        """Generator: occupy one core for ``seconds`` of CPU time.
+        """Occupy one core for ``seconds`` of CPU time:
+        ``yield from cpu.execute(specs.CPU_SCAN_SECONDS_PER_RECORD)``.
 
-        Usage: ``yield from cpu.execute(specs.CPU_SCAN_SECONDS_PER_RECORD)``.
+        A step (:meth:`Resource.serve`): ``DONE`` when nothing had to
+        wait, including for zero seconds.
         """
         if seconds < 0:
             raise ValueError(f"negative cpu time: {seconds}")
         if seconds == 0:
-            return
-        yield from self._resource.serve(seconds)
+            return DONE
+        return self._resource.serve(seconds)
 
     @property
     def tracker(self):

@@ -14,7 +14,7 @@ import dataclasses
 
 from repro.errors import TransientError
 from repro.hardware import specs
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, after
 from repro.sim.resources import Resource
 
 
@@ -99,22 +99,19 @@ class Disk:
         self.slow_factor = 1.0
 
     def read(self, nbytes: int, sequential: bool = False):
-        """Generator: perform a read of ``nbytes``.
+        """Read ``nbytes``: a step (:meth:`Resource.serve`), ``DONE``
+        when the device was free and nothing could pre-empt the I/O.
 
         ``sequential=True`` skips the access penalty — used for the
         tail pages of a batched segment read.
         """
-        yield from self._io(nbytes, sequential)
-        self.reads += 1
-        self.bytes_read += nbytes
+        return self._io(nbytes, sequential, False)
 
     def write(self, nbytes: int, sequential: bool = False):
-        """Generator: perform a write of ``nbytes``."""
-        yield from self._io(nbytes, sequential)
-        self.writes += 1
-        self.bytes_written += nbytes
+        """Write ``nbytes``: a step, like :meth:`read`."""
+        return self._io(nbytes, sequential, True)
 
-    def _io(self, nbytes: int, sequential: bool):
+    def _io(self, nbytes: int, sequential: bool, write: bool):
         if self.failed:
             raise DiskFailedError(f"disk {self.name} has failed")
         if nbytes < 0:
@@ -124,15 +121,25 @@ class Disk:
             duration += self.spec.access_seconds
         if self.slow_factor != 1.0:
             duration *= self.slow_factor
-        yield from self._resource.serve(duration)
+        return after(self._resource.serve(duration), self._count,
+                     nbytes, write)
+
+    def _count(self, nbytes: int, write: bool) -> None:
+        """Operation counters move when the I/O completes."""
+        if write:
+            self.writes += 1
+            self.bytes_written += nbytes
+        else:
+            self.reads += 1
+            self.bytes_read += nbytes
 
     def read_page(self):
-        """Generator: random read of one page."""
-        yield from self.read(specs.PAGE_BYTES)
+        """Random read of one page (a step)."""
+        return self._io(specs.PAGE_BYTES, False, False)
 
     def write_page(self):
-        """Generator: random write of one page."""
-        yield from self.write(specs.PAGE_BYTES)
+        """Random write of one page (a step)."""
+        return self._io(specs.PAGE_BYTES, False, True)
 
     @property
     def tracker(self):

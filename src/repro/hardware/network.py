@@ -142,10 +142,11 @@ class Network:
         self.bytes_total += nbytes
 
     def rpc_delay(self):
-        """Generator: one software-stack round-trip latency.
+        """One software-stack round-trip latency, as a step
+        (:meth:`Environment.hold`).
 
         Charged per remote next() call on top of payload transfer time;
         this is the cost that single-record volcano iteration cannot
         amortise (paper Fig. 1, third bar).
         """
-        yield from self.env.hold(specs.NET_RPC_LATENCY_SECONDS)
+        return self.env.hold(specs.NET_RPC_LATENCY_SECONDS)

@@ -79,13 +79,18 @@ class GlobalPartitionTable:
         return list(self._tables)
 
     def partitions(self, table: str) -> list[tuple[KeyRange, PartitionLocation]]:
-        if table not in self._tables:
+        return list(self._entries(table))
+
+    def _entries(self, table: str) -> list[tuple[KeyRange, PartitionLocation]]:
+        """The stored list itself, for lookups that only read it."""
+        entries = self._tables.get(table)
+        if entries is None:
             raise KeyError(f"unknown table {table!r}")
-        return list(self._tables[table])
+        return entries
 
     def locate(self, table: str, key: typing.Any) -> PartitionLocation:
         """Partition responsible for ``key``."""
-        for key_range, location in self.partitions(table):
+        for key_range, location in self._entries(table):
             if key_range.contains(key):
                 return location
         raise KeyError(f"no partition of {table!r} covers key {key!r}")
@@ -94,12 +99,12 @@ class GlobalPartitionTable:
                      key_range: KeyRange) -> list[PartitionLocation]:
         """Partition pruning: only partitions overlapping the range."""
         return [
-            location for r, location in self.partitions(table)
+            location for r, location in self._entries(table)
             if r.overlaps(key_range)
         ]
 
     def range_of(self, table: str, partition_id: int) -> KeyRange:
-        for key_range, location in self.partitions(table):
+        for key_range, location in self._entries(table):
             if location.partition_id == partition_id:
                 return key_range
         raise KeyError(f"partition {partition_id} not registered for {table}")
@@ -107,7 +112,7 @@ class GlobalPartitionTable:
     # -- repartitioning bookkeeping (dual pointers) ------------------------
 
     def _location(self, table: str, partition_id: int) -> PartitionLocation:
-        for _range, location in self.partitions(table):
+        for _range, location in self._entries(table):
             if location.partition_id == partition_id:
                 return location
         raise KeyError(f"partition {partition_id} not registered for {table}")

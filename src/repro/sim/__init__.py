@@ -13,13 +13,14 @@ latencies, utilisation, and ultimately power/energy fall out of the
 simulated timeline deterministically.
 """
 
-from repro.sim.engine import Environment, Process, SimulationError
+from repro.sim.engine import DONE, Environment, Process, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.resources import Resource, Store, UtilizationTracker
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "DONE",
     "Environment",
     "Event",
     "Process",

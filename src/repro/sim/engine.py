@@ -10,7 +10,9 @@ Timed events sit in one global ``heapq`` of ``(time, seq, event)``
 entries; zero-delay events (process bootstraps, hand-overs to queued
 waiters) bypass it through a FIFO.  A hold that nothing can pre-empt
 (:meth:`Environment.hold`) is neither: the clock advances inline and
-the process runs on.  Dispatch order is the global ``(time, seq)``
+the process runs on.  Such a step is a plain call that returns
+:data:`DONE`; only a step that has to wait returns an iterator to
+``yield from``.  Dispatch order is the global ``(time, seq)``
 order, pinned bit-for-bit by the golden fingerprints in
 ``tests/determinism/`` and by the property test that replays random
 schedules against a plain reference kernel.
@@ -26,6 +28,34 @@ from heapq import heappop, heappush
 from repro.sim.events import PENDING, Event, Timeout
 
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
+
+#: What a step that had nothing to wait for returns.  A helper on the
+#: per-record path (``hold``, ``Resource.serve``, ``Cpu.execute``, a
+#: lock grant, a buffer hit, ...) does its work inline and returns
+#: ``DONE``; otherwise it returns an iterator that finishes the step.
+#: Callers ``yield from`` either alike (``yield from ()`` is a no-op),
+#: and a helper that must run code after its sub-step tests
+#: ``step is DONE`` to run it inline (:func:`after`, or by hand where
+#: the code must also run when the step fails).  Not a generator, so
+#: :meth:`Environment.process` refuses it: pass a step to a process
+#: only inside a generator of your own.
+DONE = ()
+
+
+def after(step, then: typing.Callable[..., typing.Any], *args: typing.Any):
+    """The step ``step`` followed by the call ``then(*args)``: inline
+    (returning :data:`DONE`) when ``step`` is ``DONE``, else in a
+    generator that finishes ``step`` first.  A step that fails skips
+    ``then``."""
+    if step is DONE:
+        then(*args)
+        return DONE
+    return _step_then(step, then, args)
+
+
+def _step_then(step, then, args):
+    yield from step
+    then(*args)
 
 
 class SimulationError(RuntimeError):
@@ -205,13 +235,13 @@ class Environment:
         return Timeout(self, delay, value)
 
     def hold(self, delay: float):
-        """Generator: ``yield from env.hold(delay)`` passes ``delay``
-        simulated seconds, exactly like ``yield env.timeout(delay)``.
+        """Pass ``delay`` simulated seconds: ``yield from env.hold(delay)``
+        is exactly ``yield env.timeout(delay)``.
 
         When nothing can run before a positive hold ends, the clock
-        advances inline and the caller runs on without yielding: the
-        callback being delivered is its event's only one, the FIFO is
-        empty, the heap is empty or its head is *strictly* later than
+        advances inline and the call returns :data:`DONE`: the callback
+        being delivered is its event's only one, the FIFO is empty, the
+        heap is empty or its head is *strictly* later than
         ``now + delay`` (an entry due at exactly that time was scheduled
         first, so it must run first), and ``now + delay`` is within the
         running run()'s bound while its stop event is still pending.
@@ -220,6 +250,7 @@ class Environment:
         order is unchanged.  An inline hold still counts as the event it
         replaces (``events_processed``, ``cohorts_dispatched``), so every
         count but ``heap_scheduled`` reads as if it had been a timeout.
+        Otherwise it returns a generator that yields the timeout.
         """
         now = self._now
         end = now + delay
@@ -234,7 +265,10 @@ class Environment:
             self.events_processed += 1
             if end != now:
                 self.cohorts_dispatched += 1
-            return
+            return DONE
+        return self._wait(delay)
+
+    def _wait(self, delay: float):
         yield Timeout(self, delay)
 
     def process(self, generator: ProcessGenerator, name: str | None = None) -> Process:

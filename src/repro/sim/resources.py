@@ -21,6 +21,7 @@ from __future__ import annotations
 import collections
 import typing
 
+from repro.sim.engine import DONE
 from repro.sim.events import PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -162,21 +163,45 @@ class Resource:
             req.succeed(req)
 
     def serve(self, duration: float):
-        """Generator helper: acquire a unit, hold it ``duration``, release.
+        """Acquire a unit, hold it ``duration``, release:
+        ``yield from resource.serve(0.005)``.
 
         On a free unit that nothing can pre-empt before ``duration`` is
-        up, this is no heap entry at all: the grant is a return and the
-        hold advances the clock inline (:meth:`Environment.hold`).  The
-        unit stays held across the advance, so the tracker's integral
-        is what a timeout would have left.
-
-        Usage inside a process::
-
-            yield from resource.serve(0.005)
+        up this is a call that returns :data:`~repro.sim.engine.DONE`:
+        acquire's and release's bookkeeping run around the inline hold
+        (:meth:`Environment.hold`), so the tracker's integral and the
+        grant counts are what a timeout would have left.  No
+        :class:`Request` is made: nothing runs between the grant and the
+        release, so nothing could see it in ``users``.  A free unit
+        whose hold must wait is granted inline and released after the
+        timeout; a busy one queues in :meth:`acquire`.
         """
+        users = self.users
+        if len(users) < self.capacity and not self._queue:
+            in_use = len(users)
+            tracker = self.tracker
+            self.env.resource_fast_grants += 1
+            self.grant_count += 1
+            tracker.update(in_use + 1)
+            step = self.env.hold(duration)
+            if step is DONE:
+                tracker.update(in_use)
+                return DONE
+            req = Request(self)
+            users.add(req)
+            return self._release_after(req, step)
+        return self._queued_serve(duration)
+
+    def _queued_serve(self, duration: float):
         req = yield from self.acquire()
         try:
             yield from self.env.hold(duration)
+        finally:
+            self.release(req)
+
+    def _release_after(self, req: Request, step):
+        try:
+            yield from step
         finally:
             self.release(req)
 

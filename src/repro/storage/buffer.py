@@ -21,7 +21,7 @@ from repro.hardware import specs
 from repro.hardware.cpu import Cpu
 from repro.hardware.network import Network, NetworkPort
 from repro.metrics.breakdown import CostBreakdown
-from repro.sim.engine import Environment
+from repro.sim.engine import DONE, Environment
 from repro.sim.events import Event
 
 
@@ -152,11 +152,51 @@ class BufferPool:
     # -- core protocol -----------------------------------------------------
 
     def fetch(self, page_id: int, breakdown: CostBreakdown | None = None):
-        """Generator: make the page resident and pin it.
+        """Make the page resident and pin it: a step
+        (``yield from pool.fetch(page_id)``).
 
-        Concurrent fetchers of the same non-resident page queue on its
-        latch in arrival order, so only one disk read is issued.
+        A resident page with a free latch is a hit taken on the spot:
+        the latch is held across the hit's CPU charge and released
+        after it, inline when that charge is ``DONE``.  Misses and
+        contended latches wait in :meth:`_fetch`, where concurrent
+        fetchers of the same non-resident page queue on its latch in
+        arrival order, so only one disk read is issued.
         """
+        latched = self._latched
+        frame = self._frames.get(page_id)
+        if frame is None or page_id in latched:
+            return self._fetch(page_id, breakdown)
+        latched[page_id] = None
+        step = self._hit(page_id, frame)
+        if step is DONE:
+            self._unlatch(page_id)
+            return DONE
+        return self._unlatch_after(step, page_id)
+
+    def _hit(self, page_id: int, frame: _Frame):
+        """Pin a resident page under its latch; the CPU charge is the
+        returned step."""
+        self.hits += 1
+        self._frames.move_to_end(page_id)
+        frame.pins += 1
+        return self.cpu.execute(specs.CPU_BUFFER_HIT_SECONDS)
+
+    def _unlatch_after(self, step, page_id: int):
+        try:
+            yield from step
+        finally:
+            self._unlatch(page_id)
+
+    def _unlatch(self, page_id: int) -> None:
+        latched = self._latched
+        waiters = latched[page_id]
+        if waiters:
+            # Hand the latch to the next fetcher; it stays held.
+            waiters.popleft().succeed()
+        else:
+            del latched[page_id]
+
+    def _fetch(self, page_id: int, breakdown: CostBreakdown | None):
         latched = self._latched
         if page_id not in latched:
             # A free latch is taken on the spot: no event, no wait.
@@ -175,10 +215,7 @@ class BufferPool:
         try:
             frame = self._frames.get(page_id)
             if frame is not None:
-                self.hits += 1
-                self._frames.move_to_end(page_id)
-                frame.pins += 1
-                yield from self.cpu.execute(specs.CPU_BUFFER_HIT_SECONDS)
+                yield from self._hit(page_id, frame)
                 return
             yield from self._make_room(breakdown)
             # Reserve the frame before the read: concurrent misses on
@@ -206,12 +243,7 @@ class BufferPool:
                 raise
             frame.dirty = dirty
         finally:
-            waiters = latched[page_id]
-            if waiters:
-                # Hand the latch to the next fetcher; it stays held.
-                waiters.popleft().succeed()
-            else:
-                del latched[page_id]
+            self._unlatch(page_id)
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         frame = self._frames.get(page_id)

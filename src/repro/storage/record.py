@@ -67,6 +67,14 @@ class Schema:
         self.key = tuple(key)
         self._index = {c.name: i for i, c in enumerate(self.columns)}
         self._key_indexes = tuple(self._index[k] for k in self.key)
+        # The sizing plan (see sizeof): a row of empty strings has the
+        # fixed size, and each str value adds its length capped at its
+        # column's width.
+        self._fixed_bytes = sum(c.sizeof("") for c in self.columns)
+        self._str_indexes = tuple(
+            i for i, c in enumerate(self.columns) if c.kind == "str")
+        self._str_widths = tuple(
+            self.columns[i].width for i in self._str_indexes)
 
     def column_index(self, name: str) -> int:
         if name not in self._index:
@@ -87,7 +95,10 @@ class Schema:
             raise ValueError(
                 f"row has {len(values)} values, schema has {len(self.columns)} columns"
             )
-        return sum(c.sizeof(v) for c, v in zip(self.columns, values))
+        return self._fixed_bytes + sum(map(
+            min, map(len, map(values.__getitem__, self._str_indexes)),
+            self._str_widths,
+        ))
 
     def validate(self, values: typing.Sequence[typing.Any]) -> None:
         """Cheap type check of a row against the schema."""

@@ -14,7 +14,7 @@ import typing
 
 from repro.errors import TransientError
 from repro.metrics.breakdown import CostBreakdown
-from repro.sim.engine import Environment
+from repro.sim.engine import DONE, Environment
 from repro.sim.events import AnyOf, Event
 
 
@@ -148,25 +148,35 @@ class LockManager:
     def acquire(self, txn_id: int, resource: ResourceId, mode: LockMode,
                 breakdown: CostBreakdown | None = None,
                 timeout: float | None = None):
-        """Generator: obtain (or upgrade to) ``mode`` on ``resource``.
+        """Obtain (or upgrade to) ``mode`` on ``resource``: a step
+        (``yield from locks.acquire(...)``) that is ``DONE`` when the
+        lock is already held strongly enough or grantable on the spot.
 
-        Raises :class:`LockTimeoutError` after the deadlock timeout; the
+        Otherwise the request queues and the returned generator raises
+        :class:`LockTimeoutError` after the deadlock timeout; the
         caller is expected to abort the transaction and release.
         """
-        state = self._locks.setdefault(resource, _LockState())
+        state = self._locks.get(resource)
+        if state is None:
+            state = self._locks[resource] = _LockState()
         held = state.granted.get(txn_id)
         want = mode if held is None else supremum(held, mode)
         if held is not None and want == held:
-            return  # already strong enough
+            return DONE  # already strong enough
         # Upgraders bypass the queue check: they already hold the lock,
         # so queueing behind waiters they block would deadlock.
         queue_ok = held is not None or self._clears_queue(state, want)
         if queue_ok and self._grantable(state, txn_id, want):
             self._grant(state, txn_id, want, resource)
-            return
+            return DONE
+        return self._wait(state, txn_id, resource, want, held is not None,
+                          breakdown, timeout)
 
-        waiter = _Waiter(self.env, txn_id, want, is_upgrade=held is not None)
-        if waiter.is_upgrade:
+    def _wait(self, state: _LockState, txn_id: int, resource: ResourceId,
+              want: LockMode, is_upgrade: bool,
+              breakdown: CostBreakdown | None, timeout: float | None):
+        waiter = _Waiter(self.env, txn_id, want, is_upgrade)
+        if is_upgrade:
             # Upgrades go to the front: the holder blocks others anyway.
             state.queue.insert(0, waiter)
         else:
@@ -232,26 +242,45 @@ class LockManager:
                     key: typing.Any, mode: LockMode,
                     breakdown: CostBreakdown | None = None,
                     timeout: float | None = None):
-        """Generator: classic MGL path — intention locks down the
-        hierarchy, then R/X on the record."""
+        """Classic MGL path — intention locks down the hierarchy, then
+        R/X on the record.  A step: ``DONE`` when no level had to wait."""
         if mode not in (LockMode.S, LockMode.X):
             raise ValueError(f"record locks must be S or X, got {mode.name}")
         intent = LockMode.IS if mode is LockMode.S else LockMode.IX
-        yield from self.acquire(txn_id, ("table", table), intent, breakdown, timeout)
-        yield from self.acquire(
-            txn_id, ("partition", partition_id), intent, breakdown, timeout
-        )
-        yield from self.acquire(
-            txn_id, ("record", partition_id, key), mode, breakdown, timeout
+        return self._in_order(
+            txn_id, breakdown, timeout,
+            (("table", table), intent),
+            (("partition", partition_id), intent),
+            (("record", partition_id, key), mode),
         )
 
     def lock_partition(self, txn_id: int, table: str, partition_id: int,
                        mode: LockMode,
                        breakdown: CostBreakdown | None = None,
                        timeout: float | None = None):
-        """Generator: partition-granule lock (used by migration)."""
+        """Partition-granule lock (used by migration and by every
+        writer's intent).  A step, like :meth:`lock_record`."""
         intent = LockMode.IS if mode is LockMode.S else LockMode.IX
-        yield from self.acquire(txn_id, ("table", table), intent, breakdown, timeout)
-        yield from self.acquire(
-            txn_id, ("partition", partition_id), mode, breakdown, timeout
+        return self._in_order(
+            txn_id, breakdown, timeout,
+            (("table", table), intent),
+            (("partition", partition_id), mode),
         )
+
+    def _in_order(self, txn_id: int, breakdown: CostBreakdown | None,
+                  timeout: float | None, *levels):
+        """Acquire ``(resource, mode)`` levels top-down: inline while
+        each is granted on the spot, from the first wait on in a
+        generator that takes the rest in turn."""
+        for i, (resource, mode) in enumerate(levels):
+            step = self.acquire(txn_id, resource, mode, breakdown, timeout)
+            if step is not DONE:
+                return self._rest_after(step, txn_id, breakdown, timeout,
+                                        levels[i + 1:])
+        return DONE
+
+    def _rest_after(self, step, txn_id: int, breakdown: CostBreakdown | None,
+                    timeout: float | None, levels):
+        yield from step
+        for resource, mode in levels:
+            yield from self.acquire(txn_id, resource, mode, breakdown, timeout)

@@ -142,10 +142,13 @@ def test_busy_nodes_are_deferred(rig):
     env.run(until=env.process(churn(cluster)()))
     worker = cluster.workers[0]
 
+    def busy_core():
+        yield from worker.machine.cpu.execute(20.0)
+
     def hog():
         # Occupy every core so the gauge window reads utilization 1.0.
         for _ in range(worker.machine.cpu.cores):
-            env.process(worker.machine.cpu.execute(20.0), name="hog")
+            env.process(busy_core(), name="hog")
         yield env.timeout(0.0)
 
     env.run(until=env.process(hog()))
