@@ -121,19 +121,21 @@ class MasterNode:
                 f"partition {location.partition_id} of {table!r} has no "
                 f"live copy"
             )
-        if location.moving_to_node_id is not None:
-            tried: set[int] = set()
-            dead: set[int] = set()
-            queue = [self.cluster.worker(n) for n in location.candidate_nodes]
-        else:
-            # One owner: the loop below for a single candidate, with
-            # none of its bookkeeping unless that candidate fails —
-            # then the loop goes on from exactly the state it would hold.
-            worker = self.cluster.worker(location.node_id)
+        # Candidates in turn: the owner, then the move's target, then
+        # wherever a SegmentMovedError points.  Who was tried, who is
+        # down and who is next are only built once the owner fails, so
+        # an op its owner serves allocates none of them.
+        moving_to = location.moving_to_node_id
+        worker = self.cluster.worker(location.node_id)
+        tried = dead = queue = None
+        while worker is not None:
             serving = worker.is_serving
             moved_to = None
             if serving:
                 yield from self._hop(worker, txn)
+                # Prefer the registered partition (covers inserts into
+                # key regions with no segment yet); fall back to a tree
+                # search for nodes reached via redirection.
                 partition = worker.partitions.get(location.partition_id)
                 if partition is None:
                     try:
@@ -148,34 +150,21 @@ class MasterNode:
                         moved_to = moved.target_node_id
                     except RecordNotHereError:
                         pass
-            tried = {worker.node_id}
-            dead = set() if serving else {worker.node_id}
-            queue = [] if moved_to is None else [self.cluster.worker(moved_to)]
-        while queue:
-            worker = queue.pop(0)
-            if worker.node_id in tried:
-                continue
+            if queue is None:
+                tried, dead = set(), set()
+                queue = ([] if moving_to is None or moving_to == worker.node_id
+                         else [self.cluster.worker(moving_to)])
             tried.add(worker.node_id)
-            if not worker.is_serving:
+            if not serving:
                 dead.add(worker.node_id)
-                continue
-            yield from self._hop(worker, txn)
-            # Prefer the registered partition (covers inserts into key
-            # regions with no segment yet); fall back to a tree search
-            # for nodes reached via redirection.
-            partition = worker.partitions.get(location.partition_id)
-            if partition is None:
-                try:
-                    partition = worker.find_partition(table, key)
-                except RecordNotHereError:
-                    continue
-            try:
-                result = yield from action(worker, partition)
-                return result
-            except SegmentMovedError as moved:
-                queue.append(self.cluster.worker(moved.target_node_id))
-            except RecordNotHereError:
-                continue
+            if moved_to is not None:
+                queue.append(self.cluster.worker(moved_to))
+            worker = None
+            while queue:
+                candidate = queue.pop(0)
+                if candidate.node_id not in tried:
+                    worker = candidate
+                    break
         if dead:
             raise NodeDownError(
                 f"owner(s) {sorted(dead)} of {table!r} key {key!r} are down"

@@ -34,11 +34,11 @@ ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 #: lock grant, a buffer hit, ...) does its work inline and returns
 #: ``DONE``; otherwise it returns an iterator that finishes the step.
 #: Callers ``yield from`` either alike (``yield from ()`` is a no-op),
-#: and a helper that must run code after its sub-step tests
-#: ``step is DONE`` to run it inline (:func:`after`, or by hand where
-#: the code must also run when the step fails).  Not a generator, so
-#: :meth:`Environment.process` refuses it: pass a step to a process
-#: only inside a generator of your own.
+#: and a helper that must run code after its sub-step hands both to
+#: :func:`after` (skipped if the step fails) or :func:`ensure` (run
+#: even then), which run it inline when the step is ``DONE``.  Not a
+#: generator, so :meth:`Environment.process` refuses it: pass a step
+#: to a process only inside a generator of your own.
 DONE = ()
 
 
@@ -56,6 +56,23 @@ def after(step, then: typing.Callable[..., typing.Any], *args: typing.Any):
 def _step_then(step, then, args):
     yield from step
     then(*args)
+
+
+def ensure(step, then: typing.Callable[..., typing.Any], *args: typing.Any):
+    """Like :func:`after`, but ``then(*args)`` also runs when ``step``
+    fails (a crash thrown into it, say): the release of a unit or a
+    latch held across the step."""
+    if step is DONE:
+        then(*args)
+        return DONE
+    return _step_finally(step, then, args)
+
+
+def _step_finally(step, then, args):
+    try:
+        yield from step
+    finally:
+        then(*args)
 
 
 class SimulationError(RuntimeError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.sim.engine import DONE
+from repro.sim.engine import DONE, ensure
 from repro.sim.events import PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,15 +126,22 @@ class Resource:
         """
         users = self.users
         if len(users) < self.capacity and not self._queue:
+            self._grant_free()
             req = Request(self)
-            self.env.resource_fast_grants += 1
             users.add(req)
-            self.tracker.update(len(users))
-            self.grant_count += 1
             return req
         req = self.request()
         yield req
         return req
+
+    def _grant_free(self) -> int:
+        """Count the grant of a free unit with nobody queued (by
+        :meth:`acquire` or :meth:`serve`); returns the units now in use."""
+        in_use = len(self.users) + 1
+        self.env.resource_fast_grants += 1
+        self.grant_count += 1
+        self.tracker.update(in_use)
+        return in_use
 
     def release(self, request: Request) -> None:
         """Return a previously granted unit to the pool."""
@@ -178,30 +185,21 @@ class Resource:
         """
         users = self.users
         if len(users) < self.capacity and not self._queue:
-            in_use = len(users)
-            tracker = self.tracker
-            self.env.resource_fast_grants += 1
-            self.grant_count += 1
-            tracker.update(in_use + 1)
+            in_use = self._grant_free()
             step = self.env.hold(duration)
             if step is DONE:
-                tracker.update(in_use)
+                # release()'s bookkeeping for a unit nobody saw held.
+                self.tracker.update(in_use - 1)
                 return DONE
             req = Request(self)
             users.add(req)
-            return self._release_after(req, step)
+            return ensure(step, self.release, req)
         return self._queued_serve(duration)
 
     def _queued_serve(self, duration: float):
         req = yield from self.acquire()
         try:
             yield from self.env.hold(duration)
-        finally:
-            self.release(req)
-
-    def _release_after(self, req: Request, step):
-        try:
-            yield from step
         finally:
             self.release(req)
 

@@ -21,7 +21,7 @@ from repro.hardware import specs
 from repro.hardware.cpu import Cpu
 from repro.hardware.network import Network, NetworkPort
 from repro.metrics.breakdown import CostBreakdown
-from repro.sim.engine import DONE, Environment
+from repro.sim.engine import Environment, ensure
 from repro.sim.events import Event
 
 
@@ -167,11 +167,7 @@ class BufferPool:
         if frame is None or page_id in latched:
             return self._fetch(page_id, breakdown)
         latched[page_id] = None
-        step = self._hit(page_id, frame)
-        if step is DONE:
-            self._unlatch(page_id)
-            return DONE
-        return self._unlatch_after(step, page_id)
+        return ensure(self._hit(page_id, frame), self._unlatch, page_id)
 
     def _hit(self, page_id: int, frame: _Frame):
         """Pin a resident page under its latch; the CPU charge is the
@@ -180,12 +176,6 @@ class BufferPool:
         self._frames.move_to_end(page_id)
         frame.pins += 1
         return self.cpu.execute(specs.CPU_BUFFER_HIT_SECONDS)
-
-    def _unlatch_after(self, step, page_id: int):
-        try:
-            yield from step
-        finally:
-            self._unlatch(page_id)
 
     def _unlatch(self, page_id: int) -> None:
         latched = self._latched

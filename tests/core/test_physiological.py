@@ -86,6 +86,32 @@ def test_forwarding_pointers_exist_then_retire(migration_cluster):
     assert leftover == []
 
 
+
+def test_a_stale_route_follows_the_forwarding_pointer(migration_cluster):
+    """A route that still names the source meets the moved segment's
+    forwarding pointer there and re-issues the read on its target."""
+    env, cluster = migration_cluster
+    cluster.txns.begin()  # an old transaction keeps the pointers alive
+    migrate(env, cluster)
+    source = cluster.workers[0]
+    key_range, stub = next(
+        (r, t) for p in source.partitions.values()
+        for _sid, r, t in p.tree.entries() if isinstance(t, Forwarding)
+    )
+    key = next(k for k in range(400) if key_range.contains(k))
+    location = cluster.master.gpt.locate("kv", key)
+    assert location.node_id == stub.target_node_id != source.node_id
+    location.node_id = source.node_id
+
+    def read():
+        txn = cluster.txns.begin()
+        row = yield from cluster.master.read("kv", key, txn)
+        yield from cluster.txns.commit(txn)
+        return row
+
+    row = env.run(until=env.process(read()))
+    assert row is not None and row[0] == key
+
 def test_move_acts_as_checkpoint_on_source_log(migration_cluster):
     env, cluster = migration_cluster
     migrate(env, cluster)
