@@ -315,15 +315,16 @@ class PhysiologicalPartitioning(PartitioningScheme):
     def _collect_range_stats(journal, range_entry: RangeMoveEntry,
                              report: MoveReport) -> None:
         """Fold the wire-level accounting of the range's segment moves
-        into the report (idempotent: totals, not increments)."""
-        retries = resumes = reshipped = 0
-        for seg_entry in journal.segment_moves_of_range(range_entry.move_id):
-            retries += seg_entry.retries
-            resumes += seg_entry.resumes
-            reshipped += seg_entry.bytes_reshipped
-        report.retries = retries
-        report.resumes = resumes
-        report.bytes_reshipped = reshipped
+        into the report (idempotent: totals, not increments) — the
+        closed ones' totals the range entry keeps, plus its open ones."""
+        report.retries = range_entry.retries
+        report.resumes = range_entry.resumes
+        report.bytes_reshipped = range_entry.bytes_reshipped
+        for seg_entry in journal.open_segment_moves():
+            if seg_entry.range_move_id == range_entry.move_id:
+                report.retries += seg_entry.retries
+                report.resumes += seg_entry.resumes
+                report.bytes_reshipped += seg_entry.bytes_reshipped
 
     @staticmethod
     def _next_segment(partition: "Partition", key_range: KeyRange,

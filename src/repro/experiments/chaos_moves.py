@@ -40,7 +40,7 @@ from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.experiments import harness
 from repro.ha import FaultInjector
 from repro.hardware.disk import DiskSpec
-from repro.moves import DONE, RetryPolicy
+from repro.moves import RetryPolicy
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
 
@@ -398,10 +398,7 @@ def run_chaos(config: ChaosConfig | None = None,
             "exhausted_writes": exhausted,
             # A DONE move that resumed from a chunk checkpoint after
             # losing in-flight bytes — what the sweep's gate looks for.
-            "resumed_move_completed": any(
-                e.phase == DONE and e.resumes > 0 and e.bytes_reshipped > 0
-                and e.bytes_reshipped < e.bytes_total
-                for e in journal.segment_moves.values()),
+            "resumed_move_completed": journal.resumed_move_completed,
             "degraded_steps": len(rebalancer.failed_moves),
             "resume_rounds_used": rounds_used,
         },

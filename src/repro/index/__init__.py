@@ -8,7 +8,7 @@ idea inherited from Tözün et al.
 """
 
 from repro.index.btree import BPlusTree
-from repro.index.partition_tree import KeyRange, PartitionTree
+from repro.index.partition_tree import KeyRange, PartitionTree, RangeMap
 from repro.index.global_table import GlobalPartitionTable, PartitionLocation
 
 __all__ = [
@@ -17,4 +17,5 @@ __all__ = [
     "KeyRange",
     "PartitionLocation",
     "PartitionTree",
+    "RangeMap",
 ]

@@ -1,28 +1,13 @@
 """Durable move journal: the crash-safety record of repartitioning.
 
-Every segment move runs through a four-phase state machine
-
-    PREPARE -> COPY -> SWITCH -> DONE
-
-with two terminal failure phases, ``ABORTED`` (rolled back cleanly)
-and ``FAILED`` (resolved by failover after a node death).  Each phase
-transition — and each acknowledged copy chunk — is journaled through
-the master's WAL, so a crash of the source, the target, or the
-coordinator always leaves enough state behind to either resume the
-move from the last acknowledged chunk or roll it back without
-orphaning the target extent or leaving the global partition table
-dual-pointed forever.
-
-The paper's protocol updates the master first ("when repartitioning
-starts, the master is updated first, keeping pointers to both, the old
-and new node", Sect. 4.3); the journal extends that idea from routing
-metadata to the full fault story the paper assumes but never spells
-out.
-
-Range moves (the ownership-transferring schemes move a whole key range
-of segments under one registration) get their own entries so failover
-can tell "nothing switched yet — undo the registration" apart from
-"half the segments already serve on the target".
+A segment move runs PREPARE -> COPY -> SWITCH -> DONE, or ends ABORTED
+(rolled back) or FAILED (resolved by failover after a node death).
+Each transition and acknowledged copy chunk goes through the master's
+WAL, so a crash of either end or of the coordinator leaves enough to
+resume from the last acknowledged chunk or to roll back cleanly — the
+paper's "the master is updated first" (Sect. 4.3) carried through the
+faults.  A range move has its own entry, so failover can tell "nothing
+switched yet" from "half the segments already serve on the target".
 """
 
 from __future__ import annotations
@@ -46,6 +31,12 @@ ABORTED = "ABORTED"
 FAILED = "FAILED"
 
 _OPEN_PHASES = (PREPARE, COPY, SWITCH)
+
+#: ``MoveJournal.stats`` keys that closed segment moves add to.
+_CLOSED_COUNTERS = (
+    "moves_total", "first_try_moves", "retried_moves", "resumed_moves",
+    "rolled_back_moves", "failed_moves", "retries_total",
+    "resumes_total", "bytes_shipped", "bytes_reshipped")
 
 #: Range-move registration styles (see ``PhysiologicalPartitioning``):
 #: ``handover`` replaced the source's GPT entry outright, ``split``
@@ -114,6 +105,11 @@ class RangeMoveEntry:
     detail: str = ""
     #: Master-WAL LSN of the PREPARE record (see SegmentMoveEntry).
     prepare_lsn: int | None = None
+    #: Retries, resumes and re-shipped bytes of the range's closed
+    #: segment moves (its open ones still carry their own).
+    retries: int = 0
+    resumes: int = 0
+    bytes_reshipped: int = 0
 
     @property
     def is_open(self) -> bool:
@@ -121,19 +117,21 @@ class RangeMoveEntry:
 
 
 class MoveJournal:
-    """In-memory journal mirrored into the master's WAL.
-
-    The in-memory dicts are the authority the running simulation reads;
-    the WAL records carry the same payloads so the journal's durability
-    cost (log volume, flush piggybacking) is modelled like any other
-    logging.
-    """
+    """In-memory journal mirrored into the master's WAL (so its
+    durability cost is modelled like any other logging).  A segment move
+    is held only while it is open: closing it folds it into
+    :meth:`stats`' counters and its range move's totals."""
 
     def __init__(self, wal: "LogManager | None" = None):
         self.wal = wal
         self._ids = itertools.count(1)
-        self.segment_moves: dict[int, SegmentMoveEntry] = {}
+        #: Open segment moves by (segment, source, target), in open order.
+        self._open: dict[tuple[int, int, int], SegmentMoveEntry] = {}
         self.range_moves: dict[int, RangeMoveEntry] = {}
+        self._closed = dict.fromkeys(_CLOSED_COUNTERS, 0)
+        #: Some move closed DONE after resuming from a chunk checkpoint
+        #: with part, not all, of its bytes re-shipped.
+        self.resumed_move_completed = False
 
     # -- WAL mirroring ----------------------------------------------------
 
@@ -153,13 +151,16 @@ class MoveJournal:
                           epoch: int | None = None,
                           range_move_id: int | None = None
                           ) -> SegmentMoveEntry:
+        key = (segment_id, source_node, target_node)
+        if key in self._open:
+            raise RuntimeError(f"segment move {key} is already open")
         entry = SegmentMoveEntry(
             move_id=next(self._ids), segment_id=segment_id,
             source_node=source_node, target_node=target_node,
             bytes_total=bytes_total, chunk_bytes=chunk_bytes,
             fence=fence, epoch=epoch, range_move_id=range_move_id,
         )
-        self.segment_moves[entry.move_id] = entry
+        self._open[key] = entry
         entry.prepare_lsn = self._log(
             "move", (entry.move_id, PREPARE, segment_id,
                      source_node, target_node, bytes_total)
@@ -168,31 +169,72 @@ class MoveJournal:
 
     def resumable_segment_move(self, segment_id: int, source_node: int,
                                target_node: int) -> SegmentMoveEntry | None:
-        """An open COPY-phase entry for the same segment and endpoints —
-        what a restarted coordinator adopts instead of recopying."""
-        for entry in self.segment_moves.values():
-            if (entry.is_open and entry.segment_id == segment_id
-                    and entry.source_node == source_node
-                    and entry.target_node == target_node):
-                return entry
-        return None
+        """The open entry for the same segment and endpoints — what a
+        restarted coordinator adopts instead of recopying."""
+        return self._open.get((segment_id, source_node, target_node))
 
-    def advance(self, entry: SegmentMoveEntry, phase: str,
-                detail: str = "") -> None:
+    @staticmethod
+    def _set_phase(entry: SegmentMoveEntry | RangeMoveEntry, phase: str,
+                   detail: str) -> None:
         if not entry.is_open:
-            raise RuntimeError(
-                f"move {entry.move_id} is closed ({entry.phase})"
-            )
+            raise RuntimeError(f"move {entry.move_id} is closed ({entry.phase})")
         entry.phase = phase
         if detail:
             entry.detail = detail
+
+    def advance(self, entry: SegmentMoveEntry, phase: str,
+                detail: str = "") -> None:
+        self._set_phase(entry, phase, detail)
         self._log("move", (entry.move_id, phase, entry.segment_id, detail))
+        if entry.is_open:
+            return
+        del self._open[entry.segment_id, entry.source_node, entry.target_node]
+        closed = self._closed
+        closed["moves_total"] += 1
+        resumed = entry.resumes > 0
+        if phase == DONE:
+            retried = resumed or entry.retries > 0
+            closed["retried_moves" if retried else "first_try_moves"] += 1
+            closed["resumed_moves"] += resumed
+            self.resumed_move_completed |= (
+                resumed and 0 < entry.bytes_reshipped < entry.bytes_total)
+        closed["rolled_back_moves"] += phase == ABORTED
+        closed["failed_moves"] += phase == FAILED
+        self._fold(entry, entry.retries, entry.resumes, entry.bytes_shipped,
+                   entry.bytes_reshipped)
+
+    def _fold(self, entry: SegmentMoveEntry, retries: int, resumes: int,
+              shipped: int, reshipped: int) -> None:
+        """Add a closed entry's accounting to the closed counters and to
+        its owning range move."""
+        closed = self._closed
+        closed["retries_total"] += retries
+        closed["resumes_total"] += resumes
+        closed["bytes_shipped"] += shipped
+        closed["bytes_reshipped"] += reshipped
+        owner = self.range_moves.get(entry.range_move_id)
+        if owner is not None:
+            owner.retries += retries
+            owner.resumes += resumes
+            owner.bytes_reshipped += reshipped
 
     def ack_chunk(self, entry: SegmentMoveEntry, nbytes: int) -> None:
         """Journal one acknowledged chunk — the resume checkpoint."""
         entry.chunks_acked += 1
         entry.bytes_shipped += nbytes
         self._log("move-chunk", (entry.move_id, entry.chunks_acked))
+        if not entry.is_open:  # closed by failover mid-chunk
+            self._fold(entry, 0, 0, nbytes, 0)
+
+    def note_retry(self, entry: SegmentMoveEntry, reshipped: int) -> None:
+        """Count one failed chunk attempt: a retry, a resume when a
+        checkpoint exists, and the bytes that must be sent again."""
+        resumes = 1 if entry.chunks_acked > 0 else 0
+        entry.retries += 1
+        entry.resumes += resumes
+        entry.bytes_reshipped += reshipped
+        if not entry.is_open:  # closed by failover mid-chunk
+            self._fold(entry, 1, resumes, 0, reshipped)
 
     # -- range moves ------------------------------------------------------
 
@@ -217,13 +259,7 @@ class MoveJournal:
 
     def advance_range(self, entry: RangeMoveEntry, phase: str,
                       detail: str = "") -> None:
-        if not entry.is_open:
-            raise RuntimeError(
-                f"range move {entry.move_id} is closed ({entry.phase})"
-            )
-        entry.phase = phase
-        if detail:
-            entry.detail = detail
+        self._set_phase(entry, phase, detail)
         self._log("range-move", (entry.move_id, phase, entry.table, detail))
 
     def note_segment_switched(self, entry: RangeMoveEntry) -> None:
@@ -234,7 +270,7 @@ class MoveJournal:
     # -- queries ----------------------------------------------------------
 
     def open_segment_moves(self) -> list[SegmentMoveEntry]:
-        return [e for e in self.segment_moves.values() if e.is_open]
+        return list(self._open.values())
 
     def open_range_moves(self) -> list[RangeMoveEntry]:
         return [e for e in self.range_moves.values() if e.is_open]
@@ -260,40 +296,19 @@ class MoveJournal:
                   if node_id in (e.source_node, e.target_node)]
         return segs, ranges
 
-    def segment_moves_of_range(self, range_move_id: int
-                               ) -> list[SegmentMoveEntry]:
-        return [e for e in self.segment_moves.values()
-                if e.range_move_id == range_move_id]
-
     # -- accounting -------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
         """Cluster-wide move accounting, shaped like the client retry
         summary: first-try moves reported separately from moves that
         needed retries or a chunk-level resume."""
-        closed = [e for e in self.segment_moves.values() if not e.is_open]
-        done = [e for e in closed if e.phase == DONE]
-        return {
-            "moves_total": len(self.segment_moves),
-            "first_try_moves": sum(
-                1 for e in done if e.retries == 0 and e.resumes == 0
-            ),
-            "retried_moves": sum(
-                1 for e in done if e.retries > 0 or e.resumes > 0
-            ),
-            "resumed_moves": sum(1 for e in done if e.resumes > 0),
-            "rolled_back_moves": sum(
-                1 for e in closed if e.phase == ABORTED
-            ),
-            "failed_moves": sum(1 for e in closed if e.phase == FAILED),
-            "retries_total": sum(e.retries for e in self.segment_moves.values()),
-            "resumes_total": sum(e.resumes for e in self.segment_moves.values()),
-            "bytes_shipped": sum(
-                e.bytes_shipped for e in self.segment_moves.values()
-            ),
-            "bytes_reshipped": sum(
-                e.bytes_reshipped for e in self.segment_moves.values()
-            ),
-            "open_moves": len(self.open_segment_moves()),
-            "open_range_moves": len(self.open_range_moves()),
-        }
+        stats = dict(self._closed)
+        for entry in self._open.values():
+            stats["moves_total"] += 1
+            stats["retries_total"] += entry.retries
+            stats["resumes_total"] += entry.resumes
+            stats["bytes_shipped"] += entry.bytes_shipped
+            stats["bytes_reshipped"] += entry.bytes_reshipped
+        stats["open_moves"] = len(self._open)
+        stats["open_range_moves"] = len(self.open_range_moves())
+        return stats

@@ -73,6 +73,11 @@ class MoveFailedError(RuntimeError):
     report = None
     reports: typing.Sequence = ()
 
+    def __init__(self, message: str, entry: SegmentMoveEntry | None = None):
+        super().__init__(message)
+        #: The closed journal entry of the segment move that failed.
+        self.entry = entry
+
 
 class MoveTimeoutError(MoveFailedError):
     """The per-move deadline expired."""
@@ -173,7 +178,7 @@ class MoveManager:
                 journal.advance(entry, ABORTED, f"no target extent: {exc}")
                 raise MoveFailedError(
                     f"segment {segment.segment_id}: cannot reserve target "
-                    f"extent on node {target.node_id}"
+                    f"extent on node {target.node_id}", entry=entry
                 ) from exc
             journal.advance(entry, COPY)
         self._entry_segments[entry.move_id] = segment
@@ -189,14 +194,14 @@ class MoveManager:
                 # back while we were backing off; nothing to undo here.
                 raise MoveFailedError(
                     f"segment {segment.segment_id}: move {entry.move_id} "
-                    f"was closed by failover ({entry.detail})"
+                    f"was closed by failover ({entry.detail})", entry=entry
                 )
             if env.now >= deadline:
                 self._rollback(entry, segment, target,
                                f"timed out after {env.now - t0:.1f}s")
                 raise MoveTimeoutError(
                     f"segment {segment.segment_id}: move exceeded "
-                    f"{self.move_timeout:.0f}s"
+                    f"{self.move_timeout:.0f}s", entry=entry
                 )
             offset = entry.chunks_acked * self.chunk_bytes
             chunk = min(self.chunk_bytes, nbytes - offset)
@@ -216,18 +221,15 @@ class MoveManager:
                 # one, so the chunk must be re-shipped.
                 self._check_endpoints(source, target)
             except TRANSIENT_ERRORS as exc:
-                entry.retries += 1
-                if entry.chunks_acked > 0:
-                    entry.resumes += 1
-                if shipped:
-                    entry.bytes_reshipped += chunk
+                journal.note_retry(entry, chunk if shipped else 0)
                 attempt += 1
                 if attempt >= self.retry.max_attempts:
                     self._rollback(entry, segment, target,
                                    f"retries exhausted: {exc}")
                     raise MoveFailedError(
                         f"segment {segment.segment_id}: "
-                        f"{self.retry.max_attempts} attempts failed ({exc})"
+                        f"{self.retry.max_attempts} attempts failed ({exc})",
+                        entry=entry,
                     ) from exc
                 delay = self.retry.delay(attempt, env.rng)
                 if env.now + delay >= deadline:
@@ -235,7 +237,7 @@ class MoveManager:
                                    f"timed out backing off: {exc}")
                     raise MoveTimeoutError(
                         f"segment {segment.segment_id}: deadline reached "
-                        f"while backing off ({exc})"
+                        f"while backing off ({exc})", entry=entry
                     ) from exc
                 yield env.timeout(delay)
                 fresh_stream = True
@@ -243,7 +245,7 @@ class MoveManager:
             except DiskFailedError as exc:
                 self._rollback(entry, segment, target, f"disk failed: {exc}")
                 raise MoveFailedError(
-                    f"segment {segment.segment_id}: {exc}"
+                    f"segment {segment.segment_id}: {exc}", entry=entry
                 ) from exc
             attempt = 0
             fresh_stream = False
@@ -253,19 +255,19 @@ class MoveManager:
         if not entry.is_open:
             raise MoveFailedError(
                 f"segment {segment.segment_id}: move {entry.move_id} "
-                f"was closed by failover ({entry.detail})"
+                f"was closed by failover ({entry.detail})", entry=entry
             )
         if not self._fence_intact(entry):
             self._rollback(entry, segment, target, "fenced: epoch advanced")
             raise EpochFencedError(
                 f"segment {segment.segment_id}: partition "
-                f"{entry.fence} was promoted while the move ran"
+                f"{entry.fence} was promoted while the move ran", entry=entry
             )
         if not target.is_serving:
             self._rollback(entry, segment, target, "target died pre-switch")
             raise MoveFailedError(
                 f"segment {segment.segment_id}: target node "
-                f"{target.node_id} not serving at switch"
+                f"{target.node_id} not serving at switch", entry=entry
             )
         journal.advance(entry, SWITCH)
         self.cluster.directory.unregister(segment.segment_id)

@@ -2,6 +2,7 @@
 flush-under-pin, and adoption of an interrupted move's checkpoint."""
 
 from repro.core.migration import flush_segment_pages
+from repro.experiments.chaos_moves import run_chaos
 from repro.moves import COPY, DONE
 
 from tests.moves.conftest import build_move_cluster, drive, first_segment
@@ -94,3 +95,26 @@ class TestCheckpointAdoption:
         assert entry.phase == DONE
         assert entry.resumes == 0
         assert cluster.directory.location(segment.segment_id)[0] is target
+
+    def test_the_mover_never_opens_a_second_entry_for_an_open_triple(self):
+        """The journal keys open moves by (segment, source, target): on
+        schedules with retries, chunk resumes and a rollback, every
+        entry the mover opens is for a triple with nothing open."""
+        open_before = []
+
+        def instrument(env, cluster):
+            journal = cluster.moves.journal
+            open_segment_move = journal.open_segment_move
+
+            def recording(segment_id, source, target, *args, **kwargs):
+                open_before.append(journal.resumable_segment_move(
+                    segment_id, source, target))
+                return open_segment_move(segment_id, source, target,
+                                         *args, **kwargs)
+
+            journal.open_segment_move = recording
+
+        for seed in range(4):
+            assert run_chaos(seed=seed, instrument=instrument).ok
+        assert len(open_before) > 4
+        assert open_before == [None] * len(open_before)

@@ -48,7 +48,10 @@ class TestSegmentEntryReplay:
         env.run(until=mover_proc)
 
         assert isinstance(outcome.get("error"), MoveFailedError)
-        (entry,) = cluster.moves.journal.segment_moves.values()
+        journal = cluster.moves.journal
+        assert journal.stats()["moves_total"] == 1
+        assert journal.open_segment_moves() == []
+        entry = outcome["error"].entry
         assert entry.phase == ABORTED
         assert "died" in entry.detail
         # The half-copied target extent is gone; the source still serves.

@@ -1,7 +1,10 @@
 """Model-based tests: the global partition table and partition tree
-against dict/interval reference models under random operation streams."""
+against dict/interval reference models under random operation streams,
+and the lookups that must not grow with the cluster."""
 
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from repro.index import (
     PartitionTree,
 )
 from repro.index.partition_tree import Forwarding
+from repro.moves import ABORTED, DONE, MoveJournal, SegmentMoveEntry
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,3 +186,200 @@ def test_property_partition_tree_find_matches_model(seed, n_segments):
                 model[next_id] = (split, high, f"seg-{next_id}")
                 next_id += 1
         check()
+
+
+def _scan_find(model, key):
+    """Reference lookup: the first entry whose range holds ``key`` — the
+    linear ``contains`` scan the range map replaced."""
+    for key_range, value in model.values():
+        if key_range.contains(key):
+            return value
+    return None
+
+
+def _scan_ordered(model):
+    """Reference view: every entry re-sorted by low key, unbounded below
+    first — the sort every ``register`` used to make."""
+    entries = list(model.values())
+    entries.sort(key=lambda e: (e[0].low is not None, e[0].low))
+    return entries
+
+
+def _random_range(rng):
+    low = rng.choice([None, rng.randrange(0, 1000)])
+    high = rng.choice([None, (low or 0) + rng.randint(1, 60)])
+    return KeyRange(low, high)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_property_range_map_matches_linear_reference(seed):
+    """The master's table and a partition's top index against linear
+    references under random streams: register / unregister / split /
+    unsplit / begin-finish-abort move on the GPT, and attach / detach /
+    forward / retire on the tree.  ``find`` / ``locate``,
+    ``locate_range`` / ``find_range``, the sorted view, the insertion
+    order and the overlap ``ValueError`` all agree with the scans."""
+    rng = random.Random(seed)
+    gpt, tree = GlobalPartitionTable(), PartitionTree(partition_id=1)
+    gpt_model, tree_model = {}, {}  # id -> (range, value), put order
+    next_id = 1
+    probes = [rng.randrange(-10, 1100) for _ in range(12)]
+
+    def check():
+        bounds = [b for key_range, _v in [*gpt_model.values(),
+                                          *tree_model.values()]
+                  for b in (key_range.low, key_range.high) if b is not None]
+        for key in probes + [b + d for b in bounds for d in (-1, 0)]:
+            assert tree.find(key) == _scan_find(tree_model, key)
+            expected = _scan_find(gpt_model, key)
+            if expected is None:
+                with pytest.raises(KeyError):
+                    gpt.locate("t", key)
+            else:
+                assert gpt.locate("t", key) is expected
+        window = _random_range(rng)
+        assert gpt.locate_range("t", window) == [
+            loc for r, loc in _scan_ordered(gpt_model) if r.overlaps(window)]
+        assert tree.find_range(window) == [
+            v for r, v in tree_model.values() if r.overlaps(window)]
+        assert gpt.partitions("t") == _scan_ordered(gpt_model)
+        assert tree.ordered() == _scan_ordered(tree_model)
+        assert [(i, r, v) for i, r, v in tree.entries()] == [
+            (i, r, v) for i, (r, v) in tree_model.items()]
+        ordered = _scan_ordered(tree_model)
+        assert tree.covered_range() == (
+            KeyRange(ordered[0][0].low, ordered[-1][0].high)
+            if ordered else None)
+
+    gpt.register("t", KeyRange(None, None), PartitionLocation(next_id, 0))
+    gpt_model[next_id] = gpt.partitions("t")[0]
+    next_id += 1
+    check()
+    for _ in range(40):
+        action = rng.random()
+        if action < 0.5:
+            # --- the master's table ---
+            pid = rng.choice(list(gpt_model)) if gpt_model else None
+            key_range, location = gpt_model.get(pid, (None, None))
+            if action < 0.12 or pid is None:
+                key_range = _random_range(rng)
+                clash = any(r.overlaps(key_range)
+                            for r, _l in gpt_model.values())
+                location = PartitionLocation(next_id, rng.randrange(4))
+                try:
+                    gpt.register("t", key_range, location)
+                except ValueError:
+                    assert clash
+                else:
+                    assert not clash
+                    gpt_model[next_id] = (key_range, location)
+                    next_id += 1
+                with pytest.raises(ValueError):
+                    gpt.register("t", key_range, location)  # same id
+            elif action < 0.17:
+                gpt.unregister("t", pid)
+                del gpt_model[pid]
+            elif action < 0.3:
+                lo = -50 if key_range.low is None else key_range.low
+                hi = 1100 if key_range.high is None else key_range.high
+                if hi - lo < 2 or location.is_moving:
+                    continue
+                low_range, high_range = key_range.split_at(
+                    rng.randrange(lo + 1, hi))
+                gpt.split("t", pid, high_range.low, next_id, 3)
+                gpt_model[pid] = (low_range, location)
+                gpt_model[next_id] = (high_range, gpt.locate(
+                    "t", high_range.low))
+                next_id += 1
+            elif action < 0.38:
+                pairs = [(a, b) for a, (ra, _la) in gpt_model.items()
+                         for b, (rb, _lb) in gpt_model.items()
+                         if a != b and ra.high is not None
+                         and ra.high == rb.low]
+                if not pairs:
+                    continue
+                lower, upper = rng.choice(pairs)
+                merged = KeyRange(gpt_model[lower][0].low,
+                                  gpt_model[upper][0].high)
+                keeper, absorbed = rng.sample([lower, upper], 2)
+                epoch = gpt.epoch_of("t", keeper)
+                gpt.unsplit("t", keeper, absorbed)
+                assert gpt.epoch_of("t", keeper) == epoch + 1
+                del gpt_model[absorbed]
+                gpt_model[keeper] = (merged, gpt_model[keeper][1])
+            elif not location.is_moving:
+                gpt.begin_move("t", pid, rng.randrange(4))
+                assert gpt.locate_range("t", key_range) == [location]
+            elif rng.random() < 0.5:
+                gpt.finish_move("t", pid)
+            else:
+                gpt.abort_move("t", pid)
+        else:
+            # --- a partition's top index ---
+            sid = rng.choice(list(tree_model)) if tree_model else None
+            key_range, target = tree_model.get(sid, (None, None))
+            if action < 0.7 or sid is None:
+                attach_id = next_id if sid is None or action < 0.62 else sid
+                key_range = _random_range(rng)
+                clash = any(r.overlaps(key_range)
+                            for other, (r, _v) in tree_model.items()
+                            if other != attach_id)
+                try:
+                    tree.attach(attach_id, key_range, f"seg-{attach_id}")
+                except ValueError:
+                    assert clash
+                else:
+                    assert not clash
+                    tree_model[attach_id] = (key_range, f"seg-{attach_id}")
+                    next_id += attach_id == next_id
+            elif isinstance(target, Forwarding):
+                tree.retire_forwarding(sid)
+                del tree_model[sid]
+            elif action < 0.8:
+                tree.detach(sid)
+                del tree_model[sid]
+            else:
+                node = rng.randrange(4)
+                tree.forward(sid, node)
+                tree_model[sid] = (key_range, Forwarding(sid, node))
+        check()
+
+
+@pytest.mark.parametrize("partitions", [10, 1_000])
+def test_locate_makes_at_most_two_contains_calls(partitions, monkeypatch):
+    """A bare table's ``locate`` costs the same at 10 and at 1 000
+    partitions: no scan of ``KeyRange.contains`` over its ranges."""
+    gpt = GlobalPartitionTable()
+    edges = [None, *range(10, 10 * partitions, 10), None]
+    for pid in range(partitions):
+        gpt.register("t", KeyRange(edges[pid], edges[pid + 1]),
+                     PartitionLocation(pid, node_id=pid % 4))
+    calls = []
+    contains = KeyRange.contains
+    monkeypatch.setattr(KeyRange, "contains",
+                        lambda self, key: calls.append(key) or contains(self, key))
+    keys = random.Random(partitions).choices(range(-5, 10 * partitions + 5),
+                                             k=500)
+    for key in keys:
+        assert gpt.locate("t", key).partition_id == max(0, min(
+            key // 10, partitions - 1))
+    assert len(calls) <= 2 * len(keys)
+
+
+def test_journal_holds_only_its_open_segment_moves():
+    """After N closed moves the journal holds exactly its open ones, and
+    ``stats()`` still counts every move it ever opened."""
+    journal = MoveJournal()
+    entries = [journal.open_segment_move(sid, 1, 2, 4096, 1024)
+               for sid in range(200)]
+    for entry in entries[:-3]:
+        journal.advance(entry, DONE if entry.segment_id % 2 else ABORTED)
+    held = [value for attr in vars(journal).values() if isinstance(attr, dict)
+            for value in attr.values() if isinstance(value, SegmentMoveEntry)]
+    assert held == journal.open_segment_moves() == entries[-3:]
+    assert journal.resumable_segment_move(0, 1, 2) is None
+    assert journal.resumable_segment_move(199, 1, 2) is entries[-1]
+    summary = journal.stats()
+    assert (summary["moves_total"], summary["open_moves"]) == (200, 3)
+    assert summary["first_try_moves"] + summary["rolled_back_moves"] == 197

@@ -3,6 +3,8 @@ checkpoints, resume lookup, accounting, and WAL mirroring."""
 
 import pytest
 
+from repro.core.physiological import PhysiologicalPartitioning
+from repro.core.schemes import MoveReport
 from repro.moves import (
     ABORTED,
     COPY,
@@ -68,6 +70,15 @@ class TestSegmentEntries:
         assert journal.resumable_segment_move(7, 2, 1) is None
         assert journal.resumable_segment_move(9, 1, 2) is None
 
+    def test_a_second_open_entry_for_an_open_triple_is_refused(self):
+        journal = MoveJournal()
+        first = open_move(journal)
+        with pytest.raises(RuntimeError):
+            open_move(journal)
+        assert journal.resumable_segment_move(7, 1, 2) is first
+        journal.advance(first, ABORTED, "rolled back")
+        assert open_move(journal) is not first
+
     def test_open_moves_involving_filters_by_endpoint(self):
         journal = MoveJournal()
         a = open_move(journal, segment_id=1, source=1, target=2)
@@ -94,12 +105,43 @@ class TestRangeEntries:
             journal.advance_range(entry, COPY)
         assert journal.open_range_moves() == []
 
-    def test_segment_moves_of_range(self):
+    def test_range_entry_keeps_its_closed_segment_moves(self):
+        """A closed segment move leaves its retries, resumes and
+        re-shipped bytes on its owning range entry, and nothing on an
+        unrelated one — also an attempt counted after failover closed
+        it mid-chunk."""
         journal = MoveJournal()
         range_entry = journal.open_range_move("kv", 1, 2, 1, 2, SPLIT)
         inside = open_move(journal, range_move_id=range_entry.move_id)
-        open_move(journal, segment_id=8)  # unrelated
-        assert journal.segment_moves_of_range(range_entry.move_id) == [inside]
+        journal.note_retry(inside, 2048)
+        journal.ack_chunk(inside, 2048)
+        unrelated = open_move(journal, segment_id=8)
+        journal.note_retry(unrelated, 512)
+        journal.advance(inside, ABORTED, "rolled back")
+        journal.advance(unrelated, DONE)
+        assert (range_entry.retries, range_entry.resumes,
+                range_entry.bytes_reshipped) == (1, 0, 2048)
+        journal.note_retry(inside, 1024)  # its chunk was in flight
+        journal.ack_chunk(inside, 256)
+        assert (range_entry.retries, range_entry.resumes,
+                range_entry.bytes_reshipped) == (2, 1, 3072)
+        assert journal.open_segment_moves() == []
+        summary = journal.stats()
+        assert (summary["moves_total"], summary["retries_total"],
+                summary["resumes_total"], summary["bytes_shipped"],
+                summary["bytes_reshipped"]) == (2, 3, 1, 2304, 3584)
+        still_open = open_move(journal, segment_id=9,
+                               range_move_id=range_entry.move_id)
+        journal.note_retry(still_open, 100)
+        report = MoveReport("physiological", "kv", 1, 2)
+        PhysiologicalPartitioning._collect_range_stats(
+            journal, range_entry, report)
+        assert (report.retries, report.resumes,
+                report.bytes_reshipped) == (3, 1, 3172)
+        summary = journal.stats()
+        assert (summary["moves_total"], summary["retries_total"],
+                summary["bytes_reshipped"], summary["open_moves"]) == (
+                    3, 4, 3684, 1)
 
 
 class TestAccounting:
@@ -129,6 +171,21 @@ class TestAccounting:
         assert summary["retries_total"] == 3
         assert summary["bytes_reshipped"] == 2048
         assert summary["open_moves"] == 1
+
+    def test_resumed_move_completed_needs_part_of_the_bytes_reshipped(self):
+        journal = MoveJournal()
+        for reshipped in (0, 8192):  # nothing / everything re-shipped
+            entry = open_move(journal, bytes_total=8192)
+            journal.ack_chunk(entry, 2048)
+            journal.note_retry(entry, reshipped)
+            journal.advance(entry, DONE)
+        assert journal.stats()["resumed_moves"] == 2
+        assert not journal.resumed_move_completed
+        entry = open_move(journal, bytes_total=8192)
+        journal.ack_chunk(entry, 2048)
+        journal.note_retry(entry, 2048)
+        journal.advance(entry, DONE)
+        assert journal.resumed_move_completed
 
     def test_every_transition_is_mirrored_into_the_wal(self):
         wal = FakeWal()
