@@ -56,6 +56,21 @@ class VacuumPolicy:
     #: node's segments are deferred to a later tick (None = never).
     load_threshold: float | None = None
 
+    def __post_init__(self):
+        if not self.interval > 0:
+            raise ValueError(
+                f"vacuum interval must be > 0, not {self.interval!r}")
+        for name in ("chunk_versions", "max_reclaim_per_tick"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be None or >= 1, not {value!r}")
+        if self.load_threshold is not None \
+                and not 0 < self.load_threshold <= 1:
+            raise ValueError(
+                f"load_threshold must be None or in (0, 1], "
+                f"not {self.load_threshold!r}"
+            )
+
 
 class VacuumScheduler(PeriodicDaemon):
     """Background version GC with a resumable per-segment work queue.

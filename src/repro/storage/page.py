@@ -45,9 +45,16 @@ class Page:
     def live_slot_count(self) -> int:
         return len(self._slots) - len(self._free_slots)
 
+    @property
+    def room(self) -> int:
+        """The largest version the page admits: its free bytes, less a
+        new slot's entry when no freed slot is left to reuse."""
+        if self._free_slots:
+            return self.free_bytes
+        return self.free_bytes - SLOT_BYTES
+
     def fits(self, version: RecordVersion) -> bool:
-        extra_slot = 0 if self._free_slots else SLOT_BYTES
-        return version.size_bytes + extra_slot <= self.free_bytes
+        return version.size_bytes <= self.room
 
     def insert(self, version: RecordVersion) -> int:
         """Store a version; returns its slot number."""

@@ -123,7 +123,7 @@ class Schema:
 VERSION_HEADER_BYTES = 24
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class RecordVersion:
     """One version of a logical record, as stored in a page slot.
 
@@ -143,6 +143,11 @@ class RecordVersion:
     #: ``Segment.insert_version``); lets undo/GC find a version even
     #: after a segment split relocated it.
     home: typing.Any = dataclasses.field(default=None, repr=False, compare=False)
+    #: Where in ``home`` it is stored (set with ``home``): the key of
+    #: the segment's dead set, so commit and abort reach their entry
+    #: without a walk of the version chain.
+    page_no: int = dataclasses.field(default=-1, repr=False, compare=False)
+    slot: int = dataclasses.field(default=-1, repr=False, compare=False)
     #: CRC32 over the immutable payload (key + values), computed by
     #: :meth:`make`.  ``None`` for hand-built versions (legacy rows and
     #: test fixtures) — those verify trivially.  The MVCC header fields

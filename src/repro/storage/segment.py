@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import typing
+from array import array
 
 from repro.hardware import specs
 from repro.index.btree import BPlusTree
@@ -42,13 +43,19 @@ class Segment:
         #: key -> list of (page_no, slot), newest version first.
         self.index: BPlusTree = BPlusTree()
         self._fill_cursor = 0
-        # Upper bound on any page's free_bytes.  Raised whenever a page
-        # gains room (new page, version removed), tightened to the exact
-        # maximum whenever a full first-fit scan fails.  Inserts only
-        # shrink free space, so the bound stays valid without updates on
-        # the hot path — and lets ``_find_page_with_room`` skip the O(n)
-        # scan outright when the incoming version provably cannot fit.
-        self._max_free_ub = 0
+        #: (page_no, slot) -> the version stored there, for every stored
+        #: version whose delete is stamped (``deleted_ts`` set): what
+        #: vacuum visits instead of every version of the segment.
+        self.dead: dict[tuple[int, int], RecordVersion] = {}
+        # Where the room is: a max-tree over the pages, leaf
+        # ``_leaves + page_no`` an upper bound on that page's ``room``
+        # (-1 where there is no page yet, or before the page's first
+        # insert), node ``i`` the max of nodes ``2i`` and ``2i + 1``,
+        # node 1 the root.  Inserts only shrink a page's room, so they
+        # leave the tree alone; removals lift a leaf, and a placement
+        # tightens a leaf it finds too loose to the page's true room.
+        self._leaves = 1
+        self._bounds = array("i", (-1, -1))
 
     # -- capacity ----------------------------------------------------------
 
@@ -89,13 +96,16 @@ class Segment:
         page_no = self._find_page_with_room(version, allow_overflow)
         page = self.pages[page_no]
         slot = page.insert(version)
-        # Raise the bound only to the page's *post-insert* free space: a
-        # freshly appended page's empty-page headroom is consumed right
-        # here, and advertising it would leave the bound pinned high and
-        # the scan-skip below permanently disarmed.
-        if page.free_bytes > self._max_free_ub:
-            self._max_free_ub = page.free_bytes
+        if self._bounds[self._leaves + page_no] < 0:
+            # The page's first insert: its bound is what is left after
+            # it, not the empty page's room, which would lure every
+            # later search to a page the cursor is already filling.
+            self._lift(page_no, page.room)
         version.home = self
+        version.page_no = page_no
+        version.slot = slot
+        if version.deleted_ts is not None:
+            self.dead[page_no, slot] = version
         chain = self.index.get(version.key)
         if chain is None:
             self.index.insert(version.key, [(page_no, slot)])
@@ -105,47 +115,99 @@ class Segment:
 
     def _find_page_with_room(self, version: RecordVersion,
                              allow_overflow: bool = False) -> int:
-        if self.pages and self.pages[self._fill_cursor].fits(version):
-            return self._fill_cursor
-        # ``fits`` needs at least size_bytes free, so when even the
-        # loosest page cannot offer that, the scan below is guaranteed
-        # to fail — skip straight to extending the segment.
-        if version.size_bytes <= self._max_free_ub:
-            max_free = 0
-            for page_no, page in enumerate(self.pages):
-                if page.fits(version):
-                    self._fill_cursor = page_no
-                    return page_no
-                free = page.free_bytes
-                if free > max_free:
-                    max_free = free
-            self._max_free_ub = max_free
-        if len(self.pages) >= self.max_pages and not allow_overflow:
+        """The fill cursor's page if the version fits there, else the
+        leftmost page it fits on, else a new page."""
+        pages = self.pages
+        if pages:
+            page = pages[self._fill_cursor]
+            if page.fits(version):
+                return self._fill_cursor
+            # Inserts land only on the cursor's page, so its bound is
+            # the one that goes stale; set it to the truth before the
+            # descent can probe it again.
+            self._tighten(self._fill_cursor, page.room)
+        size = version.size_bytes
+        bounds = self._bounds
+        leaves = self._leaves
+        while bounds[1] >= size:
+            # Descend to the leftmost leaf whose bound admits the
+            # version; every node is the max of its children, so one of
+            # them always does.
+            node = 1
+            while node < leaves:
+                node <<= 1
+                if bounds[node] < size:
+                    node += 1
+            page_no = node - leaves
+            page = pages[page_no]
+            if page.fits(version):
+                self._fill_cursor = page_no
+                return page_no
+            self._tighten(page_no, page.room)
+        if len(pages) >= self.max_pages and not allow_overflow:
             raise SegmentFullError(
                 f"segment {self.segment_id}: all {self.max_pages} pages full"
             )
-        page = Page(next(_GLOBAL_PAGE_IDS), self.segment_id, self.page_bytes)
-        self.pages.append(page)
-        # The caller (insert_version) raises _max_free_ub from this
-        # page's free space once its insert has landed.
-        self._fill_cursor = len(self.pages) - 1
+        if len(pages) == leaves:
+            self._grow()
+        pages.append(Page(next(_GLOBAL_PAGE_IDS), self.segment_id,
+                          self.page_bytes))
+        self._fill_cursor = len(pages) - 1
         return self._fill_cursor
+
+    def _lift(self, page_no: int, room: int) -> None:
+        """Raise a page's bound to ``room`` and its ancestors with it,
+        up to the first one already that high."""
+        bounds = self._bounds
+        node = self._leaves + page_no
+        while node and bounds[node] < room:
+            bounds[node] = room
+            node >>= 1
+
+    def _tighten(self, page_no: int, room: int) -> None:
+        """Set a page's bound to its true ``room`` and re-derive its
+        ancestors, up to the first one that does not change."""
+        bounds = self._bounds
+        node = self._leaves + page_no
+        bounds[node] = room
+        node >>= 1
+        while node:
+            left = bounds[2 * node]
+            right = bounds[2 * node + 1]
+            best = left if left >= right else right
+            if bounds[node] == best:
+                break
+            bounds[node] = best
+            node >>= 1
+
+    def _grow(self) -> None:
+        """Double the leaves: the old leaves move to the new offset and
+        the inner nodes are re-derived."""
+        old, leaves = self._bounds, self._leaves
+        bounds = array("i", (-1,)) * (4 * leaves)
+        bounds[2 * leaves:3 * leaves] = old[leaves:]
+        for node in range(2 * leaves - 1, 0, -1):
+            left = bounds[2 * node]
+            right = bounds[2 * node + 1]
+            bounds[node] = left if left >= right else right
+        self._bounds, self._leaves = bounds, 2 * leaves
 
     def remove_version(self, key: typing.Any, page_no: int, slot: int) -> RecordVersion:
         """Drop one version (GC or record movement)."""
-        version = self.pages[page_no].remove(slot)
-        free = self.pages[page_no].free_bytes
-        if free > self._max_free_ub:
-            self._max_free_ub = free
+        location = (page_no, slot)
         chain = self.index.get(key)
-        if chain is None or (page_no, slot) not in chain:
+        if chain is None or location not in chain:
             raise KeyError(
                 f"segment {self.segment_id}: no index entry for {key!r} at "
                 f"({page_no}, {slot})"
             )
-        chain.remove((page_no, slot))
+        page = self.pages[page_no]
+        version = page.remove(slot)
+        chain.remove(location)
         if not chain:
             self.index.delete(key)
+        self.dead.pop(location, None)
+        self._lift(page_no, page.room)
         return version
 
     # -- reads ----------------------------------------------------------
@@ -161,14 +223,12 @@ class Segment:
         return iter(self.pages)
 
     def scan_versions(self) -> typing.Iterator[tuple[int, int, RecordVersion]]:
-        """Physical order scan: page by page, slot by slot."""
-        # Reads the slot array directly rather than chaining through
-        # Page.versions(): vacuum walks every version of every segment,
-        # and the nested-generator plumbing dominates that walk.
-        for page_no, page in enumerate(self.pages):
-            for slot, version in enumerate(page._slots):
-                if version is not None:
-                    yield page_no, slot, version
+        """Physical order scan: page by page, slot by slot — every
+        stored version, for the checkers, scrub and tests (vacuum reads
+        :attr:`dead`)."""
+        for pno, page in enumerate(self.pages):
+            for slot, version in page.versions():
+                yield pno, slot, version
 
     def index_scan(self, lo: typing.Any = None, hi: typing.Any = None,
                    hi_inclusive: bool = False

@@ -190,6 +190,7 @@ class TransactionManager:
             version.created_ts = commit_ts
         for _segment, version in txn._deleted:
             version.deleted_ts = commit_ts
+            version.home.dead[version.page_no, version.slot] = version
         for log in txn._dirty_logs:
             lsn = log.append(txn.txn_id, "commit")
             yield from log.flush(lsn, txn.breakdown)
@@ -245,7 +246,12 @@ class TransactionManager:
                 version.deleted_by = None
                 # A commit interrupted mid-flush may already have
                 # stamped the delete; the abort wins.
-                version.deleted_ts = None
+                if version.deleted_ts is not None:
+                    version.deleted_ts = None
+                    # A version this transaction also created left the
+                    # dead set with its undo above.
+                    version.home.dead.pop(
+                        (version.page_no, version.slot), None)
         # Likewise a commit interrupted mid-flush already stamped the
         # transaction itself; the abort voids that too.
         txn.commit_ts = None

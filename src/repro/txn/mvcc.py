@@ -148,16 +148,22 @@ def vacuum_chunk(segment: Segment, horizon_ts: int,
     Returns ``(reclaimed, exhausted)``; ``exhausted`` is True when the
     segment holds no further reclaimable versions at this horizon, so a
     resumable scheduler knows whether to revisit the segment next tick
-    or move on.  ``limit=None`` degenerates to a full sweep.
+    or move on.  ``limit=None`` degenerates to a full sweep.  Only the
+    segment's stamped deletes (``Segment.dead``) are visited, in
+    ``(page_no, slot)`` order — the order of a physical scan.
     """
-    dead: list[tuple[typing.Any, int, int]] = []
+    if limit is not None and limit < 1:
+        raise ValueError(f"vacuum limit must be None or >= 1, not {limit!r}")
+    dead = segment.dead
+    reclaim: list[tuple[typing.Any, int, int]] = []
     exhausted = True
-    for page_no, slot, version in segment.scan_versions():
-        if version.deleted_ts is not None and version.deleted_ts < horizon_ts:
-            dead.append((version.key, page_no, slot))
-            if limit is not None and len(dead) >= limit:
+    for location in sorted(dead):
+        version = dead[location]
+        if version.deleted_ts < horizon_ts:
+            reclaim.append((version.key, *location))
+            if limit is not None and len(reclaim) >= limit:
                 exhausted = False
                 break
-    for key, page_no, slot in dead:
+    for key, page_no, slot in reclaim:
         segment.remove_version(key, page_no, slot)
-    return len(dead), exhausted
+    return len(reclaim), exhausted

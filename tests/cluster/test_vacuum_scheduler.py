@@ -178,6 +178,33 @@ def test_invalid_interval_rejected(rig):
         VacuumScheduler(cluster, VacuumPolicy(interval=0.0))
 
 
+@pytest.mark.parametrize("interval", [0.0, -1.0])
+def test_policy_interval_must_be_positive(interval):
+    with pytest.raises(ValueError, match="interval"):
+        VacuumPolicy(interval=interval)
+
+
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_policy_chunk_versions_must_be_at_least_one(chunk):
+    with pytest.raises(ValueError, match="chunk_versions"):
+        VacuumPolicy(chunk_versions=chunk)
+    assert VacuumPolicy(chunk_versions=1).chunk_versions == 1
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_policy_max_reclaim_per_tick_must_be_at_least_one(budget):
+    with pytest.raises(ValueError, match="max_reclaim_per_tick"):
+        VacuumPolicy(max_reclaim_per_tick=budget)
+    assert VacuumPolicy(max_reclaim_per_tick=1).max_reclaim_per_tick == 1
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, 7.0])
+def test_policy_load_threshold_must_be_a_fraction(threshold):
+    with pytest.raises(ValueError, match="load_threshold"):
+        VacuumPolicy(load_threshold=threshold)
+    assert VacuumPolicy(load_threshold=1.0).load_threshold == 1.0
+
+
 def test_stats_shape(rig):
     env, cluster = rig
     env.run(until=env.process(churn(cluster)()))

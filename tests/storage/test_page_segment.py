@@ -124,6 +124,46 @@ class TestSegment:
         with pytest.raises(Exception):
             seg.remove_version(42, 3, 9)
 
+    def test_remove_without_index_entry_changes_nothing(self):
+        """The index entry is checked before the slot is freed: a remove
+        the index does not know leaves the stored version, its chain,
+        the dead set and the room bounds as they were."""
+        seg = Segment(1, "t", max_pages=4, page_bytes=1024)
+        stored = version((1,))
+        stored.deleted_ts = 5
+        assert seg.insert_version(stored) == (0, 0)
+        bounds = list(seg._bounds)
+        with pytest.raises(KeyError):
+            seg.remove_version((2,), 0, 0)
+        assert seg.version_count == 1
+        assert seg.index.get((1,)) == [(0, 0)]
+        assert seg.dead == {(0, 0): stored}
+        assert list(seg._bounds) == bounds
+        assert seg.remove_version((1,), 0, 0) is stored
+        assert seg.dead == {}
+
+    def test_page_left_empty_by_an_oversized_version_is_found_again(self):
+        """A version no page can hold leaves the page appended for it
+        empty; once the cursor's page fills, first fit goes back to it
+        before the segment grows."""
+        seg = Segment(1, "t", max_pages=10, page_bytes=512)
+        for key in (1, 2):
+            huge = RecordVersion(key=key, values=(key, ""), size_bytes=1000,
+                                 created_by=1)
+            with pytest.raises(PageFullError):
+                seg.insert_version(huge)
+        assert seg.page_count == 2
+        placed = [seg.insert_version(version(key))[0] for key in range(17)]
+        assert placed == [1] * 8 + [0] * 8 + [2]
+
+    def test_placed_version_knows_its_slot(self):
+        seg = Segment(1, "t", max_pages=10, page_bytes=512)
+        for i in range(12):
+            placed = version(i)
+            assert seg.insert_version(placed) == (placed.page_no, placed.slot)
+            assert seg.pages[placed.page_no].get(placed.slot) is placed
+            assert placed.home is seg
+
     def test_scan_versions_physical_order(self):
         seg = Segment(1, "t", max_pages=10, page_bytes=512)
         for i in (5, 3, 9, 1):

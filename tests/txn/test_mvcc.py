@@ -210,6 +210,21 @@ def test_vacuum_respects_active_snapshots(setup):
     assert mvcc.visible_version(seg, 1, old_reader).values == (1, "v1")
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_vacuum_limit_must_be_none_or_at_least_one(setup, limit):
+    env, tm, schema, seg = setup
+    writer = tm.begin()
+    mvcc.insert(seg, ver(schema, 1, "v1", writer), writer)
+    commit(env, tm, writer)
+    t = tm.begin()
+    mvcc.update(seg, 1, ver(schema, 1, "v2", t), t)
+    commit(env, tm, t)
+    with pytest.raises(ValueError, match="limit"):
+        mvcc.vacuum_chunk(seg, tm.oldest_active_begin_ts(), limit=limit)
+    assert seg.version_count == 2
+    assert mvcc.vacuum_chunk(seg, tm.oldest_active_begin_ts(), 1) == (1, False)
+
+
 def test_oldest_active_begin_ts_advances(setup):
     env, tm, schema, seg = setup
     t1 = tm.begin()
