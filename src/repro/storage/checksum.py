@@ -13,14 +13,27 @@ each object caches the verdict (``RecordVersion.clean``,
 A mismatch raises :class:`IntegrityError` — corrupted bytes are never
 returned to a caller as data.
 
-The canonical encoding is the ``repr`` of a normal form built from
-plain values (ints, floats, strings, tuples); containers are reduced
-recursively and dicts are key-sorted so logically equal payloads always
-hash equal.  Objects outside that vocabulary contribute only their
-type name: their in-memory identity is not byte-addressable in this
-simulation, so pretending to checksum them would only manufacture
-false confidence (and their default ``repr`` — a memory address —
-would break bit-identical reruns).
+The covered bytes are ``marshal.dumps(form, 2)`` of a normal form
+built from exact plain values (ints, floats, strings, bytes, bools,
+``None`` and tuples of them).  A row or WAL payload already *is* its
+normal form (``_plain``); anything else is reduced by ``canonical``:
+lists become tuples, dicts are key-sorted, sets are sorted by ``repr``,
+so logically equal payloads always hash equal.  A dataclass instance
+(a checkpoint record, say) is covered field by field, in declaration
+order, behind its type name.  A scalar subclass (an ``IntEnum``, a
+``str`` subclass) becomes its type name and ``repr``, which marshal
+can encode and which stays distinct from the base value.  Any other
+object contributes only its type name: its in-memory identity is not
+byte-addressable in this simulation, so pretending to checksum it
+would only manufacture false confidence (and its default ``repr`` — a
+memory address — would break bit-identical reruns).
+
+Format 2 and no other: formats 3 and 4 write back-references and
+interning flags, so two equal rows whose strings happen to be shared
+or interned differently would encode, and hash, differently.  Format 2
+writes every string in full, a float as its 8 IEEE bytes and an int as
+a type byte plus little-endian digits — so the fault injector's
+low-bit int flip is a 1-bit change of the covered bytes.
 
 CRC32 detects every burst error of 32 bits or fewer, which covers the
 single-byte and small-burst flips the fault injector models (and that
@@ -29,6 +42,8 @@ real bit rot overwhelmingly looks like).
 
 from __future__ import annotations
 
+import dataclasses
+import marshal
 import typing
 import zlib
 
@@ -71,11 +86,13 @@ def _plain(obj: typing.Any) -> bool:
 
 
 def canonical(obj: typing.Any) -> typing.Any:
-    """Reduce ``obj`` to a normal form of plain values (see module
-    docstring).  Deterministic across processes for everything the
-    storage and WAL layers persist."""
-    if isinstance(obj, _SCALARS):
+    """Reduce ``obj`` to a normal form of exact plain values (see the
+    module docstring).  Deterministic across processes for everything
+    the storage and WAL layers persist."""
+    if type(obj) in _SCALAR_TYPES:
         return obj
+    if isinstance(obj, _SCALARS):
+        return ("obj", type(obj).__name__, repr(obj))
     if isinstance(obj, (tuple, list)):
         return tuple([canonical(x) for x in obj])
     if isinstance(obj, (set, frozenset)):
@@ -86,14 +103,16 @@ def canonical(obj: typing.Any) -> typing.Any:
                 obj.items(), key=lambda kv: repr(kv[0])
             )
         )
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return ("obj", type(obj).__name__) + tuple(
+            canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        )
     return ("obj", type(obj).__name__)
 
 
 def canonical_bytes(obj: typing.Any) -> bytes:
     """The byte string a checksum covers."""
-    if _plain(obj):
-        return repr(obj).encode("utf-8", "surrogatepass")
-    return repr(canonical(obj)).encode("utf-8", "surrogatepass")
+    return marshal.dumps(obj if _plain(obj) else canonical(obj), 2)
 
 
 def checksum_of(obj: typing.Any) -> int:

@@ -10,6 +10,7 @@ the MVCC storage overhead of Fig. 3 is measured rather than assumed.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing
 
 from repro.storage.checksum import checksum_of, verify
@@ -67,6 +68,9 @@ class Schema:
         self.key = tuple(key)
         self._index = {c.name: i for i, c in enumerate(self.columns)}
         self._key_indexes = tuple(self._index[k] for k in self.key)
+        #: The primary key of a row: scalar for single-column keys,
+        #: tuple for composite keys.
+        self.key_of = operator.itemgetter(*self._key_indexes)
         # The sizing plan (see sizeof): a row of empty strings has the
         # fixed size, and each str value adds its length capped at its
         # column's width.
@@ -80,13 +84,6 @@ class Schema:
         if name not in self._index:
             raise KeyError(f"no column {name!r}")
         return self._index[name]
-
-    def key_of(self, values: typing.Sequence[typing.Any]) -> typing.Any:
-        """The primary key of a row: scalar for single-column keys,
-        tuple for composite keys."""
-        if len(self._key_indexes) == 1:
-            return values[self._key_indexes[0]]
-        return tuple(values[i] for i in self._key_indexes)
 
     def sizeof(self, values: typing.Sequence[typing.Any]) -> int:
         """Serialised byte size of a row (used for page fill and wire
@@ -170,11 +167,14 @@ class RecordVersion:
         known CRC when the caller holds one for exactly these bytes (a
         moved row keeps its source CRC); otherwise it is computed."""
         values = tuple(values)
+        # Sized first: ``sizeof`` checks the arity, so a short row
+        # raises ValueError before its key is taken.
+        size_bytes = schema.sizeof(values) + VERSION_HEADER_BYTES
         key = schema.key_of(values)
         return cls(
             key=key,
             values=values,
-            size_bytes=schema.sizeof(values) + VERSION_HEADER_BYTES,
+            size_bytes=size_bytes,
             created_by=created_by,
             checksum=checksum_of((key, values)) if checksum is None
             else checksum,

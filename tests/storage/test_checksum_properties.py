@@ -3,12 +3,18 @@ payloads, detection of arbitrary byte flips, and the torn-tail
 discipline (a torn prefix never replays as committed)."""
 
 import dataclasses
+import enum
+import os
+import pathlib
+import subprocess
+import sys
 import zlib
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 import pytest
 
+import repro
 from repro.hardware import Disk, SSD_SPEC
 from repro.sim import Environment
 from repro.storage.checksum import (
@@ -22,8 +28,7 @@ from repro.storage.record import RecordVersion, Schema, Column
 from repro.txn.recovery import integrity_scan
 from repro.txn.wal import LogManager
 
-# Values that survive repr-canonicalisation bit-exactly: what rows and
-# WAL payloads are actually made of.
+# What rows and WAL payloads are actually made of.
 scalars = st.one_of(
     st.integers(min_value=-2**40, max_value=2**40),
     st.text(max_size=24),
@@ -219,3 +224,96 @@ def test_discard_tail_then_append_stays_verifiable(tails, extra):
     assert discarded2 == 0
     lsns = [r.lsn for r in records]
     assert lsns == sorted(lsns)
+
+
+# -- the encoding: marshal format 2 of the normal form ------------------
+
+
+def test_string_sharing_and_interning_do_not_change_the_bytes():
+    """Format 2 writes every string in full: equal rows hash equal
+    however their strings are shared or interned (formats 3 and 4
+    would emit a back-reference for the repeated object)."""
+    shared = "".join(["warehouse", "-", "7"])
+    other = "".join(["warehouse", "-", "7"])
+    assert shared is not other
+    interned = sys.intern("warehouse-7")
+    rows = [(shared, shared), (shared, other), (interned, other),
+            (interned, interned), ("warehouse-7", "warehouse-7")]
+    assert len({canonical_bytes(row) for row in rows}) == 1
+    assert len({canonical_bytes((1, row)) for row in rows}) == 1
+
+
+_HASHSEED_PROBE = (
+    "from repro.storage.checksum import canonical_bytes\n"
+    "payload = ({'b': {'x', 'y', 'z'}, 'a': [1, 2.5]}, "
+    "frozenset({'p', 'q', 'r', 's'}))\n"
+    "print(canonical_bytes(payload).hex())\n"
+)
+
+
+def test_set_and_dict_bytes_do_not_depend_on_the_hash_seed():
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", _HASHSEED_PROBE], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout)
+    assert len(outputs) == 1
+
+
+def test_list_equals_tuple_and_dict_order_does_not_matter():
+    assert checksum_of([1, "a", [2.0, None]]) == checksum_of(
+        (1, "a", (2.0, None)))
+    assert checksum_of({"a": 1, "b": (2, 3)}) == checksum_of(
+        {"b": [2, 3], "a": 1})
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Tag(str):
+    pass
+
+
+@pytest.mark.parametrize("value, base", [(_Colour.RED, 1),
+                                         (_Tag("red"), "red")])
+def test_scalar_subclass_round_trips_and_differs_from_its_base(value, base):
+    payload = ("t", 7, (value, 2))
+    verify(payload, checksum_of(payload), where="prop")
+    assert canonical_bytes(payload) != canonical_bytes(("t", 7, (base, 2)))
+    assert canonical_bytes(value) != canonical_bytes(base)
+
+
+@given(st.integers(min_value=-2**31, max_value=2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_every_low_bit_int_flip_is_detected(value):
+    """The fault injector's ``v ^ 1 << k`` (k < 16) on an int32 field
+    always moves the row's CRC."""
+    row = (value, "payload", 3.5)
+    crc = checksum_of((value, row))
+    for k in range(16):
+        flipped = value ^ (1 << k)
+        assert checksum_of((value, (flipped,) + row[1:])) != crc
+        assert checksum_of((flipped, row)) != crc
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_key_of_matches_the_column_walk(data):
+    """``Schema.key_of`` returns what a walk of the key columns does: a
+    scalar for a one-column key, a tuple for a composite one."""
+    width = data.draw(st.integers(min_value=1, max_value=6))
+    names = [f"c{i}" for i in range(width)]
+    key = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                             max_size=width, unique=True))
+    schema = Schema([Column(name) for name in names], key=key)
+    row = tuple(data.draw(st.lists(st.integers(), min_size=width,
+                                   max_size=width)))
+    indexes = [names.index(k) for k in key]
+    expected = (row[indexes[0]] if len(indexes) == 1
+                else tuple(row[i] for i in indexes))
+    assert schema.key_of(row) == expected
+    assert type(schema.key_of(row)) is type(expected)

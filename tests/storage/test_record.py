@@ -81,3 +81,15 @@ def test_record_version_make():
     assert version.created_ts is None
     assert version.deleted_by is None
     assert version.size_bytes == schema.sizeof((5, 1, "x", 9.0)) + VERSION_HEADER_BYTES
+
+
+def test_short_and_long_rows_raise_value_error():
+    """The arity is checked before the key is taken: a short row
+    against a schema keyed on its last column raises the same
+    ValueError as a long one, not an IndexError."""
+    schema = Schema(columns=[Column("a"), Column("b", "str", width=8),
+                             Column("id")], key=("id",))
+    with pytest.raises(ValueError, match="row has 2 values"):
+        RecordVersion.make(schema, (1, "x"), created_by=1)
+    with pytest.raises(ValueError, match="row has 4 values"):
+        RecordVersion.make(schema, (1, "x", 2, 3), created_by=1)

@@ -7,15 +7,20 @@ exactly the state a full from-scratch replay would — so the records
 below the horizon can be recycled.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import Cluster, Column, Environment, Schema
+from repro.hardware import Disk, SSD_SPEC
+from repro.storage.checksum import IntegrityError
 from repro.txn import recovery
 from repro.txn.checkpoint import (
     CheckpointManager,
     CheckpointRecord,
     take_worker_checkpoint,
 )
+from repro.txn.wal import LogManager
 
 
 @pytest.fixture()
@@ -75,6 +80,22 @@ def test_checkpoint_record_carries_redo_lsn(rig):
     assert len(images) == 1
     (image,) = images.values()
     assert len(image.rows) == 10
+
+
+def test_checkpoint_payload_is_covered_by_its_crc():
+    """Every field of a checkpoint record is under the record's CRC: a
+    rotted ``redo_lsn`` would start REDO at the wrong LSN."""
+    env = Environment(seed=1)
+    log = LogManager(env, Disk(env, SSD_SPEC), name="ckpt")
+    log.checkpoint(payload=CheckpointRecord(redo_lsn=5, active_txns=(3,)))
+    (record,) = log.records
+    dataclasses.replace(record).verify(where="test")
+    for rotted in (CheckpointRecord(redo_lsn=999, active_txns=(3,)),
+                   CheckpointRecord(redo_lsn=5),
+                   CheckpointRecord(redo_lsn=5, active_txns=(3,),
+                                    gpt_epochs=(("kv", 0, 2),))):
+        with pytest.raises(IntegrityError):
+            dataclasses.replace(record, payload=rotted).verify(where="test")
 
 
 def test_recovery_replays_only_post_checkpoint_records(rig):
