@@ -4,14 +4,15 @@ plus the master-side rebalancer that drives scale-out/scale-in and the
 helper-node protocol.
 """
 
-from repro.core.schemes import MoveReport, PartitioningScheme
+from repro.core.schemes import MoveReport
+from repro.core.migration import (
+    PartitioningScheme,
+    rollback_range_registration,
+    ship_segment,
+)
 from repro.core.physical import PhysicalPartitioning
 from repro.core.logical import LogicalPartitioning
-from repro.core.physiological import (
-    PhysiologicalPartitioning,
-    rollback_range_registration,
-)
-from repro.core.migration import transfer_segment_storage
+from repro.core.physiological import PhysiologicalPartitioning
 from repro.core.rebalancer import HelperProtocol, Rebalancer
 
 __all__ = [
@@ -23,5 +24,5 @@ __all__ = [
     "PhysiologicalPartitioning",
     "Rebalancer",
     "rollback_range_registration",
-    "transfer_segment_storage",
+    "ship_segment",
 ]

@@ -22,12 +22,20 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.schemes import MoveReport, PartitioningScheme, split_key_at_fraction
+from repro.core.migration import PartitioningScheme, after_drain, register_move
+from repro.core.schemes import MoveReport, split_key_at_fraction
 from repro.hardware import specs
-from repro.index.global_table import PartitionLocation
 from repro.index.partition_tree import Forwarding, KeyRange
+from repro.moves import MoveFailedError, check_endpoints
+from repro.storage.record import RecordVersion
 from repro.storage.segment import SegmentFullError
-from repro.txn import LockTimeoutError, TransactionAborted, TxnState
+from repro.txn import (
+    LockMode,
+    LockTimeoutError,
+    TransactionAborted,
+    TxnState,
+    mvcc,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Partition
@@ -47,8 +55,58 @@ GUARD_LOCK_TIMEOUT = 300.0
 _SPENT = object()
 
 
+def collect_batch(partition: "Partition", key_range: KeyRange,
+                  exclude: set, marks: dict,
+                  batch_size: int = MOVE_BATCH_SIZE) -> list:
+    """The next batch of keys in the range still on the source.
+
+    ``marks`` (one dict per sweep, by segment id) holds, per
+    segment, its index, the index's ``key_inserts`` and the first
+    key the last scan found outside ``exclude`` (or ``_SPENT`` if
+    it found none).  While the index and the counter still match,
+    the scan resumes there: ``exclude`` only grows within a sweep
+    and no key has entered the index since, so every key below the
+    mark is still excluded.  Removals (vacuum, a median split) only
+    drop keys, and a new segment has no mark.
+    """
+    keys: list = []
+    for target in partition.tree.find_range(key_range):
+        if isinstance(target, Forwarding) or target is None:
+            continue
+        index = target.index
+        lo = key_range.low
+        mark = marks.get(target.segment_id)
+        if mark is not None and mark[0] is index \
+                and mark[1] == index.key_inserts:
+            lo = mark[2]
+            if lo is _SPENT:
+                continue
+        start = len(keys)
+        for key, _chain in target.index_scan(lo=lo, hi=key_range.high):
+            if key in exclude:
+                continue
+            keys.append(key)
+            if len(keys) >= batch_size:
+                break
+        marks[target.segment_id] = (
+            index, index.key_inserts,
+            keys[start] if len(keys) > start else _SPENT,
+        )
+        if len(keys) >= batch_size:
+            return keys
+    return keys
+
+
+def _unhost(source: "WorkerNode", segment) -> None:
+    """Release an emptied segment's extent (unless it already left)."""
+    if source.disk_space.holds(segment.segment_id):
+        source.unhost_segment(segment)
+
+
 class LogicalPartitioning(PartitioningScheme):
-    """Delete-and-reinsert record movement between partitions.
+    """Delete-and-reinsert record movement between partitions, in
+    batches cut at key quantiles (record-exact — not bound to segment
+    boundaries), top-down so each split lands in the remaining range.
 
     ``pace_delay`` throttles the mover (seconds of idle between
     batches).  A paced move models a bulk reorganisation running in
@@ -61,7 +119,6 @@ class LogicalPartitioning(PartitioningScheme):
     """
 
     name = "logical"
-    transfers_ownership = True
 
     def __init__(self, pace_delay: float = 0.0,
                  cc: typing.Literal["mvcc", "locking"] = "mvcc"):
@@ -70,18 +127,27 @@ class LogicalPartitioning(PartitioningScheme):
         self.pace_delay = pace_delay
         self.cc = cc
 
-    def move_range(self, cluster: "Cluster", partition: "Partition",
-                   source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange):
-        env = cluster.env
-        table = partition.table.name
-        report = MoveReport(
-            scheme=self.name, table=table,
-            source_node=source.node_id, target_node=target.node_id,
-            started_at=env.now,
-        )
+    def spans(self, partition: "Partition", fraction: float,
+              targets: typing.Sequence["WorkerNode"]):
+        boundaries = []
+        for i in range(len(targets)):
+            sub = fraction * (1 - i / len(targets))
+            key = split_key_at_fraction(partition, sub)
+            if key is not None and (not boundaries or key != boundaries[-1]):
+                boundaries.append(key)
+        hull = partition.covered_range()
+        bounds = boundaries + [hull.high if hull else None]
+        return [
+            (KeyRange(low, high), targets[i % len(targets)])
+            for i, (low, high) in enumerate(zip(bounds, bounds[1:]))
+            if low != high
+        ][::-1]
 
-        target_partition = self._register_move(
+    def ship(self, cluster: "Cluster", partition: "Partition",
+             source: "WorkerNode", target: "WorkerNode",
+             key_range: KeyRange, report: MoveReport):
+        table = partition.table.name
+        target_partition, _mode = register_move(
             cluster, partition, source, target, key_range
         )
 
@@ -94,8 +160,6 @@ class LogicalPartitioning(PartitioningScheme):
         # source versions go when ``_reclaim_source`` vacuums.
         guard = None
         if self.cc == "locking":
-            from repro.txn import LockMode
-
             guard = cluster.txns.begin(is_system=True)
             yield from cluster.txns.locks.lock_partition(
                 guard.txn_id, table, partition.partition_id,
@@ -105,13 +169,10 @@ class LogicalPartitioning(PartitioningScheme):
         try:
             # Sweep until a pass finds nothing (records inserted
             # mid-move are caught by later sweeps).
-            while True:
-                moved_this_sweep = yield from self._sweep(
+            while (yield from self._sweep(
                     cluster, partition, target_partition, source, target,
-                    key_range, report,
-                )
-                if moved_this_sweep == 0:
-                    break
+                    key_range, report)):
+                pass
         finally:
             if guard is not None and guard.state is TxnState.ACTIVE:
                 yield from cluster.txns.commit(guard)
@@ -120,52 +181,8 @@ class LogicalPartitioning(PartitioningScheme):
         yield from self._reclaim_source(cluster, partition, source,
                                         key_range)
         cluster.master.gpt.finish_move(table, target_partition.partition_id)
-        report.finished_at = env.now
-        return report
 
     # -- movement ----------------------------------------------------------
-
-    @staticmethod
-    def _collect_batch(partition: "Partition", key_range: KeyRange,
-                       exclude: set, marks: dict,
-                       batch_size: int = MOVE_BATCH_SIZE) -> list:
-        """The next batch of keys in the range still on the source.
-
-        ``marks`` (one dict per sweep, by segment id) holds, per
-        segment, its index, the index's ``key_inserts`` and the first
-        key the last scan found outside ``exclude`` (or ``_SPENT`` if
-        it found none).  While the index and the counter still match,
-        the scan resumes there: ``exclude`` only grows within a sweep
-        and no key has entered the index since, so every key below the
-        mark is still excluded.  Removals (vacuum, a median split) only
-        drop keys, and a new segment has no mark.
-        """
-        keys: list = []
-        for target in partition.tree.find_range(key_range):
-            if isinstance(target, Forwarding) or target is None:
-                continue
-            index = target.index
-            lo = key_range.low
-            mark = marks.get(target.segment_id)
-            if mark is not None and mark[0] is index \
-                    and mark[1] == index.key_inserts:
-                lo = mark[2]
-                if lo is _SPENT:
-                    continue
-            start = len(keys)
-            for key, _chain in target.index_scan(lo=lo, hi=key_range.high):
-                if key in exclude:
-                    continue
-                keys.append(key)
-                if len(keys) >= batch_size:
-                    break
-            marks[target.segment_id] = (
-                index, index.key_inserts,
-                keys[start] if len(keys) > start else _SPENT,
-            )
-            if len(keys) >= batch_size:
-                return keys
-        return keys
 
     def _sweep(self, cluster: "Cluster", partition: "Partition",
                target_partition: "Partition", source: "WorkerNode",
@@ -184,8 +201,8 @@ class LogicalPartitioning(PartitioningScheme):
         batch_size = MOVE_BATCH_SIZE
         stall_strikes = 0
         while True:
-            batch = self._collect_batch(partition, key_range, dead, marks,
-                                        batch_size)
+            batch = collect_batch(partition, key_range, dead, marks,
+                                  batch_size)
             if not batch:
                 return moved
             done = yield from self._move_batch(
@@ -216,6 +233,8 @@ class LogicalPartitioning(PartitioningScheme):
         """Generator: move one batch in a system transaction; returns
         the number of records moved, or None on a conflict abort.
 
+        A batch ships only while both ends serve, as a segment does.
+
         I/O model: the mover is a *scanner*, not a point-query client —
         it reads the batch's source pages in one clustered sweep at
         near-sequential speed, ships the records, and bulk-appends them
@@ -225,10 +244,7 @@ class LogicalPartitioning(PartitioningScheme):
         appends occupy the target disk, the records cross the wire, and
         the MVCC/locking checks are the genuine article.
         """
-        from repro.hardware import specs
-        from repro.storage.record import RecordVersion
-        from repro.txn import mvcc
-
+        check_endpoints(source, target, MoveFailedError)
         txns = cluster.txns
         mover = txns.begin(is_system=True)
         shipped_bytes = 0
@@ -244,7 +260,6 @@ class LogicalPartitioning(PartitioningScheme):
             yield from source.cpu.execute(
                 len(batch) * specs.CPU_INDEX_SECONDS_PER_OP
             )
-            inserted_pages: set[int] = set()
             for key in batch:
                 segment = partition.segment_for(key)
                 if segment is None or isinstance(segment, Forwarding):
@@ -270,13 +285,12 @@ class LogicalPartitioning(PartitioningScheme):
                 t_segment = target_partition.ensure_segment_for(key)
                 target.ensure_hosted(t_segment)
                 try:
-                    page_no, _slot = mvcc.insert(t_segment, version, mover)
+                    mvcc.insert(t_segment, version, mover)
                 except SegmentFullError:
                     fresh = target_partition.split_full_segment(t_segment, key)
                     target.ensure_hosted(fresh)
                     t_segment = target_partition.segment_for(key)
-                    page_no, _slot = mvcc.insert(t_segment, version, mover)
-                inserted_pages.add(t_segment.pages[page_no].page_id)
+                    mvcc.insert(t_segment, version, mover)
                 target.wal.append(
                     mover.txn_id, "insert",
                     (partition.table.name, key, row),
@@ -290,9 +304,11 @@ class LogicalPartitioning(PartitioningScheme):
                 yield from cluster.network.transfer(
                     source.port, target.port, shipped_bytes
                 )
-                # Bulk append on the receiving disk.
-                yield from self._bulk_write(target, target_partition,
-                                            inserted_pages, shipped_bytes)
+                # Sequential bulk append on the receiving disk.
+                placed = next(iter(target.disk_space.placements()), None)
+                if placed is not None:
+                    yield from placed[1].write(max(shipped_bytes, 4096),
+                                               sequential=False)
             yield from txns.commit(mover)
             report.records_moved += moved
             report.bytes_copied += shipped_bytes
@@ -309,7 +325,7 @@ class LogicalPartitioning(PartitioningScheme):
                    batch: list):
         """Generator: clustered read of the batch's source pages, one
         access penalty per contiguous sweep."""
-        by_disk: dict[int, tuple] = {}
+        by_disk: dict[int, typing.Any] = {}
         page_bytes = 0
         for key in batch:
             segment = partition.segment_for(key)
@@ -319,57 +335,15 @@ class LogicalPartitioning(PartitioningScheme):
                 continue
             pages = {pno for pno, _s in (segment.index.get(key) or [])}
             disk = source.disk_space.disk_of(segment.segment_id)
-            for _ in pages:
-                page_bytes += segment.page_bytes
-            by_disk[id(disk)] = (disk,)
+            page_bytes += len(pages) * segment.page_bytes
+            by_disk[id(disk)] = disk
         if page_bytes == 0:
             return
-        for (disk,) in by_disk.values():
+        for disk in by_disk.values():
             yield from disk.read(page_bytes // max(len(by_disk), 1),
                                  sequential=False)
 
-    @staticmethod
-    def _bulk_write(target: "WorkerNode", target_partition: "Partition",
-                    inserted_pages: set, nbytes: int):
-        """Generator: sequential append of the received records."""
-        disks = {
-            id(d): d for _sid, d in target.disk_space.placements()
-        }
-        if not disks:
-            return
-        disk = next(iter(disks.values()))
-        yield from disk.write(max(nbytes, 4096), sequential=False)
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    @staticmethod
-    def _register_move(cluster: "Cluster", partition: "Partition",
-                       source: "WorkerNode", target: "WorkerNode",
-                       key_range: KeyRange) -> "Partition":
-        table = partition.table.name
-        gpt = cluster.master.gpt
-        registered = gpt.range_of(table, partition.partition_id)
-        target_partition = cluster.catalog.new_partition(
-            partition.table, target.node_id
-        )
-        target_partition.bounds = key_range
-        target.add_partition(target_partition)
-        if key_range.low is None or key_range.low == registered.low:
-            gpt.unregister(table, partition.partition_id)
-            gpt.register(
-                table, registered,
-                PartitionLocation(
-                    target_partition.partition_id, source.node_id,
-                    moving_to_node_id=target.node_id,
-                ),
-            )
-        else:
-            gpt.split(
-                table, partition.partition_id, key_range.low,
-                target_partition.partition_id, source.node_id,
-            )
-            gpt.begin_move(table, target_partition.partition_id, target.node_id)
-        return target_partition
+    # -- reclaim --------------------------------------------------------------
 
     @staticmethod
     def _reclaim_source(cluster: "Cluster", partition: "Partition",
@@ -381,8 +355,6 @@ class LogicalPartitioning(PartitioningScheme):
         after every in-flight transaction has drained, so a reader
         mid-page-fetch never loses the ground under its feet.
         """
-        from repro.txn import mvcc
-
         horizon = cluster.txns.oldest_active_begin_ts()
         for seg_id, seg_range, seg in list(partition.tree.entries()):
             if seg is None or isinstance(seg, Forwarding):
@@ -398,54 +370,7 @@ class LogicalPartitioning(PartitioningScheme):
                 partition.detach_segment(seg_id)
                 if source.disk_space.holds(seg_id):
                     cluster.env.process(
-                        LogicalPartitioning._deferred_unhost(
-                            cluster, source, seg,
-                            cluster.txns.oracle.current,
-                        ),
+                        after_drain(cluster, cluster.txns.oracle.current,
+                                    _unhost, source, seg),
                         name=f"unhost-{seg_id}",
                     )
-
-    @staticmethod
-    def _deferred_unhost(cluster: "Cluster", source: "WorkerNode",
-                         segment, drop_ts: int):
-        """Process: release an emptied segment's extent once every
-        transaction that might still touch it has finished."""
-        while cluster.txns.oldest_active_begin_ts() <= drop_ts:
-            yield cluster.env.timeout(1.0)
-        if source.disk_space.holds(segment.segment_id):
-            source.unhost_segment(segment)
-
-    def migrate_fraction(self, cluster: "Cluster", table: str,
-                         source: "WorkerNode",
-                         targets: typing.Sequence["WorkerNode"],
-                         fraction: float):
-        """Generator: quantile-split fraction move (record-exact —
-        logical partitioning is not bound to segment boundaries)."""
-        if not targets:
-            raise ValueError("need at least one target node")
-        reports: list[MoveReport] = []
-        for partition in list(source.partitions_for_table(table)):
-            boundaries = []
-            for i in range(len(targets)):
-                sub = fraction * (1 - i / len(targets))
-                key = split_key_at_fraction(partition, sub)
-                if key is not None and (not boundaries or key != boundaries[-1]):
-                    boundaries.append(key)
-            if not boundaries:
-                continue
-            hull = partition.covered_range()
-            top = hull.high if hull else None
-            # Process top-down so each split lands in the remaining range.
-            spans = []
-            for i, low in enumerate(boundaries):
-                high = boundaries[i + 1] if i + 1 < len(boundaries) else top
-                spans.append((low, high, targets[i % len(targets)]))
-            for low, high, target in reversed(spans):
-                if low == high:
-                    continue
-                report = yield from self.move_range(
-                    cluster, partition, source, target,
-                    KeyRange(low, high),
-                )
-                reports.append(report)
-        return reports

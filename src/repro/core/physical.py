@@ -21,13 +21,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.migration import transfer_segment_storage
-from repro.core.schemes import (
-    MoveReport,
-    PartitioningScheme,
-    ordered_segments,
-    segment_chunks,
-)
+from repro.core.migration import PartitioningScheme, ship_segment
+from repro.core.schemes import MoveReport, ordered_segments, segment_spans
 from repro.index.partition_tree import KeyRange
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -37,57 +32,20 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 
 class PhysicalPartitioning(PartitioningScheme):
-    """Move segment extents; ownership stays put."""
+    """Move segment extents (ascending); ownership stays put, so there
+    is nothing to register, switch or drain."""
 
     name = "physical"
-    transfers_ownership = False
 
-    def move_range(self, cluster: "Cluster", partition: "Partition",
-                   source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange):
-        report = MoveReport(
-            scheme=self.name, table=partition.table.name,
-            source_node=source.node_id, target_node=target.node_id,
-            started_at=cluster.env.now,
-        )
+    spans = staticmethod(segment_spans)
+
+    def ship(self, cluster: "Cluster", partition: "Partition",
+             source: "WorkerNode", target: "WorkerNode",
+             key_range: KeyRange, report: MoveReport):
         for seg_range, segment in ordered_segments(partition):
-            if not seg_range.overlaps(key_range):
-                continue
-            if not source.disk_space.holds(segment.segment_id):
-                continue  # extent already lives elsewhere
             # Lightweight latch: queries keep running; only the extent
             # itself is briefly locked by the copy machinery.
-            nbytes = yield from transfer_segment_storage(
-                cluster, segment, source, target
-            )
-            # Drop cached pages on the owner: the physical home changed
-            # and the cache must not mask the new remote-access cost
-            # for cold data (hot pages get re-cached on demand).
-            source.buffer.discard_unpinned(p.page_id for p in segment.pages)
-            report.segments_moved += 1
-            report.bytes_copied += nbytes
-            report.records_moved += segment.record_count
-        report.finished_at = cluster.env.now
-        return report
-
-    def migrate_fraction(self, cluster: "Cluster", table: str,
-                         source: "WorkerNode",
-                         targets: typing.Sequence["WorkerNode"],
-                         fraction: float):
-        """Generator: ship the top-``fraction`` segments' storage to the
-        targets; no catalog change whatsoever (the logical layer stays
-        oblivious)."""
-        if not targets:
-            raise ValueError("need at least one target node")
-        reports: list[MoveReport] = []
-        for partition in list(source.partitions_for_table(table)):
-            chunks = segment_chunks(partition, fraction, len(targets))
-            for chunk, target in zip(chunks, targets):
-                low = chunk[0][0].low
-                high = chunk[-1][0].high
-                report = yield from self.move_range(
-                    cluster, partition, source, target,
-                    KeyRange(low, high),
-                )
-                reports.append(report)
-        return reports
+            if seg_range.overlaps(key_range) and \
+                    source.disk_space.holds(segment.segment_id):
+                yield from ship_segment(cluster, segment, source, target,
+                                        report)

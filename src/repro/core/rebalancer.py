@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.schemes import MoveReport, PartitioningScheme
+from repro.core.migration import PartitioningScheme
+from repro.core.schemes import MoveReport
 from repro.moves import MoveFailedError
 from repro.storage.buffer import RemoteBufferExtension
 from repro.txn.wal import LogShippingSink
@@ -91,6 +92,22 @@ class Rebalancer:
         # Suspended range moves are re-driven through this scheme.
         cluster.moves.resume_scheme = scheme
 
+    def _migrate(self, table: str, source: "WorkerNode",
+                 targets: typing.Sequence["WorkerNode"], fraction: float):
+        """Generator: one ``migrate_fraction`` step; returns its reports.
+        A :class:`MoveFailedError` degrades the step — the failed span
+        was rolled back (or suspended), completed ones stay moved, and a
+        resume round or the next autoscaler tick picks it up."""
+        try:
+            return (yield from self.scheme.migrate_fraction(
+                self.cluster, table, source, targets, fraction,
+            ))
+        except MoveFailedError as exc:
+            self.failed_moves.append(
+                (self.cluster.env.now, table, source.node_id, str(exc))
+            )
+            return exc.reports
+
     def scale_out(self, tables: typing.Sequence[str],
                   source_ids: typing.Sequence[int],
                   target_ids: typing.Sequence[int],
@@ -111,22 +128,8 @@ class Rebalancer:
         try:
             for table in tables:
                 for source in sources:
-                    try:
-                        reports = yield from self.scheme.migrate_fraction(
-                            self.cluster, table, source, targets, fraction,
-                        )
-                    except MoveFailedError as exc:
-                        # The mover rolled back (or suspended) the
-                        # failed range; completed chunks stay moved.
-                        # Degrade this step and keep going — a resume
-                        # round or the next autoscaler tick picks it up.
-                        self.reports.extend(exc.reports)
-                        self.failed_moves.append(
-                            (self.cluster.env.now, table, source.node_id,
-                             str(exc))
-                        )
-                        continue
-                    self.reports.extend(reports)
+                    self.reports.extend((yield from self._migrate(
+                        table, source, targets, fraction)))
         finally:
             if helpers:
                 yield from self.helper_protocol.disengage()
@@ -148,20 +151,11 @@ class Rebalancer:
         receiver = self.cluster.worker(receiver_id)
         all_reports = []
         for table in tables:
-            try:
-                reports = yield from self.scheme.migrate_fraction(
-                    self.cluster, table, victim, [receiver], 1.0,
-                )
-            except MoveFailedError as exc:
-                # Quiescing is best-effort under faults: the victim
-                # simply keeps what could not move (the power-off guard
-                # below already refuses while data remains).
-                all_reports.extend(exc.reports)
-                self.failed_moves.append(
-                    (self.cluster.env.now, table, victim_id, str(exc))
-                )
-                continue
-            all_reports.extend(reports)
+            # Quiescing is best-effort under faults: the victim simply
+            # keeps what could not move (the power-off guard below
+            # already refuses while data remains).
+            all_reports.extend((yield from self._migrate(
+                table, victim, [receiver], 1.0)))
         self.reports.extend(all_reports)
         if power_off and victim.disk_space.segment_count() == 0:
             yield from self.cluster.power_off(victim_id)

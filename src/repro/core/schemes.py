@@ -1,16 +1,13 @@
-"""Partitioning-scheme interface and shared selection utilities.
+"""What a range move reports, and how a partition is cut into spans.
 
-A scheme answers one question: *how does a key range move from one node
-to another?*  Everything the paper contrasts — what is copied (raw
-segments vs. individual records), whether logical ownership transfers,
-which locks are taken, what the query layer learns — hangs off that
-answer.  The Fig. 6 experiment is literally a loop over the three
-implementations behind this interface.
+The first stage of the repartitioning pipeline (``core/migration.py``)
+chooses the key ranges that move.  The segment schemes cut at segment
+boundaries (:func:`segment_spans`); the record scheme is not bound to
+them and cuts at key quantiles (:func:`split_key_at_fraction`).
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import typing
 
@@ -19,7 +16,6 @@ from repro.storage.segment import Segment
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Partition
-    from repro.cluster.cluster import Cluster
     from repro.cluster.worker import WorkerNode
 
 
@@ -116,53 +112,17 @@ def segment_chunks(partition: "Partition", fraction: float,
     if not selected:
         return []
     n_targets = min(n_targets, len(selected))
-    base = len(selected) // n_targets
-    extra = len(selected) % n_targets
-    chunks = []
-    start = 0
-    for i in range(n_targets):
-        size = base + (1 if i < extra else 0)
-        chunks.append(selected[start:start + size])
-        start += size
-    return [c for c in chunks if c]
+    base, extra = divmod(len(selected), n_targets)
+    # The first ``extra`` chunks take one segment more.
+    starts = [i * base + min(i, extra) for i in range(n_targets + 1)]
+    return [selected[a:b] for a, b in zip(starts, starts[1:])]
 
 
-class PartitioningScheme(abc.ABC):
-    """How a key range moves between nodes."""
-
-    #: Short identifier used in reports and figures.
-    name: str = "abstract"
-    #: Whether the receiving node takes over query processing for the
-    #: moved data (false only for physical partitioning).
-    transfers_ownership: bool = True
-
-    @abc.abstractmethod
-    def move_range(self, cluster: "Cluster", partition: "Partition",
-                   source: "WorkerNode", target: "WorkerNode",
-                   key_range: KeyRange):
-        """Generator: move ``key_range`` of ``partition`` from
-        ``source`` to ``target``; returns a :class:`MoveReport`.
-
-        A move is background work on behalf of no client query, so it
-        has no Fig. 7 accumulator to charge.
-        """
-
-    @abc.abstractmethod
-    def migrate_fraction(self, cluster: "Cluster", table: str,
-                         source: "WorkerNode",
-                         targets: typing.Sequence["WorkerNode"],
-                         fraction: float):
-        """Generator: move the top ``fraction`` of each of ``source``'s
-        partitions of ``table``, split across ``targets``.
-
-        This is the Fig. 6 driver ("migrate 50% of the records to two
-        additional nodes").  Returns the list of move reports.
-        """
-
-    def resume_range_move(self, cluster: "Cluster", entry):
-        """Generator: re-drive a suspended journaled range move and
-        return its :class:`MoveReport`.  Only physiological partitioning
-        journals its range moves; the others have nothing to resume and
-        return None."""
-        return
-        yield
+def segment_spans(partition: "Partition", fraction: float,
+                  targets: typing.Sequence["WorkerNode"]
+                  ) -> list[tuple[KeyRange, "WorkerNode"]]:
+    """The :func:`segment_chunks` as key ranges, each paired with its
+    target, in ascending key order."""
+    chunks = segment_chunks(partition, fraction, len(targets))
+    return [(KeyRange(chunk[0][0].low, chunk[-1][0].high), target)
+            for chunk, target in zip(chunks, targets)]

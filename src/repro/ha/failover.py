@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.physiological import (
+from repro.core.migration import (
     release_source,
     rollback_range_registration,
 )

@@ -28,6 +28,7 @@ from repro.moves.mover import (
     MoveManager,
     MoveTimeoutError,
     TRANSIENT_ERRORS,
+    check_endpoints,
 )
 from repro.moves.retry import RetryPolicy
 
@@ -51,4 +52,5 @@ __all__ = [
     "SWITCH",
     "SegmentMoveEntry",
     "TRANSIENT_ERRORS",
+    "check_endpoints",
 ]

@@ -62,6 +62,17 @@ DEFAULT_MOVE_TIMEOUT = 900.0
 TRANSIENT_ERRORS = (LinkDownError, NodeDownError)
 
 
+def check_endpoints(source: "WorkerNode", target: "WorkerNode",
+                    error: type[Exception] = NodeDownError) -> None:
+    """Raise ``error`` naming whichever end of a move no longer serves —
+    checked before every unit ships (a segment's chunk retries on a
+    :class:`NodeDownError`; a record batch has no retry and fails)."""
+    if not source.is_serving:
+        raise error(f"move source node {source.node_id} is down")
+    if not target.is_serving:
+        raise error(f"move target node {target.node_id} is down")
+
+
 class MoveFailedError(RuntimeError):
     """A segment move gave up after retries, a timeout, or a fatal
     fault, and was rolled back.  Policy code must degrade the step it
@@ -207,7 +218,7 @@ class MoveManager:
             chunk = min(self.chunk_bytes, nbytes - offset)
             shipped = False
             try:
-                self._check_endpoints(source, target)
+                check_endpoints(source, target)
                 shipped = True
                 yield from source_disk.read(chunk, sequential=not fresh_stream)
                 yield from self.cluster.network.transfer(
@@ -219,7 +230,7 @@ class MoveManager:
                 # The checkpoint needs the target's ack — an endpoint
                 # that died while the chunk was in flight never sent
                 # one, so the chunk must be re-shipped.
-                self._check_endpoints(source, target)
+                check_endpoints(source, target)
             except TRANSIENT_ERRORS as exc:
                 journal.note_retry(entry, chunk if shipped else 0)
                 attempt += 1
@@ -275,13 +286,6 @@ class MoveManager:
         self.cluster.directory.register(segment.segment_id, target, target_disk)
         journal.advance(entry, DONE)
         return entry
-
-    @staticmethod
-    def _check_endpoints(source: "WorkerNode", target: "WorkerNode") -> None:
-        if not source.is_serving:
-            raise NodeDownError(f"move source node {source.node_id} is down")
-        if not target.is_serving:
-            raise NodeDownError(f"move target node {target.node_id} is down")
 
     def _rollback(self, entry: SegmentMoveEntry, segment: "Segment",
                   target: "WorkerNode", reason: str) -> None:

@@ -94,7 +94,7 @@ class TestRemotePageAccess:
         return env, cluster
 
     def test_remote_read_costs_more_than_local(self):
-        from repro.core import transfer_segment_storage
+        from repro.core import MoveReport, ship_segment
 
         env, cluster = self.make()
         worker0, worker1 = cluster.workers[0], cluster.workers[1]
@@ -116,16 +116,11 @@ class TestRemotePageAccess:
         row, local_time = env.run(until=env.process(timed_read()))
         assert row is not None
 
-        # Move the extent to node 1; ownership stays with node 0.
+        # Move the extent to node 1; ownership stays with node 0, whose
+        # cache goes cold so the next read goes remote.
         def move():
-            yield from transfer_segment_storage(
-                cluster, segment, worker0, worker1
-            )
-            # Cold cache on the owner so the next read goes remote.
-            for page in segment.pages:
-                frame = worker0.buffer._frames.get(page.page_id)
-                if frame is not None and frame.pins == 0:
-                    worker0.buffer.discard(page.page_id)
+            yield from ship_segment(cluster, segment, worker0, worker1,
+                                    MoveReport("physical", "kv", 0, 1))
 
         env.run(until=env.process(move()))
         assert cluster.directory.location(segment.segment_id)[0] is worker1

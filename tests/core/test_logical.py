@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro import Column, Schema
 from repro.cluster.catalog import Catalog
 from repro.core import LogicalPartitioning, PhysiologicalPartitioning
-from repro.core.logical import _SPENT
+from repro.core import logical
+from repro.core.logical import _SPENT, collect_batch
 from repro.index.partition_tree import Forwarding, KeyRange
 from repro.storage.record import RecordVersion
 from repro.storage.segment import Segment, SegmentFullError
@@ -339,7 +340,7 @@ def test_property_marked_collection_matches_full_rescan(bounds, ops):
     key_range = KeyRange(*bounds)
     exclude: set = set()
     marks: dict = {}
-    collect = LogicalPartitioning._collect_batch
+    collect = collect_batch
     for op, n in ops + [("collect", n) for n in range(40)]:
         segments = _segments(partition)
         if op == "collect":
@@ -392,7 +393,7 @@ def _visits_per_moved_record(monkeypatch, rows):
     visits = [0]
     collecting = [False]
     scan = Segment.index_scan
-    collect = LogicalPartitioning._collect_batch
+    collect = collect_batch
 
     def counted_scan(self, *args, **kwargs):
         for entry in scan(self, *args, **kwargs):
@@ -407,8 +408,7 @@ def _visits_per_moved_record(monkeypatch, rows):
             collecting[0] = False
 
     monkeypatch.setattr(Segment, "index_scan", counted_scan)
-    monkeypatch.setattr(LogicalPartitioning, "_collect_batch",
-                        staticmethod(counted_collect))
+    monkeypatch.setattr(logical, "collect_batch", counted_collect)
     reports = migrate(env, cluster, fraction=0.5, targets=(2,))
     moved = sum(r.records_moved for r in reports)
     assert moved == rows // 2

@@ -4,6 +4,7 @@ dual-pointer routing, forwarding retirement, checkpoint logging."""
 import pytest
 
 from repro.core import PhysiologicalPartitioning, rollback_range_registration
+from repro.core.migration import register_move
 from repro.core.schemes import ordered_segments
 from repro.index.partition_tree import Forwarding, KeyRange
 from repro.moves import SPLIT
@@ -230,8 +231,11 @@ def test_split_mode_registration_rolls_back_to_the_pre_move_table(
     segments = ordered_segments(partition)
     split_key = segments[len(segments) // 2][0].low
 
-    target_partition, mode = PhysiologicalPartitioning._register_move(
+    target_partition, mode = register_move(
         cluster, partition, source, target, KeyRange(split_key, None))
+    # The physiological scheme fences the moving range off the source.
+    partition.moving_out[target_partition.partition_id] = KeyRange(
+        split_key, None)
     assert mode == SPLIT
     assert len(list(gpt.partitions("kv"))) == 2
     entry = cluster.moves.journal.open_range_move(

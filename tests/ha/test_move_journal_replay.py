@@ -13,7 +13,7 @@ from repro.ha.failover import FailoverCoordinator
 from repro.index import KeyRange
 from repro.moves import ABORTED, FAILED, HANDOVER, MoveFailedError, RetryPolicy
 
-from tests.moves.conftest import build_move_cluster, first_segment
+from tests.moves.conftest import build_move_cluster, drive, first_segment
 
 
 def patient_retry():
@@ -180,3 +180,31 @@ class TestNonJournaledMover:
         (resolved,) = [e for e in cluster.timeline
                        if e.source == "failover" and e.kind == "move_resolved"]
         assert resolved.node_id == source.node_id
+
+    def test_record_mover_stops_shipping_to_a_dead_target(self):
+        """Run to its end, the record mover whose target died mid-sweep
+        fails its next batch with MoveFailedError naming the node; it
+        writes nothing more into the dead target's partitions or WAL."""
+        env, cluster, partition = build_move_cluster(rows=200)
+        source, target = cluster.worker(1), cluster.worker(2)
+        coordinator = FailoverCoordinator(cluster)
+        after_failover = []
+
+        def on_target():
+            return (sum(p.record_count for p in target.partitions.values()),
+                    len(target.wal.records))
+
+        def failover():
+            while not on_target()[0]:
+                yield env.timeout(0.5)
+            target.machine.crash()
+            yield from coordinator.node_failed(target.node_id)
+            after_failover.append(on_target())
+
+        env.process(failover(), name="failover")
+        with pytest.raises(Exception) as failed:
+            drive(env, LogicalPartitioning(pace_delay=1.0).move_range(
+                cluster, partition, source, target, KeyRange(40, None)))
+        assert after_failover == [on_target()]
+        assert failed.type is MoveFailedError
+        assert f"target node {target.node_id} is down" in str(failed.value)

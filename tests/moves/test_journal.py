@@ -3,7 +3,7 @@ checkpoints, resume lookup, accounting, and WAL mirroring."""
 
 import pytest
 
-from repro.core.physiological import PhysiologicalPartitioning
+from repro.core.physiological import collect_range_stats
 from repro.core.schemes import MoveReport
 from repro.moves import (
     ABORTED,
@@ -134,8 +134,7 @@ class TestRangeEntries:
                                range_move_id=range_entry.move_id)
         journal.note_retry(still_open, 100)
         report = MoveReport("physiological", "kv", 1, 2)
-        PhysiologicalPartitioning._collect_range_stats(
-            journal, range_entry, report)
+        collect_range_stats(journal, range_entry, report)
         assert (report.retries, report.resumes,
                 report.bytes_reshipped) == (3, 1, 3172)
         summary = journal.stats()
