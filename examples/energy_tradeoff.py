@@ -19,24 +19,14 @@ def main():
     print(result.to_table())
     print()
 
-    window_plain = (0.0, result.plain.migration_seconds)
-    window_helped = (0.0, result.helped.migration_seconds)
-    resp_plain = result.plain.mean_between(
-        result.plain.response_ms, *window_plain
-    )
-    resp_helped = result.helped.mean_between(
-        result.helped.response_ms, *window_helped
-    )
-    jpq_plain = result.plain.mean_between(
-        result.plain.joules_per_query, *window_plain
-    )
-    jpq_helped = result.helped.mean_between(
-        result.helped.joules_per_query, *window_helped
-    )
-    if None not in (resp_plain, resp_helped, jpq_plain, jpq_helped):
+    plain, helped = result.counters["plain"], result.counters["helped"]
+    if None not in (plain["resp_ms"], helped["resp_ms"],
+                    plain["J/query"], helped["J/query"]):
         print(f"helpers changed mean response time by "
-              f"{(resp_helped / resp_plain - 1):+.0%} and energy/query by "
-              f"{(jpq_helped / jpq_plain - 1):+.0%} during the rebalance —")
+              f"{(helped['resp_ms'] / plain['resp_ms'] - 1):+.0%} and "
+              f"energy/query by "
+              f"{(helped['J/query'] / plain['J/query'] - 1):+.0%} during the "
+              "rebalance —")
         print("trading energy efficiency for performance, as Sect. 5.2 "
               "concludes.")
 

@@ -49,7 +49,6 @@ from repro.experiments import (
     torture,
 )
 from repro.experiments.parallel import default_jobs, run_tasks
-from repro.metrics.report import render_counters
 
 
 def _fig6_config(args):
@@ -60,18 +59,14 @@ def _fig6_config(args):
             else fig6_schemes.Fig6Config())
 
 
-def gated(report: str, violations=(), failed=False) -> str:
-    """Every command's way out: its report with a line per violation —
-    as ``SystemExit``'s message (exit status 1) when any gate failed."""
-    report = "\n".join(
-        [report] + [f"VIOLATION: {line}" for line in violations])
-    if violations or failed:
+def gated(*results) -> str:
+    """Every command's way out: its results' tables, each ending in its
+    ``VIOLATION:`` lines — as ``SystemExit``'s message (exit status 1)
+    when any result is not ``ok``."""
+    report = "\n\n".join(result.to_table() for result in results)
+    if not all(result.ok for result in results):
         raise SystemExit(report)
     return report
-
-
-def figure(result) -> str:
-    return gated(result.to_table(), result.violations)
 
 
 def run_fig6_cmd(args) -> str:
@@ -83,27 +78,8 @@ def run_fig6_cmd(args) -> str:
         [(experiments.run_fig6, (scheme, config), {}) for scheme in schemes],
         jobs=args.jobs,
     )
-    parts = []
-    violations: list[str] = []
-    for scheme, result in zip(schemes, results):
-        parts.append(result.to_table())
-        parts.append(
-            f"[{scheme}] migration {result.migration_seconds:.0f}s, "
-            f"moved {result.bytes_moved / 2**20:.0f} MiB "
-            f"({result.records_moved} records)"
-        )
-        if result.audited:
-            verdict = "ANOMALIES FOUND" if result.anomalies else "CLEAN"
-            parts.append("\n".join(
-                [render_counters(f"audit [fig6 [{scheme}]] — {verdict}",
-                                 result.history_stats)]
-                + [f"  ANOMALY: {a}" for a in result.anomalies]))
-            violations += [f"[{scheme}] {a}" for a in result.anomalies]
-        violations += result.violations
-    if not args.scheme:
-        violations += fig6_schemes.cross_scheme_violations(
-            dict(zip(schemes, results)))
-    return gated("\n\n".join(parts), violations)
+    gate = [] if args.scheme else [fig6_schemes.compare(results)]
+    return gated(*results, *gate)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,26 +168,25 @@ def run_sweep(sweep: Sweep, args) -> str:
     for start in range(0, len(runs), step):
         group = runs[start:start + step]
         results += group + ([sweep.gate(config, group)] if sweep.gate else [])
-    return gated("\n\n".join(result.to_table() for result in results),
-                 failed=not all(result.ok for result in results))
+    return gated(*results)
 
 
 COMMANDS = {
-    "power": lambda args: figure(experiments.run_power_validation()),
-    "fig1": lambda args: figure(experiments.run_fig1(
+    "power": lambda args: gated(experiments.run_power_validation()),
+    "fig1": lambda args: gated(experiments.run_fig1(
         **({} if args.quick else {"rows": 40_000}))),
-    "fig2": lambda args: figure(experiments.run_fig2(
+    "fig2": lambda args: gated(experiments.run_fig2(
         **(fig2_offloading.QUICK_FIG2 if args.quick else {}))),
-    "fig3": lambda args: figure(experiments.run_fig3(
+    "fig3": lambda args: gated(experiments.run_fig3(
         fig3_mvcc.quick_fig3_config() if args.quick
         else fig3_mvcc.Fig3Config())),
     "fig6": run_fig6_cmd,
-    "fig7": lambda args: figure(experiments.run_fig7(
+    "fig7": lambda args: gated(experiments.run_fig7(
         _fig6_config(args) if args.quick else None)),
-    "fig8": lambda args: figure(experiments.run_fig8(
+    "fig8": lambda args: gated(experiments.run_fig8(
         _fig6_config(args) if args.quick else None)),
     "fig9": functools.partial(run_sweep, SWEEPS["fig9"]),
-    "scale-in": lambda args: figure(experiments.run_scale_in()),
+    "scale-in": lambda args: gated(experiments.run_scale_in()),
     **{name: functools.partial(run_sweep, sweep)
        for name, sweep in SWEEPS.items() if name != "fig9"},
 }

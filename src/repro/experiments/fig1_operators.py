@@ -16,29 +16,17 @@ projection (Sect. 3.3).
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.engine import ExecContext, TableScan
 from repro.engine.planner import plan_scan_project
 from repro.hardware import specs
-from repro.metrics.report import render_table
-from repro.experiments.harness import (
-    build_micro_cluster,
-    shape_violations,
-    warm_buffer,
-)
+from repro.experiments import harness
 
 
-@dataclasses.dataclass
-class Fig1Result:
-    rows: int
-    records_per_second: dict[str, float]
-
-    @property
-    def violations(self) -> list[str]:
-        """The paper's bands (generous, but ordering-tight), and the
-        orderings that define the figure."""
-        return shape_violations("Fig. 1", self.records_per_second, [
+def shape(result: harness.Result) -> list[str]:
+    """The paper's bands (generous, but ordering-tight), and the
+    orderings that define the figure."""
+    return harness.shape_violations(
+        "Fig. 1", result.counters["records_per_second"], [
             "35_000 <= tbscan_local <= 45_000",
             "30_000 <= project_local <= 38_000",
             "project_remote_single < 1_000",
@@ -49,25 +37,10 @@ class Fig1Result:
             "project_remote_vectorized > 20 * project_remote_single",
         ])
 
-    def to_table(self) -> str:
-        order = [
-            "tbscan_local",
-            "project_local",
-            "project_remote_single",
-            "project_remote_vectorized",
-            "project_remote_buffered",
-        ]
-        return render_table(
-            ["configuration", "records/s"],
-            [[name, round(self.records_per_second[name])] for name in order],
-            title="Fig. 1 — record throughput by operator placement",
-        )
 
-
-def _timed_run(table, build_plan) -> float:
+def _timed_run(table, plan) -> float:
     env = table.cluster.env
     start = env.now
-    plan = build_plan()
 
     def go():
         rows = yield from plan.drain()
@@ -81,54 +54,32 @@ def _timed_run(table, build_plan) -> float:
 
 
 def run_fig1(rows: int = 20_000,
-             vector_size: int = specs.DEFAULT_VECTOR_SIZE) -> Fig1Result:
+             vector_size: int = specs.DEFAULT_VECTOR_SIZE) -> harness.Result:
     """Run all five configurations (``rows``: the quick preset by default)."""
-    table = build_micro_cluster(rows)
-    warm_buffer(table)
+    table = harness.build_micro_cluster(rows)
+    harness.warm_buffer(table)
     cluster = table.cluster
-    env = cluster.env
-    owner = cluster.workers[0]
-    remote = cluster.workers[1]
-    results: dict[str, float] = {}
-
-    def ctx(v):
-        return ExecContext(env=env, vector_size=v)
-
-    # 1. Local table scan alone (vectorised next() calls, all local).
-    results["tbscan_local"] = _timed_run(
-        table, lambda: TableScan(ctx(vector_size), owner, table.partition)
-    )
-
-    # 2. + local projection.
-    results["project_local"] = _timed_run(
-        table, lambda: plan_scan_project(
-            ctx(vector_size), cluster, owner, table.partition,
-            ["id", "val"], project_on=owner,
-        )
-    )
-
-    # 3. Remote projection, one record per call.
-    results["project_remote_single"] = _timed_run(
-        table, lambda: plan_scan_project(
-            ctx(1), cluster, owner, table.partition,
-            ["id", "val"], project_on=remote,
-        )
-    )
-
-    # 4. Remote projection, vectorised calls.
-    results["project_remote_vectorized"] = _timed_run(
-        table, lambda: plan_scan_project(
-            ctx(vector_size), cluster, owner, table.partition,
-            ["id", "val"], project_on=remote,
-        )
-    )
-
-    # 5. Remote projection with the buffering (prefetch) operator.
-    results["project_remote_buffered"] = _timed_run(
-        table, lambda: plan_scan_project(
-            ctx(vector_size), cluster, owner, table.partition,
-            ["id", "val"], project_on=remote, prefetch_depth=3,
-        )
-    )
-
-    return Fig1Result(rows=rows, records_per_second=results)
+    owner, remote = cluster.workers[0], cluster.workers[1]
+    #: ``name: (records per next() call, PROJECT's node, prefetch depth)``;
+    #: no node: the local table scan alone.
+    placements = {
+        "tbscan_local": (vector_size, None, 0),
+        "project_local": (vector_size, owner, 0),
+        "project_remote_single": (1, remote, 0),
+        "project_remote_vectorized": (vector_size, remote, 0),
+        # + the buffering operator, prefetching across the exchange.
+        "project_remote_buffered": (vector_size, remote, 3),
+    }
+    records_per_second: dict[str, float] = {}
+    for name, (vector, project_on, prefetch) in placements.items():
+        ctx = ExecContext(env=cluster.env, vector_size=vector)
+        records_per_second[name] = _timed_run(table, (
+            TableScan(ctx, owner, table.partition) if project_on is None
+            else plan_scan_project(ctx, cluster, owner, table.partition,
+                                   ["id", "val"], project_on=project_on,
+                                   prefetch_depth=prefetch)))
+    result = harness.Result(
+        f"Fig. 1 — record throughput by operator placement ({rows} rows)",
+        {"records_per_second": records_per_second}, [], [])
+    result.violations = shape(result)
+    return result

@@ -12,62 +12,33 @@ higher than the single-node case.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.engine import ExecContext
 from repro.engine.planner import plan_scan_sort
-from repro.metrics.report import render_table
-from repro.experiments.harness import (
-    build_micro_cluster,
-    shape_violations,
-    warm_buffer,
-)
+from repro.experiments import harness
 
 #: ``run_fig2`` arguments of the CLI's ``--quick`` (``--full``: defaults).
 QUICK_FIG2 = {"rows": 800, "concurrency_levels": (1, 10, 100), "window": 15.0}
 
 
-@dataclasses.dataclass
-class Fig2Result:
-    concurrency_levels: list[int]
-    local_qps: dict[int, float]
-    offloaded_qps: dict[int, float]
-
-    def crossover(self) -> int | None:
-        """First concurrency level where offloading wins."""
-        for n in self.concurrency_levels:
-            if self.offloaded_qps[n] > self.local_qps[n]:
-                return n
-        return None
-
-    @property
-    def violations(self) -> list[str]:
-        """Local wins the isolated query, offloading wins once the node
-        saturates, and they cross inside the paper's 1..100 band."""
-        return shape_violations("Fig. 2", {
-            **vars(self), "crossover": self.crossover(),
-            "low": self.concurrency_levels[0],
-            "high": self.concurrency_levels[-1],
-        }, ["local_qps[low] > offloaded_qps[low]",
-            "offloaded_qps[high] > 1.3 * local_qps[high]",
-            "1 < crossover <= 100"])
-
-    def to_table(self) -> str:
-        rows = [
-            [n, round(self.local_qps[n], 2), round(self.offloaded_qps[n], 2)]
-            for n in self.concurrency_levels
-        ]
-        return render_table(
-            ["concurrent queries", "local sort qps", "offloaded sort qps"],
-            rows,
-            title="Fig. 2 — scan+sort throughput, local vs. offloaded sort",
-        )
+def shape(result: harness.Result) -> list[str]:
+    """Local wins the isolated query, offloading wins once the node
+    saturates, and they cross inside the paper's 1..100 band."""
+    local_qps = result.counters["local_qps"]
+    offloaded_qps = result.counters["offloaded_qps"]
+    return harness.shape_violations("Fig. 2", {
+        "local_qps": local_qps, "offloaded_qps": offloaded_qps,
+        "crossover": next((n for n in local_qps
+                           if offloaded_qps[n] > local_qps[n]), None),
+        "low": min(local_qps), "high": max(local_qps),
+    }, ["local_qps[low] > offloaded_qps[low]",
+        "offloaded_qps[high] > 1.3 * local_qps[high]",
+        "1 < crossover <= 100"])
 
 
 def _run_level(rows: int, concurrency: int, offload: bool,
                window: float, vector_size: int) -> float:
-    table = build_micro_cluster(rows)
-    warm_buffer(table)
+    table = harness.build_micro_cluster(rows)
+    harness.warm_buffer(table)
     cluster = table.cluster
     env = cluster.env
     owner = cluster.workers[0]
@@ -98,17 +69,16 @@ def _run_level(rows: int, concurrency: int, offload: bool,
 def run_fig2(rows: int = 1_000,
              concurrency_levels: tuple[int, ...] = (1, 10, 100, 1000),
              window: float = 30.0,
-             vector_size: int = 256) -> Fig2Result:
-    """Sweep concurrency for both placements."""
-    local = {}
-    offloaded = {}
+             vector_size: int = 256) -> harness.Result:
+    """Sweep concurrency for both placements: scan+sort queries per
+    second, keyed by concurrent queries."""
+    qps: dict[str, dict[int, float]] = {"local_qps": {}, "offloaded_qps": {}}
     for n in concurrency_levels:
-        local[n] = _run_level(rows, n, offload=False, window=window,
-                              vector_size=vector_size)
-        offloaded[n] = _run_level(rows, n, offload=True, window=window,
-                                  vector_size=vector_size)
-    return Fig2Result(
-        concurrency_levels=list(concurrency_levels),
-        local_qps=local,
-        offloaded_qps=offloaded,
-    )
+        for name, offload in (("local_qps", False), ("offloaded_qps", True)):
+            qps[name][n] = _run_level(rows, n, offload=offload, window=window,
+                                      vector_size=vector_size)
+    result = harness.Result(
+        "Fig. 2 — scan+sort throughput (qps) by concurrent queries, "
+        "local vs. offloaded sort", qps, [], [])
+    result.violations = shape(result)
+    return result

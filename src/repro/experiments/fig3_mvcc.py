@@ -22,9 +22,8 @@ import random
 from repro.core import LogicalPartitioning
 from repro.cluster.cluster import Cluster
 from repro.errors import TransientError
-from repro.experiments.harness import shape_violations
+from repro.experiments import harness
 from repro.hardware.disk import HDD_SPEC
-from repro.metrics.report import render_table
 from repro.sim.engine import Environment
 from repro.storage.record import Column, Schema
 from repro.workload.tpcc_gen import fast_insert
@@ -65,48 +64,32 @@ class Fig3Config:
         )
 
 
-@dataclasses.dataclass
-class Fig3Result:
-    config: Fig3Config
-    tpm: dict[str, dict[float, float]]          # cc -> ratio -> txn/minute
-    storage_pct: dict[str, dict[float, float]]  # cc -> ratio -> peak %
-    move_seconds: dict[str, dict[float, float]]
+#: The two concurrency-control schemes, in the order they run.
+CCS = ("mvcc", "locking")
+#: What a cell measures: transactions per minute, peak storage as % of
+#: the pre-move table, and the move's seconds.
+MEASURES = ("tpm", "storage_pct", "move_seconds")
 
-    def speedup(self, ratio: float) -> float:
-        """MVCC throughput gain over locking at one update ratio."""
-        return self.tpm["mvcc"][ratio] / self.tpm["locking"][ratio] - 1.0
 
-    @property
-    def violations(self) -> list[str]:
-        """MVCC never loses; its gain and its storage grow with the
-        update share (compared at the lowest and the highest ratio)."""
-        return shape_violations("Fig. 3", {
-            "gain": self.speedup, "storage_pct": self.storage_pct,
-            "reads": self.config.update_ratios[0],
-            "writes": self.config.update_ratios[-1],
-        }, ["gain(reads) >= -0.05", "gain(writes) >= 0.30",
-            "gain(writes) > gain(reads)",
-            "storage_pct['mvcc'][writes] > storage_pct['mvcc'][reads]",
-            "storage_pct['mvcc'][writes] > "
-            "storage_pct['locking'][writes] - 2.0"])
+def _gain(counters: dict, updates: str) -> float:
+    """MVCC throughput gain over locking at one update share."""
+    return counters["tpm mvcc"][updates] / counters["tpm locking"][updates] - 1
 
-    def to_table(self) -> str:
-        rows = []
-        for ratio in self.config.update_ratios:
-            rows.append([
-                f"{ratio:.0%}",
-                round(self.tpm["mvcc"][ratio], 1),
-                round(self.tpm["locking"][ratio], 1),
-                f"{self.speedup(ratio):+.0%}",
-                round(self.storage_pct["mvcc"][ratio], 1),
-                round(self.storage_pct["locking"][ratio], 1),
-            ])
-        return render_table(
-            ["updates", "MVCC TA/min", "MGL TA/min", "MVCC gain",
-             "MVCC storage %", "MGL storage %"],
-            rows,
-            title="Fig. 3 — MVCC vs MGL-RX while moving 50% of records",
-        )
+
+def shape(result: harness.Result) -> list[str]:
+    """MVCC never loses; its gain and its storage grow with the
+    update share (compared at the lowest and the highest ratio)."""
+    counters = result.counters
+    shares = list(counters["tpm mvcc"])
+    return harness.shape_violations("Fig. 3", {
+        "gain": lambda updates: _gain(counters, updates),
+        "storage_pct": {cc: counters[f"storage_pct {cc}"] for cc in CCS},
+        "reads": shares[0], "writes": shares[-1],
+    }, ["gain(reads) >= -0.05", "gain(writes) >= 0.30",
+        "gain(writes) > gain(reads)",
+        "storage_pct['mvcc'][writes] > storage_pct['mvcc'][reads]",
+        "storage_pct['mvcc'][writes] > "
+        "storage_pct['locking'][writes] - 2.0"])
 
 
 def quick_fig3_config() -> Fig3Config:
@@ -222,16 +205,19 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
     return tpm, storage_pct, elapsed
 
 
-def run_fig3(config: Fig3Config | None = None) -> Fig3Result:
+def run_fig3(config: Fig3Config | None = None) -> harness.Result:
+    """Every (scheme, update ratio) cell: each measure per scheme, keyed
+    by the share of update transactions."""
     config = config or Fig3Config()
-    tpm: dict[str, dict[float, float]] = {"mvcc": {}, "locking": {}}
-    storage: dict[str, dict[float, float]] = {"mvcc": {}, "locking": {}}
-    seconds: dict[str, dict[float, float]] = {"mvcc": {}, "locking": {}}
-    for cc in ("mvcc", "locking"):
+    counters = {f"{measure} {cc}": {} for measure in MEASURES for cc in CCS}
+    for cc in CCS:
         for ratio in config.update_ratios:
-            cell_tpm, cell_storage, cell_seconds = _run_cell(config, cc, ratio)
-            tpm[cc][ratio] = cell_tpm
-            storage[cc][ratio] = cell_storage
-            seconds[cc][ratio] = cell_seconds
-    return Fig3Result(config=config, tpm=tpm, storage_pct=storage,
-                      move_seconds=seconds)
+            for measure, value in zip(MEASURES, _run_cell(config, cc, ratio)):
+                counters[f"{measure} {cc}"][f"{ratio:.0%}"] = value
+    counters["mvcc gain"] = {updates: _gain(counters, updates)
+                             for updates in counters["tpm mvcc"]}
+    result = harness.Result(
+        "Fig. 3 — MVCC vs MGL-RX (locking) while moving 50% of records, "
+        "by share of update transactions", counters, [], [])
+    result.violations = shape(result)
+    return result

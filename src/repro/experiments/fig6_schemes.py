@@ -33,8 +33,6 @@ from repro.cluster.cluster import Cluster
 from repro.experiments import harness
 from repro.index.global_table import PartitionLocation
 from repro.index.partition_tree import KeyRange
-from repro.metrics.breakdown import CostBreakdown
-from repro.metrics.report import render_series_table
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
 from repro.storage.record import Column, Schema
@@ -117,94 +115,55 @@ class Fig6Config:
             self.disk_specs = (HDD_SPEC,)
 
 
-@dataclasses.dataclass
-class Fig6Result:
-    scheme: str
-    config: Fig6Config
-    rebalance_started: float     # absolute sim time
-    rebalance_finished: float
-    qps: list[tuple[float, float]]
-    response_ms: list[tuple[float, float | None]]
-    watts: list[tuple[float, float | None]]
-    joules_per_query: list[tuple[float, float | None]]
-    total_completed: int
-    total_failed: int
-    conflicts: int
-    bytes_moved: int
-    records_moved: int
-    breakdown_normal: CostBreakdown
-    breakdown_rebalancing: CostBreakdown
-    #: Post-hoc isolation audit (populated when config.audit was set).
-    anomalies: list[str] = dataclasses.field(default_factory=list)
-    history_stats: dict[str, int] = dataclasses.field(default_factory=dict)
-    audited: bool = False
+class Fig6Result(harness.Result):
+    """A Fig. 6 cell.  ``perfledger/`` resolves ``migration_seconds`` on
+    this class and reads it after a run, so it stays a read-only view of
+    the counters."""
 
-    @property
-    def migration_seconds(self) -> float:
-        return self.rebalance_finished - self.rebalance_started
-
-    def mean_between(self, series, lo, hi) -> float | None:
-        values = [v for t, v in series if lo <= t < hi and v is not None]
-        return sum(values) / len(values) if values else None
-
-    def response_around_move(self) -> tuple:
-        """Mean response ms before, during and (20 s) after the move."""
-        before = self.mean_between(self.response_ms, -self.config.warmup, 0)
-        during = self.mean_between(self.response_ms, 0,
-                                   self.migration_seconds)
-        after = self.mean_between(
-            self.response_ms, self.migration_seconds + 20, self.config.tail)
-        return before, during, after
-
-    @property
-    def violations(self) -> list[str]:
-        """This scheme's Fig. 6 shape (Sect. 5.2) in mean response ms
-        before / during / 20 s after the move, and that the run did the
-        work the figure is about — the breadth floors are the 100-node
-        profile's 10 000 records and 100 MiB, restated per warehouse."""
-        before, during, after = self.response_around_move()
-        return harness.shape_violations(f"Fig. 6 [{self.scheme}]", {
-            **vars(self), "before": before, "during": during, "after": after,
-        }, ["total_completed > 0",
-            "rebalance_finished < config.warmup + config.tail",
-            "records_moved > 10 * config.tpcc.warehouses",
-            "bytes_moved / 2**20 > 0.1 * config.tpcc.warehouses"] + {
-            "physical": ["during > before", "after > 0.6 * before"],
-            "logical": ["during > 1.2 * before"],
-            "physiological": ["after < 1.1 * before"],
-        }.get(self.scheme, []))
-
-    def series(self) -> dict[str, list[tuple[float, float | None]]]:
-        return {
-            "qps": self.qps,
-            "resp_ms": self.response_ms,
-            "watts": self.watts,
-            "J/query": self.joules_per_query,
-        }
-
-    def to_table(self) -> str:
-        return render_series_table(
-            self.series(),
-            title=(
-                f"Fig. 6 [{self.scheme}] — rebalance at t=0, "
-                f"migration took {self.migration_seconds:.0f}s"
-            ),
-        )
+    migration_seconds = property(
+        lambda self: self.counters["run"]["migration_seconds"])
 
 
-def cross_scheme_violations(results: dict[str, Fig6Result]) -> list[str]:
+def _response_ms(cell: harness.Result, lo: float, hi: float) -> float | None:
+    return harness.mean_between(cell.series["resp_ms"], lo, hi)
+
+
+def shape(cell: harness.Result) -> list[str]:
+    """This scheme's Fig. 6 shape (Sect. 5.2) in mean response ms
+    before / during / 20 s after the move, and that the run did the
+    work the figure is about — the breadth floors are the 100-node
+    profile's 10 000 records and 100 MiB, restated per warehouse."""
+    run = cell.counters["run"]
+    moved = run["migration_seconds"]
+    return harness.shape_violations(f"Fig. 6 [{run['scheme']}]", {
+        **run, "before": _response_ms(cell, -run["warmup"], 0),
+        "during": _response_ms(cell, 0, moved),
+        "after": _response_ms(cell, moved + 20, run["tail"]),
+    }, ["total_completed > 0",
+        "rebalance_finished < warmup + tail",
+        "records_moved > 10 * warehouses",
+        "bytes_moved / 2**20 > 0.1 * warehouses"] + {
+        "physical": ["during > before", "after > 0.6 * before"],
+        "logical": ["during > 1.2 * before"],
+        "physiological": ["after < 1.1 * before"],
+    }.get(run["scheme"], []))
+
+
+def compare(runs: typing.Sequence[Fig6Result]) -> harness.Result:
     """The orderings across the three schemes' runs that *are* Fig. 6
     (Sect. 5.2); a window some scheme has no samples in is not compared."""
-    tail = results["physical"].config.tail
-    settled = max(r.migration_seconds for r in results.values()) + 20
+    cells = {run.counters["run"]["scheme"]: run for run in runs}
+    tail = cells["physical"].counters["run"]["tail"]
+    settled = max(run.migration_seconds for run in runs) + 20
     values = {
-        **results, "max": max, "min": min,
-        "after": {name: r.mean_between(r.response_ms, settled, tail)
-                  for name, r in results.items()},
-        "during": {name: r.response_around_move()[1]
-                   for name, r in results.items()},
-        "watts": [w for w in (r.mean_between(r.watts, 0, tail)
-                              for r in results.values()) if w is not None],
+        **harness.by_run_key(runs, "scheme"), "max": max, "min": min,
+        "after": {name: _response_ms(cell, settled, tail)
+                  for name, cell in cells.items()},
+        "during": {name: _response_ms(cell, 0, cell.migration_seconds)
+                   for name, cell in cells.items()},
+        "watts": [w for w in (harness.mean_between(run.series["watts"], 0,
+                                                   tail) for run in runs)
+                  if w is not None],
     }
     claims = ["physiological.migration_seconds < logical.migration_seconds",
               "physical.migration_seconds < logical.migration_seconds",
@@ -215,7 +174,9 @@ def cross_scheme_violations(results: dict[str, Fig6Result]) -> list[str]:
     if None not in values["during"].values():
         claims += ["during['logical'] >= during['physiological']",
                    "during['logical'] >= during['physical']"]
-    return harness.shape_violations("Fig. 6", values, claims)
+    return harness.Result(
+        "Fig. 6 — the three schemes' orderings", {}, [],
+        harness.shape_violations("Fig. 6", values, claims))
 
 
 def _ballast_pad_bytes(config: Fig6Config) -> Schema:
@@ -354,34 +315,34 @@ def run_fig6(scheme: str | PartitioningScheme,
         env.run(until=migration_proc)
         marks.setdefault("end", env.now)
 
-    start_abs = marks["start"]
-    t0_abs, t1_abs = 0.0, config.warmup + config.tail
-
-    def shift(series):
-        return [(t - start_abs, v) for t, v in series]
-
+    moved = marks["end"] - marks["start"]
+    counters = {
+        "run": {
+            "scheme": scheme_obj.name,
+            "warmup": config.warmup,
+            "tail": config.tail,
+            "warehouses": config.tpcc.warehouses,
+            "rebalance_started": marks["start"],
+            "rebalance_finished": marks["end"],
+            "migration_seconds": moved,
+            "total_completed": driver.total_completed,
+            "total_failed": driver.total_failed,
+            "conflicts": driver.conflicts,
+            "bytes_moved": sum(r.bytes_copied for r in rebalancer.reports),
+            "records_moved": sum(r.records_moved for r in rebalancer.reports),
+        },
+        "breakdown normal": driver.mean_breakdown(0, marks["start"]).as_dict(),
+        "breakdown rebalancing": driver.mean_breakdown(
+            marks["start"], marks["end"]).as_dict(),
+    }
+    audit = harness.audit_violations(driver.history, cluster, "post-run",
+                                     counters)
     result = Fig6Result(
-        scheme=scheme_obj.name,
-        config=config,
-        rebalance_started=marks["start"],
-        rebalance_finished=marks["end"],
-        qps=shift(driver.qps_series(t0_abs, t1_abs, config.bucket)),
-        response_ms=shift(driver.response_series(t0_abs, t1_abs, config.bucket)),
-        watts=shift(driver.power_series(t0_abs, t1_abs, config.bucket)),
-        joules_per_query=shift(
-            driver.energy_per_query_series(t0_abs, t1_abs, config.bucket)
-        ),
-        total_completed=driver.total_completed,
-        total_failed=driver.total_failed,
-        conflicts=driver.conflicts,
-        bytes_moved=sum(r.bytes_copied for r in rebalancer.reports),
-        records_moved=sum(r.records_moved for r in rebalancer.reports),
-        breakdown_normal=driver.mean_breakdown(0, start_abs),
-        breakdown_rebalancing=driver.mean_breakdown(marks["start"], marks["end"]),
-    )
-    result.anomalies, result.history_stats = harness.audit_epilogue(
-        driver.history, cluster, "post-run")
-    result.audited = driver.history is not None
+        f"Fig. 6 [{scheme_obj.name}] — rebalance at t=0, migration took "
+        f"{moved:.0f}s", counters, [], [],
+        series=harness.panels(driver, config.warmup + config.tail,
+                              config.bucket, marks["start"]))
+    result.violations = shape(result) + audit
     return result
 
 

@@ -16,78 +16,63 @@ rebalancing." (Sect. 5.2)
 
 from __future__ import annotations
 
-import dataclasses
+import types
 
+from repro.experiments import harness
 from repro.experiments.fig6_schemes import Fig6Config, Fig6Result
-from repro.experiments.fig8_helper import run_fig8
-from repro.experiments.harness import shape_violations
-from repro.metrics.breakdown import COMPONENTS, CostBreakdown
-from repro.metrics.report import render_table
+from repro.experiments.fig8_helper import run_cells
+from repro.metrics.breakdown import COMPONENTS
 
 
-@dataclasses.dataclass
-class Fig7Result:
-    normal: CostBreakdown
-    rebalancing: CostBreakdown
-    improved: CostBreakdown
-    mean_response_ms: dict[str, float]
-
-    @property
-    def violations(self) -> list[str]:
-        """Slower while rebalancing, helpers claw part of it back, and
-        disk I/O, locking or logging is what grew."""
-        return shape_violations("Fig. 7", {**vars(self), "max": max}, [
-            "mean_response_ms['rebalancing'] > mean_response_ms['normal']",
-            "mean_response_ms['improved'] < mean_response_ms['rebalancing']",
-            "max(rebalancing.disk_io - normal.disk_io, "
-            "rebalancing.locking - normal.locking, "
-            "rebalancing.logging - normal.logging) > 0"])
-
-    def _row(self, label: str, breakdown: CostBreakdown,
-             response_ms: float) -> list:
-        accounted_ms = breakdown.total * 1000.0
-        other_ms = max(response_ms - accounted_ms, 0.0) + breakdown.other * 1000
-        cells = [label]
-        for component in COMPONENTS:
-            if component == "other":
-                cells.append(round(other_ms, 2))
-            else:
-                cells.append(round(getattr(breakdown, component) * 1000, 2))
-        cells.append(round(response_ms, 2))
-        return cells
-
-    def to_table(self) -> str:
-        rows = [
-            self._row("normal operation", self.normal,
-                      self.mean_response_ms["normal"]),
-            self._row("while rebalancing", self.rebalancing,
-                      self.mean_response_ms["rebalancing"]),
-            self._row("rebalancing improved", self.improved,
-                      self.mean_response_ms["improved"]),
-        ]
-        headers = ["regime"] + [f"{c} ms" for c in COMPONENTS] + ["total ms"]
-        return render_table(
-            headers, rows,
-            title="Fig. 7 — query runtime breakdown when rebalancing",
-        )
+def shape(result: harness.Result) -> list[str]:
+    """Slower while rebalancing, helpers claw part of it back, and
+    disk I/O, locking or logging is what grew."""
+    counters = result.counters
+    return harness.shape_violations("Fig. 7", {
+        "mean_response_ms": counters["mean_response_ms"], "max": max,
+        **{regime: types.SimpleNamespace(**counters[regime])
+           for regime in ("normal", "rebalancing")},
+    }, ["mean_response_ms['rebalancing'] > mean_response_ms['normal']",
+        "mean_response_ms['improved'] < mean_response_ms['rebalancing']",
+        "max(rebalancing.disk_io - normal.disk_io, "
+        "rebalancing.locking - normal.locking, "
+        "rebalancing.logging - normal.logging) > 0"])
 
 
-def fig7_from_cells(plain: Fig6Result, helped: Fig6Result) -> Fig7Result:
+def _ms(breakdown: dict, response_ms: float) -> dict[str, float]:
+    """A breakdown in ms per query; ``other`` also takes the response
+    time no component accounted for."""
+    unaccounted = max(response_ms - 1000.0 * sum(breakdown.values()), 0.0)
+    return {component: 1000.0 * breakdown[component]
+            + (unaccounted if component == "other" else 0.0)
+            for component in COMPONENTS}
+
+
+def fig7_from_cells(plain: Fig6Result, helped: Fig6Result) -> harness.Result:
     """Fig. 7 out of two Fig. 6 physiological cells: plain, and with
-    helper nodes engaged."""
-    before, rebalancing, _after = plain.response_around_move()
-    improved = helped.response_around_move()[1]
-    return Fig7Result(
-        normal=plain.breakdown_normal,
-        rebalancing=plain.breakdown_rebalancing,
-        improved=helped.breakdown_rebalancing,
-        mean_response_ms={"normal": before or 0.0,
-                          "rebalancing": rebalancing or 0.0,
-                          "improved": improved or 0.0},
-    )
+    helper nodes engaged.  The regimes' mean response ms, and each
+    regime's breakdown in ms per query."""
+    def response_ms(cell, lo, hi):
+        return harness.mean_between(cell.series["resp_ms"], lo, hi) or 0.0
+
+    mean_response_ms = {
+        "normal": response_ms(plain, -plain.counters["run"]["warmup"], 0),
+        "rebalancing": response_ms(plain, 0, plain.migration_seconds),
+        "improved": response_ms(helped, 0, helped.migration_seconds)}
+    breakdowns = {"normal": plain.counters["breakdown normal"],
+                  "rebalancing": plain.counters["breakdown rebalancing"],
+                  "improved": helped.counters["breakdown rebalancing"]}
+    result = harness.Result(
+        "Fig. 7 — query runtime breakdown when rebalancing (ms per query; "
+        "improved: with helper nodes)", {
+            "mean_response_ms": mean_response_ms,
+            **{regime: _ms(breakdown, mean_response_ms[regime])
+               for regime, breakdown in breakdowns.items()},
+        }, [], [])
+    result.violations = shape(result)
+    return result
 
 
 def run_fig7(config: Fig6Config | None = None,
-             helper_nodes: tuple[int, ...] = (4, 5)) -> Fig7Result:
-    cells = run_fig8(config, helper_nodes)
-    return fig7_from_cells(cells.plain, cells.helped)
+             helper_nodes: tuple[int, ...] = (4, 5)) -> harness.Result:
+    return fig7_from_cells(*run_cells(config, helper_nodes))

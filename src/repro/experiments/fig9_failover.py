@@ -107,9 +107,8 @@ def run_fig9_single(k: int, config: Fig9Config | None = None
 
     # -- metrics (time axis shifted so the crash is t=0) -------------------
     window = (ha.t_start, ha.t_start + config.duration, config.bucket)
-    qps = [(t - crash_abs, v) for t, v in ha.driver.qps_series(*window)]
-    response_ms = [(t - crash_abs, v)
-                   for t, v in ha.driver.response_series(*window)]
+    qps = harness.shift(ha.driver.qps_series(*window), crash_abs)
+    response_ms = harness.shift(ha.driver.response_series(*window), crash_abs)
 
     pre = [v for t, v in qps if t < 0 and v is not None]
     baseline = sum(pre) / len(pre) if pre else 0.0

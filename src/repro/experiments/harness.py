@@ -1,11 +1,12 @@
-"""What the experiments used to paste from each other, as plain
-functions: the sweeps' :class:`Result` record and its :func:`snapshot`,
-the shape-claim checker behind every ``violations``, TPC-C cluster
-build, the HA build of fig9 and torture with its acknowledged-NewOrder
-oracle, the open-loop run of elasticity and read-scaling with its
-admission gate, audit epilogue, ``kv`` writer and readback, the Fig. 1/2
-micro table.  Each experiment still starts its own processes — their
-start order is part of the determinism contract."""
+"""What the experiments share, as plain functions: the one
+:class:`Result` record of every figure and sweep and its
+:func:`snapshot`, the shape-claim checker behind every ``violations``,
+the four time panels of a closed-loop run, TPC-C cluster build, the HA
+build of fig9 and torture with its acknowledged-NewOrder oracle, the
+open-loop run of elasticity and read-scaling with its admission gate,
+the post-run audit, ``kv`` writer and readback, the Fig. 1/2 micro table.
+Each experiment still starts its own processes — their start order is
+part of the determinism contract."""
 
 from __future__ import annotations
 
@@ -44,14 +45,15 @@ from repro.workload import (
 from repro.workload.tpcc_gen import fast_insert
 
 
-# -- one run of a sweep, as the paper reports a run --------------------------
+# -- one run of a figure or a sweep, as the paper reports a run -------------
 @dataclasses.dataclass
 class Result:
     """What the components counted (``{name: stats()}``, the run's own
     derived scalars under ``"run"``, ``"audit"`` only when the run was
-    audited), the slice of ``Cluster.timeline`` the run is about, the
-    claims that did not hold, and any bucketed series.  Plain data:
-    picklable for ``run_tasks``."""
+    audited; a figure's axis — concurrency, update share, active nodes —
+    keys a dict of its own), the slice of ``Cluster.timeline`` the run
+    is about, the claims that did not hold, and any bucketed series.
+    Plain data: picklable for ``run_tasks``."""
 
     title: str
     counters: dict[str, dict]
@@ -127,6 +129,27 @@ def shape_violations(figure: str, values: dict, claims) -> list[str]:
                 violations.append(f"{figure}: {left} {op} {right} does not "
                                   f"hold ({numbers})")
     return violations
+
+
+def mean_between(series, lo: float, hi: float) -> float | None:
+    """Mean of a series' samples at ``lo <= t < hi`` (None: no samples)."""
+    values = [v for t, v in series if lo <= t < hi and v is not None]
+    return sum(values) / len(values) if values else None
+
+
+def shift(series, origin: float) -> list:
+    """``series`` on a time axis where ``origin`` is t=0."""
+    return [(t - origin, v) for t, v in series]
+
+
+def panels(driver, end: float, bucket: float, origin: float) -> dict:
+    """The paper's four time panels of a closed-loop run — qps, resp_ms,
+    watts, J/query — bucketed over ``[0, end)``, ``origin`` at t=0."""
+    return {name: shift(series(0.0, end, bucket), origin)
+            for name, series in (("qps", driver.qps_series),
+                                 ("resp_ms", driver.response_series),
+                                 ("watts", driver.power_series),
+                                 ("J/query", driver.energy_per_query_series))}
 
 
 def tpcc_cluster(seed: int, tpcc, *, owners, load_segment_max_pages,
@@ -264,28 +287,21 @@ def lost_new_orders(cluster: Cluster, committed) -> int:
 
 
 # -- the post-hoc isolation audit -------------------------------------------
-def audit_epilogue(recorder, cluster, label: str) -> tuple[list, dict]:
-    """Snapshot the partition table one last time and run every checker;
-    returns ``(anomaly descriptions, history stats)``, empty when
-    nothing was recorded."""
+def audit_violations(recorder, cluster, label: str, counters) -> list[str]:
+    """A :class:`Result`'s audit: snapshot the partition table one last
+    time and run every checker; the history's evidence goes to
+    ``counters["audit"]`` — so a truncated recording is never mistaken
+    for a proof — and each anomaly is an ``ISOLATION ANOMALY:``
+    violation.  Nothing when the run was not recorded."""
     if recorder is None:
-        return [], {}
+        return []
     from repro.audit import audit_history
 
     recorder.checkpoint_coverage(cluster.master.gpt, cluster.env.now, label)
     report = audit_history(recorder, cluster)
-    return report.descriptions(), report.stats
-
-
-def audit_violations(recorder, cluster, label: str, counters) -> list[str]:
-    """A :class:`Result`'s audit: the history's evidence as
-    ``counters["audit"]`` — so a truncated recording is never mistaken
-    for a proof — and an ``ISOLATION ANOMALY:`` violation per anomaly;
-    nothing when the run was not recorded."""
-    if recorder is None:
-        return []
-    anomalies, counters["audit"] = audit_epilogue(recorder, cluster, label)
-    return [f"ISOLATION ANOMALY: {anomaly}" for anomaly in anomalies]
+    counters["audit"] = report.stats
+    return [f"ISOLATION ANOMALY: {anomaly}"
+            for anomaly in report.descriptions()]
 
 
 # -- the open-loop run (elasticity, read-scaling) ----------------------------

@@ -13,8 +13,6 @@ cluster watts as a function of how many nodes the workload needs.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.hardware import (
     ClusterEnergyMeter,
     HDD_SPEC,
@@ -22,59 +20,32 @@ from repro.hardware import (
     SSD_SPEC,
     specs,
 )
-from repro.experiments.harness import shape_violations
-from repro.metrics.report import render_table
+from repro.experiments import harness
 from repro.sim.engine import Environment
 
+#: What Sect. 3.1 reports for each measured configuration, in W.
+PAPER_WATTS = {
+    "minimal_watts": "~65",
+    "realistic_minimal_watts": "70-75",
+    "full_load_watts": "260-280",
+    "node_active_idle_watts": "~22",
+    "node_active_peak_watts": "~26",
+    "node_standby_watts": "~2.5",
+}
 
-@dataclasses.dataclass
-class PowerValidationResult:
-    minimal_watts: float
-    realistic_minimal_watts: float
-    full_load_watts: float
-    node_active_idle_watts: float
-    node_active_peak_watts: float
-    node_standby_watts: float
-    proportionality_curve: list[tuple[int, float]]
 
-    @property
-    def violations(self) -> list[str]:
-        """The paper's bands, and idle watts monotone in active nodes."""
-        return shape_violations("Sect. 3.1", {
-            **vars(self), "idle_watts": dict(self.proportionality_curve),
-        }, ["60 <= minimal_watts <= 70",
-            "62 <= realistic_minimal_watts <= 78",
-            "255 <= full_load_watts <= 285",
-            "20 <= node_active_idle_watts <= 24",
-            "24 <= node_active_peak_watts <= 28",
-            "node_standby_watts == 2.5",
-            " < ".join(f"idle_watts[{n}]"
-                       for n, _watts in self.proportionality_curve)])
-
-    def to_table(self) -> str:
-        rows = [
-            ["minimal config (1 node + switch)", round(self.minimal_watts, 1),
-             "~65"],
-            ["realistic minimal (with drives)",
-             round(self.realistic_minimal_watts, 1), "70-75"],
-            ["full cluster, full utilisation",
-             round(self.full_load_watts, 1), "260-280"],
-            ["node active idle", round(self.node_active_idle_watts, 1),
-             "~22"],
-            ["node active peak", round(self.node_active_peak_watts, 1),
-             "~26"],
-            ["node standby", round(self.node_standby_watts, 1), "~2.5"],
-        ]
-        main = render_table(
-            ["configuration", "measured W", "paper W"], rows,
-            title="Sect. 3.1 — cluster power envelope",
-        )
-        curve = render_table(
-            ["active nodes", "cluster W"],
-            [[n, round(w, 1)] for n, w in self.proportionality_curve],
-            title="Energy proportionality: watts vs. active nodes (idle)",
-        )
-        return main + "\n\n" + curve
+def shape(result: harness.Result) -> list[str]:
+    """The paper's bands, and idle watts monotone in active nodes."""
+    idle_watts = result.counters["idle_watts"]
+    return harness.shape_violations("Sect. 3.1", {
+        **result.counters["run"], "idle_watts": idle_watts,
+    }, ["60 <= minimal_watts <= 70",
+        "62 <= realistic_minimal_watts <= 78",
+        "255 <= full_load_watts <= 285",
+        "20 <= node_active_idle_watts <= 24",
+        "24 <= node_active_peak_watts <= 28",
+        "node_standby_watts == 2.5",
+        " < ".join(f"idle_watts[{n}]" for n in idle_watts)])
 
 
 def _fresh_cluster(env: Environment, active: int, disks=True):
@@ -102,7 +73,7 @@ def _busy(start, *args):
     yield from start(*args)
 
 
-def run_power_validation() -> PowerValidationResult:
+def run_power_validation() -> harness.Result:
     env = Environment()
 
     # Minimal: one drive-less node serving coordination only.
@@ -138,18 +109,25 @@ def run_power_validation() -> PowerValidationResult:
     standby_w = standby_node.current_watts()
 
     # Proportionality curve: idle watts for 1..10 active nodes.
-    curve = []
+    idle_watts = {}
     for n in range(1, specs.CLUSTER_NODE_COUNT + 1):
         env_n = Environment()
         meter_n, _nodes = _fresh_cluster(env_n, active=n)
-        curve.append((n, meter_n.current_watts()))
+        idle_watts[n] = meter_n.current_watts()
 
-    return PowerValidationResult(
-        minimal_watts=minimal,
-        realistic_minimal_watts=realistic,
-        full_load_watts=full,
-        node_active_idle_watts=idle_w,
-        node_active_peak_watts=peak_w,
-        node_standby_watts=standby_w,
-        proportionality_curve=curve,
-    )
+    result = harness.Result(
+        "Sect. 3.1 — cluster power envelope in W: measured (run), the "
+        "paper's, and idle by active nodes (energy proportionality)", {
+            "run": {
+                "minimal_watts": minimal,
+                "realistic_minimal_watts": realistic,
+                "full_load_watts": full,
+                "node_active_idle_watts": idle_w,
+                "node_active_peak_watts": peak_w,
+                "node_standby_watts": standby_w,
+            },
+            "paper": PAPER_WATTS,
+            "idle_watts": idle_watts,
+        }, [], [])
+    result.violations = shape(result)
+    return result

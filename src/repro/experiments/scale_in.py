@@ -15,17 +15,8 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core import PhysiologicalPartitioning, Rebalancer
-from repro.cluster.cluster import Cluster
-from repro.experiments.harness import shape_violations
-from repro.metrics.report import render_series_table
-from repro.sim.engine import Environment
-from repro.workload import (
-    TpccConfig,
-    TpccContext,
-    WorkloadDriver,
-    load_tpcc,
-    start_vacuum_daemon,
-)
+from repro.experiments import harness
+from repro.workload import TpccConfig, TpccContext, WorkloadDriver
 from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED
 
 
@@ -51,70 +42,34 @@ class ScaleInConfig:
     vacuum_interval: float = 15.0
 
 
-@dataclasses.dataclass
-class ScaleInResult:
-    config: ScaleInConfig
-    quiesce_started: float
-    quiesce_finished: float
-    qps: list[tuple[float, float]]
-    response_ms: list[tuple[float, float | None]]
-    watts: list[tuple[float, float | None]]
-    joules_per_query: list[tuple[float, float | None]]
-    active_before: int
-    active_after: int
-    total_completed: int
-    total_failed: int
+def shape(result: harness.Result) -> list[str]:
+    """Two wimpy nodes go dark, energy per query improves and the
+    light load is still served: means over [-30, 0) vs [20, 110)."""
+    def means(lo, hi):
+        return {name: harness.mean_between(result.series[panel], lo, hi)
+                for name, panel in (("watts", "watts"), ("qps", "qps"),
+                                    ("joules_per_query", "J/query"))}
 
-    def mean_between(self, series, lo, hi):
-        values = [v for t, v in series if lo <= t < hi and v is not None]
-        return sum(values) / len(values) if values else None
-
-    @property
-    def violations(self) -> list[str]:
-        """Two wimpy nodes go dark, energy per query improves and the
-        light load is still served: means over [-30, 0) vs [20, 110)."""
-        def means(lo, hi):
-            return {name: self.mean_between(getattr(self, name), lo, hi)
-                    for name in ("watts", "qps", "joules_per_query")}
-
-        return shape_violations("Scale-in", {
-            **vars(self), "before": means(-30, 0), "after": means(20, 110),
-        }, ["active_after < active_before", "total_failed == 0",
-            "after['watts'] < before['watts'] - 25",
-            "after['joules_per_query'] < 0.8 * before['joules_per_query']",
-            "after['qps'] > 0.9 * before['qps']"])
-
-    def to_table(self) -> str:
-        return render_series_table(
-            {
-                "qps": self.qps,
-                "resp_ms": self.response_ms,
-                "watts": self.watts,
-                "J/query": self.joules_per_query,
-            },
-            title=(
-                f"Scale-in — {self.active_before} -> {self.active_after} "
-                f"nodes at t=0 (quiesce took "
-                f"{self.quiesce_finished - self.quiesce_started:.0f}s)"
-            ),
-        )
+    return harness.shape_violations("Scale-in", {
+        **result.counters["run"], "before": means(-30, 0),
+        "after": means(20, 110),
+    }, ["active_after < active_before", "total_failed == 0",
+        "after['watts'] < before['watts'] - 25",
+        "after['joules_per_query'] < 0.8 * before['joules_per_query']",
+        "after['qps'] > 0.9 * before['qps']"])
 
 
-def run_scale_in(config: ScaleInConfig | None = None) -> ScaleInResult:
+def run_scale_in(config: ScaleInConfig | None = None) -> harness.Result:
     config = config or ScaleInConfig()
-    env = Environment()
-    cluster = Cluster(
-        env, node_count=config.node_count,
-        initially_active=config.node_count,
+    env, cluster = harness.tpcc_cluster(
+        0, config.tpcc, owners=None,
+        load_segment_max_pages=config.segment_max_pages,
+        vacuum_interval=config.vacuum_interval,
+        node_count=config.node_count, initially_active=config.node_count,
         buffer_pages_per_node=config.buffer_pages_per_node,
         segment_max_pages=config.segment_max_pages,
-        page_bytes=config.page_bytes,
-        lock_timeout=2.0,
+        page_bytes=config.page_bytes, lock_timeout=2.0,
     )
-    owners = [cluster.worker(n) for n in range(config.node_count)]
-    load_tpcc(cluster, config.tpcc, owners=owners,
-              segment_max_pages=config.segment_max_pages)
-    start_vacuum_daemon(cluster, config.vacuum_interval)
 
     ctx = TpccContext(cluster, config.tpcc)
     driver = WorkloadDriver(
@@ -152,24 +107,19 @@ def run_scale_in(config: ScaleInConfig | None = None) -> ScaleInResult:
     if "end" not in marks:
         env.run(until=quiesce_proc)
 
-    start_abs = marks["start"]
-    t1 = config.warmup + config.tail
-
-    def shift(series):
-        return [(t - start_abs, v) for t, v in series]
-
-    return ScaleInResult(
-        config=config,
-        quiesce_started=marks["start"],
-        quiesce_finished=marks["end"],
-        qps=shift(driver.qps_series(0, t1, config.bucket)),
-        response_ms=shift(driver.response_series(0, t1, config.bucket)),
-        watts=shift(driver.power_series(0, t1, config.bucket)),
-        joules_per_query=shift(
-            driver.energy_per_query_series(0, t1, config.bucket)
-        ),
-        active_before=active_before,
-        active_after=cluster.active_node_count,
-        total_completed=driver.total_completed,
-        total_failed=driver.total_failed,
-    )
+    quiesce_seconds = marks["end"] - marks["start"]
+    result = harness.Result(
+        f"Scale-in — {active_before} -> {cluster.active_node_count} nodes "
+        f"at t=0 (quiesce took {quiesce_seconds:.0f}s)", {"run": {
+            "active_before": active_before,
+            "active_after": cluster.active_node_count,
+            "quiesce_started": marks["start"],
+            "quiesce_finished": marks["end"],
+            "quiesce_seconds": quiesce_seconds,
+            "total_completed": driver.total_completed,
+            "total_failed": driver.total_failed,
+        }}, [], [],
+        series=harness.panels(driver, config.warmup + config.tail,
+                              config.bucket, marks["start"]))
+    result.violations = shape(result)
+    return result

@@ -54,7 +54,7 @@ from repro.experiments.fig2_offloading import QUICK_FIG2
 from repro.experiments.fig3_mvcc import quick_fig3_config
 from repro.experiments.fig6_schemes import Fig6Config, quick_fig6_config
 from repro.experiments.fig7_breakdown import fig7_from_cells
-from repro.experiments.fig8_helper import Fig8Result
+from repro.experiments.fig8_helper import fig8_from_cells
 from repro.experiments.fig9_failover import quick_fig9_config
 from repro.experiments.parallel import run_tasks
 from repro.experiments.read_scaling import ReadScalingConfig, run_read_scaling
@@ -135,8 +135,8 @@ FAMILIES = {
             quick_fig6_config(), helper_nodes=(4, 5))), _table),
     "fig7": (lambda: fig7_from_cells(result_of("fig6_physiological"),
                                      result_of("fig6_helper")), _table),
-    "fig8": (lambda: Fig8Result(result_of("fig6_physiological"),
-                                result_of("fig6_helper")), _table),
+    "fig8": (lambda: fig8_from_cells(result_of("fig6_physiological"),
+                                     result_of("fig6_helper")), _table),
     "scale_in": (run_scale_in, _table),
     "fig9": (lambda: _fig9_sweep(quick_fig9_config()),
              _with_gate(fig9_failover.suite)),
@@ -248,18 +248,16 @@ def fig6_fingerprint(config: Fig6Config | None = None) -> dict:
     instrument = _checkpointer(checkpoints)
     result = run_fig6("physiological", config, instrument=instrument)
     env = instrument.env
+    run = result.counters["run"]
     return _normalise({
         "checkpoints": checkpoints,
         "end_time": env.now,
         "events_processed": env.events_processed,
-        "total_completed": result.total_completed,
-        "total_failed": result.total_failed,
-        "conflicts": result.conflicts,
-        "bytes_moved": result.bytes_moved,
-        "records_moved": result.records_moved,
-        "migration_seconds": result.migration_seconds,
-        "breakdown_normal": result.breakdown_normal.as_dict(),
-        "breakdown_rebalancing": result.breakdown_rebalancing.as_dict(),
+        **{key: run[key] for key in (
+            "total_completed", "total_failed", "conflicts", "bytes_moved",
+            "records_moved", "migration_seconds")},
+        "breakdown_normal": result.counters["breakdown normal"],
+        "breakdown_rebalancing": result.counters["breakdown rebalancing"],
         "table": result.to_table(),
     })
 
