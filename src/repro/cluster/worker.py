@@ -16,6 +16,7 @@ from repro.hardware import specs
 from repro.hardware.disk import Disk
 from repro.hardware.network import Network
 from repro.hardware.node import NodeMachine
+from repro.hardware.power import PowerState
 from repro.index.partition_tree import (
     Forwarding,
     KeyRange,
@@ -155,22 +156,19 @@ class WorkerNode:
         return self.machine.is_active
 
     @property
-    def has_failed_data_disk(self) -> bool:
-        # A loop, not any(<genexpr>): routing asks this on every record
-        # operation (is_serving).
-        for disk in self.disk_space.disks:
-            if disk.failed:
-                return True
-        return False
-
-    @property
     def is_serving(self) -> bool:
         """Whether this node can currently answer routed requests: the
         machine is up, its NIC is attached, and its data storage works.
         The router treats a non-serving candidate as down."""
-        return (self.machine.is_active
-                and not self.port.severed
-                and not self.has_failed_data_disk)
+        # One flat test over the fields, a loop rather than
+        # any(<genexpr>): routing and every replica read ask this.
+        machine = self.machine
+        if machine._state is not PowerState.ACTIVE or machine.port.severed:
+            return False
+        for disk in self.disk_space.disks:
+            if disk.failed:
+                return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<WorkerNode {self.node_id} partitions={len(self.partitions)}>"

@@ -31,6 +31,7 @@ replicas, and re-replication restores the factor later.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -89,6 +90,10 @@ class SegmentReplica:
     #: None) so an old-snapshot read bounces to the primary instead of
     #: reporting a false miss.
     rows: dict = dataclasses.field(default_factory=dict)
+    #: The keys of :attr:`rows`, sorted, so a range read bisects its
+    #: bounds instead of walking the map.  Both change only through
+    #: :meth:`put_row` and :meth:`drop_row`.
+    sorted_keys: list = dataclasses.field(default_factory=list)
     #: Timestamp the base image was seeded at.  Keys deleted *before*
     #: seeding are simply absent from :attr:`rows`, so a snapshot older
     #: than the seed cannot distinguish "never existed" from "deleted
@@ -96,6 +101,20 @@ class SegmentReplica:
     base_ts: int = 0
     #: Snapshot reads this replica served (read-scaling accounting).
     reads_served: int = 0
+
+    def put_row(self, key, entry) -> None:
+        """Set ``key``'s row-state entry, entering a new key in
+        :attr:`sorted_keys`."""
+        rows = self.rows
+        if key not in rows:
+            bisect.insort(self.sorted_keys, key)
+        rows[key] = entry
+
+    def drop_row(self, key) -> None:
+        """Forget ``key`` (a retracted insert), if the map holds it."""
+        if self.rows.pop(key, None) is not None:
+            keys = self.sorted_keys
+            del keys[bisect.bisect_left(keys, key)]
 
 
 class ReplicaSet:
@@ -197,9 +216,9 @@ class ReplicationManager:
             replica.log.append(txn.txn_id, "abort")
             for key, prev in undo.items():
                 if prev is None:
-                    replica.rows.pop(key, None)
+                    replica.drop_row(key)
                 else:
-                    replica.rows[key] = prev
+                    replica.put_row(key, prev)
             self.commits_retracted += 1
 
     # -- commit stage: shipping ----------------------------------------------
@@ -325,11 +344,11 @@ class ReplicationManager:
             if record.kind in ("insert", "update"):
                 _table, key, values = record.payload
                 undo.setdefault(key, replica.rows.get(key))
-                replica.rows[key] = (tuple(values), record.txn_id, commit_ts)
+                replica.put_row(key, (tuple(values), record.txn_id, commit_ts))
             elif record.kind == "delete":
                 _table, key = record.payload
                 undo.setdefault(key, replica.rows.get(key))
-                replica.rows[key] = (None, record.txn_id, commit_ts)
+                replica.put_row(key, (None, record.txn_id, commit_ts))
         if commit_ts is not None:
             replica.replay_horizon = max(replica.replay_horizon, commit_ts)
         return undo
@@ -345,14 +364,19 @@ class ReplicationManager:
         WAL records below the returned LSN are safe to recycle as far
         as replication is concerned."""
         pin: int | None = None
-        for txn in self.cluster.txns.active_transactions():
+        # partition id -> "protected, with its primary on node_id":
+        # one replica-set lookup per partition, not one per record.
+        pinning: dict[int, bool] = {}
+        for txn in self.cluster.txns.iter_active():
             for partition_id, record in txn.redo:
-                replica_set = self.catalog.replica_set_for(partition_id)
-                if replica_set is None \
-                        or replica_set.primary_node_id != node_id \
-                        or not replica_set.replicas:
-                    continue
-                if pin is None or record.lsn < pin:
+                pins = pinning.get(partition_id)
+                if pins is None:
+                    replica_set = self.catalog.replica_set_for(partition_id)
+                    pins = pinning[partition_id] = (
+                        replica_set is not None
+                        and replica_set.primary_node_id == node_id
+                        and bool(replica_set.replicas))
+                if pins and (pin is None or record.lsn < pin):
                     pin = record.lsn
         return pin
 
@@ -490,7 +514,9 @@ class ReplicationManager:
         # The base image reflects every row committed on the owner so
         # far; in-flight transactions stay pinned by their ``redo``.
         replica.acked_lsn = owner.wal._next_lsn
-        replica.rows = rows
+        # In key order, so each new key lands at the end of the list.
+        for key in sorted(rows):
+            replica.put_row(key, rows[key])
         replica.replay_horizon = seed_ts
         replica.base_ts = seed_ts
         # Register *before* the transfer: the scan above is atomic

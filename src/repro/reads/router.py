@@ -34,9 +34,11 @@ the promoted copy serving as the new primary or bounces to it.
 
 from __future__ import annotations
 
+import bisect
 import typing
 
 from repro.cluster.master import NodeDownError
+from repro.index.partition_tree import KeyRange
 from repro.reads import cache as cache_mod
 from repro.reads.cache import DistributedCache
 from repro.reads.views import MaterializedViews
@@ -259,8 +261,6 @@ class ReadTier:
         covering location can serve the whole snapshot — any entry
         newer than the snapshot bounces the entire range (all-or-
         nothing keeps the merge trivially correct)."""
-        from repro.index.partition_tree import KeyRange
-
         if self.replication is None:
             return self._bounce("no-replica")
         txns = self.cluster.txns
@@ -285,11 +285,12 @@ class ReadTier:
                 return self._bounce("no-candidate")
             if b < replica.base_ts:
                 return self._bounce("base")
+            entries = replica.rows
+            keys = replica.sorted_keys
             rows = []
-            for key, entry in replica.rows.items():
-                if not (lo <= key < hi):
-                    continue
-                values, _writer, version_ts = entry
+            for key in keys[bisect.bisect_left(keys, lo):
+                            bisect.bisect_left(keys, hi)]:
+                values, _writer, version_ts = entries[key]
                 if version_ts > b:
                     # A write newer than the snapshot overwrote (or
                     # tombstoned) a key in range: the version the

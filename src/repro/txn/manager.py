@@ -295,6 +295,11 @@ class TransactionManager:
     def active_transactions(self) -> list[Transaction]:
         return list(self._active.values())
 
+    def iter_active(self) -> typing.Iterable[Transaction]:
+        """The active transactions, uncopied: for a reader that begins,
+        commits and aborts nothing while it walks them."""
+        return self._active.values()
+
     def oldest_active_begin_ts(self) -> int:
         """GC horizon: versions deleted before this are invisible to
         every live snapshot."""

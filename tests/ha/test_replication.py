@@ -190,6 +190,28 @@ def test_horizon_pins_redo_until_shipping_starts(rig):
     assert manager.commits_shipped == 1
 
 
+def test_horizon_skips_redo_no_replica_waits_for(rig):
+    """Redo on a partition with no replica set, or with a set whose
+    replicas are all gone, pins nothing; once a replica waits for it,
+    the same redo pins its first LSN."""
+    env, cluster = rig
+    insert_rows(env, cluster, 3)
+    owner = cluster.workers[1]
+    manager = ReplicationManager(
+        cluster, k=2, policy=PlacementPolicy(cluster, rack_width=2))
+    txn = cluster.txns.begin()
+    run(env, cluster.master.insert("kv", (50, "a"), txn))
+    assert manager.acked_horizon(owner.node_id) is None
+
+    run(env, manager.protect_all())
+    first = min(r.lsn for r in owner.wal.records if r.txn_id == txn.txn_id)
+    assert manager.acked_horizon(owner.node_id) == first
+
+    cluster.catalog.replica_set_for(
+        kv_partition(cluster).partition_id).replicas.clear()
+    assert manager.acked_horizon(owner.node_id) is None
+
+
 def test_factor_degrades_without_doubling_up(rig):
     env, cluster = rig
     insert_rows(env, cluster, 3)

@@ -10,14 +10,21 @@ from repro.ha.replication import ReplicationManager
 from repro.reads import ReadTier
 
 
-@pytest.fixture()
-def rig():
+KV_SCHEMA = Schema([Column("id"), Column("v", "str", width=32)], key=("id",))
+
+
+def small_cluster():
     env = Environment(seed=17)
     cluster = Cluster(env, node_count=4, initially_active=4,
                       buffer_pages_per_node=256, segment_max_pages=16,
                       page_bytes=2048, lock_timeout=2.0)
-    schema = Schema([Column("id"), Column("v", "str", width=32)], key=("id",))
-    cluster.master.create_table("kv", schema, owner=cluster.workers[1])
+    return env, cluster
+
+
+@pytest.fixture()
+def rig():
+    env, cluster = small_cluster()
+    cluster.master.create_table("kv", KV_SCHEMA, owner=cluster.workers[1])
     return env, cluster
 
 
