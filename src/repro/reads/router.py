@@ -147,7 +147,7 @@ class ReadTier:
         self.bounces[reason] += 1
         return self.NOT_SERVED
 
-    def _eligible_location(self, table: str, key_or_none, location):
+    def _eligible_location(self, location):
         """Replica-set admission shared by point and range reads:
         returns ``(replica_set, lag)`` or a bounce reason string."""
         if location.is_moving or not location.available:
@@ -162,11 +162,7 @@ class ReadTier:
         return replica_set, lag
 
     def _pick_replica(self, replica_set):
-        candidates = [
-            r for r in replica_set.replicas
-            if not r.stale and not r.seeding
-            and self.cluster.worker(r.holder_node_id).is_serving
-        ]
+        candidates = replica_set.live_replicas(self.cluster)
         if not candidates:
             return None
         replica = candidates[self._rr % len(candidates)]
@@ -214,7 +210,7 @@ class ReadTier:
             location = self.master.gpt.locate(table, key)
         except KeyError:
             return self._bounce("not-mapped")
-        admitted = self._eligible_location(table, key, location)
+        admitted = self._eligible_location(location)
         if isinstance(admitted, str):
             return self._bounce(admitted)
         replica_set, lag = admitted
@@ -276,7 +272,7 @@ class ReadTier:
 
         plan: list[tuple] = []  # (replica, [(key, values)])
         for location in locations:
-            admitted = self._eligible_location(table, None, location)
+            admitted = self._eligible_location(location)
             if isinstance(admitted, str):
                 return self._bounce(admitted)
             replica_set, _lag = admitted

@@ -128,8 +128,8 @@ class TenantRuntime:
     latency: LatencyHistogram
     #: The same observations split by transaction class, so the SLO
     #: report can show read and write percentiles separately.
-    read_latency: LatencyHistogram | None = None
-    write_latency: LatencyHistogram | None = None
+    read_latency: LatencyHistogram
+    write_latency: LatencyHistogram
     dispatched_cohorts: int = 0
     executed: int = 0          # executed transactions (cohorts)
     #: Aborted attempts across all cohorts, by exception class name.
@@ -252,8 +252,7 @@ class SessionEngine:
         runtime.latency.record(latency_ms, count=request.count)
         split = (runtime.read_latency if read_only
                  else runtime.write_latency)
-        if split is not None:
-            split.record(latency_ms, count=request.count)
+        split.record(latency_ms, count=request.count)
         self.completions.record(env.now, request.count)
         self.results_by_kind[kind] = (
             self.results_by_kind.get(kind, 0) + 1
@@ -306,8 +305,6 @@ class SessionEngine:
             row: dict[str, float | int] = dict(runtime.latency.summary())
             for prefix, split in (("read", runtime.read_latency),
                                   ("write", runtime.write_latency)):
-                if split is None:
-                    continue
                 summary = split.summary()
                 row[f"{prefix}_requests"] = summary["count"]
                 for stat in ("mean", "p50", "p99", "p999"):
