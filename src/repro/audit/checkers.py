@@ -44,6 +44,7 @@ from repro.audit.history import (
     Op,
     ViewCheckpoint,
 )
+from repro.txn.checkpoint import iter_committed_rows
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -621,7 +622,8 @@ def check_replica_convergence(cluster: "Cluster") -> list[Anomaly]:
         partition = primary.partitions.get(replica_set.partition_id)
         if partition is None:
             continue  # primary moved/unavailable: nothing to compare
-        primary_rows = _committed_rows(partition)
+        primary_rows = {version.key: tuple(version.values)
+                        for version in iter_committed_rows(partition)}
         for replica in replica_set.replicas:
             if replica.stale:
                 continue
@@ -652,20 +654,6 @@ def check_replica_convergence(cluster: "Cluster") -> list[Anomaly]:
                         ),
                     ))
     return anomalies
-
-
-def _committed_rows(partition) -> dict[typing.Any, tuple]:
-    """Newest committed, undeleted version of every key in a partition."""
-    rows: dict[typing.Any, tuple] = {}
-    for segment_id in sorted(partition.segments):
-        segment = partition.segments[segment_id]
-        for key, _chain in segment.index_scan():
-            for _page_no, _slot, version in segment.versions_for(key):
-                if version.created_ts is None or version.deleted_ts is not None:
-                    continue
-                rows[key] = tuple(version.values)
-                break
-    return rows
 
 
 def _replay_replica_log(log) -> dict[typing.Any, tuple]:

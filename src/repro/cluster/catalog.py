@@ -14,8 +14,11 @@ import itertools
 import typing
 
 from repro.index.partition_tree import KeyRange, PartitionTree
-from repro.storage.record import Schema
-from repro.storage.segment import Segment
+from repro.storage.record import RecordVersion, Schema
+from repro.storage.segment import Segment, SegmentFullError
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.worker import WorkerNode
 
 
 def successor(key: typing.Any) -> typing.Any:
@@ -166,6 +169,23 @@ class Partition:
             self.tree.attach(segment.segment_id, low_range, segment)
             return self.new_segment(high_range)
         return self._median_split(segment, key_range)
+
+    def place(self, worker: "WorkerNode", segment: Segment,
+              version: RecordVersion, insert: typing.Callable,
+              *args: typing.Any) -> tuple[Segment, tuple[int, int]]:
+        """Insert ``version`` into ``segment``, the one its key resolved
+        to, by the caller's step ``insert(segment, version, *args)``
+        (``mvcc.insert`` under a transaction, ``Segment.insert_version``
+        for a load).  The one full-segment rule: split around the key,
+        host the new segment on ``worker``, re-resolve (the key may now
+        belong to either half) and insert again.  Returns the segment
+        the version landed in and its ``(page_no, slot)``."""
+        try:
+            return segment, insert(segment, version, *args)
+        except SegmentFullError:
+            worker.ensure_hosted(self.split_full_segment(segment, version.key))
+            segment = self.segment_for(version.key)
+            return segment, insert(segment, version, *args)
 
     def _median_split(self, segment: Segment, key_range: KeyRange) -> Segment:
         keys = [k for k, _chain in segment.index_scan()]

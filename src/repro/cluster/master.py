@@ -21,12 +21,19 @@ from repro.hardware import specs
 from repro.index.global_table import GlobalPartitionTable, PartitionLocation
 from repro.index.partition_tree import KeyRange, SegmentMovedError
 from repro.sim.engine import DONE, Environment, after
+from repro.storage.record import RecordVersion
+from repro.storage.segment import Segment
 from repro.txn.manager import Transaction
 from repro.txn.mvcc import NotVisibleError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Catalog
     from repro.cluster.cluster import Cluster
+
+
+#: Loader pseudo-transaction: id 0, committed at timestamp 1.
+LOAD_TXN_ID = 0
+LOAD_COMMIT_TS = 1
 
 
 class NodeDownError(TransientError):
@@ -334,13 +341,16 @@ class MasterNode:
         )
         return partitions[0]
 
-    def create_partitioned_table(self, name, schema, assignments):
+    def create_partitioned_table(self, name, schema, assignments,
+                                 segment_max_pages: int | None = None):
         """Define a table with one partition per ``(key_range, worker)``
-        assignment; ranges must not overlap."""
+        assignment; ranges must not overlap.  ``segment_max_pages``
+        overrides the catalog's segment size for these partitions."""
         table = self.catalog.define_table(name, schema)
         partitions = []
         for key_range, owner in assignments:
-            partition = self.catalog.new_partition(table, owner.node_id)
+            partition = self.catalog.new_partition(
+                table, owner.node_id, segment_max_pages=segment_max_pages)
             partition.bounds = key_range
             owner.add_partition(partition)
             self.gpt.register(
@@ -349,3 +359,24 @@ class MasterNode:
             )
             partitions.append(partition)
         return partitions
+
+    def bulk_load(self, table: str,
+                  rows: typing.Iterable[typing.Sequence]) -> None:
+        """Store ``rows`` of a freshly created table as committed
+        versions, in stream order and outside the simulation clock —
+        loading is not part of any measurement window in the paper.  A
+        partition is looked up only when a key leaves the bounds of the
+        one the previous row went to."""
+        schema = self.catalog.table(table).schema
+        partition = worker = None
+        for values in rows:
+            version = RecordVersion.make(schema, values, LOAD_TXN_ID)
+            version.created_ts = LOAD_COMMIT_TS
+            key = version.key
+            if partition is None or not partition.bounds.contains(key):
+                location = self.gpt.locate(table, key)
+                worker = self.cluster.worker(location.node_id)
+                partition = worker.partitions[location.partition_id]
+            segment = partition.ensure_segment_for(key)
+            worker.ensure_hosted(segment)
+            partition.place(worker, segment, version, Segment.insert_version)

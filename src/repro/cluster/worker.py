@@ -28,10 +28,10 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk_space import DiskSpaceManager
 from repro.storage.page import Page
 from repro.storage.record import RecordVersion
-from repro.storage.segment import Segment, SegmentFullError
+from repro.storage.segment import Segment
 from repro.txn import LockMode, TransactionManager, mvcc
 from repro.txn.manager import Transaction
-from repro.txn.wal import LogManager
+from repro.txn.wal import LOG_RECORD_HEADER_BYTES, LogManager
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Partition
@@ -410,14 +410,8 @@ class WorkerNode:
                 version.key, LockMode.X, txn.breakdown,
             )
         yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
-        try:
-            location = mvcc.insert(target, version, txn)
-        except SegmentFullError:
-            fresh = partition.split_full_segment(target, version.key)
-            self.ensure_hosted(fresh)
-            # The split may have routed our key to either half.
-            target = partition.segment_for(version.key)
-            location = mvcc.insert(target, version, txn)
+        target, location = partition.place(self, target, version,
+                                           mvcc.insert, txn)
         yield from self._dirty_page(target, location[0], txn)
         yield from self._maintain_secondary(partition, version.values)
         self._log_write(txn, "insert", partition, version)
@@ -554,7 +548,7 @@ class WorkerNode:
                    key_only: typing.Any = None) -> None:
         if version is not None:
             payload = (partition.table.name, version.key, version.values)
-            nbytes = version.size_bytes + 48
+            nbytes = version.size_bytes + LOG_RECORD_HEADER_BYTES
             row_crc = version.checksum
         else:
             payload = (partition.table.name, key_only)

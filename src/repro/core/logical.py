@@ -28,7 +28,6 @@ from repro.hardware import specs
 from repro.index.partition_tree import Forwarding, KeyRange
 from repro.moves import MoveFailedError, check_endpoints
 from repro.storage.record import RecordVersion
-from repro.storage.segment import SegmentFullError
 from repro.txn import (
     LockMode,
     LockTimeoutError,
@@ -36,6 +35,7 @@ from repro.txn import (
     TxnState,
     mvcc,
 )
+from repro.txn.wal import LOG_RECORD_HEADER_BYTES
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.catalog import Partition
@@ -284,17 +284,12 @@ class LogicalPartitioning(PartitioningScheme):
                 )
                 t_segment = target_partition.ensure_segment_for(key)
                 target.ensure_hosted(t_segment)
-                try:
-                    mvcc.insert(t_segment, version, mover)
-                except SegmentFullError:
-                    fresh = target_partition.split_full_segment(t_segment, key)
-                    target.ensure_hosted(fresh)
-                    t_segment = target_partition.segment_for(key)
-                    mvcc.insert(t_segment, version, mover)
+                target_partition.place(target, t_segment, version,
+                                       mvcc.insert, mover)
                 target.wal.append(
                     mover.txn_id, "insert",
                     (partition.table.name, key, row),
-                    nbytes=version.size_bytes + 48,
+                    nbytes=version.size_bytes + LOG_RECORD_HEADER_BYTES,
                     row_crc=version.checksum,
                 )
                 mover.note_log(target.wal)

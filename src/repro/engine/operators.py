@@ -9,6 +9,8 @@ local access to the DB records." (Sect. 3.3)
 
 from __future__ import annotations
 
+import math
+import operator
 import typing
 
 from repro.hardware import specs
@@ -123,7 +125,8 @@ class Sort(Operator):
         self.cpu = cpu
         self.child = child
         names = [c.name for c in child.output_columns]
-        self._key_indexes = [names.index(n) for n in key_columns]
+        self._sort_key = operator.itemgetter(
+            *[names.index(n) for n in key_columns])
         self.reverse = reverse
         self._sorted: list[tuple] | None = None
         self._cursor = 0
@@ -139,15 +142,10 @@ class Sort(Operator):
         flat = [row for chunk in rows for row in chunk]
         n = len(flat)
         if n > 1:
-            import math
-
             yield from self.cpu.execute(
                 n * math.log2(n) * specs.CPU_SORT_SECONDS_PER_RECORD_LOG,
             )
-        flat.sort(
-            key=lambda row: tuple(row[i] for i in self._key_indexes),
-            reverse=self.reverse,
-        )
+        flat.sort(key=self._sort_key, reverse=self.reverse)
         self._sorted = flat
         self._cursor = 0
 

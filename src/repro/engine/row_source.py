@@ -13,7 +13,7 @@ import dataclasses
 import typing
 
 from repro.metrics.breakdown import CostBreakdown
-from repro.storage.record import Column
+from repro.storage.record import Column, RowSizer
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -46,12 +46,10 @@ class Operator:
                  output_columns: typing.Sequence[Column]):
         self.ctx = ctx
         self.output_columns = tuple(output_columns)
-
-    def row_bytes(self, row: typing.Sequence[typing.Any]) -> int:
-        return sum(c.sizeof(v) for c, v in zip(self.output_columns, row))
+        self._sizer = RowSizer(self.output_columns)
 
     def vector_bytes(self, rows: typing.Sequence[typing.Sequence[typing.Any]]) -> int:
-        return sum(self.row_bytes(r) for r in rows)
+        return self._sizer.vector(rows)
 
     def open(self):  # pragma: no cover - trivial default
         """Generator: prepare the operator."""

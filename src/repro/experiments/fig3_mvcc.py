@@ -26,7 +26,6 @@ from repro.experiments import harness
 from repro.hardware.disk import HDD_SPEC
 from repro.sim.engine import Environment
 from repro.storage.record import Column, Schema
-from repro.workload.tpcc_gen import fast_insert
 
 #: Mover pacing: models the paper's long-running reorganisation of a
 #: far larger database (see LogicalPartitioning.pace_delay).
@@ -120,9 +119,7 @@ def _build(config: Fig3Config):
     partitions = cluster.master.create_partitioned_table(
         "acct", config.schema(), assignments
     )
-    for i in range(config.rows):
-        index = min(i // per_part, config.partitions - 1)
-        fast_insert(owner, partitions[index], (i, ""))
+    cluster.master.bulk_load("acct", ((i, "") for i in range(config.rows)))
     return env, cluster, partitions
 
 

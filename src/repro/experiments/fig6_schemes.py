@@ -31,8 +31,6 @@ from repro.core import (
 )
 from repro.cluster.cluster import Cluster
 from repro.experiments import harness
-from repro.index.global_table import PartitionLocation
-from repro.index.partition_tree import KeyRange
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
 from repro.storage.record import Column, Schema
@@ -42,7 +40,7 @@ from repro.workload import (
     WorkloadDriver,
     start_vacuum_daemon,
 )
-from repro.workload.tpcc_gen import fast_insert, warehouse_ranges
+from repro.workload.tpcc_gen import seed_warehouse_segments, warehouse_ranges
 from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED
 
 SCHEMES: dict[str, typing.Callable[[], PartitioningScheme]] = {
@@ -206,28 +204,19 @@ def build_fig6_cluster(config: Fig6Config) -> tuple[Environment, Cluster]:
     )
     owners = [cluster.worker(n) for n in config.source_nodes]
 
-    # Ballast table: partitioned by warehouse like the rest.
-    schema = _ballast_pad_bytes(config)
-    table_def = cluster.catalog.define_table("ballast", schema)
-    for key_range, owner in warehouse_ranges(config.tpcc, owners,
-                                             single_column=False):
-        partition = cluster.catalog.new_partition(table_def, owner.node_id)
-        partition.bounds = key_range
-        owner.add_partition(partition)
-        cluster.master.gpt.register(
-            "ballast", key_range,
-            PartitionLocation(partition.partition_id, owner.node_id),
-        )
-        # Warehouse-aligned initial segments (see tpcc_gen).
-        for w in range(1, config.tpcc.warehouses + 1):
-            if key_range.contains((w,)):
-                partition.new_segment(KeyRange((w,), (w + 1,)))
-    for w in range(1, config.tpcc.warehouses + 1):
-        location = cluster.master.gpt.locate("ballast", (w, 1))
-        worker = cluster.worker(location.node_id)
-        partition = worker.partitions[location.partition_id]
-        for b in range(1, config.ballast_rows_per_warehouse + 1):
-            fast_insert(worker, partition, (w, b, ""))
+    # Ballast table: partitioned by warehouse like the rest, with
+    # warehouse-aligned initial segments.
+    partitions = cluster.master.create_partitioned_table(
+        "ballast", _ballast_pad_bytes(config),
+        warehouse_ranges(config.tpcc, owners, single_column=False),
+    )
+    for partition in partitions:
+        seed_warehouse_segments(config.tpcc, partition, single=False)
+    cluster.master.bulk_load("ballast", (
+        (w, b, "")
+        for w in range(1, config.tpcc.warehouses + 1)
+        for b in range(1, config.ballast_rows_per_warehouse + 1)
+    ))
     return env, cluster
 
 

@@ -42,7 +42,6 @@ from repro.workload import (
     load_tpcc,
     start_vacuum_daemon,
 )
-from repro.workload.tpcc_gen import fast_insert
 
 
 # -- one run of a figure or a sweep, as the paper reports a run -------------
@@ -409,12 +408,10 @@ KV_SCHEMA = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
 
 
 def kv_cluster_rows(cluster: Cluster, owner_node: int, rows: int) -> None:
-    """Create ``kv`` on ``owner_node`` and fast-load keys ``0..rows-1``."""
-    owner = cluster.worker(owner_node)
-    cluster.master.create_table("kv", KV_SCHEMA, owner=owner)
-    partition = next(iter(owner.partitions.values()))
-    for i in range(rows):
-        fast_insert(owner, partition, (i, "seed-%05d" % i))
+    """Create ``kv`` on ``owner_node`` and bulk-load keys ``0..rows-1``."""
+    cluster.master.create_table("kv", KV_SCHEMA,
+                                owner=cluster.worker(owner_node))
+    cluster.master.bulk_load("kv", ((i, "seed-%05d" % i) for i in range(rows)))
 
 
 def kv_write_with_retries(cluster, op: str, key: int, value: str, retries):
@@ -493,10 +490,10 @@ def build_micro_cluster(rows: int, node_count: int = 3,
         env, node_count=node_count, initially_active=active,
         buffer_pages_per_node=buffer_pages, segment_max_pages=2048,
     )
-    owner = cluster.workers[0]
-    partition = cluster.master.create_table("micro", MICRO_SCHEMA, owner=owner)
-    for i in range(rows):
-        fast_insert(owner, partition, (i, i % 7, float(i), MICRO_PAD))
+    partition = cluster.master.create_table("micro", MICRO_SCHEMA,
+                                            owner=cluster.workers[0])
+    cluster.master.bulk_load(
+        "micro", ((i, i % 7, float(i), MICRO_PAD) for i in range(rows)))
     return MicroTable(cluster, partition, rows, MICRO_SCHEMA)
 
 

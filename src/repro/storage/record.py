@@ -10,6 +10,7 @@ the MVCC storage overhead of Fig. 3 is measured rather than assumed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import operator
 import typing
 
@@ -49,6 +50,36 @@ class Column:
         return _KIND_BASE_WIDTH[self.kind]
 
 
+class RowSizer:
+    """The compiled sizing plan of rows of ``columns``: a row of empty
+    strings has the fixed size, and each str value adds its length
+    capped at its column's width — the sum of :meth:`Column.sizeof`
+    over a row, without a call per value.  ``sizer(row)`` sizes one
+    row, ``sizer.vector(rows)`` a batch column by column."""
+
+    __slots__ = ("fixed_bytes", "_str_indexes", "_str_widths")
+
+    def __init__(self, columns: typing.Sequence[Column]):
+        self.fixed_bytes = sum(c.sizeof("") for c in columns)
+        self._str_indexes = tuple(
+            i for i, c in enumerate(columns) if c.kind == "str")
+        self._str_widths = tuple(columns[i].width for i in self._str_indexes)
+
+    def __call__(self, values: typing.Sequence[typing.Any]) -> int:
+        return self.fixed_bytes + sum(map(
+            min, map(len, map(values.__getitem__, self._str_indexes)),
+            self._str_widths,
+        ))
+
+    def vector(self, rows: typing.Sequence[typing.Sequence[typing.Any]]) -> int:
+        total = self.fixed_bytes * len(rows)
+        for index, width in zip(self._str_indexes, self._str_widths):
+            total += sum(map(min, map(len, map(operator.itemgetter(index),
+                                               rows)),
+                             itertools.repeat(width)))
+        return total
+
+
 class Schema:
     """An ordered set of columns with a (possibly composite) primary key."""
 
@@ -71,14 +102,7 @@ class Schema:
         #: The primary key of a row: scalar for single-column keys,
         #: tuple for composite keys.
         self.key_of = operator.itemgetter(*self._key_indexes)
-        # The sizing plan (see sizeof): a row of empty strings has the
-        # fixed size, and each str value adds its length capped at its
-        # column's width.
-        self._fixed_bytes = sum(c.sizeof("") for c in self.columns)
-        self._str_indexes = tuple(
-            i for i, c in enumerate(self.columns) if c.kind == "str")
-        self._str_widths = tuple(
-            self.columns[i].width for i in self._str_indexes)
+        self._sizer = RowSizer(self.columns)
 
     def column_index(self, name: str) -> int:
         if name not in self._index:
@@ -92,10 +116,7 @@ class Schema:
             raise ValueError(
                 f"row has {len(values)} values, schema has {len(self.columns)} columns"
             )
-        return self._fixed_bytes + sum(map(
-            min, map(len, map(values.__getitem__, self._str_indexes)),
-            self._str_widths,
-        ))
+        return self._sizer(values)
 
     def validate(self, values: typing.Sequence[typing.Any]) -> None:
         """Cheap type check of a row against the schema."""

@@ -1,8 +1,8 @@
 """Deterministic TPC-C data generation and loading.
 
-Rows are materialised directly into segments as committed versions,
-outside the simulation clock — database loading is not part of any
-measurement window in the paper.
+Rows stream through :meth:`MasterNode.bulk_load` as committed
+versions, outside the simulation clock — database loading is not part
+of any measurement window in the paper.
 """
 
 from __future__ import annotations
@@ -11,10 +11,7 @@ import random
 import string
 import typing
 
-from repro.index.global_table import PartitionLocation
 from repro.index.partition_tree import KeyRange
-from repro.storage.record import RecordVersion
-from repro.storage.segment import SegmentFullError
 from repro.workload.tpcc_schema import (
     TPCC_TABLES,
     TpccConfig,
@@ -23,13 +20,8 @@ from repro.workload.tpcc_schema import (
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.catalog import Partition
     from repro.cluster.cluster import Cluster
     from repro.cluster.worker import WorkerNode
-
-#: Loader pseudo-transaction: id 0, committed at timestamp 1.
-LOAD_TXN_ID = 0
-LOAD_COMMIT_TS = 1
 
 
 class TpccGenerator:
@@ -173,21 +165,6 @@ def warehouse_ranges(config: TpccConfig,
     return out
 
 
-def fast_insert(worker: "WorkerNode", partition: "Partition",
-                values: tuple) -> None:
-    """Materialise one committed row directly (no simulation events)."""
-    version = RecordVersion.make(partition.schema, values, LOAD_TXN_ID)
-    version.created_ts = LOAD_COMMIT_TS
-    target = partition.ensure_segment_for(version.key)
-    worker.ensure_hosted(target)
-    try:
-        target.insert_version(version)
-    except SegmentFullError:
-        target = partition.split_full_segment(target)
-        worker.ensure_hosted(target)
-        target.insert_version(version)
-
-
 def load_tpcc(cluster: "Cluster", config: TpccConfig,
               owners: typing.Sequence["WorkerNode"] | None = None,
               tables: typing.Sequence[str] | None = None,
@@ -208,36 +185,27 @@ def load_tpcc(cluster: "Cluster", config: TpccConfig,
     schemas = tables_for(config)
     for table in tables:
         schema = schemas[table]
-        table_def = cluster.catalog.define_table(table, schema)
-        created[table] = []
+        single = len(schema.key) == 1
         if table == "item" or table not in WAREHOUSE_PARTITIONED:
             assignments = [(KeyRange(None, None), owners[0])]
         else:
-            single = len(schema.key) == 1
             assignments = warehouse_ranges(config, owners, single)
-        for key_range, owner in assignments:
-            partition = cluster.catalog.new_partition(
-                table_def, owner.node_id, segment_max_pages=segment_max_pages
-            )
-            partition.bounds = key_range
-            owner.add_partition(partition)
-            master.gpt.register(
-                table, key_range,
-                PartitionLocation(partition.partition_id, owner.node_id),
-            )
-            if table in WAREHOUSE_PARTITIONED:
-                _seed_warehouse_segments(config, partition, key_range,
-                                         single=len(schema.key) == 1)
-            created[table].append(partition)
+        created[table] = master.create_partitioned_table(
+            table, schema, assignments, segment_max_pages=segment_max_pages)
+        if table in WAREHOUSE_PARTITIONED:
+            for partition in created[table]:
+                seed_warehouse_segments(config, partition, single)
 
-    _fast_fill(cluster, generator, created, tables)
+    for table in tables:
+        master.bulk_load(table, generator.rows_for(table))
     _create_secondary_indexes(config, created)
     return created
 
 
-def _seed_warehouse_segments(config: TpccConfig, partition, key_range: KeyRange,
-                             single: bool) -> None:
-    """Pre-create one (initial) segment per warehouse.
+def seed_warehouse_segments(config: TpccConfig, partition,
+                            single: bool) -> None:
+    """Pre-create one (initial) segment per warehouse in the partition's
+    bounds.
 
     Aligning segment boundaries to warehouses makes a fractional
     migration warehouse-granular across *every* table — the same
@@ -248,20 +216,9 @@ def _seed_warehouse_segments(config: TpccConfig, partition, key_range: KeyRange,
     for w in range(1, config.warehouses + 1):
         low = w if single else (w,)
         high = w + 1 if single else (w + 1,)
-        if not key_range.contains(low):
+        if not partition.bounds.contains(low):
             continue
         partition.new_segment(KeyRange(low, high))
-
-
-def _fast_fill(cluster, generator, created, tables):
-    schemas = tables_for(generator.config)
-    for table in tables:
-        for values in generator.rows_for(table):
-            key = schemas[table].key_of(values)
-            location = cluster.master.gpt.locate(table, key)
-            worker = cluster.worker(location.node_id)
-            partition = worker.partitions[location.partition_id]
-            fast_insert(worker, partition, tuple(values))
 
 
 def _create_secondary_indexes(config: TpccConfig, created) -> None:

@@ -129,21 +129,43 @@ def test_read_on_remote_partition_costs_network_hop():
     assert breakdown.network_io > 0
 
 
-def test_inserts_spill_across_segments():
-    env, cluster = small_cluster()
-    master = cluster.master
-    master.create_table("kv", simple_schema(), owner=cluster.workers[0])
-    partition = list(cluster.workers[0].partitions.values())[0]
-
+def _insert_in_one_transaction(env, cluster, rows):
     def work():
         txn = cluster.txns.begin()
-        for i in range(500):
-            yield from master.insert("kv", (i, "x" * 30), txn)
+        for row in rows:
+            yield from cluster.master.insert("kv", row, txn)
         yield from cluster.txns.commit(txn)
 
     run(env, work())
-    assert partition.record_count == 500
-    assert partition.segment_count >= 1
+
+
+def _bulk_load(env, cluster, rows):
+    cluster.master.bulk_load("kv", rows)
+
+
+@pytest.mark.parametrize("load", [_insert_in_one_transaction, _bulk_load],
+                         ids=["transactional", "bulk"])
+@pytest.mark.parametrize("keys", [
+    list(range(400)),
+    # Evens first: every odd key then lands in a full segment below
+    # its maximum, which a median split must route to either half.
+    list(range(0, 400, 2)) + list(range(1, 400, 2)),
+], ids=["ascending", "unsorted"])
+def test_inserts_spill_across_segments(load, keys):
+    env = Environment()
+    cluster = Cluster(env, node_count=4, initially_active=2,
+                      buffer_pages_per_node=256, segment_max_pages=2,
+                      page_bytes=1024)
+    cluster.master.create_table("kv", simple_schema(),
+                                owner=cluster.workers[0])
+    partition = list(cluster.workers[0].partitions.values())[0]
+
+    load(env, cluster, [(i, "x" * 30) for i in keys])
+    assert partition.record_count == len(keys)
+    assert partition.segment_count > 1
+    misplaced = [key for key in keys
+                 if not partition.segment_for(key).versions_for(key)]
+    assert misplaced == []
 
 
 def test_split_full_segment_after_vacuum_emptied_its_tail():

@@ -14,7 +14,6 @@ killed the calling process.
 from repro import Cluster, Environment
 from repro.core import PhysiologicalPartitioning
 from repro.index.partition_tree import Forwarding, KeyRange
-from repro.workload.tpcc_gen import fast_insert
 from tests.moves.conftest import SCHEMA, SLOW_DATA_SPECS
 
 
@@ -28,8 +27,9 @@ def test_source_does_not_mint_into_a_retired_forwarding_gap():
     source, target = cluster.worker(1), cluster.worker(2)
     cluster.master.create_table("kv", SCHEMA, owner=source)
     partition = next(iter(source.partitions.values()))
-    for i in range(0, 800, 2):            # even keys: odd ones stay free
-        fast_insert(source, partition, (i, "seed-%04d" % i))
+    # Even keys: odd ones stay free.
+    cluster.master.bulk_load(
+        "kv", ((i, "seed-%04d" % i) for i in range(0, 800, 2)))
     assert len(partition.segments) >= 3
     txns = cluster.txns
     journal = cluster.moves.journal

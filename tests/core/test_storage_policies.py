@@ -7,7 +7,6 @@ from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.hardware import SSD_SPEC
 from repro.hardware.disk import DiskSpec
 from repro.traffic import Autoscaler, AutoscalerConfig
-from repro.workload.tpcc_gen import fast_insert
 
 SCHEMA = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
 
@@ -36,8 +35,8 @@ class TestOutOfSpaceProtocol:
     def test_policy_flags_space_pressure(self):
         env, cluster, partition = build((tiny_disk(10),))
         worker = cluster.workers[0]
-        for i in range(200):  # ~9 of 10 extents
-            fast_insert(worker, partition, (i, "x" * 30))
+        # ~9 of 10 extents
+        cluster.master.bulk_load("kv", ((i, "x" * 30) for i in range(200)))
         sample = cluster.monitor.sample_node(worker)
         assert sample.storage_used_fraction > 0.85
         policy = ThresholdPolicy(PolicyThresholds(consecutive_samples=1,
@@ -50,8 +49,7 @@ class TestOutOfSpaceProtocol:
             (tiny_disk(10),), node_count=2, active=2
         )
         worker = cluster.workers[0]
-        for i in range(200):
-            fast_insert(worker, partition, (i, "x" * 30))
+        cluster.master.bulk_load("kv", ((i, "x" * 30) for i in range(200)))
         loop = Autoscaler(
             cluster, Rebalancer(cluster, PhysiologicalPartitioning()),
             ["kv"], admission=None,

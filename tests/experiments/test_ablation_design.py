@@ -10,7 +10,6 @@ from repro import Cluster, Column, Environment, Schema
 from repro.cluster import PolicyThresholds, ThresholdPolicy
 from repro.cluster.monitor import NodeSample
 from repro.core import PhysiologicalPartitioning
-from repro.workload.tpcc_gen import fast_insert
 
 
 def _migrate_with_segment_size(segment_pages: int, rows: int = 2000,
@@ -26,9 +25,7 @@ def _migrate_with_segment_size(segment_pages: int, rows: int = 2000,
         [Column("id"), Column("pad", "blob", width=2048)], key=("id",)
     )
     cluster.master.create_table("t", schema, owner=cluster.workers[0])
-    partition = list(cluster.workers[0].partitions.values())[0]
-    for i in range(rows):
-        fast_insert(cluster.workers[0], partition, (i, ""))
+    cluster.master.bulk_load("t", ((i, "") for i in range(rows)))
 
     scheme = PhysiologicalPartitioning()
     moved = {}

@@ -15,7 +15,6 @@ from repro.experiments.endurance import (
 )
 from repro.sim.events import AllOf
 from repro.txn.checkpoint import CheckpointManager
-from repro.workload.tpcc_gen import fast_insert
 from tests.determinism.harness import result_of
 
 # Consistent with tier-1's global --timeout=600.
@@ -104,10 +103,7 @@ def _run_fixed_workload(daemons: bool):
     cluster = Cluster(env, node_count=2, initially_active=2,
                       segment_max_pages=16, page_bytes=2048)
     cluster.master.create_table("kv", SCHEMA, owner=cluster.workers[0])
-    owner = cluster.workers[0]
-    partition = next(iter(owner.partitions.values()))
-    for i in range(ROWS):
-        fast_insert(owner, partition, (i, "seed-%03d" % i))
+    cluster.master.bulk_load("kv", ((i, "seed-%03d" % i) for i in range(ROWS)))
 
     checkpoints = vacuum = None
     if daemons:

@@ -5,7 +5,6 @@ import pytest
 
 from repro import Cluster, Column, Environment, Schema
 from repro.hardware.disk import DiskSpec
-from repro.workload.tpcc_gen import fast_insert
 
 SCHEMA = Schema([Column("id"), Column("v", "str", width=40)], key=("id",))
 
@@ -38,8 +37,7 @@ def build_move_cluster(rows=120, chunk_bytes=2048, seed=0):
     owner = cluster.worker(1)
     cluster.master.create_table("kv", SCHEMA, owner=owner)
     partition = next(iter(owner.partitions.values()))
-    for i in range(rows):
-        fast_insert(owner, partition, (i, "seed-%04d" % i))
+    cluster.master.bulk_load("kv", ((i, "seed-%04d" % i) for i in range(rows)))
     return env, cluster, partition
 
 

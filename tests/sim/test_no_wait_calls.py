@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Cluster, Column, Environment, Schema
 from repro.cluster.master import MasterNode, NodeDownError, RoutedMissError
 from repro.cluster.worker import WorkerNode
+from repro.engine import ExecContext, Operator
 from repro.hardware import specs
 from repro.hardware.cpu import Cpu
 from repro.hardware.disk import SSD_SPEC, Disk
@@ -458,3 +459,11 @@ def test_compiled_sizeof_equals_the_column_sum(kinds, data):
     assert schema.sizeof(list(values)) == expected
     with pytest.raises(ValueError, match="schema has"):
         schema.sizeof(values + (0,))
+    # An operator sizes a vector of projected rows by the same plan.
+    kept = data.draw(st.lists(st.sampled_from(range(len(columns))),
+                              unique=True))
+    projected = tuple(values[i] for i in kept)
+    operator = Operator(ExecContext(env=None), [columns[i] for i in kept])
+    expected = sum(columns[i].sizeof(values[i]) for i in kept)
+    assert operator.vector_bytes([projected]) == expected
+    assert operator.vector_bytes([projected, projected]) == 2 * expected
