@@ -9,6 +9,7 @@ integrity (logging), and access synchronization (locking)."
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import typing
@@ -175,17 +176,38 @@ class Partition:
               *args: typing.Any) -> tuple[Segment, tuple[int, int]]:
         """Insert ``version`` into ``segment``, the one its key resolved
         to, by the caller's step ``insert(segment, version, *args)``
-        (``mvcc.insert`` under a transaction, ``Segment.insert_version``
-        for a load).  The one full-segment rule: split around the key,
-        host the new segment on ``worker``, re-resolve (the key may now
-        belong to either half) and insert again.  Returns the segment
-        the version landed in and its ``(page_no, slot)``."""
+        (``mvcc.insert`` under a transaction; a load goes through
+        :meth:`place_run`).  The one full-segment rule: split around the
+        key, host the new segment on ``worker``, re-resolve (the key may
+        now belong to either half) and insert again.  Returns the
+        segment the version landed in and its ``(page_no, slot)``."""
         try:
             return segment, insert(segment, version, *args)
         except SegmentFullError:
             worker.ensure_hosted(self.split_full_segment(segment, version.key))
             segment = self.segment_for(version.key)
             return segment, insert(segment, version, *args)
+
+    def place_run(self, worker: "WorkerNode",
+                  versions: typing.Sequence[RecordVersion]) -> None:
+        """Store committed load ``versions``, keys strictly ascending
+        and inside :attr:`bounds`, by one :meth:`Segment.insert_run` per
+        segment they cross; each lands where :meth:`place` with
+        ``Segment.insert_version`` would put it.  The same full-segment
+        rule: where an extent fills, split around the pending key, host
+        the new segment on ``worker`` and go on there."""
+        keys = [version.key for version in versions]
+        start, stop = 0, len(versions)
+        while start < stop:
+            segment = self.ensure_segment_for(keys[start])
+            worker.ensure_hosted(segment)
+            high = self.tree.range_of(segment.segment_id).high
+            end = stop if high is None else bisect.bisect_left(
+                keys, high, start, stop)
+            start = segment.insert_run(versions, start, end)
+            if start < end:
+                worker.ensure_hosted(
+                    self.split_full_segment(segment, keys[start]))
 
     def _median_split(self, segment: Segment, key_range: KeyRange) -> Segment:
         keys = [k for k, _chain in segment.index_scan()]

@@ -22,7 +22,6 @@ from repro.index.global_table import GlobalPartitionTable, PartitionLocation
 from repro.index.partition_tree import KeyRange, SegmentMovedError
 from repro.sim.engine import DONE, Environment, after
 from repro.storage.record import RecordVersion
-from repro.storage.segment import Segment
 from repro.txn.manager import Transaction
 from repro.txn.mvcc import NotVisibleError
 
@@ -364,19 +363,28 @@ class MasterNode:
                   rows: typing.Iterable[typing.Sequence]) -> None:
         """Store ``rows`` of a freshly created table as committed
         versions, in stream order and outside the simulation clock —
-        loading is not part of any measurement window in the paper.  A
+        loading is not part of any measurement window in the paper.
+        Each maximal run of strictly ascending keys inside one
+        partition goes to :meth:`Partition.place_run` at once; a
         partition is looked up only when a key leaves the bounds of the
         one the previous row went to."""
         schema = self.catalog.table(table).schema
         partition = worker = None
+        run: list[RecordVersion] = []
         for values in rows:
             version = RecordVersion.make(schema, values, LOAD_TXN_ID)
             version.created_ts = LOAD_COMMIT_TS
             key = version.key
             if partition is None or not partition.bounds.contains(key):
+                if run:
+                    partition.place_run(worker, run)
+                    run = []
                 location = self.gpt.locate(table, key)
                 worker = self.cluster.worker(location.node_id)
                 partition = worker.partitions[location.partition_id]
-            segment = partition.ensure_segment_for(key)
-            worker.ensure_hosted(segment)
-            partition.place(worker, segment, version, Segment.insert_version)
+            elif not run[-1].key < key:
+                partition.place_run(worker, run)
+                run = []
+            run.append(version)
+        if run:
+            partition.place_run(worker, run)

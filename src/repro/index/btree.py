@@ -17,6 +17,8 @@ those); values are arbitrary objects.
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 import typing
 
 K = typing.TypeVar("K")
@@ -85,6 +87,42 @@ class BPlusTree(typing.Generic[K, V]):
         return None
 
     # -- mutation ----------------------------------------------------------
+
+    def build(self, keys: typing.Sequence[K], values: typing.Sequence[V]) -> None:
+        """Fill an empty tree bottom-up from strictly ascending ``keys``
+        and their ``values``: full leaves, then each level of separators
+        over the one below, to a single root.  Lookups, scans and later
+        inserts and deletes answer as after one :meth:`insert` per key,
+        and ``key_inserts`` advances by ``len(keys)`` the same."""
+        if self._size:
+            raise ValueError("build needs an empty tree")
+        if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
+            raise ValueError("build needs strictly ascending keys")
+        if not keys:
+            return
+        order = self.order
+        level = []
+        for lo in range(0, len(keys), order):
+            leaf = _Node(is_leaf=True)
+            leaf.keys = list(keys[lo:lo + order])
+            leaf.values = list(values[lo:lo + order])
+            if level:
+                level[-1].next_leaf = leaf
+            level.append(leaf)
+        lows = [leaf.keys[0] for leaf in level]
+        fanout = order + 1
+        while len(level) > 1:
+            parents, parent_lows = [], []
+            for lo in range(0, len(level), fanout):
+                parent = _Node(is_leaf=False)
+                parent.children = level[lo:lo + fanout]
+                parent.keys = lows[lo + 1:lo + fanout]
+                parents.append(parent)
+                parent_lows.append(lows[lo])
+            level, lows = parents, parent_lows
+        self._root = level[0]
+        self._size = len(keys)
+        self.key_inserts += len(keys)
 
     def insert(self, key: K, value: V) -> None:
         """Insert or overwrite ``key``."""

@@ -57,21 +57,42 @@ class Page:
         return version.size_bytes <= self.room
 
     def insert(self, version: RecordVersion) -> int:
-        """Store a version; returns its slot number."""
-        if not self.fits(version):
+        """Store a version and set its ``slot``; returns the slot."""
+        if not self.insert_run((version,), 0, 1):
             raise PageFullError(
                 f"page {self.page_id}: {version.size_bytes} B does not fit "
                 f"in {self.free_bytes} B free"
             )
-        if self._free_slots:
-            slot = self._free_slots.pop()
-            self._slots[slot] = version
-            self.used_bytes += version.size_bytes
-        else:
-            slot = len(self._slots)
-            self._slots.append(version)
-            self.used_bytes += version.size_bytes + SLOT_BYTES
-        return slot
+        return version.slot
+
+    def insert_run(self, versions: typing.Sequence[RecordVersion],
+                   start: int, stop: int) -> int:
+        """Store ``versions[start:stop]`` in order for as long as each
+        fits — a freed slot first, else a new one — and set each one's
+        ``slot``; returns the index of the first not stored."""
+        capacity = self.capacity_bytes
+        used = self.used_bytes
+        slots, free = self._slots, self._free_slots
+        index = start
+        while index < stop:
+            version = versions[index]
+            size = version.size_bytes
+            if free:
+                if used + size > capacity:
+                    break
+                slot = free.pop()
+                slots[slot] = version
+                used += size
+            else:
+                if used + size + SLOT_BYTES > capacity:
+                    break
+                slot = len(slots)
+                slots.append(version)
+                used += size + SLOT_BYTES
+            version.slot = slot
+            index += 1
+        self.used_bytes = used
+        return index
 
     def get(self, slot: int) -> RecordVersion:
         """Fetch a slot, verifying its checksum before returning it.

@@ -94,6 +94,10 @@ class Segment:
         extent until vacuum reclaims old versions.
         """
         page_no = self._find_page_with_room(version, allow_overflow)
+        if page_no is None:
+            raise SegmentFullError(
+                f"segment {self.segment_id}: all {self.max_pages} pages full"
+            )
         page = self.pages[page_no]
         slot = page.insert(version)
         if self._bounds[self._leaves + page_no] < 0:
@@ -103,30 +107,75 @@ class Segment:
             self._lift(page_no, page.room)
         version.home = self
         version.page_no = page_no
-        version.slot = slot
         if version.deleted_ts is not None:
             self.dead[page_no, slot] = version
-        chain = self.index.get(version.key)
-        if chain is None:
-            self.index.insert(version.key, [(page_no, slot)])
-        else:
-            chain.insert(0, (page_no, slot))
+        self._index_newest(version.key, (page_no, slot))
         return page_no, slot
 
+    def _index_newest(self, key: typing.Any,
+                      location: tuple[int, int]) -> None:
+        """Put ``location`` at the head of ``key``'s chain."""
+        chain = self.index.get(key)
+        if chain is None:
+            self.index.insert(key, [location])
+        else:
+            chain.insert(0, location)
+
+    def insert_run(self, versions: typing.Sequence[RecordVersion],
+                   start: int, stop: int) -> int:
+        """Store ``versions[start:stop]``, keys strictly ascending, each
+        on the page and slot :meth:`insert_version` would give it, and
+        index them — bottom-up when the index is empty, else one entry
+        at a time.  Stops where the extent is full; returns the index of
+        the first version not stored."""
+        keys, chains = [], []
+        index = start
+        while index < stop:
+            page_no = self._find_page_with_room(versions[index])
+            if page_no is None:
+                break
+            page = self.pages[page_no]
+            first, index = index, page.insert_run(versions, index, stop)
+            if index == first:
+                raise PageFullError(
+                    f"page {page.page_id}: {versions[first].size_bytes} B "
+                    f"does not fit in an empty page"
+                )
+            if self._bounds[self._leaves + page_no] < 0:
+                # A fresh page's bound: what is left after its first
+                # fill (a tighter bound than one row leaves, so first
+                # fit probes less and still picks the same page).
+                self._lift(page_no, page.room)
+            for version in versions[first:index]:
+                version.home = self
+                version.page_no = page_no
+                if version.deleted_ts is not None:
+                    self.dead[page_no, version.slot] = version
+                keys.append(version.key)
+                chains.append([(page_no, version.slot)])
+        if not len(self.index):
+            self.index.build(keys, chains)
+            return index
+        for key, (location,) in zip(keys, chains):
+            self._index_newest(key, location)
+        return index
+
     def _find_page_with_room(self, version: RecordVersion,
-                             allow_overflow: bool = False) -> int:
+                             allow_overflow: bool = False) -> int | None:
         """The fill cursor's page if the version fits there, else the
-        leftmost page it fits on, else a new page."""
+        leftmost page it fits on, else a new page — or None when that
+        would grow the extent past ``max_pages`` without
+        ``allow_overflow``."""
         pages = self.pages
+        size = version.size_bytes
         if pages:
-            page = pages[self._fill_cursor]
-            if page.fits(version):
+            room = pages[self._fill_cursor].room
+            if size <= room:
                 return self._fill_cursor
             # Inserts land only on the cursor's page, so its bound is
             # the one that goes stale; set it to the truth before the
             # descent can probe it again.
-            self._tighten(self._fill_cursor, page.room)
-        size = version.size_bytes
+            self._tighten(self._fill_cursor, room)
         bounds = self._bounds
         leaves = self._leaves
         while bounds[1] >= size:
@@ -145,9 +194,7 @@ class Segment:
                 return page_no
             self._tighten(page_no, page.room)
         if len(pages) >= self.max_pages and not allow_overflow:
-            raise SegmentFullError(
-                f"segment {self.segment_id}: all {self.max_pages} pages full"
-            )
+            return None
         if len(pages) == leaves:
             self._grow()
         pages.append(Page(next(_GLOBAL_PAGE_IDS), self.segment_id,

@@ -185,3 +185,66 @@ def test_property_range_scan_matches_filter(keys, a, b):
         tree.insert(k, k)
     expected = sorted(k for k in keys if lo <= k < hi)
     assert [k for k, _v in tree.items(lo=lo, hi=hi)] == expected
+
+
+def test_build_refuses_a_non_empty_tree_or_unsorted_keys():
+    tree = BPlusTree(order=4)
+    with pytest.raises(ValueError):
+        tree.build([1, 3, 2], ["a", "b", "c"])
+    with pytest.raises(ValueError):
+        tree.build([1, 1], ["a", "b"])
+    tree.insert(0, "z")
+    with pytest.raises(ValueError):
+        tree.build([1, 2], ["a", "b"])
+
+
+def same_answers(built, inserted, probes):
+    assert len(built) == len(inserted)
+    assert built.key_inserts == inserted.key_inserts
+    assert list(built.items()) == list(inserted.items())
+    if len(inserted):
+        assert built.max_key() == inserted.max_key()
+    else:
+        with pytest.raises(KeyError):
+            built.max_key()
+    for key in probes:
+        assert built.get(key) == inserted.get(key)
+    for lo, hi in zip(probes, probes[1:]):
+        for inclusive in (False, True):
+            assert (list(built.items(lo, hi, inclusive))
+                    == list(inserted.items(lo, hi, inclusive)))
+        assert list(built.items(lo)) == list(inserted.items(lo))
+        assert list(built.items(hi=hi)) == list(inserted.items(hi=hi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=7),
+    st.integers(min_value=0, max_value=300),
+    st.lists(st.tuples(st.sampled_from(["insert", "delete", "delete-tail"]),
+                       st.integers(min_value=-20, max_value=340)),
+             max_size=120),
+)
+def test_property_bottom_up_build_answers_as_inserts_do(order, n, tail):
+    """A tree built bottom-up from n sorted items and one built by n
+    inserts answer alike — scans, point and range lookups, size,
+    ``key_inserts``, ``max_key`` — and go on answering alike through a
+    drawn tail of inserts and lazy deletes, including deletes of the
+    highest keys that empty the rightmost leaves."""
+    keys = list(range(0, 2 * n, 2))
+    built, inserted = BPlusTree(order=order), BPlusTree(order=order)
+    built.build(keys, [k * 3 for k in keys])
+    for key in keys:
+        inserted.insert(key, key * 3)
+    probes = [-21, -1, 0, 1, n, n + 1, 2 * n - 2, 2 * n, 2 * n + 5]
+    same_answers(built, inserted, probes)
+    for op, key in tail:
+        if op == "insert":
+            built.insert(key, -key)
+            inserted.insert(key, -key)
+        elif op == "delete":
+            assert built.delete(key) == inserted.delete(key)
+        elif len(inserted):
+            top = inserted.max_key()
+            assert built.delete(top) and inserted.delete(top)
+    same_answers(built, inserted, probes + [key for _op, key in tail])

@@ -156,6 +156,12 @@ GUARDS = [
           " the pending key and re-resolves it; nothing else catches"
           " SegmentFullError.", "except SegmentFullError:",
           include="*.py", exclude="catalog.py"),
+    Guard("bulk-load-by-run", r"Segment\.insert_version",
+          "src/repro/cluster/master.py", 42, "MasterNode.bulk_load hands"
+          " each run of ascending keys to Partition.place_run, which packs"
+          " pages and builds the segment index bottom-up; no row is placed"
+          " on its own.",
+          "partition.place(worker, segment, version, Segment.insert_version)"),
     Guard("one-sizing-plan", r"\.sizeof\(", "src/repro/engine", 41,
           "Operators size rows by the compiled plan of"
           " storage.record.RowSizer, not a Column.sizeof call per value.",
