@@ -474,10 +474,8 @@ class WorkerNode:
             )
         yield from self.cpu.execute(specs.CPU_INDEX_SECONDS_PER_OP)
         history = self.txns.history
-        prev = (mvcc.visible_version(segment, key, txn)
-                if history is not None else None)
-        mvcc.delete(segment, key, txn)
-        chain = segment.versions_for(key)
+        prev = mvcc.delete(segment, key, txn)
+        chain = segment.index.get(key)
         if chain:
             yield from self._dirty_page(segment, chain[0][0], txn)
         self._log_write(txn, "delete", partition, key_only=key)
@@ -524,7 +522,10 @@ class WorkerNode:
 
     def _announce_write(self, partition: "Partition", txn: Transaction):
         """Partition-granule write intent (IX), under either CC scheme
-        (a step: :meth:`LockManager.lock_partition`).
+        (a step: :meth:`LockManager.lock_partition`), asked for once
+        per (transaction, partition): ``DONE`` for a partition already
+        in ``txn.announced``, which a granted intent joins.  A wait
+        that times out raises and leaves the partition out.
 
         The repartitioning protocol depends on it: the mover's
         partition read lock "wait[s] for pre-existing queries to finish
@@ -532,9 +533,16 @@ class WorkerNode:
         before the lock is granted" (Sect. 4.3) — which requires even
         MVCC writers to announce themselves at the partition granule.
         """
-        return self.txns.locks.lock_partition(
-            txn.txn_id, partition.table.name, partition.partition_id,
-            LockMode.IX, txn.breakdown,
+        partition_id = partition.partition_id
+        announced = txn.announced
+        if partition_id in announced:
+            return DONE
+        return after(
+            self.txns.locks.lock_partition(
+                txn.txn_id, partition.table.name, partition_id,
+                LockMode.IX, txn.breakdown,
+            ),
+            announced.add, partition_id,
         )
 
     def _dirty_page(self, segment: Segment, page_no: int, txn: Transaction):

@@ -27,7 +27,6 @@ from repro.core.schemes import MoveReport, split_key_at_fraction
 from repro.hardware import specs
 from repro.index.partition_tree import Forwarding, KeyRange
 from repro.moves import MoveFailedError, check_endpoints
-from repro.storage.record import RecordVersion
 from repro.txn import (
     LockMode,
     LockTimeoutError,
@@ -265,30 +264,23 @@ class LogicalPartitioning(PartitioningScheme):
                 if segment is None or isinstance(segment, Forwarding):
                     dead.add(key)
                     continue
-                current = mvcc.visible_version(segment, key, mover)
+                current = mvcc.delete(segment, key, mover, missing_ok=True)
                 if current is None:
                     dead.add(key)
                     continue
-                row = current.values
-                mvcc.delete(segment, key, mover)
                 source.wal.append(
                     mover.txn_id, "delete",
                     (partition.table.name, key), nbytes=64,
                 )
                 mover.note_log(source.wal)
-                # ``current`` was just returned verified: the row keeps
-                # its CRC on the target, as a moved segment would.
-                version = RecordVersion.make(
-                    target_partition.schema, row, mover.txn_id,
-                    checksum=current.checksum,
-                )
+                version = current.copy(mover.txn_id)
                 t_segment = target_partition.ensure_segment_for(key)
                 target.ensure_hosted(t_segment)
                 target_partition.place(target, t_segment, version,
                                        mvcc.insert, mover)
                 target.wal.append(
                     mover.txn_id, "insert",
-                    (partition.table.name, key, row),
+                    (partition.table.name, key, version.values),
                     nbytes=version.size_bytes + LOG_RECORD_HEADER_BYTES,
                     row_crc=version.checksum,
                 )
@@ -319,19 +311,25 @@ class LogicalPartitioning(PartitioningScheme):
     def _bulk_read(partition: "Partition", source: "WorkerNode",
                    batch: list):
         """Generator: clustered read of the batch's source pages, one
-        access penalty per contiguous sweep."""
+        access penalty per contiguous sweep.  A segment's extent is
+        looked up once, at its first key in the batch."""
         by_disk: dict[int, typing.Any] = {}
         page_bytes = 0
+        disk_space = source.disk_space
+        segment = disk = None
         for key in batch:
-            segment = partition.segment_for(key)
-            if segment is None or isinstance(segment, Forwarding):
-                continue
-            if not source.disk_space.holds(segment.segment_id):
+            found = partition.segment_for(key)
+            if found is not segment:
+                segment = found
+                disk = None
+                if segment is not None and not isinstance(segment, Forwarding) \
+                        and disk_space.holds(segment.segment_id):
+                    disk = disk_space.disk_of(segment.segment_id)
+                    by_disk[id(disk)] = disk
+            if disk is None:
                 continue
             pages = {pno for pno, _s in (segment.index.get(key) or [])}
-            disk = source.disk_space.disk_of(segment.segment_id)
             page_bytes += len(pages) * segment.page_bytes
-            by_disk[id(disk)] = disk
         if page_bytes == 0:
             return
         for disk in by_disk.values():

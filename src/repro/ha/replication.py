@@ -102,6 +102,12 @@ class SegmentReplica:
     #: Snapshot reads this replica served (read-scaling accounting).
     reads_served: int = 0
 
+    def is_live(self, cluster: "Cluster") -> bool:
+        """Promotable and readable: not stale, not seeding, and its
+        holder serving."""
+        return not self.stale and not self.seeding \
+            and cluster.worker(self.holder_node_id).is_serving
+
     def put_row(self, key, entry) -> None:
         """Set ``key``'s row-state entry, entering a new key in
         :attr:`sorted_keys`."""
@@ -127,11 +133,7 @@ class ReplicaSet:
         self.replicas: list[SegmentReplica] = []
 
     def live_replicas(self, cluster: "Cluster") -> list[SegmentReplica]:
-        return [
-            r for r in self.replicas
-            if not r.stale and not r.seeding
-            and cluster.worker(r.holder_node_id).is_serving
-        ]
+        return [r for r in self.replicas if r.is_live(cluster)]
 
     def best_replica(self, cluster: "Cluster") -> SegmentReplica | None:
         """The promotion candidate: any live replica (they are all

@@ -162,7 +162,14 @@ class ReadTier:
         return replica_set, lag
 
     def _pick_replica(self, replica_set):
-        candidates = replica_set.live_replicas(self.cluster)
+        """Round-robin over the live replicas; the candidate list is
+        built only when one of them is not live."""
+        cluster = self.cluster
+        candidates = replica_set.replicas
+        for replica in candidates:
+            if not replica.is_live(cluster):
+                candidates = replica_set.live_replicas(cluster)
+                break
         if not candidates:
             return None
         replica = candidates[self._rr % len(candidates)]

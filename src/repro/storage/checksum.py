@@ -4,8 +4,9 @@ Every stored record version and every WAL record carries a CRC32 over
 a canonical serialization of its immutable payload.  One rule decides
 when a row's bytes are hashed: **where they are created, and again only
 after a modelled fault has touched them.**  A version is hashed once by
-``RecordVersion.make`` (a moved row keeps its source CRC); a WAL row
-record's CRC covers its header plus that same row CRC instead of
+``RecordVersion.make``; a moved row is ``RecordVersion.copy`` of its
+source, which carries the source CRC over without re-hashing; a WAL
+row record's CRC covers its header plus that same row CRC instead of
 re-walking the values.  Every trust boundary — a page read, a WAL
 replay, a replica shipment, a scrub pass — still calls ``verify``, and
 each object caches the verdict (``RecordVersion.clean``,

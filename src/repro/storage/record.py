@@ -167,8 +167,9 @@ class RecordVersion:
     page_no: int = dataclasses.field(default=-1, repr=False, compare=False)
     slot: int = dataclasses.field(default=-1, repr=False, compare=False)
     #: CRC32 over the immutable payload (key + values), computed by
-    #: :meth:`make`.  ``None`` for hand-built versions (legacy rows and
-    #: test fixtures) — those verify trivially.  The MVCC header fields
+    #: :meth:`make` and carried over by :meth:`copy`.  ``None`` for
+    #: hand-built versions (legacy rows and test fixtures) — those
+    #: verify trivially.  The MVCC header fields
     #: (``created_ts``/``deleted_by``/``deleted_ts``) mutate after
     #: creation and are deliberately outside the covered payload.
     checksum: int | None = dataclasses.field(
@@ -182,11 +183,9 @@ class RecordVersion:
 
     @classmethod
     def make(cls, schema: Schema, values: typing.Sequence[typing.Any],
-             created_by: int, checksum: int | None = None
-             ) -> "RecordVersion":
-        """A new version, born verified.  ``checksum`` is the row's
-        known CRC when the caller holds one for exactly these bytes (a
-        moved row keeps its source CRC); otherwise it is computed."""
+             created_by: int) -> "RecordVersion":
+        """A new version, born verified: its CRC is taken from the
+        bytes in hand."""
         values = tuple(values)
         # Sized first: ``sizeof`` checks the arity, so a short row
         # raises ValueError before its key is taken.
@@ -197,10 +196,18 @@ class RecordVersion:
             values=values,
             size_bytes=size_bytes,
             created_by=created_by,
-            checksum=checksum_of((key, values)) if checksum is None
-            else checksum,
+            checksum=checksum_of((key, values)),
             clean=True,
         )
+
+    def copy(self, created_by: int) -> "RecordVersion":
+        """A new version of this row created by ``created_by`` — the
+        row a record move re-inserts, taken from a version a page read
+        has just verified.  Key, values, size and CRC are carried over
+        and the copy is born ``clean``, as a moved segment keeps its
+        bytes' CRC (Sect. 4.3): nothing is re-sized or re-hashed."""
+        return RecordVersion(self.key, self.values, self.size_bytes,
+                             created_by, checksum=self.checksum, clean=True)
 
     def verify(self, *, where: str = "page-read") -> None:
         """Raise ``IntegrityError`` unless the payload still matches

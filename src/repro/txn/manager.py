@@ -46,7 +46,8 @@ class Transaction:
 
     __slots__ = ("txn_id", "begin_ts", "is_system", "declared_read_only",
                  "cc", "breakdown", "state", "commit_ts", "tenant", "redo",
-                 "visited_nodes", "_created", "_deleted", "_dirty_logs")
+                 "visited_nodes", "announced", "_created", "_deleted",
+                 "_dirty_logs")
 
     def __init__(self, txn_id: int, begin_ts: int, is_system: bool = False,
                  read_only: bool = False, cc: str = "mvcc",
@@ -81,6 +82,11 @@ class Transaction:
         self.redo: list[tuple[int, "LogRecord"]] = []
         #: Remote workers enlisted by the master (one dispatch hop each).
         self.visited_nodes: set[int] = set()
+        #: Partitions whose IX write intent was granted to this
+        #: transaction (``WorkerNode._announce_write``); the locks are
+        #: held until ``release_all``, so a second write there asks the
+        #: lock table nothing.
+        self.announced: set[int] = set()
         self._created: list[tuple[Segment, RecordVersion, tuple[int, int]]] = []
         self._deleted: list[tuple[Segment, RecordVersion]] = []
         self._dirty_logs: list[LogManager] = []

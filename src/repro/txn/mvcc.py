@@ -17,7 +17,7 @@ import typing
 
 from repro.storage.record import RecordVersion
 from repro.storage.segment import Segment
-from repro.txn.manager import TransactionAborted
+from repro.txn.manager import TransactionAborted, WriteConflictError
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.txn.manager import Transaction
@@ -60,29 +60,39 @@ def visible_version(segment: Segment, key: typing.Any,
     return None
 
 
-def newest_version(segment: Segment, key: typing.Any) -> RecordVersion | None:
-    chain = segment.versions_for(key)
-    return chain[0][2] if chain else None
+def writable_version(segment: Segment, key: typing.Any, txn: "Transaction",
+                     missing_ok: bool = False) -> RecordVersion | None:
+    """The version of ``key`` a write by ``txn`` supersedes, from one
+    walk of the chain.
 
-
-def has_write_conflict(segment: Segment, key: typing.Any,
-                       txn: "Transaction") -> bool:
-    """First-updater-wins check before a write to ``key``.
-
-    True when the newest version was created or delete-marked by a
-    *different* transaction that is either still in flight or committed
-    after our snapshot.
+    First updater wins: ``WriteConflictError`` when the newest version
+    was created or delete-marked by a *different* transaction that is
+    still in flight or committed after our snapshot.  Without a
+    conflict, no visible version raises ``NotVisibleError``.  With
+    ``missing_ok`` (the record mover) a key with no visible version
+    returns ``None`` before any conflict test: it is dead, not
+    contended.
     """
-    newest = newest_version(segment, key)
-    if newest is None:
-        return False
-    if newest.created_by != txn.txn_id:
-        if newest.created_ts is None or newest.created_ts > txn.begin_ts:
-            return True
-    if newest.deleted_by is not None and newest.deleted_by != txn.txn_id:
-        if newest.deleted_ts is None or newest.deleted_ts > txn.begin_ts:
-            return True
-    return False
+    chain = segment.versions_for(key)
+    current = None
+    for _page_no, _slot, version in chain:
+        if is_visible(version, txn):
+            current = version
+            break
+    if current is None and missing_ok:
+        return None
+    if chain:
+        newest = chain[0][2]
+        me, snapshot = txn.txn_id, txn.begin_ts
+        if newest.created_by != me and (newest.created_ts is None
+                                        or newest.created_ts > snapshot):
+            raise WriteConflictError(f"write-write conflict on key {key!r}")
+        if newest.deleted_by is not None and newest.deleted_by != me and (
+                newest.deleted_ts is None or newest.deleted_ts > snapshot):
+            raise WriteConflictError(f"write-write conflict on key {key!r}")
+    if current is None:
+        raise NotVisibleError(f"key {key!r} not visible to txn {txn.txn_id}")
+    return current
 
 
 def insert(segment: Segment, version: RecordVersion,
@@ -101,14 +111,8 @@ def insert(segment: Segment, version: RecordVersion,
 def update(segment: Segment, key: typing.Any, new_version: RecordVersion,
            txn: "Transaction") -> tuple[int, int]:
     """Delete-mark the visible version and chain a new one."""
-    from repro.txn.manager import WriteConflictError
-
     txn.require_writable()
-    if has_write_conflict(segment, key, txn):
-        raise WriteConflictError(f"write-write conflict on key {key!r}")
-    current = visible_version(segment, key, txn)
-    if current is None:
-        raise NotVisibleError(f"key {key!r} not visible to txn {txn.txn_id}")
+    current = writable_version(segment, key, txn)
     current.deleted_by = txn.txn_id
     txn.note_deleted(segment, current)
     # Version chains may overflow the extent until vacuum runs.
@@ -117,18 +121,17 @@ def update(segment: Segment, key: typing.Any, new_version: RecordVersion,
     return location
 
 
-def delete(segment: Segment, key: typing.Any, txn: "Transaction") -> None:
-    """Delete-mark the visible version of ``key``."""
-    from repro.txn.manager import WriteConflictError
-
+def delete(segment: Segment, key: typing.Any, txn: "Transaction",
+           missing_ok: bool = False) -> RecordVersion | None:
+    """Delete-mark the visible version of ``key`` and return it (or
+    ``None`` under ``missing_ok`` when none is visible: see
+    :func:`writable_version`)."""
     txn.require_writable()
-    if has_write_conflict(segment, key, txn):
-        raise WriteConflictError(f"write-write conflict on key {key!r}")
-    current = visible_version(segment, key, txn)
-    if current is None:
-        raise NotVisibleError(f"key {key!r} not visible to txn {txn.txn_id}")
-    current.deleted_by = txn.txn_id
-    txn.note_deleted(segment, current)
+    current = writable_version(segment, key, txn, missing_ok)
+    if current is not None:
+        current.deleted_by = txn.txn_id
+        txn.note_deleted(segment, current)
+    return current
 
 
 def vacuum(segment: Segment, horizon_ts: int) -> int:

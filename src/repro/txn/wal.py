@@ -59,9 +59,11 @@ def _covered(lsn: int, txn_id: int, kind: str, payload: typing.Any,
     return (lsn, txn_id, kind, payload[0], row_crc)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class LogRecord:
-    """One logical log record."""
+    """One logical log record.  Nothing assigns to a record's fields
+    once it is appended: a fault swaps in a ``dataclasses.replace``
+    copy, and only the cached ``verified`` verdict is ever set."""
 
     lsn: int
     txn_id: int
@@ -96,7 +98,7 @@ class LogRecord:
             _covered(self.lsn, self.txn_id, self.kind, self.payload,
                      _row_crc(self.kind, self.payload)),
             self.checksum, where=where, detail=self.lsn)
-        object.__setattr__(self, "verified", True)
+        self.verified = True
 
 
 class LogShippingSink:
@@ -190,7 +192,7 @@ class LogManager:
                                           row_crc)),
             row_crc=row_crc,
         )
-        object.__setattr__(record, "verified", True)
+        record.verified = True
         self.records.append(record)
         self.tail = record
         self.live_bytes += size

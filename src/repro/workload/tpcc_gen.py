@@ -7,6 +7,7 @@ of any measurement window in the paper.
 
 from __future__ import annotations
 
+import bisect
 import random
 import string
 import typing
@@ -211,14 +212,26 @@ def seed_warehouse_segments(config: TpccConfig, partition,
     migration warehouse-granular across *every* table — the same
     key-contiguity a full-scale deployment gets for free from having
     many segments per warehouse.  Overflowing warehouses still split
-    into further segments on demand.
+    into further segments on demand.  The warehouses inside the bounds
+    are a run of ids, found by bisecting for each bound (an open bound
+    takes every id on its side).
     """
-    for w in range(1, config.warehouses + 1):
+    ids = range(1, config.warehouses + 1)
+    key = None if single else _warehouse_key
+    bounds = partition.bounds
+    start = 0 if bounds.low is None \
+        else bisect.bisect_left(ids, bounds.low, key=key)
+    stop = len(ids) if bounds.high is None \
+        else bisect.bisect_left(ids, bounds.high, key=key)
+    for w in ids[start:stop]:
         low = w if single else (w,)
         high = w + 1 if single else (w + 1,)
-        if not partition.bounds.contains(low):
-            continue
         partition.new_segment(KeyRange(low, high))
+
+
+def _warehouse_key(w: int) -> tuple:
+    """The leading key of warehouse ``w`` in a composite-key table."""
+    return (w,)
 
 
 def _create_secondary_indexes(config: TpccConfig, created) -> None:

@@ -6,12 +6,11 @@ import pytest
 from repro import Cluster, Column, Environment, Schema
 from repro.hardware import specs
 from repro.metrics import CostBreakdown
-from repro.txn import LockMode
+from repro.txn import LockMode, LockTimeoutError
 from repro.txn.manager import TransactionAborted
 
 
-@pytest.fixture()
-def rig():
+def build_rig():
     env = Environment()
     cluster = Cluster(env, node_count=3, initially_active=2,
                       buffer_pages_per_node=256, segment_max_pages=16,
@@ -28,6 +27,11 @@ def rig():
     env.run(until=env.process(load()))
     partition = list(cluster.workers[0].partitions.values())[0]
     return env, cluster, partition
+
+
+@pytest.fixture()
+def rig():
+    return build_rig()
 
 
 def test_writers_announce_partition_intent(rig):
@@ -48,6 +52,91 @@ def test_writers_announce_partition_intent(rig):
     assert cluster.txns.locks.holders(
         ("partition", partition.partition_id)
     ) == {}
+
+
+class _Forgetful(set):
+    """An intent memo that never remembers: every write asks again."""
+
+    def __contains__(self, item):
+        return False
+
+
+def _lock_table(locks):
+    return ({resource: dict(state.granted)
+             for resource, state in locks._locks.items()},
+            {txn_id: set(held) for txn_id, held in locks._held.items()})
+
+
+def _writes_in_one_partition(memo: bool, k: int = 5):
+    """``k`` updates in one partition by one transaction: the calls to
+    ``lock_partition``, the lock table before commit, and the clock."""
+    env, cluster, partition = build_rig()
+    locks = cluster.txns.locks
+    calls = []
+    ask = locks.lock_partition
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return ask(*args, **kwargs)
+
+    locks.lock_partition = counting
+    seen = {}
+
+    def work():
+        txn = cluster.txns.begin()
+        if not memo:
+            txn.announced = _Forgetful()
+        for key in range(k):
+            yield from cluster.master.update("kv", key, (key, "y"), txn)
+        seen["table"] = _lock_table(locks)
+        seen["announced"] = set(txn.announced)
+        seen["now"] = env.now
+        yield from cluster.txns.commit(txn)
+
+    env.run(until=env.process(work()))
+    return calls, seen, partition
+
+
+def test_intent_is_asked_once_per_partition():
+    """k writes in one partition ask the lock table once, and leave it
+    as asking on every write would."""
+    calls, seen, partition = _writes_in_one_partition(memo=True)
+    again, unmemoised, _ = _writes_in_one_partition(memo=False)
+    assert calls == [partition.partition_id]
+    assert again == [partition.partition_id] * 5
+    assert seen["announced"] == {partition.partition_id}
+    assert seen["table"] == unmemoised["table"]
+    assert seen["now"] == unmemoised["now"]
+
+
+def test_timed_out_intent_leaves_partition_unannounced(rig):
+    """A writer whose IX wait times out has not announced the
+    partition: its next write asks the lock table again."""
+    env, cluster, partition = rig
+    locks = cluster.txns.locks
+    log = []
+
+    def guard():
+        txn = cluster.txns.begin(is_system=True)
+        yield from locks.lock_partition(txn.txn_id, "kv",
+                                        partition.partition_id, LockMode.S)
+        yield env.timeout(3.0)  # outlasts the writer's 1 s lock timeout
+        yield from cluster.txns.commit(txn)
+
+    def writer():
+        yield env.timeout(0.1)
+        txn = cluster.txns.begin()
+        with pytest.raises(LockTimeoutError):
+            yield from cluster.master.update("kv", 1, (1, "w"), txn)
+        log.append(set(txn.announced))
+        yield env.timeout(3.0)
+        yield from cluster.master.update("kv", 1, (1, "w"), txn)
+        log.append(set(txn.announced))
+        yield from cluster.txns.commit(txn)
+
+    env.process(guard())
+    env.run(until=env.process(writer()))
+    assert log == [set(), {partition.partition_id}]
 
 
 def test_partition_read_lock_drains_mvcc_writers(rig):

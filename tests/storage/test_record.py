@@ -1,6 +1,8 @@
 """Tests for schemas and record versions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage import Column, RecordVersion, Schema
 from repro.storage.record import VERSION_HEADER_BYTES
@@ -81,6 +83,26 @@ def test_record_version_make():
     assert version.created_ts is None
     assert version.deleted_by is None
     assert version.size_bytes == schema.sizeof((5, 1, "x", 9.0)) + VERSION_HEADER_BYTES
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 99), st.text(max_size=40),
+       st.floats(allow_nan=False))
+def test_moved_copy_equals_make_on_the_same_row(o_id, w_id, text, amount):
+    """A record move re-inserts a copy: it matches ``make`` on the same
+    row in key, values, size and CRC, is born clean, and is a new
+    version owned by its creator."""
+    schema = order_schema()
+    row = (o_id, w_id, text, amount)
+    source = RecordVersion.make(schema, row, created_by=1)
+    source.deleted_by = 7
+    copy = source.copy(created_by=9)
+    made = RecordVersion.make(schema, row, created_by=9)
+    assert copy is not source and copy.clean
+    assert (copy.key, copy.values, copy.size_bytes, copy.checksum) == \
+        (made.key, made.values, made.size_bytes, made.checksum)
+    assert (copy.created_by, copy.created_ts, copy.deleted_by,
+            copy.deleted_ts, copy.home) == (9, None, None, None, None)
 
 
 def test_short_and_long_rows_raise_value_error():

@@ -162,6 +162,16 @@ GUARDS = [
           " pages and builds the segment index bottom-up; no row is placed"
           " on its own.",
           "partition.place(worker, segment, version, Segment.insert_version)"),
+    Guard("one-chain-walk-per-write", r"has_write_conflict|newest_version",
+          "src/repro", 43, "mvcc.writable_version takes a key's version"
+          " chain once for the first-updater-wins test and the visible"
+          " version; no second walk asks for the newest version.",
+          "if has_write_conflict(segment, key, txn):", include="*.py"),
+    Guard("moved-row-is-a-copy", r"RecordVersion\.make",
+          "src/repro/core/logical.py", 43, "The record mover re-inserts"
+          " RecordVersion.copy of the source row: key, values, size and"
+          " CRC carried over, nothing re-sized or re-hashed.",
+          "version = RecordVersion.make(schema, current.values, txn_id)"),
     Guard("one-sizing-plan", r"\.sizeof\(", "src/repro/engine", 41,
           "Operators size rows by the compiled plan of"
           " storage.record.RowSizer, not a Column.sizeof call per value.",

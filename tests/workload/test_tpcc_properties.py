@@ -1,11 +1,16 @@
 """Property tests of the TPC-C generator and context distributions."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.index.partition_tree import KeyRange
 from repro.workload import TpccConfig
-from repro.workload.tpcc_gen import TpccGenerator, warehouse_ranges
+from repro.workload.tpcc_gen import (
+    TpccGenerator,
+    seed_warehouse_segments,
+    warehouse_ranges,
+)
 from repro.workload.tpcc_schema import TPCC_TABLES, tables_for
 from repro.workload.tpcc_txns import TpccContext
 
@@ -93,6 +98,49 @@ def test_property_warehouse_ranges_partition_the_space(warehouses, owners):
     for i, (r1, _o1) in enumerate(ranges):
         for r2, _o2 in ranges[i + 1:]:
             assert not r1.overlaps(r2)
+
+
+class _SeededPartition:
+    """Records the ranges ``seed_warehouse_segments`` creates."""
+
+    def __init__(self, bounds: KeyRange):
+        self.bounds = bounds
+        self.created: list[KeyRange] = []
+
+    def new_segment(self, key_range: KeyRange) -> None:
+        self.created.append(key_range)
+
+
+def _bound(single: bool):
+    """A partition bound: open, a warehouse id, or a key prefix that may
+    fall inside a warehouse (``(w, d)``) or outside the id range."""
+    ids = st.integers(min_value=-1, max_value=32)
+    if single:
+        return st.one_of(st.none(), ids)
+    return st.one_of(st.none(), st.tuples(ids),
+                     st.tuples(ids, st.integers(min_value=0, max_value=9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), warehouses=st.integers(min_value=1, max_value=30),
+       single=st.booleans())
+def test_property_warehouse_segments_match_linear_scan(data, warehouses,
+                                                        single):
+    """Seeding bisects for the bounds and creates the segments a test of
+    every warehouse against the bounds would, in the same order."""
+    low = data.draw(_bound(single))
+    high = data.draw(_bound(single))
+    assume(low is None or high is None or low < high)
+    bounds = KeyRange(low, high)
+    config = TpccConfig(warehouses=warehouses)
+    partition = _SeededPartition(bounds)
+    seed_warehouse_segments(config, partition, single)
+    expected = [
+        KeyRange(w, w + 1) if single else KeyRange((w,), (w + 1,))
+        for w in range(1, warehouses + 1)
+        if bounds.contains(w if single else (w,))
+    ]
+    assert partition.created == expected
 
 
 def test_nurand_distribution_is_skewed():
