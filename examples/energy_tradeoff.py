@@ -15,7 +15,7 @@ from repro.experiments.fig8_helper import run_fig8
 
 def main():
     config = quick_fig6_config()
-    result = run_fig8(config, helper_nodes=(4, 5))
+    result = run_fig8(config)
     print(result.to_table())
     print()
 

@@ -699,18 +699,16 @@ class AuditReport:
 
 
 def audit_history(recorder: HistoryRecorder,
-                  cluster: "Cluster | None" = None, *,
-                  staleness_budget: float | None = None,
-                  view_lag_bound: float | None = None) -> AuditReport:
+                  cluster: "Cluster | None" = None) -> AuditReport:
     """Run every checker over a recorder's history.  ``cluster``, when
     given, additionally enables the replica-convergence comparison
     (it needs live catalog state, not just the history).
 
-    The read-tier bounds default to whatever the recorder carries
-    (a run that installed a :class:`repro.reads.ReadTier` sets them);
-    explicit keyword arguments override.  Cache coherence and view
-    equivalence always run — over zero cache reads and zero view
-    checkpoints they are vacuous, so plain runs are unaffected.
+    The read-tier bounds are the ones the recorder carries (a run that
+    installed a :class:`repro.reads.ReadTier` sets them).  Cache
+    coherence and view equivalence always run — over zero cache reads
+    and zero view checkpoints they are vacuous, so plain runs are
+    unaffected.
     """
     history = History.from_recorder(recorder)
     anomalies: list[Anomaly] = []
@@ -720,15 +718,12 @@ def audit_history(recorder: HistoryRecorder,
     anomalies += check_write_cycles(history)
     anomalies += check_snapshot_reads(history)
     anomalies += check_partition_coverage(recorder.coverage)
-    if staleness_budget is None:
-        staleness_budget = recorder.staleness_budget
-    if staleness_budget is not None:
-        anomalies += check_staleness_bounds(history, staleness_budget)
+    if recorder.staleness_budget is not None:
+        anomalies += check_staleness_bounds(history,
+                                            recorder.staleness_budget)
     anomalies += check_cache_coherence(history)
-    if view_lag_bound is None:
-        view_lag_bound = recorder.view_lag_bound
     anomalies += check_view_checkpoints(
-        recorder.view_checkpoints, view_lag_bound)
+        recorder.view_checkpoints, recorder.view_lag_bound)
     if cluster is not None and cluster.catalog.replica_sets:
         anomalies += check_replica_convergence(cluster)
     return AuditReport(anomalies=anomalies, stats=recorder.stats())

@@ -314,8 +314,7 @@ class Catalog:
         )
 
     def rebuild_partition(self, partition_id: int, table: str | TableDef,
-                          node_id: int,
-                          segment_max_pages: int | None = None) -> Partition:
+                          node_id: int) -> Partition:
         """An empty partition shell carrying an *existing* id, for
         replica promotion: the promoted copy keeps the dead partition's
         identity so the global partition table and replica set need
@@ -323,7 +322,7 @@ class Catalog:
         table_def = table if isinstance(table, TableDef) else self.table(table)
         return Partition(
             partition_id, table_def, node_id,
-            segment_max_pages or self.segment_max_pages, self.page_bytes,
+            self.segment_max_pages, self.page_bytes,
             segment_id_allocator=lambda: next(self._segment_ids),
         )
 

@@ -332,11 +332,10 @@ class MasterNode:
 
     # -- table bootstrap -----------------------------------------------------
 
-    def create_table(self, name, schema, owner: "WorkerNode",
-                     key_range=None):
+    def create_table(self, name, schema, owner: "WorkerNode"):
         """Define a table with one initial partition on ``owner``."""
         partitions = self.create_partitioned_table(
-            name, schema, [(key_range or KeyRange(None, None), owner)]
+            name, schema, [(KeyRange(None, None), owner)]
         )
         return partitions[0]
 

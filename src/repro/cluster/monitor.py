@@ -79,13 +79,11 @@ class ClusterMonitor:
     experiments read :meth:`latest` / :attr:`history`.
     """
 
-    def __init__(self, env: Environment, workers: typing.Sequence["WorkerNode"],
-                 interval: float = specs.MONITOR_INTERVAL_SECONDS,
-                 history_limit: int = 10_000):
+    def __init__(self, env: Environment, workers: typing.Sequence["WorkerNode"]):
         self.env = env
         self.workers = list(workers)
-        self.interval = interval
-        self.history_limit = history_limit
+        self.interval = specs.MONITOR_INTERVAL_SECONDS
+        self.history_limit = 10_000
         self.history: list[NodeSample] = []
         self._checkpoints: dict[int, _Checkpoint] = {}
         #: node_id -> sim time of the last successful report.  A node

@@ -185,9 +185,9 @@ class WorkerNode:
     def partitions_for_table(self, table: str) -> list["Partition"]:
         return [p for p in self.partitions.values() if p.table.name == table]
 
-    def host_segment(self, segment: Segment, disk: Disk | None = None) -> Disk:
+    def host_segment(self, segment: Segment) -> Disk:
         """Store a segment's extent on a local disk and publish it."""
-        chosen = self.disk_space.place(segment, disk)
+        chosen = self.disk_space.place(segment)
         self.directory.register(segment.segment_id, self, chosen)
         return chosen
 

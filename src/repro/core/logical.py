@@ -27,6 +27,7 @@ from repro.core.schemes import MoveReport, split_key_at_fraction
 from repro.hardware import specs
 from repro.index.partition_tree import Forwarding, KeyRange
 from repro.moves import MoveFailedError, check_endpoints
+from repro.storage.checksum import IntegrityError
 from repro.txn import (
     LockMode,
     LockTimeoutError,
@@ -232,7 +233,11 @@ class LogicalPartitioning(PartitioningScheme):
         """Generator: move one batch in a system transaction; returns
         the number of records moved, or None on a conflict abort.
 
-        A batch ships only while both ends serve, as a segment does.
+        A batch ships only while both ends serve, as a segment does.  A
+        corrupt source row (``IntegrityError``) undoes the batch and
+        fails the move with :class:`MoveFailedError`, as a dead
+        endpoint does: the mover cannot repair a row, only refuse to
+        copy it.
 
         I/O model: the mover is a *scanner*, not a point-query client —
         it reads the batch's source pages in one clustered sweep at
@@ -303,6 +308,11 @@ class LogicalPartitioning(PartitioningScheme):
         except (TransactionAborted, LockTimeoutError):
             txns.abort_if_active(mover)
             return None
+        except IntegrityError as exc:
+            txns.abort_if_active(mover)
+            raise MoveFailedError(
+                f"record batch read a corrupt row on node "
+                f"{source.node_id}: {exc}") from exc
         except BaseException:
             txns.abort_if_active(mover)
             raise

@@ -106,7 +106,7 @@ SWEEPS = {
     "fig9": Sweep(
         fig9_failover.quick_fig9_config, fig9_failover.Fig9Config,
         fig9_failover.run_fig9_single,
-        modes=lambda config: config.replication_factors,
+        modes=lambda config: fig9_failover.REPLICATION_FACTORS,
         gate=lambda config, runs: fig9_failover.suite(runs),
     ),
     "chaos": Sweep(

@@ -70,6 +70,10 @@ RESUME_ROUNDS = 5
 #: auditing — small enough that a mid-move dual-pointer state is always
 #: observed.
 AUDIT_CHECKPOINT_INTERVAL = 0.5
+#: The data nodes: the repartitioning moves half the table from the
+#: source to the target, and only they are injured.
+SOURCE_NODE = 1
+TARGET_NODE = 2
 
 
 @dataclasses.dataclass
@@ -80,13 +84,9 @@ class ChaosConfig:
 
     # Cluster: master 0 (never injured), source 1, target 2.
     node_count: int = 3
-    source_node: int = 1
-    target_node: int = 2
     page_bytes: int = 1024
     segment_max_pages: int = 8
-    buffer_pages_per_node: int = 512
     boot_seconds: float = 5.0
-    lock_timeout: float = 2.0
 
     # Load: enough rows for a dozen small segments.
     rows: int = 1200
@@ -110,8 +110,6 @@ class ChaosConfig:
     writers: int = 3
     writer_interval: float = 0.4
 
-    fraction: float = 0.5
-
     #: Record the full operation history and run the isolation checkers
     #: (repro.audit) after the invariants.  Off by default: the
     #: determinism goldens fingerprint audit-off runs, and the audit's
@@ -131,7 +129,7 @@ def build_schedule(config: ChaosConfig, rng: random.Random
     on one node never overlap (a crash while crashed is unappliable).
     Returns ``(at, kind, node_id)`` tuples in creation order."""
     recover = {"crash": "restart", "sever_link": "restore_link"}
-    nodes = (config.source_node, config.target_node)
+    nodes = (SOURCE_NODE, TARGET_NODE)
     # A restart only completes after the boot delay; keep the node
     # clear until then so the next fault always finds it applicable.
     busy_until = {n: 0.0 for n in nodes}
@@ -178,16 +176,16 @@ def _build(config: ChaosConfig) -> tuple[Environment, Cluster]:
         env, node_count=config.node_count,
         initially_active=config.node_count,
         disk_specs=_disk_specs(),
-        buffer_pages_per_node=config.buffer_pages_per_node,
+        buffer_pages_per_node=512,
         segment_max_pages=config.segment_max_pages,
         page_bytes=config.page_bytes,
         boot_seconds=config.boot_seconds,
-        lock_timeout=config.lock_timeout,
+        lock_timeout=harness.LOCK_TIMEOUT,
     )
     cluster.moves.chunk_bytes = config.chunk_bytes
     cluster.moves.move_timeout = MOVE_TIMEOUT
     cluster.moves.retry = MOVER_RETRY
-    harness.kv_cluster_rows(cluster, config.source_node, config.rows)
+    harness.kv_cluster_rows(cluster, SOURCE_NODE, config.rows)
     return env, cluster
 
 
@@ -347,9 +345,7 @@ def run_chaos(config: ChaosConfig | None = None,
     def migration():
         yield env.timeout(config.warmup)
         yield from rebalancer.scale_out(
-            ["kv"], [config.source_node], [config.target_node],
-            fraction=config.fraction,
-        )
+            ["kv"], [SOURCE_NODE], [TARGET_NODE], fraction=0.5)
 
     writer_procs = [
         env.process(writer(i), name=f"chaos-writer-{i}")

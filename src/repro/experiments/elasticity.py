@@ -55,6 +55,8 @@ BATCH_USERS = 64
 #: Flash crowd riding the morning ramp, shortly before the peak.
 FLASH_PEAK_RATE = 600.0
 FLASH_START_FRACTION = 0.20             # of day_seconds
+#: Powered nodes at the start of an autoscaled day.
+INITIALLY_ACTIVE = 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,7 +72,6 @@ class ElasticityConfig:
     # so the day's peak saturates a node's disk and the monitor has
     # something to act on.
     node_count: int = 4
-    initially_active: int = 1
     load_segment_max_pages: int = 8
 
     day_seconds: float = 2400.0
@@ -98,11 +99,6 @@ class ElasticityConfig:
     autoscale_interval: float = 10.0
     cooldown_intervals: int = 6
     forecast_horizon: float = 120.0
-    cpu_upper: float = 0.80
-    cpu_lower: float = 0.25
-    disk_upper: float = 0.60
-    disk_lower: float = 0.20
-    consecutive_samples: int = 2
     queue_pressure_per_node: int = 2_000
 
     power_sample_interval: float = 10.0
@@ -180,16 +176,16 @@ def _total_rate(tenants, t: float) -> float:
     return sum(tenant.arrivals.rate(t) for tenant in tenants)
 
 
-def _peak_time(tenants, day_seconds: float, step: float = 10.0) -> float:
-    """Argmax of the offered trace on a coarse grid — the reference
-    point the breathe-with-the-trace checks compare against."""
+def _peak_time(tenants, day_seconds: float) -> float:
+    """Argmax of the offered trace on a 10 s grid — the reference point
+    the breathe-with-the-trace checks compare against."""
     best_t, best_rate = 0.0, -1.0
     t = 0.0
     while t <= day_seconds:
         rate = _total_rate(tenants, t)
         if rate > best_rate:
             best_t, best_rate = t, rate
-        t += step
+        t += 10.0
     return best_t
 
 
@@ -216,7 +212,8 @@ def run_elasticity(config: ElasticityConfig | None = None,
     run = harness.open_loop(
         config, tenants,
         owners=(0,) if autoscale else range(config.node_count),
-        active=config.initially_active if autoscale else config.node_count,
+        active=INITIALLY_ACTIVE if autoscale else config.node_count,
+        vacuum_interval=config.vacuum_interval,
     )
     cluster = run.cluster
 
@@ -225,10 +222,7 @@ def run_elasticity(config: ElasticityConfig | None = None,
         from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED
 
         policy = ThresholdPolicy(PolicyThresholds(
-            cpu_upper=config.cpu_upper, cpu_lower=config.cpu_lower,
-            disk_upper=config.disk_upper, disk_lower=config.disk_lower,
-            consecutive_samples=config.consecutive_samples,
-        ))
+            cpu_lower=0.25, disk_upper=0.60, disk_lower=0.20))
         rebalancer = Rebalancer(cluster, PhysiologicalPartitioning())
         autoscaler = Autoscaler(
             cluster, rebalancer, list(WAREHOUSE_PARTITIONED),
@@ -306,7 +300,7 @@ def run_elasticity(config: ElasticityConfig | None = None,
         # The cluster breathed: recruited before the traffic peak,
         # released after it, and grew past its starting size.
         violations += harness.shape_violations("elasticity", {
-            **counters["run"], "initially_active": config.initially_active,
+            **counters["run"], "initially_active": INITIALLY_ACTIVE,
         }, ["first_scale_out < peak_time", "last_scale_in > peak_time",
             "peak_active_nodes > initially_active"])
     violations += harness.audit_violations(run.recorder, cluster, "end",

@@ -88,10 +88,8 @@ class EnduranceConfig:
     seed: int = 0
 
     node_count: int = 3
-    buffer_pages_per_node: int = 1024
     segment_max_pages: int = 8
     page_bytes: int = 2048
-    lock_timeout: float = 2.0
     boot_seconds: float = 5.0
     rows: int = 400
 
@@ -115,7 +113,6 @@ class EnduranceConfig:
 
     # Chaos: crash the current primary mid-window every N windows.
     crash_every_windows: int = 2
-    miss_threshold: int = 3
 
     #: Windowed isolation audit (the endurance story; off only for
     #: timing runs).
@@ -146,11 +143,11 @@ def _build(config: EnduranceConfig) -> tuple[Environment, Cluster]:
     cluster = Cluster(
         env, node_count=config.node_count,
         initially_active=config.node_count,
-        buffer_pages_per_node=config.buffer_pages_per_node,
+        buffer_pages_per_node=1024,
         segment_max_pages=config.segment_max_pages,
         page_bytes=config.page_bytes,
         boot_seconds=config.boot_seconds,
-        lock_timeout=config.lock_timeout,
+        lock_timeout=harness.LOCK_TIMEOUT,
     )
     cluster.monitor.interval = MONITOR_INTERVAL
     harness.kv_cluster_rows(cluster, PRIMARY_NODE, config.rows)
@@ -193,8 +190,7 @@ def run_endurance(config: EnduranceConfig | None = None,
 
     replication = ReplicationManager(cluster, k=REPLICATION_FACTOR)
     coordinator = FailoverCoordinator(cluster, replication)
-    detector = FailureDetector(cluster, coordinator,
-                               miss_threshold=config.miss_threshold)
+    detector = FailureDetector(cluster, coordinator)
     env.run(until=env.process(replication.protect_all(), name="protect"))
 
     recorder = None

@@ -45,14 +45,11 @@ class Fig3Config:
     #: partition's writers are blocked at any moment.
     partitions: int = 8
     clients: int = 12
-    client_interval: float = 0.05
     update_ratios: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    lock_timeout: float = 2.0
     page_bytes: int = 16 * 1024
     segment_max_pages: int = 64
     buffer_pages: int = 256
     seed: int = 11
-    vacuum_interval: float = 6.0
     #: Cap on one cell's duration if the move drags (simulated seconds).
     max_window: float = 600.0
 
@@ -107,7 +104,7 @@ def _build(config: Fig3Config):
         buffer_pages_per_node=config.buffer_pages,
         segment_max_pages=config.segment_max_pages,
         page_bytes=config.page_bytes,
-        lock_timeout=config.lock_timeout,
+        lock_timeout=harness.LOCK_TIMEOUT,
     )
     owner = cluster.workers[0]
     per_part = config.rows // config.partitions
@@ -156,7 +153,7 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
             except TransientError:
                 cluster.txns.abort_if_active(txn)
                 yield env.timeout(0.005)
-            yield env.timeout(config.client_interval)
+            yield env.timeout(0.05)         # think time
 
     def storage_sampler():
         while not move_done.triggered:
@@ -187,7 +184,7 @@ def _run_cell(config: Fig3Config, cc: str, update_ratio: float):
 
     from repro.workload import start_vacuum_daemon
 
-    start_vacuum_daemon(cluster, interval=config.vacuum_interval)
+    start_vacuum_daemon(cluster, interval=6.0)
     for _ in range(config.clients):
         env.process(client())
     env.process(storage_sampler())

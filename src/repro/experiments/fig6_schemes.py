@@ -82,20 +82,16 @@ class Fig6Config:
     #: Deliberately small: the paper's nodes had 2 GB DRAM against a
     #: 100 GB database, so queries are disk-bound.
     buffer_pages_per_node: int = 256      # 16 MiB of 64 KiB pages
-    lock_timeout: float = 2.0
 
     # Timeline (seconds; rebalance starts at t=0 on the plot axis).
     warmup: float = 60.0
     tail: float = 240.0
     bucket: float = 10.0
 
-    # Migration.
-    fraction: float = 0.5
+    # Migration: 50% of the records move from each source to its target.
     source_nodes: tuple[int, int] = (0, 1)
     target_nodes: tuple[int, int] = (2, 3)
     helper_nodes: tuple[int, ...] = ()
-
-    vacuum_interval: float = 10.0
 
     #: Record the operation history and run the isolation checkers
     #: post-hoc (repro.audit).  Off by default: baselines and
@@ -200,7 +196,7 @@ def build_fig6_cluster(config: Fig6Config) -> tuple[Environment, Cluster]:
         buffer_pages_per_node=config.buffer_pages_per_node,
         segment_max_pages=config.segment_max_pages,
         page_bytes=config.page_bytes,
-        lock_timeout=config.lock_timeout,
+        lock_timeout=harness.LOCK_TIMEOUT,
     )
     owners = [cluster.worker(n) for n in config.source_nodes]
 
@@ -262,7 +258,7 @@ def run_fig6(scheme: str | PartitioningScheme,
     # drained simulation is a stable subject for the offline checkers;
     # unaudited runs keep the historical unbounded schedule (goldens).
     start_vacuum_daemon(
-        cluster, interval=config.vacuum_interval,
+        cluster, interval=10.0,
         until=(config.warmup + config.tail) if config.audit else None,
     )
     env.process(cluster.monitor.run(), name="monitor")
@@ -284,7 +280,7 @@ def run_fig6(scheme: str | PartitioningScheme,
             moves.append(env.process(
                 rebalancer.scale_out(
                     migration_tables(), [source_id], [target_id],
-                    fraction=config.fraction,
+                    fraction=0.5,
                 ),
                 name=f"migrate-{source_id}->{target_id}",
             ))

@@ -73,6 +73,5 @@ def fig7_from_cells(plain: Fig6Result, helped: Fig6Result) -> harness.Result:
     return result
 
 
-def run_fig7(config: Fig6Config | None = None,
-             helper_nodes: tuple[int, ...] = (4, 5)) -> harness.Result:
-    return fig7_from_cells(*run_cells(config, helper_nodes))
+def run_fig7(config: Fig6Config | None = None) -> harness.Result:
+    return fig7_from_cells(*run_cells(config))

@@ -19,6 +19,10 @@ import dataclasses
 from repro.experiments import harness
 from repro.experiments.fig6_schemes import Fig6Config, Fig6Result, run_fig6
 
+#: The helper nodes engaged for the rebalance: the two nodes of the
+#: Fig. 6 cluster that are neither sources nor targets.
+HELPER_NODES = (4, 5)
+
 
 def shape(result: harness.Result) -> list[str]:
     """Helpers improve responsiveness at the cost of two more active
@@ -45,19 +49,17 @@ def fig8_from_cells(plain: Fig6Result, helped: Fig6Result) -> harness.Result:
     return result
 
 
-def run_cells(config: Fig6Config | None = None,
-              helper_nodes: tuple[int, ...] = (4, 5)
+def run_cells(config: Fig6Config | None = None
               ) -> tuple[Fig6Result, Fig6Result]:
-    """The Fig. 6 physiological run, plain and with ``helper_nodes``
+    """The Fig. 6 physiological run, plain and with :data:`HELPER_NODES`
     engaged for the duration of the rebalance (Figs. 7 and 8)."""
     base = config or Fig6Config()
-    if max(helper_nodes) >= base.node_count:
+    if max(HELPER_NODES) >= base.node_count:
         raise ValueError("helper node ids exceed the cluster size")
     plain = run_fig6("physiological", base)
-    helped_config = dataclasses.replace(base, helper_nodes=helper_nodes)
+    helped_config = dataclasses.replace(base, helper_nodes=HELPER_NODES)
     return plain, run_fig6("physiological", helped_config)
 
 
-def run_fig8(config: Fig6Config | None = None,
-             helper_nodes: tuple[int, ...] = (4, 5)) -> harness.Result:
-    return fig8_from_cells(*run_cells(config, helper_nodes))
+def run_fig8(config: Fig6Config | None = None) -> harness.Result:
+    return fig8_from_cells(*run_cells(config))

@@ -34,6 +34,12 @@ from repro.workload import TpccConfig, start_vacuum_daemon
 #: A post-crash qps bucket counts as "recovered" at this fraction of
 #: the pre-crash baseline.
 RECOVERY_QPS_FRACTION = 0.7
+#: Nodes initially owning the TPC-C data.  Deliberately excludes the
+#: master (node 0) — the coordinator is the fixed single point.  The
+#: first one is crashed.
+DATA_NODES = (1, 2)
+#: Replication factors the sweep runs.
+REPLICATION_FACTORS = (1, 2, 3)
 
 
 @dataclasses.dataclass
@@ -46,21 +52,9 @@ class Fig9Config:
 
     # Cluster.  All nodes active: failover needs live holders.
     node_count: int = 5
-    #: Nodes initially owning the TPC-C data.  Deliberately excludes
-    #: the master (node 0) — the coordinator is the fixed single point.
-    data_nodes: tuple[int, ...] = (1, 2)
-    buffer_pages_per_node: int = 1024
     segment_max_pages: int = 8
-    lock_timeout: float = 2.0
     #: Placement sees two nodes per modelled rack.
     rack_width: int = 2
-
-    # Replication factors to sweep.
-    replication_factors: tuple[int, ...] = (1, 2, 3)
-
-    #: Failure detection: missed heartbeats before a node is declared
-    #: failed.
-    miss_threshold: int = 3
 
     # Timeline, relative to workload start (after replica seeding).
     crash_at: float = 40.0
@@ -68,10 +62,8 @@ class Fig9Config:
     #: Needed for k=1 to regain availability.
     restart_after: float | None = 40.0
     duration: float = 140.0
-    bucket: float = 5.0
 
     seed: int = 0
-    vacuum_interval: float = 10.0
 
     #: Record the operation history and run the isolation checkers —
     #: including replica convergence — post-hoc (repro.audit).
@@ -82,13 +74,13 @@ def run_fig9_single(k: int, config: Fig9Config | None = None
                     ) -> harness.Result:
     """One crash-and-recover run at replication factor ``k``."""
     config = config or Fig9Config()
-    ha = harness.ha_tpcc(config, k)
+    ha = harness.ha_tpcc(config, k, DATA_NODES)
     env, cluster = ha.env, ha.cluster
     replicas_seeded = sum(
         len(rs.replicas) for rs in cluster.catalog.replica_sets.values()
     )
     crash_abs = ha.t_start + config.crash_at
-    crash_node = config.data_nodes[0]
+    crash_node = DATA_NODES[0]
     ha.injector.crash_at(crash_abs, crash_node)
     if config.restart_after is not None:
         ha.injector.restart_at(crash_abs + config.restart_after, crash_node)
@@ -96,7 +88,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None
     # Audited runs bound the vacuum daemon to the workload's end so the
     # drained simulation is a stable subject for the offline checkers.
     start_vacuum_daemon(
-        cluster, interval=config.vacuum_interval,
+        cluster, interval=10.0,
         until=(ha.t_start + config.duration) if config.audit else None,
     )
     env.process(cluster.monitor.run(), name="monitor")
@@ -106,7 +98,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None
                               name="workload"))
 
     # -- metrics (time axis shifted so the crash is t=0) -------------------
-    window = (ha.t_start, ha.t_start + config.duration, config.bucket)
+    window = (ha.t_start, ha.t_start + config.duration, harness.HA_BUCKET)
     qps = harness.shift(ha.driver.qps_series(*window), crash_abs)
     response_ms = harness.shift(ha.driver.response_series(*window), crash_abs)
 
@@ -176,7 +168,6 @@ def quick_fig9_config() -> Fig9Config:
             customers_per_district=15, items=100,
             orders_per_district=6, order_lines_per_order=5,
         ),
-        clients=5, client_interval=0.4,
-        node_count=4, data_nodes=(1, 2),
-        crash_at=25.0, restart_after=30.0, duration=90.0, bucket=5.0,
+        clients=5, client_interval=0.4, node_count=4,
+        crash_at=25.0, restart_after=30.0, duration=90.0,
     )

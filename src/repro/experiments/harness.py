@@ -151,6 +151,10 @@ def panels(driver, end: float, bucket: float, origin: float) -> dict:
                                  ("J/query", driver.energy_per_query_series))}
 
 
+#: Lock-wait bound of every experiment's cluster.
+LOCK_TIMEOUT = 2.0
+
+
 def tpcc_cluster(seed: int, tpcc, *, owners, load_segment_max_pages,
                  monitor_interval=None, vacuum_interval=None,
                  **cluster_kwargs) -> tuple[Environment, Cluster]:
@@ -172,6 +176,8 @@ def tpcc_cluster(seed: int, tpcc, *, owners, load_segment_max_pages,
 # -- the HA build and acknowledged-commit durability (fig9, torture) ---------
 #: Heartbeat cadence of the HA runs' cluster monitor.
 HA_MONITOR_INTERVAL = 1.0
+#: Bucket of the HA runs' series and power samples.
+HA_BUCKET = 5.0
 #: The HA runs' default TPC-C.
 HA_TPCC = TpccConfig(
     warehouses=6, districts_per_warehouse=4, customers_per_district=20,
@@ -196,28 +202,27 @@ class HaTpcc:
     t_start: float
 
 
-def ha_tpcc(config, k: int) -> HaTpcc:
-    """TPC-C on ``config.data_nodes`` under k-way rack-aware replication,
+def ha_tpcc(config, k: int, data_nodes) -> HaTpcc:
+    """TPC-C on ``data_nodes`` under k-way rack-aware replication,
     a failover coordinator and a staleness detector, the replicas seeded,
     and a closed-loop driver whose acknowledged NewOrders are remembered.
     Nothing is started: the experiment schedules ``injector`` and starts
     its processes."""
     env, cluster = tpcc_cluster(
-        config.seed, config.tpcc, owners=config.data_nodes,
+        config.seed, config.tpcc, owners=data_nodes,
         load_segment_max_pages=config.segment_max_pages,
         monitor_interval=HA_MONITOR_INTERVAL,
         node_count=config.node_count, initially_active=config.node_count,
-        buffer_pages_per_node=config.buffer_pages_per_node,
+        buffer_pages_per_node=1024,
         segment_max_pages=config.segment_max_pages,
-        lock_timeout=config.lock_timeout,
+        lock_timeout=LOCK_TIMEOUT,
     )
     replication = ReplicationManager(
         cluster, k=k,
         policy=PlacementPolicy(cluster, rack_width=config.rack_width),
     )
     coordinator = FailoverCoordinator(cluster, replication)
-    detector = FailureDetector(cluster, coordinator,
-                               miss_threshold=config.miss_threshold)
+    detector = FailureDetector(cluster, coordinator)
     env.run(until=env.process(replication.protect_all(), name="protect"))
     # The workload RNG derives from the experiment seed so "same seed,
     # same metrics" holds and different seeds genuinely differ.
@@ -225,7 +230,7 @@ def ha_tpcc(config, k: int) -> HaTpcc:
         cluster, TpccContext(cluster, config.tpcc,
                              rng=random.Random(config.seed * 7919 + 7)),
         clients=config.clients, client_interval=config.client_interval,
-        power_sample_interval=config.bucket, audit=config.audit,
+        power_sample_interval=HA_BUCKET, audit=config.audit,
     )
     return HaTpcc(env, cluster, replication, coordinator, detector,
                   FaultInjector(cluster), driver,
@@ -337,13 +342,15 @@ class OpenLoop:
     recorder: typing.Any
 
 
-def open_loop(config, tenants, *, owners, active: int) -> OpenLoop:
+def open_loop(config, tenants, *, owners, active: int,
+              vacuum_interval: float) -> OpenLoop:
     """The cluster both open-loop experiments run on, disk-bound on
     purpose — :data:`OPEN_LOOP_TPCC` on ``owners``, one shared HDD
-    spindle per node, a small buffer pool, the vacuum daemon: the regime
-    the paper's wimpy nodes lived in — with ``active`` nodes powered,
-    the session engine over ``tenants`` and, when ``config.audit``, the
-    history recorder.  The experiment wires its own machinery next, then
+    spindle per node, a small buffer pool, the vacuum daemon every
+    ``vacuum_interval`` seconds: the regime the paper's wimpy nodes
+    lived in — with ``active`` nodes powered, the session engine over
+    ``tenants`` and, when ``config.audit``, the history recorder.  The
+    experiment wires its own machinery next, then
     :func:`drive_open_loop`."""
     from repro.hardware import HDD_SPEC
     from repro.traffic import SessionEngine
@@ -351,10 +358,10 @@ def open_loop(config, tenants, *, owners, active: int) -> OpenLoop:
     env, cluster = tpcc_cluster(
         config.seed, OPEN_LOOP_TPCC, owners=owners,
         load_segment_max_pages=config.load_segment_max_pages,
-        vacuum_interval=config.vacuum_interval,
+        vacuum_interval=vacuum_interval,
         node_count=config.node_count, initially_active=active,
         disk_specs=(HDD_SPEC,), buffer_pages_per_node=192, page_bytes=8192,
-        segment_max_pages=64, lock_timeout=2.0,
+        segment_max_pages=64, lock_timeout=LOCK_TIMEOUT,
     )
     engine = SessionEngine(
         cluster, OPEN_LOOP_TPCC, tenants,
@@ -474,21 +481,17 @@ MICRO_SCHEMA = Schema(
 MICRO_PAD = "x" * 160
 
 
-def build_micro_cluster(rows: int, node_count: int = 3,
-                        active: int = 3,
-                        buffer_pages: int | None = None) -> MicroTable:
-    """A cluster with one pre-loaded, buffer-warm table on node 0.
+def build_micro_cluster(rows: int) -> MicroTable:
+    """A three-node cluster with one pre-loaded, buffer-warm table on
+    node 0.
 
     The table is loaded fast-path (not measured) and sized so the whole
     table fits in the buffer pool — Fig. 1/2 measure operator and
     network costs, not disk I/O.
     """
-    env = Environment()
-    if buffer_pages is None:
-        buffer_pages = max(1024, rows // 16)
     cluster = Cluster(
-        env, node_count=node_count, initially_active=active,
-        buffer_pages_per_node=buffer_pages, segment_max_pages=2048,
+        Environment(), node_count=3, initially_active=3,
+        buffer_pages_per_node=max(1024, rows // 16), segment_max_pages=2048,
     )
     partition = cluster.master.create_table("micro", MICRO_SCHEMA,
                                             owner=cluster.workers[0])

@@ -113,7 +113,6 @@ class ReadScalingConfig:
     #: Staleness budget in WAL records of replication lag.
     lag_budget: int = 64
     per_tenant_quota: int = 2_048
-    view_refresh_interval: float = 0.05
     view_lag_bound: float = 5.0
 
     # Fault schedule (fractions of ``duration``): the sever and the
@@ -125,7 +124,6 @@ class ReadScalingConfig:
     restart_at_fraction: float = 0.80
 
     power_sample_interval: float = 5.0
-    vacuum_interval: float = 30.0
 
     audit: bool = False
     #: Acceptance gate on offered logical requests.
@@ -173,8 +171,8 @@ def _tenants(config: ReadScalingConfig):
 
 # -- the run ----------------------------------------------------------------
 
-def run_read_scaling(config: ReadScalingConfig | None = None,
-                     seed: int | None = None) -> ReadScalingResult:
+def run_read_scaling(config: ReadScalingConfig | None = None
+                     ) -> ReadScalingResult:
     """One seeded mode of the comparison."""
     from repro.ha.failover import FailoverCoordinator, FailureDetector
     from repro.ha.faults import FaultInjector
@@ -188,12 +186,10 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
     import repro.reads.views  # noqa: F401
 
     config = config or ReadScalingConfig()
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     # Both modes spread the data across every (always-on) node: the
     # comparison isolates the read path, not placement.
     run = harness.open_loop(config, _tenants(config), owners=None,
-                            active=config.node_count)
+                            active=config.node_count, vacuum_interval=30.0)
     env, cluster, recorder = run.env, run.cluster, run.recorder
     if recorder is not None:
         recorder.staleness_budget = float(config.lag_budget)
@@ -223,7 +219,6 @@ def run_read_scaling(config: ReadScalingConfig | None = None,
             lag_budget=config.lag_budget,
             cache_seed=config.seed,
             per_tenant_quota=config.per_tenant_quota,
-            view_refresh_interval=config.view_refresh_interval,
             view_lag_bound=config.view_lag_bound,
         )
         env.process(tier.views.run(), name="view-refresh")

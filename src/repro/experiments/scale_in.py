@@ -19,6 +19,9 @@ from repro.experiments import harness
 from repro.workload import TpccConfig, TpccContext, WorkloadDriver
 from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED
 
+#: Nodes quiesced at t=0 (data pulled to the remaining ones).
+VICTIMS = (3, 2)
+
 
 @dataclasses.dataclass
 class ScaleInConfig:
@@ -29,17 +32,12 @@ class ScaleInConfig:
     ))
     #: Light load: the regime where running four nodes wastes energy.
     clients: int = 4
-    client_interval: float = 0.5
     node_count: int = 4
-    buffer_pages_per_node: int = 1024
     segment_max_pages: int = 8
     page_bytes: int = 8192
     warmup: float = 40.0
     tail: float = 120.0
     bucket: float = 10.0
-    #: Nodes quiesced at t=0 (data pulled to the remaining ones).
-    victims: tuple[int, ...] = (3, 2)
-    vacuum_interval: float = 15.0
 
 
 def shape(result: harness.Result) -> list[str]:
@@ -64,17 +62,17 @@ def run_scale_in(config: ScaleInConfig | None = None) -> harness.Result:
     env, cluster = harness.tpcc_cluster(
         0, config.tpcc, owners=None,
         load_segment_max_pages=config.segment_max_pages,
-        vacuum_interval=config.vacuum_interval,
+        vacuum_interval=15.0,
         node_count=config.node_count, initially_active=config.node_count,
-        buffer_pages_per_node=config.buffer_pages_per_node,
+        buffer_pages_per_node=1024,
         segment_max_pages=config.segment_max_pages,
-        page_bytes=config.page_bytes, lock_timeout=2.0,
+        page_bytes=config.page_bytes, lock_timeout=harness.LOCK_TIMEOUT,
     )
 
     ctx = TpccContext(cluster, config.tpcc)
     driver = WorkloadDriver(
         cluster, ctx, clients=config.clients,
-        client_interval=config.client_interval,
+        client_interval=0.5,
         power_sample_interval=min(5.0, config.bucket),
     )
     rebalancer = Rebalancer(cluster, PhysiologicalPartitioning())
@@ -85,16 +83,16 @@ def run_scale_in(config: ScaleInConfig | None = None) -> harness.Result:
         yield env.timeout(config.warmup)
         marks["start"] = env.now
         receivers = [
-            n for n in range(config.node_count) if n not in config.victims
+            n for n in range(config.node_count) if n not in VICTIMS
         ]
-        for i, victim in enumerate(config.victims):
+        for i, victim in enumerate(VICTIMS):
             receiver = receivers[i % len(receivers)]
             yield from rebalancer.scale_in(
                 list(WAREHOUSE_PARTITIONED), victim, receiver,
                 power_off=False,
             )
         # Extents release only after in-flight work drains; poll.
-        for victim in config.victims:
+        for victim in VICTIMS:
             worker = cluster.worker(victim)
             while worker.disk_space.segment_count() > 0:
                 yield env.timeout(1.0)

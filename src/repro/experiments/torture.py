@@ -53,35 +53,33 @@ SLOW_FACTOR = 12.0
 #: The flaky node's NIC: packet loss probability and added delay.
 FLAKY_LOSS = 0.05
 FLAKY_EXTRA_DELAY = 0.005
+#: The data nodes (all distinct, none the master) and their roles: the
+#: *torn* node takes the torn write plus the crash it implies, the
+#: *flaky* node gets the lossy NIC, the *limping* node the slow disk.
+#: Bit rot lands on seeded choices of them at seeded times.
+DATA_NODES = (1, 2, 3)
+TORN_NODE, FLAKY_NODE, LIMPING_NODE = DATA_NODES
+#: The run's latency SLO: a bucket whose p99 exceeds this counts as a
+#: breach (observed at the bucket's *end* — percentiles are only known
+#: once the bucket closes).
+SLO_P99_MS = 900.0
 
 
 @dataclasses.dataclass
 class TortureConfig:
-    """Gray-failure torture parameters.
-
-    Node roles (all distinct, all non-master): the *limping* node
-    (``data_nodes[-1]``) gets the slow disk, the *flaky* node
-    (``data_nodes[1]``, falling back to the first) gets the lossy NIC,
-    and the *torn* node (``data_nodes[0]``) takes the torn write plus
-    the crash it implies.  Bit rot lands on seeded choices of data
-    nodes at seeded times.
-    """
+    """Gray-failure torture parameters (node roles: :data:`DATA_NODES`)."""
 
     tpcc: TpccConfig = harness.HA_TPCC
     clients: int = 8
     client_interval: float = 0.3
 
     node_count: int = 6
-    data_nodes: tuple[int, ...] = (1, 2, 3)
-    buffer_pages_per_node: int = 1024
     segment_max_pages: int = 8
-    lock_timeout: float = 2.0
     rack_width: int = 2
     #: Replication factor — needs k >= 2 for repair sources.
     k: int = 2
 
-    # Failure detection (staleness + gray).
-    miss_threshold: int = 3
+    # Gray-failure detection.
     score_threshold: float = 3.0
     clear_threshold: float = 1.5
     suspect_strikes: int = 2
@@ -98,12 +96,6 @@ class TortureConfig:
     bit_rot_window: tuple[float, float] = (12.0, 70.0)
 
     duration: float = 100.0
-    bucket: float = 5.0
-    #: The run's latency SLO: a bucket whose p99 exceeds this counts
-    #: as a breach (observed at the bucket's *end* — percentiles are
-    #: only known once the bucket closes).
-    slo_p99_ms: float = 900.0
-    vacuum_interval: float = 10.0
     seed: int = 0
     audit: bool = False
 
@@ -118,24 +110,19 @@ CLAIMS = ["lost_commits == 0", "unresolved_corruptions == 0",
 
 
 def _schedule_faults(injector: FaultInjector, config: TortureConfig,
-                     t_start: float) -> int:
-    """Install the full gray-fault mix; returns the limping node."""
-    limping = config.data_nodes[-1]
-    flaky = config.data_nodes[1] if len(config.data_nodes) > 1 \
-        else config.data_nodes[0]
-    torn = config.data_nodes[0]
-
-    injector.slow_disk_at(t_start + config.slow_disk_at, limping,
+                     t_start: float) -> None:
+    """Install the full gray-fault mix."""
+    injector.slow_disk_at(t_start + config.slow_disk_at, LIMPING_NODE,
                           factor=SLOW_FACTOR)
-    injector.flaky_link_at(t_start + config.flaky_at, flaky,
+    injector.flaky_link_at(t_start + config.flaky_at, FLAKY_NODE,
                            loss_probability=FLAKY_LOSS,
                            extra_delay=FLAKY_EXTRA_DELAY)
     injector.heal_link_at(
-        t_start + config.flaky_at + config.flaky_heal_after, flaky
+        t_start + config.flaky_at + config.flaky_heal_after, FLAKY_NODE
     )
-    injector.torn_write_at(t_start + config.torn_at, torn)
+    injector.torn_write_at(t_start + config.torn_at, TORN_NODE)
     injector.restart_at(
-        t_start + config.torn_at + config.torn_restart_after, torn
+        t_start + config.torn_at + config.torn_restart_after, TORN_NODE
     )
     # Bit rot at seeded times on seeded data nodes — derived from the
     # experiment seed, independent of the simulation RNG, so the
@@ -144,9 +131,7 @@ def _schedule_faults(injector: FaultInjector, config: TortureConfig,
     lo, hi = config.bit_rot_window
     for _ in range(config.bit_rots):
         at = t_start + rng.uniform(lo, min(hi, config.duration - 5.0))
-        node = rng.choice(list(config.data_nodes))
-        injector.bit_rot_at(at, node)
-    return limping
+        injector.bit_rot_at(at, rng.choice(list(DATA_NODES)))
 
 
 def _torn_txns_committed(cluster: Cluster, injector: FaultInjector) -> int:
@@ -239,7 +224,7 @@ def run_torture(config: TortureConfig | None = None,
     config = config or TortureConfig()
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    ha = harness.ha_tpcc(config, config.k)
+    ha = harness.ha_tpcc(config, config.k, DATA_NODES)
     env, cluster = ha.env, ha.cluster
     gray = GrayFailureDetector(
         cluster, ha.coordinator,
@@ -250,7 +235,7 @@ def run_torture(config: TortureConfig | None = None,
         clear_polls=config.clear_polls,
     )
     t_end = ha.t_start + config.duration
-    limping = _schedule_faults(ha.injector, config, ha.t_start)
+    _schedule_faults(ha.injector, config, ha.t_start)
     scrub = ScrubDaemon(
         cluster, ha.replication, ha.coordinator,
         policy=ScrubPolicy(interval=SCRUB_INTERVAL,
@@ -258,8 +243,7 @@ def run_torture(config: TortureConfig | None = None,
         until=t_end,
     )
 
-    start_vacuum_daemon(cluster, interval=config.vacuum_interval,
-                        until=t_end)
+    start_vacuum_daemon(cluster, interval=10.0, until=t_end)
     scrub.start()
     env.process(cluster.monitor.run(), name="monitor")
     env.process(ha.detector.run(), name="failure-detector")
@@ -273,20 +257,19 @@ def run_torture(config: TortureConfig | None = None,
     slow_abs = ha.t_start + config.slow_disk_at
     flagged = next((e.time for e in cluster.timeline
                     if e.source == "gray" and e.kind == "suspect"
-                    and e.node_id == limping), None)
+                    and e.node_id == LIMPING_NODE), None)
     # Seconds after the slow-disk onset at which a bucket's p99 first
     # breached the SLO.
     breach_after = math.inf
     start = ha.t_start
     while start < t_end:
-        values = ha.driver.response_times.between(start,
-                                                  start + config.bucket)
-        bucket_end = start + config.bucket
+        bucket_end = start + harness.HA_BUCKET
+        values = ha.driver.response_times.between(start, bucket_end)
         if values and bucket_end > slow_abs \
-                and percentile(values, 99.0) > config.slo_p99_ms:
+                and percentile(values, 99.0) > SLO_P99_MS:
             breach_after = bucket_end - slow_abs
             break
-        start += config.bucket
+        start = bucket_end
     latencies = ha.driver.response_times.between(ha.t_start, t_end)
 
     counters, violations = harness.ha_counters(ha, {
@@ -341,8 +324,7 @@ def quick_torture_config() -> TortureConfig:
             customers_per_district=15, items=100,
             orders_per_district=6, order_lines_per_order=5,
         ),
-        clients=5, client_interval=0.4,
-        node_count=5, data_nodes=(1, 2, 3),
+        clients=5, client_interval=0.4, node_count=5,
         slow_disk_at=15.0, flaky_at=8.0, flaky_heal_after=20.0,
         torn_at=30.0, torn_restart_after=10.0,
         bit_rots=3, bit_rot_window=(10.0, 50.0),

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import random
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -145,13 +144,12 @@ class FaultInjector:
     """Replays a fault schedule as a simulation process; every fault
     applied is a ``fault`` event on the cluster's timeline."""
 
-    def __init__(self, cluster: "Cluster",
-                 rng: random.Random | None = None):
+    def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
         self.env = cluster.env
         #: Drawing randomness from the environment's seeded RNG keeps
         #: the schedule a pure function of the simulation seed.
-        self.rng = rng if rng is not None else self.env.rng
+        self.rng = self.env.rng
         self.schedule: list[FaultEvent] = []
         #: Every corruption injected, for the integrity cross-check.
         self.corruptions: list[Corruption] = []
@@ -234,17 +232,13 @@ class FaultInjector:
         return self.at(at, "heal_link", node_id)
 
     def random_faults(self, count: int, window: tuple[float, float],
-                      nodes: typing.Sequence[int] | None = None,
                       kinds: typing.Sequence[str] = ("crash",)
                       ) -> "FaultInjector":
         """Draw ``count`` faults uniformly over ``window`` from the
-        seeded RNG.  Eligible nodes default to every non-master node."""
-        if nodes is None:
-            master_id = self.cluster.master.worker.node_id
-            nodes = [
-                w.node_id for w in self.cluster.workers
-                if w.node_id != master_id
-            ]
+        seeded RNG, each on a non-master node."""
+        master_id = self.cluster.master.worker.node_id
+        nodes = [w.node_id for w in self.cluster.workers
+                 if w.node_id != master_id]
         lo, hi = window
         for _ in range(count):
             at = self.rng.uniform(lo, hi)

@@ -28,11 +28,9 @@ class NetworkPort:
 
     _next_lane_id = 0
 
-    def __init__(self, env: Environment, name: str,
-                 bandwidth_bytes_per_s: float = specs.NET_BANDWIDTH_BYTES_PER_S):
+    def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self.bandwidth = bandwidth_bytes_per_s
         self.tx = Resource(env, capacity=1, name=f"{name}.tx")
         self.rx = Resource(env, capacity=1, name=f"{name}.rx")
         self.tx_lane_id = NetworkPort._claim_lane_id()
@@ -92,8 +90,8 @@ class Network:
     def transfer(self, src: NetworkPort, dst: NetworkPort, nbytes: int):
         """Generator: move ``nbytes`` from ``src`` to ``dst``.
 
-        Completes after one-way latency plus wire time at the slower of
-        the two ports.  A loopback transfer (src is dst) costs nothing:
+        Completes after one-way latency plus wire time at GbE line
+        rate.  A loopback transfer (src is dst) costs nothing:
         "all records are transferred via main memory" (Sect. 3.3).
         """
         if nbytes < 0:
@@ -103,7 +101,7 @@ class Network:
             raise LinkDownError(f"port {down} is severed")
         if src is dst:
             return
-        wire_time = nbytes / min(src.bandwidth, dst.bandwidth)
+        wire_time = nbytes / specs.NET_BANDWIDTH_BYTES_PER_S
         attempt = specs.NET_MESSAGE_LATENCY_SECONDS + wire_time
         duration = attempt
         # Flaky-link degradation.  Only a degraded port consumes random

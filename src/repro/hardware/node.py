@@ -29,13 +29,12 @@ class NodeMachine:
 
     def __init__(self, env: Environment, node_id: int,
                  disk_specs: typing.Sequence[DiskSpec] = DEFAULT_DISK_SPECS,
-                 power_model: NodePowerModel | None = None,
                  boot_seconds: float = specs.NODE_BOOT_SECONDS,
                  shutdown_seconds: float = specs.NODE_SHUTDOWN_SECONDS,
                  start_active: bool = False):
         self.env = env
         self.node_id = node_id
-        self.power_model = power_model or NodePowerModel()
+        self.power_model = NodePowerModel()
         self.boot_seconds = boot_seconds
         self.shutdown_seconds = shutdown_seconds
 

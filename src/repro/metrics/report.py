@@ -35,10 +35,7 @@ def render_table(headers: typing.Sequence[str],
 
 
 def render_series_table(
-    series: dict[str, list[tuple[float, float | None]]],
-    time_header: str = "t(s)",
-    title: str = "",
-) -> str:
+    series: dict[str, list[tuple[float, float | None]]]) -> str:
     """Render several aligned time series as one table.
 
     All series must share the same bucket starts (the usual case when
@@ -58,7 +55,7 @@ def render_series_table(
         for name in names:
             row.append(series[name][i][1])
         rows.append(row)
-    return render_table([time_header] + names, rows, title=title)
+    return render_table(["t(s)"] + names, rows)
 
 
 def render_slo_table(tenants: dict[str, dict[str, float | int]],

@@ -103,15 +103,12 @@ class EpochFencedError(MoveFailedError):
 class MoveManager:
     """Cluster-wide owner of the move journal and the segment mover."""
 
-    def __init__(self, cluster: "Cluster",
-                 retry: RetryPolicy | None = None,
-                 move_timeout: float = DEFAULT_MOVE_TIMEOUT,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES):
+    def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
         self.env = cluster.env
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.move_timeout = move_timeout
-        self.chunk_bytes = chunk_bytes
+        self.retry = RetryPolicy()
+        self.move_timeout = DEFAULT_MOVE_TIMEOUT
+        self.chunk_bytes = DEFAULT_CHUNK_BYTES
         self.journal = MoveJournal(wal=cluster.master.worker.wal)
         #: Scheme used to re-drive suspended range moves (set by the
         #: rebalancer); without one, open range moves wait for a driver.
@@ -299,7 +296,6 @@ class MoveManager:
     # -- crash recovery ----------------------------------------------------
 
     def rollback_segment_entry(self, entry: SegmentMoveEntry,
-                               phase: str = ABORTED,
                                reason: str = "") -> None:
         """Failover-side rollback by journal entry alone (the mover
         process is gone): evict the half-copied target extent and close
@@ -309,7 +305,7 @@ class MoveManager:
         segment = self._entry_segments.get(entry.move_id)
         if segment is not None and target.disk_space.holds(entry.segment_id):
             target.disk_space.evict(segment)
-        self.journal.advance(entry, phase, reason)
+        self.journal.advance(entry, ABORTED, reason)
 
     def resume_open_range_moves(self):
         """Generator: re-drive every suspended range move whose

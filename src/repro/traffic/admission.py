@@ -50,13 +50,13 @@ class TokenBucket:
     """Deterministic token bucket: ``rate`` tokens/second, ``burst``
     capacity, lazily refilled from the simulation clock."""
 
-    def __init__(self, rate: float, burst: float, now: float = 0.0):
+    def __init__(self, rate: float, burst: float):
         if rate <= 0 or burst <= 0:
             raise ValueError("rate and burst must be positive")
         self.rate = rate
         self.burst = burst
         self.tokens = burst
-        self._last_refill = now
+        self._last_refill = 0.0
 
     def _refill(self, now: float) -> None:
         elapsed = now - self._last_refill

@@ -146,7 +146,6 @@ class SessionEngine:
 
     def __init__(self, cluster: "Cluster", tpcc_config: "TpccConfig",
                  tenants: typing.Sequence[TenantClass],
-                 admission: AdmissionController | None = None,
                  seed: int = 0, tick: float = 1.0, batch: int = 100,
                  executors: int = 8, queue_limit: int = 50_000,
                  retry_budget: float = 15.0):
@@ -159,7 +158,7 @@ class SessionEngine:
         self.batch = batch
         self.executors = executors
         self.retry_budget = retry_budget
-        self.admission = admission or AdmissionController(
+        self.admission = AdmissionController(
             cluster.env, queue_limit=queue_limit,
             buckets={
                 t.name: TokenBucket(t.rate_limit,

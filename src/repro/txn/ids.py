@@ -11,8 +11,8 @@ from __future__ import annotations
 class TimestampOracle:
     """Monotonic source of transaction ids and commit timestamps."""
 
-    def __init__(self, start: int = 0):
-        self._counter = start
+    def __init__(self):
+        self._counter = 0
 
     def next(self) -> int:
         self._counter += 1

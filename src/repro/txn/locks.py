@@ -240,15 +240,15 @@ class LockManager:
 
     def lock_record(self, txn_id: int, table: str, partition_id: int,
                     key: typing.Any, mode: LockMode,
-                    breakdown: CostBreakdown | None = None,
-                    timeout: float | None = None):
+                    breakdown: CostBreakdown | None = None):
         """Classic MGL path — intention locks down the hierarchy, then
-        R/X on the record.  A step: ``DONE`` when no level had to wait."""
+        R/X on the record, each within the default timeout.  A step:
+        ``DONE`` when no level had to wait."""
         if mode not in (LockMode.S, LockMode.X):
             raise ValueError(f"record locks must be S or X, got {mode.name}")
         intent = LockMode.IS if mode is LockMode.S else LockMode.IX
         return self._in_order(
-            txn_id, breakdown, timeout,
+            txn_id, breakdown, None,
             (("table", table), intent),
             (("partition", partition_id), intent),
             (("record", partition_id, key), mode),

@@ -129,10 +129,9 @@ class TransactionManager:
     """Cluster-wide transaction table and lifecycle driver."""
 
     def __init__(self, env: Environment,
-                 oracle: TimestampOracle | None = None,
                  lock_manager: LockManager | None = None):
         self.env = env
-        self.oracle = oracle or TimestampOracle()
+        self.oracle = TimestampOracle()
         self.locks = lock_manager or LockManager(env)
         self._active: dict[int, Transaction] = {}
         #: Writer transactions mid-commit: commit timestamp assigned

@@ -1,5 +1,6 @@
 """Logical partitioning: record-level delete+reinsert movement."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,8 @@ from repro.core import LogicalPartitioning, PhysiologicalPartitioning
 from repro.core import logical
 from repro.core.logical import _SPENT, collect_batch
 from repro.index.partition_tree import Forwarding, KeyRange
+from repro.moves import MoveFailedError
+from repro.storage.checksum import IntegrityError
 from repro.storage.record import RecordVersion
 from repro.storage.segment import Segment, SegmentFullError
 from tests.core.conftest import read_all
@@ -424,3 +427,24 @@ def test_collection_work_per_moved_record_does_not_grow_with_the_range(
     large = _visits_per_moved_record(monkeypatch, 1600)
     assert large <= small * 1.25, (small, large)
     assert large <= 8, (small, large)
+
+
+def test_corrupt_row_fails_the_move_typed_and_keeps_the_rest(
+        migration_cluster):
+    """A bit-rotted row in the moved range fails the record mover with
+    ``MoveFailedError`` (the ``IntegrityError`` as its cause), the way a
+    dead endpoint does, instead of letting the page read escape; the
+    batch it sat in is undone and every other key still reads back."""
+    env, cluster = migration_cluster
+    (source_partition,) = cluster.workers[0].partitions.values()
+    segment = source_partition.segment_for(390)
+    ((_page, _slot, version),) = segment.versions_for(390)
+    version.values = (390, "payload-0391")
+    version.clean = False
+
+    with pytest.raises(MoveFailedError) as failed:
+        migrate(env, cluster, fraction=0.5, targets=(2,))
+    assert isinstance(failed.value.__cause__, IntegrityError)
+    assert failed.value.__cause__.where == "page-read"
+    assert read_all(env, cluster,
+                    [key for key in range(400) if key != 390]) == []

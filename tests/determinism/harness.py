@@ -55,7 +55,10 @@ from repro.experiments.fig3_mvcc import quick_fig3_config
 from repro.experiments.fig6_schemes import Fig6Config, quick_fig6_config
 from repro.experiments.fig7_breakdown import fig7_from_cells
 from repro.experiments.fig8_helper import fig8_from_cells
-from repro.experiments.fig9_failover import quick_fig9_config
+from repro.experiments.fig9_failover import (
+    REPLICATION_FACTORS,
+    quick_fig9_config,
+)
 from repro.experiments.parallel import run_tasks
 from repro.experiments.read_scaling import ReadScalingConfig, run_read_scaling
 from repro.experiments.torture import quick_torture_config, run_torture
@@ -96,7 +99,7 @@ def _per_mode(run, config, modes) -> list:
 
 
 def _fig9_sweep(config) -> list:
-    return [run_fig9_single(k, config) for k in config.replication_factors]
+    return [run_fig9_single(k, config) for k in REPLICATION_FACTORS]
 
 
 def chaos_sweep(seeds, config: ChaosConfig, jobs: int = 1) -> list:

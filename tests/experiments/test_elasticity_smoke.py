@@ -9,6 +9,7 @@ import dataclasses
 import pytest
 
 from repro.experiments.elasticity import (
+    INITIALLY_ACTIVE,
     ElasticityConfig,
     compare,
     run_elasticity,
@@ -36,7 +37,7 @@ def test_cluster_breathes_with_the_trace(autoscale_result):
     assert outs and ins
     assert outs[0].time == run["first_scale_out"] < run["peak_time"]
     assert ins[-1].time == run["last_scale_in"] > run["peak_time"]
-    assert run["peak_active_nodes"] > SMOKE.initially_active
+    assert run["peak_active_nodes"] > INITIALLY_ACTIVE
 
 
 def test_admission_conservation(autoscale_result):

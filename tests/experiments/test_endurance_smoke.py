@@ -4,15 +4,13 @@ invariant, replays deterministically, and the background daemons are
 byte-identical to the same workload without them.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import Cluster, Column, Environment, Schema
 from repro.cluster.vacuum import VacuumPolicy, VacuumScheduler
-from repro.experiments.endurance import (
-    EnduranceConfig,
-    quick_endurance_config,
-    run_endurance,
-)
+from repro.experiments.endurance import quick_endurance_config, run_endurance
 from repro.sim.events import AllOf
 from repro.txn.checkpoint import CheckpointManager
 from tests.determinism.harness import result_of
@@ -63,10 +61,8 @@ class TestEnduranceSmoke:
         assert a.timeline == b.timeline
 
     def test_unmet_commit_target_is_a_violation(self):
-        config = quick_endurance_config()
-        config = EnduranceConfig(**{
-            **config.__dict__, "min_commits": 10_000_000,
-        })
+        config = dataclasses.replace(quick_endurance_config(),
+                                     min_commits=10_000_000)
         result = run_endurance(config, seed=0)
         assert not result.ok
         assert any(v.startswith("endurance: acked_writes >= min_commits")

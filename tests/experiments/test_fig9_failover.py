@@ -19,10 +19,8 @@ def tiny_fig9_config(**overrides) -> Fig9Config:
             customers_per_district=10, items=50,
             orders_per_district=4, order_lines_per_order=3,
         ),
-        clients=3, client_interval=0.4,
-        node_count=4, data_nodes=(1, 2),
-        crash_at=12.0, restart_after=16.0, duration=45.0, bucket=5.0,
-        seed=0,
+        clients=3, client_interval=0.4, node_count=4,
+        crash_at=12.0, restart_after=16.0, duration=45.0, seed=0,
     )
     params.update(overrides)
     return Fig9Config(**params)

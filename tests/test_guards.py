@@ -184,6 +184,12 @@ GUARDS = [
           " reaches a process only inside a generator of its own.",
           "env.process(\n    cpu.execute(1.0))", include="*.py",
           whole_file=True),
+    Guard("no-one-value-lock-or-miss-knob",
+          r"^\s+(lock_timeout|miss_threshold)\s*:", "src/repro/experiments",
+          44, "Every experiment waits harness.LOCK_TIMEOUT for a lock and"
+          " keeps the failure detector's default miss threshold: a config"
+          " field that only ever held its default chose nothing.",
+          "    lock_timeout: float = 2.0", include="*.py"),
 ]
 
 
