@@ -13,7 +13,9 @@ with a default, anywhere under ``src/repro``.  The census reads every
   ``<config>.field``;
 * a defaulted parameter is passed by any call whose callee name matches
   the function (the class name for ``__init__``) and that names it or
-  reaches its position; a call with ``*args`` / ``**kwargs`` passes all.
+  reaches its position; a call with ``*args`` / ``**kwargs`` passes all,
+  and a ``super().__init__(...)`` inside ``class C(B)`` is a call of
+  ``B``.
 
 Name matching is deliberately loose, so a listed name is a candidate:
 confirm it with a search before deleting it.  Run from the repo root::
@@ -45,6 +47,32 @@ def _callee(node: ast.Call) -> str | None:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
+
+
+def calls(tree: ast.AST) -> list[tuple[str, ast.Call]]:
+    """``(callee name, call)`` for every call in ``tree`` with a name; a
+    ``super().__init__(...)`` inside ``class C(B)`` is named ``B``."""
+    supers: dict[int, str] = {}
+    for cls in ast.walk(tree):     # outer classes first, inner override
+        if not (isinstance(cls, ast.ClassDef) and cls.bases):
+            continue
+        base = cls.bases[0]
+        base = base.id if isinstance(base, ast.Name) else getattr(
+            base, "attr", None)
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__init__"
+                    and isinstance(node.func.value, ast.Call)
+                    and _callee(node.func.value) == "super"):
+                supers[id(node)] = base
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = supers.get(id(node)) or _callee(node)
+            if name is not None:
+                named.append((name, node))
+    return named
 
 
 def _same(a: ast.expr, b: ast.expr | None) -> bool:
@@ -155,11 +183,12 @@ def one_value_fields(configs, setters) -> dict[str, list[str]]:
     return single
 
 
-def defaulted_parameters():
+def defaulted_parameters(files=None):
     """``[(path, callee name, parameter, position or None)]`` for every
-    parameter with a default under ``src/repro``."""
+    parameter with a default in ``files`` (``(path, tree)`` pairs;
+    default: everything under ``src``)."""
     params = []
-    for path, tree in _files(("src",)):
+    for path, tree in files if files is not None else _files(("src",)):
         classes = {id(item): cls.name for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef) for item in cls.body}
         for func in ast.walk(tree):
@@ -182,18 +211,13 @@ def defaulted_parameters():
     return params
 
 
-def unpassed_parameters(params) -> list[tuple]:
+def unpassed_parameters(params, files=None) -> list[tuple]:
     """``[(path, callee name, parameter)]`` for the defaulted parameters
-    no call in any root passes."""
+    no call in ``files`` (default: every root) passes."""
     passed: dict[str, set] = {}
     everything: set[str] = set()
-    for _path, tree in _files():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _callee(node)
-            if name is None:
-                continue
+    for _path, tree in files if files is not None else _files():
+        for name, node in calls(tree):
             if (any(isinstance(a, ast.Starred) for a in node.args)
                     or any(k.arg is None for k in node.keywords)):
                 everything.add(name)

@@ -55,6 +55,8 @@ DISK_CAPACITY_BYTES = 4 * 1024 * 1024
 # Mover knobs, scaled to the tiny segments: short backoff so schedules
 # with long outages exhaust retries and exercise rollback/resume.
 MOVE_TIMEOUT = 120.0
+#: 4 chunks per (tiny) extent so a chunk-level resume is observable.
+CHUNK_BYTES = 2048
 MOVER_RETRY = RetryPolicy(max_attempts=8, base_delay=0.25, multiplier=2.0,
                           max_delay=8.0, jitter=0.5)
 
@@ -74,25 +76,19 @@ AUDIT_CHECKPOINT_INTERVAL = 0.5
 #: source to the target, and only they are injured.
 SOURCE_NODE = 1
 TARGET_NODE = 2
+#: A restarted node serves again this long after its restart.
+BOOT_SECONDS = 5.0
 
 
 @dataclasses.dataclass
 class ChaosConfig:
-    """One chaos run: cluster size, load, schedule shape, mover knobs."""
+    """One chaos run: segment size, load, schedule shape, writers."""
 
     seed: int = 0
 
-    # Cluster: master 0 (never injured), source 1, target 2.
-    node_count: int = 3
-    page_bytes: int = 1024
-    segment_max_pages: int = 8
-    boot_seconds: float = 5.0
-
     # Load: enough rows for a dozen small segments.
+    segment_max_pages: int = 8
     rows: int = 1200
-
-    #: 4 chunks per (tiny) extent so a chunk-level resume is observable.
-    chunk_bytes: int = 2048
 
     # Timeline.
     warmup: float = 5.0
@@ -146,7 +142,7 @@ def build_schedule(config: ChaosConfig, rng: random.Random
         outage = rng.uniform(OUTAGE_MIN, OUTAGE_MAX)
         events.append((at, kind, node))
         events.append((at + outage, recover[kind], node))
-        busy_until[node] = at + outage + config.boot_seconds + 1.0
+        busy_until[node] = at + outage + BOOT_SECONDS + 1.0
     return events
 
 
@@ -172,17 +168,17 @@ def _disk_specs() -> tuple[DiskSpec, DiskSpec]:
 
 def _build(config: ChaosConfig) -> tuple[Environment, Cluster]:
     env = Environment(seed=config.seed)
+    # Master 0 (never injured), source 1, target 2.
     cluster = Cluster(
-        env, node_count=config.node_count,
-        initially_active=config.node_count,
+        env, node_count=3, initially_active=3,
         disk_specs=_disk_specs(),
         buffer_pages_per_node=512,
         segment_max_pages=config.segment_max_pages,
-        page_bytes=config.page_bytes,
-        boot_seconds=config.boot_seconds,
+        page_bytes=1024,
+        boot_seconds=BOOT_SECONDS,
         lock_timeout=harness.LOCK_TIMEOUT,
     )
-    cluster.moves.chunk_bytes = config.chunk_bytes
+    cluster.moves.chunk_bytes = CHUNK_BYTES
     cluster.moves.move_timeout = MOVE_TIMEOUT
     cluster.moves.retry = MOVER_RETRY
     harness.kv_cluster_rows(cluster, SOURCE_NODE, config.rows)
@@ -269,7 +265,6 @@ def check_invariants(env: Environment, cluster: Cluster,
 
 
 def run_chaos(config: ChaosConfig | None = None,
-              seed: int | None = None,
               instrument: typing.Callable[[Environment, Cluster], None]
               | None = None) -> harness.Result:
     """One seeded schedule, end to end: load, faults, quiesce, verify.
@@ -279,8 +274,6 @@ def run_chaos(config: ChaosConfig | None = None,
     uses it to attach a checkpoint recorder.
     """
     config = config or ChaosConfig()
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     env, cluster = _build(config)
     if instrument is not None:
         instrument(env, cluster)

@@ -71,7 +71,6 @@ class ElasticityConfig:
     # Cluster — the open-loop disk-bound regime (harness.open_loop),
     # so the day's peak saturates a node's disk and the monitor has
     # something to act on.
-    node_count: int = 4
     load_segment_max_pages: int = 8
 
     day_seconds: float = 2400.0
@@ -87,11 +86,8 @@ class ElasticityConfig:
     hint_lead: float = 120.0
 
     # Engine knobs.
-    tick: float = 1.0
     batch: int = 150                    # logical requests per cohort
-    executors: int = 12
     queue_limit: int = 30_000
-    retry_budget: float = 15.0
     web_slo_p99_ms: float = 60_000.0
     mobile_slo_p99_ms: float = 90_000.0
 
@@ -191,8 +187,8 @@ def _peak_time(tenants, day_seconds: float) -> float:
 
 # -- the run ----------------------------------------------------------------
 
-def run_elasticity(config: ElasticityConfig | None = None,
-                   seed: int | None = None) -> ElasticityResult:
+def run_elasticity(config: ElasticityConfig | None = None
+                   ) -> ElasticityResult:
     """One seeded scenario: a full diurnal day of open-loop traffic."""
     from repro.cluster.forecasting import LoadForecaster, WorkloadHint
     from repro.cluster.policies import PolicyThresholds, ThresholdPolicy
@@ -201,8 +197,6 @@ def run_elasticity(config: ElasticityConfig | None = None,
     from repro.traffic import Autoscaler, AutoscalerConfig
 
     config = config or ElasticityConfig()
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     # Static provisioning spreads the data across every (always-on)
     # node; the autoscaled day starts consolidated on the master and
     # lets the rebalancer spread it when the trace demands.
@@ -211,9 +205,10 @@ def run_elasticity(config: ElasticityConfig | None = None,
     peak_time = _peak_time(tenants, config.day_seconds)
     run = harness.open_loop(
         config, tenants,
-        owners=(0,) if autoscale else range(config.node_count),
-        active=INITIALLY_ACTIVE if autoscale else config.node_count,
-        vacuum_interval=config.vacuum_interval,
+        owners=(0,) if autoscale else range(harness.OPEN_LOOP_NODES),
+        active=INITIALLY_ACTIVE if autoscale else harness.OPEN_LOOP_NODES,
+        vacuum_interval=config.vacuum_interval, batch=config.batch,
+        executors=12, queue_limit=config.queue_limit,
     )
     cluster = run.cluster
 

@@ -83,14 +83,11 @@ AUDIT_COVERAGE_CAPACITY = 256
 
 @dataclasses.dataclass
 class EnduranceConfig:
-    """One endurance run: cluster shape, day curve, daemon cadences."""
+    """One endurance run: load, day curve, daemon cadences."""
 
     seed: int = 0
 
-    node_count: int = 3
     segment_max_pages: int = 8
-    page_bytes: int = 2048
-    boot_seconds: float = 5.0
     rows: int = 400
 
     # Timeline: ``windows`` audit windows of ``window_seconds`` each.
@@ -109,7 +106,6 @@ class EnduranceConfig:
             interval=5.0, chunk_versions=512,
             max_reclaim_per_tick=4096, load_threshold=0.95,
         ))
-    compact_replicas_over: int = 2048
 
     # Chaos: crash the current primary mid-window every N windows.
     crash_every_windows: int = 2
@@ -141,12 +137,11 @@ CLAIMS = [
 def _build(config: EnduranceConfig) -> tuple[Environment, Cluster]:
     env = Environment(seed=config.seed)
     cluster = Cluster(
-        env, node_count=config.node_count,
-        initially_active=config.node_count,
+        env, node_count=3, initially_active=3,
         buffer_pages_per_node=1024,
         segment_max_pages=config.segment_max_pages,
-        page_bytes=config.page_bytes,
-        boot_seconds=config.boot_seconds,
+        page_bytes=2048,
+        boot_seconds=5.0,
         lock_timeout=harness.LOCK_TIMEOUT,
     )
     cluster.monitor.interval = MONITOR_INTERVAL
@@ -179,13 +174,10 @@ def _diurnal_interval(config: EnduranceConfig, now: float) -> float:
 
 # -- the run ----------------------------------------------------------------
 
-def run_endurance(config: EnduranceConfig | None = None,
-                  seed: int | None = None) -> harness.Result:
+def run_endurance(config: EnduranceConfig | None = None) -> harness.Result:
     """One seeded endurance run: windows of diurnal load with periodic
     chaos, audited at each quiescent boundary, drilled at the end."""
     config = config or EnduranceConfig()
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
     env, cluster = _build(config)
 
     replication = ReplicationManager(cluster, k=REPLICATION_FACTOR)
@@ -205,7 +197,7 @@ def run_endurance(config: EnduranceConfig | None = None,
     checkpoints = CheckpointManager(
         cluster, replication,
         interval=config.checkpoint_interval,
-        compact_replicas_over=config.compact_replicas_over,
+        compact_replicas_over=2048,
     ).start()
     vacuum = VacuumScheduler(cluster, config.vacuum_policy).start()
     env.process(cluster.monitor.run(), name="monitor")
@@ -273,8 +265,7 @@ def run_endurance(config: EnduranceConfig | None = None,
 
         # Periodic chaos: kill the *current* primary mid-window; the
         # detector promotes the replica, the restart rejoins as holder.
-        if (config.crash_every_windows
-                and window % config.crash_every_windows == 1):
+        if window % config.crash_every_windows == 1:
             victim = _chaos_victim(cluster)
             if victim is not None:
                 crash_at = t0 + config.window_seconds * chaos_rng.uniform(

@@ -46,7 +46,6 @@ class Fig3Config:
     partitions: int = 8
     clients: int = 12
     update_ratios: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    page_bytes: int = 16 * 1024
     segment_max_pages: int = 64
     buffer_pages: int = 256
     seed: int = 11
@@ -103,7 +102,7 @@ def _build(config: Fig3Config):
         disk_specs=(HDD_SPEC, HDD_SPEC),
         buffer_pages_per_node=config.buffer_pages,
         segment_max_pages=config.segment_max_pages,
-        page_bytes=config.page_bytes,
+        page_bytes=16 * 1024,
         lock_timeout=harness.LOCK_TIMEOUT,
     )
     owner = cluster.workers[0]

@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.cluster.cluster import Cluster
 from repro.experiments import harness
+from repro.hardware.disk import HDD_SPEC
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
 from repro.storage.record import Column, Schema
@@ -42,6 +43,13 @@ from repro.workload import (
 )
 from repro.workload.tpcc_gen import seed_warehouse_segments, warehouse_ranges
 from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED
+
+#: One spindle per node for WAL *and* data: the paper's conclusion —
+#: "the main bottleneck for repartitioning seems to be the bandwidth to
+#: the storage subsystem" — requires logging, query I/O, and migration
+#: to share it.
+DISK_SPECS = (HDD_SPEC,)
+PAGE_BYTES = 64 * 1024
 
 SCHEMES: dict[str, typing.Callable[[], PartitioningScheme]] = {
     "physical": PhysicalPartitioning,
@@ -68,14 +76,8 @@ class Fig6Config:
     ballast_rows_per_warehouse: int = 12000
     ballast_blob_bytes: int = 32 * 1024
 
-    # Cluster.
+    # Cluster (drives: :data:`DISK_SPECS`, pages: :data:`PAGE_BYTES`).
     node_count: int = 6
-    #: Per-node drives: WAL on the first HDD, data on the rest.  The
-    #: paper's database lives (mostly) on spinning disks — "the main
-    #: bottleneck for repartitioning seems to be the bandwidth to the
-    #: storage subsystem" — so data defaults to HDD here.
-    disk_specs: tuple = None  # set in __post_init__
-    page_bytes: int = 64 * 1024
     segment_max_pages: int = 512          # 32 MiB ballast segments
     #: TPC-C tables use small segments so a 50% move is really 50%.
     tpcc_segment_max_pages: int = 8
@@ -97,16 +99,6 @@ class Fig6Config:
     #: post-hoc (repro.audit).  Off by default: baselines and
     #: determinism goldens fingerprint audit-off runs.
     audit: bool = False
-
-    def __post_init__(self):
-        if self.disk_specs is None:
-            from repro.hardware import HDD_SPEC
-
-            # One spindle for WAL *and* data: the paper's conclusion —
-            # "the main bottleneck for repartitioning seems to be the
-            # bandwidth to the storage subsystem" — requires logging,
-            # query I/O, and migration to share it.
-            self.disk_specs = (HDD_SPEC,)
 
 
 class Fig6Result(harness.Result):
@@ -192,10 +184,10 @@ def build_fig6_cluster(config: Fig6Config) -> tuple[Environment, Cluster]:
         0, config.tpcc, owners=config.source_nodes,
         load_segment_max_pages=config.tpcc_segment_max_pages,
         node_count=config.node_count, initially_active=active,
-        disk_specs=config.disk_specs,
+        disk_specs=DISK_SPECS,
         buffer_pages_per_node=config.buffer_pages_per_node,
         segment_max_pages=config.segment_max_pages,
-        page_bytes=config.page_bytes,
+        page_bytes=PAGE_BYTES,
         lock_timeout=harness.LOCK_TIMEOUT,
     )
     owners = [cluster.worker(n) for n in config.source_nodes]

@@ -53,14 +53,12 @@ class Fig9Config:
     # Cluster.  All nodes active: failover needs live holders.
     node_count: int = 5
     segment_max_pages: int = 8
-    #: Placement sees two nodes per modelled rack.
-    rack_width: int = 2
 
     # Timeline, relative to workload start (after replica seeding).
     crash_at: float = 40.0
-    #: Restart the dead node this long after the crash (None: never).
-    #: Needed for k=1 to regain availability.
-    restart_after: float | None = 40.0
+    #: Restart the dead node this long after the crash: k=1 regains
+    #: availability only then.
+    restart_after: float = 40.0
     duration: float = 140.0
 
     seed: int = 0
@@ -82,8 +80,7 @@ def run_fig9_single(k: int, config: Fig9Config | None = None
     crash_abs = ha.t_start + config.crash_at
     crash_node = DATA_NODES[0]
     ha.injector.crash_at(crash_abs, crash_node)
-    if config.restart_after is not None:
-        ha.injector.restart_at(crash_abs + config.restart_after, crash_node)
+    ha.injector.restart_at(crash_abs + config.restart_after, crash_node)
 
     # Audited runs bound the vacuum daemon to the workload's end so the
     # drained simulation is a stable subject for the offline checkers.

@@ -178,6 +178,8 @@ def tpcc_cluster(seed: int, tpcc, *, owners, load_segment_max_pages,
 HA_MONITOR_INTERVAL = 1.0
 #: Bucket of the HA runs' series and power samples.
 HA_BUCKET = 5.0
+#: Placement of the HA runs' replicas sees two nodes per modelled rack.
+HA_RACK_WIDTH = 2
 #: The HA runs' default TPC-C.
 HA_TPCC = TpccConfig(
     warehouses=6, districts_per_warehouse=4, customers_per_district=20,
@@ -219,7 +221,7 @@ def ha_tpcc(config, k: int, data_nodes) -> HaTpcc:
     )
     replication = ReplicationManager(
         cluster, k=k,
-        policy=PlacementPolicy(cluster, rack_width=config.rack_width),
+        policy=PlacementPolicy(cluster, rack_width=HA_RACK_WIDTH),
     )
     coordinator = FailoverCoordinator(cluster, replication)
     detector = FailureDetector(cluster, coordinator)
@@ -329,6 +331,9 @@ OPEN_LOOP_TPCC = TpccConfig(
     items=200, orders_per_district=10, order_lines_per_order=4,
     pad_blob_bytes=2048,
 )
+#: Nodes of the open-loop runs' cluster, master included: all of them
+#: powered in a static run, the autoscaler's ceiling in an elastic one.
+OPEN_LOOP_NODES = 4
 
 
 @dataclasses.dataclass
@@ -343,13 +348,16 @@ class OpenLoop:
 
 
 def open_loop(config, tenants, *, owners, active: int,
-              vacuum_interval: float) -> OpenLoop:
+              vacuum_interval: float, batch: int, executors: int,
+              queue_limit: int) -> OpenLoop:
     """The cluster both open-loop experiments run on, disk-bound on
     purpose — :data:`OPEN_LOOP_TPCC` on ``owners``, one shared HDD
     spindle per node, a small buffer pool, the vacuum daemon every
     ``vacuum_interval`` seconds: the regime the paper's wimpy nodes
-    lived in — with ``active`` nodes powered, the session engine over
-    ``tenants`` and, when ``config.audit``, the history recorder.  The
+    lived in — with ``active`` of its :data:`OPEN_LOOP_NODES` powered,
+    the session engine over ``tenants`` (``batch`` logical requests per
+    executed transaction, ``executors`` workers, at most ``queue_limit``
+    queued) and, when ``config.audit``, the history recorder.  The
     experiment wires its own machinery next, then
     :func:`drive_open_loop`."""
     from repro.hardware import HDD_SPEC
@@ -359,15 +367,13 @@ def open_loop(config, tenants, *, owners, active: int,
         config.seed, OPEN_LOOP_TPCC, owners=owners,
         load_segment_max_pages=config.load_segment_max_pages,
         vacuum_interval=vacuum_interval,
-        node_count=config.node_count, initially_active=active,
+        node_count=OPEN_LOOP_NODES, initially_active=active,
         disk_specs=(HDD_SPEC,), buffer_pages_per_node=192, page_bytes=8192,
         segment_max_pages=64, lock_timeout=LOCK_TIMEOUT,
     )
     engine = SessionEngine(
-        cluster, OPEN_LOOP_TPCC, tenants,
-        seed=config.seed, tick=config.tick, batch=config.batch,
-        executors=config.executors, queue_limit=config.queue_limit,
-        retry_budget=config.retry_budget,
+        cluster, OPEN_LOOP_TPCC, tenants, seed=config.seed, batch=batch,
+        executors=executors, queue_limit=queue_limit,
     )
     recorder = None
     if config.audit:

@@ -97,23 +97,9 @@ class ReadScalingConfig:
     # Cluster — the open-loop disk-bound regime (harness.open_loop):
     # the baseline must pay seeks for its reads or there is nothing to
     # scale away from.
-    node_count: int = 4
     load_segment_max_pages: int = 8
 
-    # Traffic (``batch`` logical requests ride one executed
-    # transaction).
     duration: float = 240.0
-    tick: float = 1.0
-    batch: int = 5
-    executors: int = 10
-    queue_limit: int = 20_000
-    retry_budget: float = 15.0
-
-    # Read tier.
-    #: Staleness budget in WAL records of replication lag.
-    lag_budget: int = 64
-    per_tenant_quota: int = 2_048
-    view_lag_bound: float = 5.0
 
     # Fault schedule (fractions of ``duration``): the sever and the
     # crash are spaced so each promotion completes before the next
@@ -183,17 +169,20 @@ def run_read_scaling(config: ReadScalingConfig | None = None
     # Registers the ``*_view`` transaction bodies for both modes: with
     # no read tier installed they fall back to the primary read path,
     # which is exactly the baseline being measured.
-    import repro.reads.views  # noqa: F401
+    from repro.reads import router, views
 
     config = config or ReadScalingConfig()
     # Both modes spread the data across every (always-on) node: the
-    # comparison isolates the read path, not placement.
+    # comparison isolates the read path, not placement.  Five logical
+    # requests ride one executed transaction.
     run = harness.open_loop(config, _tenants(config), owners=None,
-                            active=config.node_count, vacuum_interval=30.0)
+                            active=harness.OPEN_LOOP_NODES,
+                            vacuum_interval=30.0, batch=5, executors=10,
+                            queue_limit=20_000)
     env, cluster, recorder = run.env, run.cluster, run.recorder
     if recorder is not None:
-        recorder.staleness_budget = float(config.lag_budget)
-        recorder.view_lag_bound = config.view_lag_bound
+        recorder.staleness_budget = float(router.LAG_BUDGET)
+        recorder.view_lag_bound = views.LAG_BOUND
 
     # Both modes carry the same replication factor and failover
     # machinery — the crash in the fault schedule must be survivable
@@ -214,13 +203,8 @@ def run_read_scaling(config: ReadScalingConfig | None = None
     if config.mode == "replica":
         from repro.reads import ReadTier
 
-        tier = ReadTier(
-            cluster, replication,
-            lag_budget=config.lag_budget,
-            cache_seed=config.seed,
-            per_tenant_quota=config.per_tenant_quota,
-            view_lag_bound=config.view_lag_bound,
-        )
+        tier = ReadTier(cluster, replication, cache_seed=config.seed,
+                        per_tenant_quota=2_048)
         env.process(tier.views.run(), name="view-refresh")
 
     d = config.duration

@@ -19,6 +19,8 @@ from repro.experiments import harness
 from repro.workload import TpccConfig, TpccContext, WorkloadDriver
 from repro.workload.tpcc_schema import WAREHOUSE_PARTITIONED
 
+#: The cluster, every node powered and holding data until t=0.
+NODE_COUNT = 4
 #: Nodes quiesced at t=0 (data pulled to the remaining ones).
 VICTIMS = (3, 2)
 
@@ -32,9 +34,7 @@ class ScaleInConfig:
     ))
     #: Light load: the regime where running four nodes wastes energy.
     clients: int = 4
-    node_count: int = 4
     segment_max_pages: int = 8
-    page_bytes: int = 8192
     warmup: float = 40.0
     tail: float = 120.0
     bucket: float = 10.0
@@ -63,10 +63,10 @@ def run_scale_in(config: ScaleInConfig | None = None) -> harness.Result:
         0, config.tpcc, owners=None,
         load_segment_max_pages=config.segment_max_pages,
         vacuum_interval=15.0,
-        node_count=config.node_count, initially_active=config.node_count,
+        node_count=NODE_COUNT, initially_active=NODE_COUNT,
         buffer_pages_per_node=1024,
         segment_max_pages=config.segment_max_pages,
-        page_bytes=config.page_bytes, lock_timeout=harness.LOCK_TIMEOUT,
+        lock_timeout=harness.LOCK_TIMEOUT,
     )
 
     ctx = TpccContext(cluster, config.tpcc)
@@ -83,7 +83,7 @@ def run_scale_in(config: ScaleInConfig | None = None) -> harness.Result:
         yield env.timeout(config.warmup)
         marks["start"] = env.now
         receivers = [
-            n for n in range(config.node_count) if n not in VICTIMS
+            n for n in range(NODE_COUNT) if n not in VICTIMS
         ]
         for i, victim in enumerate(VICTIMS):
             receiver = receivers[i % len(receivers)]

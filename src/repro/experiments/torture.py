@@ -63,6 +63,8 @@ TORN_NODE, FLAKY_NODE, LIMPING_NODE = DATA_NODES
 #: breach (observed at the bucket's *end* — percentiles are only known
 #: once the bucket closes).
 SLO_P99_MS = 900.0
+#: Replication factor — needs k >= 2 for repair sources.
+REPLICATION_K = 2
 
 
 @dataclasses.dataclass
@@ -75,16 +77,10 @@ class TortureConfig:
 
     node_count: int = 6
     segment_max_pages: int = 8
-    rack_width: int = 2
-    #: Replication factor — needs k >= 2 for repair sources.
-    k: int = 2
 
     # Gray-failure detection.
     score_threshold: float = 3.0
     clear_threshold: float = 1.5
-    suspect_strikes: int = 2
-    quarantine_strikes: int = 2
-    clear_polls: int = 4
 
     # Fault schedule, relative to workload start (after seeding).
     slow_disk_at: float = 20.0
@@ -218,21 +214,16 @@ def _unresolved_corruptions(cluster: Cluster,
     return problems
 
 
-def run_torture(config: TortureConfig | None = None,
-                seed: int | None = None) -> harness.Result:
+def run_torture(config: TortureConfig | None = None) -> harness.Result:
     """One seeded torture run."""
     config = config or TortureConfig()
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    ha = harness.ha_tpcc(config, config.k, DATA_NODES)
+    ha = harness.ha_tpcc(config, REPLICATION_K, DATA_NODES)
     env, cluster = ha.env, ha.cluster
     gray = GrayFailureDetector(
         cluster, ha.coordinator,
         score_threshold=config.score_threshold,
         clear_threshold=config.clear_threshold,
-        suspect_strikes=config.suspect_strikes,
-        quarantine_strikes=config.quarantine_strikes,
-        clear_polls=config.clear_polls,
+        clear_polls=4,
     )
     t_end = ha.t_start + config.duration
     _schedule_faults(ha.injector, config, ha.t_start)
@@ -304,7 +295,7 @@ def rerun_gate(config: TortureConfig,
     counters."""
     first = runs[0].counters
     seed = first["run"]["seed"]
-    again = run_torture(config, seed=seed).counters
+    again = run_torture(dataclasses.replace(config, seed=seed)).counters
     differing = sorted(name for name in first.keys() | again.keys()
                        if first.get(name) != again.get(name))
     rerun = {"seed": seed, "differing_counter_groups": len(differing)}

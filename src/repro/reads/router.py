@@ -18,8 +18,8 @@ On top of that:
 * a **replica** serves a key only when its single-version row state
   actually holds the version the snapshot needs
   (:func:`classify_point`), its base image predates the snapshot
-  (``base_ts``), and the primary's replication lag is within the
-  configured budget of WAL records;
+  (``base_ts``), and the primary's replication lag is within
+  :data:`LAG_BUDGET` WAL records;
 * the **cache** serves only entries stamped at or before the snapshot;
 * **views** are not snapshot reads at all — they answer from the fold
   horizon and are audited by lag bound + checkpoint equivalence
@@ -51,6 +51,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 SERVE = "serve"
 MISS = "miss"
 BOUNCE = "bounce"
+
+#: Staleness budget: a replica serves only while its primary's
+#: replication lag is at most this many WAL records.
+LAG_BUDGET = 64
 
 BOUNCE_REASONS = ("horizon", "not-mapped", "moving", "no-replica", "lag",
                   "no-candidate", "base", "version", "failover")
@@ -93,21 +97,15 @@ class ReadTier:
 
     def __init__(self, cluster: "Cluster",
                  replication: "ReplicationManager | None" = None, *,
-                 lag_budget: int = 64,
-                 cache_seed: int = 0, per_tenant_quota: int = 4096,
-                 view_refresh_interval: float = 0.05,
-                 view_lag_bound: float = 5.0):
+                 cache_seed: int = 0, per_tenant_quota: int = 4096):
         self.cluster = cluster
         self.env = cluster.env
         self.master = cluster.master
         self.replication = replication
-        self.lag_budget = lag_budget
         self.cache = DistributedCache(
             cluster, [w.node_id for w in cluster.workers], seed=cache_seed,
             per_tenant_quota=per_tenant_quota)
-        self.views = MaterializedViews(cluster,
-                                       refresh_interval=view_refresh_interval,
-                                       lag_bound=view_lag_bound)
+        self.views = MaterializedViews(cluster)
         self._rr = 0  # round-robin cursor over eligible replicas
 
         self.served_cache = 0
@@ -157,7 +155,7 @@ class ReadTier:
         if replica_set is None:
             return "no-replica"
         lag = self.replication.replication_lag(location.node_id)
-        if lag > self.lag_budget:
+        if lag > LAG_BUDGET:
             return "lag"
         return replica_set, lag
 

@@ -14,7 +14,7 @@ ship to replicas), and a refresher process folds them in every
 ``refresh_interval`` simulated seconds.  ``applied_horizon`` is the
 newest folded commit timestamp; the distance between a batch's commit
 and its fold is the **view lag**, tracked per batch and bounded by
-``lag_bound`` in the audit.
+:data:`LAG_BOUND` in the audit.
 
 The correctness story is *checkpoint equivalence*: whenever the cluster
 is quiesced the experiment calls :meth:`checkpoint`, which drains the
@@ -40,6 +40,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 from repro.workload.tpcc_txns import TRANSACTIONS, order_status as \
     _primary_order_status, stock_level as _primary_stock_level
+
+#: Seconds a committed batch may wait for its fold: the audit's
+#: view-lag bound.
+LAG_BOUND = 5.0
 
 
 def canonical_rows(cluster: "Cluster", table: str):
@@ -72,12 +76,10 @@ class MaterializedViews:
     #: dropped at enqueue time.
     TABLES = ("orders", "stock")
 
-    def __init__(self, cluster: "Cluster", refresh_interval: float = 0.05,
-                 lag_bound: float = 5.0):
+    def __init__(self, cluster: "Cluster", refresh_interval: float = 0.05):
         self.cluster = cluster
         self.env = cluster.env
         self.refresh_interval = refresh_interval
-        self.lag_bound = lag_bound
         #: (warehouse, district) -> {o_id: order row}.
         self._orders: dict[tuple, dict[int, tuple]] = {}
         #: warehouse -> {item: committed quantity}.

@@ -46,6 +46,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 READ_ONLY_KINDS = frozenset({
     "order_status", "stock_level", "order_status_view", "stock_level_view",
 })
+#: Seconds between a tenant's Poisson draws.
+TICK = 1.0
+#: Seconds of retrying after which a cohort is abandoned.
+RETRY_BUDGET = 15.0
 
 
 class ZipfKeyChooser:
@@ -146,18 +150,15 @@ class SessionEngine:
 
     def __init__(self, cluster: "Cluster", tpcc_config: "TpccConfig",
                  tenants: typing.Sequence[TenantClass],
-                 seed: int = 0, tick: float = 1.0, batch: int = 100,
-                 executors: int = 8, queue_limit: int = 50_000,
-                 retry_budget: float = 15.0):
+                 seed: int = 0, batch: int = 100,
+                 executors: int = 8, queue_limit: int = 50_000):
         if not tenants:
             raise ValueError("need at least one tenant class")
-        if tick <= 0 or batch < 1 or executors < 1:
-            raise ValueError("tick, batch, and executors must be positive")
+        if batch < 1 or executors < 1:
+            raise ValueError("batch and executors must be positive")
         self.cluster = cluster
-        self.tick = tick
         self.batch = batch
         self.executors = executors
-        self.retry_budget = retry_budget
         self.admission = AdmissionController(
             cluster.env, queue_limit=queue_limit,
             buckets={
@@ -193,21 +194,21 @@ class SessionEngine:
     # -- producer --------------------------------------------------------
 
     def _tenant_loop(self, runtime: TenantRuntime, until: float):
-        """One tick per ``tick`` seconds: draw the tenant's Poisson
+        """One tick per :data:`TICK` seconds: draw the tenant's Poisson
         arrival count, dispatch timestamped cohorts open-loop."""
         env = self.cluster.env
         tenant = runtime.tenant
         rng = runtime.arrival_rng
         while env.now < until:
             tick_start = env.now
-            lam = tenant.arrivals.rate(tick_start) * self.tick
+            lam = tenant.arrivals.rate(tick_start) * TICK
             n = sample_poisson(rng, lam)
             remaining = n
             offsets = []
             while remaining > 0:
                 size = min(self.batch, remaining)
                 remaining -= size
-                offsets.append((rng.random() * self.tick, size))
+                offsets.append((rng.random() * TICK, size))
             offsets.sort()
             for offset, size in offsets:
                 at = tick_start + offset
@@ -217,7 +218,7 @@ class SessionEngine:
                 self.admission.offer(
                     Request(tenant=tenant.name, arrival=env.now, count=size)
                 )
-            next_tick = tick_start + self.tick
+            next_tick = tick_start + TICK
             if next_tick > env.now:
                 yield env.timeout(next_tick - env.now)
 
@@ -241,7 +242,7 @@ class SessionEngine:
             return txn
 
         txn, _result, _attempts = yield from run_request(
-            runtime.ctx, kind, begin, request.arrival, self.retry_budget,
+            runtime.ctx, kind, begin, request.arrival, RETRY_BUDGET,
             runtime.retries_by_class)
         if txn is None:
             self.admission.note_abandoned(request)

@@ -2,7 +2,7 @@
 flush-under-pin, and adoption of an interrupted move's checkpoint."""
 
 from repro.core.migration import flush_segment_pages
-from repro.experiments.chaos_moves import run_chaos
+from repro.experiments.chaos_moves import ChaosConfig, run_chaos
 from repro.moves import COPY, DONE
 
 from tests.moves.conftest import build_move_cluster, drive, first_segment
@@ -115,6 +115,6 @@ class TestCheckpointAdoption:
             journal.open_segment_move = recording
 
         for seed in range(4):
-            assert run_chaos(seed=seed, instrument=instrument).ok
+            assert run_chaos(ChaosConfig(seed=seed), instrument=instrument).ok
         assert len(open_before) > 4
         assert open_before == [None] * len(open_before)

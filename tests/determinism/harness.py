@@ -105,7 +105,8 @@ def _fig9_sweep(config) -> list:
 def chaos_sweep(seeds, config: ChaosConfig, jobs: int = 1) -> list:
     """One run per seed, the way the CLI's ``chaos`` sweeps them."""
     return run_tasks(
-        [(run_chaos, (config,), {"seed": seed}) for seed in seeds], jobs=jobs)
+        [(run_chaos, (dataclasses.replace(config, seed=seed),), {})
+         for seed in seeds], jobs=jobs)
 
 
 def _table(result) -> str:
@@ -146,7 +147,8 @@ FAMILIES = {
     "chaos": (lambda: chaos_sweep((0, 1, 2), ChaosConfig()),
               _with_gate(chaos_moves.suite)),
     "endurance": (
-        lambda: run_endurance(quick_endurance_config(), seed=0), _table),
+        lambda: run_endurance(dataclasses.replace(
+            quick_endurance_config(), seed=0)), _table),
     "elasticity": (
         lambda: _per_mode(run_elasticity, ELASTICITY_SMOKE,
                           ("autoscale", "static")),
@@ -155,7 +157,8 @@ FAMILIES = {
         lambda: _per_mode(run_read_scaling, READ_SCALING_SMOKE,
                           ("replica", "primary")),
         _with_gate(read_scaling.compare)),
-    "torture": (lambda: run_torture(quick_torture_config(), seed=0), _table),
+    "torture": (lambda: run_torture(dataclasses.replace(
+        quick_torture_config(), seed=0)), _table),
 }
 
 _PLAIN_INIT = Environment.__init__

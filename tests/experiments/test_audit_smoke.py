@@ -15,7 +15,7 @@ pytestmark = pytest.mark.timeout(600)
 
 
 def test_audited_chaos_run_is_clean():
-    result = run_chaos(config=ChaosConfig(audit=True), seed=0)
+    result = run_chaos(ChaosConfig(seed=0, audit=True))
     assert result.ok, result.violations
     audit = result.counters["audit"]
     assert audit["ops_recorded"] > 0

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.experiments.chaos_moves import (
+    BOOT_SECONDS,
     ChaosConfig,
     build_schedule,
     run_chaos,
@@ -42,12 +43,12 @@ class TestSchedule:
             assert config.warmup <= at < config.warmup + config.fault_span
             # Outages on one node never overlap (plus boot headroom).
             assert at >= busy_until.get(node, 0.0)
-            busy_until[node] = rec_at + config.boot_seconds + 1.0
+            busy_until[node] = rec_at + BOOT_SECONDS + 1.0
 
 
 class TestInvariantGate:
     def test_single_seed_run_is_clean(self):
-        result = run_chaos(seed=0)
+        result = run_chaos(ChaosConfig(seed=0))
         assert result.ok, result.violations
         assert result.timeline, "schedule injected nothing"
         assert {e.source for e in result.timeline} == {"fault"}
@@ -71,8 +72,8 @@ class TestInvariantGate:
         assert "moves (all schedules)" in gate.to_table()
 
     def test_deterministic_replay(self):
-        a = run_chaos(seed=1)
-        b = run_chaos(seed=1)
+        a = run_chaos(ChaosConfig(seed=1))
+        b = run_chaos(ChaosConfig(seed=1))
         assert a.timeline == b.timeline
         assert a.counters == b.counters
         assert a.violations == b.violations

@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.elasticity import (
     INITIALLY_ACTIVE,
     ElasticityConfig,
@@ -61,7 +62,7 @@ def test_static_baseline_uses_more_energy(autoscale_result):
     run = static.counters["run"]
     assert run["mode"] == "static" and static.violations == []
     assert static.timeline == []
-    assert run["final_active_nodes"] == SMOKE.node_count
+    assert run["final_active_nodes"] == harness.OPEN_LOOP_NODES
     # Full provisioning burns more joules for the same day of demand.
     assert run["energy_joules"] > \
         autoscale_result.counters["run"]["energy_joules"]
@@ -72,7 +73,7 @@ def test_static_baseline_uses_more_energy(autoscale_result):
 
 
 def test_seed_changes_the_run(autoscale_result):
-    other = run_elasticity(SMOKE, seed=1)
+    other = run_elasticity(dataclasses.replace(SMOKE, seed=1))
     assert other.counters["admission"] != \
         autoscale_result.counters["admission"]
 

@@ -46,24 +46,26 @@ class TestEnduranceSmoke:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_the_other_ci_seeds_are_not_vacuous(self, seed):
-        result = run_endurance(quick_endurance_config(), seed=seed)
+        result = run_endurance(
+            dataclasses.replace(quick_endurance_config(), seed=seed))
         assert result.ok, result.to_table()
         run = result.counters["run"]
         assert run["crashes"] >= 1 and run["promotions"] >= 1
         assert result.counters["drill"]["image_rows"] > 0
 
     def test_same_seed_same_run(self):
-        a = run_endurance(quick_endurance_config(), seed=1)
-        b = run_endurance(quick_endurance_config(), seed=1)
+        config = dataclasses.replace(quick_endurance_config(), seed=1)
+        a = run_endurance(config)
+        b = run_endurance(config)
         assert a.ok and b.ok, (a.violations, b.violations)
         assert a.counters == b.counters
         assert a.series == b.series
         assert a.timeline == b.timeline
 
     def test_unmet_commit_target_is_a_violation(self):
-        config = dataclasses.replace(quick_endurance_config(),
+        config = dataclasses.replace(quick_endurance_config(), seed=0,
                                      min_commits=10_000_000)
-        result = run_endurance(config, seed=0)
+        result = run_endurance(config)
         assert not result.ok
         assert any(v.startswith("endurance: acked_writes >= min_commits")
                    for v in result.violations)

@@ -141,7 +141,7 @@ def test_scale_in_tiny_run():
             customers_per_district=10, items=80, orders_per_district=5,
             order_lines_per_order=3,
         ),
-        clients=3, node_count=4, warmup=15.0, tail=45.0, bucket=15.0,
+        clients=3, warmup=15.0, tail=45.0, bucket=15.0,
     )
     result = run_scale_in(config)
     assert result.counters["run"]["active_after"] == 2

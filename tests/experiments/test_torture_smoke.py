@@ -58,21 +58,22 @@ class TestTortureSmoke:
             "torture: lost_commits == 0 does not hold (1 == 0)"]
 
     def test_same_seed_same_fingerprint(self):
-        config = quick_torture_config()
-        a = run_torture(config, seed=2)
+        config = dataclasses.replace(quick_torture_config(), seed=2)
+        a = run_torture(config)
         assert a.ok and a.counters["run"]["corruptions_injected"] >= 1
         gate = rerun_gate(config, [a])
         assert gate.ok and "MATCHES" in gate.title, gate.to_table()
 
     def test_distinct_seeds_distinct_schedules(self):
         a = result_of("torture")
-        b = run_torture(quick_torture_config(), seed=1)
+        b = run_torture(dataclasses.replace(quick_torture_config(), seed=1))
         assert b.ok and b.counters["run"]["corruptions_injected"] >= 1
         assert a.counters != b.counters
 
     def test_audit_mode_is_clean(self):
-        config = dataclasses.replace(quick_torture_config(), audit=True)
-        result = run_torture(config, seed=0)
+        config = dataclasses.replace(quick_torture_config(), seed=0,
+                                     audit=True)
+        result = run_torture(config)
         assert result.ok, result.violations
         assert result.counters["audit"]["ops_recorded"] > 0
 
@@ -81,9 +82,9 @@ class TestTortureSmoke:
         # flagged, so the detection gate must report the miss.
         config = dataclasses.replace(
             quick_torture_config(),
-            score_threshold=1e9, clear_threshold=1.0,
+            score_threshold=1e9, clear_threshold=1.0, seed=0,
         )
-        result = run_torture(config, seed=0)
+        result = run_torture(config)
         assert result.counters["run"]["limping_flagged_after"] is None
         assert not result.ok
         assert ("torture: limping_flagged_after <= slo_breached_after does "

@@ -50,10 +50,8 @@ def protect(env, cluster, k=2, rack_width=2):
     return manager
 
 
-def install_tier(cluster, replication, **kwargs):
-    kwargs.setdefault("lag_budget", 64)
-    kwargs.setdefault("view_refresh_interval", 0.05)
-    return ReadTier(cluster, replication, **kwargs)
+def install_tier(cluster, replication):
+    return ReadTier(cluster, replication)
 
 
 def read_only_txn(cluster):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.audit import HistoryRecorder, audit_history
 from repro.cluster.master import NodeDownError
+from repro.reads.router import LAG_BUDGET
 from repro.txn.manager import TransactionAborted, TxnState
 from tests.ha.conftest import step_until
 from tests.reads.conftest import (
@@ -36,7 +37,7 @@ class TestCrashMidReplicaRead:
         replication = protect(env, cluster, k=2)
         tier = install_tier(cluster, replication)
         recorder = HistoryRecorder().attach(cluster)
-        recorder.staleness_budget = float(tier.lag_budget)
+        recorder.staleness_budget = float(LAG_BUDGET)
 
         rs = replica_set(cluster)
         holder_id = rs.replicas[0].holder_node_id
