@@ -5,7 +5,8 @@ Record every transaction's operations during a run
 (:mod:`repro.audit.checkers`): Adya anomaly classes, snapshot-read
 consistency, replica convergence, partition-table coverage, and the
 read-tier properties (replica staleness bounds, cache coherence,
-materialized-view checkpoint equivalence).
+materialized-view checkpoint equivalence), and that no request's cost
+breakdown charges a stall twice.
 """
 
 from repro.audit.checkers import (
@@ -15,6 +16,7 @@ from repro.audit.checkers import (
     audit_history,
     check_aborted_reads,
     check_cache_coherence,
+    check_cost_conservation,
     check_intermediate_reads,
     check_lost_updates,
     check_partition_coverage,
@@ -44,6 +46,7 @@ __all__ = [
     "audit_history",
     "check_aborted_reads",
     "check_cache_coherence",
+    "check_cost_conservation",
     "check_intermediate_reads",
     "check_lost_updates",
     "check_partition_coverage",

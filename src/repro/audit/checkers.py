@@ -16,6 +16,9 @@ to preserve (Sect. 3.5, 4.3):
   new node not yet caught up) surfaces here as a stale or future read.
 * **Replica convergence**: after failover, every in-sync replica log
   must replay to exactly the primary's committed contents.
+* **Cost conservation**: an acknowledged request's ``other`` bucket,
+  the rest of its response after the named ones, is not negative — a
+  stall charged twice makes it so.
 * **Partition-table coverage**: at every checkpoint — including
   mid-move, when dual pointers exist — each table's key ranges must
   tile its keyspace with no gaps and no overlaps, every location must
@@ -56,7 +59,8 @@ class Anomaly:
 
     kind: str            # G0 | G1a | G1b | lost-update | si-stale-read |
                          # si-future-read | si-missed-read | replica-divergence |
-                         # coverage-gap | coverage-overlap | coverage-unroutable
+                         # coverage-gap | coverage-overlap | coverage-unroutable |
+                         # double-charge
     description: str
     table: str | None = None
     key: typing.Any = None
@@ -538,6 +542,34 @@ def check_view_checkpoints(
     return anomalies
 
 
+# -- cost conservation -----------------------------------------------------
+
+def check_cost_conservation(history: History) -> list[Anomaly]:
+    """Each acknowledged request's breakdown is closed at its ack, so
+    ``other`` is its response minus the named buckets.  A stall charged
+    twice pushes ``other`` below zero (**double-charge**); the anomaly
+    names the transaction, its kind, its response and every bucket."""
+    anomalies = []
+    for op in history.ops:
+        costs = op.costs
+        # 1e-9 s of slack for float rounding.
+        if op.kind != ACK or costs is None or costs.other >= -1e-9:
+            continue
+        buckets = ", ".join(f"{name} {seconds * 1000.0:.3f}"
+                            for name, seconds in costs.as_dict().items())
+        anomalies.append(Anomaly(
+            kind="double-charge",
+            table=op.table,
+            txns=(op.txn_id,),
+            description=(
+                f"txn {op.txn_id} ({op.table}) answered in "
+                f"{(op.t1 - op.t0) * 1000.0:.3f} ms but its buckets "
+                f"over-count it (ms): {buckets}"
+            ),
+        ))
+    return anomalies
+
+
 # -- partition-table coverage ----------------------------------------------
 
 def check_partition_coverage(
@@ -724,6 +756,7 @@ def audit_history(recorder: HistoryRecorder,
     anomalies += check_cache_coherence(history)
     anomalies += check_view_checkpoints(
         recorder.view_checkpoints, recorder.view_lag_bound)
+    anomalies += check_cost_conservation(history)
     if cluster is not None and cluster.catalog.replica_sets:
         anomalies += check_replica_convergence(cluster)
     return AuditReport(anomalies=anomalies, stats=recorder.stats())

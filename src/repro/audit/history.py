@@ -34,6 +34,7 @@ import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.index.global_table import GlobalPartitionTable
+    from repro.metrics.breakdown import CostBreakdown
     from repro.txn.manager import Transaction
 
 #: Operation kinds, mirroring the transaction lifecycle plus the
@@ -82,8 +83,10 @@ class Op:
     #: Simulated-clock interval.
     t0: float = 0.0
     t1: float = 0.0
-    #: Acks: how many attempts the client spent.
+    #: Acks: how many attempts the client spent, and the request's
+    #: closed cost breakdown (its buckets sum to ``t1 - t0``).
     attempts: int | None = None
+    costs: "CostBreakdown | None" = None
     #: Reads: which copy answered — ``None`` for the primary path,
     #: ``"replica"`` for a segment replica's row state, ``"cache"`` for
     #: the distributed cache.  The staleness and coherence checkers
@@ -298,11 +301,11 @@ class HistoryRecorder:
         self._push(Op(0, ABORT, txn.txn_id, t0=now, t1=now))
 
     def record_ack(self, txn_id: int, kind: str, t0: float, t1: float,
-                   attempts: int) -> None:
+                   attempts: int, costs: "CostBreakdown") -> None:
         """Client-side acknowledgement: the completed query's interval
-        as the client saw it (its real-time window)."""
+        as the client saw it (its real-time window), and what it cost."""
         self._push(Op(0, ACK, txn_id, table=kind, t0=t0, t1=t1,
-                      attempts=attempts))
+                      attempts=attempts, costs=costs))
 
     # -- coverage checkpoints ----------------------------------------------
 

@@ -48,7 +48,9 @@ class _SegmentPageIO:
 
     Local segments read/write the owning disk directly; segments hosted
     on another node (physical partitioning) pay an RPC plus the wire
-    transfer of the page on top of the remote disk access.
+    transfer of the page on top of the remote disk access.  Each step
+    is charged once, here: the disk access to ``disk_io``, the RPC and
+    the wire to ``network_io``.
     """
 
     def __init__(self, worker: "WorkerNode", segment_id: int):
@@ -60,33 +62,38 @@ class _SegmentPageIO:
 
     def read(self, breakdown: CostBreakdown | None):
         host, disk = self._locate()
+        env = self.worker.env
         if host is self.worker:
+            t0 = env.now
             yield from disk.read_page()
+            if breakdown is not None:
+                breakdown.add("disk_io", env.now - t0)
             return
         network = self.worker.network
-        t0 = self.worker.env.now
+        t0 = env.now
         yield from network.rpc_delay()
+        t1 = env.now
         yield from disk.read_page()
+        t2 = env.now
         yield from network.transfer(host.port, self.worker.port,
                                     specs.PAGE_BYTES)
         if breakdown is not None:
-            # The disk share is charged by the caller; attribute the
-            # whole remote detour here as network time minus disk time
-            # is not separable cheaply — call it network.
-            breakdown.add("network_io", self.worker.env.now - t0)
+            breakdown.add("disk_io", t2 - t1)
+            breakdown.add("network_io", (t1 - t0) + (env.now - t2))
 
     def write(self, breakdown: CostBreakdown | None):
         host, disk = self._locate()
-        if host is self.worker:
-            yield from disk.write_page()
-            return
-        network = self.worker.network
-        t0 = self.worker.env.now
-        yield from network.transfer(self.worker.port, host.port,
-                                    specs.PAGE_BYTES)
+        env = self.worker.env
+        t0 = env.now
+        if host is not self.worker:
+            yield from self.worker.network.transfer(
+                self.worker.port, host.port, specs.PAGE_BYTES)
+            if breakdown is not None:
+                breakdown.add("network_io", env.now - t0)
+            t0 = env.now
         yield from disk.write_page()
         if breakdown is not None:
-            breakdown.add("network_io", self.worker.env.now - t0)
+            breakdown.add("disk_io", env.now - t0)
 
 
 class WorkerNode:

@@ -39,35 +39,26 @@ def shape(result: harness.Result) -> list[str]:
         "rebalancing.logging - normal.logging) > 0"])
 
 
-def _ms(breakdown: dict, response_ms: float) -> dict[str, float]:
-    """A breakdown in ms per query; ``other`` also takes the response
-    time no component accounted for."""
-    unaccounted = max(response_ms - 1000.0 * sum(breakdown.values()), 0.0)
+def _ms(breakdown: dict) -> dict[str, float]:
+    """A mean breakdown in ms per query."""
     return {component: 1000.0 * breakdown[component]
-            + (unaccounted if component == "other" else 0.0)
             for component in COMPONENTS}
 
 
 def fig7_from_cells(plain: Fig6Result, helped: Fig6Result) -> harness.Result:
     """Fig. 7 out of two Fig. 6 physiological cells: plain, and with
-    helper nodes engaged.  The regimes' mean response ms, and each
-    regime's breakdown in ms per query."""
-    def response_ms(cell, lo, hi):
-        return harness.mean_between(cell.series["resp_ms"], lo, hi) or 0.0
-
-    mean_response_ms = {
-        "normal": response_ms(plain, -plain.counters["run"]["warmup"], 0),
-        "rebalancing": response_ms(plain, 0, plain.migration_seconds),
-        "improved": response_ms(helped, 0, helped.migration_seconds)}
-    breakdowns = {"normal": plain.counters["breakdown normal"],
-                  "rebalancing": plain.counters["breakdown rebalancing"],
-                  "improved": helped.counters["breakdown rebalancing"]}
+    helper nodes engaged.  Each regime's breakdown in ms per query, and
+    its mean response: the total of that breakdown, since every
+    request's buckets sum to its response."""
+    breakdowns = {"normal": _ms(plain.counters["breakdown normal"]),
+                  "rebalancing": _ms(plain.counters["breakdown rebalancing"]),
+                  "improved": _ms(helped.counters["breakdown rebalancing"])}
     result = harness.Result(
         "Fig. 7 — query runtime breakdown when rebalancing (ms per query; "
         "improved: with helper nodes)", {
-            "mean_response_ms": mean_response_ms,
-            **{regime: _ms(breakdown, mean_response_ms[regime])
-               for regime, breakdown in breakdowns.items()},
+            "mean_response_ms": {regime: sum(breakdown.values())
+                                 for regime, breakdown in breakdowns.items()},
+            **breakdowns,
         }, [], [])
     result.violations = shape(result)
     return result

@@ -1,12 +1,16 @@
-"""Per-query cost breakdown.
+"""Per-request cost breakdown.
 
 The paper's Fig. 7 splits query runtime into logging, latching,
-locking, network I/O, disk I/O, and other.  The client hands one
-:class:`CostBreakdown` to ``begin(breakdown=)``; it rides on the
-transaction, and every subsystem that stalls the query adds the stall
-time to the matching bucket (layers with no transaction in hand — lock
-table, buffer pool, WAL — take it as an argument).  The driver
-aggregates breakdowns across queries to regenerate the figure.
+locking, network I/O, disk I/O, and other.  The request loop
+(``workload.client.run_request``) owns one :class:`CostBreakdown` per
+request and hangs it on each attempt's transaction as
+``txn.breakdown``; layers with no transaction in hand (lock table,
+buffer pool, page I/O, WAL) take it as an argument.  The component that
+waits charges its wait to the matching bucket, once.  At the ack the
+request loop closes it: ``other`` is the rest of the response (CPU,
+admission-queue wait, the client RPC, retry back-off), so the seven
+buckets sum to ack − submitted, and a negative ``other`` is a double
+charge (``audit.checkers.check_cost_conservation``).
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import dataclasses
 
 COMPONENTS = ("logging", "latching", "locking", "network_io", "disk_io",
               "replication", "other")
+#: The buckets a component charges; ``other`` is the rest.
+NAMED = COMPONENTS[:-1]
 
 
 @dataclasses.dataclass
@@ -36,6 +42,11 @@ class CostBreakdown:
         if seconds < 0:
             raise ValueError(f"negative cost: {seconds}")
         setattr(self, component, getattr(self, component) + seconds)
+
+    def close(self, response: float) -> None:
+        """Charge ``other`` with what the named buckets leave of
+        ``response`` seconds, so the buckets sum to it."""
+        self.other = response - sum(getattr(self, c) for c in NAMED)
 
     def merge(self, other: "CostBreakdown") -> None:
         for component in COMPONENTS:

@@ -30,7 +30,8 @@ class BufferPoolExhaustedError(RuntimeError):
 
 
 class PageIO(typing.Protocol):  # pragma: no cover - typing aid
-    """What the pool needs to move one page to/from its home."""
+    """What the pool needs to move one page to/from its home.  The I/O
+    charges its own steps to ``breakdown``; the pool adds nothing."""
 
     def read(self, breakdown: CostBreakdown | None) -> typing.Generator: ...
 
@@ -223,11 +224,7 @@ class BufferPool:
                 else:
                     self.misses += 1
                     dirty = False
-                    io = self._resolver(page_id)
-                    start = self.env.now
-                    yield from io.read(breakdown)
-                    if breakdown is not None:
-                        breakdown.add("disk_io", self.env.now - start)
+                    yield from self._resolver(page_id).read(breakdown)
             except BaseException:
                 del self._frames[page_id]
                 raise
@@ -279,24 +276,20 @@ class BufferPool:
         )
 
     def _write_back(self, page_id: int, breakdown: CostBreakdown | None):
-        io = self._resolver(page_id)
-        start = self.env.now
-        yield from io.write(breakdown)
-        if breakdown is not None:
-            breakdown.add("disk_io", self.env.now - start)
+        return self._resolver(page_id).write(breakdown)
 
     # -- maintenance -------------------------------------------------------
 
-    def flush_all(self, breakdown: CostBreakdown | None = None):
+    def flush_all(self):
         """Generator: write back every dirty frame (checkpoint-style)."""
         for page_id, frame in list(self._frames.items()):
             if frame.dirty:
-                yield from self._write_back(page_id, breakdown)
+                yield from self._write_back(page_id, None)
                 frame.dirty = False
         if self.remote_extension is not None:
             for page_id, dirty in self.remote_extension.drain():
                 if dirty:
-                    yield from self._write_back(page_id, breakdown)
+                    yield from self._write_back(page_id, None)
 
     def discard_unpinned(self, page_ids: typing.Iterable[int]) -> None:
         """Drop the resident, unpinned frames among ``page_ids`` (their

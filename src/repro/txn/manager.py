@@ -50,8 +50,7 @@ class Transaction:
                  "_dirty_logs")
 
     def __init__(self, txn_id: int, begin_ts: int, is_system: bool = False,
-                 read_only: bool = False, cc: str = "mvcc",
-                 breakdown: CostBreakdown | None = None):
+                 read_only: bool = False, cc: str = "mvcc"):
         self.txn_id = txn_id
         self.begin_ts = begin_ts
         self.is_system = is_system
@@ -61,9 +60,10 @@ class Transaction:
         #: storage reclaimed at commit).
         self.cc = cc
         #: Where every layer this transaction stalls in (locks, latches,
-        #: disk, network, log force, replica shipping) adds its wait —
-        #: the client's Fig. 7 accumulator, or ``None`` to skip it.
-        self.breakdown = breakdown
+        #: disk, network, log force, replica shipping) adds its wait:
+        #: the request loop hangs its request's Fig. 7 accumulator here
+        #: on each attempt; ``None`` (system transactions) skips it.
+        self.breakdown: CostBreakdown | None = None
         #: Declared up front by the client (``begin(read_only=True)``):
         #: the router may serve this transaction from replicas, the
         #: cache tier, or materialized views, and any write attempt is
@@ -164,10 +164,9 @@ class TransactionManager:
     # -- lifecycle -----------------------------------------------------------
 
     def begin(self, is_system: bool = False, read_only: bool = False,
-              cc: str = "mvcc",
-              breakdown: CostBreakdown | None = None) -> Transaction:
+              cc: str = "mvcc") -> Transaction:
         txn = Transaction(self.oracle.next(), self.oracle.current, is_system,
-                          read_only, cc, breakdown)
+                          read_only, cc)
         self._active[txn.txn_id] = txn
         if self.history is not None:
             self.history.record_begin(txn, self.env.now)

@@ -63,6 +63,11 @@ def run_request(ctx: TpccContext, kind: str,
     re-routing the partition meanwhile), counted under its class name
     in ``retries_by_class``; anything else is a defect and propagates.
 
+    The request owns one :class:`CostBreakdown`, hung on every
+    attempt's transaction as ``txn.breakdown``, so an aborted attempt's
+    stalls stay charged; at the ack it is closed over ``submitted`` ..
+    now and recorded on the history's ack.
+
     Returns ``(txn, result, attempts)`` once acknowledged: only the
     last attempt's transaction produced what the client saw, in the
     real-time window ``submitted`` .. now.  A request that gave up
@@ -73,10 +78,12 @@ def run_request(ctx: TpccContext, kind: str,
     env = cluster.env
     body = TRANSACTIONS[kind]
     start = env.now
+    breakdown = CostBreakdown()
     for attempt in range(MAX_RETRIES):
         if attempt and env.now - start > retry_budget:
             return None, None, attempt
         txn = begin()
+        txn.breakdown = breakdown
         try:
             yield from cluster.network.rpc_delay()  # client -> master
             yield from cluster.master.plan()
@@ -88,10 +95,11 @@ def run_request(ctx: TpccContext, kind: str,
             retries_by_class[name] = retries_by_class.get(name, 0) + 1
             yield env.timeout(backoff_delay(attempt))
             continue
+        breakdown.close(env.now - submitted)
         history = cluster.txns.history
         if history is not None:
             history.record_ack(txn.txn_id, kind, submitted, env.now,
-                               attempts=attempt + 1)
+                               attempt + 1, breakdown)
         return txn, result, attempt + 1
     return None, None, MAX_RETRIES
 
@@ -118,8 +126,7 @@ class OltpClient:
         self.queries_abandoned = 0
 
     def _begin(self) -> "Transaction":
-        return self.ctx.cluster.txns.begin(cc=self.ctx.cc,
-                                           breakdown=CostBreakdown())
+        return self.ctx.cluster.txns.begin(cc=self.ctx.cc)
 
     def run(self, until: float):
         """Generator process: the client's closed submit loop."""

@@ -253,7 +253,8 @@ def test_dispatch_hop_charged_once_per_txn_per_node(rig):
     breakdown = CostBreakdown()
 
     def work():
-        txn = cluster.txns.begin(breakdown=breakdown)
+        txn = cluster.txns.begin()
+        txn.breakdown = breakdown
         for i in range(10):
             yield from cluster.master.insert("far", (i, "x"), txn)
         yield from cluster.txns.commit(txn)

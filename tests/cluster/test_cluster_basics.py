@@ -121,7 +121,8 @@ def test_read_on_remote_partition_costs_network_hop():
     breakdown = CostBreakdown()
 
     def work():
-        txn = cluster.txns.begin(breakdown=breakdown)
+        txn = cluster.txns.begin()
+        txn.breakdown = breakdown
         yield from master.insert("kv", (7, "x"), txn)
         yield from cluster.txns.commit(txn)
 

@@ -9,17 +9,25 @@ from repro.storage import BufferPool, BufferPoolExhaustedError, RemoteBufferExte
 
 
 class DiskPageIO:
-    """Test resolver target: every page lives on one local disk."""
+    """Test resolver target: every page lives on one local disk.  Like
+    the worker's page I/O, it charges its own disk time: the pool
+    charges nothing around it."""
 
     def __init__(self, env, disk):
         self.env = env
         self.disk = disk
 
     def read(self, breakdown):
+        t0 = self.env.now
         yield from self.disk.read_page()
+        if breakdown is not None:
+            breakdown.add("disk_io", self.env.now - t0)
 
     def write(self, breakdown):
+        t0 = self.env.now
         yield from self.disk.write_page()
+        if breakdown is not None:
+            breakdown.add("disk_io", self.env.now - t0)
 
 
 def make_pool(capacity_pages=4):

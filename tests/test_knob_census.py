@@ -31,12 +31,9 @@ def test_no_config_field_has_one_value(at_root):
     assert {cls: fields for cls, fields in single.items() if fields} == {}
 
 
-def test_only_the_unwired_breakdown_is_never_passed(at_root):
-    # ``flush_all(breakdown)`` waits for a caller that charges a latency
-    # split to a flush; anything else never passed is a constant.
+def test_every_defaulted_parameter_is_passed(at_root):
     unpassed = census.unpassed_parameters(census.defaulted_parameters())
-    assert [(name, arg) for _path, name, arg in unpassed] == [
-        ("flush_all", "breakdown")]
+    assert [(name, arg) for _path, name, arg in unpassed] == []
 
 
 BASE = """

@@ -214,7 +214,8 @@ class TestTransactionManager:
         tm.commit_stages.append(make_stage("first"))
         tm.commit_stages.append(make_stage("second"))
         breakdown = CostBreakdown()
-        txn = tm.begin(breakdown=breakdown)
+        txn = tm.begin()
+        txn.breakdown = breakdown
         log.append(txn.txn_id, "insert", ("t", 1, (1,)))
         txn.note_log(log)
         txn.redo.append((7, log.tail))
@@ -222,8 +223,8 @@ class TestTransactionManager:
         run(env, tm.commit(txn))
         assert calls == [("first", [(7, log.records[0])], [], 0),
                          ("second", [(7, log.records[0])], [], 0)]
-        # A stage charges its stall to the very accumulator the client
-        # handed to ``begin`` — the one the log force already wrote to.
+        # A stage charges its stall to the very accumulator the request
+        # hung on the transaction — the one the log force wrote to.
         assert seen[0] is breakdown and seen[1] is breakdown
         assert breakdown.logging > 0
         assert tm.committed_count == 1
