@@ -230,16 +230,10 @@ class WorkerNode:
     def _forget_pages(self, segment: Segment) -> None:
         """Drop the buffered pages of a segment whose extent just left
         this node for good."""
-        for page in segment.pages:
-            frame = self.buffer._frames.get(page.page_id)
-            if frame is not None and frame.pins > 0:
-                # A reader still holds the page (or died mid-pin); the
-                # frame ages out of the pool naturally.  Its backing
-                # extent is gone, so it must never be written back.
-                frame.dirty = False
-            else:
-                self.buffer.discard(page.page_id)
-            self._page_segment.pop(page.page_id, None)
+        page_ids = [page.page_id for page in segment.pages]
+        self.buffer.forget(page_ids)
+        for page_id in page_ids:
+            self._page_segment.pop(page_id, None)
 
     # -- page access ----------------------------------------------------------
 

@@ -180,23 +180,6 @@ def release_source(cluster: "Cluster", entry: RangeMoveEntry) -> None:
         partition.moving_out.pop(entry.target_partition_id, None)
 
 
-def flush_segment_pages(worker: "WorkerNode", segment: Segment):
-    """Generator: write back the segment's dirty buffered pages so the
-    on-disk extent is current before it is copied.
-
-    Pinned frames are flushed too (flush-under-pin): a pin means a
-    reader/writer holds the frame, not that its current contents may
-    be withheld from the extent — skipping pinned dirty frames would
-    ship a stale on-disk image while the buffered page silently holds
-    newer data.
-    """
-    for page in segment.pages:
-        frame = worker.buffer._frames.get(page.page_id)
-        if frame is not None and frame.dirty:
-            yield from worker.buffer._write_back(page.page_id, None)
-            frame.dirty = False
-
-
 def ship_segment(cluster: "Cluster", segment: Segment,
                  source: "WorkerNode", target: "WorkerNode",
                  report: MoveReport, fence: tuple[str, int] | None = None,
@@ -219,7 +202,8 @@ def ship_segment(cluster: "Cluster", segment: Segment,
     """
     nbytes = 0
     if source.disk_space.holds(segment.segment_id):
-        yield from flush_segment_pages(source, segment)
+        # The copied extent must be current: its dirty pages first.
+        yield from source.buffer.write_back(p.page_id for p in segment.pages)
         entry = yield from cluster.moves.transfer_segment(
             segment, source, target, fence=fence, range_entry=range_entry,
         )

@@ -40,6 +40,7 @@ from repro.core import PhysiologicalPartitioning, Rebalancer
 from repro.experiments import harness
 from repro.ha import FaultInjector
 from repro.hardware.disk import DiskSpec
+from repro.hardware.power import PowerState
 from repro.moves import RetryPolicy
 from repro.sim.engine import Environment
 from repro.sim.events import AllOf
@@ -65,7 +66,6 @@ OUTAGE_MIN = 0.5
 OUTAGE_MAX = 8.0
 FAULT_KINDS = ("crash", "sever_link")
 
-WRITER_RETRIES = 8
 #: Post-quiesce journal re-drive rounds before declaring failure.
 RESUME_ROUNDS = 5
 #: Simulated seconds between partition-table coverage snapshots while
@@ -78,21 +78,22 @@ SOURCE_NODE = 1
 TARGET_NODE = 2
 #: A restarted node serves again this long after its restart.
 BOOT_SECONDS = 5.0
+#: Pages per segment: small, so the loaded rows fill a dozen segments.
+SEGMENT_MAX_PAGES = 8
+#: The migration starts, and faults may land, this long into the run.
+WARMUP = 5.0
+#: A writer updates a loaded row this often, else inserts a fresh key.
+UPDATE_SHARE = 0.5
 
 
 @dataclasses.dataclass
 class ChaosConfig:
-    """One chaos run: segment size, load, schedule shape, writers."""
+    """One chaos run: load, schedule shape, writers."""
 
     seed: int = 0
-
-    # Load: enough rows for a dozen small segments.
-    segment_max_pages: int = 8
     rows: int = 1200
 
-    # Timeline.
-    warmup: float = 5.0
-    #: Faults land in [warmup, warmup + fault_span] — sized so the
+    #: Faults land in [WARMUP, WARMUP + fault_span] — sized so the
     #: slow-disk migration is still in flight for most of it.
     fault_span: float = 45.0
     #: Writers keep going this long past the fault window.
@@ -114,7 +115,7 @@ class ChaosConfig:
 
     @property
     def duration(self) -> float:
-        return self.warmup + self.fault_span + self.tail
+        return WARMUP + self.fault_span + self.tail
 
 
 # -- schedule ---------------------------------------------------------------
@@ -130,10 +131,9 @@ def build_schedule(config: ChaosConfig, rng: random.Random
     # clear until then so the next fault always finds it applicable.
     busy_until = {n: 0.0 for n in nodes}
     events: list[tuple[float, str, int]] = []
-    lo = config.warmup
-    hi = config.warmup + config.fault_span
+    hi = WARMUP + config.fault_span
     for _ in range(config.fault_pairs):
-        at = rng.uniform(lo, hi)
+        at = rng.uniform(WARMUP, hi)
         node = rng.choice(nodes)
         kind = rng.choice(FAULT_KINDS)
         at = max(at, busy_until[node])
@@ -173,7 +173,7 @@ def _build(config: ChaosConfig) -> tuple[Environment, Cluster]:
         env, node_count=3, initially_active=3,
         disk_specs=_disk_specs(),
         buffer_pages_per_node=512,
-        segment_max_pages=config.segment_max_pages,
+        segment_max_pages=SEGMENT_MAX_PAGES,
         page_bytes=1024,
         boot_seconds=BOOT_SECONDS,
         lock_timeout=harness.LOCK_TIMEOUT,
@@ -308,40 +308,19 @@ def run_chaos(config: ChaosConfig | None = None,
         injector.at(at, kind, node_id)
 
     # -- concurrent writers, with an oracle of acknowledged commits ----
-    oracle: dict[int, str] = {}
-    acked = exhausted = 0
-    writer_rng = random.Random(config.seed * 104729 + 31)
-
-    def writer(writer_id: int):
-        nonlocal acked, exhausted
-        seq = 0
-        while env.now < config.duration:
-            yield env.timeout(config.writer_interval)
-            seq += 1
-            if writer_rng.random() < 0.5:
-                key = writer_rng.randrange(config.rows)
-                value = f"w{writer_id}-u{seq}"
-                op = "update"
-            else:
-                key = 10_000 + writer_id * 100_000 + seq
-                value = f"w{writer_id}-i{seq}"
-                op = "insert"
-            if (yield from harness.kv_write_with_retries(
-                    cluster, op, key, value, WRITER_RETRIES)):
-                # Only now is the write acknowledged to the "client".
-                oracle[key] = value
-                acked += 1
-            else:
-                exhausted += 1
+    writers = harness.KvWriters(cluster, config.rows, UPDATE_SHARE,
+                                lambda _now: config.writer_interval,
+                                config.seed)
 
     # -- the repartitioning step ---------------------------------------
     def migration():
-        yield env.timeout(config.warmup)
+        yield env.timeout(WARMUP)
         yield from rebalancer.scale_out(
             ["kv"], [SOURCE_NODE], [TARGET_NODE], fraction=0.5)
 
     writer_procs = [
-        env.process(writer(i), name=f"chaos-writer-{i}")
+        env.process(writers.run(i, config.duration),
+                    name=f"chaos-writer-{i}")
         for i in range(config.writers)
     ]
     injector_proc = env.process(injector.run(), name="chaos-injector")
@@ -354,7 +333,9 @@ def run_chaos(config: ChaosConfig | None = None,
         for worker in cluster.workers:
             if worker.port.severed:
                 worker.port.restore()
-        boots = [
+        # A node restarted less than BOOT_SECONDS ago is still booting.
+        boots = [worker.machine.booted for worker in cluster.workers
+                 if worker.machine.state is PowerState.BOOTING] + [
             env.process(worker.machine.power_on(),
                         name=f"quiesce-boot-{worker.node_id}")
             for worker in cluster.workers if worker.machine.is_crashed
@@ -377,14 +358,14 @@ def run_chaos(config: ChaosConfig | None = None,
 
     env.run(until=env.process(resume_rounds(), name="chaos-resume"))
 
-    violations = check_invariants(env, cluster, oracle)
+    violations = check_invariants(env, cluster, writers.oracle)
     journal = cluster.moves.journal
     counters = {
         "run": {
             "seed": config.seed,
             "faults": len(schedule),
-            "acked_writes": acked,
-            "exhausted_writes": exhausted,
+            "acked_writes": writers.acked,
+            "exhausted_writes": writers.exhausted,
             # A DONE move that resumed from a chunk checkpoint after
             # losing in-flight bytes — what the sweep's gate looks for.
             "resumed_move_completed": journal.resumed_move_completed,
@@ -392,6 +373,7 @@ def run_chaos(config: ChaosConfig | None = None,
             "resume_rounds_used": rounds_used,
         },
         **harness.snapshot(moves=journal),
+        "retries by class": writers.retries_by_class,
     }
     # One final snapshot of the healed table, then the full audit (the
     # readback's reads are part of the history too — the checkers prove

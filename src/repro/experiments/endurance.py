@@ -46,6 +46,7 @@ Invariants asserted (the result's ``violations``):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 
@@ -72,7 +73,9 @@ MONITOR_INTERVAL = 1.0
 SETTLE_SECONDS = 3.0
 #: Think time = base / (1 + amplitude * sin(2pi t/P)).
 DIURNAL_AMPLITUDE = 0.6
-WRITER_RETRIES = 8
+#: A writer updates a loaded row this often, else inserts a fresh key.
+UPDATE_SHARE = 0.7
+SEGMENT_MAX_PAGES = 8
 #: A chaos crash restarts the victim this long after killing it.
 CRASH_OUTAGE = 8.0
 AUDIT_COVERAGE_INTERVAL = 5.0
@@ -86,8 +89,6 @@ class EnduranceConfig:
     """One endurance run: load, day curve, daemon cadences."""
 
     seed: int = 0
-
-    segment_max_pages: int = 8
     rows: int = 400
 
     # Timeline: ``windows`` audit windows of ``window_seconds`` each.
@@ -139,7 +140,7 @@ def _build(config: EnduranceConfig) -> tuple[Environment, Cluster]:
     cluster = Cluster(
         env, node_count=3, initially_active=3,
         buffer_pages_per_node=1024,
-        segment_max_pages=config.segment_max_pages,
+        segment_max_pages=SEGMENT_MAX_PAGES,
         page_bytes=2048,
         boot_seconds=5.0,
         lock_timeout=harness.LOCK_TIMEOUT,
@@ -204,39 +205,16 @@ def run_endurance(config: EnduranceConfig | None = None) -> harness.Result:
     env.process(detector.run(), name="failure-detector")
 
     # -- seeded streams, independent of simulation timing ---------------
-    writer_rng = random.Random(config.seed * 104729 + 31)
+    writers = harness.KvWriters(
+        cluster, config.rows, UPDATE_SHARE,
+        functools.partial(_diurnal_interval, config), config.seed)
     chaos_rng = random.Random(config.seed * 7919 + 17)
 
-    oracle: dict[int, str] = {}
-    acked = exhausted = 0
     violations: list[str] = []
     #: One row per audit window, keyed by its start.
     windows: dict[str, list] = {}
     window_audit: dict = {}
     crashes = 0
-
-    def writer(writer_id: int, until: float):
-        nonlocal acked, exhausted
-        seq = 0
-        while env.now < until:
-            yield env.timeout(_diurnal_interval(config, env.now))
-            if env.now >= until:
-                break
-            seq += 1
-            if writer_rng.random() < 0.7:
-                key = writer_rng.randrange(config.rows)
-                value = f"w{writer_id}-u{env.now:.0f}-{seq}"
-                op = "update"
-            else:
-                key = 10_000 + writer_id * 1_000_000 + seq
-                value = f"w{writer_id}-i{seq}"
-                op = "insert"
-            if (yield from harness.kv_write_with_retries(
-                    cluster, op, key, value, WRITER_RETRIES)):
-                oracle[key] = value
-                acked += 1
-            else:
-                exhausted += 1
 
     def coverage_loop(until: float):
         while env.now < until:
@@ -251,10 +229,10 @@ def run_endurance(config: EnduranceConfig | None = None) -> harness.Result:
     for window in range(config.windows):
         t0 = env.now
         t_end = t0 + config.window_seconds
-        window_acked, window_exhausted = acked, exhausted
+        window_acked, window_exhausted = writers.acked, writers.exhausted
 
         procs = [
-            env.process(writer(i, t_end), name=f"endurance-writer-{i}")
+            env.process(writers.run(i, t_end), name=f"endurance-writer-{i}")
             for i in range(config.writers)
         ]
         if recorder is not None:
@@ -292,8 +270,9 @@ def run_endurance(config: EnduranceConfig | None = None) -> harness.Result:
         # The recorder's counts run on across windows.
         history = window_audit.get("audit", {})
         for name, value in (
-                ("t1", round(env.now, 1)), ("acked", acked - window_acked),
-                ("exhausted", exhausted - window_exhausted),
+                ("t1", round(env.now, 1)),
+                ("acked", writers.acked - window_acked),
+                ("exhausted", writers.exhausted - window_exhausted),
                 ("ops", history.get("ops_recorded", 0)),
                 ("coverage", history.get("coverage_taken", 0)),
                 ("deduped", history.get("coverage_deduped", 0))):
@@ -301,12 +280,13 @@ def run_endurance(config: EnduranceConfig | None = None) -> harness.Result:
 
     checkpoints.stop()
     vacuum.stop()
-    violations += harness.kv_readback(env, cluster, oracle)
+    violations += harness.kv_readback(env, cluster, writers.oracle)
     drill = _recovery_drill(cluster)
     counters = {
-        "run": {"seed": config.seed, "acked_writes": acked,
-                "exhausted_writes": exhausted, "crashes": crashes,
+        "run": {"seed": config.seed, "acked_writes": writers.acked,
+                "exhausted_writes": writers.exhausted, "crashes": crashes,
                 "promotions": len(coordinator.promotions)},
+        "retries by class": writers.retries_by_class,
         **harness.snapshot(**{f"node {worker.node_id} WAL": worker.wal
                               for worker in cluster.workers},
                            checkpoints=checkpoints, vacuum=vacuum),
@@ -317,8 +297,8 @@ def run_endurance(config: EnduranceConfig | None = None) -> harness.Result:
         **counters["run"], **counters["checkpoints"], **drill,
         "min_commits": config.min_commits}, CLAIMS)
     return harness.Result(
-        f"endurance — seed {config.seed}, {acked} commits, {crashes} "
-        f"crashes, {len(coordinator.promotions)} promotions",
+        f"endurance — seed {config.seed}, {writers.acked} commits, "
+        f"{crashes} crashes, {len(coordinator.promotions)} promotions",
         counters, list(cluster.timeline), violations, series=windows)
 
 

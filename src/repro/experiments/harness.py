@@ -18,7 +18,6 @@ import typing
 
 from repro.cluster.cluster import Cluster
 from repro.engine import ExecContext, TableScan
-from repro.errors import TransientError
 from repro.ha import (
     FailoverCoordinator,
     FailureDetector,
@@ -42,6 +41,7 @@ from repro.workload import (
     load_tpcc,
     start_vacuum_daemon,
 )
+from repro.workload.client import RETRY_BUDGET_SECONDS, run_request
 
 
 # -- one run of a figure or a sweep, as the paper reports a run -------------
@@ -427,24 +427,56 @@ def kv_cluster_rows(cluster: Cluster, owner_node: int, rows: int) -> None:
     cluster.master.bulk_load("kv", ((i, "seed-%05d" % i) for i in range(rows)))
 
 
-def kv_write_with_retries(cluster, op: str, key: int, value: str, retries):
-    """Generator: one ``update``/``insert`` of ``kv[key]`` in its own
-    transaction, retried with capped exponential backoff; True once the
-    commit is acknowledged, False when the retries ran out."""
-    for attempt in range(retries):
-        txn = cluster.txns.begin()
-        try:
-            if op == "update":
-                yield from cluster.master.update("kv", key, (key, value), txn)
+class KvWriters:
+    """The seeded ``kv`` writers of chaos and endurance.  Each sleeps
+    ``interval(now)``, then submits one request through the one request
+    loop: an ``update`` of a loaded row with probability
+    ``update_share``, else an ``insert`` of a fresh key — a writer's
+    sequence number runs on across its loops, so no key is inserted
+    twice.  ``oracle`` keeps every acknowledged value for
+    :func:`kv_readback`."""
+
+    def __init__(self, cluster: Cluster, rows: int, update_share: float,
+                 interval: typing.Callable[[float], float], seed: int):
+        self.cluster = cluster
+        self.rows = rows
+        self.update_share = update_share
+        self.interval = interval
+        self.rng = random.Random(seed * 104729 + 31)
+        self.oracle: dict[int, str] = {}
+        self.acked = self.exhausted = 0
+        self.retries_by_class: dict[str, int] = {}
+        self.seqs: dict[int, int] = {}
+
+    def run(self, writer_id: int, until: float):
+        """Generator: writer ``writer_id``'s loop, until ``until``."""
+        cluster, rng = self.cluster, self.rng
+        env, master = cluster.env, cluster.master
+        while env.now < until:
+            yield env.timeout(self.interval(env.now))
+            if env.now >= until:
+                break
+            seq = self.seqs[writer_id] = self.seqs.get(writer_id, 0) + 1
+            if rng.random() < self.update_share:
+                op, key = "update", rng.randrange(self.rows)
             else:
-                yield from cluster.master.insert("kv", (key, value), txn)
-            yield from cluster.txns.commit(txn)
-        except TransientError:
-            cluster.txns.abort_if_active(txn)
-            yield cluster.env.timeout(min(0.05 * (2 ** attempt), 0.5))
-            continue
-        return True
-    return False
+                op, key = "insert", 10_000 + writer_id * 1_000_000 + seq
+            value = f"w{writer_id}-{op[0]}{seq}"
+
+            def body(txn):
+                if op == "update":
+                    yield from master.update("kv", key, (key, value), txn)
+                else:
+                    yield from master.insert("kv", (key, value), txn)
+
+            txn, _result, _attempts = yield from run_request(
+                cluster, f"kv_{op}", body, cluster.txns.begin, env.now,
+                RETRY_BUDGET_SECONDS, self.retries_by_class)
+            if txn is None:
+                self.exhausted += 1
+            else:
+                self.oracle[key] = value
+                self.acked += 1
 
 
 def kv_readback(env, cluster, oracle: dict[int, str]) -> list[str]:

@@ -51,6 +51,8 @@ class NodeMachine:
         self._base_energy = 0.0
         #: Count of power-on events, for elasticity reporting.
         self.boot_count = 0
+        #: The latest boot's end (a timeout), which a quiesce waits on.
+        self.booted = None
 
     # -- state -----------------------------------------------------------
 
@@ -84,7 +86,8 @@ class NodeMachine:
                 f"node {self.node_id}: power_on from {self._state.value}"
             )
         self._transition(PowerState.BOOTING)
-        yield self.env.timeout(self.boot_seconds)
+        self.booted = self.env.timeout(self.boot_seconds)
+        yield self.booted
         self._transition(PowerState.ACTIVE)
         self.boot_count += 1
 

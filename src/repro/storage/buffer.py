@@ -280,12 +280,20 @@ class BufferPool:
 
     # -- maintenance -------------------------------------------------------
 
-    def flush_all(self):
-        """Generator: write back every dirty frame (checkpoint-style)."""
-        for page_id, frame in list(self._frames.items()):
-            if frame.dirty:
+    def write_back(self, page_ids: typing.Iterable[int]):
+        """Generator: write back the dirty resident frames among
+        ``page_ids`` and mark them clean.  Pinned frames are written
+        too (flush-under-pin): a pin means a reader or writer holds the
+        frame, not that its contents may be withheld from the extent."""
+        for page_id in page_ids:
+            frame = self._frames.get(page_id)
+            if frame is not None and frame.dirty:
                 yield from self._write_back(page_id, None)
                 frame.dirty = False
+
+    def flush_all(self):
+        """Generator: write back every dirty frame (checkpoint-style)."""
+        yield from self.write_back(list(self._frames))
         if self.remote_extension is not None:
             for page_id, dirty in self.remote_extension.drain():
                 if dirty:
@@ -299,6 +307,17 @@ class BufferPool:
         for page_id in page_ids:
             frame = self._frames.get(page_id)
             if frame is not None and frame.pins == 0:
+                self.discard(page_id)
+
+    def forget(self, page_ids: typing.Iterable[int]) -> None:
+        """Drop the frames among ``page_ids`` for good (their extent left
+        this node).  A pinned one ages out of the pool instead, but clean:
+        with no extent behind it, it must never be written back."""
+        for page_id in page_ids:
+            frame = self._frames.get(page_id)
+            if frame is not None and frame.pins > 0:
+                frame.dirty = False
+            else:
                 self.discard(page_id)
 
     def discard(self, page_id: int) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import random
 import typing
 
@@ -33,7 +34,7 @@ from repro.traffic.admission import (
 )
 from repro.traffic.arrivals import ArrivalProcess, sample_poisson
 from repro.workload.client import pick_kind, run_request
-from repro.workload.tpcc_txns import DEFAULT_MIX, TpccContext
+from repro.workload.tpcc_txns import DEFAULT_MIX, TRANSACTIONS, TpccContext
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -242,8 +243,9 @@ class SessionEngine:
             return txn
 
         txn, _result, _attempts = yield from run_request(
-            runtime.ctx, kind, begin, request.arrival, RETRY_BUDGET,
-            runtime.retries_by_class)
+            self.cluster, kind,
+            functools.partial(TRANSACTIONS[kind], runtime.ctx), begin,
+            request.arrival, RETRY_BUDGET, runtime.retries_by_class)
         if txn is None:
             self.admission.note_abandoned(request)
             return

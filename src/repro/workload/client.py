@@ -10,6 +10,7 @@ benchmarking." (Sect. 5.1)
 
 from __future__ import annotations
 
+import functools
 import random
 import typing
 
@@ -18,6 +19,7 @@ from repro.metrics.breakdown import CostBreakdown
 from repro.workload.tpcc_txns import DEFAULT_MIX, TRANSACTIONS, TpccContext
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.cluster import Cluster
     from repro.txn.manager import Transaction
     from repro.workload.driver import WorkloadDriver
 
@@ -54,14 +56,17 @@ def pick_kind(rng: random.Random, mix) -> str:
     return mix[-1][0]
 
 
-def run_request(ctx: TpccContext, kind: str,
+def run_request(cluster: "Cluster", kind: str,
+                body: typing.Callable[["Transaction"], typing.Generator],
                 begin: typing.Callable[[], "Transaction"], submitted: float,
                 retry_budget: float, retries_by_class: dict[str, int]):
-    """Generator: the one TPC-C request loop — ``begin()``, client RPC,
-    plan, body, commit.  A :class:`TransientError` rolls the attempt
-    back and retries it with exponential backoff (failover may be
-    re-routing the partition meanwhile), counted under its class name
-    in ``retries_by_class``; anything else is a defect and propagates.
+    """Generator: the one request loop — ``begin()``, client RPC, plan,
+    ``body(txn)``, commit — of the closed-loop clients, the open-loop
+    session engine and the ``kv`` writers; ``kind`` names the request on
+    its ack.  A :class:`TransientError` rolls the attempt back and
+    retries it with exponential backoff (failover may be re-routing the
+    partition meanwhile), counted under its class name in
+    ``retries_by_class``; anything else is a defect and propagates.
 
     The request owns one :class:`CostBreakdown`, hung on every
     attempt's transaction as ``txn.breakdown``, so an aborted attempt's
@@ -74,9 +79,7 @@ def run_request(ctx: TpccContext, kind: str,
     returns ``(None, None, attempts)`` — ``MAX_RETRIES`` when it
     exhausted them, fewer when its retries had burned ``retry_budget``
     seconds, which reports count separately as shed load."""
-    cluster = ctx.cluster
     env = cluster.env
-    body = TRANSACTIONS[kind]
     start = env.now
     breakdown = CostBreakdown()
     for attempt in range(MAX_RETRIES):
@@ -87,7 +90,7 @@ def run_request(ctx: TpccContext, kind: str,
         try:
             yield from cluster.network.rpc_delay()  # client -> master
             yield from cluster.master.plan()
-            result = yield from body(ctx, txn)
+            result = yield from body(txn)
             yield from cluster.txns.commit(txn)
         except TransientError as exc:
             cluster.txns.abort_if_active(txn)
@@ -125,13 +128,11 @@ class OltpClient:
         self.queries_failed = 0
         self.queries_abandoned = 0
 
-    def _begin(self) -> "Transaction":
-        return self.ctx.cluster.txns.begin(cc=self.ctx.cc)
-
     def run(self, until: float):
         """Generator process: the client's closed submit loop."""
         env = self.ctx.cluster.env
         driver = self.driver
+        begin = functools.partial(self.ctx.cluster.txns.begin, cc=self.ctx.cc)
         next_submit = env.now
         while env.now < until:
             if next_submit > env.now:
@@ -141,8 +142,9 @@ class OltpClient:
             start = env.now
             name = pick_kind(self.ctx.rng, self.mix)
             txn, result, attempts = yield from run_request(
-                self.ctx, name, self._begin, start, self.retry_budget,
-                driver.retries_by_class)
+                self.ctx.cluster, name,
+                functools.partial(TRANSACTIONS[name], self.ctx), begin,
+                start, self.retry_budget, driver.retries_by_class)
             if txn is not None:
                 self.queries_done += 1
                 driver.note_completion(name, start, env.now, txn.breakdown,

@@ -1,7 +1,7 @@
-"""Regressions for the crash-safe move path in ``core.migration``:
-flush-under-pin, and adoption of an interrupted move's checkpoint."""
+"""Regressions for the crash-safe move path: the flush-under-pin of
+``BufferPool.write_back`` that precedes a segment's copy, and adoption
+of an interrupted move's checkpoint."""
 
-from repro.core.migration import flush_segment_pages
 from repro.experiments.chaos_moves import ChaosConfig, run_chaos
 from repro.moves import COPY, DONE
 
@@ -29,7 +29,8 @@ class TestFlushUnderPin:
         assert frame.pins == 1 and frame.dirty
 
         io_before = sum(d.io_count for d in worker.disk_space.disks)
-        drive(env, flush_segment_pages(worker, segment), name="flusher")
+        drive(env, worker.buffer.write_back(p.page_id for p in segment.pages),
+              name="flusher")
         io_after = sum(d.io_count for d in worker.disk_space.disks)
 
         assert not frame.dirty, "pinned dirty frame was skipped"

@@ -226,8 +226,7 @@ def tiny_fig6_config() -> Fig6Config:
 def tiny_chaos_config() -> ChaosConfig:
     """A shrunk chaos schedule (seed 0): fewer rows, shorter windows."""
     return ChaosConfig(
-        seed=0, rows=600, fault_pairs=3,
-        warmup=5.0, fault_span=25.0, tail=8.0,
+        seed=0, rows=600, fault_pairs=3, fault_span=25.0, tail=8.0,
         writers=2, writer_interval=0.5,
     )
 

@@ -16,9 +16,13 @@ pytestmark = pytest.mark.timeout(600)
 
 def test_audited_chaos_run_is_clean():
     result = run_chaos(ChaosConfig(seed=0, audit=True))
+    assert not [v for v in result.violations if "double-charge" in v]
     assert result.ok, result.violations
     audit = result.counters["audit"]
     assert audit["ops_recorded"] > 0
+    # Every acknowledged write is a request with an ack the
+    # cost-conservation checker judged.
+    assert audit["ack"] == result.counters["run"]["acked_writes"] > 0
     assert audit["ops_dropped"] == 0
     assert audit["coverage_checkpoints"] >= 2
 

@@ -8,11 +8,14 @@ import pytest
 
 from repro.experiments.chaos_moves import (
     BOOT_SECONDS,
+    TARGET_NODE,
+    WARMUP,
     ChaosConfig,
     build_schedule,
     run_chaos,
     suite,
 )
+from repro.ha import FaultInjector
 from tests.determinism.harness import result_of
 
 # Consistent with tier-1's global --timeout=600.
@@ -40,7 +43,7 @@ class TestSchedule:
             assert rec_kind == recover[kind]
             assert rec_node == node
             assert rec_at > at
-            assert config.warmup <= at < config.warmup + config.fault_span
+            assert WARMUP <= at < WARMUP + config.fault_span
             # Outages on one node never overlap (plus boot headroom).
             assert at >= busy_until.get(node, 0.0)
             busy_until[node] = rec_at + BOOT_SECONDS + 1.0
@@ -77,3 +80,25 @@ class TestInvariantGate:
         assert a.timeline == b.timeline
         assert a.counters == b.counters
         assert a.violations == b.violations
+
+
+def test_quiesce_waits_for_a_node_still_booting():
+    """A node restarted less than BOOT_SECONDS before the writers stop
+    is still booting when the run quiesces: the quiesce waits for its
+    boot, so the readback sees a healed cluster instead of dying with
+    ``NodeDownError`` on the half of ``kv`` the node owns."""
+    config = ChaosConfig(seed=0, rows=600, fault_pairs=0, fault_span=25.0,
+                         tail=8.0, writers=2, writer_interval=0.5)
+    restart_at = config.duration - 0.5
+
+    def instrument(env, cluster):
+        injector = FaultInjector(cluster)
+        injector.crash_at(config.duration - 3.0, TARGET_NODE)
+        injector.restart_at(restart_at, TARGET_NODE)
+        env.process(injector.run(), name="late-restart")
+
+    result = run_chaos(config, instrument=instrument)
+    assert result.ok, result.violations
+    assert [(event.time, event.kind) for event in result.timeline] == [
+        (config.duration - 3.0, "crash"), (restart_at, "restart")]
+    assert result.counters["run"]["acked_writes"] > 0

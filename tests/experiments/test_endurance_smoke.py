@@ -23,10 +23,13 @@ class TestEnduranceSmoke:
     def test_quick_run_holds_every_invariant(self):
         # The ``endurance`` family: also compared with its golden.
         result = result_of("endurance")
+        assert not [v for v in result.violations if "double-charge" in v]
         assert result.ok, result.to_table()
         run = result.counters["run"]
         assert run["acked_writes"] >= 500
-        assert "audit" in result.counters
+        # One ack per acknowledged write, each judged by the
+        # cost-conservation checker; the counts run on across windows.
+        assert result.counters["audit"]["ack"] == run["acked_writes"]
         # The chaos schedule actually injured the primary and HA healed.
         assert run["crashes"] >= 1
         assert run["promotions"] >= 1

@@ -5,6 +5,12 @@ from repro import Cluster, Environment
 from repro.audit import HistoryRecorder
 from repro.experiments import harness
 from repro.workload import TpccConfig
+from repro.workload.client import (
+    MAX_RETRIES,
+    RETRY_BUDGET_SECONDS,
+    backoff_delay,
+    run_request,
+)
 
 TPCC = TpccConfig(warehouses=2, districts_per_warehouse=2,
                   customers_per_district=5, items=20,
@@ -64,28 +70,44 @@ def kv_cluster():
     return env, cluster
 
 
-def test_kv_write_with_retries_gives_up_after_the_conflicts():
+def test_run_request_with_a_kv_body_gives_up_after_the_conflicts():
+    """A ``kv`` write is a request of the one request loop: held by an
+    uncommitted writer it exhausts the client's retries and leaks no
+    transaction; once the blocker commits it acks, and its ack carries
+    a closed cost breakdown."""
     env, cluster = kv_cluster()
+    history = HistoryRecorder().attach(cluster)
     txns = cluster.txns
+    retries: dict[str, int] = {}
     outcome = {}
+
+    def body(txn):
+        yield from cluster.master.update("kv", 5, (5, "late"), txn)
+
+    def write():
+        return run_request(cluster, "kv_update", body, txns.begin, env.now,
+                           RETRY_BUDGET_SECONDS, retries)
 
     def scenario():
         blocker = txns.begin()        # holds an uncommitted write on key 5
         yield from cluster.master.update("kv", 5, (5, "held"), blocker)
         began = env.now
-        outcome["acked"] = yield from harness.kv_write_with_retries(
-            cluster, "update", 5, "late", retries=3)
+        outcome["held"] = yield from write()
         outcome["backoff"] = env.now - began
         outcome["active"] = txns.active_count
         yield from txns.commit(blocker)
-        outcome["retry"] = yield from harness.kv_write_with_retries(
-            cluster, "update", 5, "late", retries=3)
+        outcome["retry"] = yield from write()
 
     env.run(until=env.process(scenario()))
-    assert outcome["acked"] is False
-    assert outcome["backoff"] >= 0.05 + 0.1 + 0.2
+    assert outcome["held"] == (None, None, MAX_RETRIES)
+    assert sum(retries.values()) == MAX_RETRIES
+    assert outcome["backoff"] >= sum(map(backoff_delay, range(MAX_RETRIES)))
     assert outcome["active"] == 1     # only the blocker: no leaked txn
-    assert outcome["retry"] is True
+    txn, _result, attempts = outcome["retry"]
+    assert txn is not None and attempts == 1
+    (ack,) = [op for op in history.ops if op.kind == "ack"]
+    assert (ack.txn_id, ack.table) == (txn.txn_id, "kv_update")
+    assert ack.costs.other >= 0.0
     assert harness.kv_readback(env, cluster, {5: "late", 6: "seed-00006"}) \
         == []
     (lost,) = harness.kv_readback(env, cluster, {7: "never written"})

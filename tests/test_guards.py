@@ -190,6 +190,18 @@ GUARDS = [
           " keeps the failure detector's default miss threshold: a config"
           " field that only ever held its default chose nothing.",
           "    lock_timeout: float = 2.0", include="*.py"),
+    Guard("one-request-loop", r"kv_write_with_retries|WRITER_RETRIES",
+          "src", 47, "A kv write is a request of workload.client.run_request,"
+          " under the client's retries and back-off; no second request"
+          " loop keeps retry knobs of its own.",
+          "if (yield from harness.kv_write_with_retries(cluster, op, key,"
+          " value, WRITER_RETRIES)):", include="*.py"),
+    Guard("buffer-pool-owns-its-frames", r"\._frames\b|_write_back\(",
+          "src/repro", 47, "Callers write back or forget a segment's pages"
+          " through BufferPool.write_back and BufferPool.forget; only the"
+          " pool reads its frames.",
+          "frame = worker.buffer._frames.get(page.page_id)", include="*.py",
+          exclude="buffer.py"),
 ]
 
 
